@@ -19,11 +19,12 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use predllc_bench::harness::{nss, p, ss};
 use predllc_cache::{ReplacementKind, SetAssocCache};
 use predllc_core::analysis::WclParams;
 use predllc_core::llc::SharedLlc;
-use predllc_core::{PartitionMap, PartitionSpec, SetSequencer, SharingMode, Simulator};
+use predllc_core::{
+    PartitionMap, PartitionSpec, SetSequencer, SharingMode, Simulator, SystemConfig,
+};
 use predllc_dram::FixedLatency;
 use predllc_model::{CacheGeometry, CoreId, Cycles, LineAddr, SetIdx, SlotWidth};
 use predllc_workload::gen::UniformGen;
@@ -78,10 +79,10 @@ fn bench_cache(scale: u32) {
         ReplacementKind::RoundRobin,
         ReplacementKind::Random { seed: 1 },
     ] {
-        let mut policy = kind.build(CacheGeometry::PAPER_L3);
+        let mut cache = SetAssocCache::<()>::new(CacheGeometry::PAPER_L3, kind);
         let eligible = vec![true; 16];
         bench(&format!("victim_{kind}"), 16, 4_000 * scale, || {
-            policy.choose_victim(black_box(SetIdx(3)), black_box(&eligible))
+            cache.choose_victim(black_box(SetIdx(3)), black_box(&eligible))
         });
     }
 }
@@ -156,16 +157,22 @@ fn bench_llc(scale: u32) {
 fn bench_engine(scale: u32) {
     println!("-- engine --");
     let cases = [
-        ("ss_32x4x4", ss(32, 4, 4)),
-        ("nss_32x4x4", nss(32, 4, 4)),
-        ("p_8x4_x4", p(8, 4, 4)),
+        (
+            "ss_32x4x4",
+            SystemConfig::shared_partition(32, 4, 4, SharingMode::SetSequencer),
+        ),
+        (
+            "nss_32x4x4",
+            SystemConfig::shared_partition(32, 4, 4, SharingMode::BestEffort),
+        ),
+        ("p_8x4_x4", SystemConfig::private_partitions(8, 4, 4)),
     ];
     let gen = UniformGen::new(8_192, 500)
         .with_write_fraction(0.2)
         .with_seed(1)
         .with_cores(4);
     for (name, cfg) in cases {
-        let sim = Simulator::new(cfg).expect("valid");
+        let sim = Simulator::new(cfg.expect("valid")).expect("valid");
         // Streamed: the workload is generated on the fly each run.
         bench(&format!("{name}/streamed"), 1, 10 * scale, || {
             sim.run(&gen).expect("runs").execution_time()

@@ -6,22 +6,25 @@
 //! traffic is the random baseline), while the configuration axis sweeps
 //! the banked backend's bank count under both the interleaved and the
 //! bank-privatized per-core mapping, against the seed's fixed-latency
-//! DRAM. Every grid point runs through [`predllc_bench::Sweep`], and the
-//! output is the Measurement CSV with the backend label column.
+//! DRAM. The grid runs through [`predllc_explore::run_grid`], and the
+//! output is the CSV with the backend label column.
 //!
 //! Usage: `cargo run --release -p predllc-bench --bin dram_sensitivity
 //! [--quick] [--ops N]`
 
-use predllc_bench::harness::render_csv_with_backend;
-use predllc_bench::{error, status, Sweep};
-use predllc_core::{MemoryConfig, PartitionSpec, SystemConfig};
-use predllc_dram::{BankMapping, DramTiming};
-use predllc_model::{CoreId, DramGeometry};
-use predllc_workload::gen::{StrideGen, UniformGen};
-use predllc_workload::MultiCore;
+use predllc_bench::flags::Flags;
+use predllc_bench::render::render_backend_csv;
+use predllc_bench::{error, status};
+use predllc_dram::{BankMapping, DramTiming, MemoryConfig};
+use predllc_explore::spec::Partitioning;
+use predllc_explore::{run_grid, ConfigSpec, Executor, ExperimentSpec, WorkloadEntry};
+use predllc_model::DramGeometry;
+use predllc_workload::WorkloadSpec;
 use std::process::ExitCode;
 
-const CORES: u16 = 4;
+/// Per-core window of every workload: cores stream over disjoint 64 KiB
+/// windows, so they never share DRAM rows.
+const WINDOW: u64 = 64 << 10;
 
 fn main() -> ExitCode {
     match run() {
@@ -34,23 +37,17 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs the sweep; `Ok(false)` means the soundness check failed.
+/// Runs the grid; `Ok(false)` means the soundness check failed.
 fn run() -> Result<bool, Box<dyn std::error::Error>> {
-    let args: Vec<String> = predllc_bench::log::init(std::env::args().collect());
-    let quick = args.iter().any(|a| a == "--quick");
-    let default_ops = if quick { 200 } else { 2_000 };
-    let ops = args
-        .iter()
-        .position(|a| a == "--ops")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default_ops);
+    let flags = Flags::from_env();
+    let quick = flags.has("--quick");
+    let ops = flags.value("--ops", if quick { 200 } else { 2_000 })?;
 
     // Configuration axis: fixed baseline, then bank counts × mappings.
     // Bank counts are multiples of the core count so the privatized
     // mapping always slices evenly.
     let bank_counts: &[u32] = if quick { &[8] } else { &[4, 8, 16] };
-    let mut sweep = Sweep::new().config("fixed", platform(MemoryConfig::default())?);
+    let mut memories = vec![("fixed".to_string(), MemoryConfig::default())];
     for &banks in bank_counts {
         for (tag, mapping) in [
             ("il", BankMapping::Interleaved),
@@ -61,33 +58,63 @@ fn run() -> Result<bool, Box<dyn std::error::Error>> {
                 geometry: DramGeometry::new(1, banks, 64)?,
                 mapping,
             };
-            sweep = sweep.config(format!("b{banks}/{tag}"), platform(memory)?);
+            memories.push((format!("b{banks}/{tag}"), memory));
         }
     }
 
     // Workload axis: stride length controls the row-hit ratio.
     let strides: &[u64] = if quick { &[64] } else { &[64, 256, 4096] };
-    for &stride in strides {
-        sweep = sweep.workload_at(format!("stride/{stride}B"), stride, striders(stride, ops));
-    }
-    sweep = sweep.workload_at(
-        "uniform/64KiB",
-        0,
-        UniformGen::new(64 << 10, ops)
-            .with_seed(0xD8A)
-            .with_write_fraction(0.2)
-            .with_cores(CORES),
-    );
+    let mut workloads: Vec<WorkloadEntry> = strides
+        .iter()
+        .map(|&stride| WorkloadEntry {
+            label: format!("stride/{stride}B"),
+            x: stride,
+            spec: WorkloadSpec::Stride {
+                range_bytes: WINDOW,
+                stride,
+                ops,
+            },
+        })
+        .collect();
+    workloads.push(WorkloadEntry {
+        label: "uniform/64KiB".into(),
+        x: 0,
+        spec: WorkloadSpec::Uniform {
+            range_bytes: WINDOW,
+            ops,
+            seed: 0xD8A,
+            write_fraction: 0.2,
+        },
+    });
 
-    let rows = sweep.run()?;
-    predllc_bench::log::write_data(&render_csv_with_backend(&rows));
+    // The fixed platform: four cores with private `P(4,2)` LLC
+    // partitions, so DRAM effects are isolated from LLC interference.
+    let spec = ExperimentSpec {
+        name: "dram_sensitivity".into(),
+        cores: 4,
+        configs: memories
+            .into_iter()
+            .map(|(label, memory)| ConfigSpec {
+                label,
+                partitioning: Partitioning::PrivateEach { sets: 4, ways: 2 },
+                memory,
+                schedule: None,
+            })
+            .collect(),
+        workloads,
+        tasks: Vec::new(),
+        search: None,
+        attribution: false,
+    };
+    let rows = run_grid(&spec, &Executor::new(0))?;
+    predllc_bench::log::write_data(&render_backend_csv(&rows));
 
     // Soundness check: every observation stays within its row's
     // analytical WCL (the private-partition bound (2N+1)·SW here),
     // regardless of the memory backend.
     let violations = rows
         .iter()
-        .filter(|m| m.observed_wcl > m.analytical_wcl.unwrap_or(u64::MAX))
+        .filter(|r| r.observed_wcl > r.analytical_wcl.unwrap_or(u64::MAX))
         .count();
     if violations > 0 {
         error!("CHECK FAILED: {violations} observations exceed their analytical bound");
@@ -98,29 +125,4 @@ fn run() -> Result<bool, Box<dyn std::error::Error>> {
         rows.len()
     );
     Ok(true)
-}
-
-/// The fixed platform under the swept memory backend: four cores with
-/// private `P(4,2)` LLC partitions, so DRAM effects are isolated from
-/// LLC interference.
-fn platform(memory: MemoryConfig) -> Result<SystemConfig, predllc_core::ConfigError> {
-    SystemConfig::builder(CORES)
-        .partitions(
-            CoreId::first(CORES)
-                .map(|c| PartitionSpec::private(4, 2, c))
-                .collect(),
-        )
-        .memory(memory)
-        .build()
-}
-
-/// Per-core strided sweeps over disjoint 64 KiB windows (1 MiB apart, so
-/// cores never share DRAM rows).
-fn striders(stride: u64, ops: usize) -> MultiCore {
-    let mut w = MultiCore::new();
-    for core in 0..CORES {
-        let start = u64::from(core) << 20;
-        w = w.core(StrideGen::new(start, 64 << 10, ops).with_stride(stride));
-    }
-    w
 }

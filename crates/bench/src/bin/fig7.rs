@@ -3,15 +3,16 @@
 //! against the analytical WCLs (5000 cycles for SS, 979250 for NSS at 16
 //! ways / 21650 at 2 ways, 450 for P).
 //!
-//! Usage: `cargo run --release -p predllc-bench --bin fig7 [--csv] [--ops N] [--seed S]`
+//! Usage: `cargo run --release -p predllc-bench --bin fig7 [--csv] [--ops N] [--seed S] [--writes F]`
 
-use predllc_bench::harness::ss;
-use predllc_bench::harness::{
-    self, nss, p, paper_address_ranges, render_csv, render_table, uniform_workload, Measurement,
-    Metric,
-};
-use predllc_bench::{data, error, Sweep};
-use predllc_core::SimError;
+use predllc_bench::flags::Flags;
+use predllc_bench::render::{render_seed_csv, render_table, Metric};
+use predllc_bench::{data, error};
+use predllc_core::SharingMode::{BestEffort, SetSequencer};
+use predllc_dram::MemoryConfig;
+use predllc_explore::spec::Partitioning::{PrivateEach, SharedAll};
+use predllc_explore::{run_grid, ConfigSpec, Executor, ExperimentSpec, WorkloadEntry};
+use predllc_workload::WorkloadSpec;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -25,44 +26,66 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs the sweep; `Ok(false)` means a bound-violation check failed.
-fn run() -> Result<bool, SimError> {
-    let args: Vec<String> = predllc_bench::log::init(std::env::args().collect());
-    let csv = args.iter().any(|a| a == "--csv");
-    let ops = flag_value(&args, "--ops").unwrap_or(2_000);
-    let seed = flag_value(&args, "--seed").unwrap_or(0xF167);
-    let writes = fflag_value(&args, "--writes").unwrap_or(0.2);
+/// Runs the grid; `Ok(false)` means a bound-violation check failed.
+fn run() -> Result<bool, Box<dyn std::error::Error>> {
+    let flags = Flags::from_env();
+    let ops = flags.value("--ops", 2_000)?;
+    let seed = flags.value("--seed", 0xF167)?;
+    let write_fraction = flags.value("--writes", 0.2)?;
 
     // The paper's Fig. 7 configurations: one-set partitions "to force as
     // many conflicts as possible".
-    type ConfigBuilder = fn() -> predllc_core::SystemConfig;
-    let configs: Vec<(&str, ConfigBuilder)> = vec![
-        ("SS(1,2,4)", || ss(1, 2, 4)),
-        ("SS(1,4,4)", || ss(1, 4, 4)),
-        ("NSS(1,2,4)", || nss(1, 2, 4)),
-        ("NSS(1,4,4)", || nss(1, 4, 4)),
-        ("P(1,2)", || p(1, 2, 4)),
-        ("P(1,4)", || p(1, 4, 4)),
+    let shared = |ways, mode| SharedAll {
+        sets: 1,
+        ways,
+        mode,
+    };
+    let configs = [
+        ("SS(1,2,4)", shared(2, SetSequencer)),
+        ("SS(1,4,4)", shared(4, SetSequencer)),
+        ("NSS(1,2,4)", shared(2, BestEffort)),
+        ("NSS(1,4,4)", shared(4, BestEffort)),
+        ("P(1,2)", PrivateEach { sets: 1, ways: 2 }),
+        ("P(1,4)", PrivateEach { sets: 1, ways: 4 }),
     ];
+    // The x-axis: per-core address ranges 1 KiB … 256 KiB. The same
+    // (seed, ops) yields the same addresses under every configuration.
+    let spec = ExperimentSpec {
+        name: "fig7".into(),
+        cores: 4,
+        configs: configs
+            .into_iter()
+            .map(|(label, partitioning)| ConfigSpec {
+                label: label.into(),
+                partitioning,
+                memory: MemoryConfig::default(),
+                schedule: None,
+            })
+            .collect(),
+        workloads: (10..=18)
+            .map(|k| {
+                let range_bytes = 1u64 << k;
+                WorkloadEntry {
+                    label: format!("uniform/{range_bytes}B"),
+                    x: range_bytes,
+                    spec: WorkloadSpec::Uniform {
+                        range_bytes,
+                        ops,
+                        seed,
+                        write_fraction,
+                    },
+                }
+            })
+            .collect(),
+        tasks: Vec::new(),
+        search: None,
+        attribution: false,
+    };
+    let mut rows = run_grid(&spec, &Executor::new(0))?;
+    rows.sort_by(|a, b| (a.x, &a.config).cmp(&(b.x, &b.config)));
 
-    // One Sweep: each configuration's simulator is built once and reused
-    // across all nine streamed address-range workloads.
-    let mut sweep = Sweep::new();
-    for &(label, build) in &configs {
-        sweep = sweep.config(label, build());
-    }
-    for &range in &paper_address_ranges() {
-        sweep = sweep.workload_at(
-            format!("uniform/{range}B"),
-            range,
-            uniform_workload(range, ops as usize, seed, writes, 4),
-        );
-    }
-    let mut rows: Vec<Measurement> = sweep.run()?;
-    rows.sort_by(|a, b| (a.range, &a.label).cmp(&(b.range, &b.label)));
-
-    if csv {
-        predllc_bench::log::write_data(&render_csv(&rows));
+    if flags.has("--csv") {
+        predllc_bench::log::write_data(&render_seed_csv(&rows));
         return Ok(true);
     }
     data!(
@@ -74,17 +97,22 @@ fn run() -> Result<bool, SimError> {
         )
     );
     data!("Analytical WCLs (cycles):");
-    for (label, build) in &configs {
+    for c in &spec.configs {
+        let bound = rows
+            .iter()
+            .find(|r| r.config == c.label)
+            .and_then(|r| r.analytical_wcl);
         data!(
-            "  {label:<12} {}",
-            harness::analytical_wcl(&build()).map_or("-".to_string(), |v| v.to_string())
+            "  {:<12} {}",
+            c.label,
+            bound.map_or("-".to_string(), |v| v.to_string())
         );
     }
     data!();
     // The paper's criterion: every observation within its analytical WCL.
-    let violations: Vec<&Measurement> = rows
+    let violations: Vec<_> = rows
         .iter()
-        .filter(|m| m.analytical_wcl.is_some_and(|a| m.observed_wcl > a))
+        .filter(|r| r.analytical_wcl.is_some_and(|a| r.observed_wcl > a))
         .collect();
     if violations.is_empty() {
         data!("CHECK ok: all observed WCLs are within their analytical bounds");
@@ -97,26 +125,12 @@ fn run() -> Result<bool, SimError> {
         for v in violations {
             data!(
                 "  {} @ {} B: observed {} > analytical {}",
-                v.label,
-                v.range,
+                v.config,
+                v.x,
                 v.observed_wcl,
                 v.analytical_wcl.unwrap_or(0)
             );
         }
         Ok(false)
     }
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn fflag_value(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

@@ -9,55 +9,75 @@
 //! reported (the printed one as `P`, the equal division as `P=`); see
 //! `EXPERIMENTS.md`.
 //!
-//! Usage: `cargo run --release -p predllc-bench --bin fig8 [--csv] [--ops N] [--seed S]`
+//! Usage: `cargo run --release -p predllc-bench --bin fig8 [--csv] [--ops N] [--seed S] [--writes F]`
 
-use predllc_bench::harness::{
-    nss, p, paper_address_ranges, render_csv, render_table, ss, uniform_workload, Measurement,
-    Metric,
-};
-use predllc_bench::{data, error, Sweep};
-use predllc_core::{SimError, SystemConfig};
+use predllc_bench::flags::Flags;
+use predllc_bench::render::{render_seed_csv, render_table, Metric};
+use predllc_bench::{data, error};
+use predllc_core::SharingMode::{BestEffort, SetSequencer};
+use predllc_dram::MemoryConfig;
+use predllc_explore::spec::Partitioning::{self, PrivateEach, SharedAll};
+use predllc_explore::{run_grid, ConfigSpec, Executor, ExperimentSpec, GridResult, WorkloadEntry};
+use predllc_workload::WorkloadSpec;
 use std::process::ExitCode;
 
+/// One figure panel: a title, a core count and its configurations
+/// (the shared-SS column first — the speedups are relative to it).
 struct Panel {
     title: &'static str,
-    configs: Vec<(String, SystemConfig)>,
+    cores: u16,
+    configs: Vec<(&'static str, Partitioning)>,
 }
 
 fn panels() -> Vec<Panel> {
+    let ss = |ways| SharedAll {
+        sets: 32,
+        ways,
+        mode: SetSequencer,
+    };
+    let nss = |ways| SharedAll {
+        sets: 32,
+        ways,
+        mode: BestEffort,
+    };
+    let p = |sets, ways| PrivateEach { sets, ways };
     vec![
         Panel {
             title: "Figure 8a: 2-core, 4096 B partition — execution time (cycles)",
+            cores: 2,
             configs: vec![
-                ("SS(32,2,2)".into(), ss(32, 2, 2)),
-                ("NSS(32,2,2)".into(), nss(32, 2, 2)),
-                ("P(8,2)".into(), p(8, 2, 2)),
-                ("P=(16,2)".into(), p(16, 2, 2)),
+                ("SS(32,2,2)", ss(2)),
+                ("NSS(32,2,2)", nss(2)),
+                ("P(8,2)", p(8, 2)),
+                ("P=(16,2)", p(16, 2)),
             ],
         },
         Panel {
             title: "Figure 8b: 2-core, 8192 B partition — execution time (cycles)",
+            cores: 2,
             configs: vec![
-                ("SS(32,4,2)".into(), ss(32, 4, 2)),
-                ("NSS(32,4,2)".into(), nss(32, 4, 2)),
-                ("P(8,4)".into(), p(8, 4, 2)),
-                ("P=(16,4)".into(), p(16, 4, 2)),
+                ("SS(32,4,2)", ss(4)),
+                ("NSS(32,4,2)", nss(4)),
+                ("P(8,4)", p(8, 4)),
+                ("P=(16,4)", p(16, 4)),
             ],
         },
         Panel {
             title: "Figure 8c: 4-core, 4096 B partition — execution time (cycles)",
+            cores: 4,
             configs: vec![
-                ("SS(32,2,4)".into(), ss(32, 2, 4)),
-                ("NSS(32,2,4)".into(), nss(32, 2, 4)),
-                ("P(8,2)".into(), p(8, 2, 4)),
+                ("SS(32,2,4)", ss(2)),
+                ("NSS(32,2,4)", nss(2)),
+                ("P(8,2)", p(8, 2)),
             ],
         },
         Panel {
             title: "Figure 8d: 4-core, 8192 B partition — execution time (cycles)",
+            cores: 4,
             configs: vec![
-                ("SS(32,4,4)".into(), ss(32, 4, 4)),
-                ("NSS(32,4,4)".into(), nss(32, 4, 4)),
-                ("P(8,4)".into(), p(8, 4, 4)),
+                ("SS(32,4,4)", ss(4)),
+                ("NSS(32,4,4)", nss(4)),
+                ("P(8,4)", p(8, 4)),
             ],
         },
     ]
@@ -73,34 +93,52 @@ fn main() -> ExitCode {
     }
 }
 
-fn run() -> Result<(), SimError> {
-    let args: Vec<String> = predllc_bench::log::init(std::env::args().collect());
-    let csv = args.iter().any(|a| a == "--csv");
-    let ops = flag_value(&args, "--ops").unwrap_or(4_000) as usize;
-    let seed = flag_value(&args, "--seed").unwrap_or(0xF168);
-    let writes = fflag_value(&args, "--writes").unwrap_or(0.0);
+fn run() -> Result<(), Box<dyn std::error::Error>> {
+    let flags = Flags::from_env();
+    let ops = flags.value("--ops", 4_000)?;
+    let seed = flags.value("--seed", 0xF168)?;
+    let write_fraction = flags.value("--writes", 0.0)?;
 
+    let exec = Executor::new(0);
     for panel in panels() {
-        // Every configuration in a panel has the same core count, so one
-        // streamed workload row serves the whole panel; each config's
-        // simulator is reused across all nine ranges.
-        let cores = panel.configs[0].1.num_cores();
-        let mut sweep = Sweep::new();
-        for (label, cfg) in &panel.configs {
-            sweep = sweep.config(label.clone(), cfg.clone());
-        }
-        for &range in &paper_address_ranges() {
-            sweep = sweep.workload_at(
-                format!("uniform/{range}B"),
-                range,
-                uniform_workload(range, ops, seed, writes, cores),
-            );
-        }
-        let mut rows: Vec<Measurement> = sweep.run()?;
-        rows.sort_by(|a, b| (a.range, &a.label).cmp(&(b.range, &b.label)));
+        // The x-axis: per-core address ranges 1 KiB … 256 KiB.
+        let spec = ExperimentSpec {
+            name: panel.title.into(),
+            cores: panel.cores,
+            configs: panel
+                .configs
+                .iter()
+                .map(|(label, partitioning)| ConfigSpec {
+                    label: (*label).into(),
+                    partitioning: partitioning.clone(),
+                    memory: MemoryConfig::default(),
+                    schedule: None,
+                })
+                .collect(),
+            workloads: (10..=18)
+                .map(|k| {
+                    let range_bytes = 1u64 << k;
+                    WorkloadEntry {
+                        label: format!("uniform/{range_bytes}B"),
+                        x: range_bytes,
+                        spec: WorkloadSpec::Uniform {
+                            range_bytes,
+                            ops,
+                            seed,
+                            write_fraction,
+                        },
+                    }
+                })
+                .collect(),
+            tasks: Vec::new(),
+            search: None,
+            attribution: false,
+        };
+        let mut rows = run_grid(&spec, &exec)?;
+        rows.sort_by(|a, b| (a.x, &a.config).cmp(&(b.x, &b.config)));
 
-        if csv {
-            predllc_bench::log::write_data(&render_csv(&rows));
+        if flags.has("--csv") {
+            predllc_bench::log::write_data(&render_seed_csv(&rows));
         } else {
             data!(
                 "{}",
@@ -114,15 +152,12 @@ fn run() -> Result<(), SimError> {
 
 /// The paper reports SS's average speedup over NSS and P across the
 /// ranges where the address range exceeds the partition share.
-fn print_speedups(panel: &Panel, rows: &[Measurement]) {
-    let ss_label = &panel.configs[0].0;
-    for (label, _) in panel.configs.iter().skip(1) {
+fn print_speedups(panel: &Panel, rows: &[GridResult]) {
+    let ss_label = panel.configs[0].0;
+    for &(label, _) in panel.configs.iter().skip(1) {
         let mut ratios = Vec::new();
-        for r in rows.iter().filter(|r| &r.label == ss_label) {
-            if let Some(other) = rows
-                .iter()
-                .find(|o| &o.label == label && o.range == r.range)
-            {
+        for r in rows.iter().filter(|r| r.config == ss_label) {
+            if let Some(other) = rows.iter().find(|o| o.config == label && o.x == r.x) {
                 if r.execution_time > 0 {
                     ratios.push(other.execution_time as f64 / r.execution_time as f64);
                 }
@@ -134,18 +169,4 @@ fn print_speedups(panel: &Panel, rows: &[Measurement]) {
         }
     }
     data!();
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn fflag_value(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

@@ -1,32 +1,16 @@
-//! HTTP-layer throughput benchmark and perf-regression gate for the
-//! experiment service.
+//! HTTP-layer connection-depth check for the experiment service.
 //!
-//! Two scenarios, both driving a real in-process [`Server`] over
-//! loopback TCP with persistent keep-alive connections:
-//!
-//! * `keepalive-2000c` — the reactor sustaining thousands of
-//!   **simultaneously open** keep-alive connections (the old
-//!   thread-per-connection cap was 256). Every response must be a
-//!   `200`; the run fails otherwise. Reports requests/sec and p99
-//!   request latency — informational, since absolute numbers are
-//!   machine-bound.
-//! * `reactor-vs-blocking-128c` — the same request mix at 128
-//!   connections against a reactor-mode server and against the
-//!   preserved blocking fallback on the same machine. The
-//!   reactor/blocking throughput **ratio** is the gated metric: it is
-//!   a same-machine comparison, portable across runner hardware.
+//! One scenario, `keepalive-2000c`: a real in-process [`Server`] over
+//! loopback TCP sustaining thousands of **simultaneously open**
+//! keep-alive connections. Every response must be a `200` and the
+//! open-connection gauge must reach the full depth mid-run; the run
+//! fails otherwise. Requests/sec and p99 request latency are reported
+//! for information only — absolute numbers are machine-bound, and the
+//! end-to-end benchmark in `e2ebench/` owns serve performance.
 //!
 //! ```text
 //! serve_perf [--quick] [--out BENCH_serve.json]
-//!            [--gate baseline.json] [--tolerance 0.20]
 //! ```
-//!
-//! With `--gate`, metrics named by each baseline entry's
-//! `"gate_metrics"` are compared against the checked-in baseline
-//! (`crates/bench/baselines/BENCH_serve_baseline.json` in CI): a drop
-//! of more than `tolerance` below baseline fails the run. The gate is
-//! two-directional — a measured scenario missing from the baseline
-//! fails too, so renamed scenarios cannot silently escape gating.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,28 +18,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use predllc_bench::{data, error, status};
-use predllc_explore::json::{parse, Json};
-use predllc_serve::{Client, ServeMode, Server, ServerConfig, ServerHandle};
-
-/// One measured scenario: a name plus its metric/value pairs (the JSON
-/// and the gate both iterate this shape, so adding a metric is one
-/// line).
-struct Outcome {
-    name: &'static str,
-    metrics: Vec<(&'static str, f64)>,
-}
-
-fn start(config: ServerConfig) -> (ServerHandle, std::thread::JoinHandle<()>) {
-    let server = Server::bind("127.0.0.1:0", config).expect("bind an ephemeral port");
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("server run"));
-    (handle, join)
-}
-
-fn stop(handle: &ServerHandle, join: std::thread::JoinHandle<()>) {
-    handle.shutdown();
-    join.join().expect("server thread");
-}
+use predllc_explore::json::Json;
+use predllc_serve::{Client, Server, ServerConfig};
 
 /// Opens `conns` keep-alive connections, rendezvouses once **all** of
 /// them are established and held open (running `probe` at that
@@ -68,7 +32,7 @@ fn drive(
     conns: usize,
     rounds: usize,
     threads: usize,
-    probe: Option<&mut dyn FnMut() -> Result<(), String>>,
+    probe: &mut dyn FnMut() -> Result<(), String>,
 ) -> Result<(f64, f64), String> {
     let failed = Arc::new(AtomicBool::new(false));
     let barrier = Arc::new(std::sync::Barrier::new(threads + 1));
@@ -130,10 +94,7 @@ fn drive(
 
     // Rendezvous: every connection is established and held open.
     barrier.wait();
-    let probed = match probe {
-        Some(f) => f(),
-        None => Ok(()),
-    };
+    let probed = probe();
     barrier.wait();
     let t0 = Instant::now();
     let mut latencies: Vec<u64> = Vec::with_capacity(conns * rounds);
@@ -157,15 +118,20 @@ fn drive(
     Ok((expected as f64 / wall, p99))
 }
 
-/// The headline scenario: `conns` simultaneously open keep-alive
-/// connections against a reactor server, with the open-connection
-/// gauge asserted at full depth mid-run.
-fn keepalive_scenario(conns: usize, rounds: usize, threads: usize) -> Result<Outcome, String> {
-    let (handle, join) = start(ServerConfig {
-        mode: ServeMode::Auto,
-        max_connections: conns + 64,
-        ..ServerConfig::default()
-    });
+/// The scenario: `conns` simultaneously open keep-alive connections,
+/// with the open-connection gauge asserted at full depth mid-run.
+/// Returns (requests/sec, p99 latency ms).
+fn keepalive_scenario(conns: usize, rounds: usize, threads: usize) -> Result<(f64, f64), String> {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            max_connections: conns + 64,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind an ephemeral port");
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run().expect("server run"));
     let addr = handle.addr();
 
     // The probe runs at the establishment rendezvous, while every
@@ -184,62 +150,24 @@ fn keepalive_scenario(conns: usize, rounds: usize, threads: usize) -> Result<Out
         }
         Ok(())
     };
-    let (rps, p99) = drive(addr, conns, rounds, threads, Some(&mut probe))?;
-    stop(&handle, join);
-    Ok(Outcome {
-        name: "keepalive-2000c",
-        metrics: vec![
-            ("conns", conns as f64),
-            ("rps", round3(rps)),
-            ("p99_ms", round3(p99)),
-        ],
-    })
+    let measured = drive(addr, conns, rounds, threads, &mut probe)?;
+    handle.shutdown();
+    join.join().expect("server thread");
+    Ok(measured)
 }
 
-/// The gated scenario: identical load against the reactor and against
-/// the blocking fallback; the throughput ratio is the same-machine,
-/// hardware-portable regression signal.
-fn ratio_scenario(conns: usize, rounds: usize, threads: usize) -> Result<Outcome, String> {
-    let mut rps = Vec::new();
-    for mode in [ServeMode::Reactor, ServeMode::Blocking] {
-        let (handle, join) = start(ServerConfig {
-            mode,
-            max_connections: conns + 64,
-            ..ServerConfig::default()
-        });
-        // The establishment round inside `drive` doubles as warm-up;
-        // timing starts only after every connection is open.
-        let (r, _p99) = drive(handle.addr(), conns, rounds, threads, None)?;
-        rps.push(r);
-        stop(&handle, join);
-    }
-    Ok(Outcome {
-        name: "reactor-vs-blocking-128c",
-        metrics: vec![
-            ("reactor_rps", round3(rps[0])),
-            ("blocking_rps", round3(rps[1])),
-            ("ratio", round3(rps[0] / rps[1])),
-        ],
-    })
-}
-
-fn render_json(outcomes: &[Outcome]) -> String {
-    let workloads = outcomes
-        .iter()
-        .map(|o| {
-            let mut fields = vec![("name".into(), Json::Str(o.name.into()))];
-            fields.extend(
-                o.metrics
-                    .iter()
-                    .map(|(k, v)| ((*k).into(), Json::Float(*v))),
-            );
-            Json::Object(fields)
-        })
-        .collect();
+/// The `BENCH_serve.json` document.
+fn render_json(conns: usize, rps: f64, p99_ms: f64) -> String {
+    let workload = Json::Object(vec![
+        ("name".into(), Json::Str("keepalive-2000c".into())),
+        ("conns".into(), Json::Float(conns as f64)),
+        ("rps".into(), Json::Float(round3(rps))),
+        ("p99_ms".into(), Json::Float(round3(p99_ms))),
+    ]);
     Json::Object(vec![
         ("benchmark".into(), Json::Str("serve_perf".into())),
         ("headline".into(), Json::Str("keepalive-2000c".into())),
-        ("workloads".into(), Json::Array(workloads)),
+        ("workloads".into(), Json::Array(vec![workload])),
     ])
     .render_pretty()
 }
@@ -248,89 +176,15 @@ fn round3(v: f64) -> f64 {
     (v * 1000.0).round() / 1000.0
 }
 
-/// Compares measured outcomes against a baseline JSON; returns the
-/// gate report and whether everything passed. Only metrics listed in
-/// an entry's `"gate_metrics"` gate; the rest print informationally.
-fn gate(outcomes: &[Outcome], baseline: &Json, tolerance: f64) -> (String, bool) {
-    use std::fmt::Write as _;
-    let mut report = String::new();
-    let mut ok = true;
-    let Some(entries) = baseline.get("workloads").and_then(Json::as_array) else {
-        return ("baseline has no 'workloads' array\n".into(), false);
-    };
-    for entry in entries {
-        let name = entry.get("name").and_then(Json::as_str).unwrap_or("?");
-        let Some(measured) = outcomes.iter().find(|o| o.name == name) else {
-            let _ = writeln!(report, "{name}: missing from this run — FAIL");
-            ok = false;
-            continue;
-        };
-        let gate_metrics: Vec<&str> = entry
-            .get("gate_metrics")
-            .and_then(Json::as_array)
-            .map(|m| m.iter().filter_map(Json::as_str).collect())
-            .unwrap_or_default();
-        for (metric, now) in &measured.metrics {
-            let Some(base) = entry.get(metric).and_then(Json::as_f64) else {
-                if gate_metrics.contains(metric) {
-                    let _ = writeln!(report, "{name}.{metric}: missing in baseline — FAIL");
-                    ok = false;
-                }
-                continue;
-            };
-            let delta = (now - base) / base;
-            let verdict = if !gate_metrics.contains(metric) {
-                "info (not gated)"
-            } else if delta < -tolerance {
-                ok = false;
-                "FAIL (regression)"
-            } else {
-                "ok"
-            };
-            let _ = writeln!(
-                report,
-                "{name}.{metric}: baseline {base:.3}, measured {now:.3}, delta {:+.1}% — {verdict}",
-                delta * 100.0
-            );
-        }
-    }
-    // Two-directional: a measured scenario the baseline does not know
-    // about means the baseline is stale.
-    for o in outcomes {
-        let known = entries
-            .iter()
-            .any(|e| e.get("name").and_then(Json::as_str) == Some(o.name));
-        if !known {
-            let _ = writeln!(
-                report,
-                "{}: not in the baseline — FAIL (add it to the baseline file)",
-                o.name
-            );
-            ok = false;
-        }
-    }
-    (report, ok)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = predllc_bench::log::init(std::env::args().skip(1).collect());
     let mut quick = false;
     let mut out = String::from("BENCH_serve.json");
-    let mut gate_path: Option<String> = None;
-    let mut tolerance = 0.20f64;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--out" => out = it.next().expect("--out needs a path").clone(),
-            "--gate" => gate_path = Some(it.next().expect("--gate needs a path").clone()),
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .expect("--tolerance needs a value")
-                    .parse()
-                    .expect("tolerance is a fraction, e.g. 0.2")
-            }
             other => {
                 error!("unknown argument '{other}'");
                 return ExitCode::FAILURE;
@@ -358,75 +212,27 @@ fn main() -> ExitCode {
             }
         }
     }
-    let (rounds, ratio_rounds, threads) = if quick { (2, 4, 8) } else { (5, 40, 8) };
+    let rounds = if quick { 2 } else { 5 };
 
-    let mut outcomes = Vec::new();
-    match keepalive_scenario(conns, rounds, threads) {
-        Ok(o) => {
-            data!(
-                "keepalive-2000c: {} concurrent keep-alive conns, {:.0} req/s, p99 {:.2} ms \
-                 (every answer 200)",
-                conns,
-                o.metrics[1].1,
-                o.metrics[2].1
-            );
-            outcomes.push(o);
-        }
+    let (rps, p99_ms) = match keepalive_scenario(conns, rounds, 8) {
+        Ok(measured) => measured,
         Err(e) => {
             error!("keepalive-2000c FAILED: {e}");
             return ExitCode::FAILURE;
         }
-    }
-    match ratio_scenario(128.min(conns), ratio_rounds, threads) {
-        Ok(o) => {
-            data!(
-                "reactor-vs-blocking-128c: reactor {:.0} req/s, blocking {:.0} req/s, \
-                 ratio {:.3}x",
-                o.metrics[0].1,
-                o.metrics[1].1,
-                o.metrics[2].1
-            );
-            outcomes.push(o);
-        }
-        Err(e) => {
-            error!("reactor-vs-blocking-128c FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    };
+    data!(
+        "keepalive-2000c: {conns} concurrent keep-alive conns, {:.0} req/s, p99 {:.2} ms \
+         (every answer 200)",
+        round3(rps),
+        round3(p99_ms)
+    );
 
-    let json = render_json(&outcomes);
+    let json = render_json(conns, rps, p99_ms);
     if let Err(e) = std::fs::write(&out, &json) {
         error!("cannot write {out}: {e}");
         return ExitCode::FAILURE;
     }
     status!("wrote {out}");
-
-    if let Some(path) = gate_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                error!("cannot read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = match parse(&text) {
-            Ok(j) => j,
-            Err(e) => {
-                error!("baseline {path} is not valid json: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let (report, ok) = gate(&outcomes, &baseline, tolerance);
-        predllc_bench::log::write_data(&report);
-        if !ok {
-            error!(
-                "perf gate FAILED: a metric regressed more than {:.0}% below \
-                 the checked-in baseline",
-                tolerance * 100.0
-            );
-            return ExitCode::FAILURE;
-        }
-        data!("perf gate passed (tolerance {:.0}%)", tolerance * 100.0);
-    }
     ExitCode::SUCCESS
 }

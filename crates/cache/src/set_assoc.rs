@@ -8,11 +8,9 @@
 //! The storage is a single flat slot array (`set × ways + way`) with the
 //! replacement bookkeeping inlined as flat per-way state, so the hit path
 //! — the hottest loop of the whole simulator — is one bounded scan with no
-//! pointer chasing and no dynamic dispatch. Replacement behaviour is
-//! bit-identical to the boxed [`ReplacementPolicy`](crate::replacement)
-//! implementations (same victim order, same tie-breaking, same
-//! deterministic random sequence); the trait remains available for
-//! external experimentation.
+//! pointer chasing and no dynamic dispatch. The unit tests check the
+//! inlined replacer victim for victim against boxed reference
+//! implementations of each [`ReplacementKind`] policy.
 
 use predllc_model::{CacheGeometry, LineAddr, SetIdx, WayIdx};
 
@@ -29,10 +27,8 @@ pub struct Entry<T> {
     pub meta: T,
 }
 
-/// Inlined replacement state: the same policies as
-/// [`crate::replacement`], stored flat and dispatched by a match instead
-/// of a vtable. Victim selection and recency updates are byte-for-byte
-/// the boxed policies' behaviour.
+/// Inlined replacement state for every [`ReplacementKind`], stored flat
+/// and dispatched by a match instead of a vtable.
 #[derive(Debug)]
 enum Replacer {
     /// LRU (`refresh_on_hit`) and FIFO (`!refresh_on_hit`): a per-way
@@ -69,8 +65,7 @@ impl Replacer {
             },
             ReplacementKind::Random { seed } => {
                 // Scramble the seed with splitmix64 so that nearby seeds
-                // diverge and zero never becomes the xorshift state
-                // (identical to `replacement::XorShiftRandom`).
+                // diverge and zero never becomes the xorshift state.
                 let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
                 z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
                 z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -688,9 +683,64 @@ mod tests {
         assert_eq!(c.way_of(LineAddr::new(4)), None);
     }
 
-    /// The inlined replacer must reproduce the boxed policies' victim
-    /// sequences exactly — same stamps, same rotation, same xorshift
-    /// stream.
+    /// A one-set, four-way cache under `kind`, ways filled in order.
+    fn full_set(kind: ReplacementKind) -> SetAssocCache<()> {
+        let mut c = SetAssocCache::new(CacheGeometry::new(1, 4, 64).unwrap(), kind);
+        for w in 0..4 {
+            c.install_at(SetIdx(0), WayIdx(w), LineAddr::new(u64::from(w)), false, ());
+        }
+        c
+    }
+
+    #[test]
+    fn each_policy_picks_victims_by_its_rule() {
+        const S0: SetIdx = SetIdx(0);
+        let all = [true; 4];
+        // LRU: a hit refreshes, the mask excludes, an invalidated way
+        // goes first, an empty mask has no victim.
+        let mut lru = full_set(ReplacementKind::Lru);
+        lru.touch(S0, WayIdx(0));
+        assert_eq!(lru.choose_victim(S0, &all), Some(WayIdx(1)));
+        assert_eq!(
+            lru.choose_victim(S0, &[true, false, true, true]),
+            Some(WayIdx(2))
+        );
+        lru.take(S0, WayIdx(3));
+        assert_eq!(lru.choose_victim(S0, &all), Some(WayIdx(3)));
+        assert_eq!(lru.choose_victim(S0, &[false; 4]), None);
+        // FIFO: hits do not refresh.
+        let mut fifo = full_set(ReplacementKind::Fifo);
+        fifo.touch(S0, WayIdx(0));
+        assert_eq!(fifo.choose_victim(S0, &all), Some(WayIdx(0)));
+        // Round-robin: rotates, skipping ineligible ways.
+        let mut rr = full_set(ReplacementKind::RoundRobin);
+        let picks: Vec<_> = (0..5).map(|_| rr.choose_victim(S0, &all)).collect();
+        assert_eq!(picks, [0, 1, 2, 3, 0].map(|w| Some(WayIdx(w))));
+        let only_1 = [false, true, false, false];
+        assert_eq!(rr.choose_victim(S0, &only_1), Some(WayIdx(1)));
+        assert_eq!(rr.choose_victim(S0, &only_1), Some(WayIdx(1)));
+        // Random: deterministic per seed, eligible ways only.
+        let picks = |seed| {
+            let mut c = full_set(ReplacementKind::Random { seed });
+            (0..16)
+                .map(|_| c.choose_victim(S0, &all))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(picks(42), picks(42));
+        assert_ne!(picks(42), picks(43));
+        let mut random = full_set(ReplacementKind::Random { seed: 7 });
+        let mask = [false, true, false, true];
+        for _ in 0..64 {
+            let w = random.choose_victim(S0, &mask).unwrap();
+            assert!(mask[w.as_usize()], "picked ineligible way {w}");
+        }
+        assert_eq!(random.choose_victim(S0, &[false; 4]), None);
+        assert_eq!(random.choose_victim(S0, &[]), None);
+    }
+
+    /// The inlined replacer must reproduce the boxed reference policies'
+    /// victim sequences exactly — same stamps, same rotation, same
+    /// xorshift stream.
     #[test]
     fn inlined_replacers_match_boxed_policies() {
         for kind in [
@@ -701,7 +751,7 @@ mod tests {
         ] {
             let g = CacheGeometry::new(4, 4, 64).unwrap();
             let mut cache: SetAssocCache<()> = SetAssocCache::new(g, kind);
-            let mut boxed = kind.build(g);
+            let mut boxed = crate::replacement::reference::build(kind, g);
             // Drive an identical access pattern through both.
             let mut x = 12345u64;
             for _ in 0..500 {

@@ -1,22 +1,12 @@
 //! The fixed-latency memory backend — the seed simulator's DRAM model.
 
-use predllc_model::{BankId, Cycles, LineAddr};
+use predllc_model::{BankId, Cycles};
 
 use crate::backend::{MemAccess, MemRequest, MemStats, MemoryBackend};
 
-/// Traffic counters in the seed simulator's original shape, kept for the
-/// deprecated `predllc_cache::Dram` compatibility surface.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct DramStats {
-    /// Number of line fetches (LLC miss fills).
-    pub reads: u64,
-    /// Number of line write-backs (dirty LLC evictions).
-    pub writes: u64,
-}
-
 /// A fixed-latency DRAM: every access costs the same number of cycles.
 ///
-/// This is bit-identical to the seed's `predllc_cache::Dram` — the
+/// This is bit-identical to the seed simulator's DRAM — the
 /// paper's system model collapses the memory system into one constant
 /// charge provisioned to cover the worst case — and is the **default**
 /// memory backend of every configuration. Its
@@ -58,36 +48,6 @@ impl FixedLatency {
     pub fn latency(&self) -> Cycles {
         self.latency
     }
-
-    /// Fetches a line (an LLC miss fill), returning the access latency.
-    ///
-    /// Seed-era convenience kept for the deprecated `Dram` alias; new
-    /// code drives the [`MemoryBackend::access`] interface.
-    pub fn fetch(&mut self, _line: LineAddr) -> Cycles {
-        self.stats.reads += 1;
-        self.latency
-    }
-
-    /// Writes back a dirty line evicted from the LLC, returning the
-    /// access latency (seed-era convenience, like [`FixedLatency::fetch`]).
-    pub fn write_back(&mut self, _line: LineAddr) -> Cycles {
-        self.stats.writes += 1;
-        self.latency
-    }
-
-    /// Traffic counters in the seed's original shape.
-    pub fn stats(&self) -> DramStats {
-        DramStats {
-            reads: self.stats.reads,
-            writes: self.stats.writes,
-        }
-    }
-
-    /// Resets the traffic counters (seed-era name for
-    /// [`MemoryBackend::reset`]).
-    pub fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
-    }
 }
 
 impl Default for FixedLatency {
@@ -117,7 +77,7 @@ impl MemoryBackend for FixedLatency {
     }
 
     fn reset(&mut self) {
-        self.reset_stats();
+        self.stats = MemStats::default();
     }
 
     fn label(&self) -> String {
@@ -128,26 +88,7 @@ impl MemoryBackend for FixedLatency {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use predllc_model::CoreId;
-
-    #[test]
-    fn counts_traffic_like_the_seed() {
-        let mut d = FixedLatency::default();
-        assert_eq!(d.latency(), Cycles::new(30));
-        for i in 0..3 {
-            assert_eq!(d.fetch(LineAddr::new(i)), Cycles::new(30));
-        }
-        d.write_back(LineAddr::new(0));
-        assert_eq!(
-            d.stats(),
-            DramStats {
-                reads: 3,
-                writes: 1
-            }
-        );
-        d.reset_stats();
-        assert_eq!(d.stats(), DramStats::default());
-    }
+    use predllc_model::{CoreId, LineAddr};
 
     #[test]
     fn backend_interface_matches_seed_semantics() {

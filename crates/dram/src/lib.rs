@@ -11,8 +11,8 @@
 //!   (latency + bank + row outcome) out, plus the analytical
 //!   [`worst_case_latency`](MemoryBackend::worst_case_latency) the
 //!   slot-budget check and WCL analysis fold in.
-//! * [`FixedLatency`] — bit-identical to the seed's `Dram`: every
-//!   access costs the same, the worst case *is* the latency.
+//! * [`FixedLatency`] — bit-identical to the seed simulator's DRAM:
+//!   every access costs the same, the worst case *is* the latency.
 //! * [`BankedDram`] — channels × banks with open-row policy, the
 //!   [`DramTiming`] parameter table (`tRCD/tRP/tCAS/tWR/tBUS`), per-bank
 //!   state machines and write-recovery turnaround, under either an
@@ -66,7 +66,7 @@ pub use backend::{MemAccess, MemRequest, MemStats, MemoryBackend, RowOutcome};
 pub use banked::BankedDram;
 pub use config::MemoryConfig;
 pub use error::DramError;
-pub use fixed::{DramStats, FixedLatency};
+pub use fixed::FixedLatency;
 pub use mapping::BankMapping;
 pub use timing::DramTiming;
 pub use worst_case::WorstCase;

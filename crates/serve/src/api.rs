@@ -59,6 +59,7 @@ pub(crate) fn parse_error_response(e: &HttpError) -> Option<Response> {
 
 /// The `429` answer when the dispatch executor queue is full: shed the
 /// request now, tell the client when to come back.
+#[cfg(target_os = "linux")]
 pub(crate) fn backpressure_response(retry_after: u64) -> Response {
     error_response(429, "backpressure", "dispatch queue is full; retry later")
         .with_retry_after(retry_after)
@@ -67,6 +68,7 @@ pub(crate) fn backpressure_response(retry_after: u64) -> Response {
 /// Whether the route a request resolves to is marked heavy (must run
 /// on the dispatch executor rather than inline on a reactor thread).
 /// Unroutable requests are light — answering 404/405 is cheap.
+#[cfg(target_os = "linux")]
 pub(crate) fn is_heavy(router: &Router, req: &Request) -> bool {
     matches!(
         router.lookup(&req.method, &req.path),

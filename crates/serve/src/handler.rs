@@ -5,9 +5,9 @@
 //! parameters and returns a [`Dispatch`]: either a [`Response`] to
 //! write (whose body may be fully materialized bytes or a pull-based
 //! stream) or a deliberate hang-up (the fault-injection path answers
-//! nothing, like a crashed process). Both serve modes — the epoll
-//! reactor and the preserved blocking fallback — drive the same
-//! router, so an endpoint is written once and served identically.
+//! nothing, like a crashed process). Both connection drivers — the
+//! epoll reactor on Linux and the blocking loop elsewhere — drive the
+//! same router, so an endpoint is written once and served identically.
 
 use crate::http::{Request, Response};
 

@@ -18,9 +18,8 @@
 //!   bytes or a pull-based [`BodyStream`] rendered incrementally.
 //! * [`sys`] (Linux) — raw `epoll`/`eventfd` bindings that power the
 //!   event-driven reactor serving thousands of keep-alive connections
-//!   from a handful of threads; other platforms (and
-//!   [`ServeMode::Blocking`]) use the preserved thread-per-connection
-//!   fallback.
+//!   from a handful of threads; other platforms use a
+//!   thread-per-connection fallback.
 //! * [`registry`] — content-addressed jobs: a spec's identity is the
 //!   canonical (key-order-insensitive) FNV-1a fingerprint of its parsed
 //!   document, so duplicate submissions — including **concurrent**
@@ -106,8 +105,8 @@ pub use handler::{Dispatch, Handler, Router};
 pub use http::{Body, BodyStream, Limits, Request, Response};
 pub use registry::{Job, JobResult, JobStatus, Metrics, MetricsSnapshot, Registry, SubmitError};
 pub use server::{
-    default_rules, LocalRunner, MonitorConfig, RunOutcome, ServeMode, Server, ServerConfig,
-    ServerHandle, SpecRunner,
+    default_rules, LocalRunner, MonitorConfig, RunOutcome, Server, ServerConfig, ServerHandle,
+    SpecRunner,
 };
 
 // Re-exported so service users can build specs and reports without

@@ -361,8 +361,9 @@ impl Job {
 /// Writers follow the snapshot-consistency discipline documented on
 /// [`predllc_obs::metrics`]: the source counter (`cache_misses`) is
 /// incremented before its derived counter (`jobs_queued`), and a state
-/// gauge is decremented before its successor is incremented, so a
-/// concurrent [`Metrics::snapshot`] never observes a torn pair.
+/// gauge is decremented before its successor is incremented.
+/// [`Metrics::snapshot`] reads in the reverse order, so a concurrent
+/// snapshot never counts a job in more states than it has submissions.
 #[derive(Debug)]
 pub struct Metrics {
     /// The backing registry: extra families (per-endpoint request
@@ -441,6 +442,26 @@ pub struct MetricsSnapshot {
     /// Point requests answered from a shared point cache.
     pub points_cache_shared: u64,
 }
+
+/// One job-life counter as [`Metrics::snapshot`] copies it: how to read
+/// it, and which snapshot field receives the value.
+type CounterRead = (fn(&Metrics) -> u64, fn(&mut MetricsSnapshot) -> &mut u64);
+
+/// The order [`Metrics::snapshot`] reads the job-life counters: against
+/// the direction a job moves (done/failed, then running, then queued,
+/// then the submission counters). A job that advances between two reads
+/// is seen in its newer state or missed, never counted twice, and any
+/// state it is seen in was written after its `cache_misses` increment,
+/// which is read last. Every update is sequentially consistent, so the
+/// job-state sum of a snapshot never exceeds `cache_misses`.
+const SNAPSHOT_READ_ORDER: [CounterRead; 6] = [
+    (|m| m.jobs_done.get(), |s| &mut s.jobs_done),
+    (|m| m.jobs_failed.get(), |s| &mut s.jobs_failed),
+    (|m| m.jobs_running.get(), |s| &mut s.jobs_running),
+    (|m| m.jobs_queued.get(), |s| &mut s.jobs_queued),
+    (|m| m.cache_hits.get(), |s| &mut s.cache_hits),
+    (|m| m.cache_misses.get(), |s| &mut s.cache_misses),
+];
 
 impl Default for Metrics {
     fn default() -> Self {
@@ -560,18 +581,16 @@ impl Metrics {
         )
     }
 
-    /// Copies every counter. Reads run derived-before-source (job
-    /// states first, cache counters after), the mirror image of the
-    /// writers' source-before-derived order, so the job-state sum never
-    /// exceeds `cache_misses` in any observed snapshot.
+    /// Copies every counter. The job-life counters are read against the
+    /// direction jobs move (done/failed, running, queued, then the
+    /// submission counters), so the job-state sum never exceeds
+    /// `cache_misses` in any observed snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let mut snapshot = MetricsSnapshot::default();
+        for (read, field) in SNAPSHOT_READ_ORDER {
+            *field(&mut snapshot) = read(self);
+        }
         MetricsSnapshot {
-            jobs_queued: self.jobs_queued.get(),
-            jobs_running: self.jobs_running.get(),
-            jobs_done: self.jobs_done.get(),
-            jobs_failed: self.jobs_failed.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
             points_simulated: self.points_simulated.get(),
             http_requests: self.http_requests.get(),
             connections_open: self.connections_open.get(),
@@ -581,6 +600,7 @@ impl Metrics {
             points_assigned: self.points_assigned.get(),
             points_retried: self.points_retried.get(),
             points_cache_shared: self.points_cache_shared.get(),
+            ..snapshot
         }
     }
 
@@ -986,6 +1006,54 @@ mod tests {
             "predllc_points_cache_shared",
         ] {
             assert!(text.contains(name), "missing {name}");
+        }
+    }
+
+    #[test]
+    fn no_interleaving_of_a_job_life_tears_a_snapshot() {
+        // A job's counter writes, in the order the serve layer issues
+        // them: submitted (registry), then run to done or failure (the
+        // runner), or abandoned while still queued.
+        let done: [fn(&Metrics); 6] = [
+            |m| m.cache_misses.inc(),
+            |m| m.jobs_queued.inc(),
+            |m| m.jobs_queued.dec(),
+            |m| m.jobs_running.inc(),
+            |m| m.jobs_running.dec(),
+            |m| m.jobs_done.inc(),
+        ];
+        let mut failed = done;
+        failed[5] = |m| m.jobs_failed.inc();
+        let abandoned: [fn(&Metrics); 4] = [
+            |m| m.cache_misses.inc(),
+            |m| m.jobs_queued.inc(),
+            |m| m.jobs_queued.dec(),
+            |m| m.jobs_failed.inc(),
+        ];
+        let reads = SNAPSHOT_READ_ORDER.len();
+        for life in [&done[..], &failed[..], &abandoned[..]] {
+            let steps = life.len() + reads;
+            // Each interleaving is the set of steps that are writes.
+            for writes_at in (0u32..1 << steps).filter(|m| m.count_ones() as usize == life.len()) {
+                let metrics = Metrics::default();
+                let mut snapshot = MetricsSnapshot::default();
+                let (mut w, mut r) = (0, 0);
+                for step in 0..steps {
+                    if writes_at & (1 << step) != 0 {
+                        life[w](&metrics);
+                        w += 1;
+                    } else {
+                        let (read, field) = SNAPSHOT_READ_ORDER[r];
+                        *field(&mut snapshot) = read(&metrics);
+                        r += 1;
+                    }
+                }
+                let s = &snapshot;
+                assert!(
+                    s.jobs_queued + s.jobs_running + s.jobs_done + s.jobs_failed <= s.cache_misses,
+                    "torn snapshot {s:?} for interleaving {writes_at:#b}"
+                );
+            }
         }
     }
 }

@@ -29,12 +29,13 @@
 //!   [`Server::run`] returns. [`ServerHandle::kill`] is the opposite —
 //!   an abrupt simulated crash for worker-loss testing.
 //!
-//! [`ServeMode::Blocking`] preserves the PR-9 model — one detached
-//! thread per connection, every endpoint inline — as the portable
-//! fallback. Both modes drive the same internal `api` router, so every
-//! served byte is identical across them.
+//! Off Linux, where there is no `epoll`, a blocking accept loop serves
+//! instead — one detached thread per connection, every endpoint inline.
+//! Both drive the same internal `api` router, so every served byte is
+//! identical across platforms.
 
 use std::collections::{HashMap, VecDeque};
+#[cfg(not(target_os = "linux"))]
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -57,8 +58,11 @@ use predllc_explore::{
 use predllc_core::ComponentSet;
 
 use crate::api;
+#[cfg(not(target_os = "linux"))]
 use crate::handler::{Dispatch, Router};
-use crate::http::{read_request, write_response, HttpError, Limits};
+use crate::http::Limits;
+#[cfg(not(target_os = "linux"))]
+use crate::http::{read_request, write_response, HttpError};
 use crate::registry::{Job, JobResult, Metrics, MetricsSnapshot, Registry};
 
 /// Continuous-monitoring configuration: when set on
@@ -120,30 +124,6 @@ pub fn default_rules() -> Vec<Rule> {
     ]
 }
 
-/// How the server drives connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// The epoll reactor on Linux, the blocking fallback elsewhere.
-    Auto,
-    /// The event-driven reactor (Linux only; falls back to blocking on
-    /// other platforms, where the `epoll` bindings don't exist).
-    Reactor,
-    /// One thread per connection, every endpoint inline — the portable
-    /// fallback, and the baseline `serve_perf` compares the reactor
-    /// against.
-    Blocking,
-}
-
-impl ServeMode {
-    /// Whether this mode resolves to the reactor on this platform.
-    fn reactor_effective(self) -> bool {
-        match self {
-            ServeMode::Blocking => false,
-            ServeMode::Reactor | ServeMode::Auto => cfg!(target_os = "linux"),
-        }
-    }
-}
-
 /// Tunables for a server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -184,8 +164,6 @@ pub struct ServerConfig {
     /// the dashboard. `None` (the default) disables the collector
     /// thread and the three monitoring endpoints answer `404`.
     pub monitor: Option<MonitorConfig>,
-    /// How connections are driven (see [`ServeMode`]).
-    pub mode: ServeMode,
     /// Reactor event-loop threads in reactor mode (`0` = auto: one per
     /// four cores, at least one).
     pub reactors: usize,
@@ -211,7 +189,6 @@ impl Default for ServerConfig {
             fail_after_points: None,
             tracer: None,
             monitor: None,
-            mode: ServeMode::Auto,
             reactors: 0,
             dispatchers: 0,
             max_dispatch_queue: 1024,
@@ -414,6 +391,7 @@ pub(crate) fn refresh_trace_dropped(shared: &Shared) {
 
 /// Registers a callback invoked on shutdown and kill, so event loops
 /// parked in `epoll_wait` wake and observe the flags.
+#[cfg(target_os = "linux")]
 pub(crate) fn register_waker(shared: &Shared, waker: Box<dyn Fn() + Send + Sync>) {
     shared.wakers.lock().unwrap().push(waker);
 }
@@ -472,7 +450,7 @@ impl Drop for ConnTicket {
 
 /// Resolved reactor-mode tunables handed to the reactor.
 #[derive(Debug, Clone)]
-#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+#[cfg(target_os = "linux")]
 pub(crate) struct ReactorOptions {
     pub(crate) reactors: usize,
     pub(crate) dispatchers: usize,
@@ -486,7 +464,7 @@ pub struct Server {
     shared: Arc<Shared>,
     queue_rx: mpsc::Receiver<Arc<Job>>,
     runners: usize,
-    mode: ServeMode,
+    #[cfg(target_os = "linux")]
     reactor: ReactorOptions,
 }
 
@@ -592,7 +570,7 @@ impl Server {
             shared,
             queue_rx: rx,
             runners: config.runners.max(1),
-            mode: config.mode,
+            #[cfg(target_os = "linux")]
             reactor: ReactorOptions {
                 reactors: config.reactors,
                 dispatchers: config.dispatchers,
@@ -633,16 +611,10 @@ impl Server {
         }
 
         let router = Arc::new(api::build_router(&self.shared));
-        let served = if self.mode.reactor_effective() {
-            #[cfg(target_os = "linux")]
-            {
-                crate::reactor::serve(self.listener, &self.shared, router, &self.reactor)
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                unreachable!("reactor mode never resolves off Linux")
-            }
-        } else {
+        #[cfg(target_os = "linux")]
+        let served = crate::reactor::serve(self.listener, &self.shared, router, &self.reactor);
+        #[cfg(not(target_os = "linux"))]
+        let served = {
             serve_blocking(&self.listener, &self.shared, &router);
             Ok(())
         };
@@ -659,8 +631,9 @@ impl Server {
     }
 }
 
-/// The blocking accept loop: one detached thread per admitted
-/// connection.
+/// The blocking accept loop (platforms without `epoll`): one detached
+/// thread per admitted connection.
+#[cfg(not(target_os = "linux"))]
 fn serve_blocking(listener: &TcpListener, shared: &Arc<Shared>, router: &Arc<Router>) {
     for conn in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) || shared.killed.load(Ordering::SeqCst) {
@@ -862,6 +835,7 @@ pub(crate) fn record_component_cycles(metrics: &Metrics, components: &ComponentS
 
 /// Serves one connection in blocking mode: a keep-alive loop of
 /// request → dispatch → response, everything inline on this thread.
+#[cfg(not(target_os = "linux"))]
 fn serve_connection(shared: &Shared, router: &Router, ticket: ConnTicket, stream: TcpStream) {
     let _ticket = ticket;
     let _ = stream.set_read_timeout(Some(shared.idle_timeout));
@@ -951,12 +925,9 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_drains_accepted_jobs_in_blocking_mode() {
-        // Blocking mode, so the preserved fallback keeps end-to-end
-        // coverage (the rest of the suite runs the reactor default).
+    fn shutdown_drains_accepted_jobs() {
         let (handle, join) = start(ServerConfig {
             threads: 1,
-            mode: ServeMode::Blocking,
             ..ServerConfig::default()
         });
         let mut client = Client::new(handle.addr());

@@ -6,7 +6,7 @@
 //! coordinator while the `worker-loss` rule fires.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use predllc::explore::json::Json;
@@ -87,24 +87,35 @@ fn render_runs_concurrently_with_recording() {
     // `Registry::render` snapshots the family list and renders outside
     // the lock, so writers never stall behind a scrape. Hammer one
     // registry from recording threads while rendering continuously;
-    // every render must still pass the validator.
+    // every render must still pass the validator. Rendering starts only
+    // once every writer has recorded, so the renders overlap recording
+    // and the final counter exists however the threads are scheduled.
     let reg = Arc::new(Registry::new());
     let stop = Arc::new(AtomicBool::new(false));
+    let writers_ready = Arc::new(Barrier::new(4));
     let mut writers = Vec::new();
     for t in 0..3 {
         let reg = Arc::clone(&reg);
         let stop = Arc::clone(&stop);
+        let writers_ready = Arc::clone(&writers_ready);
         writers.push(std::thread::spawn(move || {
             let mut i = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 reg.counter("monitor_ops", "ops").inc();
                 reg.gauge("monitor_depth", "depth").set(i % 17);
                 reg.histogram_with("monitor_lat_ns", "lat", "thread", &t.to_string())
                     .record(Duration::from_nanos(100 + i));
+                if i == 0 {
+                    writers_ready.wait();
+                }
                 i += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
         }));
     }
+    writers_ready.wait();
     for _ in 0..200 {
         let text = reg.render();
         expo::validate(&text).expect("a mid-write render must still validate");

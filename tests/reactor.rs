@@ -4,8 +4,8 @@
 //! reactor must shed load past its dispatch queue instead of queueing
 //! without bound.
 //!
-//! The reactor exists only on Linux (epoll); elsewhere `ServeMode`
-//! resolves to the blocking fallback and these scenarios don't apply.
+//! The reactor exists only on Linux (epoll); elsewhere the server runs
+//! a blocking fallback and these scenarios don't apply.
 #![cfg(target_os = "linux")]
 
 use std::io::{Read, Write};
@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use predllc::serve::{Client, ClientError, Format, ServeMode, Server, ServerConfig, ServerHandle};
+use predllc::serve::{Client, Format, Server, ServerConfig, ServerHandle};
 
 const SPEC: &str = r#"{
     "name": "reactor-e2e",
@@ -230,7 +230,6 @@ fn dispatch_queue_overflow_sheds_429_with_retry_after() {
     use predllc::explore::{ExperimentSpec, PointRequest};
 
     let (handle, join) = start(ServerConfig {
-        mode: ServeMode::Reactor,
         dispatchers: 1,
         max_dispatch_queue: 1,
         ..ServerConfig::default()
@@ -324,59 +323,35 @@ fn dispatch_queue_overflow_sheds_429_with_retry_after() {
 }
 
 #[test]
-fn reactor_and_blocking_fallback_serve_identical_bytes() {
-    let mut served = Vec::new();
-    for mode in [ServeMode::Reactor, ServeMode::Blocking] {
-        let (handle, join) = start(ServerConfig {
-            mode,
-            ..ServerConfig::default()
-        });
-        let addr = handle.addr();
-        let mut client = Client::new(addr);
-        let attributed = SPEC.replacen(
-            "\"name\": \"reactor-e2e\",",
-            "\"name\": \"reactor-e2e\",\n    \"attribution\": true,",
-            1,
-        );
-        let submitted = client.submit(&attributed).unwrap();
-        client
-            .wait_done(&submitted.id, Duration::from_secs(120))
-            .unwrap();
-        let csv = fetch(&mut client, &submitted.id, Format::Csv);
-        let json = fetch(&mut client, &submitted.id, Format::Json);
-        let attribution = fetch(&mut client, &submitted.id, Format::Attribution);
-        let health = client.healthz().unwrap();
-        let not_found = match client.results("00000000000000000000000000000000", Format::Csv) {
-            Err(ClientError::Status { status: 404, body }) => body,
-            other => panic!("expected 404, got {:?}", other.map(|_| "a body stream")),
-        };
-        // An HTTP/1.0 peer gets the same payload with content-length
-        // framing (chunked encoding is 1.1-only).
-        let mut ancient = TcpStream::connect(addr).unwrap();
-        ancient
-            .write_all(
-                format!(
-                    "GET /v1/experiments/{}/results?format=csv HTTP/1.0\r\n\r\n",
-                    submitted.id
-                )
-                .as_bytes(),
+fn http10_peers_get_the_http11_body_with_content_length() {
+    let (handle, join) = start(ServerConfig::default());
+    let addr = handle.addr();
+    let mut client = Client::new(addr);
+    let submitted = client.submit(SPEC).unwrap();
+    client
+        .wait_done(&submitted.id, Duration::from_secs(120))
+        .unwrap();
+    let csv = fetch(&mut client, &submitted.id, Format::Csv);
+    // An HTTP/1.0 peer gets the same payload with content-length
+    // framing (chunked encoding is 1.1-only).
+    let mut ancient = TcpStream::connect(addr).unwrap();
+    ancient
+        .write_all(
+            format!(
+                "GET /v1/experiments/{}/results?format=csv HTTP/1.0\r\n\r\n",
+                submitted.id
             )
-            .unwrap();
-        let mut raw = String::new();
-        ancient
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        ancient.read_to_string(&mut raw).unwrap();
-        assert!(raw.contains("content-length:"), "{mode:?}: {raw:?}");
-        assert!(!raw.contains("transfer-encoding"), "{mode:?}: {raw:?}");
-        let (_, http10_body) = raw.split_once("\r\n\r\n").unwrap();
-        assert_eq!(http10_body, csv, "{mode:?}: HTTP/1.0 body diverged");
-
-        served.push((csv, json, attribution, health, not_found));
-        stop(&handle, join);
-    }
-    assert_eq!(
-        served[0], served[1],
-        "reactor and blocking modes must serve byte-identical answers"
-    );
+            .as_bytes(),
+        )
+        .unwrap();
+    let mut raw = String::new();
+    ancient
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    ancient.read_to_string(&mut raw).unwrap();
+    assert!(raw.contains("content-length:"), "{raw:?}");
+    assert!(!raw.contains("transfer-encoding"), "{raw:?}");
+    let (_, http10_body) = raw.split_once("\r\n\r\n").unwrap();
+    assert_eq!(http10_body, csv, "HTTP/1.0 body diverged");
+    stop(&handle, join);
 }
