@@ -47,7 +47,11 @@
 //! byte-identical to the reference whatever the fleet shape, and — with
 //! `--kill-one` — even when a worker dies mid-run and its points are
 //! reassigned. It then re-runs the spec to prove the coordinator's
-//! shared point cache answers without touching the workers again.
+//! shared point cache answers without touching the workers again. The
+//! sharded run is always traced, and the smoke fails when its
+//! `fleet.merge` span starts more than half a heartbeat interval after
+//! the last `fleet.point.resolved`: the merge must follow the last
+//! point, not the next heartbeat.
 
 use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -60,7 +64,7 @@ use predllc_bench::{data, error, status};
 use predllc_explore::report::{render_attribution_json, render_csv, render_json};
 use predllc_explore::{run_spec, Executor, ExperimentSpec};
 use predllc_fleet::{default_fleet_rules, Coordinator, CoordinatorConfig};
-use predllc_obs::{render_jsonl, TraceCtx, TraceId, Tracer};
+use predllc_obs::{render_jsonl, EventKind, TraceCtx, TraceEvent, TraceId, Tracer};
 use predllc_serve::{Client, Metrics, MonitorConfig, Server, ServerConfig};
 
 fn main() -> ExitCode {
@@ -437,10 +441,11 @@ fn smoke_inner(
     outputs: &SmokeOutputs,
 ) -> Result<(), String> {
     let metrics = Arc::new(Metrics::default());
+    let heartbeat_interval = Duration::from_millis(100);
     let coordinator = Arc::new(Coordinator::new(
         fleet.iter().map(|w| w.addr),
         CoordinatorConfig {
-            heartbeat_interval: Duration::from_millis(100),
+            heartbeat_interval,
             ..CoordinatorConfig::default()
         },
         Arc::clone(&metrics),
@@ -450,18 +455,30 @@ fn smoke_inner(
     // monitoring checks below read back over HTTP.
     let _scrape = coordinator.start_metric_scrape(Duration::from_millis(100));
 
-    // With --trace-out the sharded run records coordinator-side spans
-    // (queue wait, dispatch RTT, requeues, the merge tail) under one
-    // fresh trace ID; workers echo the same ID in their own sinks.
-    let tracer = outputs.trace_out.as_deref().map(|_| Tracer::new());
+    // The sharded run records coordinator-side spans (queue wait,
+    // dispatch RTT, requeues, the merge tail) under one fresh trace ID;
+    // workers echo the same ID in their own sinks. The merge gate below
+    // reads them, and --trace-out writes them.
+    let tracer = Tracer::new();
     let trace = TraceId::fresh();
-    let ctx = tracer.as_ref().map(|t| TraceCtx::new(t, trace));
 
     let started = Instant::now();
     let report = coordinator
-        .run_traced(spec, &|_, _| {}, ctx)
+        .run_traced(spec, &|_, _| {}, Some(TraceCtx::new(&tracer, trace)))
         .map_err(|e| e.to_string())?;
     let wall_ms = started.elapsed().as_millis() as u64;
+    let events = tracer.drain();
+    let gap = merge_gap(&events).ok_or("the trace holds no resolved point or no merge span")?;
+    status!(
+        "fleet: merge began {:.3} ms after the last resolved point",
+        gap.as_secs_f64() * 1e3
+    );
+    if gap > heartbeat_interval / 2 {
+        return Err(format!(
+            "fleet.merge began {gap:?} after the last fleet.point.resolved; \
+             the limit is half the {heartbeat_interval:?} heartbeat interval"
+        ));
+    }
     let served = render_csv(&report.grid);
     if served != reference {
         return Err(format!(
@@ -550,8 +567,7 @@ fn smoke_inner(
         summary.families,
         worker_summary.families
     );
-    if let (Some(path), Some(t)) = (outputs.trace_out.as_deref(), &tracer) {
-        let events = t.drain();
+    if let Some(path) = outputs.trace_out.as_deref() {
         std::fs::write(path, render_jsonl(&events))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         status!(
@@ -571,6 +587,21 @@ fn smoke_inner(
         }
     );
     Ok(())
+}
+
+/// Time from the last `fleet.point.resolved` to the start of the
+/// `fleet.merge` span in a run's trace (zero when the merge raced
+/// ahead of the last instant), or `None` when either is missing.
+fn merge_gap(events: &[TraceEvent]) -> Option<Duration> {
+    let resolved = events
+        .iter()
+        .filter(|e| e.name == "fleet.point.resolved")
+        .map(|e| e.ts_ns)
+        .max()?;
+    let merge = events
+        .iter()
+        .find(|e| e.name == "fleet.merge" && e.kind == EventKind::Begin)?;
+    Some(Duration::from_nanos(merge.ts_ns.saturating_sub(resolved)))
 }
 
 /// The smoke's attribution leg: the same spec with attribution on,

@@ -3,8 +3,9 @@
 //!
 //! The WCL experiments used to report a single scalar — the worst
 //! request latency of a run. A [`LatencyHistogram`] keeps the whole
-//! distribution at a bounded memory cost (496 counters), so a run can
-//! report p50/p90/p99/p100 and the full bucket breakdown. The bucket
+//! distribution at a bounded memory cost (at most 496 counters, only as
+//! many as its largest value needs), so a run can report
+//! p50/p90/p99/p100 and the full bucket breakdown. The bucket
 //! scheme is log-linear (HDR-histogram style): values below 8 get exact
 //! buckets, and every power-of-two octave above is split into 8
 //! sub-buckets, keeping the relative quantile error below 12.5%.
@@ -30,6 +31,7 @@ const SUB: u64 = 1 << GROUP_BITS;
 /// Total bucket count: group 0 holds the exact values `0..SUB`, and each
 /// of the `64 - GROUP_BITS` remaining octave groups holds `SUB` buckets.
 /// `u64::MAX` lands in the last bucket.
+#[cfg(test)]
 const BUCKETS: usize = (64 - GROUP_BITS as usize + 1) * SUB as usize;
 
 /// The bucket a value is counted in.
@@ -66,10 +68,11 @@ fn bucket_low(i: usize) -> u64 {
 
 /// A log-bucketed histogram of request latencies.
 ///
-/// Recording is O(1); memory is a fixed 496 counters (allocated on the
-/// first record, so an idle core's stats stay tiny). Merging two
-/// histograms is exact counter addition — associative and commutative —
-/// and percentile queries run over the merged counts.
+/// Recording is O(1). Counters are allocated on demand, up to the bucket
+/// of the largest recorded value (at most 496), so an idle core's stats
+/// stay empty and a run of short latencies keeps a short vector. Merging
+/// two histograms is exact counter addition — associative and
+/// commutative — and percentile queries run over the merged counts.
 ///
 /// # Examples
 ///
@@ -90,8 +93,10 @@ fn bucket_low(i: usize) -> u64 {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    /// Bucket counters; empty until the first record (an all-zero vector
-    /// and an unallocated one compare equal via `count == 0`).
+    /// Bucket counters, up to the bucket of the largest recorded value:
+    /// empty when nothing is recorded, otherwise `buckets.len() ==
+    /// bucket_index(max) + 1`. Equal contents therefore mean equal
+    /// lengths, which keeps the derived `PartialEq` exact.
     buckets: Vec<u64>,
     /// Total records.
     count: u64,
@@ -125,10 +130,11 @@ impl LatencyHistogram {
     /// Records one latency observation. O(1).
     pub fn record(&mut self, latency: Cycles) {
         let v = latency.as_u64();
-        if self.buckets.is_empty() {
-            self.buckets = vec![0; BUCKETS];
+        let i = bucket_index(v);
+        if i >= self.buckets.len() {
+            self.buckets.resize(i + 1, 0);
         }
-        self.buckets[bucket_index(v)] += 1;
+        self.buckets[i] += 1;
         self.count += 1;
         self.total = self.total.saturating_add(v);
         self.min = self.min.min(v);
@@ -148,10 +154,11 @@ impl LatencyHistogram {
             return;
         }
         let v = latency.as_u64();
-        if self.buckets.is_empty() {
-            self.buckets = vec![0; BUCKETS];
+        let i = bucket_index(v);
+        if i >= self.buckets.len() {
+            self.buckets.resize(i + 1, 0);
         }
-        self.buckets[bucket_index(v)] += n;
+        self.buckets[i] += n;
         self.count += n;
         self.total = self.total.saturating_add(v.saturating_mul(n));
         self.min = self.min.min(v);
@@ -164,8 +171,8 @@ impl LatencyHistogram {
         if other.count == 0 {
             return;
         }
-        if self.buckets.is_empty() {
-            self.buckets = vec![0; BUCKETS];
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
         }
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
             *mine += theirs;
@@ -287,7 +294,7 @@ impl LatencyHistogram {
             return (total.as_u64() == 0 && min.as_u64() == 0 && max.as_u64() == 0)
                 .then(LatencyHistogram::new);
         }
-        let mut buckets = vec![0u64; BUCKETS];
+        let mut buckets = Vec::new();
         let mut count = 0u64;
         let mut prev_low = None;
         for &(low, n) in entries {
@@ -296,6 +303,8 @@ impl LatencyHistogram {
                 return None;
             }
             prev_low = Some(low);
+            // Ascending entries: each one extends the vector.
+            buckets.resize(i + 1, 0);
             buckets[i] = n;
             count = count.checked_add(n)?;
         }
@@ -412,6 +421,36 @@ mod tests {
         assert_eq!(h.count(), 8);
         assert_eq!(h.buckets.iter().sum::<u64>(), h.count());
         assert_eq!(h.nonzero_buckets().iter().map(|b| b.2).sum::<u64>(), 8);
+    }
+
+    #[test]
+    fn buckets_grow_only_to_the_largest_value() {
+        let len_for = |max: u64| bucket_index(max) + 1;
+        let mut h = LatencyHistogram::new();
+        assert!(h.buckets.is_empty());
+        h.record(Cycles::new(5));
+        assert_eq!(h.buckets.len(), len_for(5));
+        h.record_n(Cycles::new(100), 3);
+        assert_eq!(h.buckets.len(), len_for(100));
+        h.record(Cycles::new(3)); // below the max: no growth
+        assert_eq!(h.buckets.len(), len_for(100));
+
+        // Merging either way round lands on the longer length, so equal
+        // contents compare equal whatever order built them.
+        let long = filled(&[9, 40_000]);
+        let mut short_then_long = h.clone();
+        short_then_long.merge(&long);
+        let mut long_then_short = long.clone();
+        long_then_short.merge(&h);
+        assert_eq!(short_then_long, long_then_short);
+        assert_eq!(short_then_long.buckets.len(), len_for(40_000));
+
+        // The wire form rebuilds the same length, and the top value
+        // needs every bucket.
+        let rebuilt =
+            LatencyHistogram::from_parts(h.total(), h.min(), h.max(), &h.bucket_entries()).unwrap();
+        assert_eq!(rebuilt.buckets.len(), h.buckets.len());
+        assert_eq!(filled(&[u64::MAX]).buckets.len(), BUCKETS);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! order with [`assemble_rows`]. Which worker computed a point, and in
 //! what order, is unobservable in the output.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,12 +27,13 @@ use std::time::{Duration, Instant};
 use predllc_explore::json::{self, Json};
 use predllc_explore::{
     assemble_rows, build_platforms, plan_grid, point_fingerprint, search_partitions, Executor,
-    ExperimentSpec, ExploreError, ExploreReport, Fingerprint, GridResult, PointMeasurement,
-    PointRequest,
+    ExperimentSpec, ExploreError, ExploreReport, GridResult, PointMeasurement, PointRequest,
 };
 use predllc_obs::expo::{self, ExpoValue};
 use predllc_obs::{fields, Compare, Rule, TraceCtx};
-use predllc_serve::{Client, ClientError, Metrics, RunOutcome, SpecRunner};
+use predllc_serve::{
+    Client, ClientError, Metrics, PointCache, RunOutcome, ServerConfig, SpecRunner,
+};
 
 /// Why a fleet run failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,6 +137,10 @@ struct Worker {
 /// bookkeeping. Invariant: `completed + outstanding + queue.len() ==
 /// total` until a permanent failure is recorded.
 struct DispatchState {
+    /// Set by the waiting run once every point resolved (or the run
+    /// failed). It lives under the lock the heartbeat waits on, so the
+    /// heartbeat cannot miss the wake-up and sleep out its interval.
+    done: bool,
     /// Indices into the unique-point list, awaiting a worker.
     queue: VecDeque<usize>,
     /// Points currently in flight on some worker.
@@ -161,8 +166,9 @@ pub struct Coordinator {
     exec: Executor,
     metrics: Arc<Metrics>,
     /// Coordinator-side point cache: fingerprints resolved by any
-    /// earlier run (whichever worker computed them).
-    cache: Mutex<HashMap<Fingerprint, PointMeasurement>>,
+    /// earlier run (whichever worker computed them), bounded like a
+    /// worker's own point cache at its default capacity.
+    cache: Mutex<PointCache<PointMeasurement>>,
     /// Epoch for the per-worker scrape-freshness gauge: scrape
     /// timestamps are milliseconds since coordinator construction, so
     /// they stay monotonic and wall-clock-free.
@@ -191,7 +197,7 @@ impl Coordinator {
             exec: Executor::new(config.search_threads),
             config,
             metrics,
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::new(PointCache::new(ServerConfig::default().max_points)),
             scrape_epoch: Instant::now(),
         }
     }
@@ -327,6 +333,7 @@ impl Coordinator {
         }
 
         let state = Mutex::new(DispatchState {
+            done: false,
             queue,
             outstanding: 0,
             completed,
@@ -335,7 +342,6 @@ impl Coordinator {
             failed: None,
         });
         let cond = Condvar::new();
-        let done = AtomicBool::new(false);
 
         std::thread::scope(|s| {
             // Shadow with references so the `move` closures copy these
@@ -349,14 +355,14 @@ impl Coordinator {
                     });
                 }
             }
-            s.spawn(|| self.heartbeat(&done, cond));
+            s.spawn(|| self.heartbeat(state, cond));
 
             let mut st = state.lock().unwrap();
             while st.failed.is_none() && st.completed < st.total {
                 st = cond.wait(st).unwrap();
             }
+            st.done = true;
             drop(st);
-            done.store(true, Ordering::SeqCst);
             cond.notify_all();
         });
 
@@ -576,13 +582,15 @@ impl Coordinator {
 
     /// The heartbeat loop: probe every live worker's `/healthz` each
     /// interval; a worker that fails one probe is lost. Dispatchers
-    /// notice via the `alive` flag at their next claim.
-    fn heartbeat(&self, done: &AtomicBool, cond: &Condvar) {
+    /// notice via the `alive` flag at their next claim. Between rounds
+    /// it waits on the dispatch `Condvar`, so the run's end wakes it at
+    /// once and the merge never waits out an interval.
+    fn heartbeat(&self, state: &Mutex<DispatchState>, cond: &Condvar) {
         let probe_timeout = self
             .config
             .heartbeat_interval
             .max(Duration::from_millis(100));
-        while !done.load(Ordering::SeqCst) {
+        loop {
             for worker in &self.workers {
                 if !worker.alive.load(Ordering::SeqCst) {
                     continue;
@@ -600,7 +608,13 @@ impl Coordinator {
                     cond.notify_all();
                 }
             }
-            std::thread::sleep(self.config.heartbeat_interval);
+            let st = state.lock().unwrap();
+            let (st, _) = cond
+                .wait_timeout_while(st, self.config.heartbeat_interval, |st| !st.done)
+                .unwrap();
+            if st.done {
+                return;
+            }
         }
     }
 
@@ -851,4 +865,70 @@ fn parse_point_error(body: &str) -> (String, String) {
         get("kind").unwrap_or_else(|| "unknown".into()),
         get("error").unwrap_or_else(|| body.to_string()),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use predllc_explore::report::render_csv;
+    use predllc_explore::run_spec;
+    use predllc_serve::Server;
+
+    #[test]
+    fn the_point_cache_evicts_the_oldest_and_reruns_stay_byte_identical() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let worker = server.handle();
+        let join = std::thread::spawn(move || server.run().unwrap());
+
+        // Six distinct points through a four-entry cache. One worker
+        // dispatches in unique-point order, so points 0 and 1 are the
+        // oldest entries when 4 and 5 arrive.
+        let workloads: Vec<String> = (1..=6)
+            .map(|seed| {
+                format!(r#"{{"kind": "uniform", "range_bytes": 1024, "ops": 40, "seed": {seed}}}"#)
+            })
+            .collect();
+        let spec = ExperimentSpec::parse(&format!(
+            r#"{{"name": "evict", "cores": 2,
+                "configs": [{{"partition": {{"kind": "shared", "sets": 1, "ways": 4, "mode": "SS"}}}}],
+                "workloads": [{}]}}"#,
+            workloads.join(",")
+        ))
+        .unwrap();
+        let metrics = Arc::new(Metrics::default());
+        let mut coordinator = Coordinator::new(
+            [worker.addr()],
+            CoordinatorConfig::default(),
+            Arc::clone(&metrics),
+        );
+        coordinator.cache = Mutex::new(PointCache::new(4));
+
+        let fingerprints: Vec<_> = (0..6)
+            .map(|wi| point_fingerprint(spec.cores, &spec.configs[0], &spec.workloads[wi], false))
+            .collect();
+        let cached = |coordinator: &Coordinator| -> Vec<bool> {
+            let cache = coordinator.cache.lock().unwrap();
+            fingerprints
+                .iter()
+                .map(|fp| cache.get(fp).is_some())
+                .collect()
+        };
+
+        let first = coordinator.run(&spec, &|_, _| {}).unwrap();
+        assert_eq!(cached(&coordinator), [false, false, true, true, true, true]);
+        assert_eq!(metrics.snapshot().points_assigned, 6);
+
+        // The re-run re-dispatches exactly the two evicted points, which
+        // now evict the next two oldest, and renders the same bytes as
+        // the first run and a local run.
+        let again = coordinator.run(&spec, &|_, _| {}).unwrap();
+        assert_eq!(metrics.snapshot().points_assigned, 8);
+        assert_eq!(cached(&coordinator), [true, true, false, false, true, true]);
+        let local = run_spec(&spec, &Executor::new(1)).unwrap();
+        assert_eq!(render_csv(&again.grid), render_csv(&first.grid));
+        assert_eq!(render_csv(&again.grid), render_csv(&local.grid));
+
+        worker.shutdown();
+        join.join().unwrap();
+    }
 }

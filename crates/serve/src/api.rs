@@ -18,7 +18,7 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use predllc_explore::hash::Fingerprint;
 use predllc_explore::json::{render_string, Json};
@@ -27,10 +27,14 @@ use predllc_obs::{fields, render_jsonl, SampleValue, TraceId, TRACE_HEADER};
 
 use crate::handler::{Dispatch, Lookup, Router};
 use crate::http::{HttpError, Request, Response};
-use crate::registry::{JobStatus, SubmitError};
+use crate::registry::{Job, JobStatus, SubmitError};
 use crate::server::{
     kill_shared, record_component_cycles, refresh_trace_dropped, MonitorState, Shared,
 };
+
+/// The longest a `GET /v1/experiments/{id}?wait_ms=N` request is held:
+/// a larger `N` is clamped to this, so a held request always ends.
+pub(crate) const MAX_WAIT_MS: u64 = 30_000;
 
 /// A JSON error body: `{"error": message, "kind": kind}`.
 pub(crate) fn error_response(status: u16, kind: &str, message: &str) -> Response {
@@ -216,18 +220,17 @@ fn query_error(key: &str, raw: &str, why: &str) -> Response {
     )
 }
 
-/// Parses a history query parameter: absent means `default`, anything
-/// explicit must be a positive integer. Zero and non-numeric values are
-/// rejected ([`query_error`]) rather than silently coerced — a
-/// `window=0` or `step=banana` request gets a `400` naming the
-/// parameter, not an empty-looking history.
-fn history_param(req: &Request, key: &str, default: u64) -> Result<u64, Response> {
+/// Parses an optional query parameter that must be a positive integer
+/// when given. Zero and non-numeric values are rejected
+/// ([`query_error`]) rather than silently coerced — a `window=0` or
+/// `wait_ms=banana` request gets a `400` naming the parameter, not an
+/// empty-looking history or an unheld answer.
+fn positive_param(req: &Request, key: &str) -> Result<Option<u64>, Response> {
     match req.query_param(key) {
-        None => Ok(default),
+        None => Ok(None),
         Some(raw) => match raw.parse::<u64>() {
-            Ok(0) => Err(query_error(key, raw, "must be a positive integer")),
-            Ok(v) => Ok(v),
-            Err(_) => Err(query_error(key, raw, "must be a positive integer")),
+            Ok(v) if v > 0 => Ok(Some(v)),
+            _ => Err(query_error(key, raw, "must be a positive integer")),
         },
     }
 }
@@ -246,18 +249,18 @@ fn sample_json(v: SampleValue) -> Json {
 /// `{"now_ms", "window_ms", "step_ms", "interval_ms", "series":
 /// [{"name", "samples": [[t_ms, value], ...]}, ...]}`. Explicit
 /// `window`/`step` values must be positive integers; zero or
-/// non-numeric gets a positioned `400` ([`history_param`]).
+/// non-numeric gets a positioned `400` ([`positive_param`]).
 fn metrics_history(shared: &Shared, req: &Request, _params: &[&str]) -> Dispatch {
     let monitor = match monitor_of(shared) {
         Ok(m) => m,
         Err(resp) => return Dispatch::Reply(resp),
     };
-    let window_ms = match history_param(req, "window", 300_000) {
-        Ok(w) => w,
+    let window_ms = match positive_param(req, "window") {
+        Ok(w) => w.unwrap_or(300_000),
         Err(resp) => return Dispatch::Reply(resp),
     };
-    let step_ms = match history_param(req, "step", 0) {
-        Ok(s) => s,
+    let step_ms = match positive_param(req, "step") {
+        Ok(s) => s.unwrap_or(0),
         Err(resp) => return Dispatch::Reply(resp),
     };
     let (now_ms, histories) = monitor.store.history(window_ms, step_ms);
@@ -394,7 +397,7 @@ fn point_post(shared: &Shared, req: &Request, _params: &[&str]) -> Dispatch {
         )
     });
 
-    let cached = shared.points.lock().unwrap().get(&fp).map(str::to_string);
+    let cached = shared.points.lock().unwrap().get(&fp).cloned();
     let (was_cached, rendered) = match cached {
         Some(rendered) => {
             metrics.points_cache_shared.inc();
@@ -450,7 +453,7 @@ fn point_get(shared: &Shared, _req: &Request, params: &[&str]) -> Dispatch {
     let Some(fp) = Fingerprint::parse_hex(params[0]) else {
         return Dispatch::Reply(error_response(404, "not_found", "not a point fingerprint"));
     };
-    let cached = shared.points.lock().unwrap().get(&fp).map(str::to_string);
+    let cached = shared.points.lock().unwrap().get(&fp).cloned();
     Dispatch::Reply(match cached {
         Some(rendered) => {
             shared.registry.metrics.points_cache_shared.inc();
@@ -530,11 +533,31 @@ fn submit(shared: &Shared, req: &Request, _params: &[&str]) -> Dispatch {
     ))
 }
 
-/// `GET /v1/experiments/{id}` — status and progress.
-fn status(shared: &Shared, _req: &Request, params: &[&str]) -> Dispatch {
+/// `GET /v1/experiments/{id}[?wait_ms=N]` — status and progress. With
+/// `wait_ms`, an unsettled job's request is held until the job is done
+/// or failed, or `N` ms (at most [`MAX_WAIT_MS`]) pass, and answered
+/// with the status at that moment. The hold is not handler time: the
+/// request-latency histogram records only this call.
+fn status(shared: &Shared, req: &Request, params: &[&str]) -> Dispatch {
+    let wait_ms = match positive_param(req, "wait_ms") {
+        Ok(w) => w,
+        Err(resp) => return Dispatch::Reply(resp),
+    };
     let Some(job) = shared.registry.get(params[0]) else {
         return Dispatch::Reply(error_response(404, "not_found", "unknown experiment id"));
     };
+    match wait_ms {
+        Some(ms) if !job.status().is_settled() => Dispatch::Hold {
+            job,
+            until: Instant::now() + Duration::from_millis(ms.min(MAX_WAIT_MS)),
+        },
+        _ => Dispatch::Reply(status_response(&job)),
+    }
+}
+
+/// The status document of `job`: id, name, status, progress, and the
+/// error when it failed.
+pub(crate) fn status_response(job: &Job) -> Response {
     let status = job.status();
     let mut body = format!(
         "{{\"id\":{},\"name\":{},\"status\":{},\"points_done\":{},\"points_total\":{}",
@@ -554,7 +577,7 @@ fn status(shared: &Shared, _req: &Request, params: &[&str]) -> Dispatch {
         body.push_str(&format!(",\"error\":{}", render_string(&error)));
     }
     body.push('}');
-    Dispatch::Reply(Response::json(200, body))
+    Response::json(200, body)
 }
 
 /// The shared done/failed/not-ready ladder of the result endpoints:

@@ -690,7 +690,12 @@ impl Client {
     /// [`ClientError::Status`] carrying the server's 404 for unknown
     /// ids, or any transport failure.
     pub fn status(&mut self, id: &str) -> Result<Status, ClientError> {
-        let doc = self.request_json("GET", &format!("/v1/experiments/{id}"), None)?;
+        self.status_at(&format!("/v1/experiments/{id}"))
+    }
+
+    /// One status request to `path` (plain or held), parsed.
+    fn status_at(&mut self, path: &str) -> Result<Status, ClientError> {
+        let doc = self.request_json("GET", path, None)?;
         Ok(Status {
             id: str_field(&doc, "id")?,
             name: str_field(&doc, "name")?,
@@ -701,8 +706,15 @@ impl Client {
         })
     }
 
-    /// Polls [`Client::status`] until the job is `done`, failing on
-    /// `failed` or when `timeout` elapses.
+    /// Waits until the job is `done`, failing on `failed` or when
+    /// `timeout` elapses.
+    ///
+    /// The server does the waiting: each round is one
+    /// `GET /v1/experiments/{id}?wait_ms=N` that it holds until the job
+    /// settles (or `N` ms pass), so the answer arrives as soon as the
+    /// job finishes, with no polling in between. `N` is the time left,
+    /// capped at the server's 30 s hold limit and at half this client's
+    /// read timeout, so a held answer always beats the socket timeout.
     ///
     /// # Errors
     ///
@@ -710,9 +722,13 @@ impl Client {
     /// [`ClientError::Status`] when the job failed server-side.
     pub fn wait_done(&mut self, id: &str, timeout: Duration) -> Result<Status, ClientError> {
         let deadline = Instant::now() + timeout;
-        let mut delay = Duration::from_millis(2);
         loop {
-            let status = self.status(id)?;
+            let left = deadline.saturating_duration_since(Instant::now());
+            let hold = left
+                .min(Duration::from_millis(crate::api::MAX_WAIT_MS))
+                .min(self.timeout / 2);
+            let wait_ms = u64::try_from(hold.as_millis()).unwrap_or(u64::MAX).max(1);
+            let status = self.status_at(&format!("/v1/experiments/{id}?wait_ms={wait_ms}"))?;
             match status.status.as_str() {
                 "done" => return Ok(status),
                 "failed" => {
@@ -726,12 +742,7 @@ impl Client {
                         last_status: status.status,
                     })
                 }
-                _ => {
-                    std::thread::sleep(delay);
-                    // Back off to spare tiny jobs the polling overhead
-                    // without making big ones laggy to observe.
-                    delay = (delay * 2).min(Duration::from_millis(200));
-                }
+                _ => {}
             }
         }
     }

@@ -9,13 +9,28 @@
 //! epoll reactor on Linux and the blocking loop elsewhere — drive the
 //! same router, so an endpoint is written once and served identically.
 
+use std::sync::Arc;
+use std::time::Instant;
+
 use crate::http::{Request, Response};
+use crate::registry::Job;
 
 /// What the dispatch layer decided to do with a request.
 #[derive(Debug)]
 pub enum Dispatch {
     /// Write this response (then keep the connection per its wishes).
     Reply(Response),
+    /// Hold the request until `job` settles or `until` passes, then
+    /// answer with the job's status document at that moment — a
+    /// `GET /v1/experiments/{id}?wait_ms=N` long poll. The reactor
+    /// parks the connection on [`Job::watch`] (no thread waits); the
+    /// blocking fallback waits in [`Job::wait`].
+    Hold {
+        /// The job whose settling releases the request.
+        job: Arc<Job>,
+        /// When the request is answered even if the job is unsettled.
+        until: Instant,
+    },
     /// Close the connection without answering (fault injection:
     /// simulates a process crash mid-request).
     Hangup,
@@ -278,7 +293,7 @@ mod tests {
                 Dispatch::Reply(resp) => {
                     assert_eq!(resp.body.into_bytes(), b"deadbeef");
                 }
-                Dispatch::Hangup => panic!("unexpected hangup"),
+                other => panic!("unexpected {other:?}"),
             },
             _ => panic!("route must match"),
         }

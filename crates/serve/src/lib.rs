@@ -30,7 +30,7 @@
 //!   progress (grid points done / total), the point endpoints that make
 //!   any server a fleet worker, and graceful shutdown that drains every
 //!   accepted job.
-//! * [`client`] — a small blocking client (submit / poll / fetch /
+//! * [`client`] — a small blocking client (submit / wait / fetch /
 //!   point) with bounded transport retries, used by the integration
 //!   tests, the CI smoke and the fleet coordinator.
 //!
@@ -40,6 +40,7 @@
 //! |---|---|
 //! | `POST /v1/experiments` | submit a spec; answers `202` with the id, or `200` on a cache hit |
 //! | `GET /v1/experiments/{id}` | status + progress |
+//! | `GET /v1/experiments/{id}?wait_ms=N` | the same, held until the job is done or failed or `N` ms (at most 30 s) pass |
 //! | `GET /v1/experiments/{id}/results?format=csv\|json` | the cached rendered result |
 //! | `POST /v1/points` | simulate one grid point (fleet work unit); `422` positions build/sim failures |
 //! | `GET /v1/points/{fingerprint}` | a point measurement already in this server's cache |
@@ -105,8 +106,8 @@ pub use handler::{Dispatch, Handler, Router};
 pub use http::{Body, BodyStream, Limits, Request, Response};
 pub use registry::{Job, JobResult, JobStatus, Metrics, MetricsSnapshot, Registry, SubmitError};
 pub use server::{
-    default_rules, LocalRunner, MonitorConfig, RunOutcome, Server, ServerConfig, ServerHandle,
-    SpecRunner,
+    default_rules, LocalRunner, MonitorConfig, PointCache, RunOutcome, Server, ServerConfig,
+    ServerHandle, SpecRunner,
 };
 
 // Re-exported so service users can build specs and reports without

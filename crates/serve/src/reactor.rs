@@ -16,16 +16,27 @@
 //!   `Retry-After` immediately instead of queueing (shedding by queue
 //!   depth, not connection count).
 //!
+//! Held requests (`GET /v1/experiments/{id}?wait_ms=N`, see
+//! [`Dispatch::Hold`]) park in `Held` on their reactor, not on a
+//! dispatch thread: the job's [`registry::Job::watch`] waker injects
+//! [`Injection::Settled`] when it settles, and a per-reactor deadline
+//! heap answers the ones whose time runs out. Any number of holders
+//! therefore costs no dispatch capacity. A holder whose peer hangs up
+//! is closed at once, which also unregisters its waker.
+//!
 //! Timeout discipline: a connection's idle clock anchors at its last
 //! *completed* activity (accept, response flushed, write progress) —
 //! reading bytes does **not** reset it, so a slow-loris trickle cannot
 //! hold a connection past `idle_timeout`. Connections parked in
-//! `Dispatching` are never reaped (server-side slowness is not client
-//! misbehavior). A stalled reader of a streamed response is bounded to
-//! ~[`LOW_WATER`] buffered bytes and reaped once writes make no
-//! progress for `idle_timeout`.
+//! `Dispatching` or `Held` are never reaped (server-side slowness is
+//! not client misbehavior; a hold ends by its own deadline, and
+//! shutdown answers it at once). A stalled reader of a streamed
+//! response is bounded to ~[`LOW_WATER`] buffered bytes and reaped once
+//! writes make no progress for `idle_timeout`.
 
-use std::collections::VecDeque;
+use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -39,6 +50,7 @@ use crate::http::{
     encode_chunk, encode_last_chunk, head_bytes, try_parse, write_response, Body, BodyStream,
     Framing, Parse, Request,
 };
+use crate::registry;
 use crate::server::{register_waker, ConnTicket, ReactorOptions, Shared};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
@@ -65,6 +77,8 @@ enum Injection {
         seq: u64,
         outcome: Dispatch,
     },
+    /// The job a held request waits on settled; same `seq` guard.
+    Settled { token: u64, seq: u64 },
 }
 
 /// A reactor's cross-thread mailbox: push an [`Injection`], signal the
@@ -162,6 +176,9 @@ enum State {
     /// A heavy request is on the dispatch pool; waiting for its
     /// [`Injection::Done`].
     Dispatching,
+    /// A held status request waits for its job to settle
+    /// ([`Injection::Settled`]) or its deadline to pass.
+    Held,
     /// Flushing a response (head + body, possibly a pulled stream).
     Writing,
 }
@@ -182,9 +199,11 @@ struct Conn {
     /// chunked.
     stream_body: Option<Box<dyn BodyStream>>,
     state: State,
-    /// The dispatch sequence number guarding [`Injection::Done`]
-    /// delivery against slot reuse.
+    /// The dispatch sequence number guarding [`Injection::Done`] and
+    /// [`Injection::Settled`] delivery against slot reuse.
     seq: u64,
+    /// The job registration of a `Held` request.
+    hold: Option<Watch>,
     http11: bool,
     pending_keep_alive: bool,
     /// The peer shut down its writing half: deliver the pending
@@ -197,6 +216,28 @@ struct Conn {
     interest: u32,
 }
 
+/// A held request's waker registration on its job; dropping it (the
+/// request was answered, or its connection closed) unregisters the
+/// waker, so a departed holder leaves nothing behind on the job.
+struct Watch {
+    job: Arc<registry::Job>,
+    /// `None` when the waker already ran at registration.
+    key: Option<u64>,
+}
+
+impl Drop for Watch {
+    fn drop(&mut self) {
+        if let Some(key) = self.key {
+            self.job.unwatch(key);
+        }
+    }
+}
+
+/// A reactor's held-request deadlines, earliest first: `(until, token,
+/// seq)`. Entries of requests answered early go stale and are skipped
+/// when they come due.
+type Holds = RefCell<BinaryHeap<Reverse<(Instant, u64, u64)>>>;
+
 /// Everything an event handler needs besides the connection itself.
 struct Ctx<'a> {
     epoll: &'a Epoll,
@@ -204,6 +245,7 @@ struct Ctx<'a> {
     router: &'a Arc<Router>,
     pool: &'a Arc<DispatchPool>,
     rshared: &'a Arc<ReactorShared>,
+    holds: &'a Holds,
 }
 
 fn set_interest(epoll: &Epoll, conn: &mut Conn, mask: u32) {
@@ -291,7 +333,8 @@ fn pump_write(
 enum WriteEnd {
     /// Response fully flushed, keep-alive: back to `Reading`.
     BackToReading,
-    /// Parked on writability; the state machine stays in `Writing`.
+    /// Parked on writability (or, for a held request, on its job); the
+    /// state machine stays where it is.
     Pending,
     /// Close the connection (hang-up, error, or keep-alive over).
     Close,
@@ -303,6 +346,7 @@ enum WriteEnd {
 fn start_write(ctx: &Ctx<'_>, conn: &mut Conn, outcome: Dispatch) -> WriteEnd {
     let resp = match outcome {
         Dispatch::Hangup => return WriteEnd::Close,
+        Dispatch::Hold { job, until } => return park(ctx, conn, job, until),
         Dispatch::Reply(resp) => resp,
     };
     let keep = conn.pending_keep_alive && !ctx.shared.shutdown.load(Ordering::SeqCst);
@@ -326,6 +370,61 @@ fn start_write(ctx: &Ctx<'_>, conn: &mut Conn, outcome: Dispatch) -> WriteEnd {
     conn.state = State::Writing;
     conn.anchor = Instant::now();
     drive_write(ctx, conn)
+}
+
+/// Parks a held status request on its job: the connection waits in
+/// `Held`, watching only for hang-up, until the job's waker injects
+/// [`Injection::Settled`] or `until` comes due. A server shutting down,
+/// or a peer that already half-closed (its departure could not be seen
+/// while held), gets the current status at once.
+fn park(ctx: &Ctx<'_>, conn: &mut Conn, job: Arc<registry::Job>, until: Instant) -> WriteEnd {
+    if conn.half_closed || ctx.shared.shutdown.load(Ordering::SeqCst) {
+        return start_write(ctx, conn, Dispatch::Reply(api::status_response(&job)));
+    }
+    conn.state = State::Held;
+    set_interest(ctx.epoll, conn, EPOLLRDHUP);
+    let (token, seq) = (conn.token, conn.seq);
+    let rshared = Arc::clone(ctx.rshared);
+    // Runs right here when the job settled since the handler checked;
+    // the injection then waits in the inbox for the next loop turn.
+    let key = job.watch(Box::new(move || {
+        rshared.inject(Injection::Settled { token, seq });
+    }));
+    conn.hold = Some(Watch { job, key });
+    ctx.holds.borrow_mut().push(Reverse((until, token, seq)));
+    WriteEnd::Pending
+}
+
+/// Answers a `Held` request with its job's status now: the job settled,
+/// the hold expired, or the server is shutting down. `false` = close.
+fn release_hold(ctx: &Ctx<'_>, conn: &mut Conn, seq: &mut u64) -> bool {
+    let Some(watch) = conn.hold.take() else {
+        return true;
+    };
+    let resp = api::status_response(&watch.job);
+    drop(watch);
+    on_done(ctx, conn, Dispatch::Reply(resp), seq)
+}
+
+/// The connection a held-request wake or deadline is for, if it still
+/// waits on that very request: the holder may have hung up, or its slot
+/// may now serve another connection or request.
+fn held_conn(conns: &mut [Option<Conn>], idx: usize, seq: u64) -> Option<&mut Conn> {
+    conns
+        .get_mut(idx)?
+        .as_mut()
+        .filter(|conn| conn.seq == seq && conn.state == State::Held)
+}
+
+/// Pops the next held-request deadline that has come due by `now`.
+fn pop_due(holds: &Holds, now: Instant) -> Option<(u64, u64)> {
+    let mut holds = holds.borrow_mut();
+    match holds.peek() {
+        Some(Reverse((until, _, _))) if *until <= now => {
+            holds.pop().map(|Reverse((_, token, seq))| (token, seq))
+        }
+        _ => None,
+    }
 }
 
 /// Pumps an in-progress `Writing` state and applies the transition.
@@ -453,6 +552,9 @@ fn on_event(ctx: &Ctx<'_>, conn: &mut Conn, bits: u32, seq: &mut u64) -> bool {
             }
             true
         }
+        // A held request has nothing in flight: a peer that hangs up is
+        // gone, and closing drops its waker from the job.
+        State::Held => bits & EPOLLRDHUP == 0,
         State::Writing => {
             if bits & EPOLLRDHUP != 0 {
                 conn.half_closed = true;
@@ -496,6 +598,7 @@ fn reactor_loop(
     let mut seq: u64 = 0;
     let mut events = vec![EpollEvent::zeroed(); 1024];
     let mut last_sweep = Instant::now();
+    let holds: Holds = RefCell::new(BinaryHeap::new());
 
     let close_conn = |epoll: &Epoll,
                       conns: &mut Vec<Option<Conn>>,
@@ -510,7 +613,13 @@ fn reactor_loop(
     };
 
     loop {
-        let fired = epoll.wait(&mut events, 100)?;
+        // Wake for the earliest held-request deadline (rounded up, so an
+        // early wake never spins), or at the sweep cadence.
+        let timeout_ms = holds.borrow().peek().map_or(100, |Reverse((until, _, _))| {
+            let left = until.saturating_duration_since(Instant::now());
+            left.as_micros().div_ceil(1000).min(100) as i32
+        });
+        let fired = epoll.wait(&mut events, timeout_ms)?;
         if shared.killed.load(Ordering::SeqCst) {
             // A crashed server drops everything without a goodbye.
             return Ok(());
@@ -522,6 +631,7 @@ fn reactor_loop(
             router: &router,
             pool: &pool,
             rshared: &rshared,
+            holds: &holds,
         };
 
         let injections = std::mem::take(&mut *rshared.inbox.lock().unwrap());
@@ -550,6 +660,7 @@ fn reactor_loop(
                         stream_body: None,
                         state: State::Reading,
                         seq: 0,
+                        hold: None,
                         http11: true,
                         pending_keep_alive: true,
                         half_closed: false,
@@ -574,6 +685,18 @@ fn reactor_loop(
                         close_conn(&epoll, &mut conns, &mut free, &mut live, idx);
                     }
                 }
+                Injection::Settled {
+                    token,
+                    seq: held_seq,
+                } => {
+                    let idx = (token - 1) as usize;
+                    let Some(conn) = held_conn(&mut conns, idx, held_seq) else {
+                        continue;
+                    };
+                    if !release_hold(&ctx, conn, &mut seq) {
+                        close_conn(&epoll, &mut conns, &mut free, &mut live, idx);
+                    }
+                }
             }
         }
 
@@ -591,15 +714,33 @@ fn reactor_loop(
             }
         }
 
+        let now = Instant::now();
+        while let Some((token, held_seq)) = pop_due(&holds, now) {
+            // Requests answered on their job's settling left stale
+            // entries behind.
+            let idx = (token - 1) as usize;
+            let Some(conn) = held_conn(&mut conns, idx, held_seq) else {
+                continue;
+            };
+            if !release_hold(&ctx, conn, &mut seq) {
+                close_conn(&epoll, &mut conns, &mut free, &mut live, idx);
+            }
+        }
+
         let shutting_down = shared.shutdown.load(Ordering::SeqCst);
         if last_sweep.elapsed() >= Duration::from_millis(100) || shutting_down {
             last_sweep = Instant::now();
             let idle = shared.idle_timeout;
             for idx in 0..conns.len() {
-                let reap = match &conns[idx] {
+                let reap = match conns[idx].as_mut() {
                     None => false,
                     // Server-side slowness is not client misbehavior.
                     Some(conn) if conn.state == State::Dispatching => false,
+                    // A hold ends by its own deadline; shutdown answers
+                    // it now.
+                    Some(conn) if conn.state == State::Held => {
+                        shutting_down && !release_hold(&ctx, conn, &mut seq)
+                    }
                     Some(conn) => {
                         if shutting_down {
                             // Idle keep-alive connections close now;

@@ -70,6 +70,11 @@ pub enum JobStatus {
 }
 
 impl JobStatus {
+    /// Whether the job reached a final state (done or failed).
+    pub fn is_settled(self) -> bool {
+        matches!(self, JobStatus::Done | JobStatus::Failed)
+    }
+
     /// The lowercase wire name (`"queued"`, `"running"`, …).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -237,13 +242,42 @@ impl BodyStream for TextBody {
     }
 }
 
-/// What a job is currently doing (interior of the state mutex).
+/// What a job is currently doing.
 #[derive(Debug, Clone)]
 enum State {
     Queued,
     Running,
     Done(Arc<JobResult>),
     Failed(String),
+}
+
+impl State {
+    fn status(&self) -> JobStatus {
+        match self {
+            State::Queued => JobStatus::Queued,
+            State::Running => JobStatus::Running,
+            State::Done(_) => JobStatus::Done,
+            State::Failed(_) => JobStatus::Failed,
+        }
+    }
+}
+
+/// Interior of a job's lock: its state plus the wakers waiting for it
+/// to settle. One lock covers both, so a waker is either registered
+/// before the job settles (and run by it) or sees it settled.
+struct Life {
+    state: State,
+    wakers: Vec<(u64, Box<dyn FnOnce() + Send>)>,
+    next_key: u64,
+}
+
+impl std::fmt::Debug for Life {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Life")
+            .field("state", &self.state)
+            .field("wakers", &self.wakers.len())
+            .finish()
+    }
 }
 
 /// One content-addressed experiment job.
@@ -265,19 +299,14 @@ pub struct Job {
     /// When the job was registered — the queue-wait anchor.
     pub submitted: std::time::Instant,
     points_done: AtomicUsize,
-    state: Mutex<State>,
+    life: Mutex<Life>,
     finished: Condvar,
 }
 
 impl Job {
     /// Current coarse status.
     pub fn status(&self) -> JobStatus {
-        match *self.state.lock().unwrap() {
-            State::Queued => JobStatus::Queued,
-            State::Running => JobStatus::Running,
-            State::Done(_) => JobStatus::Done,
-            State::Failed(_) => JobStatus::Failed,
-        }
+        self.life.lock().unwrap().state.status()
     }
 
     /// Unique grid points completed so far.
@@ -292,7 +321,7 @@ impl Job {
 
     /// The cached result, when done.
     pub fn result(&self) -> Option<Arc<JobResult>> {
-        match &*self.state.lock().unwrap() {
+        match &self.life.lock().unwrap().state {
             State::Done(r) => Some(Arc::clone(r)),
             _ => None,
         }
@@ -300,7 +329,7 @@ impl Job {
 
     /// The failure message, when failed.
     pub fn error(&self) -> Option<String> {
-        match &*self.state.lock().unwrap() {
+        match &self.life.lock().unwrap().state {
             State::Failed(e) => Some(e.clone()),
             _ => None,
         }
@@ -308,19 +337,58 @@ impl Job {
 
     /// Marks the job running.
     pub fn start(&self) {
-        *self.state.lock().unwrap() = State::Running;
+        self.life.lock().unwrap().state = State::Running;
     }
 
     /// Completes the job with rendered results and wakes waiters.
     pub fn finish(&self, result: JobResult) {
-        *self.state.lock().unwrap() = State::Done(Arc::new(result));
-        self.finished.notify_all();
+        self.settle(State::Done(Arc::new(result)));
     }
 
     /// Fails the job and wakes waiters.
     pub fn fail(&self, error: String) {
-        *self.state.lock().unwrap() = State::Failed(error);
+        self.settle(State::Failed(error));
+    }
+
+    /// Moves to a final state, then wakes every blocked [`Job::wait`]
+    /// and runs every [`Job::watch`] waker (outside the lock).
+    fn settle(&self, state: State) {
+        let wakers = {
+            let mut life = self.life.lock().unwrap();
+            life.state = state;
+            std::mem::take(&mut life.wakers)
+        };
         self.finished.notify_all();
+        for (_, waker) in wakers {
+            waker();
+        }
+    }
+
+    /// Runs `waker` once the job is done or failed: on the thread that
+    /// settles it, or right here when it already has. Returns the key
+    /// [`Job::unwatch`] takes, or `None` when `waker` already ran.
+    ///
+    /// The check and the registration happen under the job's lock, so a
+    /// job that settles after a caller last saw it unfinished — between
+    /// a status check and this call — still runs the waker. This is how
+    /// a held `?wait_ms=` status request parks without a thread.
+    pub fn watch(&self, waker: Box<dyn FnOnce() + Send>) -> Option<u64> {
+        let mut life = self.life.lock().unwrap();
+        if life.state.status().is_settled() {
+            drop(life);
+            waker();
+            return None;
+        }
+        let key = life.next_key;
+        life.next_key += 1;
+        life.wakers.push((key, waker));
+        Some(key)
+    }
+
+    /// Drops a [`Job::watch`] waker that has not run (its waiter went
+    /// away). A no-op once the job settled.
+    pub fn unwatch(&self, key: u64) {
+        self.life.lock().unwrap().wakers.retain(|(k, _)| *k != key);
     }
 
     /// Blocks until the job is done or failed, or `timeout` elapses.
@@ -328,24 +396,14 @@ impl Job {
     /// timeout).
     pub fn wait(&self, timeout: Duration) -> JobStatus {
         let deadline = std::time::Instant::now() + timeout;
-        let mut state = self.state.lock().unwrap();
+        let mut life = self.life.lock().unwrap();
         loop {
-            match &*state {
-                State::Done(_) => return JobStatus::Done,
-                State::Failed(_) => return JobStatus::Failed,
-                _ => {}
-            }
+            let status = life.state.status();
             let now = std::time::Instant::now();
-            if now >= deadline {
-                return match &*state {
-                    State::Queued => JobStatus::Queued,
-                    State::Running => JobStatus::Running,
-                    State::Done(_) => JobStatus::Done,
-                    State::Failed(_) => JobStatus::Failed,
-                };
+            if status.is_settled() || now >= deadline {
+                return status;
             }
-            let (next, _) = self.finished.wait_timeout(state, deadline - now).unwrap();
-            state = next;
+            life = self.finished.wait_timeout(life, deadline - now).unwrap().0;
         }
     }
 }
@@ -714,9 +772,7 @@ impl Registry {
             // Make room by dropping the oldest finished job; its next
             // submission will simply re-simulate.
             let JobMap { by_id, order } = &mut *jobs;
-            let evictable = order
-                .iter()
-                .position(|fp| matches!(by_id[fp].status(), JobStatus::Done | JobStatus::Failed));
+            let evictable = order.iter().position(|fp| by_id[fp].status().is_settled());
             match evictable {
                 Some(at) => {
                     let fp = order.remove(at).expect("position came from order");
@@ -734,7 +790,11 @@ impl Registry {
             trace,
             submitted: std::time::Instant::now(),
             points_done: AtomicUsize::new(0),
-            state: Mutex::new(State::Queued),
+            life: Mutex::new(Life {
+                state: State::Queued,
+                wakers: Vec::new(),
+                next_key: 0,
+            }),
             finished: Condvar::new(),
         });
         jobs.by_id.insert(id, Arc::clone(&job));
@@ -933,6 +993,34 @@ mod tests {
         assert_eq!(result.unique_points, 1);
         assert_eq!(result.csv(), predllc_explore::report::CSV_HEADER);
         assert_eq!(job.error(), None);
+    }
+
+    #[test]
+    fn watchers_run_once_when_the_job_settles() {
+        use std::sync::atomic::AtomicUsize;
+        let reg = Registry::new();
+        let job = reg.submit(SPEC).unwrap().job;
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counting = || {
+            let runs = Arc::clone(&runs);
+            Box::new(move || {
+                runs.fetch_add(1, Ordering::SeqCst);
+            }) as Box<dyn FnOnce() + Send>
+        };
+        let kept = job.watch(counting()).expect("unsettled: registered");
+        let dropped = job.watch(counting()).expect("unsettled: registered");
+        assert_ne!(kept, dropped);
+        job.unwatch(dropped);
+        job.start();
+        assert_eq!(runs.load(Ordering::SeqCst), 0, "running is not settled");
+        job.fail("boom".into());
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "only the kept waker ran");
+        // Watching a settled job runs the waker at once, and the late
+        // unwatch of a waker that already ran is a no-op.
+        assert_eq!(job.watch(counting()), None);
+        assert_eq!(runs.load(Ordering::SeqCst), 2);
+        job.unwatch(kept);
+        assert_eq!(job.wait(Duration::ZERO), JobStatus::Failed);
     }
 
     fn seeded(seed: u64) -> String {

@@ -298,18 +298,24 @@ impl SpecRunner for LocalRunner {
     }
 }
 
-/// The bounded content-addressed point cache shared by the point
-/// endpoints: fingerprint → rendered measurement JSON (rendered once,
-/// served byte-identically forever).
-pub(crate) struct PointCache {
-    by_fp: HashMap<Fingerprint, String>,
+/// A bounded content-addressed point cache: fingerprint → value, with
+/// FIFO eviction. Past `capacity` entries the oldest insertion is
+/// dropped; an evicted point simply re-simulates on its next request.
+///
+/// Serve's point endpoints keep rendered measurement JSON here
+/// (rendered once, served byte-identically forever); a fleet
+/// coordinator keeps parsed measurements.
+#[derive(Debug)]
+pub struct PointCache<V> {
+    by_fp: HashMap<Fingerprint, V>,
     /// Insertion order; eviction drops the oldest entry.
     order: VecDeque<Fingerprint>,
     capacity: usize,
 }
 
-impl PointCache {
-    fn new(capacity: usize) -> PointCache {
+impl<V> PointCache<V> {
+    /// An empty cache holding at most `capacity` entries (at least 1).
+    pub fn new(capacity: usize) -> PointCache<V> {
         PointCache {
             by_fp: HashMap::new(),
             order: VecDeque::new(),
@@ -317,11 +323,15 @@ impl PointCache {
         }
     }
 
-    pub(crate) fn get(&self, fp: &Fingerprint) -> Option<&str> {
-        self.by_fp.get(fp).map(String::as_str)
+    /// The value cached for `fp`, if any.
+    pub fn get(&self, fp: &Fingerprint) -> Option<&V> {
+        self.by_fp.get(fp)
     }
 
-    pub(crate) fn insert(&mut self, fp: Fingerprint, rendered: String) {
+    /// Caches `value` under `fp`, evicting the oldest entry when full.
+    /// A fingerprint already present keeps its first value (points are
+    /// deterministic, so both are the same).
+    pub fn insert(&mut self, fp: Fingerprint, value: V) {
         if self.by_fp.contains_key(&fp) {
             return;
         }
@@ -330,7 +340,7 @@ impl PointCache {
                 self.by_fp.remove(&oldest);
             }
         }
-        self.by_fp.insert(fp, rendered);
+        self.by_fp.insert(fp, value);
         self.order.push_back(fp);
     }
 }
@@ -353,7 +363,7 @@ pub(crate) struct Shared {
     pub(crate) connections: AtomicUsize,
     pub(crate) max_connections: usize,
     /// Point measurements shared across workers of a fleet.
-    pub(crate) points: Mutex<PointCache>,
+    pub(crate) points: Mutex<PointCache<String>>,
     /// See [`ServerConfig::fail_after_points`].
     pub(crate) fail_after_points: Option<u64>,
     /// Point requests answered successfully (the fault injector's
@@ -857,21 +867,25 @@ fn serve_connection(shared: &Shared, router: &Router, ticket: ConnTicket, stream
                 return;
             }
         };
-        match api::dispatch(shared, router, &request) {
+        let response = match api::dispatch(shared, router, &request) {
             Dispatch::Hangup => return, // killed, or the fault injector tripped
-            Dispatch::Reply(response) => {
-                let keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
-                // HTTP/1.0 peers don't speak chunked framing; collapse
-                // streams to content-length for them.
-                let response = if request.http11 {
-                    response
-                } else {
-                    response.materialized()
-                };
-                if write_response(&mut writer, response, keep_alive).is_err() || !keep_alive {
-                    return;
-                }
+            Dispatch::Reply(response) => response,
+            // No reactor to park on: this connection's thread waits.
+            Dispatch::Hold { job, until } => {
+                job.wait(until.saturating_duration_since(std::time::Instant::now()));
+                api::status_response(&job)
             }
+        };
+        let keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
+        // HTTP/1.0 peers don't speak chunked framing; collapse streams
+        // to content-length for them.
+        let response = if request.http11 {
+            response
+        } else {
+            response.materialized()
+        };
+        if write_response(&mut writer, response, keep_alive).is_err() || !keep_alive {
+            return;
         }
     }
 }

@@ -8,11 +8,12 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use predllc::explore::report::{render_csv, render_json};
 use predllc::explore::{run_spec, Executor};
 use predllc::fleet::{Coordinator, CoordinatorConfig, FleetError};
+use predllc::obs::{EventKind, TraceCtx, TraceId, Tracer};
 use predllc::serve::{Metrics, Server, ServerConfig, ServerHandle};
 use predllc::workload_gen::UniformGen;
 use predllc::{CoreId, ExperimentSpec, LatencyHistogram, SharingMode, Simulator, SystemConfig};
@@ -95,6 +96,57 @@ fn fleet_reports_are_byte_identical_across_fleet_shapes() {
         for (handle, join) in workers {
             stop_worker(&handle, join);
         }
+    }
+}
+
+#[test]
+fn merge_follows_the_last_point_not_the_next_heartbeat() {
+    let spec = ExperimentSpec::parse(SPEC).unwrap();
+    let reference = render_csv(&run_spec(&spec, &Executor::new(1)).unwrap().grid);
+    let workers: Vec<_> = (0..2)
+        .map(|_| start_worker(ServerConfig::default()))
+        .collect();
+    // A heartbeat far longer than the run: a coordinator that waited
+    // for its next tick before merging would take at least 5 s.
+    let coordinator = Coordinator::new(
+        workers.iter().map(|(h, _)| h.addr()),
+        CoordinatorConfig {
+            heartbeat_interval: Duration::from_secs(5),
+            ..CoordinatorConfig::default()
+        },
+        Arc::new(Metrics::default()),
+    );
+    let tracer = Tracer::new();
+    let started = Instant::now();
+    let report = coordinator
+        .run_traced(
+            &spec,
+            &|_, _| {},
+            Some(TraceCtx::new(&tracer, TraceId::fresh())),
+        )
+        .unwrap();
+    let wall = started.elapsed();
+    assert_eq!(render_csv(&report.grid), reference);
+    assert!(wall < Duration::from_secs(1), "the run took {wall:?}");
+
+    let events = tracer.drain();
+    let last_resolved = events
+        .iter()
+        .filter(|e| e.name == "fleet.point.resolved")
+        .map(|e| e.ts_ns)
+        .max()
+        .expect("points were dispatched");
+    let merge = events
+        .iter()
+        .find(|e| e.name == "fleet.merge" && e.kind == EventKind::Begin)
+        .expect("a merge span");
+    let gap = Duration::from_nanos(merge.ts_ns.saturating_sub(last_resolved));
+    assert!(
+        gap < Duration::from_millis(25),
+        "fleet.merge began {gap:?} after the last resolved point"
+    );
+    for (handle, join) in workers {
+        stop_worker(&handle, join);
     }
 }
 

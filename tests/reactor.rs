@@ -2,19 +2,26 @@
 //! that trickle bytes, stop reading mid-stream, or vanish mid-request
 //! must never wedge the service or leak per-connection state, and the
 //! reactor must shed load past its dispatch queue instead of queueing
-//! without bound.
+//! without bound. Held status requests (`?wait_ms=`) park on the
+//! reactor: each is answered exactly once — when its job settles, when
+//! its time runs out, or at shutdown — and costs no dispatch thread.
 //!
 //! The reactor exists only on Linux (epoll); elsewhere the server runs
 //! a blocking fallback and these scenarios don't apply.
 #![cfg(target_os = "linux")]
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use predllc::serve::{Client, Format, Server, ServerConfig, ServerHandle};
+use predllc::obs::AlertState;
+use predllc::serve::{
+    Client, ClientError, Format, JobStatus, LocalRunner, Metrics, MonitorConfig, RunOutcome,
+    Server, ServerConfig, ServerHandle, SpecRunner,
+};
+use predllc::ExperimentSpec;
 
 const SPEC: &str = r#"{
     "name": "reactor-e2e",
@@ -353,5 +360,335 @@ fn http10_peers_get_the_http11_body_with_content_length() {
     assert!(!raw.contains("transfer-encoding"), "{raw:?}");
     let (_, http10_body) = raw.split_once("\r\n\r\n").unwrap();
     assert_eq!(http10_body, csv, "HTTP/1.0 body diverged");
+    stop(&handle, join);
+}
+
+/// The per-request count of the status endpoint: it ticks when a held
+/// request is dispatched, before the hold begins.
+const STATUS_COUNT: &str = r#"predllc_http_request_duration_ns_count{endpoint="job_status"}"#;
+
+/// A runner that keeps every job `running` until the gate opens, so a
+/// held request provably waits on an unsettled job.
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+    inner: LocalRunner,
+}
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+impl SpecRunner for Gate {
+    fn run_spec(
+        &self,
+        spec: &ExperimentSpec,
+        observe: &(dyn Fn(usize, usize) + Sync),
+    ) -> Result<RunOutcome, String> {
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+        drop(open);
+        self.inner.run_spec(spec, observe)
+    }
+
+    fn threads_label(&self) -> usize {
+        self.inner.threads_label()
+    }
+}
+
+fn start_gated(config: ServerConfig) -> (ServerHandle, std::thread::JoinHandle<()>, Arc<Gate>) {
+    let gate = Arc::new(Gate {
+        open: Mutex::new(false),
+        opened: Condvar::new(),
+        inner: LocalRunner::new(1),
+    });
+    let server = Server::bind_with(
+        "127.0.0.1:0",
+        config,
+        Arc::clone(&gate) as Arc<dyn SpecRunner>,
+        Arc::new(Metrics::default()),
+    )
+    .expect("bind an ephemeral port");
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run().expect("server run"));
+    (handle, join, gate)
+}
+
+/// The same spec with another seed: a distinct job.
+fn reseeded(seed: u64) -> String {
+    SPEC.replace("\"seed\": 11", &format!("\"seed\": {seed}"))
+}
+
+/// Opens a raw connection carrying one held status request.
+fn hold(addr: SocketAddr, id: &str, wait_ms: u64) -> BufReader<TcpStream> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    stream
+        .write_all(
+            format!("GET /v1/experiments/{id}?wait_ms={wait_ms} HTTP/1.1\r\n\r\n").as_bytes(),
+        )
+        .unwrap();
+    BufReader::new(stream)
+}
+
+/// Reads one content-length framed response: status, head, body.
+fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, String, String) {
+    let mut head = String::new();
+    loop {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "closed mid-head");
+        if line == "\r\n" {
+            break;
+        }
+        head.push_str(&line);
+    }
+    let status = head[9..12].parse().unwrap();
+    let len = head
+        .lines()
+        .find_map(|l| l.strip_prefix("content-length: "))
+        .map_or(0, |v| v.parse().unwrap());
+    let mut body = vec![0; len];
+    reader.read_exact(&mut body).unwrap();
+    (status, head, String::from_utf8(body).unwrap())
+}
+
+/// Polls a counter until it reaches `want`.
+fn wait_metric(client: &mut Client, name: &str, want: u64) {
+    let t0 = Instant::now();
+    while client.metric(name).unwrap_or(0) < want {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "{name} never reached {want}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Polls until the runner has picked the job up.
+fn wait_running(handle: &ServerHandle, id: &str) {
+    let job = handle.job(id).unwrap();
+    let t0 = Instant::now();
+    while job.status() != JobStatus::Running {
+        assert!(t0.elapsed() < Duration::from_secs(10), "job never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn a_holder_that_hangs_up_leaks_nothing_and_its_wake_reaches_no_reused_slot() {
+    // One reactor, so the next connection takes the slot a departed
+    // holder freed.
+    let (handle, join, gate) = start_gated(ServerConfig {
+        reactors: 1,
+        ..ServerConfig::default()
+    });
+    let addr = handle.addr();
+    let mut client = Client::new(addr);
+    let first = client.submit(SPEC).unwrap().id;
+    // Queued behind the first: the single runner is held at the gate.
+    let second = client.submit(&reseeded(12)).unwrap().id;
+
+    let departed = hold(addr, &first, 30_000);
+    wait_metric(&mut client, STATUS_COUNT, 1);
+    drop(departed);
+    // Closed while its job is still unsettled: nothing waits on the
+    // hold's deadline or the job to free the connection.
+    wait_connections_open(&mut client, 1, Duration::from_secs(10));
+
+    let mut reused = hold(addr, &second, 30_000);
+    wait_metric(&mut client, STATUS_COUNT, 2);
+    gate.open();
+    // The first job settles while the second is still queued (one
+    // runner). A wake meant for the departed holder's slot would answer
+    // this one early, with `queued`; it must see its own job finish.
+    let (status, _, body) = read_response(&mut reused);
+    assert_eq!(status, 200);
+    assert!(body.contains(&format!("\"id\":\"{second}\"")), "{body}");
+    assert!(body.contains("\"status\":\"done\""), "{body}");
+    stop(&handle, join);
+}
+
+#[test]
+fn sixty_four_holders_on_one_job_are_each_answered_exactly_once() {
+    let (handle, join, gate) = start_gated(ServerConfig::default());
+    let addr = handle.addr();
+    let mut client = Client::new(addr);
+    let id = client.submit(SPEC).unwrap().id;
+    let mut holders: Vec<_> = (0..64).map(|_| hold(addr, &id, 30_000)).collect();
+    wait_metric(&mut client, STATUS_COUNT, 64);
+    gate.open();
+    for holder in &mut holders {
+        let (status, _, body) = read_response(holder);
+        assert_eq!(status, 200);
+        assert!(body.contains("\"status\":\"done\""), "{body}");
+        // Exactly once: the next response on the connection answers the
+        // next request, not a second copy of the first.
+        holder
+            .get_mut()
+            .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+            .unwrap();
+        let (status, _, body) = read_response(holder);
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
+    }
+    assert_eq!(client.metric(STATUS_COUNT).unwrap(), 64);
+    stop(&handle, join);
+}
+
+#[test]
+fn holders_beyond_the_dispatchers_leave_submissions_unshed() {
+    // One dispatcher and a one-deep queue: two requests parked on them
+    // would shed the next heavy request with 429.
+    let (handle, join, gate) = start_gated(ServerConfig {
+        dispatchers: 1,
+        max_dispatch_queue: 1,
+        ..ServerConfig::default()
+    });
+    let addr = handle.addr();
+    let mut client = Client::new(addr);
+    let id = client.submit(SPEC).unwrap().id;
+    let holders: Vec<_> = (0..8).map(|_| hold(addr, &id, 30_000)).collect();
+    wait_metric(&mut client, STATUS_COUNT, 8);
+
+    let submitted = client
+        .submit(&reseeded(13))
+        .expect("a submission behind eight holders");
+    assert!(!submitted.cached);
+    assert_eq!(client.metric("predllc_requests_shed").unwrap(), 0);
+    gate.open();
+    drop(holders);
+    stop(&handle, join);
+}
+
+#[test]
+fn an_expired_hold_answers_the_current_status() {
+    let (handle, join, gate) = start_gated(ServerConfig::default());
+    let addr = handle.addr();
+    let mut client = Client::new(addr);
+    let id = client.submit(SPEC).unwrap().id;
+    wait_running(&handle, &id);
+
+    let t0 = Instant::now();
+    let mut holder = hold(addr, &id, 200);
+    let (status, head, body) = read_response(&mut holder);
+    let held = t0.elapsed();
+    assert_eq!(status, 200);
+    assert!(body.contains("\"status\":\"running\""), "{body}");
+    assert!(head.contains("connection: keep-alive"), "{head}");
+    assert!(
+        held >= Duration::from_millis(200) && held < Duration::from_secs(5),
+        "held {held:?} for wait_ms=200"
+    );
+
+    // The client maps an expired wait to a timeout naming the status.
+    match client.wait_done(&id, Duration::from_millis(300)) {
+        Err(ClientError::Timeout { last_status }) => assert_eq!(last_status, "running"),
+        other => panic!("expected a timeout, got {other:?}"),
+    }
+    gate.open();
+    client.wait_done(&id, Duration::from_secs(120)).unwrap();
+    stop(&handle, join);
+}
+
+#[test]
+fn shutdown_releases_held_requests_promptly() {
+    let (handle, join, gate) = start_gated(ServerConfig::default());
+    let addr = handle.addr();
+    let mut client = Client::new(addr);
+    let id = client.submit(SPEC).unwrap().id;
+    wait_running(&handle, &id);
+    let mut holder = hold(addr, &id, 30_000);
+    wait_metric(&mut client, STATUS_COUNT, 1);
+
+    let t0 = Instant::now();
+    handle.shutdown();
+    let (status, head, body) = read_response(&mut holder);
+    assert!(
+        t0.elapsed() < Duration::from_secs(2),
+        "shutdown answered the hold after {:?}",
+        t0.elapsed()
+    );
+    assert_eq!(status, 200);
+    assert!(body.contains("\"status\":\"running\""), "{body}");
+    assert!(head.contains("connection: close"), "{head}");
+    // The drain still runs the accepted job to completion.
+    gate.open();
+    join.join().expect("server thread");
+}
+
+#[test]
+fn a_job_settling_between_status_check_and_park_still_wakes_its_holder() {
+    let (handle, join, gate) = start_gated(ServerConfig::default());
+    let addr = handle.addr();
+    let mut client = Client::new(addr);
+    let id = client.submit(SPEC).unwrap().id;
+    let job = handle.job(&id).unwrap();
+
+    // The status handler's check sees the job unsettled...
+    assert!(!job.status().is_settled());
+    // ...the job settles before the reactor parks the request...
+    gate.open();
+    assert_eq!(job.wait(Duration::from_secs(120)), JobStatus::Done);
+    // ...and the park, registering its waker on a settled job, runs it
+    // on the spot instead of waiting for a wake that already happened.
+    let woke = Arc::new(AtomicBool::new(false));
+    let key = job.watch(Box::new({
+        let woke = Arc::clone(&woke);
+        move || woke.store(true, Ordering::SeqCst)
+    }));
+    assert_eq!(key, None, "a settled job must not keep the waker");
+    assert!(woke.load(Ordering::SeqCst), "the waker did not run");
+
+    // Over the wire, a hold on the settled job is answered at once.
+    let t0 = Instant::now();
+    let (status, _, body) = read_response(&mut hold(addr, &id, 30_000));
+    assert_eq!(status, 200);
+    assert!(body.contains("\"status\":\"done\""), "{body}");
+    assert!(t0.elapsed() < Duration::from_secs(5));
+    stop(&handle, join);
+}
+
+#[test]
+fn held_waits_stay_out_of_request_latency_and_never_page() {
+    // The stock rules page when the status endpoint's p99 latency stays
+    // above 500 ms; a 1.2 s hold recorded as latency would trip it.
+    let (handle, join, gate) = start_gated(ServerConfig {
+        monitor: Some(MonitorConfig::with_interval(Duration::from_millis(50))),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::new(handle.addr());
+    let id = client.submit(SPEC).unwrap().id;
+    let t0 = Instant::now();
+    match client.wait_done(&id, Duration::from_millis(1200)) {
+        Err(ClientError::Timeout { .. }) => {}
+        other => panic!("expected the held wait to time out, got {other:?}"),
+    }
+    assert!(t0.elapsed() >= Duration::from_millis(1200));
+    gate.open();
+    client.wait_done(&id, Duration::from_secs(120)).unwrap();
+
+    // Several collector ticks later, every request has been sampled.
+    std::thread::sleep(Duration::from_millis(300));
+    let statuses = handle.alert_statuses().unwrap();
+    let p99 = statuses
+        .iter()
+        .find(|a| a.rule == "p99-request-latency")
+        .unwrap();
+    assert_eq!(p99.state, AlertState::Inactive, "{p99:?}");
+    // The held requests were counted, but the holds were not timed.
+    assert!(client.metric(STATUS_COUNT).unwrap() >= 2);
+    let held_ns = client
+        .metric(r#"predllc_http_request_duration_ns_sum{endpoint="job_status"}"#)
+        .unwrap();
+    assert!(
+        held_ns < 100_000_000,
+        "{held_ns} ns of status latency: the hold leaked in"
+    );
     stop(&handle, join);
 }

@@ -582,6 +582,23 @@ fn every_error_answer_carries_error_and_kind() {
     );
     assert_eq!(status, 400);
     assert_error_shape(&body, "query");
+    // A held status wait must be a positive number of milliseconds; the
+    // answer names the parameter.
+    let known = client
+        .submit(&SPEC.replace("\"seed\": 11", "\"seed\": 99"))
+        .unwrap()
+        .id;
+    for bad in ["0", "abc"] {
+        let (status, body) = raw_request(
+            addr,
+            &format!(
+                "GET /v1/experiments/{known}?wait_ms={bad} HTTP/1.1\r\nconnection: close\r\n\r\n"
+            ),
+        );
+        assert_eq!(status, 400, "wait_ms={bad}");
+        assert_error_shape(&body, "query");
+        assert!(body.contains(&format!("'wait_ms'={bad}")), "{body}");
+    }
 
     // Malformed point request body → 400 "point".
     match client.point("{") {
