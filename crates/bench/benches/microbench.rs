@@ -80,9 +80,12 @@ fn bench_cache(scale: u32) {
         ReplacementKind::Random { seed: 1 },
     ] {
         let mut cache = SetAssocCache::<()>::new(CacheGeometry::PAPER_L3, kind);
-        let eligible = vec![true; 16];
+        let sets = u64::from(CacheGeometry::PAPER_L3.sets());
+        for w in 0..u64::from(CacheGeometry::PAPER_L3.ways()) {
+            cache.fill(LineAddr::new(3 + w * sets), false, ());
+        }
         bench(&format!("victim_{kind}"), 16, 4_000 * scale, || {
-            cache.choose_victim(black_box(SetIdx(3)), black_box(&eligible))
+            cache.choose_victim(black_box(SetIdx(3)), |_| true)
         });
     }
 }

@@ -1,14 +1,17 @@
 //! Engine throughput benchmark and perf-regression gate.
 //!
-//! Runs a fixed set of hit-heavy workloads through **both** simulation
-//! engines — the slot-by-slot reference loop and the fast-forward loop —
-//! verifies their [`predllc_core::SimStats`] are byte-for-byte identical,
-//! and reports ops/sec plus the fast/reference speedup. The headline
+//! Runs a fixed set of workloads through **both** simulation engines —
+//! the slot-by-slot reference loop and the fast-forward loop — verifies
+//! their [`predllc_core::SimStats`] are byte-for-byte identical, and
+//! reports ops/sec plus the fast/reference speedup. The headline
 //! workload is the multi-tenant LLC-hit grid (`llc-hit-256t`): 256
 //! tenants behind `predllc-serve` style consolidation, 1M operations
 //! total, ~97% LLC hits — the regime in which the reference engine's
 //! `O(cores)` work per bus slot dominates and fast-forward's
-//! `O(log cores)` calendar pays off.
+//! `O(log cores)` calendar pays off. `llc-miss-4c` covers the other
+//! regime, the one the paper's shared-partition sweeps live in: almost
+//! every op misses into a shared partition and costs a full LLC slot
+//! transaction with an eviction.
 //!
 //! ```text
 //! engine_perf [--quick] [--out BENCH_engine.json]
@@ -39,10 +42,10 @@ use std::time::Instant;
 use predllc_bench::{data, error, status};
 use predllc_core::config::EngineMode;
 use predllc_core::EngineProfile;
-use predllc_core::{PartitionSpec, Simulator, SystemConfig};
+use predllc_core::{PartitionSpec, SharingMode, Simulator, SystemConfig};
 use predllc_explore::json::{parse, Json};
 use predllc_model::{CacheGeometry, CoreId};
-use predllc_workload::gen::{HotColdGen, StrideGen};
+use predllc_workload::gen::{HotColdGen, PointerChaseGen, StrideGen};
 use predllc_workload::MultiCore;
 
 /// One benchmarked workload: a name, a config family and a workload.
@@ -126,6 +129,39 @@ fn llc_hit_scenario(tenants: u16, total_ops: usize) -> Scenario {
         }),
         workload: wl,
         total_ops: per_core as u64 * u64::from(tenants),
+    }
+}
+
+/// The 4-core LLC-miss workload: four cores sharing `SS(32,16,4)` (the
+/// e2e benchmark's `ss-fixed` configuration), each chasing pointers over
+/// its own 128 KiB — 4× the whole partition — so nearly every op misses
+/// the private L2, misses the LLC and evicts: one full slot transaction
+/// per op.
+fn llc_miss_scenario(ops_per_core: usize) -> Scenario {
+    let cores = 4u16;
+    let mut wl = MultiCore::new();
+    for i in 0..cores {
+        wl = wl.core(
+            PointerChaseGen::new(u64::from(i) << 20, 128 << 10, ops_per_core)
+                .with_seed(11 + u64::from(i)),
+        );
+    }
+    Scenario {
+        name: "llc-miss-4c",
+        config: Box::new(move |mode| {
+            SystemConfig::builder(cores)
+                .partitions(vec![PartitionSpec::shared(
+                    32,
+                    16,
+                    CoreId::first(cores).collect(),
+                    SharingMode::SetSequencer,
+                )])
+                .engine(mode)
+                .build()
+                .expect("valid benchmark configuration")
+        }),
+        workload: wl,
+        total_ops: ops_per_core as u64 * u64::from(cores),
     }
 }
 
@@ -441,15 +477,16 @@ fn main() -> ExitCode {
         }
     }
 
-    let (hot_ops, llc_ops, iters) = if quick {
-        (20_000, 64 * 500, 1)
+    let (hot_ops, llc_ops, miss_ops, iters) = if quick {
+        (20_000, 64 * 500, 5_000, 1)
     } else {
-        (1_000_000, 1_000_000, 2)
+        (1_000_000, 1_000_000, 100_000, 2)
     };
     let scenarios = vec![
         private_hit_scenario(hot_ops),
         llc_hit_scenario(64, llc_ops),
         llc_hit_scenario(256, llc_ops),
+        llc_miss_scenario(miss_ops),
     ];
 
     let mut outcomes = Vec::new();

@@ -142,10 +142,10 @@ impl PrivateHierarchy {
             !self.l2.contains(line),
             "refill of {line} already present in L2"
         );
-        // 1. Make room in L2 (victim leaves the private hierarchy
-        //    entirely, per inclusion).
-        let set = self.l2.set_of(line);
-        if let Some(victim) = self.l2.evict_victim_in(set) {
+        // 1. Install in L2 (clean; dirtiness lives in L1 until folded),
+        //    into the way its victim frees when the set is full. The
+        //    victim leaves the private hierarchy entirely, per inclusion.
+        if let Some(victim) = self.l2.fill(line, false, ()) {
             let mut dirty = victim.dirty;
             if let Some(e) = self.l1i.invalidate(victim.line) {
                 dirty |= e.dirty;
@@ -159,9 +159,7 @@ impl PrivateHierarchy {
                 effect.clean_drop = Some(victim.line);
             }
         }
-        // 2. Install in L2 (clean; dirtiness lives in L1 until folded).
-        self.l2.fill(line, false, ());
-        // 3. Install in the right L1.
+        // 2. Install in the right L1.
         self.promote_to_l1(op);
         effect
     }
@@ -222,21 +220,17 @@ impl PrivateHierarchy {
         Ok(())
     }
 
-    /// Promotes `op`'s line (known to be in L2) into the appropriate L1,
-    /// folding any L1 victim's dirtiness into L2.
+    /// Promotes `op`'s line into the appropriate L1, folding any L1
+    /// victim's dirtiness into L2. Both callers know the line is in L2
+    /// and absent from that L1 (`access` just missed it there; `refill`
+    /// had it in neither level), so this is a fill without a lookup.
     fn promote_to_l1(&mut self, op: MemOp) {
-        let line = op.addr.line();
-        let dirty = op.kind.is_write();
         let l1 = if op.kind.is_instr() {
             &mut self.l1i
         } else {
             &mut self.l1d
         };
-        if let Some(e) = l1.lookup(line) {
-            e.dirty |= dirty;
-            return;
-        }
-        if let Some(victim) = l1.fill(line, dirty, ()) {
+        if let Some(victim) = l1.fill(op.addr.line(), op.kind.is_write(), ()) {
             if victim.dirty {
                 // Inclusion guarantees the victim is still in L2. Use
                 // peek_mut: folding a dirty bit is not a use for recency.

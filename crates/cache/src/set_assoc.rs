@@ -11,6 +11,12 @@
 //! pointer chasing and no dynamic dispatch. The unit tests check the
 //! inlined replacer victim for victim against boxed reference
 //! implementations of each [`ReplacementKind`] policy.
+//!
+//! Every mutation keeps a per-set count of occupied ways in lockstep with
+//! the slots, so a full set — the steady state of any cache under
+//! pressure — answers [`SetAssocCache::free_way_in`] without scanning
+//! its ways, and a [`SetAssocCache::fill`] into it goes straight to
+//! victim selection.
 
 use predllc_model::{CacheGeometry, LineAddr, SetIdx, WayIdx};
 
@@ -139,34 +145,42 @@ impl Replacer {
         }
     }
 
-    fn choose_victim(&mut self, set: usize, ways: usize, eligible: &[bool]) -> Option<WayIdx> {
+    /// Victim selection among the ways for which `eligible` holds, in a
+    /// single pass over the set (the random policy makes a second pass to
+    /// pick the n-th eligible way it drew).
+    fn choose_victim(
+        &mut self,
+        set: usize,
+        ways: usize,
+        mut eligible: impl FnMut(usize) -> bool,
+    ) -> Option<WayIdx> {
         match self {
             Replacer::Stamped { stamp, .. } => {
-                let stamps = &stamp[set * ways..set * ways + eligible.len().min(ways)];
-                eligible
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &e)| e)
-                    .min_by_key(|(w, _)| stamps[*w])
-                    .map(|(w, _)| WayIdx(w as u32))
+                let stamps = &stamp[set * ways..(set + 1) * ways];
+                let mut best: Option<usize> = None;
+                for (w, &s) in stamps.iter().enumerate() {
+                    if eligible(w) && best.is_none_or(|b| s < stamps[b]) {
+                        best = Some(w);
+                    }
+                }
+                best.map(|w| WayIdx(w as u32))
             }
             Replacer::RoundRobin { next } => {
-                let n = eligible.len();
-                if n == 0 {
+                if ways == 0 {
                     return None;
                 }
-                let start = next[set] % n;
-                for i in 0..n {
-                    let w = (start + i) % n;
-                    if eligible[w] {
-                        next[set] = (w + 1) % n;
+                let start = next[set] % ways;
+                for i in 0..ways {
+                    let w = (start + i) % ways;
+                    if eligible(w) {
+                        next[set] = (w + 1) % ways;
                         return Some(WayIdx(w as u32));
                     }
                 }
                 None
             }
             Replacer::Random { state } => {
-                let count = eligible.iter().filter(|&&e| e).count();
+                let count = (0..ways).filter(|&w| eligible(w)).count();
                 if count == 0 {
                     return None;
                 }
@@ -176,12 +190,10 @@ impl Replacer {
                 x ^= x >> 27;
                 *state = x;
                 let pick = (x.wrapping_mul(0x2545_f491_4f6c_dd1d) % count as u64) as usize;
-                eligible
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &e)| e)
+                (0..ways)
+                    .filter(|&w| eligible(w))
                     .nth(pick)
-                    .map(|(w, _)| WayIdx(w as u32))
+                    .map(|w| WayIdx(w as u32))
             }
         }
     }
@@ -226,6 +238,9 @@ pub struct SetAssocCache<T> {
     /// `Option<Entry>`, which is what the simulator's hottest loop does
     /// millions of times.
     lines: Vec<u64>,
+    /// Occupied ways per set, kept in lockstep with `slots`: a full set
+    /// has no free way to find, so the free-way scan is skipped.
+    occupied: Vec<u32>,
     replacer: Replacer,
 }
 
@@ -256,6 +271,7 @@ impl<T> SetAssocCache<T> {
             set_mask,
             slots: (0..sets * ways).map(|_| None).collect(),
             lines: vec![EMPTY_LINE; sets * ways],
+            occupied: vec![0; sets],
             replacer: Replacer::new(replacement, sets, ways),
         }
     }
@@ -347,10 +363,16 @@ impl<T> SetAssocCache<T> {
         self.peek(line).is_some()
     }
 
-    /// First truly empty way at or after `base` — the sentinel scan,
+    /// Lowest truly empty way of `set` — `None` straight from the
+    /// occupied count when the set is full, otherwise the sentinel scan,
     /// confirmed against the slot array (a stored line address equal to
     /// the sentinel must not read as a free way).
-    fn free_way_idx(&self, base: usize) -> Option<usize> {
+    #[inline]
+    fn free_way_idx(&self, set: usize) -> Option<usize> {
+        if self.occupied[set] as usize == self.ways {
+            return None;
+        }
+        let base = set * self.ways;
         let mut from = 0;
         while let Some(w) = self.lines[base + from..base + self.ways]
             .iter()
@@ -367,14 +389,14 @@ impl<T> SetAssocCache<T> {
 
     /// Returns a free way in `line`'s set, if any (lowest index first).
     pub fn free_way(&self, line: LineAddr) -> Option<WayIdx> {
-        let base = self.set_index(line) * self.ways;
-        self.free_way_idx(base).map(|w| WayIdx(w as u32))
+        self.free_way_idx(self.set_index(line))
+            .map(|w| WayIdx(w as u32))
     }
 
     /// Returns a free way in `set`, if any (lowest index first).
+    #[inline]
     pub fn free_way_in(&self, set: SetIdx) -> Option<WayIdx> {
-        let base = set.as_usize() * self.ways;
-        self.free_way_idx(base).map(|w| WayIdx(w as u32))
+        self.free_way_idx(set.as_usize()).map(|w| WayIdx(w as u32))
     }
 
     /// Inserts `line`, evicting if the set is full. Returns the evicted
@@ -393,8 +415,11 @@ impl<T> SetAssocCache<T> {
         debug_assert!(!self.contains(line), "fill of already-present {line}");
         let set = self.set_index(line);
         let base = set * self.ways;
-        let (way, evicted) = match self.free_way_in(SetIdx(set as u32)) {
-            Some(way) => (way.as_usize(), None),
+        let (way, evicted) = match self.free_way_idx(set) {
+            Some(way) => {
+                self.occupied[set] += 1;
+                (way, None)
+            }
             None => {
                 let way = self
                     .replacer
@@ -424,6 +449,7 @@ impl<T> SetAssocCache<T> {
         assert!(slot.is_none(), "install into occupied {set}/{way}");
         *slot = Some(Entry { line, dirty, meta });
         self.lines[idx] = line.as_u64();
+        self.occupied[set.as_usize()] += 1;
         self.replacer.on_fill(idx);
     }
 
@@ -433,6 +459,7 @@ impl<T> SetAssocCache<T> {
         let e = self.slots[idx].take();
         if e.is_some() {
             self.lines[idx] = EMPTY_LINE;
+            self.occupied[set.as_usize()] -= 1;
             self.replacer.on_invalidate(idx);
         }
         e
@@ -445,28 +472,22 @@ impl<T> SetAssocCache<T> {
         self.take(set, way)
     }
 
-    /// Chooses a victim way in `set` among ways where `eligible` is true.
+    /// Chooses a victim way in `set` among the occupied ways whose entry
+    /// passes `eligible`; empty ways are never victims.
     ///
-    /// Exposed for the LLC, which restricts eligibility to the active
-    /// partition's ways minus lines that are already mid-eviction.
-    pub fn choose_victim(&mut self, set: SetIdx, eligible: &[bool]) -> Option<WayIdx> {
-        self.replacer
-            .choose_victim(set.as_usize(), self.ways, eligible)
-    }
-
-    /// Chooses a victim with every way eligible and removes it from the
-    /// cache — the conventional fill path's eviction, without the caller
-    /// having to materialize an all-`true` eligibility mask. Returns
-    /// `None` only when the set has an empty way (nothing to evict).
-    pub fn evict_victim_in(&mut self, set: SetIdx) -> Option<Entry<T>> {
-        if self.free_way_in(set).is_some() {
-            return None;
-        }
-        let way = self
-            .replacer
-            .choose_victim_all(set.as_usize(), self.ways)
-            .expect("replacement policy must pick a victim from a full set");
-        self.take(set, way)
+    /// Exposed for the LLC, which excludes lines that are already
+    /// mid-eviction. The test runs once per way (twice under the random
+    /// policy) and must not depend on call order.
+    pub fn choose_victim(
+        &mut self,
+        set: SetIdx,
+        mut eligible: impl FnMut(&Entry<T>) -> bool,
+    ) -> Option<WayIdx> {
+        let base = set.as_usize() * self.ways;
+        let slots = &self.slots[base..base + self.ways];
+        self.replacer.choose_victim(set.as_usize(), self.ways, |w| {
+            slots[w].as_ref().is_some_and(&mut eligible)
+        })
     }
 
     /// Direct access to the entry at `(set, way)`.
@@ -501,7 +522,7 @@ impl<T> SetAssocCache<T> {
 
     /// The number of occupied lines.
     pub fn occupancy(&self) -> usize {
-        self.iter().count()
+        self.occupied.iter().map(|&n| n as usize).sum()
     }
 
     /// Removes every line, leaving the cache empty.
@@ -692,22 +713,28 @@ mod tests {
         c
     }
 
+    /// An eligibility test admitting the ways of `full_set` flagged in
+    /// `mask` (each way `w` there holds line `w`).
+    fn ways(mask: [bool; 4]) -> impl Fn(&Entry<()>) -> bool {
+        move |e| mask[e.line.as_u64() as usize]
+    }
+
     #[test]
     fn each_policy_picks_victims_by_its_rule() {
         const S0: SetIdx = SetIdx(0);
-        let all = [true; 4];
-        // LRU: a hit refreshes, the mask excludes, an invalidated way
-        // goes first, an empty mask has no victim.
+        let all = ways([true; 4]);
+        // LRU: a hit refreshes, the test excludes, an emptied way is
+        // never a victim, an all-false test has no victim.
         let mut lru = full_set(ReplacementKind::Lru);
         lru.touch(S0, WayIdx(0));
         assert_eq!(lru.choose_victim(S0, &all), Some(WayIdx(1)));
         assert_eq!(
-            lru.choose_victim(S0, &[true, false, true, true]),
+            lru.choose_victim(S0, ways([true, false, true, true])),
             Some(WayIdx(2))
         );
-        lru.take(S0, WayIdx(3));
-        assert_eq!(lru.choose_victim(S0, &all), Some(WayIdx(3)));
-        assert_eq!(lru.choose_victim(S0, &[false; 4]), None);
+        lru.take(S0, WayIdx(1));
+        assert_eq!(lru.choose_victim(S0, &all), Some(WayIdx(2)));
+        assert_eq!(lru.choose_victim(S0, ways([false; 4])), None);
         // FIFO: hits do not refresh.
         let mut fifo = full_set(ReplacementKind::Fifo);
         fifo.touch(S0, WayIdx(0));
@@ -716,7 +743,7 @@ mod tests {
         let mut rr = full_set(ReplacementKind::RoundRobin);
         let picks: Vec<_> = (0..5).map(|_| rr.choose_victim(S0, &all)).collect();
         assert_eq!(picks, [0, 1, 2, 3, 0].map(|w| Some(WayIdx(w))));
-        let only_1 = [false, true, false, false];
+        let only_1 = ways([false, true, false, false]);
         assert_eq!(rr.choose_victim(S0, &only_1), Some(WayIdx(1)));
         assert_eq!(rr.choose_victim(S0, &only_1), Some(WayIdx(1)));
         // Random: deterministic per seed, eligible ways only.
@@ -731,11 +758,10 @@ mod tests {
         let mut random = full_set(ReplacementKind::Random { seed: 7 });
         let mask = [false, true, false, true];
         for _ in 0..64 {
-            let w = random.choose_victim(S0, &mask).unwrap();
+            let w = random.choose_victim(S0, ways(mask)).unwrap();
             assert!(mask[w.as_usize()], "picked ineligible way {w}");
         }
-        assert_eq!(random.choose_victim(S0, &[false; 4]), None);
-        assert_eq!(random.choose_victim(S0, &[]), None);
+        assert_eq!(random.choose_victim(S0, ways([false; 4])), None);
     }
 
     /// The inlined replacer must reproduce the boxed reference policies'
@@ -774,7 +800,7 @@ mod tests {
                     _ => {
                         let mask: Vec<bool> = (0..4).map(|w| (x >> w) & 1 == 1).collect();
                         assert_eq!(
-                            cache.choose_victim(set, &mask),
+                            cache.replacer.choose_victim(set.as_usize(), 4, |w| mask[w]),
                             boxed.choose_victim(set, &mask),
                             "victim divergence under {kind:?}"
                         );
@@ -782,5 +808,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-set occupied count must track the slots through every
+    /// mutation: after each fill, `install_at`, take, invalidate or
+    /// eviction, `free_way_in` and `occupancy` agree with a brute-force
+    /// scan of the slots — including for the line address that equals
+    /// the empty-way sentinel.
+    #[test]
+    fn occupied_counts_agree_with_a_slot_scan() {
+        const SETS: u32 = 4;
+        const WAYS: u32 = 4;
+        // 1-byte lines make `u64::MAX` a real line address (set 3).
+        let mut c: SetAssocCache<u8> = SetAssocCache::new(
+            CacheGeometry::new(SETS, WAYS, 1).unwrap(),
+            ReplacementKind::Lru,
+        );
+        let pool: Vec<LineAddr> = (0..24u64)
+            .map(LineAddr::new)
+            .chain([u64::MAX, u64::MAX - 4, u64::MAX - 8].map(LineAddr::new))
+            .collect();
+        let brute_free = |c: &SetAssocCache<u8>, set: u32| {
+            (0..WAYS)
+                .find(|&w| c.entry(SetIdx(set), WayIdx(w)).is_none())
+                .map(WayIdx)
+        };
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut sentinel_resident_steps = 0;
+        for step in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let line = pool[(x >> 8) as usize % pool.len()];
+            let set = c.set_of(line);
+            match x % 5 {
+                0 => {
+                    if !c.contains(line) {
+                        c.fill(line, false, 1);
+                    }
+                }
+                1 => {
+                    let free: Vec<u32> = (0..WAYS)
+                        .filter(|&w| c.entry(set, WayIdx(w)).is_none())
+                        .collect();
+                    if !c.contains(line) && !free.is_empty() {
+                        let w = free[(x >> 40) as usize % free.len()];
+                        c.install_at(set, WayIdx(w), line, true, 2);
+                    }
+                }
+                2 => {
+                    c.take(set, WayIdx((x >> 32) as u32 % WAYS));
+                }
+                3 => {
+                    c.invalidate(line);
+                }
+                _ => {
+                    if let Some(w) = c.choose_victim(set, |e| e.meta != 0) {
+                        c.take(set, w).expect("victims are occupied");
+                    }
+                }
+            }
+            for s in 0..SETS {
+                let want = brute_free(&c, s);
+                assert_eq!(c.free_way_in(SetIdx(s)), want, "step {step}, set {s}");
+            }
+            let occupied = c.iter().count();
+            assert_eq!(c.occupancy(), occupied, "step {step}");
+            sentinel_resident_steps += usize::from(c.contains(LineAddr::new(u64::MAX)));
+        }
+        assert!(
+            sentinel_resident_steps > 0,
+            "the sentinel line was never resident"
+        );
     }
 }

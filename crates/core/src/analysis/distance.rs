@@ -10,13 +10,12 @@
 //! reports the distance profile of a partition set over time, so both
 //! observations can be *measured* instead of taken on faith.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use predllc_bus::TdmSchedule;
 use predllc_model::{CoreId, LineAddr};
 
 use crate::events::{EventKind, EventLog};
-use crate::llc::SharerSet;
 use crate::partition::PartitionSpec;
 
 /// The distance profile of one partition set at one slot boundary.
@@ -83,7 +82,7 @@ impl<'a> DistanceTracker<'a> {
     /// whose write-back must free it (its distance is what the analysis
     /// counts) until `LineFreed` retires the entry.
     pub fn samples(&self, events: &EventLog) -> Vec<DistanceSample> {
-        let mut sharers: HashMap<LineAddr, SharerSet> = HashMap::new();
+        let mut sharers: HashMap<LineAddr, BTreeSet<CoreId>> = HashMap::new();
         let mut resident: Vec<LineAddr> = Vec::new();
         let mut out = Vec::new();
         let mut current_slot: Option<u64> = None;
@@ -97,15 +96,13 @@ impl<'a> DistanceTracker<'a> {
             current_slot = Some(e.slot);
             match e.kind {
                 EventKind::Fill { core, line } if in_set(line) => {
-                    let mut s = SharerSet::EMPTY;
-                    s.insert(core);
-                    sharers.insert(line, s);
+                    sharers.insert(line, BTreeSet::from([core]));
                     if !resident.contains(&line) {
                         resident.push(line);
                     }
                 }
                 EventKind::Hit { core, line } if in_set(line) => {
-                    sharers.entry(line).or_insert(SharerSet::EMPTY).insert(core);
+                    sharers.entry(line).or_default().insert(core);
                 }
                 EventKind::LineFreed { line, .. } if in_set(line) => {
                     sharers.remove(&line);
@@ -124,14 +121,14 @@ impl<'a> DistanceTracker<'a> {
         &self,
         slot: u64,
         resident: &[LineAddr],
-        sharers: &HashMap<LineAddr, SharerSet>,
+        sharers: &HashMap<LineAddr, BTreeSet<CoreId>>,
     ) -> DistanceSample {
         let lines = resident
             .iter()
             .map(|&line| {
                 let d = sharers.get(&line).and_then(|s| {
                     s.iter()
-                        .filter_map(|c| self.schedule.distance(c, self.cua).ok())
+                        .filter_map(|&c| self.schedule.distance(c, self.cua).ok())
                         .max()
                 });
                 (line, d)

@@ -28,9 +28,13 @@
 //!   run in one call, tracks the next slot in which *any* core can
 //!   transmit in a calendar heap (`O(log n)` per transaction instead of
 //!   `O(cores)` per slot), jumps time directly across idle-slot spans
-//!   (accounting them in bulk), and services steady LLC-hit runs through
-//!   [`SharedLlc::try_service_hit`] with run-length-batched latency
-//!   recording ([`crate::LatencyHistogram::record_n`]).
+//!   (accounting them in bulk), and records steady LLC-hit runs with
+//!   run-length-batched latency recording
+//!   ([`crate::LatencyHistogram::record_n`]).
+//!
+//! Both engines service every request through the one allocation-free
+//! [`crate::llc::SharedLlc::service`] path, so the LLC protocol has a
+//! single implementation.
 //!
 //! Both engines produce bit-identical [`RunReport`]s — the differential
 //! suite in `tests/fast_forward.rs` holds them equal over randomized
@@ -290,9 +294,8 @@ struct Engine<'c, I> {
     /// records each latency directly.
     lat_batch: Vec<(Cycles, u64)>,
     /// Whether this run executes the fast-forward loop. Gates the
-    /// LLC-hit service shortcut and the latency batching, so the
-    /// reference loop stays on the unmodified `SharedLlc::service` path
-    /// — an independent oracle for the differential suite.
+    /// latency batching, so the reference loop records every latency
+    /// directly — an independent oracle for the differential suite.
     fast: bool,
     /// Cores that were handed an acknowledgement write-back in the last
     /// processed slot (their bus calendar changed).
@@ -826,34 +829,6 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                 if first {
                     events.push(now, slot, EventKind::RequestBroadcast { core: owner, line });
                 }
-                // Fast path for the common case: a plain hit on a valid
-                // resident line has no evictions, no memory traffic and
-                // no events beyond the response itself. Fast-forward
-                // only: the reference loop must keep exercising the full
-                // service path it is the oracle for.
-                if fast && llc.try_service_hit(owner, line) {
-                    let resume = now + sw.cycles();
-                    let (issued, clean_drop) =
-                        cores[oi].complete_request(resume, stats.core_mut(owner));
-                    if precise_sharers {
-                        if let Some(dropped) = clean_drop {
-                            llc.note_clean_drop(owner, dropped);
-                        }
-                    }
-                    let latency = resume - issued;
-                    record_latency(stats, lat_batch, fast, owner, latency);
-                    stats.core_mut(owner).llc_hits += 1;
-                    if let Some(a) = attr {
-                        a.on_complete(owner, line, issued, resume, slot, &[None, None], || {
-                            witness_snapshot(cores, stats, llc, owner, now)
-                        });
-                    }
-                    out.responded = true;
-                    if let (Some(p), Some(t)) = (prof, svc_start) {
-                        p.llc.record(t.elapsed());
-                    }
-                    return out;
-                }
                 let res = {
                     let cores = &mut *cores;
                     let mut evict = |target: CoreId, victim| {
@@ -868,26 +843,29 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                     touched_memory = true;
                     push_mem_event(events, now, slot, owner, traffic);
                 }
-                for &(target, vline) in &res.invalidations {
-                    stats.core_mut(target).back_invalidations += 1;
-                    events.push(
-                        now,
-                        slot,
-                        EventKind::BackInvalidation {
-                            core: target,
-                            line: vline,
-                        },
-                    );
-                }
-                // Dirty remote copies owe a data-carrying ack.
-                for &(target, vline) in &res.ack_required {
-                    cores[target.as_usize()].pwb.push(predllc_bus::WriteBack {
-                        line: vline,
-                        dirty: true,
-                        kind: predllc_bus::WbKind::BackInvalAck,
-                        enqueued_at: now,
-                    });
-                    scratch_acks.push(target.as_usize());
+                if let Some(ev) = res.eviction {
+                    let members = llc.partition_members(owner);
+                    for target in res.invalidations.iter().map(|m| members[m]) {
+                        stats.core_mut(target).back_invalidations += 1;
+                        events.push(
+                            now,
+                            slot,
+                            EventKind::BackInvalidation {
+                                core: target,
+                                line: ev.victim,
+                            },
+                        );
+                    }
+                    // Dirty remote copies owe a data-carrying ack.
+                    for target in res.ack_required.iter().map(|m| members[m]) {
+                        cores[target.as_usize()].pwb.push(predllc_bus::WriteBack {
+                            line: ev.victim,
+                            dirty: true,
+                            kind: predllc_bus::WbKind::BackInvalAck,
+                            enqueued_at: now,
+                        });
+                        scratch_acks.push(target.as_usize());
+                    }
                 }
                 if let Some(position) = res.sequencer_position {
                     events.push(

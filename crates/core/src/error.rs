@@ -50,6 +50,14 @@ pub enum ConfigError {
         /// Index of the oversized partition in the map.
         index: usize,
     },
+    /// A partition has more member cores than the LLC's sharer tracking
+    /// holds ([`crate::partition::MAX_PARTITION_CORES`]).
+    PartitionTooManyCores {
+        /// Index of the over-full partition in the map.
+        index: usize,
+        /// The number of cores mapped to it.
+        cores: usize,
+    },
     /// The TDM schedule covers a different number of cores than the
     /// system.
     ScheduleCoreMismatch {
@@ -122,6 +130,11 @@ impl fmt::Display for ConfigError {
                     "partition {index} is larger than the physical LLC in some dimension"
                 )
             }
+            ConfigError::PartitionTooManyCores { index, cores } => write!(
+                f,
+                "partition {index} has {cores} cores but a partition holds at most {}",
+                crate::partition::MAX_PARTITION_CORES
+            ),
             ConfigError::ScheduleCoreMismatch {
                 schedule_cores,
                 system_cores,

@@ -27,6 +27,19 @@
 //! Fig. 3 slot 4). This reproduces the paper's per-request eviction
 //! triggering: Fig. 4 has two evictions in flight in one set, one per
 //! pending request.
+//!
+//! Representation invariants:
+//!
+//! * a line's sharer bits are **partition-local**: bit `i` is the `i`-th
+//!   member of the line's partition in ascending core order, so a
+//!   partition of at most [`MAX_PARTITION_CORES`] members tracks its
+//!   sharers in one word whatever the system's core count (and
+//!   iterating the bits visits sharers in ascending core order);
+//! * a slot transaction allocates nothing: [`ServiceResult`] carries its
+//!   invalidations and acknowledgements as [`SharerSet`]s, the victim is
+//!   chosen by an eligibility test instead of a mask, and the set's
+//!   per-set occupied count (kept by [`SetAssocCache`]) answers "is
+//!   there a free way?" for a full set without a scan.
 
 use predllc_bus::WbKind;
 use predllc_cache::{ReplacementKind, SetAssocCache};
@@ -34,10 +47,14 @@ use predllc_dram::{MemAccess, MemRequest, MemStats, MemoryBackend};
 use predllc_model::{CoreId, Cycles, LineAddr, PartitionId, SetIdx, WayIdx};
 
 use crate::events::BlockReason;
-use crate::partition::{PartitionMap, SharingMode};
+use crate::partition::{PartitionMap, SharingMode, MAX_PARTITION_CORES};
 use crate::sequencer::SetSequencer;
 
-/// A set of cores, as a bitmask (the simulator supports up to 64 cores).
+/// A set of partition members, as a bitmask over *partition-local*
+/// member indices: bit `i` stands for the `i`-th member of the partition
+/// in ascending core order (see [`SharedLlc::partition_members`]). A
+/// partition has at most [`MAX_PARTITION_CORES`] members, so the mask is
+/// one word whatever the system's core count.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SharerSet(u64);
 
@@ -45,22 +62,40 @@ impl SharerSet {
     /// The empty set.
     pub const EMPTY: SharerSet = SharerSet(0);
 
-    /// Inserts a core.
-    pub fn insert(&mut self, core: CoreId) {
-        self.0 |= 1 << core.index();
+    /// The mask bit of member index `member`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `member` is not below [`MAX_PARTITION_CORES`] — never
+    /// for an index of a validated [`PartitionMap`].
+    #[inline]
+    fn bit(member: usize) -> u64 {
+        assert!(
+            member < MAX_PARTITION_CORES,
+            "sharer index {member} outside a {MAX_PARTITION_CORES}-member partition"
+        );
+        1 << member
     }
 
-    /// Removes a core; returns whether it was present.
-    pub fn remove(&mut self, core: CoreId) -> bool {
-        let bit = 1 << core.index();
+    /// Inserts a member.
+    #[inline]
+    pub fn insert(&mut self, member: usize) {
+        self.0 |= Self::bit(member);
+    }
+
+    /// Removes a member; returns whether it was present.
+    #[inline]
+    pub fn remove(&mut self, member: usize) -> bool {
+        let bit = Self::bit(member);
         let was = self.0 & bit != 0;
         self.0 &= !bit;
         was
     }
 
-    /// Whether a core is present.
-    pub fn contains(&self, core: CoreId) -> bool {
-        self.0 & (1 << core.index()) != 0
+    /// Whether a member is present.
+    #[inline]
+    pub fn contains(&self, member: usize) -> bool {
+        self.0 & Self::bit(member) != 0
     }
 
     /// Whether the set is empty.
@@ -68,25 +103,31 @@ impl SharerSet {
         self.0 == 0
     }
 
-    /// Number of cores in the set.
+    /// Number of members in the set.
     pub fn count(&self) -> u32 {
         self.0.count_ones()
     }
 
-    /// Iterates over member cores in index order.
-    pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
-        let bits = self.0;
-        (0..64u16)
-            .filter(move |i| bits & (1 << i) != 0)
-            .map(CoreId::new)
+    /// Iterates over the member indices in ascending order (ascending
+    /// core order), visiting only the set bits.
+    pub fn iter(&self) -> impl Iterator<Item = usize> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(i)
+        })
     }
 }
 
-impl FromIterator<CoreId> for SharerSet {
-    fn from_iter<I: IntoIterator<Item = CoreId>>(iter: I) -> Self {
+impl FromIterator<usize> for SharerSet {
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
         let mut s = SharerSet::EMPTY;
-        for c in iter {
-            s.insert(c);
+        for m in iter {
+            s.insert(m);
         }
         s
     }
@@ -105,8 +146,9 @@ pub enum LineState {
 /// Per-line LLC metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LlcMeta {
-    /// While `Valid`: the cores believed to cache the line privately.
-    /// While `Evicting`: the cores whose acknowledgements are still owed.
+    /// While `Valid`: the partition members believed to cache the line
+    /// privately. While `Evicting`: the members whose acknowledgements
+    /// are still owed.
     pub sharers: SharerSet,
     /// Lifecycle state.
     pub state: LineState,
@@ -170,17 +212,22 @@ pub struct MemTraffic {
 /// `Evict l → WB l` pattern of Figs. 2–4); the entry frees when the last
 /// of those retires. A dirty copy held by the *requester itself*
 /// transfers inline — the requester owns the bus this slot.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The result holds no heap data: both sharer lists are
+/// [`SharerSet`]s over the requester's partition (map them to cores with
+/// [`SharedLlc::partition_members`]), and the victim line is in
+/// `eviction`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceResult {
     /// The response/blocking outcome.
     pub outcome: ServiceOutcome,
-    /// Private copies invalidated during this slot (all sharers of the
-    /// victim, for events/stats).
-    pub invalidations: Vec<(CoreId, LineAddr)>,
+    /// Private copies of the victim invalidated during this slot (all of
+    /// its sharers, for events/stats). Non-empty only with `eviction`.
+    pub invalidations: SharerSet,
     /// The subset of invalidated sharers whose copy was dirty and who
     /// must therefore transmit an acknowledgement write-back; the engine
-    /// queues one data-carrying write-back per entry.
-    pub ack_required: Vec<(CoreId, LineAddr)>,
+    /// queues one data-carrying write-back of the victim per member.
+    pub ack_required: SharerSet,
     /// Eviction triggered during this service, if any.
     pub eviction: Option<EvictionInfo>,
     /// If the request was newly enqueued in the set sequencer, its queue
@@ -195,6 +242,19 @@ pub struct ServiceResult {
 }
 
 impl ServiceResult {
+    /// A result with `outcome` and nothing else happened.
+    fn new(set: SetIdx, outcome: ServiceOutcome) -> Self {
+        ServiceResult {
+            outcome,
+            invalidations: SharerSet::EMPTY,
+            ack_required: SharerSet::EMPTY,
+            eviction: None,
+            sequencer_position: None,
+            set,
+            mem_traffic: [None, None],
+        }
+    }
+
     /// Records a backend access in the next free inline slot.
     fn record_traffic(&mut self, traffic: MemTraffic) {
         let slot = self
@@ -236,6 +296,9 @@ pub struct WritebackResult {
 struct PartitionState {
     mode: SharingMode,
     shared: bool,
+    /// The member cores in ascending order: sharer bit `i` is
+    /// `members[i]`.
+    members: Vec<CoreId>,
     cache: SetAssocCache<LlcMeta>,
     sequencer: SetSequencer,
     pending: Vec<PendingReq>,
@@ -279,6 +342,8 @@ impl PartitionState {
 #[derive(Debug)]
 pub struct SharedLlc {
     partitions: Vec<PartitionState>,
+    /// `core index → member index` within the core's partition.
+    member_of: Vec<u8>,
     map: PartitionMap,
     memory: Box<dyn MemoryBackend>,
 }
@@ -296,6 +361,7 @@ impl SharedLlc {
         replacement: ReplacementKind,
         memory: Box<dyn MemoryBackend>,
     ) -> Self {
+        let mut member_of = vec![0u8; usize::from(map.num_cores())];
         let partitions = map
             .partitions()
             .iter()
@@ -303,9 +369,16 @@ impl SharedLlc {
                 let geometry = spec
                     .geometry(line_size)
                     .expect("validated partition has a valid geometry");
+                let mut members = spec.cores.clone();
+                members.sort_unstable();
+                for (i, core) in members.iter().enumerate() {
+                    member_of[core.as_usize()] =
+                        u8::try_from(i).expect("validated partitions have at most 64 members");
+                }
                 PartitionState {
                     mode: spec.mode,
                     shared: !spec.is_private(),
+                    members,
                     cache: SetAssocCache::new(geometry, replacement),
                     sequencer: SetSequencer::new(),
                     pending: Vec::new(),
@@ -314,9 +387,23 @@ impl SharedLlc {
             .collect();
         SharedLlc {
             partitions,
+            member_of,
             map,
             memory,
         }
+    }
+
+    /// `core`'s member index within its partition (its sharer bit).
+    #[inline]
+    fn member(&self, core: CoreId) -> usize {
+        usize::from(self.member_of[core.as_usize()])
+    }
+
+    /// The members of `core`'s partition in ascending core order: bit `i`
+    /// of the partition's [`SharerSet`]s (such as
+    /// [`ServiceResult::invalidations`]) stands for `members[i]`.
+    pub fn partition_members(&self, core: CoreId) -> &[CoreId] {
+        &self.partitions[self.map.partition_of(core).as_usize()].members
     }
 
     /// The partition map this controller was built from.
@@ -352,9 +439,10 @@ impl SharedLlc {
     /// `core` recorded as a sharer (test/invariant helper).
     pub fn is_valid_sharer(&self, core: CoreId, line: LineAddr) -> bool {
         let p = &self.partitions[self.map.partition_of(core).as_usize()];
+        let me = self.member(core);
         p.cache
             .peek(line)
-            .is_some_and(|e| e.meta.state == LineState::Valid && e.meta.sharers.contains(core))
+            .is_some_and(|e| e.meta.state == LineState::Valid && e.meta.sharers.contains(me))
     }
 
     /// The state of `line` in `partition`, if present (test helper).
@@ -412,36 +500,6 @@ impl SharedLlc {
         }
     }
 
-    /// Fast path for the most common slot of all: a request that hits a
-    /// valid resident line.
-    ///
-    /// Performs exactly the mutations of [`SharedLlc::service`]'s hit
-    /// case — recency touch, sharer registration, pending/sequencer
-    /// cleanup — and returns `true`; returns `false` *without mutating
-    /// anything* when the request would not be a hit (absent line or one
-    /// mid-eviction), in which case the caller must fall back to the full
-    /// [`SharedLlc::service`] protocol.
-    pub fn try_service_hit(&mut self, core: CoreId, line: LineAddr) -> bool {
-        let pid = self.map.partition_of(core);
-        let p = &mut self.partitions[pid.as_usize()];
-        let Some(way) = p.cache.way_of(line) else {
-            return false;
-        };
-        let set = p.cache.set_of(line);
-        let entry = p.cache.entry(set, way).expect("way_of found it");
-        if entry.meta.state != LineState::Valid {
-            return false;
-        }
-        p.cache.touch(set, way);
-        let entry = p.cache.entry_mut(set, way).expect("way_of found it");
-        entry.meta.sharers.insert(core);
-        p.remove_pending(core);
-        if p.uses_sequencer() {
-            p.sequencer.remove(set, core);
-        }
-        true
-    }
-
     /// The backend's residual busyness horizon (see
     /// [`MemoryBackend::next_busy_until`]): the latest cycle any DRAM
     /// bank is still busy from past accesses. The fast-forward engine
@@ -474,6 +532,10 @@ impl SharedLlc {
     /// own copy complete within this slot (the latter because the
     /// requester owns the bus — this is what gives private partitions
     /// their `(2N+1)·SW` bound).
+    ///
+    /// The hit case — the most common slot of all — is small enough to
+    /// inline into the caller; every other case continues out of line.
+    #[inline]
     pub fn service(
         &mut self,
         core: CoreId,
@@ -482,37 +544,47 @@ impl SharedLlc {
         evict: &mut dyn FnMut(CoreId, LineAddr) -> bool,
     ) -> ServiceResult {
         let pid = self.map.partition_of(core);
+        let me = self.member(core);
         let p = &mut self.partitions[pid.as_usize()];
         let set = p.cache.set_of(line);
-        let mut result = ServiceResult {
-            outcome: ServiceOutcome::Blocked(BlockReason::WaitingForEviction),
-            invalidations: Vec::new(),
-            ack_required: Vec::new(),
-            eviction: None,
-            sequencer_position: None,
-            set,
-            mem_traffic: [None, None],
-        };
 
         // 1. Hit on a valid line: respond regardless of sequencer state —
         //    the sequencer orders *allocations*, not reads of resident
         //    lines.
         if let Some(way) = p.cache.way_of(line) {
-            let entry = p.cache.entry(set, way).expect("way_of found it");
+            let entry = p.cache.entry_mut(set, way).expect("way_of found it");
             if entry.meta.state == LineState::Valid {
+                entry.meta.sharers.insert(me);
                 p.cache.touch(set, way);
-                let entry = p.cache.entry_mut(set, way).expect("way_of found it");
-                entry.meta.sharers.insert(core);
                 p.remove_pending(core);
                 if p.uses_sequencer() {
                     p.sequencer.remove(set, core);
                 }
-                result.outcome = ServiceOutcome::Responded(ResponseKind::Hit);
-                return result;
+                return ServiceResult::new(set, ServiceOutcome::Responded(ResponseKind::Hit));
             }
             // Mid-eviction lines are not hits; fall through to the
             // pending path and wait for the entry to free.
         }
+        self.service_miss(core, line, set, now, evict)
+    }
+
+    /// [`SharedLlc::service`] for a request that is not a hit on a valid
+    /// line: registration, sequencing, allocation and eviction.
+    fn service_miss(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        set: SetIdx,
+        now: Cycles,
+        evict: &mut dyn FnMut(CoreId, LineAddr) -> bool,
+    ) -> ServiceResult {
+        let pid = self.map.partition_of(core);
+        let me = self.member(core);
+        let p = &mut self.partitions[pid.as_usize()];
+        let mut result = ServiceResult::new(
+            set,
+            ServiceOutcome::Blocked(BlockReason::WaitingForEviction),
+        );
 
         // 2. Register the request (idempotent).
         if p.pending_of(core).is_none() {
@@ -541,36 +613,31 @@ impl SharedLlc {
         };
 
         // 4. Free way + at the head of the queue: allocate, fetch,
-        //    respond within the slot.
-        if is_head {
-            if let Some(way) = p.cache.free_way_in(set) {
-                let traffic = Self::allocate(p, &mut self.memory, core, line, set, way, now);
-                result.record_traffic(traffic);
-                result.outcome = ServiceOutcome::Responded(ResponseKind::Fill);
-                return result;
-            }
+        //    respond within the slot. (A full set answers from its
+        //    occupied count, without a scan.)
+        let free_way = p.cache.free_way_in(set);
+        if let (true, Some(way)) = (is_head, free_way) {
+            let traffic = Self::allocate(p, &mut self.memory, core, me, line, way, now);
+            result.record_traffic(traffic);
+            result.outcome = ServiceOutcome::Responded(ResponseKind::Fill);
+            return result;
         }
 
         // 5. Full set: trigger an eviction if this request holds no
         //    in-flight eviction credit (any queue position may trigger).
-        if p.pending_of(core)
-            .expect("registered above")
-            .triggered_victim
-            .is_some()
-            || p.cache.free_way_in(set).is_some()
+        if free_way.is_some()
+            || p.pending_of(core)
+                .expect("registered above")
+                .triggered_victim
+                .is_some()
         {
             result.outcome = ServiceOutcome::Blocked(blocked_reason);
             return result;
         }
-        let ways = p.cache.geometry().ways() as usize;
-        let eligible: Vec<bool> = (0..ways)
-            .map(|w| {
-                p.cache
-                    .entry(set, WayIdx(w as u32))
-                    .is_some_and(|e| e.meta.state == LineState::Valid)
-            })
-            .collect();
-        let Some(victim_way) = p.cache.choose_victim(set, &eligible) else {
+        let Some(victim_way) = p
+            .cache
+            .choose_victim(set, |e| e.meta.state == LineState::Valid)
+        else {
             result.outcome = ServiceOutcome::Blocked(if is_head {
                 BlockReason::AllWaysEvicting
             } else {
@@ -597,18 +664,17 @@ impl SharedLlc {
         // a dirty copy of the requester itself transfers inline.
         let mut waiting = SharerSet::EMPTY;
         let mut inline_dirty = false;
-        for sharer in victim_sharers.iter() {
-            let dirty = evict(sharer, victim_line);
-            result.invalidations.push((sharer, victim_line));
-            if dirty {
-                if sharer == core {
+        for member in victim_sharers.iter() {
+            if evict(p.members[member], victim_line) {
+                if member == me {
                     inline_dirty = true;
                 } else {
-                    waiting.insert(sharer);
-                    result.ack_required.push((sharer, victim_line));
+                    waiting.insert(member);
                 }
             }
         }
+        result.invalidations = victim_sharers;
+        result.ack_required = waiting;
         {
             let entry = p.cache.entry_mut(set, victim_way).expect("victim occupied");
             entry.dirty |= inline_dirty;
@@ -632,7 +698,7 @@ impl SharedLlc {
             p.return_credits(victim_line);
             if is_head {
                 // …and the head re-uses it immediately.
-                let traffic = Self::allocate(p, &mut self.memory, core, line, set, victim_way, now);
+                let traffic = Self::allocate(p, &mut self.memory, core, me, line, victim_way, now);
                 result.record_traffic(traffic);
                 result.outcome = ServiceOutcome::Responded(ResponseKind::Fill);
             } else {
@@ -661,6 +727,7 @@ impl SharedLlc {
         now: Cycles,
     ) -> WritebackResult {
         let pid = self.map.partition_of(core);
+        let me = self.member(core);
         let p = &mut self.partitions[pid.as_usize()];
         let set = p.cache.set_of(line);
         let Some(way) = p.cache.way_of(line) else {
@@ -679,7 +746,7 @@ impl SharedLlc {
         let entry = p.cache.entry_mut(set, way).expect("way_of found it");
         match entry.meta.state {
             LineState::Evicting => {
-                entry.meta.sharers.remove(core);
+                entry.meta.sharers.remove(me);
                 entry.dirty |= dirty;
                 if entry.meta.sharers.is_empty() {
                     let evicted = p.cache.take(set, way).expect("entry exists");
@@ -703,7 +770,7 @@ impl SharedLlc {
                 // A capacity write-back updates the (still valid) LLC
                 // copy; either kind means the core no longer holds the
                 // line privately.
-                entry.meta.sharers.remove(core);
+                entry.meta.sharers.remove(me);
                 if kind == WbKind::CapacityEviction {
                     entry.dirty = true;
                 }
@@ -723,10 +790,11 @@ impl SharedLlc {
     /// used by the `precise-sharers` ablation in tests).
     pub fn note_clean_drop(&mut self, core: CoreId, line: LineAddr) {
         let pid = self.map.partition_of(core);
+        let me = self.member(core);
         let p = &mut self.partitions[pid.as_usize()];
         if let Some(e) = p.cache.peek_mut(line) {
             if e.meta.state == LineState::Valid {
-                e.meta.sharers.remove(core);
+                e.meta.sharers.remove(me);
             }
         }
     }
@@ -741,14 +809,15 @@ impl SharedLlc {
         p: &mut PartitionState,
         memory: &mut Box<dyn MemoryBackend>,
         core: CoreId,
+        member: usize,
         line: LineAddr,
-        set: SetIdx,
         way: WayIdx,
         now: Cycles,
     ) -> MemTraffic {
+        let set = p.cache.set_of(line);
         let access = memory.access(MemRequest::fetch(line, core, now));
         let mut sharers = SharerSet::EMPTY;
-        sharers.insert(core);
+        sharers.insert(member);
         p.cache.install_at(
             set,
             way,
@@ -828,20 +897,78 @@ mod tests {
         )
     }
 
+    /// The sharer set of the given member indices.
+    fn members(m: &[usize]) -> SharerSet {
+        m.iter().copied().collect()
+    }
+
     #[test]
     fn sharer_set_basics() {
         let mut s = SharerSet::EMPTY;
         assert!(s.is_empty());
-        s.insert(c(3));
-        s.insert(c(5));
-        assert!(s.contains(c(3)));
-        assert!(!s.contains(c(4)));
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![c(3), c(5)]);
-        assert!(s.remove(c(3)));
-        assert!(!s.remove(c(3)));
-        let s2: SharerSet = [c(1), c(2)].into_iter().collect();
-        assert_eq!(s2.count(), 2);
+        s.insert(3);
+        s.insert(5);
+        s.insert(63);
+        assert!(s.contains(3));
+        assert!(!s.contains(4));
+        assert_eq!(s.count(), 3);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 5, 63]);
+        assert!(s.remove(3));
+        assert!(!s.remove(3));
+        assert_eq!(members(&[1, 2]).count(), 2);
+        assert_eq!(SharerSet::EMPTY.iter().next(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 64-member partition")]
+    fn sharer_set_rejects_index_64() {
+        let mut s = SharerSet::EMPTY;
+        s.insert(64);
+    }
+
+    #[test]
+    fn sharer_bits_are_partition_local_in_ascending_core_order() {
+        // Cores 70 and 5 share a partition declared out of order; core 0
+        // is private. Bit 0 of the shared partition is core 5, bit 1 is
+        // core 70 — no aliasing with core 70 - 64 = 6 or with core 0.
+        let cores = 72u16;
+        let mut specs = vec![PartitionSpec::shared(
+            1,
+            1,
+            vec![c(70), c(5)],
+            SharingMode::BestEffort,
+        )];
+        specs.extend(
+            (0..cores)
+                .filter(|&i| i != 5 && i != 70)
+                .map(|i| PartitionSpec::private(1, 1, c(i))),
+        );
+        let map =
+            PartitionMap::new(specs, cores, CacheGeometry::new(128, 16, 64).unwrap()).unwrap();
+        let mut llc = SharedLlc::new(
+            map,
+            64,
+            ReplacementKind::Lru,
+            Box::new(predllc_dram::FixedLatency::default()),
+        );
+        assert_eq!(llc.partition_members(c(70)), &[c(5), c(70)]);
+        svc(&mut llc, c(70), l(0));
+        svc(&mut llc, c(5), l(0));
+        assert!(llc.is_valid_sharer(c(70), l(0)) && llc.is_valid_sharer(c(5), l(0)));
+        // c5 evicts line 0 (1-way partition): both members are invalidated,
+        // reported as member bits 0 and 1 in ascending core order.
+        let mut invalidated = Vec::new();
+        let r = llc.service(c(5), l(1), Cycles::ZERO, &mut |core, v| {
+            invalidated.push((core, v));
+            core == c(70)
+        });
+        assert_eq!(invalidated, vec![(c(5), l(0)), (c(70), l(0))]);
+        assert_eq!(r.invalidations, members(&[0, 1]));
+        assert_eq!(r.ack_required, members(&[1]));
+        // A private core's fills never touch the shared partition.
+        svc(&mut llc, c(6), l(0));
+        assert!(llc.is_valid_sharer(c(6), l(0)));
+        assert_eq!(llc.partition_members(c(6)), &[c(6)]);
     }
 
     #[test]
@@ -871,8 +998,9 @@ mod tests {
         );
         let ev = r.eviction.expect("eviction triggered");
         assert_eq!(ev.sharers, 1);
-        assert_eq!(r.invalidations, vec![(c(1), ev.victim)]);
-        assert_eq!(r.ack_required, vec![(c(1), ev.victim)]);
+        assert_eq!(ev.victim, l(0));
+        assert_eq!(r.invalidations, members(&[1]));
+        assert_eq!(r.ack_required, members(&[1]));
         // Retrying before the ack: still blocked, no second eviction.
         let r2 = svc_dirty(&mut llc, c(0), l(2));
         assert_eq!(
@@ -899,8 +1027,8 @@ mod tests {
         // invalidation costs no bus slot and c0 fills immediately.
         let r = svc(&mut llc, c(0), l(2));
         assert_eq!(r.outcome, ServiceOutcome::Responded(ResponseKind::Fill));
-        let ev = r.eviction.expect("an eviction still happened");
-        assert_eq!(r.invalidations, vec![(c(1), ev.victim)]);
+        assert!(r.eviction.is_some(), "an eviction still happened");
+        assert_eq!(r.invalidations, members(&[1]));
         assert!(r.ack_required.is_empty());
         // Clean data does not go to DRAM.
         assert_eq!(llc.memory_stats().writes, 0);
@@ -931,8 +1059,9 @@ mod tests {
         svc(&mut llc, c(1), l(0)); // hit: both c0 and c1 share line 0
         let r = svc_dirty(&mut llc, c(0), l(3));
         // Both invalidated now; only remote c1 owes an ack slot.
-        assert_eq!(r.invalidations, vec![(c(0), l(0)), (c(1), l(0))]);
-        assert_eq!(r.ack_required, vec![(c(1), l(0))]);
+        assert_eq!(r.eviction.unwrap().victim, l(0));
+        assert_eq!(r.invalidations, members(&[0, 1]));
+        assert_eq!(r.ack_required, members(&[1]));
         assert_eq!(
             r.outcome,
             ServiceOutcome::Blocked(BlockReason::WaitingForEviction)
@@ -1024,7 +1153,7 @@ mod tests {
         let r = svc_dirty(&mut llc, c(0), l(5));
         let ev = r.eviction.unwrap();
         assert_eq!(ev.sharers, 2);
-        assert_eq!(r.ack_required.len(), 2);
+        assert_eq!(r.ack_required.count(), 2);
         // First ack: not yet freed.
         let wr = llc.writeback(c(1), ev.victim, true, WbKind::BackInvalAck, Cycles::ZERO);
         assert_eq!(wr.freed, None);

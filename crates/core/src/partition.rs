@@ -18,6 +18,10 @@ use predllc_model::{CacheGeometry, CoreId, LineAddr, PartitionId, SetIdx};
 
 use crate::error::ConfigError;
 
+/// The most cores one partition may hold: the LLC tracks a line's
+/// private sharers as one bit per partition member.
+pub const MAX_PARTITION_CORES: usize = 64;
+
 /// How contention *within* a shared partition is resolved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SharingMode {
@@ -181,6 +185,8 @@ impl PartitionMap {
     /// * [`ConfigError::PartitionExceedsGeometry`] /
     ///   [`ConfigError::PartitionsExceedLlc`] if the partitions do not fit
     ///   in `physical` (dimension-wise and in total lines);
+    /// * [`ConfigError::PartitionTooManyCores`] for a partition of more
+    ///   than [`MAX_PARTITION_CORES`] cores;
     /// * [`ConfigError::CoreWithoutPartition`] /
     ///   [`ConfigError::CoreInMultiplePartitions`] /
     ///   [`ConfigError::PartitionCoreOutOfRange`] for bad core mappings.
@@ -200,6 +206,12 @@ impl PartitionMap {
             }
             if p.cores.is_empty() {
                 return Err(ConfigError::EmptyPartition { index: i });
+            }
+            if p.cores.len() > MAX_PARTITION_CORES {
+                return Err(ConfigError::PartitionTooManyCores {
+                    index: i,
+                    cores: p.cores.len(),
+                });
             }
             if p.sets > physical.sets() || p.ways > physical.ways() {
                 return Err(ConfigError::PartitionExceedsGeometry { index: i });
@@ -414,6 +426,32 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, ConfigError::EmptyPartition { index: 0 });
+    }
+
+    #[test]
+    fn rejects_partitions_over_64_cores() {
+        let shared = |n: u16| {
+            PartitionMap::new(
+                vec![PartitionSpec::shared(
+                    1,
+                    16,
+                    CoreId::first(n).collect(),
+                    SharingMode::SetSequencer,
+                )],
+                n,
+                CacheGeometry::PAPER_L3,
+            )
+        };
+        assert!(shared(64).is_ok());
+        let err = shared(65).unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::PartitionTooManyCores {
+                index: 0,
+                cores: 65
+            }
+        );
+        assert!(err.to_string().contains("at most 64"), "{err}");
     }
 
     #[test]

@@ -14,14 +14,22 @@
 //! set (Observation 3) and making the WCL grow with the partition size.
 //! With broadcast order enforced, an interception can never happen, and
 //! the WCL collapses to `(2(n−1)·n + 1)·N·SW` (Theorem 4.8).
+//!
+//! The QLT is a per-set array rather than a hash map: a set's queue keeps
+//! its buffer after it drains, and a count of non-empty queues tracks the
+//! live QLT entries, so the per-request path neither hashes nor
+//! allocates once every set has queued once.
 
-use std::collections::hash_map::Entry as MapEntry;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use predllc_model::{CoreId, SetIdx};
 
 /// A set sequencer for one LLC partition.
+///
+/// The QLT is indexed by set rather than hashed: each set owns a queue
+/// slot, and a drained queue keeps its buffer, so steady-state
+/// enqueue/pop/remove neither hashes nor allocates. A count of non-empty
+/// queues stands in for the number of live QLT entries.
 ///
 /// # Examples
 ///
@@ -41,8 +49,11 @@ use predllc_model::{CoreId, SetIdx};
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct SetSequencer {
-    /// QLT + SQ fused: set → FIFO of requesting cores in broadcast order.
-    queues: HashMap<SetIdx, VecDeque<CoreId>>,
+    /// QLT + SQ fused: `queues[set]` is the FIFO of requesting cores in
+    /// broadcast order (grown on demand to the highest set seen).
+    queues: Vec<VecDeque<CoreId>>,
+    /// Number of non-empty queues — the live QLT entries.
+    live: usize,
     /// High-water mark of simultaneously tracked sets (QLT pressure).
     max_tracked_sets: usize,
     /// High-water mark of any single queue's depth (SQ pressure).
@@ -55,6 +66,10 @@ impl SetSequencer {
         SetSequencer::default()
     }
 
+    fn queue(&self, set: SetIdx) -> Option<&VecDeque<CoreId>> {
+        self.queues.get(set.as_usize())
+    }
+
     /// Appends `core` to `set`'s queue (its request was just broadcast).
     ///
     /// Enqueueing the same core twice for the same set is a logic error in
@@ -64,19 +79,26 @@ impl SetSequencer {
     ///
     /// Panics in debug builds if `core` is already queued for `set`.
     pub fn enqueue(&mut self, set: SetIdx, core: CoreId) {
-        let q = self.queues.entry(set).or_default();
+        let i = set.as_usize();
+        if i >= self.queues.len() {
+            self.queues.resize_with(i + 1, VecDeque::new);
+        }
+        let q = &mut self.queues[i];
         debug_assert!(
             !q.contains(&core),
             "{core} queued twice for {set}: one-outstanding-request violated"
         );
+        if q.is_empty() {
+            self.live += 1;
+        }
         q.push_back(core);
         self.max_queue_depth = self.max_queue_depth.max(q.len());
-        self.max_tracked_sets = self.max_tracked_sets.max(self.queues.len());
+        self.max_tracked_sets = self.max_tracked_sets.max(self.live);
     }
 
     /// The core at the head of `set`'s queue, if any request is pending.
     pub fn head(&self, set: SetIdx) -> Option<CoreId> {
-        self.queues.get(&set).and_then(|q| q.front().copied())
+        self.queue(set).and_then(|q| q.front().copied())
     }
 
     /// Whether `core` is at the head of `set`'s queue.
@@ -84,19 +106,15 @@ impl SetSequencer {
         self.head(set) == Some(core)
     }
 
-    /// Pops the head of `set`'s queue (it claimed a line). Removes the QLT
-    /// entry when the queue drains.
+    /// Pops the head of `set`'s queue (it claimed a line). The QLT entry
+    /// retires when the queue drains.
     pub fn pop(&mut self, set: SetIdx) -> Option<CoreId> {
-        match self.queues.entry(set) {
-            MapEntry::Occupied(mut o) => {
-                let head = o.get_mut().pop_front();
-                if o.get().is_empty() {
-                    o.remove();
-                }
-                head
-            }
-            MapEntry::Vacant(_) => None,
+        let q = self.queues.get_mut(set.as_usize())?;
+        let head = q.pop_front()?;
+        if q.is_empty() {
+            self.live -= 1;
         }
+        Some(head)
     }
 
     /// Removes `core` from `set`'s queue wherever it is (its request was
@@ -104,33 +122,32 @@ impl SetSequencer {
     ///
     /// Returns whether the core was queued.
     pub fn remove(&mut self, set: SetIdx, core: CoreId) -> bool {
-        match self.queues.entry(set) {
-            MapEntry::Occupied(mut o) => {
-                let before = o.get().len();
-                o.get_mut().retain(|&c| c != core);
-                let removed = o.get().len() != before;
-                if o.get().is_empty() {
-                    o.remove();
-                }
-                removed
-            }
-            MapEntry::Vacant(_) => false,
+        let Some(q) = self.queues.get_mut(set.as_usize()) else {
+            return false;
+        };
+        let Some(pos) = q.iter().position(|&c| c == core) else {
+            return false;
+        };
+        q.remove(pos);
+        if q.is_empty() {
+            self.live -= 1;
         }
+        true
     }
 
     /// Whether `core` is queued for `set` at any position.
     pub fn contains(&self, set: SetIdx, core: CoreId) -> bool {
-        self.queues.get(&set).is_some_and(|q| q.contains(&core))
+        self.queue(set).is_some_and(|q| q.contains(&core))
     }
 
     /// Number of requests queued for `set`.
     pub fn queue_len(&self, set: SetIdx) -> usize {
-        self.queues.get(&set).map_or(0, VecDeque::len)
+        self.queue(set).map_or(0, VecDeque::len)
     }
 
     /// Number of sets currently tracked (live QLT entries).
     pub fn tracked_sets(&self) -> usize {
-        self.queues.len()
+        self.live
     }
 
     /// High-water mark of simultaneously tracked sets — the QLT capacity
@@ -236,6 +253,136 @@ mod tests {
         assert_eq!(sq.max_tracked_sets(), 2);
         assert_eq!(sq.max_queue_depth(), 2);
         assert_eq!(sq.tracked_sets(), 0);
+    }
+
+    /// The `HashMap`-of-deques sequencer this module shipped before the
+    /// QLT became a per-set array, kept verbatim as the oracle for
+    /// [`set_indexed_queues_match_the_hash_map_reference`].
+    mod reference {
+        use std::collections::hash_map::Entry as MapEntry;
+        use std::collections::{HashMap, VecDeque};
+
+        use predllc_model::{CoreId, SetIdx};
+
+        #[derive(Default)]
+        pub struct HashSequencer {
+            queues: HashMap<SetIdx, VecDeque<CoreId>>,
+            max_tracked_sets: usize,
+            max_queue_depth: usize,
+        }
+
+        impl HashSequencer {
+            pub fn enqueue(&mut self, set: SetIdx, core: CoreId) {
+                let q = self.queues.entry(set).or_default();
+                q.push_back(core);
+                self.max_queue_depth = self.max_queue_depth.max(q.len());
+                self.max_tracked_sets = self.max_tracked_sets.max(self.queues.len());
+            }
+
+            pub fn head(&self, set: SetIdx) -> Option<CoreId> {
+                self.queues.get(&set).and_then(|q| q.front().copied())
+            }
+
+            pub fn pop(&mut self, set: SetIdx) -> Option<CoreId> {
+                match self.queues.entry(set) {
+                    MapEntry::Occupied(mut o) => {
+                        let head = o.get_mut().pop_front();
+                        if o.get().is_empty() {
+                            o.remove();
+                        }
+                        head
+                    }
+                    MapEntry::Vacant(_) => None,
+                }
+            }
+
+            pub fn remove(&mut self, set: SetIdx, core: CoreId) -> bool {
+                match self.queues.entry(set) {
+                    MapEntry::Occupied(mut o) => {
+                        let before = o.get().len();
+                        o.get_mut().retain(|&c| c != core);
+                        let removed = o.get().len() != before;
+                        if o.get().is_empty() {
+                            o.remove();
+                        }
+                        removed
+                    }
+                    MapEntry::Vacant(_) => false,
+                }
+            }
+
+            pub fn contains(&self, set: SetIdx, core: CoreId) -> bool {
+                self.queues.get(&set).is_some_and(|q| q.contains(&core))
+            }
+
+            pub fn queue_len(&self, set: SetIdx) -> usize {
+                self.queues.get(&set).map_or(0, VecDeque::len)
+            }
+
+            pub fn tracked_sets(&self) -> usize {
+                self.queues.len()
+            }
+
+            pub fn max_tracked_sets(&self) -> usize {
+                self.max_tracked_sets
+            }
+
+            pub fn max_queue_depth(&self) -> usize {
+                self.max_queue_depth
+            }
+        }
+    }
+
+    /// Random enqueue/pop/remove sequences through the set-indexed
+    /// sequencer and the hash-map reference: every return value and every
+    /// query — per-set heads, membership and lengths, live entries and
+    /// both high-water marks — must agree after every step.
+    #[test]
+    fn set_indexed_queues_match_the_hash_map_reference() {
+        const SETS: u32 = 7;
+        const CORES: u16 = 9;
+        for seed in 1..=8u64 {
+            let mut sq = SetSequencer::new();
+            let mut oracle = reference::HashSequencer::default();
+            let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            for step in 0..4_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let set = SetIdx((x >> 8) as u32 % SETS);
+                let core = c((x >> 24) as u16 % CORES);
+                match x % 4 {
+                    0 | 1 => {
+                        if !oracle.contains(set, core) {
+                            sq.enqueue(set, core);
+                            oracle.enqueue(set, core);
+                        }
+                    }
+                    2 => assert_eq!(sq.pop(set), oracle.pop(set), "seed {seed} step {step}"),
+                    _ => assert_eq!(
+                        sq.remove(set, core),
+                        oracle.remove(set, core),
+                        "seed {seed} step {step}"
+                    ),
+                }
+                // One set past the highest ever enqueued: never tracked.
+                for s in (0..=SETS).map(SetIdx) {
+                    assert_eq!(sq.head(s), oracle.head(s), "seed {seed} step {step}");
+                    assert_eq!(sq.queue_len(s), oracle.queue_len(s));
+                    for k in (0..CORES).map(c) {
+                        assert_eq!(sq.contains(s, k), oracle.contains(s, k));
+                        assert_eq!(sq.is_head(s, k), oracle.head(s) == Some(k));
+                    }
+                }
+                assert_eq!(
+                    sq.tracked_sets(),
+                    oracle.tracked_sets(),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(sq.max_tracked_sets(), oracle.max_tracked_sets());
+                assert_eq!(sq.max_queue_depth(), oracle.max_queue_depth());
+            }
+        }
     }
 
     #[test]

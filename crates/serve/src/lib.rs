@@ -107,7 +107,7 @@ pub use http::{Body, BodyStream, Limits, Request, Response};
 pub use registry::{Job, JobResult, JobStatus, Metrics, MetricsSnapshot, Registry, SubmitError};
 pub use server::{
     default_rules, LocalRunner, MonitorConfig, PointCache, RunOutcome, Server, ServerConfig,
-    ServerHandle, SpecRunner,
+    ServerHandle, SpecRunner, SERVER_TRACE_CAPACITY,
 };
 
 // Re-exported so service users can build specs and reports without

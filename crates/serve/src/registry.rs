@@ -29,8 +29,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use predllc_explore::hash::{canonical_fingerprint, Fingerprint};
-use predllc_explore::{json, report, unique_point_count, ExperimentSpec, SpecError};
-use predllc_explore::{GridResult, SearchOutcome};
+use predllc_explore::{json, report, unique_point_count, ExperimentSpec, GridResult, SpecError};
 use predllc_obs::{Counter, Gauge, Registry as MetricRegistry, TimingHistogram};
 
 use crate::http::BodyStream;
@@ -101,8 +100,12 @@ pub struct JobResult {
     pub threads_label: usize,
     /// The simulated grid rows (shared with streaming bodies).
     pub grid: Arc<Vec<GridResult>>,
-    /// The partition-search outcome, when the spec ran one.
-    pub search: Option<SearchOutcome>,
+    /// The closing of the JSON report — [`report::json_tail`] of the
+    /// job's partition-search outcome — rendered once when the job
+    /// finishes. The document reads only the winner's label and line
+    /// count and two counts from a search, so the per-candidate verdicts
+    /// are not kept for the life of the result.
+    pub json_tail: String,
     /// The attribution artifact (`report::render_attribution_json`),
     /// present only when the spec ran with `"attribution": true`.
     /// Pre-rendered (it embeds replayable witnesses, not grid rows)
@@ -124,12 +127,12 @@ impl JobResult {
     /// The full report as JSON (`report::render_json`, no wall time so
     /// re-submissions serve byte-identical documents).
     pub fn json(&self) -> String {
-        report::render_json(
-            &self.name,
-            self.threads_label,
-            None,
-            &self.grid,
-            self.search.as_ref(),
+        let rows: Vec<String> = self.grid.iter().map(report::json_row).collect();
+        format!(
+            "{}{}{}",
+            report::json_head(&self.name, self.threads_label, None),
+            rows.join(","),
+            self.json_tail
         )
     }
 
@@ -150,7 +153,7 @@ impl JobResult {
             head: Some(report::json_head(&self.name, self.threads_label, None)),
             grid: Arc::clone(&self.grid),
             next: 0,
-            tail: Some(report::json_tail(self.search.as_ref())),
+            tail: Some(self.json_tail.clone()),
         })
     }
 
@@ -851,7 +854,7 @@ mod tests {
             name: name.into(),
             threads_label: 1,
             grid: Arc::new(Vec::new()),
-            search: None,
+            json_tail: report::json_tail(None),
             attribution: None,
             unique_points: 1,
         }
@@ -883,7 +886,7 @@ mod tests {
             name: "stream-test".into(),
             threads_label: 4,
             grid: Arc::new((0..500).map(grid_row).collect()),
-            search: None,
+            json_tail: report::json_tail(None),
             attribution: Some(Arc::new("{\"points\":[]}".repeat(10_000))),
             unique_points: 500,
         };

@@ -50,7 +50,7 @@ use predllc_obs::{
 };
 
 use predllc_explore::hash::Fingerprint;
-use predllc_explore::report::render_attribution_json;
+use predllc_explore::report::{json_tail, render_attribution_json};
 use predllc_explore::{
     run_spec_observed, run_spec_traced, Executor, ExperimentSpec, GridResult, SearchOutcome,
 };
@@ -124,6 +124,14 @@ pub fn default_rules() -> Vec<Rule> {
     ]
 }
 
+/// Events per shard in the trace ring of a server that creates its own
+/// tracer (no [`ServerConfig::tracer`]). Far below [`Tracer::new`]'s
+/// whole-run default: a long-lived server keeps only recent spans, so
+/// its ring holds roughly 16 × 1024 events (~5 MB) instead of growing to
+/// ~40 MB with every job it serves. Dropped events are counted in
+/// `predllc_trace_dropped_total`.
+pub const SERVER_TRACE_CAPACITY: usize = 1024;
+
 /// Tunables for a server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -157,8 +165,9 @@ pub struct ServerConfig {
     /// drain). `None` (the default) disables it.
     pub fail_after_points: Option<u64>,
     /// The tracer request/job spans record into. `None` (the default)
-    /// gives the server its own; pass one to share it with a fleet
-    /// coordinator or to drain it into a `--trace-out` file.
+    /// gives the server its own, bounded to [`SERVER_TRACE_CAPACITY`]
+    /// events per shard; pass one to share it with a fleet coordinator
+    /// or to drain it into a `--trace-out` file.
     pub tracer: Option<Arc<Tracer>>,
     /// Continuous monitoring: time-series collection, SLO alerts and
     /// the dashboard. `None` (the default) disables the collector
@@ -516,7 +525,9 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let (tx, rx) = mpsc::channel();
-        let tracer = config.tracer.unwrap_or_else(|| Arc::new(Tracer::new()));
+        let tracer = config
+            .tracer
+            .unwrap_or_else(|| Arc::new(Tracer::with_capacity(SERVER_TRACE_CAPACITY)));
         let trace_dropped = metrics.registry.counter(
             "predllc_trace_dropped_total",
             "Trace events dropped because a tracer ring buffer was full.",
@@ -801,7 +812,7 @@ fn run_jobs(shared: &Shared, rx: &Mutex<mpsc::Receiver<Arc<Job>>>) {
                     name: job.spec.name.clone(),
                     threads_label: shared.runner.threads_label(),
                     grid: Arc::new(outcome.grid),
-                    search: outcome.search,
+                    json_tail: json_tail(outcome.search.as_ref()),
                     attribution,
                     unique_points: outcome.unique_points,
                 };

@@ -4,11 +4,11 @@
 
 use predllc::analysis::TaskParams;
 use predllc::explore::spec::{Arrangement, SearchSpec};
-use predllc::explore::{run_grid, run_spec, search_partitions};
+use predllc::explore::{run_grid, run_spec, search_partitions, ExploreError};
 use predllc::workload_gen::UniformGen;
 use predllc::{
-    CacheGeometry, CoreId, Cycles, Executor, ExperimentSpec, MemoryConfig, SharingMode, Simulator,
-    SystemConfig,
+    CacheGeometry, ConfigError, CoreId, Cycles, Executor, ExperimentSpec, MemoryConfig,
+    SharingMode, Simulator, SystemConfig,
 };
 
 const SPEC: &str = r#"{
@@ -224,4 +224,33 @@ fn spec_round_trips_identically_through_reparse() {
     let b = ExperimentSpec::parse(SPEC).unwrap();
     assert_eq!(a, b);
     assert_eq!(a.grid_len(), 16);
+}
+
+/// A shared partition of more than 64 cores is a configuration error
+/// (sharer bits are partition-local, one word per line), reported with
+/// the offending configuration's label — never a shift overflow or a
+/// silently aliased sharer.
+#[test]
+fn a_65_core_shared_partition_is_a_positioned_config_error() {
+    let spec = ExperimentSpec::parse(
+        r#"{"name": "too-wide", "cores": 65,
+            "configs": [{"label": "ss-65", "partition":
+                {"kind": "shared", "sets": 32, "ways": 16, "mode": "SS"}}],
+            "workloads": [{"kind": "uniform", "range_bytes": 131072,
+                           "ops": 100, "seed": 3}]}"#,
+    )
+    .unwrap();
+    match run_spec(&spec, &Executor::new(1)) {
+        Err(ExploreError::Config { label, source }) => {
+            assert_eq!(label, "ss-65");
+            assert_eq!(
+                source,
+                ConfigError::PartitionTooManyCores {
+                    index: 0,
+                    cores: 65
+                }
+            );
+        }
+        other => panic!("expected a config error, got {other:?}"),
+    }
 }

@@ -10,7 +10,7 @@
 
 use predllc::workload::rng::Rng64;
 use predllc::workload_gen::UniformGen;
-use predllc::{CoreId, RunReport, SharingMode, Simulator, SystemConfig};
+use predllc::{CoreId, EngineMode, PartitionSpec, RunReport, SharingMode, Simulator, SystemConfig};
 
 #[allow(clippy::too_many_arguments)]
 fn run_shared(
@@ -189,5 +189,65 @@ fn private_partitions_isolate_latency() {
         assert_eq!(sa.llc_fills, sb.llc_fills, "{ctx}");
         assert_eq!(sa.max_request_latency, sb.max_request_latency, "{ctx}");
         assert_eq!(sa.finished_at, sb.finished_at, "{ctx}");
+    }
+}
+
+/// More than 64 cores: sharer bits are partition-local, so cores 64 and
+/// up neither alias cores 0..7 nor overflow the sharer mask. Every core
+/// thrashes a two-line partition (and, in the mixed layout, twelve cores
+/// straddling core 64 share one), with dirty evictions throughout. A
+/// debug build checks inclusion at the end of every run; both engines
+/// must report the same run.
+#[test]
+fn more_than_64_cores_keep_inclusion_and_engines_agree() {
+    const CORES: u16 = 72;
+    let all_private: Vec<PartitionSpec> = CoreId::first(CORES)
+        .map(|c| PartitionSpec::private(1, 2, c))
+        .collect();
+    let mut mixed: Vec<PartitionSpec> = CoreId::first(60)
+        .map(|c| PartitionSpec::private(1, 2, c))
+        .collect();
+    mixed.push(PartitionSpec::shared(
+        2,
+        4,
+        (60..CORES).map(CoreId::new).collect(),
+        SharingMode::BestEffort,
+    ));
+    let workload = UniformGen::new(16 << 10, 400)
+        .with_write_fraction(0.4)
+        .with_seed(0x0072_C02E)
+        .with_cores(CORES);
+    for (layout, partitions) in [("private", all_private), ("mixed", mixed)] {
+        let run = |mode| {
+            let cfg = SystemConfig::builder(CORES)
+                .partitions(partitions.clone())
+                .engine(mode)
+                .build()
+                .expect("valid configuration");
+            Simulator::new(cfg).unwrap().run(&workload).unwrap()
+        };
+        let reference = run(EngineMode::Reference);
+        let fast = run(EngineMode::FastForward);
+        assert!(!reference.timed_out, "{layout}");
+        assert_eq!(reference.stats, fast.stats, "{layout}: engines diverged");
+        assert_eq!(reference.cycles, fast.cycles, "{layout}");
+        let high = reference.stats.core(CoreId::new(CORES - 1));
+        assert_eq!(high.ops_completed, 400, "{layout}");
+        // Core 71's own evictions invalidate its own copies: a wrapped
+        // sharer bit would have sent them to core 7 instead.
+        assert!(
+            high.back_invalidations > 0,
+            "{layout}: core 71 never evicted"
+        );
+        assert!(
+            reference.stats.dram_writes > 0,
+            "{layout}: partitions must thrash with dirty evictions"
+        );
+        if layout == "mixed" {
+            let shared_invalidations: u64 = (60..CORES)
+                .map(|i| reference.stats.core(CoreId::new(i)).back_invalidations)
+                .sum();
+            assert!(shared_invalidations > 0, "the shared partition must evict");
+        }
     }
 }

@@ -3,8 +3,9 @@
 //! output and a live server's `/metrics` alike), trace JSONL parses
 //! back to the events that produced it with any JSON parser, a
 //! concurrent `MetricsSnapshot` never observes a torn counter pair,
-//! and one trace id spans coordinator- and worker-side events of the
-//! same fleet run.
+//! one trace id spans coordinator- and worker-side events of the
+//! same fleet run, and a server's own trace ring stays bounded while
+//! keeping its newest job's trace whole.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -14,7 +15,7 @@ use predllc::explore::json;
 use predllc::fleet::{Coordinator, CoordinatorConfig};
 use predllc::obs::trace::{render_jsonl, EventKind, FieldValue, TraceEvent};
 use predllc::obs::{expo, Registry, TraceCtx, TraceId, Tracer};
-use predllc::serve::{Client, Metrics, Server, ServerConfig, ServerHandle};
+use predllc::serve::{Client, Metrics, Server, ServerConfig, ServerHandle, SERVER_TRACE_CAPACITY};
 use predllc::ExperimentSpec;
 
 /// A small two-platform grid, 4 unique points.
@@ -331,4 +332,80 @@ fn one_trace_id_spans_coordinator_and_worker_events() {
     assert_eq!(worker.tracer().snapshot().len(), before);
 
     stop(&worker, join);
+}
+
+/// A server that makes its own tracer bounds its ring at
+/// `SERVER_TRACE_CAPACITY` events per shard. Run jobs until the ring
+/// overflows (one executor thread puts every `explore.point` span in
+/// one shard), then a few more: the oldest events are dropped and
+/// counted in `predllc_trace_dropped_total`, while the newest job's
+/// `GET /v1/jobs/{id}/trace` still has every span of its run.
+#[test]
+fn a_full_server_trace_ring_keeps_the_newest_jobs_spans_whole() {
+    let (handle, join) = start(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::new(handle.addr());
+    let mut run_job = |seed: u64| {
+        let spec = SPEC
+            .replace("\"seed\": 11", &format!("\"seed\": {seed}"))
+            .replace("\"ops\": 200", "\"ops\": 30");
+        let id = client.submit(&spec).unwrap().id;
+        client.wait_done(&id, Duration::from_secs(60)).unwrap();
+        let mut shape: Vec<(String, String)> = client
+            .job_trace(&id)
+            .unwrap()
+            .lines()
+            .map(|line| {
+                let (_, name, kind, ..) = parse_event(line);
+                (name, format!("{kind:?}"))
+            })
+            .collect();
+        shape.sort();
+        shape
+    };
+
+    // The first job's trace, taken before anything can be dropped, is
+    // the complete span set every job of this shape records.
+    let complete = run_job(1_000);
+    let points = complete
+        .iter()
+        .filter(|(name, kind)| name == "explore.point" && kind == "Begin")
+        .count();
+    assert_eq!(points, 4, "{complete:?}");
+    assert!(complete.iter().any(|(name, _)| name == "serve.job.run"));
+
+    // With one executor thread, every job records at least its eight
+    // `explore.point` events on the runner thread, so that thread's
+    // shard overflows within `SERVER_TRACE_CAPACITY / 8 + 1` jobs; a
+    // larger ring would not.
+    let mut jobs = 1;
+    while handle.tracer().dropped() == 0 {
+        assert!(
+            jobs <= SERVER_TRACE_CAPACITY / 8 + 1,
+            "nothing dropped after {jobs} jobs: the ring holds more than \
+             {SERVER_TRACE_CAPACITY} events per shard"
+        );
+        run_job(1_000 + jobs as u64);
+        jobs += 1;
+    }
+    for extra in 0..2 {
+        run_job(2_000 + extra);
+    }
+    let newest = run_job(2_002);
+    assert_eq!(newest, complete, "the newest job's trace lost events");
+
+    let dropped = handle.tracer().dropped();
+    let exposition = client.metrics().unwrap();
+    let exported: u64 = exposition
+        .lines()
+        .find_map(|l| l.strip_prefix("predllc_trace_dropped_total "))
+        .expect("predllc_trace_dropped_total exported")
+        .parse()
+        .unwrap();
+    assert!(dropped > 0);
+    assert_eq!(exported, dropped);
+    assert!(handle.tracer().snapshot().len() <= 16 * SERVER_TRACE_CAPACITY);
+    stop(&handle, join);
 }
