@@ -504,27 +504,28 @@ fn main() -> ExitCode {
         outcomes.push(o);
     }
 
+    // Every check runs and prints its verdict, and the artifact is
+    // written, before a failure decides the exit code.
+    let overhead_ops = if quick { 64 * 500 } else { 500_000 };
     // The observability-overhead check: attaching a sampled profile to
     // the fast engine must neither change the simulation nor cost more
     // than the gate tolerance, and a run without one must stay on the
     // single-branch hot path.
-    if !obs_overhead_check(if quick { 64 * 500 } else { 500_000 }, iters, tolerance) {
-        return ExitCode::FAILURE;
-    }
-
+    let obs_ok = obs_overhead_check(overhead_ops, iters, tolerance);
     // The attribution-overhead check: running with latency attribution
     // on must neither change the simulation nor cost more than the
     // gate tolerance.
-    if !attribution_overhead_check(if quick { 64 * 500 } else { 500_000 }, iters, tolerance) {
-        return ExitCode::FAILURE;
-    }
+    let attribution_ok = attribution_overhead_check(overhead_ops, iters, tolerance);
+    let mut ok = obs_ok && attribution_ok;
 
     let json = render_json(&outcomes, "llc-hit-256t");
-    if let Err(e) = std::fs::write(&out, &json) {
-        error!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
+    match std::fs::write(&out, &json) {
+        Ok(()) => status!("wrote {out}"),
+        Err(e) => {
+            error!("cannot write {out}: {e}");
+            ok = false;
+        }
     }
-    status!("wrote {out}");
 
     if let Some(path) = gate_path {
         let text = match std::fs::read_to_string(&path) {
@@ -541,17 +542,22 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let (report, ok) = gate(&outcomes, &baseline, tolerance);
+        let (report, gate_ok) = gate(&outcomes, &baseline, tolerance);
         predllc_bench::log::write_data(&report);
-        if !ok {
+        if gate_ok {
+            data!("perf gate passed (tolerance {:.0}%)", tolerance * 100.0);
+        } else {
             error!(
                 "perf gate FAILED: a metric regressed more than {:.0}% below \
                  the checked-in baseline",
                 tolerance * 100.0
             );
-            return ExitCode::FAILURE;
+            ok = false;
         }
-        data!("perf gate passed (tolerance {:.0}%)", tolerance * 100.0);
     }
-    ExitCode::SUCCESS
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -489,29 +489,30 @@ fn smoke_inner(
             reference
         ));
     }
-    let snap = metrics.snapshot();
+    let (assigned, retried, lost) = (
+        metrics.points_assigned.get(),
+        metrics.points_retried.get(),
+        metrics.workers_lost.get(),
+    );
     status!(
         "fleet: {} unique point(s) in {wall_ms} ms — {} assigned, {} retried, {} worker(s) lost",
         report.unique_points,
-        snap.points_assigned,
-        snap.points_retried,
-        snap.workers_lost
+        assigned,
+        retried,
+        lost
     );
     if kill_one {
-        if snap.workers_lost != 1 {
+        if lost != 1 {
             return Err(format!(
                 "expected exactly 1 lost worker, metrics say {}",
-                snap.workers_lost
+                lost
             ));
         }
-        if snap.points_retried < 1 {
+        if retried < 1 {
             return Err("the lost worker's point was never reassigned".into());
         }
-    } else if snap.workers_lost != 0 {
-        return Err(format!(
-            "{} worker(s) lost without fault injection",
-            snap.workers_lost
-        ));
+    } else if lost != 0 {
+        return Err(format!("{} worker(s) lost without fault injection", lost));
     }
 
     // A re-run must be answered entirely by the coordinator's shared
@@ -522,17 +523,18 @@ fn smoke_inner(
     if render_csv(&again.grid) != reference {
         return Err("the cached re-run changed the CSV".into());
     }
-    let after = metrics.snapshot();
-    if after.points_assigned != snap.points_assigned {
+    if metrics.points_assigned.get() != assigned {
         return Err(format!(
             "the re-run reached the workers ({} -> {} assignments) instead of the point cache",
-            snap.points_assigned, after.points_assigned
+            assigned,
+            metrics.points_assigned.get()
         ));
     }
-    if after.points_cache_shared < report.unique_points as u64 {
+    let shared = metrics.points_cache_shared.get();
+    if shared < report.unique_points as u64 {
         return Err(format!(
             "expected >= {} shared-cache answers on the re-run, metrics say {}",
-            report.unique_points, after.points_cache_shared
+            report.unique_points, shared
         ));
     }
 

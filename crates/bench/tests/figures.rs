@@ -72,6 +72,40 @@ fn ablation_and_headline_match_goldens() {
 }
 
 #[test]
+fn experiments_record_quotes_the_goldens() {
+    // Every number in a row's "Repo" column (comma-separated, an `x`
+    // suffix allowed) appears, as a whole number, in the golden the row
+    // names: the record cannot drift from the figures.
+    let record = include_str!("../../../EXPERIMENTS.md");
+    let mut rows = 0;
+    for line in record.lines().filter(|l| l.starts_with('|')) {
+        // | Claim | Paper | Repo | Golden | Verdict | Why |
+        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+        let Some(golden) = cells
+            .get(4)
+            .and_then(|c| c.strip_prefix('`')?.strip_suffix('`'))
+        else {
+            continue; // the header and separator rows
+        };
+        let path = format!("{}/tests/golden/{golden}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let apart = |c: Option<char>| !c.is_some_and(|c| c.is_ascii_digit() || c == '.');
+        for n in cells[3].split(", ").map(|n| n.trim_end_matches('x')) {
+            assert!(n.parse::<f64>().is_ok(), "not a number: {n:?} in {line}");
+            let whole = text.match_indices(n).any(|(at, _)| {
+                apart(text[..at].chars().next_back()) && apart(text[at + n.len()..].chars().next())
+            });
+            assert!(
+                whole,
+                "EXPERIMENTS.md quotes {n}, which {golden} does not hold: {line}"
+            );
+        }
+        rows += 1;
+    }
+    assert!(rows >= 10, "EXPERIMENTS.md lost its rows ({rows} found)");
+}
+
+#[test]
 fn unparsable_flag_values_exit_nonzero_without_output() {
     for (bin, args) in [
         (env!("CARGO_BIN_EXE_fig7"), ["--ops", "lots"]),

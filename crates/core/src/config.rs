@@ -20,25 +20,18 @@ use crate::partition::{PartitionMap, PartitionSpec, SharingMode};
 /// specialized path with bulk histogram updates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EngineMode {
-    /// Fast-forward when possible, reference otherwise: event recording
-    /// attaches a per-slot event sink, so
-    /// [`SystemConfigBuilder::record_events`] automatically selects the
-    /// reference path. This is the default.
-    #[default]
-    Auto,
-    /// Always the slot-by-slot reference loop (the oracle the
-    /// fast-forward engine is differentially tested against).
+    /// The slot-by-slot reference loop (the oracle the fast-forward
+    /// engine is differentially tested against).
     Reference,
-    /// Always the fast-forward loop. With `record_events(true)` this
-    /// still falls back to the reference path — the event log's per-slot
-    /// granularity is exactly what fast-forward skips.
+    /// The fast-forward loop, event recording included. This is the
+    /// default.
+    #[default]
     FastForward,
 }
 
 impl fmt::Display for EngineMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineMode::Auto => f.write_str("auto"),
             EngineMode::Reference => f.write_str("reference"),
             EngineMode::FastForward => f.write_str("fast-forward"),
         }
@@ -225,19 +218,6 @@ impl SystemConfig {
         self.engine
     }
 
-    /// The engine [`crate::Simulator::run`] will actually execute:
-    /// resolves [`EngineMode::Auto`] and the event-recording fallback.
-    pub fn effective_engine(&self) -> EngineMode {
-        if self.record_events {
-            EngineMode::Reference
-        } else {
-            match self.engine {
-                EngineMode::Reference => EngineMode::Reference,
-                EngineMode::Auto | EngineMode::FastForward => EngineMode::FastForward,
-            }
-        }
-    }
-
     /// Whether the LLC tracks private sharers precisely (clean L2 drops
     /// notify the LLC, so evictions of no-longer-cached lines complete
     /// in-slot). On by default, matching the paper's simulator; turning
@@ -323,7 +303,7 @@ impl SystemConfigBuilder {
             max_cycles: None,
             record_events: false,
             precise_sharers: true,
-            engine: EngineMode::Auto,
+            engine: EngineMode::FastForward,
             attribution: false,
         }
     }
@@ -433,8 +413,8 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Selects the simulation engine (default: [`EngineMode::Auto`] —
-    /// fast-forward unless event recording forces the reference path).
+    /// Selects the simulation engine (default:
+    /// [`EngineMode::FastForward`]).
     pub fn engine(mut self, mode: EngineMode) -> Self {
         self.engine = mode;
         self

@@ -9,7 +9,11 @@
 //!
 //! This is a from-scratch reimplementation of the paper's in-house trace
 //! simulator (§5), pinned to the calibration constants recovered from the
-//! published analytical WCLs (50-cycle slots; see `DESIGN.md`).
+//! published analytical WCLs. The slot width is the one such constant:
+//! 50 cycles ([`SlotWidth::PAPER`]) is the width at which all three
+//! Fig. 7 WCLs come out exactly for 4 cores — SS 5000 = 100 slots × 50
+//! (Theorem 4.8), NSS(1,16,4) 979250 = 19585 slots × 50 (Theorem 4.7)
+//! and P 450 = 9 slots × 50.
 //!
 //! # Two engines, one behaviour
 //!
@@ -23,8 +27,8 @@
 //! * the **reference** engine (`EngineMode::Reference`) walks every slot
 //!   boundary exactly as the seed simulator did, and is kept as the
 //!   oracle;
-//! * the **fast-forward** engine (`EngineMode::FastForward`, chosen by
-//!   default through `EngineMode::Auto`) batch-advances each private-hit
+//! * the **fast-forward** engine (`EngineMode::FastForward`, the
+//!   default) batch-advances each private-hit
 //!   run in one call, tracks the next slot in which *any* core can
 //!   transmit in a calendar heap (`O(log n)` per transaction instead of
 //!   `O(cores)` per slot), jumps time directly across idle-slot spans
@@ -36,11 +40,12 @@
 //! [`crate::llc::SharedLlc::service`] path, so the LLC protocol has a
 //! single implementation.
 //!
-//! Both engines produce bit-identical [`RunReport`]s — the differential
-//! suite in `tests/fast_forward.rs` holds them equal over randomized
-//! configuration × workload grids. Event recording needs a per-slot
-//! narrative, so `record_events(true)` automatically falls back to the
-//! reference path (see [`SystemConfig::effective_engine`]).
+//! Both engines produce bit-identical [`RunReport`]s, event logs
+//! included — the differential suite in `tests/fast_forward.rs` holds
+//! them equal over randomized configuration × workload grids. Events
+//! are recorded only inside the slot transaction both loops share, and
+//! every slot the fast engine skips is idle by construction, so
+//! `record_events(true)` runs on whichever engine was selected.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -170,8 +175,8 @@ impl Simulator {
     ///
     /// `run` borrows the simulator, so the same instance can execute any
     /// number of successive workloads. Which engine executes the run is
-    /// governed by [`SystemConfig::effective_engine`]; both engines
-    /// produce bit-identical reports.
+    /// [`SystemConfig::engine_mode`]; both engines produce bit-identical
+    /// reports.
     ///
     /// [`TraceSet`]: predllc_workload::TraceSet
     ///
@@ -240,7 +245,7 @@ impl Simulator {
             cfg.llc_replacement(),
             memory,
         );
-        let fast = cfg.effective_engine() == EngineMode::FastForward;
+        let fast = cfg.engine_mode() == EngineMode::FastForward;
         let mut engine = Engine {
             cfg,
             sw: cfg.slot_width(),
@@ -1378,7 +1383,7 @@ mod tests {
                 .engine(mode)
                 .build()
                 .unwrap();
-            assert_eq!(cfg.effective_engine(), mode);
+            assert_eq!(cfg.engine_mode(), mode);
             let report = Simulator::new(cfg)
                 .unwrap()
                 .run(vec![trace.clone(), trace.clone()])
@@ -1388,22 +1393,5 @@ mod tests {
         assert_eq!(reports[0].stats, reports[1].stats);
         assert_eq!(reports[0].timed_out, reports[1].timed_out);
         assert_eq!(reports[0].cycles, reports[1].cycles);
-    }
-
-    #[test]
-    fn event_recording_falls_back_to_reference() {
-        let cfg = SystemConfig::builder(1)
-            .partitions(vec![PartitionSpec::private(2, 2, CoreId::new(0))])
-            .engine(EngineMode::FastForward)
-            .record_events(true)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.effective_engine(), EngineMode::Reference);
-        // The run still records events.
-        let report = Simulator::new(cfg)
-            .unwrap()
-            .run(vec![vec![read(0), read(0)]])
-            .unwrap();
-        assert!(!report.events.events().is_empty());
     }
 }

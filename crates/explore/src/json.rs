@@ -1,16 +1,20 @@
-//! A minimal JSON value parser for experiment specs.
+//! The workspace's JSON codec: a value parser for experiment specs and
+//! a renderer back to text.
 //!
 //! The build runs in network-isolated environments (no serde), and the
-//! spec schema is open-ended enough — nested objects, optional blocks,
-//! heterogeneous grids — that the fixed-schema decoder style of
-//! `predllc_workload::io` would not scale. This parses any JSON document
-//! into a [`Json`] tree; the spec layer then walks the tree with typed
-//! accessors that produce positioned errors.
+//! spec schema is open-ended — nested objects, optional blocks,
+//! heterogeneous grids. This parses any JSON document into a [`Json`]
+//! tree; the spec layer then walks the tree with typed accessors that
+//! produce positioned errors. Strings render through
+//! [`predllc_obs::json_string`], the one JSON string encoder every
+//! layer shares.
 //!
 //! Integers are kept as exact `u64` where possible (addresses and cycle
 //! counts exceed `f64`'s 53-bit mantissa); everything else is `f64`.
 
 use std::fmt;
+
+use predllc_obs::json_string;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,7 +156,7 @@ impl Json {
             // {:?} is the shortest round-trip form that stays a float on
             // re-parse ("2.0", not "2" — which would come back UInt).
             Json::Float(v) => out.push_str(&format!("{v:?}")),
-            Json::Str(s) => out.push_str(&render_string(s)),
+            Json::Str(s) => out.push_str(&json_string(s)),
             Json::Array(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -183,7 +187,7 @@ impl Json {
                         out.push_str(item_sep);
                     }
                     pad(out, depth + 1);
-                    out.push_str(&render_string(key));
+                    out.push_str(&json_string(key));
                     out.push_str(key_sep);
                     value.render_into(out, indent, depth + 1);
                 }
@@ -193,25 +197,6 @@ impl Json {
             }
         }
     }
-}
-
-/// Escapes a string as a JSON string literal (quotes included).
-pub fn render_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A parse failure, with the byte offset where it happened.
@@ -421,7 +406,7 @@ impl<'a> Parser<'a> {
                                 .ok_or_else(|| self.fail("invalid \\u escape"))?;
                             self.at += 4;
                             // Specs are machine-written; surrogate pairs
-                            // are not supported, matching the trace codec.
+                            // are not supported.
                             let c = char::from_u32(hex)
                                 .ok_or_else(|| self.fail("invalid \\u code point"))?;
                             out.push(c);
@@ -695,7 +680,7 @@ mod tests {
         let pretty = doc.render_pretty();
         assert!(pretty.contains("\n  \"zeta\""));
         assert!(pretty.ends_with('\n'));
-        assert_eq!(render_string("a\"b"), r#""a\"b""#);
+        assert_eq!(Json::Str("a\"b".into()).render(), r#""a\"b""#);
     }
 
     #[test]

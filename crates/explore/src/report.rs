@@ -7,9 +7,10 @@
 //! and are byte-identical whether a spec ran with it or not.
 
 use predllc_core::Component;
+use predllc_obs::json_string;
 
 use crate::grid::GridResult;
-use crate::json::{render_string, Json};
+use crate::json::Json;
 use crate::search::SearchOutcome;
 
 /// The CSV header line shared by [`render_csv`] and incremental
@@ -154,7 +155,7 @@ pub fn render_search(outcome: &SearchOutcome) -> String {
 /// same parts concatenated, so both spellings are byte-identical.
 pub fn json_head(name: &str, threads: usize, wall_ms: Option<u64>) -> String {
     let mut out = String::from("{");
-    out.push_str(&format!("\"name\":{},", render_string(name)));
+    out.push_str(&format!("\"name\":{},", json_string(name)));
     out.push_str(&format!("\"threads\":{threads},"));
     if let Some(ms) = wall_ms {
         out.push_str(&format!("\"wall_ms\":{ms},"));
@@ -169,9 +170,9 @@ pub fn json_row(r: &GridResult) -> String {
         "{{\"config\":{},\"workload\":{},\"backend\":{},\"x\":{},\"requests\":{},\
          \"p50\":{},\"p90\":{},\"p99\":{},\"p100\":{},\"mean_latency\":{:.3},\
          \"execution_time\":{},\"analytical_wcl\":{},\"row_hit_rate\":{:.3}}}",
-        render_string(&r.config),
-        render_string(&r.workload),
-        render_string(&r.backend),
+        json_string(&r.config),
+        json_string(&r.workload),
+        json_string(&r.backend),
         r.x,
         r.requests,
         r.p50,
@@ -195,7 +196,7 @@ pub fn json_tail(search: Option<&SearchOutcome>) -> String {
         match &outcome.winner {
             Some(w) => out.push_str(&format!(
                 "\"winner\":{{\"label\":{},\"lines_used\":{}}},",
-                render_string(&w.label),
+                json_string(&w.label),
                 w.lines_used
             )),
             None => out.push_str("\"winner\":null,"),

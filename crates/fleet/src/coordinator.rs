@@ -521,11 +521,13 @@ impl Coordinator {
         self.check_no_workers(state, cond);
     }
 
-    /// Marks a worker lost exactly once, settling the gauge pair.
+    /// Marks a worker lost exactly once, settling the gauge pair: the
+    /// live gauge drops before the loss is counted, so no read sees
+    /// `alive + lost` above the fleet size (see [`Metrics`]).
     fn mark_lost(&self, worker: &Worker) {
         if worker.alive.swap(false, Ordering::SeqCst) {
-            self.metrics.workers_lost.inc();
             self.metrics.workers_alive.dec();
+            self.metrics.workers_lost.inc();
         }
     }
 
@@ -686,7 +688,14 @@ impl Coordinator {
     /// Mirrors one worker's parsed exposition onto the coordinator
     /// registry: counter and gauge families only, original labels
     /// preserved, `worker` appended.
+    ///
+    /// Series register in exposition order, which is the worker's (and
+    /// the coordinator's) read order, but take their values in reverse:
+    /// sources before the series derived from them, the write order of
+    /// [`Metrics`]. A coordinator read racing a scrape then never sees
+    /// a mirrored pair torn across two scrapes.
     fn mirror_exposition(&self, worker: &str, exposition: &expo::Exposition) {
+        let mut writes: Vec<Box<dyn Fn()>> = Vec::new();
         for family in &exposition.families {
             let kind = match family.kind.as_deref() {
                 Some(k @ ("counter" | "gauge")) => k,
@@ -729,19 +738,21 @@ impl Coordinator {
                     .map(|(k, v)| (k.as_str(), v.as_str()))
                     .collect();
                 labels.push(("worker", worker));
-                match kind {
-                    "counter" => self
-                        .metrics
-                        .registry
-                        .counter_labeled(&sample.name, help, &labels)
-                        .set(value),
-                    _ => self
-                        .metrics
-                        .registry
-                        .gauge_labeled(&sample.name, help, &labels)
-                        .set(value),
-                }
+                let registry = &self.metrics.registry;
+                writes.push(match kind {
+                    "counter" => {
+                        let counter = registry.counter_labeled(&sample.name, help, &labels);
+                        Box::new(move || counter.set(value))
+                    }
+                    _ => {
+                        let gauge = registry.gauge_labeled(&sample.name, help, &labels);
+                        Box::new(move || gauge.set(value))
+                    }
+                });
             }
+        }
+        for write in writes.iter().rev() {
+            write();
         }
     }
 
@@ -916,13 +927,13 @@ mod tests {
 
         let first = coordinator.run(&spec, &|_, _| {}).unwrap();
         assert_eq!(cached(&coordinator), [false, false, true, true, true, true]);
-        assert_eq!(metrics.snapshot().points_assigned, 6);
+        assert_eq!(metrics.points_assigned.get(), 6);
 
         // The re-run re-dispatches exactly the two evicted points, which
         // now evict the next two oldest, and renders the same bytes as
         // the first run and a local run.
         let again = coordinator.run(&spec, &|_, _| {}).unwrap();
-        assert_eq!(metrics.snapshot().points_assigned, 8);
+        assert_eq!(metrics.points_assigned.get(), 8);
         assert_eq!(cached(&coordinator), [true, true, false, false, true, true]);
         let local = run_spec(&spec, &Executor::new(1)).unwrap();
         assert_eq!(render_csv(&again.grid), render_csv(&first.grid));

@@ -5,7 +5,8 @@
 //! collected data to a `String`, which keeps it unit-testable without
 //! a server.
 
-use crate::series::{SampleValue, SeriesHistory};
+use crate::expo::ExpoValue;
+use crate::series::SeriesHistory;
 use crate::slo::AlertStatus;
 
 /// Sparkline viewBox width.
@@ -94,7 +95,7 @@ pub fn render_dashboard(
 /// One inline-SVG sparkline over `(t_ms, value)` samples. Always emits
 /// an `<svg>` element — an empty window renders an empty frame rather
 /// than collapsing the card.
-fn sparkline(samples: &[(u64, SampleValue)]) -> String {
+fn sparkline(samples: &[(u64, ExpoValue)]) -> String {
     let mut out = format!(
         "<svg viewBox=\"0 0 {SPARK_W} {SPARK_H}\" width=\"{SPARK_W}\" height=\"{SPARK_H}\" role=\"img\">"
     );
@@ -137,10 +138,10 @@ fn sparkline(samples: &[(u64, SampleValue)]) -> String {
 }
 
 /// Formats a sample for display: exact integers stay exact.
-fn format_sample(v: SampleValue) -> String {
+fn format_sample(v: ExpoValue) -> String {
     match v {
-        SampleValue::U64(v) => v.to_string(),
-        SampleValue::F64(f) => format_value(f),
+        ExpoValue::UInt(v) => v.to_string(),
+        ExpoValue::Float(f) => format_value(f),
     }
 }
 
@@ -179,14 +180,14 @@ mod tests {
             SeriesHistory {
                 key: "predllc_jobs_done".to_string(),
                 samples: vec![
-                    (0, SampleValue::U64(1)),
-                    (100, SampleValue::U64(4)),
-                    (200, SampleValue::U64(9)),
+                    (0, ExpoValue::UInt(1)),
+                    (100, ExpoValue::UInt(4)),
+                    (200, ExpoValue::UInt(9)),
                 ],
             },
             SeriesHistory {
                 key: "predllc_rtt_p99{worker=\"<w0>\"}".to_string(),
-                samples: vec![(150, SampleValue::F64(123.5))],
+                samples: vec![(150, ExpoValue::Float(123.5))],
             },
             SeriesHistory {
                 key: "predllc_stale".to_string(),
@@ -232,7 +233,7 @@ mod tests {
     fn flat_and_empty_series_render_without_degenerate_geometry() {
         let flat = vec![SeriesHistory {
             key: "flat".to_string(),
-            samples: vec![(0, SampleValue::U64(7)), (100, SampleValue::U64(7))],
+            samples: vec![(0, ExpoValue::UInt(7)), (100, ExpoValue::UInt(7))],
         }];
         let html = render_dashboard("t", 100, &flat, &[]);
         // Flat series: mid-height line, no NaN coordinates.

@@ -4,22 +4,23 @@
 //! and so the fleet coordinator can scrape its workers' expositions
 //! back into structured data with [`parse`].
 //!
-//! The validator checks structure, not semantics: line grammar, label
+//! The checks cover structure, not semantics: line grammar, label
 //! syntax, numeric sample values, `# TYPE` declared before (and at most
 //! once per) family, histogram series completeness (`_bucket` with an
 //! `le` label, cumulative non-decreasing bucket counts, a `+Inf` bucket
 //! equal to `_count`), and the trailing-newline guarantee.
 //!
-//! [`parse`] is the validator's inverse: it accepts exactly the
-//! expositions [`validate`] accepts (it runs the same grammar) and
-//! returns an [`Exposition`] whose [`Exposition::render`] reproduces
-//! the input byte-for-byte for anything the workspace [`Registry`]
-//! renders — integer samples stay exact `u64`s, label order and escape
-//! sequences are preserved.
+//! One pass does both jobs: [`parse`] checks each line as it routes it
+//! into an [`Exposition`], and [`validate`] is [`parse`] plus a
+//! summary. [`Exposition::render`] reproduces the input byte-for-byte
+//! for anything the workspace [`Registry`] renders — integer samples
+//! stay exact `u64`s, label order and escape sequences are preserved.
 //!
 //! [`Registry`]: crate::metrics::Registry
 
 use std::collections::HashMap;
+
+use crate::metrics::{series_key, valid_name};
 
 /// What [`validate`] learned about a well-formed exposition.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -30,163 +31,23 @@ pub struct ExpoSummary {
     pub samples: usize,
 }
 
-/// Per-family bookkeeping during validation.
-#[derive(Debug, Default)]
-struct FamilyState {
-    kind: String,
-    saw_sample: bool,
-    /// For histograms, per-label-set bucket/count state.
-    hist: HashMap<String, HistState>,
-}
-
-#[derive(Debug, Default)]
-struct HistState {
-    last_le: Option<f64>,
-    last_cum: Option<f64>,
-    inf: Option<f64>,
-    count: Option<f64>,
-}
-
 /// Validates `text` as Prometheus text exposition. Returns a summary
 /// on success, or a message naming the first offending line.
 pub fn validate(text: &str) -> Result<ExpoSummary, String> {
-    if text.is_empty() {
-        return Err("empty exposition".to_string());
-    }
-    if !text.ends_with('\n') {
-        return Err("exposition does not end with a newline".to_string());
-    }
-    let mut families: HashMap<String, FamilyState> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
-    let mut samples = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        let n = lineno + 1;
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('#') {
-            let rest = rest.trim_start();
-            if let Some(decl) = rest.strip_prefix("TYPE ") {
-                let mut parts = decl.splitn(2, ' ');
-                let name = parts.next().unwrap_or("");
-                let kind = parts.next().unwrap_or("").trim();
-                if !valid_metric_name(name) {
-                    return Err(format!("line {n}: bad metric name in TYPE: '{name}'"));
-                }
-                if !matches!(
-                    kind,
-                    "counter" | "gauge" | "histogram" | "summary" | "untyped"
-                ) {
-                    return Err(format!("line {n}: unknown TYPE kind '{kind}'"));
-                }
-                let state = families.entry(name.to_string()).or_default();
-                if !state.kind.is_empty() {
-                    return Err(format!("line {n}: duplicate TYPE for '{name}'"));
-                }
-                if state.saw_sample {
-                    return Err(format!("line {n}: TYPE for '{name}' after its samples"));
-                }
-                state.kind = kind.to_string();
-                order.push(name.to_string());
-            } else if let Some(decl) = rest.strip_prefix("HELP ") {
-                let name = decl.split(' ').next().unwrap_or("");
-                if !valid_metric_name(name) {
-                    return Err(format!("line {n}: bad metric name in HELP: '{name}'"));
-                }
-            }
-            // Other comments are legal and ignored.
-            continue;
-        }
-        let sample = parse_sample(line).map_err(|e| format!("line {n}: {e}"))?;
-        samples += 1;
-        let (family, suffix) = family_of(&sample.name, |stem| {
-            families.get(stem).is_some_and(|f| !f.kind.is_empty())
-        });
-        let state = families.entry(family.clone()).or_default();
-        state.saw_sample = true;
-        if state.kind == "histogram" {
-            let key = sample.labels_key_without_le();
-            let hist = state.hist.entry(key).or_default();
-            let value = sample.value.as_f64();
-            match suffix {
-                "_bucket" => {
-                    let le = sample
-                        .label("le")
-                        .ok_or_else(|| format!("line {n}: histogram bucket without le label"))?;
-                    let le =
-                        parse_le(le).ok_or_else(|| format!("line {n}: bad le bound '{le}'"))?;
-                    if let Some(prev) = hist.last_le {
-                        if le <= prev {
-                            return Err(format!("line {n}: le bounds not increasing"));
-                        }
-                    }
-                    if let Some(prev) = hist.last_cum {
-                        if value < prev {
-                            return Err(format!("line {n}: bucket counts not cumulative"));
-                        }
-                    }
-                    hist.last_le = Some(le);
-                    hist.last_cum = Some(value);
-                    if le.is_infinite() {
-                        hist.inf = Some(value);
-                    }
-                }
-                "_count" => hist.count = Some(value),
-                "_sum" => {}
-                "" => {
-                    return Err(format!(
-                        "line {n}: bare sample '{}' for histogram family",
-                        sample.name
-                    ));
-                }
-                _ => unreachable!("family_of returns known suffixes"),
-            }
-        } else if !suffix.is_empty() && state.kind.is_empty() {
-            // An undeclared family whose name merely ends in _sum /
-            // _count / _bucket: treat it as its own untyped family.
-            let state = families.entry(sample.name.clone()).or_default();
-            state.saw_sample = true;
-        }
-    }
-    // Histogram closure: every labelled series needs +Inf == _count.
-    for name in &order {
-        let state = &families[name];
-        if state.kind != "histogram" {
-            continue;
-        }
-        if state.hist.is_empty() {
-            return Err(format!("histogram '{name}' has no samples"));
-        }
-        for (labels, hist) in &state.hist {
-            let what = if labels.is_empty() {
-                name.clone()
-            } else {
-                format!("{name}{{{labels}}}")
-            };
-            let inf = hist
-                .inf
-                .ok_or_else(|| format!("histogram '{what}' missing +Inf bucket"))?;
-            let count = hist
-                .count
-                .ok_or_else(|| format!("histogram '{what}' missing _count"))?;
-            if inf != count {
-                return Err(format!(
-                    "histogram '{what}': +Inf bucket {inf} != count {count}"
-                ));
-            }
-        }
-    }
+    let expo = parse(text)?;
     Ok(ExpoSummary {
-        families: order.len(),
-        samples,
+        families: expo.families.iter().filter(|f| f.kind.is_some()).count(),
+        samples: expo.samples().count(),
     })
 }
 
-/// A parsed sample value. Integer tokens stay exact `u64`s (the
-/// workspace [`Registry`](crate::metrics::Registry) renders nothing
-/// else), so re-rendering them reproduces the input bytes; everything
-/// else — floats, negative numbers, `+Inf`, `-Inf`, `NaN` — is carried
-/// as an `f64`.
+/// A sample value: an exposition sample's, or one collected into a
+/// [`SeriesStore`](crate::SeriesStore). Integer tokens and counter or
+/// gauge readings stay exact `u64`s (the workspace
+/// [`Registry`](crate::metrics::Registry) renders nothing else), so
+/// re-rendering them reproduces the input bytes; everything else —
+/// floats, negative numbers, `+Inf`, `-Inf`, `NaN`, derived
+/// percentiles — is carried as an `f64`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExpoValue {
     /// An exact non-negative integer sample.
@@ -255,21 +116,7 @@ impl ExpoSample {
     /// Renders the sample as one exposition line (with trailing
     /// newline).
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(self.name.len() + 16);
-        out.push_str(&self.name);
-        if !self.labels.is_empty() {
-            out.push('{');
-            for (i, (k, v)) in self.labels.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(k);
-                out.push_str("=\"");
-                out.push_str(&escape_label_value(v));
-                out.push('"');
-            }
-            out.push('}');
-        }
+        let mut out = series_key(&self.name, &self.labels);
         out.push(' ');
         out.push_str(&self.value.render());
         if let Some(ts) = self.timestamp {
@@ -345,29 +192,67 @@ impl Exposition {
     }
 }
 
-/// Parses `text` into an [`Exposition`]. Accepts exactly what
-/// [`validate`] accepts — the full validator runs first, so a
-/// successful parse implies a structurally valid exposition (and
-/// `parse(x).render()` always re-validates).
+/// What the checks track per family, beside its parsed form.
+#[derive(Debug, Default)]
+struct FamilyCheck {
+    /// A sample was routed here while the family was undeclared, so a
+    /// later `# TYPE` for it is out of order.
+    sampled: bool,
+    /// For histograms, per-label-set bucket/count state.
+    hist: HashMap<String, HistState>,
+}
+
+#[derive(Debug, Default)]
+struct HistState {
+    last_le: Option<f64>,
+    last_cum: Option<f64>,
+    inf: Option<f64>,
+    count: Option<f64>,
+}
+
+/// The families parsed so far, each with its [`FamilyCheck`].
+#[derive(Default)]
+struct Families {
+    parsed: Vec<ExpoFamily>,
+    checks: Vec<FamilyCheck>,
+    index: HashMap<String, usize>,
+}
+
+impl Families {
+    /// The index of family `name`, created (undeclared, empty) on first
+    /// mention.
+    fn entry(&mut self, name: &str) -> usize {
+        if let Some(&i) = self.index.get(name) {
+            return i;
+        }
+        self.parsed.push(ExpoFamily {
+            name: name.to_string(),
+            help: None,
+            kind: None,
+            samples: Vec::new(),
+        });
+        self.checks.push(FamilyCheck::default());
+        self.index.insert(name.to_string(), self.parsed.len() - 1);
+        self.parsed.len() - 1
+    }
+}
+
+/// Parses `text` into an [`Exposition`], checking it as it goes. An
+/// error names the first offending line (or the histogram left
+/// incomplete), so a successful parse is a valid exposition and
+/// `parse(x).render()` always re-validates.
 pub fn parse(text: &str) -> Result<Exposition, String> {
-    validate(text)?;
-    let mut families: Vec<ExpoFamily> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let family_entry =
-        |families: &mut Vec<ExpoFamily>, index: &mut HashMap<String, usize>, name: &str| -> usize {
-            if let Some(&i) = index.get(name) {
-                return i;
-            }
-            families.push(ExpoFamily {
-                name: name.to_string(),
-                help: None,
-                kind: None,
-                samples: Vec::new(),
-            });
-            index.insert(name.to_string(), families.len() - 1);
-            families.len() - 1
-        };
-    for line in text.lines() {
+    if text.is_empty() {
+        return Err("empty exposition".to_string());
+    }
+    if !text.ends_with('\n') {
+        return Err("exposition does not end with a newline".to_string());
+    }
+    let mut fams = Families::default();
+    // Declared histograms in `# TYPE` order, for the closing checks.
+    let mut histograms: Vec<usize> = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        let n = lineno + 1;
         if line.is_empty() {
             continue;
         }
@@ -377,47 +262,142 @@ pub fn parse(text: &str) -> Result<Exposition, String> {
                 let mut parts = decl.splitn(2, ' ');
                 let name = parts.next().unwrap_or("");
                 let kind = parts.next().unwrap_or("").trim();
-                let i = family_entry(&mut families, &mut index, name);
-                families[i].kind = Some(kind.to_string());
+                if !valid_name(name) {
+                    return Err(format!("line {n}: bad metric name in TYPE: '{name}'"));
+                }
+                if !matches!(
+                    kind,
+                    "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                ) {
+                    return Err(format!("line {n}: unknown TYPE kind '{kind}'"));
+                }
+                let i = fams.entry(name);
+                if fams.parsed[i].kind.is_some() {
+                    return Err(format!("line {n}: duplicate TYPE for '{name}'"));
+                }
+                if fams.checks[i].sampled {
+                    return Err(format!("line {n}: TYPE for '{name}' after its samples"));
+                }
+                fams.parsed[i].kind = Some(kind.to_string());
+                if kind == "histogram" {
+                    histograms.push(i);
+                }
             } else if let Some(decl) = rest.strip_prefix("HELP ") {
                 let mut parts = decl.splitn(2, ' ');
                 let name = parts.next().unwrap_or("");
-                let help = parts.next().unwrap_or("");
-                let i = family_entry(&mut families, &mut index, name);
-                families[i].help = Some(help.to_string());
+                if !valid_name(name) {
+                    return Err(format!("line {n}: bad metric name in HELP: '{name}'"));
+                }
+                let i = fams.entry(name);
+                fams.parsed[i].help = Some(parts.next().unwrap_or("").to_string());
             }
+            // Other comments are legal and ignored.
             continue;
         }
-        let sample = parse_sample(line)?;
-        let (family, _suffix) = family_of(&sample.name, |stem| {
-            index
-                .get(stem)
-                .is_some_and(|&i| families[i].kind.as_deref() == Some("histogram"))
-        });
-        let i = family_entry(&mut families, &mut index, &family);
-        families[i].samples.push(sample);
+        let sample = parse_sample(line).map_err(|e| format!("line {n}: {e}"))?;
+        // A `_bucket`/`_sum`/`_count` name whose stem is declared: a
+        // histogram stem claims the sample; any other kind leaves it a
+        // family of its own.
+        let declared_stem = ["_bucket", "_sum", "_count"]
+            .into_iter()
+            .find_map(|suffix| {
+                let &i = fams.index.get(sample.name.strip_suffix(suffix)?)?;
+                fams.parsed[i].kind.as_deref().map(|kind| (i, suffix, kind))
+            });
+        let i = match declared_stem {
+            Some((i, suffix, "histogram")) => {
+                check_histogram_sample(&mut fams.checks[i], suffix, &sample)
+                    .map_err(|e| format!("line {n}: {e}"))?;
+                i
+            }
+            Some(_) => fams.entry(&sample.name),
+            None => {
+                let i = fams.entry(&sample.name);
+                if fams.parsed[i].kind.as_deref() == Some("histogram") {
+                    return Err(format!(
+                        "line {n}: bare sample '{}' for histogram family",
+                        sample.name
+                    ));
+                }
+                fams.checks[i].sampled = true;
+                i
+            }
+        };
+        fams.parsed[i].samples.push(sample);
     }
-    Ok(Exposition { families })
-}
-
-/// Splits `name` into its family and histogram suffix; `is_histogram`
-/// reports whether a candidate stem is a declared histogram family.
-fn family_of(name: &str, is_histogram: impl Fn(&str) -> bool) -> (String, &str) {
-    for suffix in ["_bucket", "_sum", "_count"] {
-        if let Some(stem) = name.strip_suffix(suffix) {
-            if is_histogram(stem) {
-                return (stem.to_string(), suffix);
+    // Histogram closure: every labelled series needs +Inf == _count.
+    for i in histograms {
+        let name = &fams.parsed[i].name;
+        let series = &fams.checks[i].hist;
+        if series.is_empty() {
+            return Err(format!("histogram '{name}' has no samples"));
+        }
+        for (labels, hist) in series {
+            let what = if labels.is_empty() {
+                name.clone()
+            } else {
+                format!("{name}{{{labels}}}")
+            };
+            let inf = hist
+                .inf
+                .ok_or_else(|| format!("histogram '{what}' missing +Inf bucket"))?;
+            let count = hist
+                .count
+                .ok_or_else(|| format!("histogram '{what}' missing _count"))?;
+            if inf != count {
+                return Err(format!(
+                    "histogram '{what}': +Inf bucket {inf} != count {count}"
+                ));
             }
         }
     }
-    (name.to_string(), "")
+    Ok(Exposition {
+        families: fams.parsed,
+    })
+}
+
+/// Checks one `_bucket`/`_sum`/`_count` sample of a histogram series:
+/// a bucket carries an `le` bound above the previous one and a count
+/// no smaller than the previous one.
+fn check_histogram_sample(
+    check: &mut FamilyCheck,
+    suffix: &str,
+    sample: &ExpoSample,
+) -> Result<(), String> {
+    let hist = check
+        .hist
+        .entry(sample.labels_key_without_le())
+        .or_default();
+    let value = sample.value.as_f64();
+    match suffix {
+        "_bucket" => {
+            let le = sample
+                .label("le")
+                .ok_or("histogram bucket without le label")?;
+            let le = parse_le(le).ok_or_else(|| format!("bad le bound '{le}'"))?;
+            if hist.last_le.is_some_and(|prev| le <= prev) {
+                return Err("le bounds not increasing".to_string());
+            }
+            if hist.last_cum.is_some_and(|prev| value < prev) {
+                return Err("bucket counts not cumulative".to_string());
+            }
+            hist.last_le = Some(le);
+            hist.last_cum = Some(value);
+            if le.is_infinite() {
+                hist.inf = Some(value);
+            }
+        }
+        "_count" => hist.count = Some(value),
+        _ => {}
+    }
+    Ok(())
 }
 
 /// Parses one `name[{labels}] value [timestamp]` line.
 fn parse_sample(line: &str) -> Result<ExpoSample, String> {
     let name_end = line.find(['{', ' ']).ok_or("sample line without value")?;
     let name = &line[..name_end];
-    if !valid_metric_name(name) {
+    if !valid_name(name) {
         return Err(format!("bad metric name '{name}'"));
     }
     let mut rest = &line[name_end..];
@@ -463,7 +443,7 @@ fn parse_labels(mut body: &str) -> Result<ParsedLabels<'_>, String> {
         }
         let eq = body.find('=').ok_or("label without '='")?;
         let key = &body[..eq];
-        if !valid_metric_name(key) {
+        if !valid_name(key) {
             return Err(format!("bad label name '{key}'"));
         }
         body = body[eq + 1..]
@@ -492,14 +472,6 @@ fn parse_labels(mut body: &str) -> Result<ParsedLabels<'_>, String> {
     }
 }
 
-/// Escapes a label value for rendering (`\`, `"` and newlines) — the
-/// inverse of the unescaping in [`parse_labels`].
-fn escape_label_value(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
 /// Parses a sample value: decimal, float, or the IEEE special names.
 /// Plain digit runs stay exact `u64`s.
 fn parse_value(s: &str) -> Option<ExpoValue> {
@@ -523,18 +495,6 @@ fn parse_le(s: &str) -> Option<f64> {
         return Some(f64::INFINITY);
     }
     s.parse::<f64>().ok()
-}
-
-/// Whether `name` is a legal metric/label name.
-fn valid_metric_name(name: &str) -> bool {
-    !name.is_empty()
-        && name
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
-        && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
 #[cfg(test)]

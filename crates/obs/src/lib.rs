@@ -49,9 +49,9 @@ pub mod slo;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, HistogramSnapshot, Registry, TimingHistogram};
-pub use series::{Collector, CollectorConfig, SampleValue, SeriesHistory, SeriesStore};
+pub use series::{Collector, CollectorConfig, SeriesHistory, SeriesStore};
 pub use slo::{AlertState, AlertStatus, Compare, Condition, Rule, SloRuntime};
 pub use trace::{
-    fields, render_jsonl, EventKind, FieldValue, SpanGuard, TraceCtx, TraceEvent, TraceId, Tracer,
-    TRACE_HEADER,
+    fields, json_string, render_jsonl, EventKind, FieldValue, SpanGuard, TraceCtx, TraceEvent,
+    TraceId, Tracer, TRACE_HEADER,
 };

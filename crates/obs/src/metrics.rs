@@ -18,10 +18,15 @@
 //! Layers that maintain *derived* counters (e.g. "every registered job
 //! came from a cache miss") follow a write discipline — increment the
 //! source counter before the derived one, decrement a state gauge
-//! before incrementing its successor — and read snapshots in the
-//! reverse order. With sequentially consistent operations on both
-//! sides, a snapshot can observe a momentarily *smaller* derived value,
-//! but never a torn pair (a derived count without its source).
+//! before incrementing its successor — and reads run in the reverse
+//! order. Every read goes through [`Registry::render`] or
+//! [`Registry::snapshot_series`], which read series in registration
+//! order, so a layer registers each derived or successor series before
+//! its source. With sequentially consistent operations on both sides,
+//! a read can observe a momentarily *smaller* derived value, but never
+//! a torn pair (a derived count without its source). This is the
+//! reader/writer rule of Lamport, *Concurrent Reading and Writing*
+//! (CACM 1977).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -292,10 +297,17 @@ type FamilySnapshot = (String, String, Kind, Vec<(Vec<(String, String)>, Value)>
 /// The metric registry: an ordered set of families, rendered in
 /// registration order as Prometheus text exposition.
 ///
+/// [`Registry::render`] and [`Registry::snapshot_series`] read every
+/// series in registration order — families in the order they were
+/// first registered, series within a family likewise — and that order
+/// is the only read order. A layer therefore registers each derived or
+/// successor series before its source (see the module docs).
+///
 /// All registration methods are idempotent on `(name, labels)`: the
-/// first call creates the cell, later calls return a handle to it.
-/// Registering one name as two different kinds panics — that is a
-/// programming error, not a runtime condition.
+/// first call creates the cell, later calls return a handle to it and
+/// leave its place in the order unchanged. Registering one name as two
+/// different kinds panics — that is a programming error, not a runtime
+/// condition.
 #[derive(Debug, Default)]
 pub struct Registry {
     families: Mutex<Vec<Family>>,
@@ -499,10 +511,10 @@ impl Registry {
             for (labels, value) in series {
                 match value {
                     Value::Counter(c) => {
-                        out.push_str(&sample(name, labels, &[], c.get()));
+                        out.push_str(&sample(name, labels, c.get()));
                     }
                     Value::Gauge(g) => {
-                        out.push_str(&sample(name, labels, &[], g.get()));
+                        out.push_str(&sample(name, labels, g.get()));
                     }
                     Value::Histogram(h) => {
                         let snap = h.snapshot();
@@ -512,8 +524,8 @@ impl Registry {
                             out.push_str(&sample_le(name, labels, &high.to_string(), cumulative));
                         }
                         out.push_str(&sample_le(name, labels, "+Inf", snap.count));
-                        out.push_str(&sample(&format!("{name}_sum"), labels, &[], snap.sum));
-                        out.push_str(&sample(&format!("{name}_count"), labels, &[], snap.count));
+                        out.push_str(&sample(&format!("{name}_sum"), labels, snap.sum));
+                        out.push_str(&sample(&format!("{name}_count"), labels, snap.count));
                     }
                 }
             }
@@ -571,30 +583,19 @@ pub fn series_key(name: &str, labels: &[(String, String)]) -> String {
 }
 
 /// One `name{labels} value` sample line.
-fn sample(name: &str, labels: &[(String, String)], extra: &[(&str, &str)], value: u64) -> String {
-    let mut pairs: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-        .collect();
-    pairs.extend(
-        extra
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v))),
-    );
-    if pairs.is_empty() {
-        format!("{name} {value}\n")
-    } else {
-        format!("{name}{{{}}} {value}\n", pairs.join(","))
-    }
+fn sample(name: &str, labels: &[(String, String)], value: u64) -> String {
+    format!("{} {value}\n", series_key(name, labels))
 }
 
 /// One `name_bucket{...,le="bound"} value` line.
 fn sample_le(name: &str, labels: &[(String, String)], le: &str, value: u64) -> String {
-    sample(&format!("{name}_bucket"), labels, &[("le", le)], value)
+    let mut labels = labels.to_vec();
+    labels.push(("le".to_string(), le.to_string()));
+    sample(&format!("{name}_bucket"), &labels, value)
 }
 
 /// Whether `name` is a legal Prometheus metric/label name.
-fn valid_name(name: &str) -> bool {
+pub(crate) fn valid_name(name: &str) -> bool {
     !name.is_empty()
         && name
             .chars()
@@ -610,7 +611,8 @@ fn escape_help(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-/// Escapes a label value (`\`, `"` and newlines).
+/// Escapes a label value (`\`, `"` and newlines) — the inverse of the
+/// unescaping in [`crate::expo::parse`].
 fn escape_label(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('"', "\\\"")
@@ -728,6 +730,34 @@ mod tests {
             SnapshotValue::Histogram(h) => assert_eq!(h.count, 1),
             other => panic!("expected histogram snapshot, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn render_and_snapshot_series_read_in_registration_order() {
+        let reg = Registry::new();
+        reg.counter("predllc_z_done", "z").add(3);
+        reg.gauge("predllc_m_running", "m").set(2);
+        reg.counter_with("predllc_a_by", "a", "k", "y").inc();
+        reg.counter_with("predllc_a_by", "a", "k", "x").inc();
+        reg.counter("predllc_b_source", "b").add(4);
+        // Re-registering an early name keeps its place.
+        reg.counter("predllc_z_done", "z").inc();
+        let keys: Vec<String> = reg.snapshot_series().iter().map(|s| s.key()).collect();
+        let want = [
+            "predllc_z_done",
+            "predllc_m_running",
+            "predllc_a_by{k=\"y\"}",
+            "predllc_a_by{k=\"x\"}",
+            "predllc_b_source",
+        ];
+        assert_eq!(keys, want);
+        let text = reg.render();
+        let rendered: Vec<&str> = text
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| l.rsplit_once(' ').expect("sample value").0)
+            .collect();
+        assert_eq!(rendered, want);
     }
 
     #[test]

@@ -24,27 +24,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use crate::expo::ExpoValue;
 use crate::metrics::{Registry, SnapshotValue};
 use crate::slo::SloRuntime;
-
-/// One collected sample value: exact where the source is exact.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SampleValue {
-    /// An exact counter/gauge/count reading.
-    U64(u64),
-    /// A derived floating-point reading (e.g. a percentile).
-    F64(f64),
-}
-
-impl SampleValue {
-    /// The value as a lossy `f64` (exact below 2^53).
-    pub fn as_f64(self) -> f64 {
-        match self {
-            SampleValue::U64(v) => v as f64,
-            SampleValue::F64(f) => f,
-        }
-    }
-}
 
 /// One series' queried history: the key plus `(t_ms, value)` samples
 /// in increasing time order.
@@ -53,7 +35,7 @@ pub struct SeriesHistory {
     /// The exposition-style series key (`name` or `name{k="v",...}`).
     pub key: String,
     /// `(milliseconds since the store's epoch, value)` samples.
-    pub samples: Vec<(u64, SampleValue)>,
+    pub samples: Vec<(u64, ExpoValue)>,
 }
 
 /// Ring-buffer storage for collected series, keyed by exposition-style
@@ -72,7 +54,7 @@ struct StoreInner {
     max_series: usize,
     /// Insertion order of keys (stable display order).
     order: Vec<String>,
-    series: HashMap<String, VecDeque<(u64, SampleValue)>>,
+    series: HashMap<String, VecDeque<(u64, ExpoValue)>>,
     /// Samples refused because `max_series` was reached.
     overflow: u64,
 }
@@ -99,13 +81,13 @@ impl SeriesStore {
     }
 
     /// Records one batch of samples at the current time.
-    pub fn record(&self, samples: &[(String, SampleValue)]) {
+    pub fn record(&self, samples: &[(String, ExpoValue)]) {
         self.record_at(self.now_ms(), samples);
     }
 
     /// Records one batch at an explicit timestamp (tests drive time
     /// directly through this).
-    pub fn record_at(&self, t_ms: u64, samples: &[(String, SampleValue)]) {
+    pub fn record_at(&self, t_ms: u64, samples: &[(String, ExpoValue)]) {
         let mut inner = self.inner.lock().unwrap();
         for (key, value) in samples {
             if !inner.series.contains_key(key) {
@@ -139,7 +121,7 @@ impl SeriesStore {
     }
 
     /// The most recent `(t_ms, value)` sample of `key`, if any.
-    pub fn latest(&self, key: &str) -> Option<(u64, SampleValue)> {
+    pub fn latest(&self, key: &str) -> Option<(u64, ExpoValue)> {
         let inner = self.inner.lock().unwrap();
         inner.series.get(key).and_then(|r| r.back().copied())
     }
@@ -191,7 +173,7 @@ impl SeriesStore {
         let mut out = Vec::with_capacity(inner.order.len());
         for key in &inner.order {
             let ring = &inner.series[key];
-            let mut samples: Vec<(u64, SampleValue)> = Vec::new();
+            let mut samples: Vec<(u64, ExpoValue)> = Vec::new();
             for &(t, v) in ring.iter() {
                 if t < start || t > now {
                     continue;
@@ -216,21 +198,21 @@ impl SeriesStore {
 /// gauges as exact `u64`s under their exposition key; each histogram
 /// series as three derived sub-series — `{name}_count` (`u64`),
 /// `{name}_sum` (`u64`) and `{name}_p99` (`f64`, the log-bucket p99).
-pub fn registry_samples(registry: &Registry) -> Vec<(String, SampleValue)> {
+pub fn registry_samples(registry: &Registry) -> Vec<(String, ExpoValue)> {
     let mut out = Vec::new();
     for snap in registry.snapshot_series() {
         match &snap.value {
             SnapshotValue::Counter(v) | SnapshotValue::Gauge(v) => {
-                out.push((snap.key(), SampleValue::U64(*v)));
+                out.push((snap.key(), ExpoValue::UInt(*v)));
             }
             SnapshotValue::Histogram(h) => {
                 let count =
                     crate::metrics::series_key(&format!("{}_count", snap.name), &snap.labels);
                 let sum = crate::metrics::series_key(&format!("{}_sum", snap.name), &snap.labels);
                 let p99 = crate::metrics::series_key(&format!("{}_p99", snap.name), &snap.labels);
-                out.push((count, SampleValue::U64(h.count)));
-                out.push((sum, SampleValue::U64(h.sum)));
-                out.push((p99, SampleValue::F64(h.percentile(99.0) as f64)));
+                out.push((count, ExpoValue::UInt(h.count)));
+                out.push((sum, ExpoValue::UInt(h.sum)));
+                out.push((p99, ExpoValue::Float(h.percentile(99.0) as f64)));
             }
         }
     }
@@ -285,7 +267,7 @@ impl Collector {
     /// stopped or dropped.
     pub fn start(
         config: CollectorConfig,
-        mut sampler: impl FnMut() -> Vec<(String, SampleValue)> + Send + 'static,
+        mut sampler: impl FnMut() -> Vec<(String, ExpoValue)> + Send + 'static,
         slo: Option<Arc<SloRuntime>>,
     ) -> Collector {
         let store = Arc::new(SeriesStore::new(config.capacity, config.max_series));
@@ -371,7 +353,7 @@ mod tests {
     fn rings_drop_oldest_at_capacity() {
         let store = SeriesStore::new(3, 8);
         for t in 0..5u64 {
-            store.record_at(t * 10, &[("m".to_string(), SampleValue::U64(t))]);
+            store.record_at(t * 10, &[("m".to_string(), ExpoValue::UInt(t))]);
         }
         let (_, histories) = store.history_at(u64::MAX, 1, 40);
         let m = &histories[0];
@@ -386,16 +368,16 @@ mod tests {
         store.record_at(
             0,
             &[
-                ("a".to_string(), SampleValue::U64(1)),
-                ("b".to_string(), SampleValue::U64(2)),
-                ("c".to_string(), SampleValue::U64(3)),
+                ("a".to_string(), ExpoValue::UInt(1)),
+                ("b".to_string(), ExpoValue::UInt(2)),
+                ("c".to_string(), ExpoValue::UInt(3)),
             ],
         );
         assert_eq!(store.series_count(), 2);
         assert_eq!(store.overflow(), 1);
         // Existing series still record fine.
-        store.record_at(5, &[("a".to_string(), SampleValue::U64(9))]);
-        assert_eq!(store.latest("a"), Some((5, SampleValue::U64(9))));
+        store.record_at(5, &[("a".to_string(), ExpoValue::UInt(9))]);
+        assert_eq!(store.latest("a"), Some((5, ExpoValue::UInt(9))));
         assert_eq!(store.latest("c"), None);
     }
 
@@ -403,7 +385,7 @@ mod tests {
     fn history_downsamples_to_last_sample_per_step() {
         let store = SeriesStore::new(64, 4);
         for t in [0u64, 40, 80, 120, 160, 199] {
-            store.record_at(t, &[("m".to_string(), SampleValue::U64(t))]);
+            store.record_at(t, &[("m".to_string(), ExpoValue::UInt(t))]);
         }
         // Query before any further time passes: the window covers all.
         let samples = store.window("m", u64::MAX, 199);
@@ -415,8 +397,8 @@ mod tests {
             .samples
             .iter()
             .map(|&(_, v)| match v {
-                SampleValue::U64(v) => v,
-                SampleValue::F64(_) => unreachable!(),
+                ExpoValue::UInt(v) => v,
+                ExpoValue::Float(_) => unreachable!(),
             })
             .collect();
         assert!(values.len() < 6, "downsampled: {values:?}");
@@ -429,9 +411,9 @@ mod tests {
         store.record_at(
             0,
             &[
-                ("m".to_string(), SampleValue::U64(1)),
-                ("m{worker=\"w0\"}".to_string(), SampleValue::U64(2)),
-                ("m_total".to_string(), SampleValue::U64(3)),
+                ("m".to_string(), ExpoValue::UInt(1)),
+                ("m{worker=\"w0\"}".to_string(), ExpoValue::UInt(2)),
+                ("m_total".to_string(), ExpoValue::UInt(3)),
             ],
         );
         assert_eq!(store.keys_matching("m"), vec!["m", "m{worker=\"w0\"}"]);
@@ -454,7 +436,7 @@ mod tests {
             config,
             || {
                 thread::sleep(Duration::from_millis(15));
-                vec![("drift".to_string(), SampleValue::U64(1))]
+                vec![("drift".to_string(), ExpoValue::UInt(1))]
             },
             None,
         );
@@ -488,7 +470,7 @@ mod tests {
             let n = Arc::clone(&n);
             move || {
                 let v = n.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                vec![("ticks".to_string(), SampleValue::U64(v))]
+                vec![("ticks".to_string(), ExpoValue::UInt(v))]
             }
         };
         let config = CollectorConfig {
@@ -525,17 +507,17 @@ mod tests {
                 .map(|&(_, v)| v)
                 .unwrap_or_else(|| panic!("missing series {key} in {samples:?}"))
         };
-        assert_eq!(get("predllc_c_total"), SampleValue::U64(3));
+        assert_eq!(get("predllc_c_total"), ExpoValue::UInt(3));
         assert_eq!(
             get("predllc_h_ns_count{endpoint=\"x\"}"),
-            SampleValue::U64(2)
+            ExpoValue::UInt(2)
         );
         assert_eq!(
             get("predllc_h_ns_sum{endpoint=\"x\"}"),
-            SampleValue::U64(300)
+            ExpoValue::UInt(300)
         );
         match get("predllc_h_ns_p99{endpoint=\"x\"}") {
-            SampleValue::F64(p) => assert!(p >= 200.0, "p99 {p} below max"),
+            ExpoValue::Float(p) => assert!(p >= 200.0, "p99 {p} below max"),
             other => panic!("p99 should be F64, got {other:?}"),
         }
     }

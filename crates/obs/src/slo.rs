@@ -431,12 +431,12 @@ impl SloRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::SampleValue;
+    use crate::expo::ExpoValue;
 
     fn store_with(samples: &[(u64, u64)]) -> SeriesStore {
         let store = SeriesStore::new(256, 8);
         for &(t, v) in samples {
-            store.record_at(t, &[("m".to_string(), SampleValue::U64(v))]);
+            store.record_at(t, &[("m".to_string(), ExpoValue::UInt(v))]);
         }
         store
     }
@@ -450,7 +450,7 @@ mod tests {
         assert!(ev.evaluate(&store, 0).is_empty(), "within bounds");
         assert_eq!(ev.statuses()[0].state, AlertState::Inactive);
 
-        store.record_at(50, &[("m".to_string(), SampleValue::U64(20))]);
+        store.record_at(50, &[("m".to_string(), ExpoValue::UInt(20))]);
         let t = ev.evaluate(&store, 50);
         assert_eq!(t.len(), 1);
         assert_eq!(
@@ -472,7 +472,7 @@ mod tests {
         assert_eq!(status.value, Some(20.0));
 
         // Back within bounds: Firing -> Resolved, and firing() drops.
-        store.record_at(200, &[("m".to_string(), SampleValue::U64(3))]);
+        store.record_at(200, &[("m".to_string(), ExpoValue::UInt(3))]);
         let t = ev.evaluate(&store, 200);
         assert_eq!(
             (t[0].from, t[0].to),
@@ -481,7 +481,7 @@ mod tests {
         assert_eq!(ev.firing(), 0);
 
         // Re-violation from Resolved goes Pending again.
-        store.record_at(250, &[("m".to_string(), SampleValue::U64(30))]);
+        store.record_at(250, &[("m".to_string(), ExpoValue::UInt(30))]);
         let t = ev.evaluate(&store, 250);
         assert_eq!(
             (t[0].from, t[0].to),
@@ -497,7 +497,7 @@ mod tests {
         let store = store_with(&[(0, 20)]);
         ev.evaluate(&store, 0);
         assert_eq!(ev.statuses()[0].state, AlertState::Pending);
-        store.record_at(100, &[("m".to_string(), SampleValue::U64(1))]);
+        store.record_at(100, &[("m".to_string(), ExpoValue::UInt(1))]);
         let t = ev.evaluate(&store, 100);
         assert_eq!(
             (t[0].from, t[0].to),
@@ -534,7 +534,7 @@ mod tests {
         let store = store_with(&[(0, 0), (500, 2)]);
         assert!(ev.evaluate(&store, 500).is_empty());
         // 10 more in the next 500ms: 12/500ms ≈ 24/s within the 1s window...
-        store.record_at(1000, &[("m".to_string(), SampleValue::U64(12))]);
+        store.record_at(1000, &[("m".to_string(), ExpoValue::UInt(12))]);
         let t = ev.evaluate(&store, 1000);
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].to, AlertState::Firing);
@@ -577,8 +577,8 @@ mod tests {
         store.record_at(
             0,
             &[
-                ("m{worker=\"w0\"}".to_string(), SampleValue::U64(1)),
-                ("m{worker=\"w1\"}".to_string(), SampleValue::U64(99)),
+                ("m{worker=\"w0\"}".to_string(), ExpoValue::UInt(1)),
+                ("m{worker=\"w1\"}".to_string(), ExpoValue::UInt(99)),
             ],
         );
         let t = ev.evaluate(&store, 0);

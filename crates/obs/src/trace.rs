@@ -204,9 +204,11 @@ pub fn render_jsonl(events: &[TraceEvent]) -> String {
     out
 }
 
-/// Minimal JSON string escaper: quotes, backslashes, and control
-/// characters (as `\u00XX` or the short forms).
-fn json_string(s: &str) -> String {
+/// Escapes `s` as a JSON string literal, quotes included: quotes,
+/// backslashes, and control characters (as `\u00XX` or the short
+/// forms). The workspace's one JSON string encoder — trace lines,
+/// experiment reports and service answers all render through it.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

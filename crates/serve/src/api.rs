@@ -21,9 +21,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use predllc_explore::hash::Fingerprint;
-use predllc_explore::json::{render_string, Json};
+use predllc_explore::json::Json;
 use predllc_explore::{measure, PointError, PointRequest};
-use predllc_obs::{fields, render_jsonl, SampleValue, TraceId, TRACE_HEADER};
+use predllc_obs::expo::ExpoValue;
+use predllc_obs::{fields, json_string, render_jsonl, TraceId, TRACE_HEADER};
 
 use crate::handler::{Dispatch, Lookup, Router};
 use crate::http::{HttpError, Request, Response};
@@ -42,8 +43,8 @@ pub(crate) fn error_response(status: u16, kind: &str, message: &str) -> Response
         status,
         format!(
             "{{\"error\":{},\"kind\":{}}}",
-            render_string(message),
-            render_string(kind),
+            json_string(message),
+            json_string(kind),
         ),
     )
 }
@@ -237,10 +238,10 @@ fn positive_param(req: &Request, key: &str) -> Result<Option<u64>, Response> {
 
 /// Converts a collected sample value to JSON (exact integers stay
 /// integers).
-fn sample_json(v: SampleValue) -> Json {
+fn sample_json(v: ExpoValue) -> Json {
     match v {
-        SampleValue::U64(v) => Json::UInt(v),
-        SampleValue::F64(f) => Json::Float(f),
+        ExpoValue::UInt(v) => Json::UInt(v),
+        ExpoValue::Float(f) => Json::Float(f),
     }
 }
 
@@ -353,7 +354,7 @@ fn point_body(fp: &Fingerprint, cached: bool, measurement: &str) -> Response {
         200,
         format!(
             "{{\"fingerprint\":{},\"cached\":{cached},\"measurement\":{measurement}}}",
-            render_string(&fp.to_hex()),
+            json_string(&fp.to_hex()),
         ),
     )
 }
@@ -521,9 +522,9 @@ fn submit(shared: &Shared, req: &Request, _params: &[&str]) -> Dispatch {
     let job = &submission.job;
     let body = format!(
         "{{\"id\":{},\"name\":{},\"status\":{},\"cached\":{},\"points_total\":{}}}",
-        render_string(&job.id.to_hex()),
-        render_string(&job.name),
-        render_string(job.status().as_str()),
+        json_string(&job.id.to_hex()),
+        json_string(&job.name),
+        json_string(job.status().as_str()),
         !submission.fresh,
         job.points_total,
     );
@@ -561,9 +562,9 @@ pub(crate) fn status_response(job: &Job) -> Response {
     let status = job.status();
     let mut body = format!(
         "{{\"id\":{},\"name\":{},\"status\":{},\"points_done\":{},\"points_total\":{}",
-        render_string(&job.id.to_hex()),
-        render_string(&job.name),
-        render_string(status.as_str()),
+        json_string(&job.id.to_hex()),
+        json_string(&job.name),
+        json_string(status.as_str()),
         // A done job's progress is complete by definition, even though
         // a cache-hit reader may race the last progress store.
         if status == JobStatus::Done {
@@ -574,7 +575,7 @@ pub(crate) fn status_response(job: &Job) -> Response {
         job.points_total,
     );
     if let Some(error) = job.error() {
-        body.push_str(&format!(",\"error\":{}", render_string(&error)));
+        body.push_str(&format!(",\"error\":{}", json_string(&error)));
     }
     body.push('}');
     Response::json(200, body)
@@ -597,7 +598,7 @@ fn finished_result(shared: &Shared, id: &str) -> Result<Arc<crate::registry::Job
             409,
             format!(
                 "{{\"error\":\"results not ready\",\"kind\":\"not_ready\",\"status\":{}}}",
-                render_string(other.as_str())
+                json_string(other.as_str())
             ),
         )),
     }

@@ -104,7 +104,7 @@ pub mod sys;
 pub use client::{Client, ClientError, Format, PointReply, ResultBody, Status, Submitted};
 pub use handler::{Dispatch, Handler, Router};
 pub use http::{Body, BodyStream, Limits, Request, Response};
-pub use registry::{Job, JobResult, JobStatus, Metrics, MetricsSnapshot, Registry, SubmitError};
+pub use registry::{Job, JobResult, JobStatus, Metrics, Registry, SubmitError};
 pub use server::{
     default_rules, LocalRunner, MonitorConfig, PointCache, RunOutcome, Server, ServerConfig,
     ServerHandle, SpecRunner, SERVER_TRACE_CAPACITY,

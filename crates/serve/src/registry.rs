@@ -419,12 +419,38 @@ impl Job {
 /// and [`crate::Client::metric`] keep working; the `# HELP`/`# TYPE`
 /// metadata and the latency histogram families are additive.
 ///
-/// Writers follow the snapshot-consistency discipline documented on
-/// [`predllc_obs::metrics`]: the source counter (`cache_misses`) is
-/// incremented before its derived counter (`jobs_queued`), and a state
-/// gauge is decremented before its successor is incremented.
-/// [`Metrics::snapshot`] reads in the reverse order, so a concurrent
-/// snapshot never counts a job in more states than it has submissions.
+/// # The registry's read order is the snapshot
+///
+/// Every reader — `/metrics`, the history collector, the SLO rules and
+/// the fleet mirror — reads through the registry, which reads series in
+/// registration order. Writers follow the discipline documented on
+/// [`predllc_obs::metrics`]: a source counter is incremented before the
+/// series derived from it, and a state gauge is decremented before its
+/// successor is incremented. [`Metrics::new`] therefore registers each
+/// derived or successor series before its source, so a concurrent read
+/// may miss a unit in flight but never counts one twice. The audited
+/// pairs, each read derived-first:
+///
+/// - `jobs_done`/`jobs_failed` ← `jobs_running` ← `jobs_queued` ←
+///   `cache_misses` (an abandoned job goes `jobs_queued` →
+///   `jobs_failed`): no read counts more jobs in states than
+///   submissions.
+/// - `requests_shed` ← `http_requests`: a shed request is counted as a
+///   request first.
+/// - `points_retried` ← `points_assigned`: a point is requeued only
+///   after its dispatch was counted.
+/// - `workers_lost` ← `workers_alive`: the fleet decrements the live
+///   gauge before counting the loss, so `alive + lost` never exceeds
+///   the fleet size.
+///
+/// `cache_hits`, `points_simulated`, `points_cache_shared` and
+/// `connections_open` pair with nothing: a coordinator's
+/// `points_simulated` counts cache-served points that were never
+/// assigned, and a retried point is assigned twice. Histograms need no
+/// order: [`predllc_obs::TimingHistogram::snapshot`] clamps a read
+/// `_count` up to its bucket total. A fleet coordinator mirrors its
+/// workers' series in the same order: registered as read, and each
+/// scrape's values written sources first.
 #[derive(Debug)]
 pub struct Metrics {
     /// The backing registry: extra families (per-endpoint request
@@ -469,61 +495,6 @@ pub struct Metrics {
     pub points_cache_shared: Counter,
 }
 
-/// A point-in-time copy of [`Metrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// Jobs accepted and not yet started.
-    pub jobs_queued: u64,
-    /// Jobs currently executing.
-    pub jobs_running: u64,
-    /// Jobs finished successfully.
-    pub jobs_done: u64,
-    /// Jobs that failed.
-    pub jobs_failed: u64,
-    /// Submissions answered from the cache.
-    pub cache_hits: u64,
-    /// Submissions that created a new job.
-    pub cache_misses: u64,
-    /// Unique grid points simulated.
-    pub points_simulated: u64,
-    /// HTTP requests served.
-    pub http_requests: u64,
-    /// HTTP connections currently open.
-    pub connections_open: u64,
-    /// Requests shed by dispatch-queue backpressure.
-    pub requests_shed: u64,
-    /// Fleet workers currently believed alive.
-    pub workers_alive: u64,
-    /// Fleet workers declared lost.
-    pub workers_lost: u64,
-    /// Grid points dispatched to fleet workers.
-    pub points_assigned: u64,
-    /// Grid points requeued after a worker loss.
-    pub points_retried: u64,
-    /// Point requests answered from a shared point cache.
-    pub points_cache_shared: u64,
-}
-
-/// One job-life counter as [`Metrics::snapshot`] copies it: how to read
-/// it, and which snapshot field receives the value.
-type CounterRead = (fn(&Metrics) -> u64, fn(&mut MetricsSnapshot) -> &mut u64);
-
-/// The order [`Metrics::snapshot`] reads the job-life counters: against
-/// the direction a job moves (done/failed, then running, then queued,
-/// then the submission counters). A job that advances between two reads
-/// is seen in its newer state or missed, never counted twice, and any
-/// state it is seen in was written after its `cache_misses` increment,
-/// which is read last. Every update is sequentially consistent, so the
-/// job-state sum of a snapshot never exceeds `cache_misses`.
-const SNAPSHOT_READ_ORDER: [CounterRead; 6] = [
-    (|m| m.jobs_done.get(), |s| &mut s.jobs_done),
-    (|m| m.jobs_failed.get(), |s| &mut s.jobs_failed),
-    (|m| m.jobs_running.get(), |s| &mut s.jobs_running),
-    (|m| m.jobs_queued.get(), |s| &mut s.jobs_queued),
-    (|m| m.cache_hits.get(), |s| &mut s.cache_hits),
-    (|m| m.cache_misses.get(), |s| &mut s.cache_misses),
-];
-
 impl Default for Metrics {
     fn default() -> Self {
         Metrics::new()
@@ -531,14 +502,16 @@ impl Default for Metrics {
 }
 
 impl Metrics {
-    /// A fresh metric set over its own registry.
+    /// A fresh metric set over its own registry, registered in read
+    /// order (see [`Metrics`]): each derived or successor series before
+    /// its source.
     pub fn new() -> Metrics {
         let registry = MetricRegistry::new();
-        let jobs_queued =
-            registry.gauge("predllc_jobs_queued", "Jobs accepted and not yet started.");
-        let jobs_running = registry.gauge("predllc_jobs_running", "Jobs currently executing.");
         let jobs_done = registry.counter("predllc_jobs_done", "Jobs finished successfully.");
         let jobs_failed = registry.counter("predllc_jobs_failed", "Jobs that failed.");
+        let jobs_running = registry.gauge("predllc_jobs_running", "Jobs currently executing.");
+        let jobs_queued =
+            registry.gauge("predllc_jobs_queued", "Jobs accepted and not yet started.");
         let cache_hits = registry.counter(
             "predllc_cache_hits",
             "Submissions answered from the content-addressed cache.",
@@ -551,30 +524,30 @@ impl Metrics {
             "predllc_points_simulated",
             "Unique grid points simulated (jobs plus the worker point endpoint).",
         );
+        let requests_shed = registry.counter(
+            "predllc_requests_shed",
+            "Requests shed with 429 because the dispatch queue was full.",
+        );
         let http_requests = registry.counter("predllc_http_requests", "HTTP requests served.");
         let connections_open = registry.gauge(
             "predllc_connections_open",
             "HTTP connections currently open.",
         );
-        let requests_shed = registry.counter(
-            "predllc_requests_shed",
-            "Requests shed with 429 because the dispatch queue was full.",
+        let workers_lost = registry.counter(
+            "predllc_workers_lost",
+            "Fleet workers declared lost (heartbeat or dispatch failure).",
         );
         let workers_alive = registry.gauge(
             "predllc_workers_alive",
             "Fleet workers currently believed alive.",
         );
-        let workers_lost = registry.counter(
-            "predllc_workers_lost",
-            "Fleet workers declared lost (heartbeat or dispatch failure).",
+        let points_retried = registry.counter(
+            "predllc_points_retried",
+            "Grid points requeued after their worker was lost mid-flight.",
         );
         let points_assigned = registry.counter(
             "predllc_points_assigned",
             "Grid points dispatched to fleet workers (re-dispatches count again).",
-        );
-        let points_retried = registry.counter(
-            "predllc_points_retried",
-            "Grid points requeued after their worker was lost mid-flight.",
         );
         let points_cache_shared = registry.counter(
             "predllc_points_cache_shared",
@@ -640,29 +613,6 @@ impl Metrics {
             "worker",
             worker,
         )
-    }
-
-    /// Copies every counter. The job-life counters are read against the
-    /// direction jobs move (done/failed, running, queued, then the
-    /// submission counters), so the job-state sum never exceeds
-    /// `cache_misses` in any observed snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snapshot = MetricsSnapshot::default();
-        for (read, field) in SNAPSHOT_READ_ORDER {
-            *field(&mut snapshot) = read(self);
-        }
-        MetricsSnapshot {
-            points_simulated: self.points_simulated.get(),
-            http_requests: self.http_requests.get(),
-            connections_open: self.connections_open.get(),
-            requests_shed: self.requests_shed.get(),
-            workers_alive: self.workers_alive.get(),
-            workers_lost: self.workers_lost.get(),
-            points_assigned: self.points_assigned.get(),
-            points_retried: self.points_retried.get(),
-            points_cache_shared: self.points_cache_shared.get(),
-            ..snapshot
-        }
     }
 
     /// Renders the full Prometheus text exposition (`# HELP`/`# TYPE`
@@ -842,6 +792,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use predllc_obs::metrics::SnapshotValue;
 
     const SPEC: &str = r#"{
         "name": "reg-test", "cores": 2,
@@ -938,8 +889,8 @@ mod tests {
         assert!(!second.fresh);
         assert_eq!(first.job.id, second.job.id);
         assert!(Arc::ptr_eq(&first.job, &second.job));
-        let m = reg.metrics.snapshot();
-        assert_eq!((m.cache_misses, m.cache_hits), (1, 1));
+        let m = &reg.metrics;
+        assert_eq!((m.cache_misses.get(), m.cache_hits.get()), (1, 1));
         assert_eq!(reg.len(), 1);
         // A genuinely different spec gets its own job.
         let other = SPEC.replace("\"seed\": 1", "\"seed\": 2");
@@ -971,7 +922,7 @@ mod tests {
             Err(SubmitError::Spec(SpecError::Invalid { .. }))
         ));
         assert!(reg.is_empty());
-        assert_eq!(reg.metrics.snapshot().cache_misses, 0);
+        assert_eq!(reg.metrics.cache_misses.get(), 0);
     }
 
     #[test]
@@ -1059,15 +1010,15 @@ mod tests {
     fn abandon_settles_counters_and_unregisters() {
         let reg = Registry::new();
         let job = reg.submit(SPEC).unwrap().job;
-        assert_eq!(reg.metrics.snapshot().jobs_queued, 1);
+        assert_eq!(reg.metrics.jobs_queued.get(), 1);
         reg.abandon(&job, "service is shutting down");
         assert_eq!(job.status(), JobStatus::Failed);
         assert!(reg.get(&job.id.to_hex()).is_none());
-        let m = reg.metrics.snapshot();
-        assert_eq!((m.jobs_queued, m.jobs_failed), (0, 1));
+        let m = &reg.metrics;
+        assert_eq!((m.jobs_queued.get(), m.jobs_failed.get()), (0, 1));
         // Idempotent: a second abandon is a no-op.
         reg.abandon(&job, "again");
-        assert_eq!(reg.metrics.snapshot().jobs_failed, 1);
+        assert_eq!(reg.metrics.jobs_failed.get(), 1);
     }
 
     #[test]
@@ -1100,50 +1051,120 @@ mod tests {
         }
     }
 
+    /// One metric update.
+    type Write = fn(&Metrics);
+
+    /// The write sequences production code performs on the declared
+    /// pairs, one unit of work each, built from the writes of each site
+    /// in the order the code performs them.
+    fn lives() -> Vec<(&'static str, Vec<Write>)> {
+        type Writes = [Write; 2];
+        // `Registry::submit`, then `run_jobs` starting and ending a job.
+        let submit: Writes = [|m| m.cache_misses.inc(), |m| m.jobs_queued.inc()];
+        let start: Writes = [|m| m.jobs_queued.dec(), |m| m.jobs_running.inc()];
+        let done: Writes = [|m| m.jobs_running.dec(), |m| m.jobs_done.inc()];
+        let failed: Writes = [|m| m.jobs_running.dec(), |m| m.jobs_failed.inc()];
+        // `Registry::abandon` of a job that never ran.
+        let abandon: Writes = [|m| m.jobs_queued.dec(), |m| m.jobs_failed.inc()];
+        // A reactor shedding a request with 429.
+        let shed: Writes = [|m| m.http_requests.inc(), |m| m.requests_shed.inc()];
+        // The fleet dispatch loop, then `abandon_point` requeueing.
+        let requeue: Writes = [|m| m.points_assigned.inc(), |m| m.points_retried.inc()];
+        // `Coordinator::new` over two workers, then `mark_lost`.
+        let fleet: [Write; 1] = [|m| m.workers_alive.set(2)];
+        let lost: Writes = [|m| m.workers_alive.dec(), |m| m.workers_lost.inc()];
+        vec![
+            ("job done", [submit, start, done].concat()),
+            ("job failed", [submit, start, failed].concat()),
+            ("job abandoned", [submit, abandon].concat()),
+            ("request shed", shed.to_vec()),
+            ("point requeued", requeue.to_vec()),
+            ("worker lost", [&fleet[..], &lost].concat()),
+        ]
+    }
+
+    /// What every read of a `(derived, source)` pair must satisfy.
+    type Invariant = fn(u64, u64) -> bool;
+
+    /// A unit moves from `source` to `derived`: never counted in both.
+    fn moved(derived: u64, source: u64) -> bool {
+        derived + source <= 1
+    }
+
+    /// Every unit counted in `derived` was counted in `source` first.
+    fn counted(derived: u64, source: u64) -> bool {
+        derived <= source
+    }
+
+    /// The declared `(derived, source, invariant)` pairs of [`Metrics`]:
+    /// writers update `source` first, so the registry must read
+    /// `derived` first for `invariant` to hold on every read.
+    const PAIRS: [(&str, &str, Invariant); 8] = [
+        ("predllc_jobs_done", "predllc_jobs_running", moved),
+        ("predllc_jobs_failed", "predllc_jobs_running", moved),
+        ("predllc_jobs_failed", "predllc_jobs_queued", moved),
+        ("predllc_jobs_running", "predllc_jobs_queued", moved),
+        ("predllc_jobs_queued", "predllc_cache_misses", counted),
+        ("predllc_requests_shed", "predllc_http_requests", counted),
+        ("predllc_points_retried", "predllc_points_assigned", counted),
+        (
+            "predllc_workers_lost",
+            "predllc_workers_alive",
+            |lost, alive| lost + alive <= 2,
+        ),
+    ];
+
+    /// Reads one series the way every production reader does: through
+    /// the registry's `snapshot_series`.
+    fn read(metrics: &Metrics, name: &str) -> u64 {
+        let series = metrics.registry.snapshot_series();
+        match series.into_iter().find(|s| s.name == name).map(|s| s.value) {
+            Some(SnapshotValue::Counter(v) | SnapshotValue::Gauge(v)) => v,
+            other => panic!("{name} read as {other:?}"),
+        }
+    }
+
     #[test]
-    fn no_interleaving_of_a_job_life_tears_a_snapshot() {
-        // A job's counter writes, in the order the serve layer issues
-        // them: submitted (registry), then run to done or failure (the
-        // runner), or abandoned while still queued.
-        let done: [fn(&Metrics); 6] = [
-            |m| m.cache_misses.inc(),
-            |m| m.jobs_queued.inc(),
-            |m| m.jobs_queued.dec(),
-            |m| m.jobs_running.inc(),
-            |m| m.jobs_running.dec(),
-            |m| m.jobs_done.inc(),
-        ];
-        let mut failed = done;
-        failed[5] = |m| m.jobs_failed.inc();
-        let abandoned: [fn(&Metrics); 4] = [
-            |m| m.cache_misses.inc(),
-            |m| m.jobs_queued.inc(),
-            |m| m.jobs_queued.dec(),
-            |m| m.jobs_failed.inc(),
-        ];
-        let reads = SNAPSHOT_READ_ORDER.len();
-        for life in [&done[..], &failed[..], &abandoned[..]] {
-            let steps = life.len() + reads;
-            // Each interleaving is the set of steps that are writes.
-            for writes_at in (0u32..1 << steps).filter(|m| m.count_ones() as usize == life.len()) {
-                let metrics = Metrics::default();
-                let mut snapshot = MetricsSnapshot::default();
-                let (mut w, mut r) = (0, 0);
-                for step in 0..steps {
-                    if writes_at & (1 << step) != 0 {
-                        life[w](&metrics);
-                        w += 1;
-                    } else {
-                        let (read, field) = SNAPSHOT_READ_ORDER[r];
-                        *field(&mut snapshot) = read(&metrics);
-                        r += 1;
+    fn no_interleaving_of_a_declared_pair_tears_a_read() {
+        let order: Vec<String> = Metrics::default()
+            .registry
+            .snapshot_series()
+            .into_iter()
+            .map(|s| s.name)
+            .collect();
+        let position = |name: &str| {
+            order
+                .iter()
+                .position(|n| n == name)
+                .unwrap_or_else(|| panic!("{name} is not registered"))
+        };
+        for (derived, source, invariant) in PAIRS {
+            // The registry reads the pair's two series in this order.
+            let mut reads = [derived, source];
+            reads.sort_by_key(|name| position(name));
+            for (life, writes) in lives() {
+                let steps = writes.len() + reads.len();
+                // Each interleaving puts the two reads at steps
+                // `first < second` among the writes.
+                for first in 0..steps {
+                    for second in first + 1..steps {
+                        let metrics = Metrics::default();
+                        let mut pending = writes.iter();
+                        let mut got = HashMap::new();
+                        for step in 0..steps {
+                            match [first, second].iter().position(|&at| at == step) {
+                                Some(r) => _ = got.insert(reads[r], read(&metrics, reads[r])),
+                                None => pending.next().expect("one write per step")(&metrics),
+                            }
+                        }
+                        let (d, s) = (got[derived], got[source]);
+                        assert!(
+                            invariant(d, s),
+                            "torn read {derived} = {d}, {source} = {s} during '{life}' \
+                             (reads at steps {first} and {second})"
+                        );
                     }
                 }
-                let s = &snapshot;
-                assert!(
-                    s.jobs_queued + s.jobs_running + s.jobs_done + s.jobs_failed <= s.cache_misses,
-                    "torn snapshot {s:?} for interleaving {writes_at:#b}"
-                );
             }
         }
     }

@@ -63,7 +63,7 @@ use crate::handler::{Dispatch, Router};
 use crate::http::Limits;
 #[cfg(not(target_os = "linux"))]
 use crate::http::{read_request, write_response, HttpError};
-use crate::registry::{Job, JobResult, Metrics, MetricsSnapshot, Registry};
+use crate::registry::{Job, JobResult, Metrics, Registry};
 
 /// Continuous-monitoring configuration: when set on
 /// [`ServerConfig::monitor`], the server runs an in-process
@@ -721,9 +721,11 @@ impl ServerHandle {
         self.shared.killed.load(Ordering::SeqCst)
     }
 
-    /// A point-in-time copy of the service counters.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.registry.metrics.snapshot()
+    /// The service metric set (shared with a fleet coordinator's
+    /// dispatch loop when one runs behind this server); read a series
+    /// with its handle's `get`.
+    pub fn metrics(&self) -> Arc<Metrics> {
+        Arc::clone(&self.shared.registry.metrics)
     }
 
     /// The server's tracer (the one passed via [`ServerConfig::tracer`]
@@ -969,9 +971,9 @@ mod tests {
             assert_eq!(job.status(), JobStatus::Done, "job {id} did not drain");
         }
         let m = handle.metrics();
-        assert_eq!(m.jobs_done, 2);
-        assert_eq!(m.jobs_running, 0);
-        assert_eq!(m.jobs_queued, 0);
+        assert_eq!(m.jobs_done.get(), 2);
+        assert_eq!(m.jobs_running.get(), 0);
+        assert_eq!(m.jobs_queued.get(), 0);
     }
 
     #[test]
@@ -984,6 +986,6 @@ mod tests {
         // (if racing the close) gets a 503 — either way, no job.
         let mut client = Client::new(handle.addr());
         assert!(client.submit(SPEC).is_err());
-        assert_eq!(handle.metrics().cache_misses, 0);
+        assert_eq!(handle.metrics().cache_misses.get(), 0);
     }
 }

@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod gen;
-pub mod io;
 pub mod rng;
 pub mod spec;
 pub mod trace;

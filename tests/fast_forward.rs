@@ -5,39 +5,41 @@
 //! [`EngineMode::Reference`] and [`EngineMode::FastForward`] and asserts
 //! the full [`predllc::sim::SimStats`] — which includes every per-core
 //! counter *and* the per-core latency histograms — plus the report's
-//! `timed_out` flag and cycle count are equal. The grids are randomized
+//! `timed_out` flag and cycle count are equal, and that with event
+//! recording on both engines log the same events. The grids are randomized
 //! but deterministic (splitmix-style RNG, fixed seeds), the same pattern
 //! as the other property loops in this repo's offline build.
 
 use predllc::model::{Address, CacheGeometry, CoreId, Cycles, MemOp, SlotWidth};
+use predllc::sim::EngineProfile;
 use predllc::workload::rng::Rng64;
 use predllc::workload_gen::{HotColdGen, PointerChaseGen, StrideGen, UniformGen};
 use predllc::{
     ArbiterPolicy, EngineMode, MemoryConfig, MultiCore, PartitionSpec, ReplacementKind, RunReport,
-    SharingMode, Simulator, SystemConfig, SystemConfigBuilder, TdmSchedule, Workload,
+    SharingMode, Simulator, SystemConfigBuilder, TdmSchedule, Workload,
 };
 
-/// Runs one workload under both engines and asserts report equality.
-/// Returns the (identical) report for additional scenario assertions.
+/// Runs one workload under both engines, with event recording off and
+/// on, and asserts report equality — event logs included. Returns the
+/// (identical) unrecorded report for additional scenario assertions.
 fn assert_engines_agree(
-    build: impl Fn(EngineMode) -> SystemConfig,
+    build: impl Fn() -> SystemConfigBuilder,
     workload: &dyn Workload,
     what: &str,
 ) -> RunReport {
-    let reference = Simulator::new(build(EngineMode::Reference))
-        .expect("valid config")
-        .run(workload)
-        .unwrap_or_else(|e| panic!("{what}: reference run failed: {e}"));
-    let fast_cfg = build(EngineMode::FastForward);
-    assert_eq!(
-        fast_cfg.effective_engine(),
-        EngineMode::FastForward,
-        "{what}: fast-forward did not engage"
-    );
-    let fast = Simulator::new(fast_cfg)
-        .expect("valid config")
-        .run(workload)
-        .unwrap_or_else(|e| panic!("{what}: fast run failed: {e}"));
+    let run = |mode: EngineMode, events: bool| {
+        let cfg = build()
+            .engine(mode)
+            .record_events(events)
+            .build()
+            .unwrap_or_else(|e| panic!("{what}: invalid config: {e}"));
+        Simulator::new(cfg)
+            .expect("valid config")
+            .run(workload)
+            .unwrap_or_else(|e| panic!("{what}: {mode} run failed: {e}"))
+    };
+    let reference = run(EngineMode::Reference, false);
+    let fast = run(EngineMode::FastForward, false);
     assert_eq!(reference.stats, fast.stats, "{what}: stats diverged");
     assert_eq!(
         reference.timed_out, fast.timed_out,
@@ -57,6 +59,23 @@ fn assert_engines_agree(
     assert!(
         fast.events.events().is_empty(),
         "{what}: fast logged events"
+    );
+    // With recording on, both loops log the same events, and recording
+    // changes nothing else.
+    let logged_reference = run(EngineMode::Reference, true);
+    let logged_fast = run(EngineMode::FastForward, true);
+    assert_eq!(
+        logged_reference.events.events(),
+        logged_fast.events.events(),
+        "{what}: event logs diverged"
+    );
+    assert_eq!(
+        logged_fast.stats, fast.stats,
+        "{what}: recording changed the stats"
+    );
+    assert_eq!(
+        logged_reference.stats, reference.stats,
+        "{what}: recording changed the reference stats"
     );
     fast
 }
@@ -143,7 +162,7 @@ fn private_partition_grids_agree() {
         let replacement = random_replacement(&mut rng);
         let arbiter = random_arbiter(&mut rng);
         assert_engines_agree(
-            |mode| {
+            || {
                 SystemConfigBuilder::new(cores)
                     .partitions(
                         CoreId::first(cores)
@@ -153,9 +172,6 @@ fn private_partition_grids_agree() {
                     .llc_replacement(replacement)
                     .private_replacement(replacement)
                     .arbiter(arbiter)
-                    .engine(mode)
-                    .build()
-                    .expect("valid grid point")
             },
             &wl,
             &format!("private grid round {round}"),
@@ -179,7 +195,7 @@ fn shared_partition_grids_agree() {
         let wl = random_workload(&mut rng, cores, ops);
         let arbiter = random_arbiter(&mut rng);
         assert_engines_agree(
-            |mode| {
+            || {
                 SystemConfigBuilder::new(cores)
                     .partitions(vec![PartitionSpec::shared(
                         sets,
@@ -188,9 +204,6 @@ fn shared_partition_grids_agree() {
                         mode_kind,
                     )])
                     .arbiter(arbiter)
-                    .engine(mode)
-                    .build()
-                    .expect("valid grid point")
             },
             &wl,
             &format!("shared({mode_kind:?}) grid round {round}"),
@@ -208,21 +221,17 @@ fn mixed_private_and_shared_partitions_agree() {
         let ops = 150 + rng.below(500) as usize;
         let wl = random_workload(&mut rng, 4, ops);
         assert_engines_agree(
-            |mode| {
-                SystemConfigBuilder::new(4)
-                    .partitions(vec![
-                        PartitionSpec::private(4, 2, CoreId::new(0)),
-                        PartitionSpec::shared(
-                            1,
-                            2,
-                            vec![CoreId::new(1), CoreId::new(2)],
-                            SharingMode::BestEffort,
-                        ),
-                        PartitionSpec::private(2, 2, CoreId::new(3)),
-                    ])
-                    .engine(mode)
-                    .build()
-                    .expect("valid mixed config")
+            || {
+                SystemConfigBuilder::new(4).partitions(vec![
+                    PartitionSpec::private(4, 2, CoreId::new(0)),
+                    PartitionSpec::shared(
+                        1,
+                        2,
+                        vec![CoreId::new(1), CoreId::new(2)],
+                        SharingMode::BestEffort,
+                    ),
+                    PartitionSpec::private(2, 2, CoreId::new(3)),
+                ])
             },
             &wl,
             &format!("mixed grid round {round}"),
@@ -247,7 +256,7 @@ fn banked_and_worst_case_backends_agree() {
         let ops = 150 + rng.below(500) as usize;
         let wl = random_workload(&mut rng, cores, ops);
         let report = assert_engines_agree(
-            |mode| {
+            || {
                 SystemConfigBuilder::new(cores)
                     .partitions(
                         CoreId::first(cores)
@@ -255,9 +264,6 @@ fn banked_and_worst_case_backends_agree() {
                             .collect(),
                     )
                     .memory(memory.clone())
-                    .engine(mode)
-                    .build()
-                    .expect("valid backend config")
             },
             &wl,
             &format!("backend {}", memory.label()),
@@ -286,7 +292,7 @@ fn weighted_schedules_and_timeouts_agree() {
         .collect();
     let wl = vec![t0, t1];
     let report = assert_engines_agree(
-        |mode| {
+        || {
             SystemConfigBuilder::new(2)
                 .schedule(schedule.clone())
                 .partitions(vec![PartitionSpec::shared(
@@ -296,9 +302,6 @@ fn weighted_schedules_and_timeouts_agree() {
                     SharingMode::BestEffort,
                 )])
                 .max_cycles(30_000)
-                .engine(mode)
-                .build()
-                .expect("valid fig2 config")
         },
         &wl,
         "fig2 timeout",
@@ -314,7 +317,7 @@ fn weighted_schedules_and_timeouts_agree() {
         let cap = 40 + rng.next_u64() % 20_000;
         let wl = random_workload(&mut rng, cores, ops);
         assert_engines_agree(
-            |mode| {
+            || {
                 SystemConfigBuilder::new(cores)
                     .partitions(
                         CoreId::first(cores)
@@ -322,9 +325,6 @@ fn weighted_schedules_and_timeouts_agree() {
                             .collect(),
                     )
                     .max_cycles(cap)
-                    .engine(mode)
-                    .build()
-                    .expect("valid capped config")
             },
             &wl,
             &format!("capped round {round} (cap {cap})"),
@@ -344,7 +344,7 @@ fn odd_slot_widths_and_latencies_agree() {
         let ops = 200 + rng.below(800) as usize;
         let wl = random_workload(&mut rng, cores, ops);
         assert_engines_agree(
-            |mode| {
+            || {
                 SystemConfigBuilder::new(cores)
                     .slot_width(SlotWidth::new(sw).expect("nonzero"))
                     .l1_latency(Cycles::new(l1))
@@ -355,9 +355,6 @@ fn odd_slot_widths_and_latencies_agree() {
                             .map(|c| PartitionSpec::private(3, 2, c))
                             .collect(),
                     )
-                    .engine(mode)
-                    .build()
-                    .expect("valid odd-width config")
             },
             &wl,
             &format!("odd widths round {round} (sw {sw}, l1 {l1}, l2 {l2})"),
@@ -376,7 +373,7 @@ fn many_tenant_llc_hit_grid_agrees() {
         wl = wl.core(StrideGen::new(u64::from(i) << 20, 64 * 96, 400));
     }
     let report = assert_engines_agree(
-        |mode| {
+        || {
             SystemConfigBuilder::new(tenants)
                 .physical_llc(CacheGeometry::new(8 * u32::from(tenants), 16, 64).expect("valid"))
                 .partitions(
@@ -384,9 +381,6 @@ fn many_tenant_llc_hit_grid_agrees() {
                         .map(|c| PartitionSpec::private(6, 16, c))
                         .collect(),
                 )
-                .engine(mode)
-                .build()
-                .expect("valid tenant config")
         },
         &wl,
         "many-tenant llc-hit grid",
@@ -411,7 +405,7 @@ fn long_private_op_with_busy_bus_does_not_false_deadlock() {
     let t1 = StrideGen::new(1 << 20, 64 * 4096, 70_000).trace();
     let wl = vec![t0, t1];
     let report = assert_engines_agree(
-        |mode| {
+        || {
             SystemConfigBuilder::new(2)
                 .l1_latency(Cycles::new(l1))
                 .partitions(vec![PartitionSpec::shared(
@@ -420,9 +414,6 @@ fn long_private_op_with_busy_bus_does_not_false_deadlock() {
                     CoreId::first(2).collect(),
                     SharingMode::BestEffort,
                 )])
-                .engine(mode)
-                .build()
-                .expect("valid long-op config")
         },
         &wl,
         "long private op under busy bus",
@@ -432,14 +423,15 @@ fn long_private_op_with_busy_bus_does_not_false_deadlock() {
 }
 
 #[test]
-fn event_recording_falls_back_and_logs_identically() {
-    // With an event sink attached, FastForward resolves to the reference
-    // path — the logs (and everything else) must be identical to an
-    // explicit reference run.
+fn the_fast_loop_records_the_reference_event_log() {
+    // Event recording does not force the reference loop: a recorded
+    // fast-forward run leaps idle slots (the idle-jump stage, which only
+    // the fast loop profiles) and still logs exactly the reference
+    // loop's events.
     let mut rng = Rng64::new(0xE7E9_0001);
     let wl = random_workload(&mut rng, 2, 300);
-    let build = |mode: EngineMode| {
-        SystemConfigBuilder::new(2)
+    let run = |mode: EngineMode| {
+        let cfg = SystemConfigBuilder::new(2)
             .partitions(vec![PartitionSpec::shared(
                 1,
                 2,
@@ -449,15 +441,21 @@ fn event_recording_falls_back_and_logs_identically() {
             .record_events(true)
             .engine(mode)
             .build()
-            .expect("valid config")
+            .expect("valid config");
+        let profile = EngineProfile::new(1);
+        let report = Simulator::new(cfg)
+            .unwrap()
+            .run_profiled(&wl, Some(&profile))
+            .unwrap();
+        (report, profile.idle_jump.count())
     };
-    let fast_cfg = build(EngineMode::FastForward);
-    assert_eq!(fast_cfg.effective_engine(), EngineMode::Reference);
-    let reference = Simulator::new(build(EngineMode::Reference))
-        .unwrap()
-        .run(&wl)
-        .unwrap();
-    let fast = Simulator::new(fast_cfg).unwrap().run(&wl).unwrap();
+    let (reference, reference_leaps) = run(EngineMode::Reference);
+    let (fast, fast_leaps) = run(EngineMode::FastForward);
+    assert_eq!(reference_leaps, 0, "the reference loop never leaps");
+    assert!(
+        fast_leaps > 0,
+        "the recorded run did not take the fast loop"
+    );
     assert_eq!(reference.stats, fast.stats);
     assert_eq!(reference.events.events(), fast.events.events());
     assert!(!fast.events.events().is_empty());

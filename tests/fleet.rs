@@ -206,15 +206,17 @@ fn a_worker_killed_mid_run_does_not_change_the_bytes() {
     assert_eq!(render_csv(&report.grid), reference);
     assert!(doomed.was_killed(), "the fault injector never fired");
     assert_eq!(coordinator.live_workers(), 1);
-    let snap = metrics.snapshot();
-    assert_eq!(snap.workers_lost, 1);
-    assert_eq!(snap.workers_alive, 1);
+    assert_eq!(metrics.workers_lost.get(), 1);
+    assert_eq!(metrics.workers_alive.get(), 1);
     assert!(
-        snap.points_retried >= 1,
+        metrics.points_retried.get() >= 1,
         "the killed worker's point was never reassigned"
     );
     // Every point was assigned at least once, plus the reassignments.
-    assert_eq!(snap.points_assigned, 4 + snap.points_retried);
+    assert_eq!(
+        metrics.points_assigned.get(),
+        4 + metrics.points_retried.get()
+    );
 
     doomed_join.join().expect("killed server thread");
     stop_worker(&survivor, survivor_join);
@@ -234,7 +236,7 @@ fn losing_every_worker_fails_instead_of_hanging() {
         other => panic!("expected NoWorkers, got {other:?}"),
     }
     assert_eq!(coordinator.live_workers(), 0);
-    assert_eq!(metrics.snapshot().workers_lost, 1);
+    assert_eq!(metrics.workers_lost.get(), 1);
     doomed_join.join().expect("killed server thread");
 }
 
@@ -335,7 +337,7 @@ fn the_coordinator_point_cache_spans_runs_and_specs() {
     let coordinator = coordinator_over([handle.addr()], Arc::clone(&metrics));
 
     let first = coordinator.run(&spec, &|_, _| {}).unwrap();
-    assert_eq!(metrics.snapshot().points_assigned, 4);
+    assert_eq!(metrics.points_assigned.get(), 4);
 
     // A different experiment sharing two physical points: both answered
     // from the coordinator's cache, nothing reaches the worker.
@@ -354,16 +356,18 @@ fn the_coordinator_point_cache_spans_runs_and_specs() {
     let served = coordinator.run(&subset_spec, &|_, _| {}).unwrap();
     let local = run_spec(&subset_spec, &Executor::new(1)).unwrap();
     assert_eq!(served.grid, local.grid);
-    let snap = metrics.snapshot();
-    assert_eq!(snap.points_assigned, 4, "the subset re-reached the worker");
-    assert_eq!(snap.points_cache_shared, 2);
+    assert_eq!(
+        metrics.points_assigned.get(),
+        4,
+        "the subset re-reached the worker"
+    );
+    assert_eq!(metrics.points_cache_shared.get(), 2);
 
     // A full re-run is served entirely from the cache, byte-identically.
     let again = coordinator.run(&spec, &|_, _| {}).unwrap();
     assert_eq!(render_csv(&again.grid), render_csv(&first.grid));
-    let snap = metrics.snapshot();
-    assert_eq!(snap.points_assigned, 4);
-    assert_eq!(snap.points_cache_shared, 6);
+    assert_eq!(metrics.points_assigned.get(), 4);
+    assert_eq!(metrics.points_cache_shared.get(), 6);
     stop_worker(&handle, join);
 }
 

@@ -418,7 +418,7 @@ fn fleet_worker_loss_goes_stale_and_fires_the_alert() {
     let report = coordinator.run(&spec, &|_, _| {}).unwrap();
     assert_eq!(report.unique_points, 4);
     assert!(doomed.was_killed(), "the fault injector never fired");
-    assert_eq!(metrics.snapshot().workers_lost, 1);
+    assert_eq!(metrics.workers_lost.get(), 1);
 
     // The alerts gauge transitions 0 -> 1 as the worker-loss rule
     // fires on a collector tick.

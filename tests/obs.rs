@@ -2,7 +2,7 @@
 //! exposition round-trips through the in-tree validator (registry
 //! output and a live server's `/metrics` alike), trace JSONL parses
 //! back to the events that produced it with any JSON parser, a
-//! concurrent `MetricsSnapshot` never observes a torn counter pair,
+//! concurrent `/metrics` render never observes a torn counter pair,
 //! one trace id spans coordinator- and worker-side events of the
 //! same fleet run, and a server's own trace ring stays bounded while
 //! keeping its newest job's trace whole.
@@ -215,38 +215,35 @@ fn trace_jsonl_round_trips_through_a_real_json_parser() {
 
 #[test]
 fn concurrent_snapshots_never_observe_a_torn_job_state() {
+    const READS: usize = 2_000;
     // Writers follow the source-before-derived discipline the serve
     // layer uses (cache_misses before jobs_queued; dec a state gauge
-    // before inc'ing its successor). A racing reader must never see
-    // more jobs in flight than submissions, whatever the interleaving.
+    // before inc'ing its successor). A racing reader of the `/metrics`
+    // exposition must never see more jobs in flight than submissions,
+    // whatever the interleaving.
     let metrics = Arc::new(Metrics::default());
     let stop = Arc::new(AtomicBool::new(false));
-
-    let reader = {
-        let metrics = Arc::clone(&metrics);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut checked = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                let s = metrics.snapshot();
-                let states = s.jobs_queued + s.jobs_running + s.jobs_done + s.jobs_failed;
-                assert!(
-                    states <= s.cache_misses,
-                    "torn snapshot: {states} job states > {} submissions",
-                    s.cache_misses
-                );
-                checked += 1;
-            }
-            checked
-        })
+    let jobs = |text: &str| {
+        let expo = expo::parse(text).expect("metrics render must parse");
+        let value = |name: &str| match expo.family(name).map(|f| f.samples[0].value) {
+            Some(expo::ExpoValue::UInt(v)) => v,
+            other => panic!("{name} read as {other:?}"),
+        };
+        let states: u64 = ["queued", "running", "done", "failed"]
+            .iter()
+            .map(|s| value(&format!("predllc_jobs_{s}")))
+            .sum();
+        (states, value("predllc_cache_misses"))
     };
 
-    let writers: Vec<_> = (0..4)
+    // Two writers run job lives, exactly as the serve layer does,
+    // until the reader has checked its reads.
+    let writers: Vec<_> = (0..2)
         .map(|_| {
             let metrics = Arc::clone(&metrics);
+            let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                for _ in 0..20_000 {
-                    // One job's life, exactly as the serve layer runs it.
+                while !stop.load(Ordering::Relaxed) {
                     metrics.cache_misses.inc();
                     metrics.jobs_queued.inc();
                     metrics.jobs_queued.dec();
@@ -257,17 +254,23 @@ fn concurrent_snapshots_never_observe_a_torn_job_state() {
             })
         })
         .collect();
+    for _ in 0..READS {
+        let text = metrics.render();
+        let (states, submissions) = jobs(&text);
+        assert!(
+            states <= submissions,
+            "torn read: {states} job states > {submissions} submissions in\n{text}"
+        );
+    }
+    stop.store(true, Ordering::Relaxed);
     for w in writers {
         w.join().unwrap();
     }
-    stop.store(true, Ordering::Relaxed);
-    let checked = reader.join().unwrap();
-    assert!(checked > 0, "the reader never ran");
 
-    let s = metrics.snapshot();
-    assert_eq!(s.cache_misses, 80_000);
-    assert_eq!(s.jobs_done, 80_000);
-    assert_eq!(s.jobs_queued + s.jobs_running, 0);
+    // Every life ran to completion: all submissions are done.
+    let (states, submissions) = jobs(&metrics.render());
+    assert_eq!(states, submissions);
+    assert_eq!(metrics.jobs_done.get(), submissions);
 }
 
 #[test]

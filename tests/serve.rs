@@ -697,7 +697,7 @@ fn shutdown_drains_every_accepted_job() {
         assert!(job.result().is_some());
     }
     let metrics = handle.metrics();
-    assert_eq!(metrics.jobs_done, 3);
-    assert_eq!(metrics.jobs_queued, 0);
-    assert_eq!(metrics.jobs_running, 0);
+    assert_eq!(metrics.jobs_done.get(), 3);
+    assert_eq!(metrics.jobs_queued.get(), 0);
+    assert_eq!(metrics.jobs_running.get(), 0);
 }
