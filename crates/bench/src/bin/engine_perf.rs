@@ -7,11 +7,12 @@
 //! workload is the multi-tenant LLC-hit grid (`llc-hit-256t`): 256
 //! tenants behind `predllc-serve` style consolidation, 1M operations
 //! total, ~97% LLC hits — the regime in which the reference engine's
-//! `O(cores)` work per bus slot dominates and fast-forward's
-//! `O(log cores)` calendar pays off. `llc-miss-4c` covers the other
-//! regime, the one the paper's shared-partition sweeps live in: almost
-//! every op misses into a shared partition and costs a full LLC slot
-//! transaction with an eviction.
+//! `O(cores)` work per bus slot dominates and fast-forward's walk over
+//! the TDM schedule, `O(1)` per transaction on a busy bus, pays off.
+//! `llc-miss-4c` covers the other regime, the one the paper's
+//! shared-partition sweeps live in: almost every op misses into a
+//! shared partition and costs a full LLC slot transaction with an
+//! eviction.
 //!
 //! ```text
 //! engine_perf [--quick] [--out BENCH_engine.json]
@@ -34,6 +35,10 @@
 //! slow the fast engine) and `attribution_overhead` (running with
 //! latency attribution on must keep the outputs bit-identical, sum its
 //! components exactly, and stay within tolerance of the plain run).
+//!
+//! Every timing goes through one trial runner, which rotates the
+//! starting variant every round and writes every sample to the JSON
+//! artifact; a metric is judged on its best sample.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -42,7 +47,7 @@ use std::time::Instant;
 use predllc_bench::{data, error, status};
 use predllc_core::config::EngineMode;
 use predllc_core::EngineProfile;
-use predllc_core::{PartitionSpec, SharingMode, Simulator, SystemConfig};
+use predllc_core::{PartitionSpec, RunReport, SharingMode, Simulator, SystemConfig};
 use predllc_explore::json::{parse, Json};
 use predllc_model::{CacheGeometry, CoreId};
 use predllc_workload::gen::{HotColdGen, PointerChaseGen, StrideGen};
@@ -64,6 +69,8 @@ struct Outcome {
     ref_mops: f64,
     fast_mops: f64,
     speedup: f64,
+    ref_samples: Vec<f64>,
+    fast_samples: Vec<f64>,
 }
 
 /// The 4-core private-hit-heavy workload: 98% of accesses in a hot set
@@ -165,29 +172,44 @@ fn llc_miss_scenario(ops_per_core: usize) -> Scenario {
     }
 }
 
-/// Runs one engine mode over a scenario, returning the best ops/sec of
-/// `iters` timed runs (first run warms caches and the page allocator)
-/// and the final report for the equality check.
-fn time_mode(s: &Scenario, mode: EngineMode, iters: usize) -> (f64, predllc_core::RunReport) {
-    let sim = Simulator::new((s.config)(mode)).expect("valid benchmark configuration");
-    let mut best = 0.0f64;
-    let mut report = None;
-    for _ in 0..=iters {
-        let t0 = Instant::now();
-        let r = sim.run(&s.workload).expect("benchmark workload completes");
-        let dt = t0.elapsed().as_secs_f64();
-        if report.is_some() {
-            // First run is the warm-up.
-            best = best.max(s.total_ops as f64 / dt);
+/// The trial runner: runs every variant once to warm caches and the
+/// page allocator, then times `iters` rounds, each starting one variant
+/// later than the last (AB, BA, …). Returns every variant's timed
+/// samples in Mops/s and its last report, for the equality checks. A
+/// variant is a simulator plus the profile it runs with, if any.
+fn trials<const N: usize>(
+    s: &Scenario,
+    iters: usize,
+    variants: [(&Simulator, Option<&EngineProfile>); N],
+) -> ([Vec<f64>; N], [RunReport; N]) {
+    let run = |(sim, profile): (&Simulator, Option<&EngineProfile>)| {
+        sim.run_profiled(&s.workload, profile)
+            .expect("benchmark workload completes")
+    };
+    let mut reports = variants.map(run);
+    let mut samples: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(iters));
+    for round in 0..iters {
+        for k in 0..N {
+            let v = (round + k) % N;
+            let t0 = Instant::now();
+            let report = run(variants[v]);
+            samples[v].push(s.total_ops as f64 / t0.elapsed().as_secs_f64() / 1e6);
+            reports[v] = report;
         }
-        report = Some(r);
     }
-    (best / 1e6, report.expect("at least one run"))
+    (samples, reports)
+}
+
+/// The estimator every metric is judged on: the best sample.
+fn best(samples: &[f64]) -> f64 {
+    samples.iter().copied().fold(0.0, f64::max)
 }
 
 fn run_scenario(s: &Scenario, iters: usize) -> Outcome {
-    let (ref_mops, ref_report) = time_mode(s, EngineMode::Reference, iters);
-    let (fast_mops, fast_report) = time_mode(s, EngineMode::FastForward, iters);
+    let sim = |mode| Simulator::new((s.config)(mode)).expect("valid benchmark configuration");
+    let (reference, fast) = (sim(EngineMode::Reference), sim(EngineMode::FastForward));
+    let ([ref_samples, fast_samples], [ref_report, fast_report]) =
+        trials(s, iters, [(&reference, None), (&fast, None)]);
     assert_eq!(
         ref_report.stats, fast_report.stats,
         "{}: fast-forward diverged from the reference engine",
@@ -195,16 +217,19 @@ fn run_scenario(s: &Scenario, iters: usize) -> Outcome {
     );
     assert_eq!(ref_report.timed_out, fast_report.timed_out);
     assert_eq!(ref_report.cycles, fast_report.cycles);
+    let (ref_mops, fast_mops) = (best(&ref_samples), best(&fast_samples));
     Outcome {
         name: s.name,
         total_ops: s.total_ops,
         ref_mops,
         fast_mops,
         speedup: fast_mops / ref_mops,
+        ref_samples,
+        fast_samples,
     }
 }
 
-fn render_json(outcomes: &[Outcome], headline: &str) -> String {
+fn render_json(outcomes: &[Outcome], overheads: Vec<Json>, headline: &str) -> String {
     let workloads = outcomes
         .iter()
         .map(|o| {
@@ -214,6 +239,8 @@ fn render_json(outcomes: &[Outcome], headline: &str) -> String {
                 ("ref_mops".into(), Json::Float(round3(o.ref_mops))),
                 ("fast_mops".into(), Json::Float(round3(o.fast_mops))),
                 ("speedup".into(), Json::Float(round3(o.speedup))),
+                ("ref_mops_samples".into(), samples_json(&o.ref_samples)),
+                ("fast_mops_samples".into(), samples_json(&o.fast_samples)),
             ])
         })
         .collect();
@@ -221,8 +248,23 @@ fn render_json(outcomes: &[Outcome], headline: &str) -> String {
         ("benchmark".into(), Json::Str("engine_perf".into())),
         ("headline".into(), Json::Str(headline.into())),
         ("workloads".into(), Json::Array(workloads)),
+        ("overhead_checks".into(), Json::Array(overheads)),
     ])
     .render_pretty()
+}
+
+fn samples_json(samples: &[f64]) -> Json {
+    Json::Array(samples.iter().map(|&v| Json::Float(round3(v))).collect())
+}
+
+/// An overhead check's entry in `BENCH_engine.json`: every timed
+/// sample of its plain (`off`) and instrumented (`on`) runs.
+fn overhead_json(name: &str, [off, on]: &[Vec<f64>; 2]) -> Json {
+    Json::Object(vec![
+        ("name".into(), Json::Str(name.into())),
+        ("off_mops_samples".into(), samples_json(off)),
+        ("on_mops_samples".into(), samples_json(on)),
+    ])
 }
 
 fn round3(v: f64) -> f64 {
@@ -323,50 +365,30 @@ fn gate(outcomes: &[Outcome], baseline: &Json, tolerance: f64) -> (String, bool)
 /// and `run_profiled` with a sampled [`EngineProfile`] attached. The
 /// profiled run must (a) produce bit-identical stats, (b) actually
 /// record stage samples, and (c) stay within `tolerance` of the plain
-/// run's throughput. Returns whether the check passed.
-fn obs_overhead_check(total_ops: usize, iters: usize, tolerance: f64) -> bool {
+/// run's throughput. Returns whether the check passed, and its samples
+/// for the artifact.
+fn obs_overhead_check(total_ops: usize, iters: usize, tolerance: f64) -> (bool, Json) {
     let s = llc_hit_scenario(64, total_ops);
     let sim =
         Simulator::new((s.config)(EngineMode::FastForward)).expect("valid benchmark configuration");
-    let mut plain_best = 0.0f64;
-    let mut profiled_best = 0.0f64;
-    let mut plain_report = None;
-    let mut profiled_report = None;
     let profile = EngineProfile::new(1024);
-    // Interleave the two variants so frequency scaling and cache state
-    // bias neither side; first pair is the warm-up.
-    for warm in 0..=iters {
-        let t0 = Instant::now();
-        let r = sim.run(&s.workload).expect("benchmark workload completes");
-        let plain_dt = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let rp = sim
-            .run_profiled(&s.workload, Some(&profile))
-            .expect("benchmark workload completes");
-        let profiled_dt = t1.elapsed().as_secs_f64();
-        if warm > 0 {
-            plain_best = plain_best.max(s.total_ops as f64 / plain_dt);
-            profiled_best = profiled_best.max(s.total_ops as f64 / profiled_dt);
-        }
-        plain_report = Some(r);
-        profiled_report = Some(rp);
-    }
-    let plain = plain_report.expect("at least one run");
-    let profiled = profiled_report.expect("at least one run");
+    let (samples, [plain, profiled]) = trials(&s, iters, [(&sim, None), (&sim, Some(&profile))]);
+    let artifact = overhead_json("obs_overhead", &samples);
+    let (plain_best, profiled_best) = (best(&samples[0]), best(&samples[1]));
     if plain.stats != profiled.stats || plain.cycles != profiled.cycles {
         error!("obs_overhead: a profiled run diverged from the plain run");
-        return false;
+        return (false, artifact);
     }
     if profile.samples() == 0 {
         error!("obs_overhead: the attached profile recorded no stage samples");
-        return false;
+        return (false, artifact);
     }
     let overhead = 1.0 - profiled_best / plain_best;
     data!(
         "obs_overhead: plain {:.2} Mops/s, profiled {:.2} Mops/s, overhead {:+.1}% \
          ({} stage samples, stats bit-identical)",
-        plain_best / 1e6,
-        profiled_best / 1e6,
+        plain_best,
+        profiled_best,
         overhead * 100.0,
         profile.samples()
     );
@@ -376,9 +398,9 @@ fn obs_overhead_check(total_ops: usize, iters: usize, tolerance: f64) -> bool {
             overhead * 100.0,
             tolerance * 100.0
         );
-        return false;
+        return (false, artifact);
     }
-    true
+    (true, artifact)
 }
 
 /// The `attribution_overhead` check: the same fast-forward workload
@@ -387,57 +409,38 @@ fn obs_overhead_check(total_ops: usize, iters: usize, tolerance: f64) -> bool {
 /// reads), (b) actually attribute — the component totals sum exactly
 /// to the recorded request latencies and a worst-case witness exists —
 /// and (c) stay within `tolerance` of the plain run's throughput.
-/// Returns whether the check passed.
-fn attribution_overhead_check(total_ops: usize, iters: usize, tolerance: f64) -> bool {
+/// Returns whether the check passed, and its samples for the artifact.
+fn attribution_overhead_check(total_ops: usize, iters: usize, tolerance: f64) -> (bool, Json) {
     let s = llc_hit_scenario(64, total_ops);
     let off =
         Simulator::new((s.config)(EngineMode::FastForward)).expect("valid benchmark configuration");
     let on = Simulator::new((s.config)(EngineMode::FastForward).with_attribution(true))
         .expect("valid benchmark configuration");
-    let mut off_best = 0.0f64;
-    let mut on_best = 0.0f64;
-    let mut off_report = None;
-    let mut on_report = None;
-    // Interleave the two variants so frequency scaling and cache state
-    // bias neither side; first pair is the warm-up.
-    for warm in 0..=iters {
-        let t0 = Instant::now();
-        let r = off.run(&s.workload).expect("benchmark workload completes");
-        let off_dt = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let ra = on.run(&s.workload).expect("benchmark workload completes");
-        let on_dt = t1.elapsed().as_secs_f64();
-        if warm > 0 {
-            off_best = off_best.max(s.total_ops as f64 / off_dt);
-            on_best = on_best.max(s.total_ops as f64 / on_dt);
-        }
-        off_report = Some(r);
-        on_report = Some(ra);
-    }
-    let plain = off_report.expect("at least one run");
-    let attributed = on_report.expect("at least one run");
+    let (samples, [plain, attributed]) = trials(&s, iters, [(&off, None), (&on, None)]);
+    let artifact = overhead_json("attribution_overhead", &samples);
+    let (off_best, on_best) = (best(&samples[0]), best(&samples[1]));
     if plain.stats != attributed.stats || plain.cycles != attributed.cycles {
         error!("attribution_overhead: an attributed run diverged from the plain run");
-        return false;
+        return (false, artifact);
     }
     let Some(attr) = attributed.attribution() else {
         error!("attribution_overhead: the attributed run produced no report");
-        return false;
+        return (false, artifact);
     };
     if attr.total_components().total() != attributed.latency_histogram().total() {
         error!("attribution_overhead: the component totals miss the recorded latencies");
-        return false;
+        return (false, artifact);
     }
     if attr.witness().is_none() {
         error!("attribution_overhead: the attributed run produced no worst-case witness");
-        return false;
+        return (false, artifact);
     }
     let overhead = 1.0 - on_best / off_best;
     data!(
         "attribution_overhead: off {:.2} Mops/s, on {:.2} Mops/s, overhead {:+.1}% \
          (stats bit-identical, component sums exact)",
-        off_best / 1e6,
-        on_best / 1e6,
+        off_best,
+        on_best,
         overhead * 100.0
     );
     if overhead > tolerance {
@@ -446,9 +449,9 @@ fn attribution_overhead_check(total_ops: usize, iters: usize, tolerance: f64) ->
             overhead * 100.0,
             tolerance * 100.0
         );
-        return false;
+        return (false, artifact);
     }
-    true
+    (true, artifact)
 }
 
 fn main() -> ExitCode {
@@ -511,14 +514,16 @@ fn main() -> ExitCode {
     // the fast engine must neither change the simulation nor cost more
     // than the gate tolerance, and a run without one must stay on the
     // single-branch hot path.
-    let obs_ok = obs_overhead_check(overhead_ops, iters, tolerance);
+    let (obs_ok, obs_samples) = obs_overhead_check(overhead_ops, iters, tolerance);
     // The attribution-overhead check: running with latency attribution
     // on must neither change the simulation nor cost more than the
     // gate tolerance.
-    let attribution_ok = attribution_overhead_check(overhead_ops, iters, tolerance);
+    let (attribution_ok, attribution_samples) =
+        attribution_overhead_check(overhead_ops, iters, tolerance);
     let mut ok = obs_ok && attribution_ok;
 
-    let json = render_json(&outcomes, "llc-hit-256t");
+    let overheads = vec![obs_samples, attribution_samples];
+    let json = render_json(&outcomes, overheads, "llc-hit-256t");
     match std::fs::write(&out, &json) {
         Ok(()) => status!("wrote {out}"),
         Err(e) => {

@@ -15,9 +15,9 @@ use crate::partition::{PartitionMap, PartitionSpec, SharingMode};
 /// Both engines produce bit-identical [`crate::RunReport`]s — same
 /// [`crate::SimStats`], same latency histograms, same event logs — the
 /// fast-forward engine just gets there without walking every bus slot:
-/// it batch-advances private-hit runs, jumps time across slots in which
-/// no core can transmit, and services steady LLC-hit runs through a
-/// specialized path with bulk histogram updates.
+/// it batch-advances private-hit runs, walks the TDM schedule to the
+/// next slot whose owner can transmit (leaping the idle slots before
+/// it), and records steady LLC-hit runs' latencies in bulk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EngineMode {
     /// The slot-by-slot reference loop (the oracle the fast-forward

@@ -29,8 +29,10 @@
 //!   oracle;
 //! * the **fast-forward** engine (`EngineMode::FastForward`, the
 //!   default) batch-advances each private-hit
-//!   run in one call, tracks the next slot in which *any* core can
-//!   transmit in a calendar heap (`O(log n)` per transaction instead of
+//!   run in one call, finds the next slot in which *any* core can
+//!   transmit by walking the TDM schedule forward from the cursor to the
+//!   first slot whose owner holds a write-back or a ready request
+//!   (`O(1)` per transaction while the bus is busy, instead of
 //!   `O(cores)` per slot), jumps time directly across idle-slot spans
 //!   (accounting them in bulk), and records steady LLC-hit runs with
 //!   run-length-batched latency recording
@@ -47,8 +49,6 @@
 //! every slot the fast engine skips is idle by construction, so
 //! `record_events(true)` runs on whichever engine was selected.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use predllc_bus::{BusGrant, SlotArbiter, TdmSchedule};
@@ -256,7 +256,6 @@ impl Simulator {
             events: EventLog::new(cfg.record_events()),
             lat_batch: vec![(Cycles::ZERO, 0); n as usize],
             fast,
-            scratch_acks: Vec::new(),
             attr: cfg
                 .attribution()
                 .then(|| Box::new(AttrState::new(n as usize, cfg.slot_width().cycles()))),
@@ -271,8 +270,8 @@ impl Simulator {
     }
 }
 
-/// What one processed slot accomplished, for the fast engine's calendar
-/// bookkeeping. (The reference engine only reads `progressed`.)
+/// What one processed slot accomplished. Both loops read `progressed`;
+/// the fast loop also returns a `responded` owner to its running set.
 struct SlotOutcome {
     /// A bus transaction happened (write-back transmitted or request
     /// granted) — resets the deadlock guard, as in the seed engine.
@@ -302,9 +301,6 @@ struct Engine<'c, I> {
     /// latency batching, so the reference loop records every latency
     /// directly — an independent oracle for the differential suite.
     fast: bool,
-    /// Cores that were handed an acknowledgement write-back in the last
-    /// processed slot (their bus calendar changed).
-    scratch_acks: Vec<usize>,
     /// Latency attribution, when enabled. Purely an observer: all its
     /// hooks read engine state and accumulate on the side, so the
     /// simulation — and every existing counter — is bit-identical with
@@ -381,13 +377,21 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
     ///   running (a partition-mate's eviction could invalidate their
     ///   future hits), which forces stepped slots only while one of them
     ///   is mid-run;
-    /// * a calendar heap tracks, per core, the next slot in which it
-    ///   could transmit (pending write-back, or pending request once
-    ///   ready); every slot before the earliest calendar entry is idle
-    ///   by construction and is accounted in bulk;
+    /// * otherwise the next transaction is the first slot, walking the
+    ///   TDM schedule forward from the cursor, whose owner holds a
+    ///   write-back or a ready request ([`Self::next_transmit`]); every
+    ///   slot before it is idle by construction and is accounted in
+    ///   bulk;
     /// * op-completion progress for the deadlock guard is credited at
     ///   the slot boundary where the reference engine would have counted
     ///   it (the first boundary at or after the op's start).
+    ///
+    /// While the bus is busy the walk stops at the cursor's own slot, so
+    /// a transaction costs `O(1)`; an idle leap costs at most two
+    /// periods plus one pass over the cores. The one costly regime is
+    /// many tenants on a mostly idle bus (say one busy core among
+    /// hundreds of finished ones), where every transaction walks up to a
+    /// period of empty slots.
     fn run_fast(&mut self) -> Result<(bool, u64), SimError> {
         let sw = self.sw;
         let sw_raw = sw.as_u64();
@@ -410,29 +414,6 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                     .is_private()
             })
             .collect();
-        // Owned slot positions within one period, per core.
-        let period = self.schedule.period();
-        let mut positions: Vec<Vec<u64>> = vec![Vec::new(); n];
-        for (pos, owner) in self.schedule.slot_owners().iter().enumerate() {
-            positions[owner.as_usize()].push(pos as u64);
-        }
-        // First slot >= `from` owned by core `i`.
-        let next_owned = |i: usize, from: u64| -> u64 {
-            let base = from - from % period;
-            let off = from % period;
-            for &q in &positions[i] {
-                if q >= off {
-                    return base + q;
-                }
-            }
-            base + period + positions[i][0]
-        };
-
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        // The currently valid calendar slot per core (`u64::MAX` = none):
-        // a heap entry is current iff it matches this stamp, so lazy
-        // validation is one compare instead of a state recomputation.
-        let mut cand_slot: Vec<u64> = vec![u64::MAX; n];
         let mut running: Vec<usize> = (0..n).collect();
         let mut finished = 0usize;
         let mut finish_boundary: u64 = 0;
@@ -472,21 +453,12 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                         }
                         CoreProgress::Stalled => {
                             running.swap_remove(k);
-                            let c = candidate(cores, i, slot, sw_raw, &next_owned)
-                                .expect("a stalled core holds a request");
-                            cand_slot[i] = c;
-                            heap.push(Reverse((c, i)));
                         }
                         CoreProgress::Finished => {
                             running.swap_remove(k);
                             finished += 1;
                             let at = stats.core_mut(id).finished_at.as_u64();
                             finish_boundary = finish_boundary.max(at.div_ceil(sw_raw));
-                            // A finished core may still owe write-backs.
-                            if let Some(c) = candidate(cores, i, slot, sw_raw, &next_owned) {
-                                cand_slot[i] = c;
-                                heap.push(Reverse((c, i)));
-                            }
                         }
                     }
                 }
@@ -501,24 +473,10 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
             };
             let sel_start = sel_prof.map(|_| Instant::now());
             let event = if shared_running {
-                Event::Step
+                Event::Transact(slot)
             } else {
-                // Validate calendar entries lazily until the minimum is
-                // current, then pick the earliest of: transaction slot,
-                // all-finished boundary, cycle cap, deadlock threshold.
-                let s_cand = loop {
-                    let Some(&Reverse((s, i))) = heap.peek() else {
-                        break None;
-                    };
-                    if cand_slot[i] == s {
-                        break Some(s);
-                    }
-                    // Stale entry: drop it; reinsert the current stamp if
-                    // this core still has one and no entry carries it yet
-                    // (the push that set the stamp also pushed an entry,
-                    // so a mismatch here is always a leftover duplicate).
-                    heap.pop();
-                };
+                // Pick the earliest of: transaction slot, all-finished
+                // boundary, cycle cap, deadlock threshold.
                 let b_fin = (finished == n).then_some(finish_boundary);
                 let d_slot = last_progress_slot + DEADLOCK_GUARD_SLOTS;
                 // Precedence at equal slots mirrors the reference loop's
@@ -536,19 +494,10 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                         choice = Event::Finish(b);
                     }
                 }
-                if let Some(s) = s_cand {
-                    if s < choice.slot() {
-                        choice = Event::Transact(s);
-                        // Consume the calendar entry: the slot is being
-                        // processed now, and the post-slot bookkeeping
-                        // reinserts whatever the core still owes.
-                        let Some(Reverse((_, i))) = heap.pop() else {
-                            unreachable!("peeked entry vanished");
-                        };
-                        cand_slot[i] = u64::MAX;
-                    }
+                match self.next_transmit(slot, choice.slot()) {
+                    Some(s) => Event::Transact(s),
+                    None => choice,
                 }
-                choice
             };
             // Only a genuine leap over idle slots counts as the
             // idle-jump stage; a same-slot transaction is ordinary
@@ -559,120 +508,75 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                 }
             }
 
+            // Every slot before the event is idle by construction: its
+            // owner has neither a write-back nor a ready request (the walk
+            // stopped at the first slot whose owner does).
+            debug_assert!(event.slot() >= slot, "event slot behind the cursor");
+            let skipped = event.slot() - slot;
+            self.stats.slots += skipped;
+            self.stats.idle_slots += skipped;
+            slot = event.slot();
             match event {
-                Event::Step => {
-                    let out = self.process_slot(slot, now);
-                    if out.progressed {
-                        last_progress_slot = last_progress_slot.max(slot);
-                    }
-                    self.post_slot(
-                        out,
-                        slot,
-                        &mut running,
-                        &mut heap,
-                        &mut cand_slot,
-                        &next_owned,
-                    );
-                    self.stats.slots += 1;
-                    slot += 1;
-                    if slot.saturating_sub(last_progress_slot) >= DEADLOCK_GUARD_SLOTS {
-                        return Err(self.deadlock_at(slot));
-                    }
-                }
-                Event::Transact(s) => {
-                    debug_assert!(s >= slot, "calendar slot behind the cursor");
-                    // Every slot in between is idle by construction: its
-                    // owner has neither a write-back nor a ready request
-                    // (the calendar holds an entry for every core that
-                    // does). Bank state composes with the jump because it
-                    // is keyed by transaction timestamps, which the jump
+                Event::Transact(_) => {
+                    // Bank state composes with the jump because it is
+                    // keyed by transaction timestamps, which the jump
                     // preserves; residual busyness never outlives the
                     // write-recovery window of the last transaction.
                     debug_assert!(
-                        s == slot
+                        skipped == 0
                             || self.llc.memory_next_busy_until()
-                                <= self.sw.slot_start(s) + self.sw.cycles(),
+                                <= sw.slot_start(slot) + sw.cycles(),
                         "idle-slot jump would overrun residual bank busyness"
                     );
-                    let skipped = s - slot;
-                    self.stats.slots += skipped;
-                    self.stats.idle_slots += skipped;
-                    slot = s;
                     let now = sw.slot_start(slot);
                     let out = self.process_slot(slot, now);
                     if out.progressed {
                         last_progress_slot = last_progress_slot.max(slot);
                     }
-                    self.post_slot(
-                        out,
-                        slot,
-                        &mut running,
-                        &mut heap,
-                        &mut cand_slot,
-                        &next_owned,
-                    );
+                    // A responded owner resumes local execution.
+                    if out.responded {
+                        running.push(self.schedule.owner(slot).as_usize());
+                    }
                     self.stats.slots += 1;
                     slot += 1;
                     if slot.saturating_sub(last_progress_slot) >= DEADLOCK_GUARD_SLOTS {
                         return Err(self.deadlock_at(slot));
                     }
                 }
-                Event::Finish(b) => {
-                    let skipped = b - slot;
-                    self.stats.slots += skipped;
-                    self.stats.idle_slots += skipped;
-                    return Ok((false, b));
-                }
-                Event::Timeout(cs) => {
-                    let skipped = cs - slot;
-                    self.stats.slots += skipped;
-                    self.stats.idle_slots += skipped;
-                    return Ok((true, cs));
-                }
-                Event::Deadlock(d) => {
-                    return Err(self.deadlock_at(d));
-                }
+                Event::Finish(_) => return Ok((false, slot)),
+                Event::Timeout(_) => return Ok((true, slot)),
+                Event::Deadlock(_) => return Err(self.deadlock_at(slot)),
             }
         }
     }
 
-    /// Post-transaction calendar maintenance: the owner (and any cores
-    /// that were handed acknowledgement write-backs) may transmit at new
-    /// slots; a responded owner resumes local execution.
-    /// Recomputes calendar entries after a processed slot. Every write
-    /// updates the stamp in `cand_slot` — including clearing it when a
-    /// core no longer has anything to transmit, so entries left behind by
-    /// stepped slots can never validate against a stale stamp.
-    fn post_slot(
-        &mut self,
-        out: SlotOutcome,
-        slot: u64,
-        running: &mut Vec<usize>,
-        heap: &mut BinaryHeap<Reverse<(u64, usize)>>,
-        cand_slot: &mut [u64],
-        next_owned: &dyn Fn(usize, u64) -> u64,
-    ) {
+    /// The first slot in `from..until` whose owner holds a write-back or
+    /// a request ready at the slot's start. Called only while no
+    /// shared-partition core is mid-run, so no core's buffers change
+    /// before its next transaction.
+    ///
+    /// Every core owns a slot in any window one period long
+    /// (`TdmSchedule::new`), so one period's walk meets every write-back.
+    /// Finding none, the earliest request's ready slot `r` bounds the
+    /// leap: one more period from `max(r, from + period)` reaches its owner.
+    fn next_transmit(&self, from: u64, until: u64) -> Option<u64> {
+        let period = self.schedule.period();
+        let can_transmit = |s: u64| {
+            let core = &self.cores[self.schedule.owner(s).as_usize()];
+            !core.pwb.is_empty() || core.request_ready(self.sw.slot_start(s))
+        };
+        if let Some(s) = (from..until.min(from + period)).find(|&s| can_transmit(s)) {
+            return Some(s);
+        }
         let sw_raw = self.sw.as_u64();
-        let oi = self.schedule.owner(slot).as_usize();
-        let from = slot + 1;
-        for k in 0..self.scratch_acks.len() {
-            let t = self.scratch_acks[k];
-            let c = candidate(&self.cores, t, from, sw_raw, next_owned)
-                .expect("an ack target holds a write-back");
-            cand_slot[t] = c;
-            heap.push(Reverse((c, t)));
-        }
-        if out.responded {
-            running.push(oi);
-        }
-        // The owner may still hold a write-back or an unanswered request.
-        match candidate(&self.cores, oi, from, sw_raw, next_owned) {
-            Some(c) => {
-                cand_slot[oi] = c;
-                heap.push(Reverse((c, oi)));
-            }
-            None => cand_slot[oi] = u64::MAX,
-        }
+        let r = self
+            .cores
+            .iter()
+            .filter_map(|c| c.prb.peek())
+            .map(|req| req.issued_at.as_u64().div_ceil(sw_raw))
+            .min()?;
+        let start = r.max(from + period);
+        (start..until.min(start + period)).find(|&s| can_transmit(s))
     }
 
     fn deadlock_at(&self, slot: u64) -> SimError {
@@ -711,7 +615,6 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
         let sw = self.sw;
         let precise_sharers = self.cfg.precise_sharers();
         let fast = self.fast;
-        self.scratch_acks.clear();
         let Engine {
             cores,
             llc,
@@ -719,7 +622,6 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
             events,
             schedule,
             lat_batch,
-            scratch_acks,
             attr,
             ..
         } = self;
@@ -869,7 +771,6 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                             kind: predllc_bus::WbKind::BackInvalAck,
                             enqueued_at: now,
                         });
-                        scratch_acks.push(target.as_usize());
                     }
                 }
                 if let Some(position) = res.sequencer_position {
@@ -1069,9 +970,9 @@ fn witness_snapshot<I: Iterator<Item = predllc_model::MemOp>>(
 /// The fast engine's next time-advancing step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    /// A shared-partition core is mid-run: process the current slot.
-    Step,
-    /// The earliest slot in which some core can transmit.
+    /// Process this slot: the earliest slot in which some core can
+    /// transmit, or the current one while a shared-partition core is
+    /// mid-run.
     Transact(u64),
     /// The boundary at which the reference engine observes every core
     /// finished.
@@ -1085,31 +986,8 @@ enum Event {
 impl Event {
     fn slot(self) -> u64 {
         match self {
-            Event::Step => 0,
             Event::Transact(s) | Event::Finish(s) | Event::Timeout(s) | Event::Deadlock(s) => s,
         }
-    }
-}
-
-/// The next slot in which core `i` could transmit, from `from` onward:
-/// its next owned slot if a write-back is queued (a write-back may use
-/// any owned slot), otherwise the first owned slot at or after its
-/// pending request becomes ready, otherwise `None`.
-fn candidate<I: Iterator<Item = predllc_model::MemOp>>(
-    cores: &[CoreModel<I>],
-    i: usize,
-    from: u64,
-    sw_raw: u64,
-    next_owned: &dyn Fn(usize, u64) -> u64,
-) -> Option<u64> {
-    let core = &cores[i];
-    if !core.pwb.is_empty() {
-        Some(next_owned(i, from))
-    } else {
-        core.prb.peek().map(|r| {
-            let ready = r.issued_at.as_u64().div_ceil(sw_raw);
-            next_owned(i, from.max(ready))
-        })
     }
 }
 

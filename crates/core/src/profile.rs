@@ -32,15 +32,16 @@ pub const STAGE_METRIC: &str = "predllc_engine_stage_ns";
 /// * `dram` — a granted transaction whose LLC service or write-back
 ///   touched the memory backend.
 /// * `idle_jump` — the fast-forward loop's event selection when it
-///   decides to leap over idle slots (calendar validation + the
-///   four-way precedence pick).
+///   decides to leap over idle slots (the walk over the TDM schedule to
+///   the next transmitting slot + the four-way precedence pick).
 ///
 /// Only every `sample_every`-th profiling opportunity is timed, so the
 /// observer cost stays bounded on multi-million-slot runs.
 #[derive(Debug)]
 pub struct EngineProfile {
     sample_every: u64,
-    tick: AtomicU64,
+    /// Opportunities left before the next sample.
+    countdown: AtomicU64,
     /// Grant-selection timings.
     pub arbiter: TimingHistogram,
     /// LLC-only transaction timings.
@@ -57,7 +58,7 @@ impl EngineProfile {
     pub fn new(sample_every: u64) -> EngineProfile {
         EngineProfile {
             sample_every: sample_every.max(1),
-            tick: AtomicU64::new(0),
+            countdown: AtomicU64::new(0),
             arbiter: TimingHistogram::default(),
             llc: TimingHistogram::default(),
             dram: TimingHistogram::default(),
@@ -72,7 +73,7 @@ impl EngineProfile {
         const HELP: &str = "Sampled wall-clock time per engine stage";
         EngineProfile {
             sample_every: sample_every.max(1),
-            tick: AtomicU64::new(0),
+            countdown: AtomicU64::new(0),
             arbiter: registry.histogram_with(STAGE_METRIC, HELP, "stage", "arbiter"),
             llc: registry.histogram_with(STAGE_METRIC, HELP, "stage", "llc"),
             dram: registry.histogram_with(STAGE_METRIC, HELP, "stage", "dram"),
@@ -85,12 +86,16 @@ impl EngineProfile {
         self.sample_every
     }
 
-    /// Whether this profiling opportunity should be timed. Consumes one
-    /// tick of the sampling counter.
+    /// Whether this profiling opportunity should be timed: the first
+    /// one and every `sample_every`-th after it are. The countdown is a
+    /// plain load and store, not a locked read-modify-write, so the
+    /// engine's per-slot check stays nearly free; runs sharing one
+    /// profile concurrently may sample slightly more or less often.
     pub fn should_sample(&self) -> bool {
-        self.tick
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(self.sample_every)
+        let left = self.countdown.load(Ordering::Relaxed);
+        let next = left.checked_sub(1).unwrap_or(self.sample_every - 1);
+        self.countdown.store(next, Ordering::Relaxed);
+        left == 0
     }
 
     /// Total samples recorded across all four stages.

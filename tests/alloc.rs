@@ -6,9 +6,9 @@
 //!
 //! Whatever a run allocates up front (cores, caches, streams) or while
 //! its bounded structures reach their working size (histogram buckets,
-//! per-set sequencer queues, write-back buffers, the calendar heap) is
-//! the same at both lengths. Only a per-request allocation would make
-//! the longer run allocate more, by thousands.
+//! per-set sequencer queues, write-back buffers) is the same at both
+//! lengths. Only a per-request allocation would make the longer run
+//! allocate more, by thousands.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

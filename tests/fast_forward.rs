@@ -330,6 +330,36 @@ fn weighted_schedules_and_timeouts_agree() {
             &format!("capped round {round} (cap {cap})"),
         );
     }
+
+    // Solo cores leaping idle spans under a weighted schedule whose
+    // period exceeds the core count: the search for the next
+    // transmitting slot must span a whole period, not one slot per core.
+    let mut rng = Rng64::new(0x5C4E_D01E);
+    for round in 0..8 {
+        let cores = 2 + (rng.below(4) as u16);
+        let mut slots: Vec<CoreId> = CoreId::first(cores)
+            .flat_map(|c| std::iter::repeat_n(c, 1 + rng.below(3) as usize))
+            .collect();
+        for i in (1..slots.len()).rev() {
+            slots.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let schedule = TdmSchedule::new(slots).expect("every core owns a slot");
+        let ops = 200 + rng.below(800) as usize;
+        let wl = random_workload(&mut rng, cores, ops);
+        assert_engines_agree(
+            || {
+                SystemConfigBuilder::new(cores)
+                    .schedule(schedule.clone())
+                    .partitions(
+                        CoreId::first(cores)
+                            .map(|c| PartitionSpec::private(2, 2, c))
+                            .collect(),
+                    )
+            },
+            &wl,
+            &format!("weighted private round {round} ({schedule:?})"),
+        );
+    }
 }
 
 #[test]
@@ -366,7 +396,7 @@ fn odd_slot_widths_and_latencies_agree() {
 fn many_tenant_llc_hit_grid_agrees() {
     // A scaled-down version of the engine_perf headline workload: every
     // op misses private and hits the LLC, across enough tenants that the
-    // fast engine's calendar heap actually matters.
+    // fast engine's walk over the TDM schedule spans many owners.
     let tenants = 24u16;
     let mut wl = MultiCore::new();
     for i in 0..tenants {
