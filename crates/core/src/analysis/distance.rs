@@ -164,7 +164,7 @@ mod tests {
     }
 
     fn log(entries: &[(u64, EventKind)]) -> EventLog {
-        let mut l = EventLog::new(true);
+        let mut l = EventLog::default();
         for &(slot, kind) in entries {
             l.push(Cycles::new(slot * 50), slot, kind);
         }

@@ -22,9 +22,10 @@
 //!
 //! The decomposition is exact by construction: for every completed
 //! request, the components sum to the recorded latency — in both the
-//! reference and the fast-forward engine, which attribute through the
-//! same per-slot hooks (the fast engine batches runs of identical
-//! component vectors, so the overhead of attribution stays near zero).
+//! reference and the fast-forward engine, which attribute from the same
+//! slot facts (the `Blocked` events the stats and the event log count
+//! too; the fast engine batches runs of identical component vectors, so
+//! the overhead of attribution stays near zero).
 //! Attribution only *reads* the simulation: every counter, histogram and
 //! event in the report is bit-identical with it on or off.
 //!
@@ -73,6 +74,7 @@ use predllc_workload::Workload;
 use crate::config::SystemConfig;
 use crate::engine::Simulator;
 use crate::error::SimError;
+use crate::events::{BlockReason, EventKind};
 use crate::histogram::LatencyHistogram;
 use crate::llc::MemTraffic;
 
@@ -339,7 +341,8 @@ impl AttributionReport {
 
 /// The engine-side accumulator: per-request wait counters, run-length
 /// batched component records, and the running witness. Lives on the
-/// engine only when attribution is enabled; all its hooks are observers.
+/// engine only when attribution is enabled; it only reads what the
+/// engine shows it.
 #[derive(Debug)]
 pub(crate) struct AttrState {
     /// Slot width in cycles.
@@ -374,17 +377,19 @@ impl AttrState {
         }
     }
 
-    /// The slot's owner spent an owned slot on a write-back while its
-    /// request was pending.
-    pub(crate) fn note_writeback_wait(&mut self, core: usize) {
-        self.wait_wb[core] += 1;
-    }
-
-    /// The slot's owner had a ready request that made no progress
-    /// (stuck behind an eviction, blocked by the LLC, or queued in the
-    /// sequencer).
-    pub(crate) fn note_blocked_wait(&mut self, core: usize) {
-        self.wait_blocked[core] += 1;
+    /// Folds one slot fact. A `Blocked` event is an owned slot the
+    /// core's pending request lost: to the core's own write-back, or
+    /// waiting on the LLC (an eviction in flight, or the set sequencer).
+    #[inline]
+    pub(crate) fn event(&mut self, kind: &EventKind) {
+        if let EventKind::Blocked { core, reason } = *kind {
+            let waits = if reason == BlockReason::SlotUsedForWriteback {
+                &mut self.wait_wb
+            } else {
+                &mut self.wait_blocked
+            };
+            waits[core.as_usize()] += 1;
+        }
     }
 
     /// A request completed: decompose its latency, accumulate, and
@@ -555,9 +560,18 @@ mod tests {
     #[test]
     fn wait_slots_and_dram_split_the_window() {
         let mut a = AttrState::new(1, Cycles::new(50));
-        a.note_writeback_wait(0);
-        a.note_blocked_wait(0);
-        a.note_blocked_wait(0);
+        let blocked = |reason| EventKind::Blocked {
+            core: CoreId::new(0),
+            reason,
+        };
+        a.event(&blocked(BlockReason::SlotUsedForWriteback));
+        a.event(&blocked(BlockReason::WaitingForEviction));
+        a.event(&blocked(BlockReason::NotHead));
+        // Not a lost slot: folds nothing.
+        a.event(&EventKind::Hit {
+            core: CoreId::new(0),
+            line: LineAddr::new(7),
+        });
         let traffic = MemTraffic {
             line: LineAddr::new(7),
             write: false,

@@ -76,7 +76,6 @@ pub struct SystemConfig {
     memory: MemoryConfig,
     max_cycles: Option<u64>,
     record_events: bool,
-    precise_sharers: bool,
     engine: EngineMode,
     attribution: bool,
 }
@@ -218,15 +217,6 @@ impl SystemConfig {
         self.engine
     }
 
-    /// Whether the LLC tracks private sharers precisely (clean L2 drops
-    /// notify the LLC, so evictions of no-longer-cached lines complete
-    /// in-slot). On by default, matching the paper's simulator; turning
-    /// it off keeps sharer bits conservatively stale, which only adds
-    /// acknowledgement slots and is useful as an ablation.
-    pub fn precise_sharers(&self) -> bool {
-        self.precise_sharers
-    }
-
     /// Whether latency attribution is enabled (see
     /// [`crate::attribution`]). Off by default. Attribution only *reads*
     /// the simulation — every counter, histogram and event in the
@@ -277,7 +267,6 @@ pub struct SystemConfigBuilder {
     memory: MemoryConfig,
     max_cycles: Option<u64>,
     record_events: bool,
-    precise_sharers: bool,
     engine: EngineMode,
     attribution: bool,
 }
@@ -302,7 +291,6 @@ impl SystemConfigBuilder {
             memory: MemoryConfig::default(),
             max_cycles: None,
             record_events: false,
-            precise_sharers: true,
             engine: EngineMode::FastForward,
             attribution: false,
         }
@@ -407,12 +395,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Enables or disables precise LLC sharer tracking (default: on).
-    pub fn precise_sharers(mut self, on: bool) -> Self {
-        self.precise_sharers = on;
-        self
-    }
-
     /// Selects the simulation engine (default:
     /// [`EngineMode::FastForward`]).
     pub fn engine(mut self, mode: EngineMode) -> Self {
@@ -489,7 +471,6 @@ impl SystemConfigBuilder {
             memory: self.memory,
             max_cycles: self.max_cycles,
             record_events: self.record_events,
-            precise_sharers: self.precise_sharers,
             engine: self.engine,
             attribution: self.attribution,
         })

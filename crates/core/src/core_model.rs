@@ -196,10 +196,10 @@ impl<I: Iterator<Item = MemOp>> CoreModel<I> {
     /// and resumes execution at `resume` (the end of the response slot).
     ///
     /// Returns the request's issue timestamp (for latency accounting)
-    /// and the clean L2 victim the refill silently dropped, if any —
-    /// the engine forwards the drop to the LLC's sharer tracking when
-    /// precise tracking is enabled. A dirty victim is pushed to the PWB
-    /// as a capacity write-back instead.
+    /// and the clean L2 victim the refill dropped, if any — the engine
+    /// forwards every such drop to the LLC, which clears the core's
+    /// sharer bit. A dirty victim is pushed to the PWB as a capacity
+    /// write-back instead.
     ///
     /// # Panics
     ///

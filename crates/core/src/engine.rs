@@ -45,15 +45,29 @@
 //! Both engines produce bit-identical [`RunReport`]s, event logs
 //! included — the differential suite in `tests/fast_forward.rs` holds
 //! them equal over randomized configuration × workload grids. Events
-//! are recorded only inside the slot transaction both loops share, and
+//! are emitted only inside the slot transaction both loops share, and
 //! every slot the fast engine skips is idle by construction, so
 //! `record_events(true)` runs on whichever engine was selected.
+//!
+//! # One emission per slot fact
+//!
+//! Every fact of a slot — a hit, a fill, a blocked request, a
+//! write-back, an eviction, a freed line — is emitted once, as an
+//! [`EventKind`]. [`SimStats`] counts it, and then a private `Watch`
+//! shows it to whichever observers the run asked for: the event log
+//! (`record_events`) and latency attribution (`attribution`), which
+//! folds the `Blocked` events into its write-back and LLC waits. The
+//! same `Watch` carries the optional [`EngineProfile`], whose stage
+//! clocks the loops lap at each profiling opportunity. An unobserved run
+//! pays one branch on an empty `Option` per observer touched; nothing
+//! an observer does feeds back into simulated time.
 
 use std::time::Instant;
 
 use predllc_bus::{BusGrant, SlotArbiter, TdmSchedule};
 use predllc_cache::PrivateHierarchy;
 use predllc_model::{CoreId, Cycles, SlotWidth};
+use predllc_obs::TimingHistogram;
 use predllc_workload::{OpStream, Workload};
 
 use crate::attribution::{AttrState, AttributionReport, InterfererSnapshot};
@@ -193,13 +207,15 @@ impl Simulator {
 
     /// Like [`Simulator::run`], with optional sampled stage profiling.
     ///
-    /// When `profile` is `Some`, every `sample_every`-th slot's
-    /// wall-clock cost is recorded into the profile's per-stage
-    /// histograms (arbiter / LLC / DRAM / idle-jump). Profiling only
-    /// *reads* time — it never feeds back into simulated time — so the
-    /// returned [`RunReport`] is bit-identical to an unprofiled run.
-    /// When `profile` is `None` the instrumentation collapses to one
-    /// untaken branch per slot.
+    /// When `profile` is `Some`, the wall-clock cost of every
+    /// `sample_every`-th profiling opportunity (a processed slot, or the
+    /// fast loop's choice of its next step) is recorded into the
+    /// profile's per-stage histograms (arbiter / LLC / DRAM /
+    /// idle-jump). Profiling only *reads* time — it never feeds back
+    /// into simulated time — so the returned [`RunReport`] is
+    /// bit-identical to an unprofiled run. When `profile` is `None` no
+    /// clock is read: each opportunity costs a branch on an empty
+    /// `Option`.
     ///
     /// # Errors
     ///
@@ -253,13 +269,15 @@ impl Simulator {
             cores,
             llc,
             stats: SimStats::new(n),
-            events: EventLog::new(cfg.record_events()),
             lat_batch: vec![(Cycles::ZERO, 0); n as usize],
             fast,
-            attr: cfg
-                .attribution()
-                .then(|| Box::new(AttrState::new(n as usize, cfg.slot_width().cycles()))),
-            profile,
+            watch: Watch {
+                log: cfg.record_events().then(EventLog::default),
+                attr: cfg
+                    .attribution()
+                    .then(|| Box::new(AttrState::new(n as usize, cfg.slot_width().cycles()))),
+                profile,
+            },
         };
         let (timed_out, end_slot) = if fast {
             engine.run_fast()?
@@ -291,7 +309,6 @@ struct Engine<'c, I> {
     cores: Vec<CoreModel<I>>,
     llc: SharedLlc,
     stats: SimStats,
-    events: EventLog,
     /// Per-core run-length latency batch `(latency, count)` — flushed
     /// into the histogram whenever the latency changes and at the end of
     /// the run. Only active in fast-forward mode; the reference engine
@@ -301,15 +318,64 @@ struct Engine<'c, I> {
     /// latency batching, so the reference loop records every latency
     /// directly — an independent oracle for the differential suite.
     fast: bool,
-    /// Latency attribution, when enabled. Purely an observer: all its
-    /// hooks read engine state and accumulate on the side, so the
-    /// simulation — and every existing counter — is bit-identical with
-    /// it present or absent.
+    /// Whatever the run asked to observe.
+    watch: Watch<'c>,
+}
+
+/// Everything that watches a run without steering it: the event log,
+/// latency attribution and sampled stage profiling, each present only
+/// when the run asked for it. The engine shows it every slot fact once
+/// ([`Watch::event`]) and laps the profile's stage clocks through it
+/// ([`Watch::lap`]). Nothing here feeds back into simulated time, so a
+/// watched run's stats are bit-identical to an unwatched one's.
+///
+/// The watch is concrete on purpose: a run generic over its observer
+/// compiles one copy of the slot transaction per observer, and the
+/// unobserved run is timed against a different copy from the observed
+/// one. Stage clocks live on the caller's stack, not in here: a clock
+/// field measured a higher profiling overhead.
+struct Watch<'p> {
+    log: Option<EventLog>,
     attr: Option<Box<AttrState>>,
-    /// Sampled stage profiling, when the caller asked for it. `None`
-    /// costs one untaken branch per slot; timings are read-only and
-    /// never influence simulated time.
-    profile: Option<&'c EngineProfile>,
+    profile: Option<&'p EngineProfile>,
+}
+
+impl Watch<'_> {
+    /// Shows one slot fact to attribution and the event log.
+    #[inline]
+    fn event(&mut self, at: Cycles, slot: u64, kind: EventKind) {
+        if let Some(attr) = &mut self.attr {
+            attr.event(&kind);
+        }
+        if let Some(log) = &mut self.log {
+            log.push(at, slot, kind);
+        }
+    }
+
+    /// A profiling opportunity: the start of a stage clock when the
+    /// profile samples this one, `None` otherwise (and always without a
+    /// profile, which reads no clock).
+    #[inline]
+    fn clock(&self) -> Option<Instant> {
+        self.profile
+            .filter(|p| p.should_sample())
+            .map(|_| Instant::now())
+    }
+
+    /// Records the time since `clock` into the `stage` histogram and
+    /// restarts the clock; does nothing on an unsampled opportunity.
+    #[inline]
+    fn lap(
+        &self,
+        clock: &mut Option<Instant>,
+        stage: impl FnOnce(&EngineProfile) -> &TimingHistogram,
+    ) {
+        if let (Some(start), Some(p)) = (clock.as_mut(), self.profile) {
+            let now = Instant::now();
+            stage(p).record(now - *start);
+            *start = now;
+        }
+    }
 }
 
 impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
@@ -467,11 +533,11 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
             // 2. While a shared-partition core is mid-run, its future
             //    hits are exposed to partition-mates' evictions: step
             //    this slot exactly like the reference engine.
-            let sel_prof = match self.profile {
-                Some(p) if !shared_running && p.should_sample() => Some(p),
-                _ => None,
+            let mut clock = if shared_running {
+                None
+            } else {
+                self.watch.clock()
             };
-            let sel_start = sel_prof.map(|_| Instant::now());
             let event = if shared_running {
                 Event::Transact(slot)
             } else {
@@ -502,10 +568,8 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
             // Only a genuine leap over idle slots counts as the
             // idle-jump stage; a same-slot transaction is ordinary
             // event selection.
-            if let (Some(p), Some(t)) = (sel_prof, sel_start) {
-                if matches!(event, Event::Transact(s) if s > slot) {
-                    p.idle_jump.record(t.elapsed());
-                }
+            if matches!(event, Event::Transact(s) if s > slot) {
+                self.watch.lap(&mut clock, |p| &p.idle_jump);
             }
 
             // Every slot before the event is idle by construction: its
@@ -595,42 +659,36 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
     /// service or write-back, and all the accounting. This is the single
     /// shared implementation both engine loops call, so their behaviour
     /// cannot drift.
+    ///
+    /// Each fact of the slot is emitted once, through `emit!`: counted
+    /// into the stats ([`SimStats::count`]), then shown to the [`Watch`].
+    /// The counters, the event log and attribution's waits are one
+    /// stream, so they cannot disagree either.
     fn process_slot(&mut self, slot: u64, now: Cycles) -> SlotOutcome {
-        // Disabled profiling is exactly this one untaken branch.
-        match self.profile {
-            Some(p) if p.should_sample() => self.process_slot_timed(Some(p), slot, now),
-            _ => self.process_slot_timed(None, slot, now),
-        }
-    }
-
-    /// The slot transaction proper. `prof` is `Some` only on sampled
-    /// slots; the timers read the wall clock and never touch simulated
-    /// time, so a timed slot computes exactly what an untimed one does.
-    fn process_slot_timed(
-        &mut self,
-        prof: Option<&EngineProfile>,
-        slot: u64,
-        now: Cycles,
-    ) -> SlotOutcome {
         let sw = self.sw;
-        let precise_sharers = self.cfg.precise_sharers();
         let fast = self.fast;
         let Engine {
             cores,
             llc,
             stats,
-            events,
+            watch,
             schedule,
             lat_batch,
-            attr,
             ..
         } = self;
+        macro_rules! emit {
+            ($kind:expr) => {{
+                let kind = $kind;
+                stats.count(&kind);
+                watch.event(now, slot, kind);
+            }};
+        }
+        let mut clock = watch.clock();
         let mut out = SlotOutcome {
             progressed: false,
             responded: false,
         };
 
-        let arb_start = prof.map(|_| Instant::now());
         let owner = schedule.owner(slot);
         let oi = owner.as_usize();
         let has_wb = !cores[oi].pwb.is_empty();
@@ -653,30 +711,14 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
         };
         // A ready-but-stuck request still counts as a blocked slot
         // for accounting when nothing else used the bus.
-        let grant = match grant {
-            None if has_req => {
-                stats.core_mut(owner).blocked_slots += 1;
-                if let Some(a) = attr {
-                    a.note_blocked_wait(oi);
-                }
-                events.push(
-                    now,
-                    slot,
-                    EventKind::Blocked {
-                        core: owner,
-                        reason: BlockReason::WaitingForEviction,
-                    },
-                );
-                None
-            }
-            g => g,
-        };
-        if let (Some(p), Some(t)) = (prof, arb_start) {
-            p.arbiter.record(t.elapsed());
+        if grant.is_none() && has_req {
+            emit!(EventKind::Blocked {
+                core: owner,
+                reason: BlockReason::WaitingForEviction,
+            });
         }
+        watch.lap(&mut clock, |p| &p.arbiter);
 
-        let svc_start = prof.map(|_| Instant::now());
-        let granted = grant.is_some();
         let mut touched_memory = false;
         match grant {
             None => {
@@ -685,45 +727,29 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
             Some(BusGrant::WriteBack) => {
                 out.progressed = true;
                 let wb = cores[oi].pwb.pop().expect("arbiter saw a write-back");
-                stats.core_mut(owner).writebacks_sent += 1;
-                events.push(
-                    now,
-                    slot,
-                    EventKind::WritebackTransmitted {
-                        core: owner,
-                        line: wb.line,
-                        kind: wb.kind,
-                    },
-                );
+                emit!(EventKind::WritebackTransmitted {
+                    core: owner,
+                    line: wb.line,
+                    kind: wb.kind,
+                });
                 let wr = llc.writeback(owner, wb.line, wb.dirty, wb.kind, now);
                 if let Some(traffic) = wr.mem_traffic {
                     touched_memory = true;
-                    push_mem_event(events, now, slot, owner, &traffic);
+                    if let Some(kind) = dram_event(owner, &traffic) {
+                        emit!(kind);
+                    }
                 }
-                if let Some(freed) = wr.freed {
-                    stats.lines_freed += 1;
-                    events.push(
-                        now,
-                        slot,
-                        EventKind::LineFreed {
-                            line: freed,
-                            partition: llc.partition_map().partition_of(owner),
-                        },
-                    );
+                if let Some(line) = wr.freed {
+                    emit!(EventKind::LineFreed {
+                        line,
+                        partition: llc.partition_map().partition_of(owner),
+                    });
                 }
                 if has_req {
-                    stats.core_mut(owner).blocked_slots += 1;
-                    if let Some(a) = attr {
-                        a.note_writeback_wait(oi);
-                    }
-                    events.push(
-                        now,
-                        slot,
-                        EventKind::Blocked {
-                            core: owner,
-                            reason: BlockReason::SlotUsedForWriteback,
-                        },
-                    );
+                    emit!(EventKind::Blocked {
+                        core: owner,
+                        reason: BlockReason::SlotUsedForWriteback,
+                    });
                 }
             }
             Some(BusGrant::Request) => {
@@ -734,7 +760,7 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                 };
                 cores[oi].prb.mark_broadcast();
                 if first {
-                    events.push(now, slot, EventKind::RequestBroadcast { core: owner, line });
+                    emit!(EventKind::RequestBroadcast { core: owner, line });
                 }
                 let res = {
                     let cores = &mut *cores;
@@ -748,20 +774,17 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                 };
                 for traffic in res.mem_traffic.iter().flatten() {
                     touched_memory = true;
-                    push_mem_event(events, now, slot, owner, traffic);
+                    if let Some(kind) = dram_event(owner, traffic) {
+                        emit!(kind);
+                    }
                 }
                 if let Some(ev) = res.eviction {
                     let members = llc.partition_members(owner);
                     for target in res.invalidations.iter().map(|m| members[m]) {
-                        stats.core_mut(target).back_invalidations += 1;
-                        events.push(
-                            now,
-                            slot,
-                            EventKind::BackInvalidation {
-                                core: target,
-                                line: ev.victim,
-                            },
-                        );
+                        emit!(EventKind::BackInvalidation {
+                            core: target,
+                            line: ev.victim,
+                        });
                     }
                     // Dirty remote copies owe a data-carrying ack.
                     for target in res.ack_required.iter().map(|m| members[m]) {
@@ -774,40 +797,26 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                     }
                 }
                 if let Some(position) = res.sequencer_position {
-                    events.push(
-                        now,
-                        slot,
-                        EventKind::SequencerEnqueued {
-                            core: owner,
-                            set: res.set,
-                            position,
-                        },
-                    );
+                    emit!(EventKind::SequencerEnqueued {
+                        core: owner,
+                        set: res.set,
+                        position,
+                    });
                 }
                 if let Some(ev) = res.eviction {
-                    stats.evictions_triggered += 1;
-                    events.push(
-                        now,
-                        slot,
-                        EventKind::EvictionTriggered {
-                            by: owner,
-                            victim: ev.victim,
-                            sharers: ev.sharers,
-                        },
-                    );
+                    emit!(EventKind::EvictionTriggered {
+                        by: owner,
+                        victim: ev.victim,
+                        sharers: ev.sharers,
+                    });
                     // No data-carrying acknowledgements owed means
                     // the entry freed within this very slot (clean
                     // or requester-held copies only).
                     if res.ack_required.is_empty() {
-                        stats.lines_freed += 1;
-                        events.push(
-                            now,
-                            slot,
-                            EventKind::LineFreed {
-                                line: ev.victim,
-                                partition: llc.partition_map().partition_of(owner),
-                            },
-                        );
+                        emit!(EventKind::LineFreed {
+                            line: ev.victim,
+                            partition: llc.partition_map().partition_of(owner),
+                        });
                     }
                 }
                 match res.outcome {
@@ -815,24 +824,15 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                         let resume = now + sw.cycles();
                         let (issued, clean_drop) =
                             cores[oi].complete_request(resume, stats.core_mut(owner));
-                        if precise_sharers {
-                            if let Some(dropped) = clean_drop {
-                                llc.note_clean_drop(owner, dropped);
-                            }
+                        if let Some(dropped) = clean_drop {
+                            llc.note_clean_drop(owner, dropped);
                         }
-                        let latency = resume - issued;
-                        record_latency(stats, lat_batch, fast, owner, latency);
-                        match kind {
-                            ResponseKind::Hit => {
-                                stats.core_mut(owner).llc_hits += 1;
-                                events.push(now, slot, EventKind::Hit { core: owner, line });
-                            }
-                            ResponseKind::Fill => {
-                                stats.core_mut(owner).llc_fills += 1;
-                                events.push(now, slot, EventKind::Fill { core: owner, line });
-                            }
-                        }
-                        if let Some(a) = attr {
+                        record_latency(stats, lat_batch, fast, owner, resume - issued);
+                        emit!(match kind {
+                            ResponseKind::Hit => EventKind::Hit { core: owner, line },
+                            ResponseKind::Fill => EventKind::Fill { core: owner, line },
+                        });
+                        if let Some(a) = &mut watch.attr {
                             a.on_complete(
                                 owner,
                                 line,
@@ -846,31 +846,19 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                         out.responded = true;
                     }
                     ServiceOutcome::Blocked(reason) => {
-                        stats.core_mut(owner).blocked_slots += 1;
-                        if let Some(a) = attr {
-                            a.note_blocked_wait(oi);
-                        }
-                        events.push(
-                            now,
-                            slot,
-                            EventKind::Blocked {
-                                core: owner,
-                                reason,
-                            },
-                        );
+                        emit!(EventKind::Blocked {
+                            core: owner,
+                            reason,
+                        });
                     }
                 }
             }
         }
-        if let (Some(p), Some(t)) = (prof, svc_start) {
-            if granted {
-                let d = t.elapsed();
-                if touched_memory {
-                    p.dram.record(d);
-                } else {
-                    p.llc.record(d);
-                }
-            }
+        if grant.is_some() {
+            watch.lap(&mut clock, |p| match touched_memory {
+                true => &p.dram,
+                false => &p.llc,
+            });
         }
         out
     }
@@ -891,9 +879,8 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
             cores,
             llc,
             mut stats,
-            events,
+            watch,
             sw,
-            attr,
             ..
         } = self;
         stats.absorb_memory(llc.memory_stats());
@@ -909,9 +896,9 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
         stats.max_pwb_depth = cores.iter().map(|c| c.pwb.max_depth()).max().unwrap_or(0);
 
         // Inclusion invariant: every privately cached line is a valid,
-        // tracked sharer in the LLC. (Stale sharer bits in the other
-        // direction are allowed — they are the conservative consequence
-        // of silent clean drops.)
+        // tracked sharer in the LLC. (A sharer bit may outlive the
+        // private copy: a write-back of it is still queued, or the copy
+        // was dropped clean while the line was mid-eviction.)
         if cfg!(debug_assertions) && !timed_out {
             for core in &cores {
                 for line in core.private.l2_lines() {
@@ -926,10 +913,10 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
 
         RunReport {
             stats,
-            events,
+            events: watch.log.unwrap_or_default(),
             timed_out,
             cycles: sw.slot_start(end_slot),
-            attribution: attr.map(|a| Box::new(a.into_report())),
+            attribution: watch.attr.map(|a| Box::new(a.into_report())),
         }
     }
 }
@@ -1016,30 +1003,18 @@ fn record_latency(
     }
 }
 
-/// Records a [`EventKind::DramAccess`] for one backend access. Flat
-/// backends (no row outcome) emit nothing, which keeps fixed-latency
-/// event logs identical to the seed simulator's.
-fn push_mem_event(
-    events: &mut EventLog,
-    now: Cycles,
-    slot: u64,
-    core: CoreId,
-    traffic: &crate::llc::MemTraffic,
-) {
-    if let Some(outcome) = traffic.access.row {
-        events.push(
-            now,
-            slot,
-            EventKind::DramAccess {
-                core,
-                line: traffic.line,
-                bank: traffic.access.bank,
-                outcome,
-                latency: traffic.access.latency,
-                write: traffic.write,
-            },
-        );
-    }
+/// The [`EventKind::DramAccess`] of one backend access. Flat backends
+/// (no row outcome) have none, which keeps fixed-latency event logs
+/// identical to the seed simulator's.
+fn dram_event(core: CoreId, traffic: &crate::llc::MemTraffic) -> Option<EventKind> {
+    Some(EventKind::DramAccess {
+        core,
+        line: traffic.line,
+        bank: traffic.access.bank,
+        outcome: traffic.access.row?,
+        latency: traffic.access.latency,
+        write: traffic.write,
+    })
 }
 
 #[cfg(test)]

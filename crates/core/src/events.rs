@@ -1,9 +1,14 @@
-//! An inspectable event trace of the simulation.
+//! The slot facts of a simulation, and an inspectable log of them.
 //!
-//! Event recording is off by default (zero cost beyond a branch); enable
-//! it through [`crate::SystemConfigBuilder::record_events`]. The
-//! integration tests replay the paper's worked examples (Figures 2–4)
-//! against these events slot by slot.
+//! The engine emits every fact of a slot — a hit, a fill, a blocked
+//! request, a write-back, an eviction — exactly once, as an
+//! [`EventKind`]. The per-transaction counters of [`crate::SimStats`]
+//! are folds over those events, and latency attribution reads the
+//! `Blocked` ones, so the three cannot drift apart. Keeping the events
+//! themselves in an [`EventLog`] is off by default; enable it through
+//! [`crate::SystemConfigBuilder::record_events`]. The integration tests
+//! replay the paper's worked examples (Figures 2–4) against these
+//! events slot by slot.
 
 use std::fmt;
 
@@ -149,7 +154,7 @@ pub struct Event {
 /// use predllc_core::{EventKind, EventLog};
 /// use predllc_model::{CoreId, Cycles, LineAddr};
 ///
-/// let mut log = EventLog::new(true);
+/// let mut log = EventLog::default();
 /// log.push(Cycles::ZERO, 0, EventKind::Hit {
 ///     core: CoreId::new(0),
 ///     line: LineAddr::new(4),
@@ -158,29 +163,13 @@ pub struct Event {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct EventLog {
-    enabled: bool,
     events: Vec<Event>,
 }
 
 impl EventLog {
-    /// Creates a log; when `enabled` is false, pushes are no-ops.
-    pub fn new(enabled: bool) -> Self {
-        EventLog {
-            enabled,
-            events: Vec::new(),
-        }
-    }
-
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records an event (no-op when disabled).
+    /// Records an event.
     pub fn push(&mut self, at: Cycles, slot: u64, kind: EventKind) {
-        if self.enabled {
-            self.events.push(Event { at, slot, kind });
-        }
+        self.events.push(Event { at, slot, kind });
     }
 
     /// All recorded events in order.
@@ -214,16 +203,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_log_records_nothing() {
-        let mut log = EventLog::new(false);
-        log.push(Cycles::ZERO, 0, hit(0, 0));
-        assert!(log.events().is_empty());
-        assert!(!log.is_enabled());
-    }
-
-    #[test]
-    fn enabled_log_records_in_order() {
-        let mut log = EventLog::new(true);
+    fn log_records_in_order() {
+        let mut log = EventLog::default();
         log.push(Cycles::new(0), 0, hit(0, 1));
         log.push(Cycles::new(50), 1, hit(1, 2));
         assert_eq!(log.events().len(), 2);
@@ -233,7 +214,7 @@ mod tests {
 
     #[test]
     fn slot_and_kind_filters() {
-        let mut log = EventLog::new(true);
+        let mut log = EventLog::default();
         log.push(Cycles::new(0), 0, hit(0, 1));
         log.push(Cycles::new(50), 1, hit(1, 2));
         log.push(

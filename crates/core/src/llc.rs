@@ -782,12 +782,12 @@ impl SharedLlc {
         }
     }
 
-    /// Records that `core` silently dropped a clean private copy of
-    /// `line` — *not* a bus transaction.
+    /// Records that `core` dropped a clean private copy of `line` — *not*
+    /// a bus transaction.
     ///
-    /// The paper's model would leave the sharer bit conservatively stale;
-    /// the simulator keeps that behaviour by default (this method is only
-    /// used by the `precise-sharers` ablation in tests).
+    /// The engine calls this for every clean L2 victim, so the core's
+    /// sharer bit clears at once and a later eviction of the line does
+    /// not back-invalidate it.
     pub fn note_clean_drop(&mut self, core: CoreId, line: LineAddr) {
         let pid = self.map.partition_of(core);
         let me = self.member(core);

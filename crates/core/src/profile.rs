@@ -4,9 +4,12 @@
 //! [`TimingHistogram`]s — one per stage of a processed slot — plus a
 //! sampling cadence. Profiling is **opt-in per run**
 //! ([`Simulator::run_profiled`](crate::Simulator::run_profiled)); the
-//! default [`Simulator::run`](crate::Simulator::run) passes `None`, so
-//! the unprofiled hot path costs exactly one branch per slot and zero
-//! atomic operations.
+//! default [`Simulator::run`](crate::Simulator::run) passes `None`. At
+//! each opportunity (a processed slot, or the fast loop's choice of its
+//! next step) the engine asks [`EngineProfile::should_sample`] once and
+//! keeps the answer as a start time on its own stack; without a profile
+//! that is one branch on an empty `Option` and no clock read or atomic
+//! operation.
 //!
 //! The profile only ever *reads* wall-clock time — nothing it measures
 //! feeds back into simulated time, so a profiled run's [`RunReport`]
@@ -16,10 +19,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use predllc_obs::{Registry, TimingHistogram};
-
-/// The metric family engine-stage timings register under.
-pub const STAGE_METRIC: &str = "predllc_engine_stage_ns";
+use predllc_obs::TimingHistogram;
 
 /// Sampled per-stage wall-clock timings of the simulation engine.
 ///
@@ -53,8 +53,8 @@ pub struct EngineProfile {
 }
 
 impl EngineProfile {
-    /// A standalone profile sampling every `sample_every`-th slot
-    /// (`0` is treated as `1`: sample everything).
+    /// A profile sampling every `sample_every`-th opportunity (`0` is
+    /// treated as `1`: sample everything).
     pub fn new(sample_every: u64) -> EngineProfile {
         EngineProfile {
             sample_every: sample_every.max(1),
@@ -64,26 +64,6 @@ impl EngineProfile {
             dram: TimingHistogram::default(),
             idle_jump: TimingHistogram::default(),
         }
-    }
-
-    /// A profile whose four stage histograms are registered in
-    /// `registry` as `predllc_engine_stage_ns{stage="..."}`, so a
-    /// `/metrics` scrape sees them.
-    pub fn registered(registry: &Registry, sample_every: u64) -> EngineProfile {
-        const HELP: &str = "Sampled wall-clock time per engine stage";
-        EngineProfile {
-            sample_every: sample_every.max(1),
-            countdown: AtomicU64::new(0),
-            arbiter: registry.histogram_with(STAGE_METRIC, HELP, "stage", "arbiter"),
-            llc: registry.histogram_with(STAGE_METRIC, HELP, "stage", "llc"),
-            dram: registry.histogram_with(STAGE_METRIC, HELP, "stage", "dram"),
-            idle_jump: registry.histogram_with(STAGE_METRIC, HELP, "stage", "idle_jump"),
-        }
-    }
-
-    /// The configured sampling cadence.
-    pub fn sample_every(&self) -> u64 {
-        self.sample_every
     }
 
     /// Whether this profiling opportunity should be timed: the first
@@ -104,14 +84,6 @@ impl EngineProfile {
     }
 }
 
-impl Default for EngineProfile {
-    /// Samples every 64th opportunity — cheap enough for production
-    /// runs while still resolving stage distributions.
-    fn default() -> EngineProfile {
-        EngineProfile::new(64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,18 +96,5 @@ mod tests {
         // Zero clamps to "sample everything".
         let all = EngineProfile::new(0);
         assert!((0..5).all(|_| all.should_sample()));
-    }
-
-    #[test]
-    fn registered_profile_appears_in_exposition() {
-        let reg = Registry::new();
-        let p = EngineProfile::registered(&reg, 1);
-        p.arbiter.record(std::time::Duration::from_nanos(120));
-        p.dram.record(std::time::Duration::from_nanos(900));
-        let text = reg.render();
-        assert!(text.contains("predllc_engine_stage_ns_count{stage=\"arbiter\"} 1"));
-        assert!(text.contains("predllc_engine_stage_ns_count{stage=\"dram\"} 1"));
-        assert!(text.contains("predllc_engine_stage_ns_count{stage=\"llc\"} 0"));
-        assert_eq!(p.samples(), 2);
     }
 }

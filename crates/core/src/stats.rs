@@ -1,8 +1,15 @@
 //! Simulation statistics: per-core and system-wide counters, plus the
 //! request-latency records the WCL experiments are built on.
+//!
+//! The seven per-transaction counters — per core `llc_hits`,
+//! `llc_fills`, `back_invalidations`, `writebacks_sent` and
+//! `blocked_slots`, system-wide `evictions_triggered` and `lines_freed`
+//! — are folds over the slot facts the engine emits: each is counted by
+//! `SimStats::count` from the same event the log records.
 
 use predllc_model::{CoreId, Cycles};
 
+use crate::events::EventKind;
 use crate::histogram::LatencyHistogram;
 
 /// Counters for one core.
@@ -140,6 +147,30 @@ impl SimStats {
     /// Mutable statistics of one core.
     pub fn core_mut(&mut self, core: CoreId) -> &mut CoreStats {
         &mut self.cores[core.as_usize()]
+    }
+
+    /// Counts one slot fact. Every event kind is matched by name, so a
+    /// new kind must say which counter it feeds, if any. Always inlined:
+    /// every engine call site builds its kind in place, so the match
+    /// folds to one increment (or none) there.
+    #[inline(always)]
+    pub(crate) fn count(&mut self, kind: &EventKind) {
+        match *kind {
+            EventKind::Hit { core, .. } => self.core_mut(core).llc_hits += 1,
+            EventKind::Fill { core, .. } => self.core_mut(core).llc_fills += 1,
+            EventKind::BackInvalidation { core, .. } => {
+                self.core_mut(core).back_invalidations += 1;
+            }
+            EventKind::WritebackTransmitted { core, .. } => {
+                self.core_mut(core).writebacks_sent += 1;
+            }
+            EventKind::Blocked { core, .. } => self.core_mut(core).blocked_slots += 1,
+            EventKind::EvictionTriggered { .. } => self.evictions_triggered += 1,
+            EventKind::LineFreed { .. } => self.lines_freed += 1,
+            EventKind::RequestBroadcast { .. }
+            | EventKind::SequencerEnqueued { .. }
+            | EventKind::DramAccess { .. } => {}
+        }
     }
 
     /// The worst request latency observed on any core.

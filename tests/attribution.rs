@@ -9,11 +9,12 @@
 //! to the exact observed WCL.
 
 use predllc::model::{Address, CoreId, Cycles, MemOp};
+use predllc::sim::events::BlockReason;
 use predllc::workload::rng::Rng64;
 use predllc::workload_gen::{HotColdGen, PointerChaseGen, StrideGen, UniformGen};
 use predllc::{
-    analysis::WclGapReport, ArbiterPolicy, Component, EngineMode, MemoryConfig, MultiCore,
-    PartitionSpec, ReplacementKind, SharingMode, Simulator, SystemConfig, SystemConfigBuilder,
+    analysis::WclGapReport, ArbiterPolicy, Component, EngineMode, EventKind, MemoryConfig,
+    MultiCore, PartitionSpec, ReplacementKind, SharingMode, Simulator, SystemConfigBuilder,
 };
 
 /// A deterministic "random" multi-core workload mixing the generator
@@ -87,14 +88,20 @@ fn random_arbiter(rng: &mut Rng64) -> ArbiterPolicy {
 }
 
 /// Runs `build`'s platform four ways — {reference, fast-forward} ×
-/// {attribution off, on} — and checks the full attribution contract.
+/// {attribution off, on}, each recording its events — and checks the
+/// full attribution contract.
 fn assert_attribution_contract(
-    build: impl Fn(EngineMode) -> SystemConfig,
+    build: impl Fn() -> SystemConfigBuilder,
     wl: &MultiCore,
     what: &str,
 ) {
     let run = |mode: EngineMode, attribution: bool| {
-        let config = build(mode).with_attribution(attribution);
+        let config = build()
+            .engine(mode)
+            .record_events(true)
+            .attribution(attribution)
+            .build()
+            .unwrap_or_else(|e| panic!("{what}: invalid config: {e}"));
         let report = Simulator::new(config.clone())
             .expect("valid config")
             .run(wl)
@@ -153,6 +160,35 @@ fn assert_attribution_contract(
             on_ref.stats.cores[i].total_request_latency,
             "{what}: core {i} component sum broke"
         );
+    }
+    // The write-back and LLC waits are the core's `Blocked` events, one
+    // slot each. On a run that finished, every blocked request completed.
+    if !on_ref.timed_out {
+        let sw = on_ref_cfg.slot_width().cycles();
+        for (i, set) in attr.per_core().iter().enumerate() {
+            let (mut writeback, mut llc_wait) = (0u64, 0u64);
+            for event in on_ref.events.events() {
+                if let EventKind::Blocked { core, reason } = event.kind {
+                    if core.as_usize() == i {
+                        if reason == BlockReason::SlotUsedForWriteback {
+                            writeback += 1;
+                        } else {
+                            llc_wait += 1;
+                        }
+                    }
+                }
+            }
+            assert_eq!(
+                set.get(Component::Writeback),
+                sw * writeback,
+                "{what}: core {i} write-back wait is not its write-back blocked slots"
+            );
+            assert_eq!(
+                set.get(Component::LlcWait),
+                sw * llc_wait,
+                "{what}: core {i} LLC wait is not its other blocked slots"
+            );
+        }
     }
     // Every completed request records into every component histogram.
     let requests: u64 = on_ref.stats.cores.iter().map(|c| c.requests).sum();
@@ -230,7 +266,7 @@ fn randomized_private_and_shared_grids_attribute_exactly() {
             SharingMode::SetSequencer
         };
         assert_attribution_contract(
-            |mode| {
+            || {
                 let partitions = if shared {
                     vec![PartitionSpec::shared(
                         sets,
@@ -248,9 +284,6 @@ fn randomized_private_and_shared_grids_attribute_exactly() {
                     .llc_replacement(replacement)
                     .private_replacement(replacement)
                     .arbiter(arbiter)
-                    .engine(mode)
-                    .build()
-                    .expect("valid grid point")
             },
             &wl,
             &format!("random grid round {round} (shared={shared})"),
@@ -275,7 +308,7 @@ fn every_memory_backend_attributes_exactly() {
         let ops = 100 + rng.below(400) as usize;
         let wl = random_workload(&mut rng, cores, ops);
         assert_attribution_contract(
-            |mode| {
+            || {
                 SystemConfigBuilder::new(cores)
                     .partitions(
                         CoreId::first(cores)
@@ -283,9 +316,6 @@ fn every_memory_backend_attributes_exactly() {
                             .collect(),
                     )
                     .memory(memory.clone())
-                    .engine(mode)
-                    .build()
-                    .expect("valid backend config")
             },
             &wl,
             &format!("backend {}", memory.label()),
@@ -304,7 +334,7 @@ fn timed_out_and_empty_runs_attribute_exactly() {
         let cap = 500 + rng.next_u64() % 15_000;
         let wl = random_workload(&mut rng, cores, ops);
         assert_attribution_contract(
-            |mode| {
+            || {
                 SystemConfigBuilder::new(cores)
                     .partitions(
                         CoreId::first(cores)
@@ -312,9 +342,6 @@ fn timed_out_and_empty_runs_attribute_exactly() {
                             .collect(),
                     )
                     .max_cycles(cap)
-                    .engine(mode)
-                    .build()
-                    .expect("valid capped config")
             },
             &wl,
             &format!("capped round {round} (cap {cap})"),
@@ -324,12 +351,12 @@ fn timed_out_and_empty_runs_attribute_exactly() {
     // No requests at all: no witness, all-zero components.
     let empty = MultiCore::new().core(vec![Vec::<MemOp>::new()]);
     assert_attribution_contract(
-        |mode| {
-            SystemConfigBuilder::new(1)
-                .partitions(vec![PartitionSpec::private(2, 2, CoreId::new(0))])
-                .engine(mode)
-                .build()
-                .expect("valid empty config")
+        || {
+            SystemConfigBuilder::new(1).partitions(vec![PartitionSpec::private(
+                2,
+                2,
+                CoreId::new(0),
+            )])
         },
         &empty,
         "empty workload",

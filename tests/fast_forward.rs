@@ -15,8 +15,8 @@ use predllc::sim::EngineProfile;
 use predllc::workload::rng::Rng64;
 use predllc::workload_gen::{HotColdGen, PointerChaseGen, StrideGen, UniformGen};
 use predllc::{
-    ArbiterPolicy, EngineMode, MemoryConfig, MultiCore, PartitionSpec, ReplacementKind, RunReport,
-    SharingMode, Simulator, SystemConfigBuilder, TdmSchedule, Workload,
+    ArbiterPolicy, EngineMode, EventKind, MemoryConfig, MultiCore, PartitionSpec, ReplacementKind,
+    RunReport, SharingMode, Simulator, SystemConfigBuilder, TdmSchedule, Workload,
 };
 
 /// Runs one workload under both engines, with event recording off and
@@ -77,7 +77,50 @@ fn assert_engines_agree(
         logged_reference.stats, reference.stats,
         "{what}: recording changed the reference stats"
     );
+    for (logged, engine) in [(&logged_reference, "reference"), (&logged_fast, "fast")] {
+        assert_counters_count_events(logged, &format!("{what}/{engine}"));
+    }
     fast
+}
+
+/// Each per-transaction counter of a recorded run equals the number of
+/// events of its kind: per core `blocked_slots`, `writebacks_sent`,
+/// `back_invalidations`, `llc_hits` and `llc_fills`; system-wide
+/// `evictions_triggered` and `lines_freed`.
+fn assert_counters_count_events(report: &RunReport, what: &str) {
+    let mut per_core = vec![[0u64; 5]; report.stats.cores.len()];
+    let (mut evictions, mut freed) = (0u64, 0u64);
+    for event in report.events.events() {
+        match event.kind {
+            EventKind::Blocked { core, .. } => per_core[core.as_usize()][0] += 1,
+            EventKind::WritebackTransmitted { core, .. } => per_core[core.as_usize()][1] += 1,
+            EventKind::BackInvalidation { core, .. } => per_core[core.as_usize()][2] += 1,
+            EventKind::Hit { core, .. } => per_core[core.as_usize()][3] += 1,
+            EventKind::Fill { core, .. } => per_core[core.as_usize()][4] += 1,
+            EventKind::EvictionTriggered { .. } => evictions += 1,
+            EventKind::LineFreed { .. } => freed += 1,
+            _ => {}
+        }
+    }
+    for (i, (c, events)) in report.stats.cores.iter().zip(&per_core).enumerate() {
+        assert_eq!(
+            [
+                c.blocked_slots,
+                c.writebacks_sent,
+                c.back_invalidations,
+                c.llc_hits,
+                c.llc_fills
+            ],
+            *events,
+            "{what}: core {i}'s [blocked_slots, writebacks_sent, back_invalidations, \
+             llc_hits, llc_fills] differ from their event counts"
+        );
+    }
+    assert_eq!(
+        (report.stats.evictions_triggered, report.stats.lines_freed),
+        (evictions, freed),
+        "{what}: (evictions_triggered, lines_freed) differ from their event counts"
+    );
 }
 
 /// A deterministic "random" multi-core workload mixing all generator
@@ -477,16 +520,34 @@ fn the_fast_loop_records_the_reference_event_log() {
             .unwrap()
             .run_profiled(&wl, Some(&profile))
             .unwrap();
-        (report, profile.idle_jump.count())
+        (report, profile)
     };
-    let (reference, reference_leaps) = run(EngineMode::Reference);
-    let (fast, fast_leaps) = run(EngineMode::FastForward);
-    assert_eq!(reference_leaps, 0, "the reference loop never leaps");
+    let (reference, reference_profile) = run(EngineMode::Reference);
+    let (fast, fast_profile) = run(EngineMode::FastForward);
+    assert_eq!(
+        reference_profile.idle_jump.count(),
+        0,
+        "the reference loop never leaps"
+    );
     assert!(
-        fast_leaps > 0,
+        fast_profile.idle_jump.count() > 0,
         "the recorded run did not take the fast loop"
     );
     assert_eq!(reference.stats, fast.stats);
     assert_eq!(reference.events.events(), fast.events.events());
     assert!(!fast.events.events().is_empty());
+    // Sampling every opportunity, each granted slot times exactly one
+    // LLC or DRAM stage, and each slot the reference loop processes
+    // times its arbiter.
+    for (report, profile, engine) in [
+        (&reference, &reference_profile, "reference"),
+        (&fast, &fast_profile, "fast"),
+    ] {
+        assert_eq!(
+            profile.llc.count() + profile.dram.count(),
+            report.stats.slots - report.stats.idle_slots,
+            "{engine}: service stages timed != granted slots"
+        );
+    }
+    assert_eq!(reference_profile.arbiter.count(), reference.stats.slots);
 }
