@@ -437,24 +437,7 @@ impl SystemConfigBuilder {
         }
         let partitions = self.partitions.unwrap_or_default();
         let partitions = PartitionMap::new(partitions, self.num_cores, self.physical_llc)?;
-        self.memory.validate(self.num_cores)?;
-        let worst_case = self.memory.worst_case_latency();
-        if worst_case >= self.slot_width.cycles() {
-            // The slot-budget invariant (§3): every memory access — at
-            // its analytical worst — completes within the requester's
-            // slot. The fixed backend keeps its seed-era error shape.
-            return Err(match self.memory {
-                MemoryConfig::FixedLatency { .. } => ConfigError::DramExceedsSlot {
-                    dram_latency: worst_case.as_u64(),
-                    slot_width: self.slot_width.as_u64(),
-                },
-                _ => ConfigError::BackendExceedsSlot {
-                    backend: self.memory.label(),
-                    worst_case: worst_case.as_u64(),
-                    slot_width: self.slot_width.as_u64(),
-                },
-            });
-        }
+        check_memory(&self.memory, self.num_cores, self.slot_width)?;
         Ok(SystemConfig {
             num_cores: self.num_cores,
             schedule,
@@ -475,6 +458,33 @@ impl SystemConfigBuilder {
             attribution: self.attribution,
         })
     }
+}
+
+/// Validates a memory backend for a system of `num_cores` cores and
+/// checks the slot-budget invariant (§3): every memory access, at its
+/// analytical worst, completes within the requester's slot. The fixed
+/// backend keeps its seed-era error shape.
+pub(crate) fn check_memory(
+    memory: &MemoryConfig,
+    num_cores: u16,
+    slot_width: SlotWidth,
+) -> Result<(), ConfigError> {
+    memory.validate(num_cores)?;
+    let worst_case = memory.worst_case_latency();
+    if worst_case < slot_width.cycles() {
+        return Ok(());
+    }
+    Err(match memory {
+        MemoryConfig::FixedLatency { .. } => ConfigError::DramExceedsSlot {
+            dram_latency: worst_case.as_u64(),
+            slot_width: slot_width.as_u64(),
+        },
+        _ => ConfigError::BackendExceedsSlot {
+            backend: memory.label(),
+            worst_case: worst_case.as_u64(),
+            slot_width: slot_width.as_u64(),
+        },
+    })
 }
 
 #[cfg(test)]

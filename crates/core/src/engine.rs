@@ -61,17 +61,29 @@
 //! clocks the loops lap at each profiling opportunity. An unobserved run
 //! pays one branch on an empty `Option` per observer touched; nothing
 //! an observer does feeds back into simulated time.
+//!
+//! # Twin backends
+//!
+//! Nor does a memory backend's answer: every access fits inside its
+//! requester's slot (the slot budget `SystemConfigBuilder::build`
+//! enforces), and a request serviced in a slot is answered at the end of
+//! that slot. [`Simulator::run_with_twins`] measures several memory
+//! systems in one run on that basis: the LLC drives the configured
+//! backend plus one twin per extra [`MemoryConfig`], each twin sees
+//! every access, and only the configured backend's answers reach events,
+//! attribution and the report.
 
 use std::time::Instant;
 
 use predllc_bus::{BusGrant, SlotArbiter, TdmSchedule};
 use predllc_cache::PrivateHierarchy;
+use predllc_dram::{MemStats, MemoryBackend, MemoryConfig};
 use predllc_model::{CoreId, Cycles, SlotWidth};
 use predllc_obs::TimingHistogram;
 use predllc_workload::{OpStream, Workload};
 
 use crate::attribution::{AttrState, AttributionReport, InterfererSnapshot};
-use crate::config::{EngineMode, SystemConfig};
+use crate::config::{check_memory, EngineMode, SystemConfig};
 use crate::core_model::{CoreModel, CoreProgress};
 use crate::error::{ConfigError, SimError};
 use crate::events::{BlockReason, EventKind, EventLog};
@@ -225,6 +237,53 @@ impl Simulator {
         workload: W,
         profile: Option<&EngineProfile>,
     ) -> Result<RunReport, SimError> {
+        Ok(self.execute(workload, profile, Vec::new())?.0)
+    }
+
+    /// Like [`Simulator::run`], driving one *twin* backend per entry of
+    /// `twins` beside the configured one, and returning each twin's
+    /// counters in order.
+    ///
+    /// Every twin sees every memory access the configured backend sees,
+    /// and nothing reads its answers: the configured backend alone feeds
+    /// events, attribution and the report, which is bit-identical to
+    /// [`Simulator::run`]'s. A backend never moves simulated time (see
+    /// [`predllc_dram::MemoryBackend`]), so each twin's [`MemStats`]
+    /// equal those of a plain run of the same platform on that backend,
+    /// and the rest of that run's report equals this one. One run thus
+    /// measures a platform under several memory systems.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Simulator::run`], plus [`SimError::Config`] for a twin
+    /// that fails validation or the slot budget, as
+    /// [`SystemConfigBuilder::build`](crate::SystemConfigBuilder::build)
+    /// would reject it.
+    pub fn run_with_twins<W: Workload>(
+        &self,
+        workload: W,
+        twins: &[MemoryConfig],
+    ) -> Result<(RunReport, Vec<MemStats>), SimError> {
+        let n = self.config.num_cores();
+        let twins = twins
+            .iter()
+            .map(|m| {
+                check_memory(m, n, self.config.slot_width())?;
+                Ok(m.build(n).expect("twin backend was validated above"))
+            })
+            .collect::<Result<Vec<_>, ConfigError>>()
+            .map_err(SimError::Config)?;
+        self.execute(workload, None, twins)
+    }
+
+    /// The one run path: the configured engine over `workload`, with the
+    /// optional profile and any twin backends.
+    fn execute<W: Workload>(
+        &self,
+        workload: W,
+        profile: Option<&EngineProfile>,
+        twins: Vec<Box<dyn MemoryBackend>>,
+    ) -> Result<(RunReport, Vec<MemStats>), SimError> {
         let cfg = &self.config;
         let n = cfg.num_cores();
         if workload.num_cores() != n {
@@ -260,7 +319,8 @@ impl Simulator {
             cfg.l2().line_size(),
             cfg.llc_replacement(),
             memory,
-        );
+        )
+        .with_twins(twins);
         let fast = cfg.engine_mode() == EngineMode::FastForward;
         let mut engine = Engine {
             cfg,
@@ -863,8 +923,9 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
         out
     }
 
-    /// Folds substrate counters into the report and builds it.
-    fn finalize(mut self, timed_out: bool, end_slot: u64) -> RunReport {
+    /// Folds substrate counters into the report and builds it, beside
+    /// the twin backends' counters.
+    fn finalize(mut self, timed_out: bool, end_slot: u64) -> (RunReport, Vec<MemStats>) {
         // Flush any run-length latency batches still open.
         for i in 0..self.lat_batch.len() {
             let (latency, count) = self.lat_batch[i];
@@ -890,6 +951,21 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
             stats.max_dram_latency,
             llc.memory_worst_case()
         );
+        let twins: Vec<MemStats> = llc
+            .twins()
+            .iter()
+            .map(|twin| {
+                let mem = twin.mem_stats();
+                debug_assert!(
+                    mem.max_latency <= twin.worst_case_latency(),
+                    "twin backend {} exceeded its own analytical worst case: {} > {}",
+                    twin.label(),
+                    mem.max_latency,
+                    twin.worst_case_latency()
+                );
+                mem.clone()
+            })
+            .collect();
         let (seq_sets, seq_depth) = llc.sequencer_pressure();
         stats.max_sequencer_sets = seq_sets;
         stats.max_sequencer_depth = seq_depth;
@@ -911,13 +987,14 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
             }
         }
 
-        RunReport {
+        let report = RunReport {
             stats,
             events: watch.log.unwrap_or_default(),
             timed_out,
             cycles: sw.slot_start(end_slot),
             attribution: watch.attr.map(|a| Box::new(a.into_report())),
-        }
+        };
+        (report, twins)
     }
 }
 

@@ -332,6 +332,38 @@ impl PartitionState {
     }
 }
 
+/// The memory backends behind the LLC: the primary, whose answers the
+/// run reports, and any twins, which see every access the primary sees.
+/// A backend's answer never steers the run (see [`MemoryBackend`]), so
+/// each twin ends with the counters a run of its own would have.
+#[derive(Debug)]
+struct Memory {
+    primary: Box<dyn MemoryBackend>,
+    twins: Vec<Box<dyn MemoryBackend>>,
+}
+
+impl Memory {
+    /// Performs `req` on every backend and returns the primary's answer;
+    /// a twin's answer reaches nothing but its own counters.
+    #[inline]
+    fn access(&mut self, req: MemRequest) -> MemAccess {
+        if !self.twins.is_empty() {
+            self.drive_twins(req);
+        }
+        self.primary.access(req)
+    }
+
+    /// Out of line, so a run without twins pays one untaken branch per
+    /// access (an inline loop measured ~1% slower on the paper grid).
+    #[cold]
+    #[inline(never)]
+    fn drive_twins(&mut self, req: MemRequest) {
+        for twin in &mut self.twins {
+            twin.access(req);
+        }
+    }
+}
+
 /// The shared LLC: one controller over all partitions, plus the memory
 /// backend behind it.
 ///
@@ -345,7 +377,7 @@ pub struct SharedLlc {
     /// `core index → member index` within the core's partition.
     member_of: Vec<u8>,
     map: PartitionMap,
-    memory: Box<dyn MemoryBackend>,
+    memory: Memory,
 }
 
 impl SharedLlc {
@@ -389,8 +421,23 @@ impl SharedLlc {
             partitions,
             member_of,
             map,
-            memory,
+            memory: Memory {
+                primary: memory,
+                twins: Vec::new(),
+            },
         }
+    }
+
+    /// Drives `twins` beside the backend the controller was built with:
+    /// each twin sees every memory access, and nothing reads its answers.
+    pub(crate) fn with_twins(mut self, twins: Vec<Box<dyn MemoryBackend>>) -> Self {
+        self.memory.twins = twins;
+        self
+    }
+
+    /// The twin backends, in the order [`SharedLlc::with_twins`] took them.
+    pub(crate) fn twins(&self) -> &[Box<dyn MemoryBackend>] {
+        &self.memory.twins
     }
 
     /// `core`'s member index within its partition (its sharer bit).
@@ -413,12 +460,12 @@ impl SharedLlc {
 
     /// Counters of the memory backend behind the LLC.
     pub fn memory_stats(&self) -> &MemStats {
-        self.memory.mem_stats()
+        self.memory.primary.mem_stats()
     }
 
     /// The backend's analytical worst-case access latency.
     pub fn memory_worst_case(&self) -> Cycles {
-        self.memory.worst_case_latency()
+        self.memory.primary.worst_case_latency()
     }
 
     /// Sequencer high-water marks across partitions: `(max tracked sets,
@@ -500,12 +547,17 @@ impl SharedLlc {
         }
     }
 
-    /// The backend's residual busyness horizon (see
+    /// The backends' residual busyness horizon (see
     /// [`MemoryBackend::next_busy_until`]): the latest cycle any DRAM
-    /// bank is still busy from past accesses. The fast-forward engine
-    /// asserts idle-slot jumps never land in front of it.
+    /// bank of the backend or of a twin is still busy from past
+    /// accesses. The fast-forward engine asserts idle-slot jumps never
+    /// land in front of it.
     pub fn memory_next_busy_until(&self) -> Cycles {
-        self.memory.next_busy_until()
+        self.memory
+            .twins
+            .iter()
+            .map(|t| t.next_busy_until())
+            .fold(self.memory.primary.next_busy_until(), Cycles::max)
     }
 
     /// The rows currently open across the backend's DRAM banks (empty
@@ -513,7 +565,7 @@ impl SharedLlc {
     /// WCL witness records it as the bank state a worst-case request
     /// ran into.
     pub fn open_rows(&self) -> Vec<(predllc_model::BankId, u64)> {
-        self.memory.open_rows()
+        self.memory.primary.open_rows()
     }
 
     /// Services `core`'s pending request for `line` within `core`'s
@@ -807,7 +859,7 @@ impl SharedLlc {
 
     fn allocate(
         p: &mut PartitionState,
-        memory: &mut Box<dyn MemoryBackend>,
+        memory: &mut Memory,
         core: CoreId,
         member: usize,
         line: LineAddr,
@@ -842,13 +894,6 @@ impl SharedLlc {
             access,
         }
     }
-}
-
-/// Timing-free latency bookkeeping helper: the response to a request
-/// serviced in the slot starting at `slot_start` arrives at
-/// `slot_start + slot_width` (the first cycle after the slot).
-pub fn response_time(slot_start: Cycles, slot_width: predllc_model::SlotWidth) -> Cycles {
-    slot_start + slot_width.cycles()
 }
 
 #[cfg(test)]
@@ -1279,14 +1324,5 @@ mod tests {
         // Entry free: head would respond, non-head still stuck.
         assert_eq!(llc.probe(c(0), l(3)), Probe::WouldRespond);
         assert_eq!(llc.probe(c(1), l(4)), Probe::Stuck);
-    }
-
-    #[test]
-    fn response_time_is_end_of_slot() {
-        use predllc_model::SlotWidth;
-        assert_eq!(
-            response_time(Cycles::new(100), SlotWidth::PAPER),
-            Cycles::new(150)
-        );
     }
 }

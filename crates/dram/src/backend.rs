@@ -167,7 +167,18 @@ pub fn row_hit_rate(hits: u64, empties: u64, conflicts: u64) -> f64 {
 /// width when a [`SystemConfig`] is built, and every latency returned by
 /// [`MemoryBackend::access`] must be `≤ worst_case_latency()`.
 ///
+/// Because of that budget, a backend's answer never feeds back into
+/// simulated time: a request serviced in a slot is answered at the end
+/// of the slot, whatever its latency. The engine reads a backend only
+/// for `DramAccess` events, latency attribution's DRAM split, the WCL
+/// witness's open rows and the report's DRAM counters. Two runs that
+/// differ only in their backend therefore take the same course, which
+/// is why one run may drive *twin* backends beside the one it reports
+/// ([`Simulator::run_with_twins`]): each twin sees every access and
+/// ends with the counters a run of its own would have.
+///
 /// [`SystemConfig`]: https://docs.rs/predllc-core
+/// [`Simulator::run_with_twins`]: https://docs.rs/predllc-core
 pub trait MemoryBackend: fmt::Debug + Send {
     /// Performs one access, returning its latency and routing details.
     fn access(&mut self, req: MemRequest) -> MemAccess;
@@ -178,9 +189,6 @@ pub trait MemoryBackend: fmt::Debug + Send {
 
     /// Counters accumulated so far.
     fn mem_stats(&self) -> &MemStats;
-
-    /// Resets all counters (and any transient bank state).
-    fn reset(&mut self);
 
     /// A short human-readable label for reports (e.g. `fixed(30)`).
     fn label(&self) -> String;
@@ -218,10 +226,6 @@ impl<B: MemoryBackend + ?Sized> MemoryBackend for Box<B> {
 
     fn mem_stats(&self) -> &MemStats {
         (**self).mem_stats()
-    }
-
-    fn reset(&mut self) {
-        (**self).reset()
     }
 
     fn label(&self) -> String {

@@ -154,11 +154,6 @@ impl MemoryBackend for BankedDram {
         &self.stats
     }
 
-    fn reset(&mut self) {
-        self.banks = vec![BankState::default(); self.geometry.total_banks() as usize];
-        self.stats = MemStats::default();
-    }
-
     fn label(&self) -> String {
         format!(
             "banked({}x{},{})",
@@ -303,16 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_rows_and_stats() {
-        let mut d = dram(BankMapping::Interleaved);
-        fetch(&mut d, 0, 0, 0);
-        assert!(d.open_row(BankId::new(0)).is_some());
-        d.reset();
-        assert!(d.open_row(BankId::new(0)).is_none());
-        assert_eq!(d.mem_stats().accesses(), 0);
-    }
-
-    #[test]
     fn label_names_geometry_and_mapping() {
         assert_eq!(
             dram(BankMapping::BankPrivate).label(),
@@ -340,7 +325,5 @@ mod tests {
             d.next_busy_until(),
             Cycles::new(300) + w.latency + Cycles::new(T.t_wr)
         );
-        d.reset();
-        assert_eq!(d.next_busy_until(), Cycles::ZERO);
     }
 }

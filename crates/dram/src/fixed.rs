@@ -76,10 +76,6 @@ impl MemoryBackend for FixedLatency {
         &self.stats
     }
 
-    fn reset(&mut self) {
-        self.stats = MemStats::default();
-    }
-
     fn label(&self) -> String {
         format!("fixed({})", self.latency.as_u64())
     }
@@ -109,7 +105,5 @@ mod tests {
         assert_eq!((d.mem_stats().reads, d.mem_stats().writes), (1, 1));
         assert_eq!(d.mem_stats().max_latency, Cycles::new(12));
         assert_eq!(d.label(), "fixed(12)");
-        d.reset();
-        assert_eq!(d.mem_stats().accesses(), 0);
     }
 }

@@ -67,11 +67,6 @@ impl<B: MemoryBackend> MemoryBackend for WorstCase<B> {
         &self.stats
     }
 
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.stats = MemStats::default();
-    }
-
     fn label(&self) -> String {
         format!("wc({})", self.inner.label())
     }
@@ -114,8 +109,5 @@ mod tests {
         assert_eq!(wc.inner().mem_stats().row_hits, 2);
         assert_eq!(wc.mem_stats().max_latency, wc_latency);
         assert!(wc.label().starts_with("wc(banked("));
-        wc.reset();
-        assert_eq!(wc.mem_stats().accesses(), 0);
-        assert_eq!(wc.inner().mem_stats().accesses(), 0);
     }
 }

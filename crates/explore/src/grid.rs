@@ -1,7 +1,8 @@
 //! Running an experiment grid: every `(configuration × workload)` point
-//! of an [`ExperimentSpec`], scheduled individually on the [`Executor`].
+//! of an [`ExperimentSpec`], measured by engine runs scheduled on the
+//! [`Executor`].
 //!
-//! Grid points — not configurations — are the unit of parallelism, so
+//! Engine runs — not configurations — are the unit of parallelism, so
 //! one expensive configuration cannot serialize its whole row. Results
 //! come back in declaration order (configuration-major) and are
 //! bit-identical for every thread count.
@@ -13,18 +14,30 @@
 //! measurements, relabelled per declared point. Simulation is a pure
 //! function of those inputs, so the deduped grid is bit-identical to
 //! the naive one.
+//!
+//! Distinct points that differ only in their memory backend share **one
+//! engine run**: a backend never moves simulated time (the slot budget
+//! keeps every access inside its slot), so the run drives one point's
+//! backend and the others' as twins
+//! ([`Simulator::run_with_twins`](predllc_core::Simulator::run_with_twins)).
+//! Each point's row takes the run's latencies and execution time, its
+//! own backend's DRAM row counters, and its own label and analytical
+//! bound, exactly as a run of its own would give them. Attribution-on
+//! grids run every point alone: attribution splits the DRAM share of a
+//! latency by the run's own backend.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use predllc_core::analysis::MemoryAwareWcl;
-use predllc_core::SystemConfig;
+use predllc_core::{MemoryConfig, SystemConfig};
 use predllc_obs::{fields, TraceCtx};
 use predllc_workload::Workload;
 
 use crate::executor::Executor;
-use crate::hash::point_fingerprint;
-use crate::point::{measure, PointError};
+use crate::hash::{point_fingerprint, run_fingerprint, Fingerprint};
+use crate::point::{measure_group, PointError};
 use crate::spec::ExperimentSpec;
 use crate::ExploreError;
 
@@ -67,7 +80,9 @@ pub struct GridResult {
     /// attribution on. Never rendered into the classic CSV/JSON rows —
     /// those stay byte-identical either way; see
     /// [`render_attribution_csv`](crate::report::render_attribution_csv).
-    pub attribution: Option<crate::attribution::PointAttribution>,
+    /// Boxed: a server keeps every finished job's rows, and most rows
+    /// carry none.
+    pub attribution: Option<Box<crate::attribution::PointAttribution>>,
 }
 
 /// The deduped shard plan of a spec's grid: which declared points
@@ -96,8 +111,7 @@ pub fn plan_grid(spec: &ExperimentSpec) -> GridPlan {
         .collect();
     let mut unique: Vec<(usize, usize)> = Vec::with_capacity(points.len());
     let mut assignment: Vec<usize> = Vec::with_capacity(points.len());
-    let mut seen: std::collections::HashMap<crate::hash::Fingerprint, usize> =
-        std::collections::HashMap::new();
+    let mut seen: HashMap<Fingerprint, usize> = HashMap::new();
     for &(ci, wi) in &points {
         let fp = point_fingerprint(
             spec.cores,
@@ -202,17 +216,20 @@ pub fn run_grid(spec: &ExperimentSpec, exec: &Executor) -> Result<Vec<GridResult
 
 /// Runs every grid point of `spec` on `exec`, reporting progress.
 ///
-/// Each point builds its simulator from the validated per-configuration
-/// platform and streams the workload; nothing is shared between points,
-/// so results are pure functions of the spec and therefore identical
-/// across thread counts. Points with identical simulation inputs
-/// (platform + workload; labels excluded) are simulated **once** and
-/// the measurements reused — declaration order and per-point labels in
-/// the returned rows are unaffected.
+/// Each engine run builds its simulator from the validated
+/// per-configuration platform and streams the workload; nothing is
+/// shared between runs, so results are pure functions of the spec and
+/// therefore identical across thread counts. Points with identical
+/// simulation inputs (platform + workload; labels excluded) are
+/// simulated **once** and the measurements reused, and points that
+/// differ only in their memory backend share one engine run (see the
+/// [module docs](self)) — declaration order and per-point labels in the
+/// returned rows are unaffected.
 ///
-/// `observe(done, unique_total)` is called after each unique point
-/// completes (from worker threads, possibly concurrently) — the hook
-/// job-progress reporting hangs off.
+/// `observe(done, unique_total)` is called once per unique point, with
+/// every `done` from 1 to `unique_total` exactly once: a run's points
+/// count when the run completes (from worker threads, possibly
+/// concurrently) — the hook job-progress reporting hangs off.
 ///
 /// # Errors
 ///
@@ -228,11 +245,13 @@ pub fn run_grid_observed(
 }
 
 /// Like [`run_grid_observed`], recording one `explore.point` span per
-/// unique grid point under `ctx` (when given): the span's
+/// engine run under `ctx` (when given): the span's `point` field is the
+/// run's first unique point, `members` counts the unique points the run
+/// measures (the spans' `members` sum to the unique point count), its
 /// `queue_wait_ns` field is the wall-clock delay between the grid
-/// starting and a worker claiming the point, and its duration is the
-/// point's compute time. Tracing reads the clock and nothing else —
-/// the rows are bit-identical with or without it.
+/// starting and a worker claiming the run, and its duration is the
+/// run's compute time. Tracing reads the clock and nothing else — the
+/// rows are bit-identical with or without it.
 ///
 /// # Errors
 ///
@@ -252,26 +271,29 @@ pub fn run_grid_traced(
         .collect();
 
     // Configuration-major declaration order, one job per point — then
-    // collapse physically identical points onto their first occurrence.
+    // collapse physically identical points onto their first occurrence,
+    // and points that differ only in their backend onto one run.
     let plan = plan_grid(spec);
+    let runs = plan_runs(spec, &plan);
 
     let done = AtomicUsize::new(0);
     let unique_total = plan.unique.len();
     let grid_start = Instant::now();
     let measured = exec.try_map(
-        &plan.unique,
-        |i, &(ci, wi)| -> Result<GridResult, ExploreError> {
-            let (config, analytical) = &platforms[ci];
+        &runs,
+        |_, members| -> Result<Vec<GridResult>, ExploreError> {
+            let (ci, wi) = plan.unique[members[0]];
             let entry = &spec.workloads[wi];
-            // Queue wait: grid start to a worker claiming this point.
-            // The span stays open across the measurement, so its
-            // duration is the point's compute time.
+            // Queue wait: grid start to a worker claiming this run. The
+            // span stays open across the measurement, so its duration
+            // is the run's compute time.
             let queue_wait = grid_start.elapsed();
             let mut span = ctx.map(|c| {
                 let mut s = c.span(
                     "explore.point",
                     fields(&[
-                        ("point", (i as u64).into()),
+                        ("point", (members[0] as u64).into()),
+                        ("members", (members.len() as u64).into()),
                         ("config", spec.configs[ci].label.clone().into()),
                         ("workload", entry.label.clone().into()),
                     ]),
@@ -282,8 +304,12 @@ pub fn run_grid_traced(
                 );
                 s
             });
-            let result = measure(config, &workloads[wi])
-                .map_err(|e| match e {
+            let twins: Vec<MemoryConfig> = members[1..]
+                .iter()
+                .map(|&u| platforms[plan.unique[u].0].0.memory().clone())
+                .collect();
+            let group =
+                measure_group(&platforms[ci].0, &twins, &workloads[wi]).map_err(|e| match e {
                     PointError::Config(source) => ExploreError::Config {
                         label: spec.configs[ci].label.clone(),
                         source,
@@ -293,29 +319,77 @@ pub fn run_grid_traced(
                         workload: entry.label.clone(),
                         source,
                     },
-                })?
-                .to_grid_result(
-                    &spec.configs[ci].label,
-                    &entry.label,
-                    &config.memory().label(),
-                    entry.x,
-                    *analytical,
-                );
+                })?;
+            let rows: Vec<GridResult> = members
+                .iter()
+                .zip(&group)
+                .map(|(&u, measured)| {
+                    let (ci, _) = plan.unique[u];
+                    let (config, analytical) = &platforms[ci];
+                    measured.to_grid_result(
+                        &spec.configs[ci].label,
+                        &entry.label,
+                        &config.memory().label(),
+                        entry.x,
+                        *analytical,
+                    )
+                })
+                .collect();
             // Dropping the guard stamps the span's compute duration.
             drop(span.take());
-            observe(done.fetch_add(1, Ordering::Relaxed) + 1, unique_total);
-            Ok(result)
+            for _ in members {
+                observe(done.fetch_add(1, Ordering::Relaxed) + 1, unique_total);
+            }
+            Ok(rows)
         },
     )?;
 
-    // Expand back to declaration order, relabelling reused measurements
-    // with each declared point's own labels.
+    // Back to `plan.unique` order, then to declaration order,
+    // relabelling reused measurements with each declared point's own
+    // labels.
+    let mut measured: Vec<(usize, GridResult)> = runs
+        .iter()
+        .flatten()
+        .copied()
+        .zip(measured.into_iter().flatten())
+        .collect();
+    measured.sort_unstable_by_key(|&(u, _)| u);
+    let measured: Vec<GridResult> = measured.into_iter().map(|(_, row)| row).collect();
     let total_points = plan.points.len();
     Ok(GridRun {
         rows: assemble_rows(spec, &plan, &measured),
         unique_points: unique_total,
         total_points,
     })
+}
+
+/// The engine runs of a planned grid, as groups of `plan.unique`
+/// indices: points that differ only in their memory backend
+/// ([`run_fingerprint`]) share a run, each on its own twin backend. Each
+/// group lists its points in ascending order, and the groups are ordered
+/// by their first point. With attribution on, every point runs alone:
+/// attribution's DRAM split reads the latencies of the run's own
+/// backend.
+fn plan_runs(spec: &ExperimentSpec, plan: &GridPlan) -> Vec<Vec<usize>> {
+    let mut runs: Vec<Vec<usize>> = Vec::new();
+    let mut seen: HashMap<Fingerprint, usize> = HashMap::new();
+    for (u, &(ci, wi)) in plan.unique.iter().enumerate() {
+        let run = match spec.attribution {
+            true => runs.len(),
+            false => *seen
+                .entry(run_fingerprint(
+                    spec.cores,
+                    &spec.configs[ci],
+                    &spec.workloads[wi],
+                ))
+                .or_insert(runs.len()),
+        };
+        if run == runs.len() {
+            runs.push(Vec::new());
+        }
+        runs[run].push(u);
+    }
+    runs
 }
 
 #[cfg(test)]

@@ -347,6 +347,28 @@ pub fn point_fingerprint(
     workload: &WorkloadEntry,
     attribution: bool,
 ) -> Fingerprint {
+    hash_point(cores, config, workload, attribution, Some(&config.memory))
+}
+
+/// The fingerprint of the engine run an attribution-off grid point
+/// needs: [`point_fingerprint`] without the memory backend. A backend
+/// never moves simulated time, so points that share this fingerprint
+/// share one run, each on its own (twin) backend.
+pub(crate) fn run_fingerprint(
+    cores: u16,
+    config: &ConfigSpec,
+    workload: &WorkloadEntry,
+) -> Fingerprint {
+    hash_point(cores, config, workload, false, None)
+}
+
+fn hash_point(
+    cores: u16,
+    config: &ConfigSpec,
+    workload: &WorkloadEntry,
+    attribution: bool,
+    memory: Option<&MemoryConfig>,
+) -> Fingerprint {
     let mut p = Passes::new();
     if attribution {
         p.str("attribution");
@@ -368,7 +390,9 @@ pub fn point_fingerprint(
             p.u64(u64::from(*ways));
         }
     }
-    hash_memory(&mut p, &config.memory);
+    if let Some(memory) = memory {
+        hash_memory(&mut p, memory);
+    }
     match &config.schedule {
         None => p.u64(0),
         Some(owners) => {

@@ -10,7 +10,7 @@
 //! loop:
 //!
 //! * [`Executor`] — a work-stealing job executor (`std::thread` +
-//!   channels, no dependencies) that schedules individual grid points
+//!   channels, no dependencies) that schedules a grid's engine runs
 //!   across all cores with **deterministic declaration-order results**,
 //!   bit-identical for every thread count.
 //! * [`spec`] — the JSON experiment-spec layer: grids of partition
@@ -18,7 +18,8 @@
 //!   workloads, parsed with positioned errors ([`ExperimentSpec`]).
 //! * [`grid`] — runs every `(configuration × workload)` point and
 //!   reports full latency distributions (p50/p90/p99/p100 from
-//!   [`predllc_core::LatencyHistogram`]), not just the max.
+//!   [`predllc_core::LatencyHistogram`]), not just the max. Points that
+//!   differ only in their memory backend share one engine run.
 //! * [`search`] — the schedulability-driven partition search: walk the
 //!   `sets × ways` space via [`predllc_core::placement::pack`] and
 //!   [`predllc_core::analysis::TaskSetAnalysis`] to find the minimal
@@ -172,9 +173,9 @@ pub fn run_spec(spec: &ExperimentSpec, exec: &Executor) -> Result<ExploreReport,
 }
 
 /// Like [`run_spec`], with a grid-progress observer: `observe(done,
-/// unique_total)` fires after each unique grid point completes (from
-/// worker threads) — the hook a long-running service reports per-job
-/// progress through.
+/// unique_total)` fires once per unique grid point, when its engine run
+/// completes (from worker threads) — the hook a long-running service
+/// reports per-job progress through.
 ///
 /// # Errors
 ///
@@ -187,8 +188,9 @@ pub fn run_spec_observed(
     run_spec_traced(spec, exec, observe, None)
 }
 
-/// Like [`run_spec_observed`], recording per-point `explore.point`
-/// spans (queue wait and compute time) under `ctx` when one is given —
+/// Like [`run_spec_observed`], recording one `explore.point` span per
+/// engine run (queue wait and compute time) under `ctx` when one is
+/// given —
 /// see [`run_grid_traced`]. The report is bit-identical with or
 /// without tracing.
 ///

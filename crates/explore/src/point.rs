@@ -11,10 +11,12 @@
 //! in-process grid uses. That is what makes fleet results bit-identical
 //! to [`run_spec`](crate::run_spec), whatever the fleet shape.
 //!
-//! [`measure`] is the single simulation path: the in-process grid
-//! ([`run_grid_observed`](crate::run_grid_observed)) and the fleet
-//! worker endpoint both call it, so there is no second implementation
-//! to drift.
+//! There is a single simulation path: the in-process grid
+//! ([`run_grid_observed`](crate::run_grid_observed)) measures each group
+//! of points that differ only in their memory backend with one engine
+//! run, and [`measure`], which the fleet worker endpoint calls, is the
+//! one-point case of the same function, so there is no second
+//! implementation to drift. A fleet still ships and runs single points.
 
 use std::fmt;
 
@@ -299,7 +301,7 @@ impl PointMeasurement {
             workload: workload.to_string(),
             backend: backend.to_string(),
             x,
-            attribution: self.attribution.clone(),
+            attribution: self.attribution.clone().map(Box::new),
             requests: self.latency.count(),
             p50: self.latency.percentile(50.0).as_u64(),
             p90: self.latency.percentile(90.0).as_u64(),
@@ -319,7 +321,8 @@ impl PointMeasurement {
 }
 
 /// Simulates one grid point on a validated platform — the single
-/// measurement path shared by the in-process grid and fleet workers.
+/// measurement path shared by the in-process grid and fleet workers, as
+/// the one-member case of a group run.
 ///
 /// # Errors
 ///
@@ -329,9 +332,32 @@ pub fn measure(
     config: &SystemConfig,
     workload: impl Workload,
 ) -> Result<PointMeasurement, PointError> {
+    Ok(measure_group(config, &[], workload)?.swap_remove(0))
+}
+
+/// Simulates a group of grid points that differ only in their memory
+/// backend with one engine run: `config` on its own backend plus one
+/// twin backend per entry of `twins`
+/// ([`Simulator::run_with_twins`]). Returns one measurement per member,
+/// `config`'s first. The members share every number but their DRAM row
+/// counters.
+///
+/// Attribution-on points are never grouped: attribution's DRAM split
+/// reads the latencies of `config`'s backend alone.
+pub(crate) fn measure_group(
+    config: &SystemConfig,
+    twins: &[MemoryConfig],
+    workload: impl Workload,
+) -> Result<Vec<PointMeasurement>, PointError> {
+    debug_assert!(
+        twins.is_empty() || !config.attribution(),
+        "an attributed point was grouped with twins"
+    );
     let sim = Simulator::new(config.clone()).map_err(PointError::Config)?;
-    let report = sim.run(workload).map_err(PointError::Sim)?;
-    Ok(PointMeasurement {
+    let (report, twin_stats) = sim
+        .run_with_twins(workload, twins)
+        .map_err(PointError::Sim)?;
+    let first = PointMeasurement {
         latency: report.latency_histogram(),
         observed_wcl: report.max_request_latency().as_u64(),
         execution_time: report.execution_time().as_u64(),
@@ -341,7 +367,17 @@ pub fn measure(
         attribution: report
             .attribution()
             .map(|a| PointAttribution::from_report(config, a)),
-    })
+    };
+    let twins: Vec<PointMeasurement> = twin_stats
+        .iter()
+        .map(|mem| PointMeasurement {
+            row_hits: mem.row_hits,
+            row_empties: mem.row_empties,
+            row_conflicts: mem.row_conflicts,
+            ..first.clone()
+        })
+        .collect();
+    Ok(std::iter::once(first).chain(twins).collect())
 }
 
 fn render_config(c: &ConfigSpec) -> Result<Json, String> {
@@ -646,7 +682,7 @@ mod tests {
             assert_eq!(shipped, measured, "attribution wire trip lost data");
             // The derived grid row carries the attribution along.
             let row = shipped.to_grid_result("c", "w", &config.memory().label(), 1, None);
-            assert_eq!(row.attribution.as_ref(), Some(attr));
+            assert_eq!(row.attribution.as_deref(), Some(attr));
         }
     }
 

@@ -316,7 +316,7 @@ mod tests {
         let rows = run_grid(&spec, &Executor::new(1)).unwrap();
         let csv = render_attribution_csv(&rows);
         assert_eq!(csv.lines().count(), 2);
-        let attr = rows[0].attribution.as_ref().unwrap();
+        let attr = rows[0].attribution.as_deref().unwrap();
         assert!(csv.contains(&format!(",{},", attr.components.total().as_u64())));
         let gap = attr.gap.as_ref().unwrap();
         assert!(csv.trim_end().ends_with(&format!(

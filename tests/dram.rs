@@ -1,6 +1,6 @@
 //! Integration suite for the bank-aware DRAM subsystem.
 //!
-//! Three contracts:
+//! Four contracts:
 //!
 //! 1. **Seed equivalence** — the default (fixed-latency) backend
 //!    produces reports bit-identical to the seed simulator's: same
@@ -12,11 +12,17 @@
 //!    memory access latency is `≤` the backend's analytical worst case
 //!    (the quantity the slot-budget check and WCL bounds fold in), and
 //!    a `WorstCase`-wrapped run pins every access to exactly that bound.
+//! 4. **Twin backends** — a backend never moves simulated time, so a
+//!    run that drives twin backends beside its own
+//!    (`Simulator::run_with_twins`) reports exactly the plain run, and
+//!    each twin ends with the counters of a plain run on that backend.
 
-use predllc::workload_gen::UniformGen;
+use predllc::workload::rng::Rng64;
+use predllc::workload_gen::{HotColdGen, PointerChaseGen, StrideGen, UniformGen};
 use predllc::{
-    BankMapping, ConfigError, CoreId, Cycles, DramGeometry, DramTiming, EventKind, MemoryConfig,
-    PartitionSpec, RunReport, SharingMode, Simulator, SlotWidth, SystemConfig, Workload,
+    BankMapping, ConfigError, CoreId, Cycles, DramGeometry, DramTiming, EngineMode, EventKind,
+    MemoryConfig, MultiCore, PartitionSpec, RunReport, SharingMode, SimError, Simulator, SlotWidth,
+    SystemConfig, Workload,
 };
 
 fn platform(memory: MemoryConfig, mode: Option<SharingMode>, record_events: bool) -> SystemConfig {
@@ -275,4 +281,121 @@ fn slot_budget_and_memory_aware_wcl_fold_the_backend_in() {
     // The observed WCL of a run stays inside the memory-aware bound.
     let report = run(cfg, &workload(5));
     assert!(report.max_request_latency() <= wcl.bound().unwrap());
+}
+
+/// A deterministic random workload: each core draws a generator family,
+/// a footprint and a seed. Uniform streams start at address 0 on every
+/// core, so they share lines.
+fn random_workload(rng: &mut Rng64, cores: u16, ops: usize) -> MultiCore {
+    let mut wl = MultiCore::new();
+    for c in 0..cores {
+        let base = u64::from(c) << 22;
+        let range = 64 * (4 + rng.below(256));
+        let seed = rng.next_u64();
+        wl = match rng.below(4) {
+            0 => wl.core(
+                UniformGen::new(range, ops)
+                    .with_seed(seed)
+                    .with_write_fraction(0.3),
+            ),
+            1 => wl.core(StrideGen::new(base, range, ops).with_stride(64 * (1 + rng.below(3)))),
+            2 => wl.core(PointerChaseGen::new(base, range, ops)),
+            _ => wl.core(HotColdGen::new(base, range, ops).with_seed(seed)),
+        };
+    }
+    wl
+}
+
+#[test]
+fn twin_backends_reproduce_plain_runs_on_both_engines() {
+    let backends = [
+        MemoryConfig::fixed(Cycles::new(30)),
+        MemoryConfig::fixed(Cycles::new(12)),
+        MemoryConfig::fixed(Cycles::new(1)),
+        MemoryConfig::banked(),
+        MemoryConfig::bank_private(),
+        MemoryConfig::banked().worst_case(),
+        MemoryConfig::bank_private().worst_case(),
+    ];
+    let mut rng = Rng64::new(0x7_1A5);
+    for round in 0..10 {
+        // Bank-private mapping slices 8 banks evenly over 2 or 4 cores.
+        let cores = [2u16, 4][rng.below(2) as usize];
+        let sets = 1 + rng.below(4) as u32;
+        let ways = 1 + rng.below(4) as u32;
+        let partitions = match rng.below(3) {
+            0 => CoreId::first(cores)
+                .map(|c| PartitionSpec::private(sets, ways, c))
+                .collect(),
+            k => vec![PartitionSpec::shared(
+                sets,
+                ways,
+                CoreId::first(cores).collect(),
+                [SharingMode::SetSequencer, SharingMode::BestEffort][k as usize - 1],
+            )],
+        };
+        let ops = 100 + rng.below(400) as usize;
+        let wl = random_workload(&mut rng, cores, ops);
+        let set: Vec<MemoryConfig> = (0..2 + rng.below(3))
+            .map(|_| backends[rng.below(backends.len() as u64) as usize].clone())
+            .collect();
+        for mode in [EngineMode::Reference, EngineMode::FastForward] {
+            let build = |memory: &MemoryConfig| {
+                SystemConfig::builder(cores)
+                    .partitions(partitions.clone())
+                    .memory(memory.clone())
+                    .engine(mode)
+                    .record_events(true)
+                    .attribution(true)
+                    .build()
+                    .unwrap()
+            };
+            let what = format!("round {round}, {mode}, backends {set:?}");
+            let sim = Simulator::new(build(&set[0])).unwrap();
+            let plain = sim.run(&wl).unwrap();
+            let (twinned, twins) = sim.run_with_twins(&wl, &set[1..]).unwrap();
+            // Bit for bit: stats, events, attribution, cycles and flags.
+            assert_eq!(
+                format!("{twinned:?}"),
+                format!("{plain:?}"),
+                "{what}: twins changed the primary's report"
+            );
+            assert_eq!(twins.len(), set.len() - 1, "{what}");
+            for (memory, mem) in set[1..].iter().zip(&twins) {
+                let alone = Simulator::new(build(memory)).unwrap().run(&wl).unwrap();
+                // Everything but the DRAM counters is the shared run's;
+                // the DRAM counters are the twin's own.
+                let mut stats = twinned.stats.clone();
+                stats.absorb_memory(mem);
+                assert_eq!(stats, alone.stats, "{what}: twin {memory} diverged");
+                assert_eq!(
+                    (twinned.cycles, twinned.timed_out),
+                    (alone.cycles, alone.timed_out),
+                    "{what}: twin {memory} ran a different course"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn twins_that_break_the_slot_budget_are_config_errors() {
+    let sim = Simulator::new(platform(MemoryConfig::default(), None, false)).unwrap();
+    let err = sim
+        .run_with_twins(
+            workload(1),
+            &[MemoryConfig::banked(), MemoryConfig::fixed(Cycles::new(50))],
+        )
+        .unwrap_err();
+    assert_eq!(
+        err,
+        SimError::Config(ConfigError::DramExceedsSlot {
+            dram_latency: 50,
+            slot_width: 50,
+        })
+    );
+    // No twins is a plain run.
+    let (report, twins) = sim.run_with_twins(workload(1), &[]).unwrap();
+    assert!(twins.is_empty());
+    assert_eq!(report.stats, sim.run(workload(1)).unwrap().stats);
 }

@@ -2,9 +2,14 @@
 //! percentiles → schedulability-driven search, with the determinism
 //! guarantees the subsystem promises.
 
+use std::sync::Mutex;
+
 use predllc::analysis::TaskParams;
 use predllc::explore::spec::{Arrangement, SearchSpec};
-use predllc::explore::{run_grid, run_spec, search_partitions, ExploreError};
+use predllc::explore::{
+    build_platforms, measure, run_grid, run_grid_traced, run_spec, search_partitions, ExploreError,
+};
+use predllc::obs::{EventKind as TraceKind, FieldValue, TraceCtx, TraceId, Tracer};
 use predllc::workload_gen::UniformGen;
 use predllc::{
     CacheGeometry, ConfigError, CoreId, Cycles, Executor, ExperimentSpec, MemoryConfig,
@@ -252,5 +257,123 @@ fn a_65_core_shared_partition_is_a_positioned_config_error() {
             );
         }
         other => panic!("expected a config error, got {other:?}"),
+    }
+}
+
+/// Three platforms, each on three memory backends, declared interleaved,
+/// plus one duplicate column. The 27 distinct points need 9 engine runs:
+/// the points of one platform and workload differ only in their backend.
+const TWINS: &str = r#"{
+    "name": "twins",
+    "cores": 4,
+    "configs": [
+        {"label": "SS", "partition": {"kind": "shared", "sets": 2, "ways": 4, "mode": "SS"}},
+        {"label": "NSS/fixed12", "partition": {"kind": "shared", "sets": 2, "ways": 4, "mode": "NSS"},
+         "memory": {"kind": "fixed", "latency": 12}},
+        {"label": "P/banked", "partition": {"kind": "private", "sets": 2, "ways": 2},
+         "memory": {"kind": "banked", "banks": 8}},
+        {"label": "SS/banked", "partition": {"kind": "shared", "sets": 2, "ways": 4, "mode": "SS"},
+         "memory": {"kind": "banked", "banks": 8}},
+        {"label": "NSS/bank-private", "partition": {"kind": "shared", "sets": 2, "ways": 4, "mode": "NSS"},
+         "memory": {"kind": "banked", "banks": 8, "mapping": "bank-private"}},
+        {"label": "P", "partition": {"kind": "private", "sets": 2, "ways": 2}},
+        {"label": "SS/wc", "partition": {"kind": "shared", "sets": 2, "ways": 4, "mode": "SS"},
+         "memory": {"kind": "banked", "banks": 8, "mapping": "bank-private", "worst_case": true}},
+        {"label": "NSS", "partition": {"kind": "shared", "sets": 2, "ways": 4, "mode": "NSS"}},
+        {"label": "P/wc", "partition": {"kind": "private", "sets": 2, "ways": 2},
+         "memory": {"kind": "banked", "banks": 8, "worst_case": true}},
+        {"label": "SS-again", "partition": {"kind": "shared", "sets": 2, "ways": 4, "mode": "SS"}}
+    ],
+    "workloads": [
+        {"kind": "uniform", "range_bytes": 8192, "ops": 200, "seed": 7,
+         "write_fraction": 0.3},
+        {"kind": "chase", "range_bytes": 4096, "ops": 200, "seed": 9},
+        {"kind": "hotcold", "range_bytes": 16384, "ops": 200, "seed": 5}
+    ]
+}"#;
+
+/// Points that share an engine run get the rows a run of their own
+/// would give: every grouped row equals the row of one `measure` per
+/// declared point, at any thread count, with attribution off (grouped)
+/// and on (every point alone).
+#[test]
+fn grouped_runs_give_the_rows_of_one_measure_per_point() {
+    for attribution in [false, true] {
+        let text = TWINS.replacen(
+            "\"name\": \"twins\",",
+            &format!("\"name\": \"twins\", \"attribution\": {attribution},"),
+            1,
+        );
+        let spec = ExperimentSpec::parse(&text).unwrap();
+        assert_eq!(spec.attribution, attribution);
+        let platforms = build_platforms(&spec).unwrap();
+        let mut expected = Vec::new();
+        for (ci, (config, analytical)) in platforms.iter().enumerate() {
+            for entry in &spec.workloads {
+                let workload = entry.spec.build(spec.cores);
+                expected.push(measure(config, &workload).unwrap().to_grid_result(
+                    &spec.configs[ci].label,
+                    &entry.label,
+                    &config.memory().label(),
+                    entry.x,
+                    *analytical,
+                ));
+            }
+        }
+        for threads in [1, 4] {
+            let rows = run_grid(&spec, &Executor::new(threads)).unwrap();
+            assert_eq!(
+                rows, expected,
+                "attribution {attribution}, {threads} threads: grouped rows diverged"
+            );
+        }
+        // The backends really differ where the rows can show it.
+        assert_ne!(expected[9].row_hit_rate, expected[0].row_hit_rate);
+        assert_eq!(expected[9].execution_time, expected[0].execution_time);
+    }
+}
+
+/// What a job's progress and e2ebench's layer split read: `observe`
+/// reports every count from 1 to `unique_points` once, and there is one
+/// `explore.point` span per engine run, whose `members` fields sum to
+/// `unique_points`.
+#[test]
+fn grid_progress_counts_points_and_spans_count_runs() {
+    let spec = ExperimentSpec::parse(TWINS).unwrap();
+    for threads in [1, 3] {
+        let tracer = Tracer::new();
+        let calls = Mutex::new(Vec::new());
+        let run = run_grid_traced(
+            &spec,
+            &Executor::new(threads),
+            &|done, total| calls.lock().unwrap().push((done, total)),
+            Some(TraceCtx::new(&tracer, TraceId::fresh())),
+        )
+        .unwrap();
+        assert_eq!((run.unique_points, run.total_points), (27, 30));
+        let mut calls = calls.into_inner().unwrap();
+        calls.sort_unstable();
+        let want: Vec<(usize, usize)> = (1..=27).map(|done| (done, 27)).collect();
+        assert_eq!(calls, want, "{threads} threads");
+
+        let spans: Vec<_> = tracer
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.name == "explore.point" && e.kind == TraceKind::End)
+            .collect();
+        assert_eq!(spans.len(), 9, "{threads} threads: one span per engine run");
+        let members: u64 = spans
+            .iter()
+            .map(|e| {
+                e.fields
+                    .iter()
+                    .find_map(|(k, v)| match v {
+                        FieldValue::U64(n) if k == "members" => Some(*n),
+                        _ => None,
+                    })
+                    .expect("every explore.point span names its members")
+            })
+            .sum();
+        assert_eq!(members, 27, "{threads} threads");
     }
 }
