@@ -199,7 +199,7 @@ fn main() -> ExitCode {
     #[cfg(target_os = "linux")]
     {
         let want = (2 * conns + 256) as u64;
-        match predllc_serve::sys::raise_nofile_limit(want) {
+        match predllc_serve::raise_nofile_limit(want) {
             Ok(limit) if limit < want => {
                 let fit = ((limit as usize).saturating_sub(256)) / 2;
                 error!("fd limit {limit} cannot hold {conns} connections; running {fit}");

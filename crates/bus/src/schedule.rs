@@ -141,29 +141,6 @@ impl TdmSchedule {
         self.period() == u64::from(self.num_cores)
     }
 
-    /// How many slots `core` owns per period.
-    pub fn slots_per_period(&self, core: CoreId) -> u64 {
-        self.slots.iter().filter(|&&c| c == core).count() as u64
-    }
-
-    /// The first global slot owned by `core` at or after `from`.
-    ///
-    /// # Errors
-    ///
-    /// [`ScheduleError::UnknownCore`] if `core` owns no slot.
-    pub fn next_slot_of(&self, core: CoreId, from: u64) -> Result<u64, ScheduleError> {
-        if self.slots_per_period(core) == 0 {
-            return Err(ScheduleError::UnknownCore { core });
-        }
-        let period = self.period();
-        for k in from..from + period {
-            if self.owner(k) == core {
-                return Ok(k);
-            }
-        }
-        unreachable!("core owns a slot, so one period must contain it")
-    }
-
     /// The *distance* `d_{ci}^{cj}` of Definition 4.2: the number of slots
     /// between the start of `ci`'s slot and the start of `cj`'s next slot.
     ///
@@ -252,7 +229,13 @@ mod tests {
         for i in 0..4 {
             assert_eq!(s.owner(i), c(i as u16));
             assert_eq!(s.owner(i + 4), c(i as u16));
-            assert_eq!(s.slots_per_period(c(i as u16)), 1);
+            assert_eq!(
+                s.slot_owners()
+                    .iter()
+                    .filter(|&&o| o == c(i as u16))
+                    .count(),
+                1
+            );
         }
     }
 
@@ -260,7 +243,7 @@ mod tests {
     fn fig2_schedule_is_not_one_slot() {
         let s = TdmSchedule::new(vec![c(0), c(1), c(1)]).unwrap();
         assert!(!s.is_one_slot());
-        assert_eq!(s.slots_per_period(c(1)), 2);
+        assert_eq!(s.slot_owners().iter().filter(|&&o| o == c(1)).count(), 2);
         assert_eq!(s.distance(c(0), c(1)), Err(ScheduleError::NotOneSlot));
     }
 
@@ -286,19 +269,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn next_slot_of_walks_forward() {
-        let s = TdmSchedule::new(vec![c(0), c(1), c(1), c(2)]).unwrap();
-        assert_eq!(s.next_slot_of(c(1), 0).unwrap(), 1);
-        assert_eq!(s.next_slot_of(c(1), 2).unwrap(), 2);
-        assert_eq!(s.next_slot_of(c(1), 3).unwrap(), 5);
-        assert_eq!(s.next_slot_of(c(0), 1).unwrap(), 4);
-        assert_eq!(
-            s.next_slot_of(c(9), 0),
-            Err(ScheduleError::UnknownCore { core: c(9) })
-        );
     }
 
     #[test]

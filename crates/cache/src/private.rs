@@ -98,12 +98,6 @@ impl PrivateHierarchy {
         )
     }
 
-    /// The L2 geometry (needed by the WCL analysis: `m_cua` is the private
-    /// capacity in lines).
-    pub fn l2_geometry(&self) -> CacheGeometry {
-        self.l2.geometry()
-    }
-
     /// Performs a lookup for `op`, updating recency and dirtiness.
     ///
     /// On [`PrivateLookup::L2Hit`] the line is promoted into the
@@ -191,16 +185,6 @@ impl PrivateHierarchy {
         self.l1i.contains(line) || self.l1d.contains(line) || self.l2.contains(line)
     }
 
-    /// Whether the L2 holds `line`.
-    pub fn l2_contains(&self, line: LineAddr) -> bool {
-        self.l2.contains(line)
-    }
-
-    /// Number of lines currently held in L2.
-    pub fn l2_occupancy(&self) -> usize {
-        self.l2.occupancy()
-    }
-
     /// Iterates over the lines currently held in L2.
     pub fn l2_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
         self.l2.iter().map(|e| e.line)
@@ -211,7 +195,8 @@ impl PrivateHierarchy {
     /// # Errors
     ///
     /// Returns the first violating line, for test diagnostics.
-    pub fn check_inclusion(&self) -> Result<(), LineAddr> {
+    #[cfg(test)]
+    fn check_inclusion(&self) -> Result<(), LineAddr> {
         for e in self.l1i.iter().chain(self.l1d.iter()) {
             if !self.l2.contains(e.line) {
                 return Err(e.line);
@@ -385,17 +370,10 @@ mod tests {
     }
 
     #[test]
-    fn paper_default_l2_geometry() {
-        let h = PrivateHierarchy::paper_default();
-        assert_eq!(h.l2_geometry().lines(), 64);
-    }
-
-    #[test]
-    fn l2_occupancy_and_lines() {
+    fn l2_lines_lists_refilled_lines() {
         let mut h = tiny();
         h.refill(read(0));
         h.refill(read(1));
-        assert_eq!(h.l2_occupancy(), 2);
         let mut lines: Vec<_> = h.l2_lines().map(LineAddr::as_u64).collect();
         lines.sort_unstable();
         assert_eq!(lines, vec![0, 1]);

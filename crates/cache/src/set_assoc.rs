@@ -511,15 +511,6 @@ impl<T> SetAssocCache<T> {
         self.slots.iter().flatten()
     }
 
-    /// Iterates over the occupied entries of one set.
-    pub fn iter_set(&self, set: SetIdx) -> impl Iterator<Item = (WayIdx, &Entry<T>)> {
-        let base = set.as_usize() * self.ways;
-        self.slots[base..base + self.ways]
-            .iter()
-            .enumerate()
-            .filter_map(|(w, e)| e.as_ref().map(|e| (WayIdx(w as u32), e)))
-    }
-
     /// The number of occupied lines.
     pub fn occupancy(&self) -> usize {
         self.occupied.iter().map(|&n| n as usize).sum()
@@ -634,16 +625,6 @@ mod tests {
         assert_eq!(c.free_way(L2), Some(WayIdx(1)));
         c.fill(L2, false, 0);
         assert_eq!(c.free_way(L4), None);
-    }
-
-    #[test]
-    fn iter_set_reports_ways() {
-        let mut c = small();
-        c.fill(L0, false, 1);
-        c.fill(L2, false, 2);
-        let set0: Vec<_> = c.iter_set(SetIdx(0)).map(|(w, e)| (w, e.line)).collect();
-        assert_eq!(set0, vec![(WayIdx(0), L0), (WayIdx(1), L2)]);
-        assert_eq!(c.iter_set(SetIdx(1)).count(), 0);
     }
 
     #[test]

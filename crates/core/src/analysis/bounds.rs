@@ -47,11 +47,6 @@ impl WclBound {
             _ => None,
         }
     }
-
-    /// Whether a finite bound was established.
-    pub fn is_bounded(&self) -> bool {
-        matches!(self, WclBound::Bounded(_))
-    }
 }
 
 /// Classifies the WCL of `cua`'s LLC requests under `config`.
@@ -213,7 +208,6 @@ mod tests {
                 slots_in_gap: 2
             }
         );
-        assert!(!b.is_bounded());
         assert_eq!(b.cycles(), None);
     }
 

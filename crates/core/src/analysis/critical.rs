@@ -37,7 +37,7 @@ pub fn conflicting_lines(sets: u32, set: u32) -> impl Iterator<Item = LineAddr> 
 /// disjoint lines (the paper's disjoint-address-range rule).
 ///
 /// Core `i` uses lines `{set + (i·distinct + j)·sets | j < distinct}`.
-pub fn set_thrash_trace(
+pub(crate) fn set_thrash_trace(
     spec: &PartitionSpec,
     set: u32,
     core: CoreId,

@@ -31,11 +31,6 @@ pub struct DistanceSample {
 }
 
 impl DistanceSample {
-    /// The largest distance in the set, if any line is privately shared.
-    pub fn max_distance(&self) -> Option<u64> {
-        self.lines.iter().filter_map(|(_, d)| *d).max()
-    }
-
     /// The sum of distances (the "potential" that Observation 1 says
     /// drains while `c_ua` waits write-back-free).
     pub fn total_distance(&self) -> u64 {
@@ -195,7 +190,6 @@ mod tests {
         let s = t.samples(&events);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].lines, vec![(l(0), Some(1))]);
-        assert_eq!(s[0].max_distance(), Some(1));
     }
 
     #[test]

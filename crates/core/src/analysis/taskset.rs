@@ -50,7 +50,7 @@ impl TaskParams {
     /// partition's WCL bound.
     ///
     /// Returns `None` if the arithmetic overflows (astronomical WCLs).
-    pub fn wcet(&self, wcl: Cycles) -> Option<Cycles> {
+    pub(crate) fn wcet(&self, wcl: Cycles) -> Option<Cycles> {
         wcl.checked_mul(self.llc_requests)
             .and_then(|m| m.checked_add(self.compute))
     }

@@ -53,7 +53,7 @@ impl WclParams {
     ///
     /// Returns [`ConfigError::PartitionCoreOutOfRange`] if `core` is
     /// outside the configured system.
-    pub fn for_core(config: &SystemConfig, core: CoreId) -> Result<Self, ConfigError> {
+    pub(crate) fn for_core(config: &SystemConfig, core: CoreId) -> Result<Self, ConfigError> {
         if core.index() >= config.num_cores() {
             return Err(ConfigError::PartitionCoreOutOfRange {
                 core,
@@ -71,12 +71,14 @@ impl WclParams {
         })
     }
 
-    /// [`WclParams::for_core`] for core 0 — convenient when all cores
-    /// are symmetric, as in every paper configuration.
+    /// Extracts the analysis parameters for core 0 from a configuration
+    /// — convenient when all cores are symmetric, as in every paper
+    /// configuration.
     ///
     /// # Errors
     ///
-    /// Propagates [`WclParams::for_core`] failures.
+    /// Returns [`ConfigError::PartitionCoreOutOfRange`] if the
+    /// configuration has no core 0.
     pub fn from_config(config: &SystemConfig) -> Result<Self, ConfigError> {
         WclParams::for_core(config, CoreId::new(0))
     }
@@ -91,24 +93,13 @@ impl WclParams {
     /// `A = 2(n−1) · w · (n−1)`: periods for the distance of all `w`
     /// lines of a set to decay from `n` to 1 (Corollary 4.5 applied `w`
     /// times per unit of distance).
-    pub fn interference_factor(&self) -> u64 {
+    pub(crate) fn interference_factor(&self) -> u64 {
         let n1 = u64::from(self.sharers).saturating_sub(1);
         2 * n1 * u64::from(self.ways) * n1
     }
 
-    /// Theorem 4.7, in slots: `(m+1)·A·N + 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on arithmetic overflow; use
-    /// [`WclParams::wcl_one_slot_tdm_checked`] for adversarial inputs.
-    pub fn wcl_one_slot_tdm_slots(&self) -> u64 {
-        self.wcl_one_slot_tdm_slots_checked()
-            .expect("WCL overflow: use the checked variant")
-    }
-
     /// Theorem 4.7 in slots, `None` on overflow.
-    pub fn wcl_one_slot_tdm_slots_checked(&self) -> Option<u64> {
+    pub(crate) fn wcl_one_slot_tdm_slots_checked(&self) -> Option<u64> {
         let m1 = self.m().checked_add(1)?;
         let a = self.interference_factor();
         m1.checked_mul(a)?
@@ -146,7 +137,7 @@ impl WclParams {
     /// The private-partition WCL, in slots: `2N + 1` — up to one period
     /// to drain a pending write-back, one period to re-reach the core's
     /// slot, and the response slot (the "450 cycles" for `P` in Fig. 7).
-    pub fn wcl_private_slots(&self) -> u64 {
+    pub(crate) fn wcl_private_slots(&self) -> u64 {
         2 * u64::from(self.total_cores) + 1
     }
 
@@ -189,7 +180,7 @@ mod tests {
         let p = paper(16, 16);
         assert_eq!(p.m(), 16);
         assert_eq!(p.interference_factor(), 2 * 3 * 16 * 3);
-        assert_eq!(p.wcl_one_slot_tdm_slots(), 19_585);
+        assert_eq!(p.wcl_one_slot_tdm_slots_checked().unwrap(), 19_585);
         assert_eq!(p.wcl_one_slot_tdm().as_u64(), 979_250);
         assert_eq!(p.wcl_set_sequencer_slots(), 100);
         assert_eq!(p.wcl_set_sequencer().as_u64(), 5_000);
@@ -201,7 +192,7 @@ mod tests {
     fn fig7_two_way_variant() {
         // NSS(1,2,4): m = min(64, 2) = 2, A = 2·3·2·3 = 36.
         let p = paper(2, 2);
-        assert_eq!(p.wcl_one_slot_tdm_slots(), 3 * 36 * 4 + 1);
+        assert_eq!(p.wcl_one_slot_tdm_slots_checked().unwrap(), 3 * 36 * 4 + 1);
         assert_eq!(p.wcl_one_slot_tdm().as_u64(), 21_650);
         // SS does not depend on ways/partition size.
         assert_eq!(p.wcl_set_sequencer().as_u64(), 5_000);
@@ -242,7 +233,7 @@ mod tests {
         assert_eq!(p.interference_factor(), 0);
         // Theorem 4.7 degenerates to one slot — the private bound is the
         // meaningful one for n = 1.
-        assert_eq!(p.wcl_one_slot_tdm_slots(), 1);
+        assert_eq!(p.wcl_one_slot_tdm_slots_checked().unwrap(), 1);
         assert_eq!(p.wcl_set_sequencer_slots(), 4);
     }
 
@@ -291,7 +282,7 @@ mod tests {
                 core_capacity_lines: 64,
                 slot_width: SlotWidth::PAPER,
             };
-            let w = p.wcl_one_slot_tdm_slots();
+            let w = p.wcl_one_slot_tdm_slots_checked().unwrap();
             assert!(w > prev, "WCL must grow with n");
             prev = w;
         }

@@ -303,11 +303,6 @@ pub struct AttributionReport {
 }
 
 impl AttributionReport {
-    /// One core's exact per-component cycle totals.
-    pub fn core_components(&self, core: CoreId) -> &ComponentSet {
-        &self.per_core[core.as_usize()]
-    }
-
     /// Every core's component totals, indexed by core.
     pub fn per_core(&self) -> &[ComponentSet] {
         &self.per_core
@@ -544,7 +539,7 @@ mod tests {
             || (Vec::new(), Vec::new()),
         );
         let r = a.into_report();
-        let set = r.core_components(CoreId::new(0));
+        let set = &r.per_core()[0];
         assert_eq!(set.get(Component::Arbitration), Cycles::new(90));
         assert_eq!(set.get(Component::Bus), Cycles::new(50));
         assert_eq!(set.total(), Cycles::new(140));
@@ -593,7 +588,7 @@ mod tests {
             || (Vec::new(), Vec::new()),
         );
         let r = a.into_report();
-        let set = r.core_components(CoreId::new(0));
+        let set = &r.per_core()[0];
         assert_eq!(set.get(Component::Writeback), Cycles::new(50));
         assert_eq!(set.get(Component::LlcWait), Cycles::new(100));
         assert_eq!(set.get(Component::DramRowConflict), Cycles::new(30));

@@ -213,7 +213,7 @@ impl SystemConfig {
     }
 
     /// The selected engine mode (see [`EngineMode`]).
-    pub fn engine_mode(&self) -> EngineMode {
+    pub(crate) fn engine_mode(&self) -> EngineMode {
         self.engine
     }
 
@@ -238,7 +238,7 @@ impl SystemConfig {
     /// replayed under: the same platform, truncated at `cap` cycles and
     /// forced onto the reference engine with attribution off — the
     /// independent oracle re-deriving the witness's latency.
-    pub fn witness_replay_config(&self, cap: Cycles) -> SystemConfig {
+    pub(crate) fn witness_replay_config(&self, cap: Cycles) -> SystemConfig {
         let mut cfg = self.clone();
         cfg.max_cycles = Some(cap.as_u64());
         cfg.engine = EngineMode::Reference;

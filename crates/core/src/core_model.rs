@@ -20,7 +20,7 @@ use crate::stats::CoreStats;
 
 /// What a call to [`CoreModel::advance_to`] may leave behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoreProgress {
+pub(crate) enum CoreProgress {
     /// The core is still executing private hits (or waiting for its local
     /// clock to catch up).
     Running,
@@ -32,7 +32,7 @@ pub enum CoreProgress {
 
 /// What a [`CoreModel::advance_run`] batch advance accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunSummary {
+pub(crate) struct RunSummary {
     /// The core's state after the run.
     pub progress: CoreProgress,
     /// Start time of the last operation the run executed, if any — the
@@ -48,7 +48,7 @@ pub struct RunSummary {
 /// any [`Workload`](predllc_workload::Workload) stream; tests and tools
 /// can instantiate it with a plain `vec.into_iter()`.
 #[derive(Debug)]
-pub struct CoreModel<I> {
+pub(crate) struct CoreModel<I> {
     id: CoreId,
     ops: I,
     /// The private L1I/L1D/L2 stack.
@@ -68,7 +68,7 @@ pub struct CoreModel<I> {
 
 impl<I: Iterator<Item = MemOp>> CoreModel<I> {
     /// Creates a core over its operation stream.
-    pub fn new(
+    pub(crate) fn new(
         id: CoreId,
         ops: I,
         private: PrivateHierarchy,
@@ -91,19 +91,13 @@ impl<I: Iterator<Item = MemOp>> CoreModel<I> {
     }
 
     /// This core's identifier.
-    pub fn id(&self) -> CoreId {
+    pub(crate) fn id(&self) -> CoreId {
         self.id
     }
 
     /// Whether the stream is exhausted and the last operation completed.
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         self.finished
-    }
-
-    /// The cycle at which the core finished (meaningful once
-    /// [`Self::is_finished`]).
-    pub fn finished_at(&self) -> Cycles {
-        self.resume_at
     }
 
     /// Executes private-hit operations up to (and including) cycle `now`,
@@ -112,7 +106,7 @@ impl<I: Iterator<Item = MemOp>> CoreModel<I> {
     /// Never advances past `now`: the outcome of an operation issued
     /// after `now` could still be changed by back-invalidations arriving
     /// at the `now` slot boundary.
-    pub fn advance_to(&mut self, now: Cycles, stats: &mut CoreStats) -> CoreProgress {
+    pub(crate) fn advance_to(&mut self, now: Cycles, stats: &mut CoreStats) -> CoreProgress {
         self.advance_run(now, stats).progress
     }
 
@@ -128,7 +122,7 @@ impl<I: Iterator<Item = MemOp>> CoreModel<I> {
     /// operation so the fast-forward engine can account op progress at
     /// the exact slot boundary where the reference engine would have seen
     /// it (its deadlock guard counts slots without progress).
-    pub fn advance_run(&mut self, horizon: Cycles, stats: &mut CoreStats) -> RunSummary {
+    pub(crate) fn advance_run(&mut self, horizon: Cycles, stats: &mut CoreStats) -> RunSummary {
         let mut ops = 0u64;
         let mut l1 = 0u64;
         let mut l2 = 0u64;
@@ -179,14 +173,14 @@ impl<I: Iterator<Item = MemOp>> CoreModel<I> {
 
     /// Whether the PRB holds a request that is ready for the bus at
     /// `now` (it has finished its private lookup).
-    pub fn request_ready(&self, now: Cycles) -> bool {
+    pub(crate) fn request_ready(&self, now: Cycles) -> bool {
         self.prb.peek().is_some_and(|r| r.issued_at <= now)
     }
 
     /// Whether the PRB request targets a line for which this core still
     /// has a write-back queued — a hazard that forces the write-back to
     /// drain first regardless of arbiter policy.
-    pub fn request_hazard(&self) -> bool {
+    pub(crate) fn request_hazard(&self) -> bool {
         self.prb
             .peek()
             .is_some_and(|r| self.pwb.contains_line(r.op.addr.line()))
@@ -204,7 +198,7 @@ impl<I: Iterator<Item = MemOp>> CoreModel<I> {
     /// # Panics
     ///
     /// Panics if no request is outstanding.
-    pub fn complete_request(
+    pub(crate) fn complete_request(
         &mut self,
         resume: Cycles,
         stats: &mut CoreStats,
@@ -222,19 +216,6 @@ impl<I: Iterator<Item = MemOp>> CoreModel<I> {
         self.resume_at = resume;
         stats.ops_completed += 1;
         (req.issued_at, effect.clean_drop)
-    }
-
-    /// Applies an LLC back-invalidation: purges the line from the private
-    /// hierarchy and queues the acknowledgement write-back.
-    pub fn apply_back_invalidation(&mut self, line: LineAddr, now: Cycles, stats: &mut CoreStats) {
-        let out = self.private.back_invalidate(line);
-        self.pwb.push(WriteBack {
-            line,
-            dirty: out.dirty,
-            kind: WbKind::BackInvalAck,
-            enqueued_at: now,
-        });
-        stats.back_invalidations += 1;
     }
 }
 
@@ -321,20 +302,6 @@ mod tests {
             CoreProgress::Finished,
         );
         assert_eq!(stats.finished_at, Cycles::new(101));
-    }
-
-    #[test]
-    fn back_invalidation_queues_ack_and_purges() {
-        let mut c = core_with(vec![read(0), read(64)]);
-        let mut stats = CoreStats::default();
-        c.advance_to(Cycles::ZERO, &mut stats);
-        c.complete_request(Cycles::new(50), &mut stats);
-        assert!(c.private.contains(LineAddr::new(0)));
-        c.apply_back_invalidation(LineAddr::new(0), Cycles::new(60), &mut stats);
-        assert!(!c.private.contains(LineAddr::new(0)));
-        assert_eq!(c.pwb.len(), 1);
-        assert_eq!(c.pwb.peek().unwrap().kind, WbKind::BackInvalAck);
-        assert_eq!(stats.back_invalidations, 1);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //!   `O(cores)` per slot), jumps time directly across idle-slot spans
 //!   (accounting them in bulk), and records steady LLC-hit runs with
 //!   run-length-batched latency recording
-//!   ([`crate::LatencyHistogram::record_n`]).
+//!   (`LatencyHistogram::record_n`).
 //!
 //! Both engines service every request through the one allocation-free
 //! [`crate::llc::SharedLlc::service`] path, so the LLC protocol has a
@@ -128,11 +128,6 @@ impl RunReport {
         self.stats.makespan()
     }
 
-    /// The worst request latency of one specific core.
-    pub fn core_max_latency(&self, core: CoreId) -> Cycles {
-        self.stats.core(core).max_request_latency
-    }
-
     /// The system-wide request-latency distribution (every core's
     /// log-bucketed histogram merged).
     pub fn latency_histogram(&self) -> crate::histogram::LatencyHistogram {
@@ -201,8 +196,8 @@ impl Simulator {
     ///
     /// `run` borrows the simulator, so the same instance can execute any
     /// number of successive workloads. Which engine executes the run is
-    /// [`SystemConfig::engine_mode`]; both engines produce bit-identical
-    /// reports.
+    /// chosen by [`SystemConfigBuilder::engine`](crate::SystemConfigBuilder::engine);
+    /// both engines produce bit-identical reports.
     ///
     /// [`TraceSet`]: predllc_workload::TraceSet
     ///

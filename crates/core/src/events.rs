@@ -177,11 +177,6 @@ impl EventLog {
         &self.events
     }
 
-    /// Events involving a given slot.
-    pub fn in_slot(&self, slot: u64) -> impl Iterator<Item = &Event> {
-        self.events.iter().filter(move |e| e.slot == slot)
-    }
-
     /// Events matching a predicate on their kind.
     pub fn filter<'a, F>(&'a self, mut pred: F) -> impl Iterator<Item = &'a Event>
     where
@@ -213,7 +208,7 @@ mod tests {
     }
 
     #[test]
-    fn slot_and_kind_filters() {
+    fn kind_filter_selects_matching_events() {
         let mut log = EventLog::default();
         log.push(Cycles::new(0), 0, hit(0, 1));
         log.push(Cycles::new(50), 1, hit(1, 2));
@@ -225,7 +220,6 @@ mod tests {
                 reason: BlockReason::NotHead,
             },
         );
-        assert_eq!(log.in_slot(1).count(), 2);
         assert_eq!(
             log.filter(|k| matches!(k, EventKind::Blocked { .. }))
                 .count(),

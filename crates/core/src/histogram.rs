@@ -6,8 +6,9 @@
 //! distribution at a bounded memory cost (at most 496 counters, only as
 //! many as its largest value needs), so a run can report
 //! p50/p90/p99/p100 and the full bucket breakdown. The bucket
-//! scheme is log-linear (HDR-histogram style): values below 8 get exact
-//! buckets, and every power-of-two octave above is split into 8
+//! scheme is `predllc_obs::metrics`'s log-linear (HDR-histogram style)
+//! layout, the one its wall-clock histograms use: values below 8 get
+//! exact buckets, and every power-of-two octave above is split into 8
 //! sub-buckets, keeping the relative quantile error below 12.5%.
 //!
 //! Exact extremes are tracked separately, so [`LatencyHistogram::max`]
@@ -22,49 +23,7 @@
 use std::fmt;
 
 use predllc_model::Cycles;
-
-/// Sub-bucket resolution: each power-of-two octave is split into
-/// `2^GROUP_BITS` linear sub-buckets.
-const GROUP_BITS: u32 = 3;
-/// Sub-buckets per octave.
-const SUB: u64 = 1 << GROUP_BITS;
-/// Total bucket count: group 0 holds the exact values `0..SUB`, and each
-/// of the `64 - GROUP_BITS` remaining octave groups holds `SUB` buckets.
-/// `u64::MAX` lands in the last bucket.
-#[cfg(test)]
-const BUCKETS: usize = (64 - GROUP_BITS as usize + 1) * SUB as usize;
-
-/// The bucket a value is counted in.
-fn bucket_index(v: u64) -> usize {
-    if v < SUB {
-        return v as usize;
-    }
-    let msb = 63 - v.leading_zeros();
-    let group = (msb - GROUP_BITS + 1) as usize;
-    let offset = ((v >> (msb - GROUP_BITS)) - SUB) as usize;
-    group * SUB as usize + offset
-}
-
-/// The largest value that maps to bucket `i` (inclusive).
-fn bucket_high(i: usize) -> u64 {
-    if i < SUB as usize {
-        return i as u64;
-    }
-    let group = (i / SUB as usize) as u32;
-    let offset = (i % SUB as usize) as u64;
-    let shift = group - 1;
-    ((SUB + offset) << shift) + ((1u64 << shift) - 1)
-}
-
-/// The smallest value that maps to bucket `i`.
-fn bucket_low(i: usize) -> u64 {
-    if i < SUB as usize {
-        return i as u64;
-    }
-    let group = (i / SUB as usize) as u32;
-    let offset = (i % SUB as usize) as u64;
-    (SUB + offset) << (group - 1)
-}
+use predllc_obs::metrics::{bucket_high, bucket_index, bucket_low};
 
 /// A log-bucketed histogram of request latencies.
 ///
@@ -149,7 +108,7 @@ impl LatencyHistogram {
     /// (except that the saturating running total saturates as one product
     /// instead of `n` additions, indistinguishable until a run exceeds
     /// `u64::MAX` total cycles). `record_n(v, 0)` is a no-op.
-    pub fn record_n(&mut self, latency: Cycles, n: u64) {
+    pub(crate) fn record_n(&mut self, latency: Cycles, n: u64) {
         if n == 0 {
             return;
         }
@@ -384,38 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn buckets_are_monotone_and_cover_u64() {
-        let mut prev = None;
-        for v in (0..2048).chain([u64::MAX / 2, u64::MAX - 1, u64::MAX]) {
-            let i = bucket_index(v);
-            assert!(i < BUCKETS, "index {i} out of range for {v}");
-            assert!(bucket_low(i) <= v && v <= bucket_high(i), "v={v} i={i}");
-            if let Some(p) = prev {
-                assert!(i >= p, "bucket index not monotone at {v}");
-            }
-            prev = Some(i);
-        }
-        // Small values get exact buckets.
-        for v in 0..SUB {
-            assert_eq!(bucket_low(bucket_index(v)), v);
-            assert_eq!(bucket_high(bucket_index(v)), v);
-        }
-    }
-
-    #[test]
-    fn bucket_ranges_tile_without_gaps() {
-        for i in 0..BUCKETS - 1 {
-            assert_eq!(
-                bucket_high(i) + 1,
-                bucket_low(i + 1),
-                "gap or overlap between buckets {i} and {}",
-                i + 1
-            );
-        }
-        assert_eq!(bucket_high(BUCKETS - 1), u64::MAX);
-    }
-
-    #[test]
     fn counts_sum_to_total_records() {
         let h = filled(&[0, 1, 7, 8, 100, 100, 5000, u64::MAX]);
         assert_eq!(h.count(), 8);
@@ -450,7 +377,7 @@ mod tests {
         let rebuilt =
             LatencyHistogram::from_parts(h.total(), h.min(), h.max(), &h.bucket_entries()).unwrap();
         assert_eq!(rebuilt.buckets.len(), h.buckets.len());
-        assert_eq!(filled(&[u64::MAX]).buckets.len(), BUCKETS);
+        assert_eq!(filled(&[u64::MAX]).buckets.len(), 496);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   backend's analytical worst-case access latency must fit inside the
 //!   TDM slot — [`SystemConfigBuilder`] rejects any backend that
 //!   violates it, and [`analysis::SlotBudget`] exposes the check.
-//! * [`core_model`] — one core's trace-driven execution: private cache
+//! * `core_model` — one core's trace-driven execution: private cache
 //!   hits, the single outstanding request, refills.
 //! * [`engine`] — the slot-stepped simulator tying cores, TDM bus and LLC
 //!   together.
@@ -92,11 +92,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod analysis;
 pub mod attribution;
 pub mod config;
-pub mod core_model;
+mod core_model;
 pub mod engine;
 pub mod error;
 pub mod events;

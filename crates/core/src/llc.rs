@@ -44,7 +44,7 @@
 use predllc_bus::WbKind;
 use predllc_cache::{ReplacementKind, SetAssocCache};
 use predllc_dram::{MemAccess, MemRequest, MemStats, MemoryBackend};
-use predllc_model::{CoreId, Cycles, LineAddr, PartitionId, SetIdx, WayIdx};
+use predllc_model::{CoreId, Cycles, LineAddr, SetIdx, WayIdx};
 
 use crate::events::BlockReason;
 use crate::partition::{PartitionMap, SharingMode, MAX_PARTITION_CORES};
@@ -52,7 +52,7 @@ use crate::sequencer::SetSequencer;
 
 /// A set of partition members, as a bitmask over *partition-local*
 /// member indices: bit `i` stands for the `i`-th member of the partition
-/// in ascending core order (see [`SharedLlc::partition_members`]). A
+/// in ascending core order (see `SharedLlc::partition_members`). A
 /// partition has at most [`MAX_PARTITION_CORES`] members, so the mask is
 /// one word whatever the system's core count.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +60,7 @@ pub struct SharerSet(u64);
 
 impl SharerSet {
     /// The empty set.
-    pub const EMPTY: SharerSet = SharerSet(0);
+    pub(crate) const EMPTY: SharerSet = SharerSet(0);
 
     /// The mask bit of member index `member`.
     ///
@@ -135,7 +135,7 @@ impl FromIterator<usize> for SharerSet {
 
 /// Lifecycle of one LLC entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LineState {
+pub(crate) enum LineState {
     /// Normal valid line.
     Valid,
     /// Eviction in progress: the entry is reserved-dead, waiting for the
@@ -145,7 +145,7 @@ pub enum LineState {
 
 /// Per-line LLC metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LlcMeta {
+pub(crate) struct LlcMeta {
     /// While `Valid`: the partition members believed to cache the line
     /// privately. While `Evicting`: the members whose acknowledgements
     /// are still owed.
@@ -215,7 +215,7 @@ pub struct MemTraffic {
 ///
 /// The result holds no heap data: both sharer lists are
 /// [`SharerSet`]s over the requester's partition (map them to cores with
-/// [`SharedLlc::partition_members`]), and the victim line is in
+/// `SharedLlc::partition_members`), and the victim line is in
 /// `eviction`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceResult {
@@ -449,12 +449,12 @@ impl SharedLlc {
     /// The members of `core`'s partition in ascending core order: bit `i`
     /// of the partition's [`SharerSet`]s (such as
     /// [`ServiceResult::invalidations`]) stands for `members[i]`.
-    pub fn partition_members(&self, core: CoreId) -> &[CoreId] {
+    pub(crate) fn partition_members(&self, core: CoreId) -> &[CoreId] {
         &self.partitions[self.map.partition_of(core).as_usize()].members
     }
 
     /// The partition map this controller was built from.
-    pub fn partition_map(&self) -> &PartitionMap {
+    pub(crate) fn partition_map(&self) -> &PartitionMap {
         &self.map
     }
 
@@ -470,7 +470,7 @@ impl SharedLlc {
 
     /// Sequencer high-water marks across partitions: `(max tracked sets,
     /// max queue depth)`.
-    pub fn sequencer_pressure(&self) -> (usize, usize) {
+    pub(crate) fn sequencer_pressure(&self) -> (usize, usize) {
         self.partitions
             .iter()
             .map(|p| {
@@ -484,7 +484,7 @@ impl SharedLlc {
 
     /// Whether `line` is present and valid in `core`'s partition, with
     /// `core` recorded as a sharer (test/invariant helper).
-    pub fn is_valid_sharer(&self, core: CoreId, line: LineAddr) -> bool {
+    pub(crate) fn is_valid_sharer(&self, core: CoreId, line: LineAddr) -> bool {
         let p = &self.partitions[self.map.partition_of(core).as_usize()];
         let me = self.member(core);
         p.cache
@@ -492,16 +492,19 @@ impl SharedLlc {
             .is_some_and(|e| e.meta.state == LineState::Valid && e.meta.sharers.contains(me))
     }
 
-    /// The state of `line` in `partition`, if present (test helper).
-    pub fn line_state(&self, partition: PartitionId, line: LineAddr) -> Option<(LineState, u32)> {
-        self.partitions[partition.as_usize()]
+    /// The state of `line` in `core`'s partition, if present (test
+    /// helper).
+    #[cfg(test)]
+    fn line_state(&self, core: CoreId, line: LineAddr) -> Option<(LineState, u32)> {
+        self.partitions[self.map.partition_of(core).as_usize()]
             .cache
             .peek(line)
             .map(|e| (e.meta.state, e.meta.sharers.count()))
     }
 
     /// Occupancy of `core`'s partition (test helper).
-    pub fn partition_occupancy(&self, core: CoreId) -> usize {
+    #[cfg(test)]
+    fn partition_occupancy(&self, core: CoreId) -> usize {
         self.partitions[self.map.partition_of(core).as_usize()]
             .cache
             .occupancy()
@@ -552,7 +555,7 @@ impl SharedLlc {
     /// bank of the backend or of a twin is still busy from past
     /// accesses. The fast-forward engine asserts idle-slot jumps never
     /// land in front of it.
-    pub fn memory_next_busy_until(&self) -> Cycles {
+    pub(crate) fn memory_next_busy_until(&self) -> Cycles {
         self.memory
             .twins
             .iter()
@@ -840,7 +843,7 @@ impl SharedLlc {
     /// The engine calls this for every clean L2 victim, so the core's
     /// sharer bit clears at once and a later eviction of the line does
     /// not back-invalidate it.
-    pub fn note_clean_drop(&mut self, core: CoreId, line: LineAddr) {
+    pub(crate) fn note_clean_drop(&mut self, core: CoreId, line: LineAddr) {
         let pid = self.map.partition_of(core);
         let me = self.member(core);
         let p = &mut self.partitions[pid.as_usize()];
@@ -851,8 +854,9 @@ impl SharedLlc {
         }
     }
 
-    /// Whether `core` has a registered pending request.
-    pub fn has_pending(&self, core: CoreId) -> bool {
+    /// Whether `core` has a registered pending request (test helper).
+    #[cfg(test)]
+    fn has_pending(&self, core: CoreId) -> bool {
         let pid = self.map.partition_of(core);
         self.partitions[pid.as_usize()].pending_of(core).is_some()
     }
@@ -1213,8 +1217,7 @@ mod tests {
         let mut llc = shared_llc(SharingMode::BestEffort, 2, 2);
         svc(&mut llc, c(0), l(0));
         llc.writeback(c(0), l(0), true, WbKind::CapacityEviction, Cycles::ZERO);
-        let pid = llc.partition_map().partition_of(c(0));
-        let (state, sharers) = llc.line_state(pid, l(0)).unwrap();
+        let (state, sharers) = llc.line_state(c(0), l(0)).unwrap();
         assert_eq!(state, LineState::Valid);
         assert_eq!(sharers, 0);
         // Evicting it now: unshared and dirty → immediate free + DRAM WB.
@@ -1280,8 +1283,7 @@ mod tests {
         let mut llc = shared_llc(SharingMode::BestEffort, 2, 2);
         svc(&mut llc, c(0), l(0));
         llc.note_clean_drop(c(0), l(0));
-        let pid = llc.partition_map().partition_of(c(0));
-        assert_eq!(llc.line_state(pid, l(0)).unwrap().1, 0);
+        assert_eq!(llc.line_state(c(0), l(0)).unwrap().1, 0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub struct Placement {
 
 impl Placement {
     /// Whether two placements overlap anywhere.
-    pub fn overlaps(&self, other: &Placement) -> bool {
+    pub(crate) fn overlaps(&self, other: &Placement) -> bool {
         let set_overlap = self.set_start < other.set_start + other.sets
             && other.set_start < self.set_start + self.sets;
         let way_overlap = self.way_start < other.way_start + other.ways
@@ -181,7 +181,7 @@ pub fn pack(map: &PartitionMap, physical: CacheGeometry) -> Result<Vec<Placement
 ///
 /// Returns the first offending pair (or a placement paired with itself
 /// when it is out of bounds).
-pub fn check_disjoint_and_in_bounds(
+pub(crate) fn check_disjoint_and_in_bounds(
     placements: &[Placement],
     physical: CacheGeometry,
 ) -> Result<(), (Placement, Placement)> {

@@ -6,7 +6,7 @@
 //! ([`Simulator::run_profiled`](crate::Simulator::run_profiled)); the
 //! default [`Simulator::run`](crate::Simulator::run) passes `None`. At
 //! each opportunity (a processed slot, or the fast loop's choice of its
-//! next step) the engine asks [`EngineProfile::should_sample`] once and
+//! next step) the engine asks `EngineProfile::should_sample` once and
 //! keeps the answer as a start time on its own stack; without a profile
 //! that is one branch on an empty `Option` and no clock read or atomic
 //! operation.
@@ -71,7 +71,7 @@ impl EngineProfile {
     /// plain load and store, not a locked read-modify-write, so the
     /// engine's per-slot check stays nearly free; runs sharing one
     /// profile concurrently may sample slightly more or less often.
-    pub fn should_sample(&self) -> bool {
+    pub(crate) fn should_sample(&self) -> bool {
         let left = self.countdown.load(Ordering::Relaxed);
         let next = left.checked_sub(1).unwrap_or(self.sample_every - 1);
         self.countdown.store(next, Ordering::Relaxed);

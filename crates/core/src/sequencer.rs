@@ -141,7 +141,7 @@ impl SetSequencer {
     }
 
     /// Number of requests queued for `set`.
-    pub fn queue_len(&self, set: SetIdx) -> usize {
+    pub(crate) fn queue_len(&self, set: SetIdx) -> usize {
         self.queue(set).map_or(0, VecDeque::len)
     }
 
@@ -152,14 +152,14 @@ impl SetSequencer {
 
     /// High-water mark of simultaneously tracked sets — the QLT capacity
     /// a hardware implementation would need for this run.
-    pub fn max_tracked_sets(&self) -> usize {
+    pub(crate) fn max_tracked_sets(&self) -> usize {
         self.max_tracked_sets
     }
 
     /// High-water mark of a single queue's depth — the SQ depth a
     /// hardware implementation would need. Bounded by the sharer count,
     /// because each core has at most one outstanding request.
-    pub fn max_queue_depth(&self) -> usize {
+    pub(crate) fn max_queue_depth(&self) -> usize {
         self.max_queue_depth
     }
 }
@@ -265,25 +265,25 @@ mod tests {
         use predllc_model::{CoreId, SetIdx};
 
         #[derive(Default)]
-        pub struct HashSequencer {
+        pub(crate) struct HashSequencer {
             queues: HashMap<SetIdx, VecDeque<CoreId>>,
             max_tracked_sets: usize,
             max_queue_depth: usize,
         }
 
         impl HashSequencer {
-            pub fn enqueue(&mut self, set: SetIdx, core: CoreId) {
+            pub(crate) fn enqueue(&mut self, set: SetIdx, core: CoreId) {
                 let q = self.queues.entry(set).or_default();
                 q.push_back(core);
                 self.max_queue_depth = self.max_queue_depth.max(q.len());
                 self.max_tracked_sets = self.max_tracked_sets.max(self.queues.len());
             }
 
-            pub fn head(&self, set: SetIdx) -> Option<CoreId> {
+            pub(crate) fn head(&self, set: SetIdx) -> Option<CoreId> {
                 self.queues.get(&set).and_then(|q| q.front().copied())
             }
 
-            pub fn pop(&mut self, set: SetIdx) -> Option<CoreId> {
+            pub(crate) fn pop(&mut self, set: SetIdx) -> Option<CoreId> {
                 match self.queues.entry(set) {
                     MapEntry::Occupied(mut o) => {
                         let head = o.get_mut().pop_front();
@@ -296,7 +296,7 @@ mod tests {
                 }
             }
 
-            pub fn remove(&mut self, set: SetIdx, core: CoreId) -> bool {
+            pub(crate) fn remove(&mut self, set: SetIdx, core: CoreId) -> bool {
                 match self.queues.entry(set) {
                     MapEntry::Occupied(mut o) => {
                         let before = o.get().len();
@@ -311,23 +311,23 @@ mod tests {
                 }
             }
 
-            pub fn contains(&self, set: SetIdx, core: CoreId) -> bool {
+            pub(crate) fn contains(&self, set: SetIdx, core: CoreId) -> bool {
                 self.queues.get(&set).is_some_and(|q| q.contains(&core))
             }
 
-            pub fn queue_len(&self, set: SetIdx) -> usize {
+            pub(crate) fn queue_len(&self, set: SetIdx) -> usize {
                 self.queues.get(&set).map_or(0, VecDeque::len)
             }
 
-            pub fn tracked_sets(&self) -> usize {
+            pub(crate) fn tracked_sets(&self) -> usize {
                 self.queues.len()
             }
 
-            pub fn max_tracked_sets(&self) -> usize {
+            pub(crate) fn max_tracked_sets(&self) -> usize {
                 self.max_tracked_sets
             }
 
-            pub fn max_queue_depth(&self) -> usize {
+            pub(crate) fn max_queue_depth(&self) -> usize {
                 self.max_queue_depth
             }
         }

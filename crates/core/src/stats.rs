@@ -46,7 +46,7 @@ pub struct CoreStats {
 
 impl CoreStats {
     /// Records a completed LLC request's latency.
-    pub fn record_latency(&mut self, latency: Cycles) {
+    pub(crate) fn record_latency(&mut self, latency: Cycles) {
         self.requests += 1;
         self.total_request_latency += latency;
         if latency > self.max_request_latency {
@@ -59,7 +59,7 @@ impl CoreStats {
     /// latency — the bulk path the engine's fast-forward mode uses for
     /// steady-state runs of identical response latencies. Equivalent to
     /// `n` calls to [`CoreStats::record_latency`].
-    pub fn record_latency_n(&mut self, latency: Cycles, n: u64) {
+    pub(crate) fn record_latency_n(&mut self, latency: Cycles, n: u64) {
         if n == 0 {
             return;
         }
@@ -145,7 +145,7 @@ impl SimStats {
     }
 
     /// Mutable statistics of one core.
-    pub fn core_mut(&mut self, core: CoreId) -> &mut CoreStats {
+    pub(crate) fn core_mut(&mut self, core: CoreId) -> &mut CoreStats {
         &mut self.cores[core.as_usize()]
     }
 
@@ -184,7 +184,7 @@ impl SimStats {
 
     /// The system-wide request-latency distribution: every core's
     /// histogram merged (lossless counter addition).
-    pub fn request_latencies(&self) -> LatencyHistogram {
+    pub(crate) fn request_latencies(&self) -> LatencyHistogram {
         let mut merged = LatencyHistogram::new();
         for core in &self.cores {
             merged.merge(&core.latencies);

@@ -106,11 +106,6 @@ impl BankedDram {
     pub fn mapping(&self) -> BankMapping {
         self.mapping
     }
-
-    /// The row currently open in `bank`, if any (test/inspection helper).
-    pub fn open_row(&self, bank: predllc_model::BankId) -> Option<RowAddr> {
-        self.banks[bank.as_usize()].open_row
-    }
 }
 
 impl MemoryBackend for BankedDram {

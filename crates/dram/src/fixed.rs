@@ -34,7 +34,7 @@ pub struct FixedLatency {
 impl FixedLatency {
     /// The paper-calibrated default access latency: 30 cycles, comfortably
     /// inside the 50-cycle slot together with the LLC tag lookup.
-    pub const DEFAULT_LATENCY: Cycles = Cycles::new(30);
+    pub(crate) const DEFAULT_LATENCY: Cycles = Cycles::new(30);
 
     /// Creates a fixed-latency DRAM.
     pub fn new(latency: Cycles) -> Self {

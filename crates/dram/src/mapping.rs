@@ -48,7 +48,7 @@ impl BankMapping {
     /// issuing core: the line is placed within that core's bank slice.
     /// The caller guarantees `geometry.total_banks()` is divisible by
     /// `num_cores` (validated when the memory configuration is built).
-    pub fn decode(
+    pub(crate) fn decode(
         &self,
         line: LineAddr,
         core: CoreId,

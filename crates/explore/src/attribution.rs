@@ -67,7 +67,10 @@ impl PointGap {
 impl PointAttribution {
     /// Summarizes a run's [`AttributionReport`] for the wire, deriving
     /// the gap split from `config`'s analytical bound when one exists.
-    pub fn from_report(config: &SystemConfig, report: &AttributionReport) -> PointAttribution {
+    pub(crate) fn from_report(
+        config: &SystemConfig,
+        report: &AttributionReport,
+    ) -> PointAttribution {
         let witness = report.witness().cloned();
         let gap = witness.as_ref().and_then(|w| {
             MemoryAwareWcl::from_config(config)
@@ -83,7 +86,7 @@ impl PointAttribution {
     }
 
     /// Renders the attribution as a JSON value of exact integers.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut members = vec![("components".into(), components_json(&self.components))];
         if let Some(w) = &self.witness {
             members.push(("witness".into(), witness_json(w)));
@@ -94,8 +97,8 @@ impl PointAttribution {
         Json::Object(members)
     }
 
-    /// Rebuilds an attribution from a value rendered by
-    /// [`PointAttribution::to_json`].
+    /// Rebuilds an attribution from its JSON wire form (the value the
+    /// fleet's point replies carry).
     ///
     /// # Errors
     ///

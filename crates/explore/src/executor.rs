@@ -131,7 +131,7 @@ impl Executor {
     /// # Errors
     ///
     /// The lowest-indexed `Err` any job produced.
-    pub fn try_map<T, R, E, F>(&self, items: &[T], job: F) -> Result<Vec<R>, E>
+    pub(crate) fn try_map<T, R, E, F>(&self, items: &[T], job: F) -> Result<Vec<R>, E>
     where
         T: Sync,
         R: Send,

@@ -79,7 +79,7 @@ pub struct GridResult {
     /// The point's attribution summary, when the spec ran with
     /// attribution on. Never rendered into the classic CSV/JSON rows —
     /// those stay byte-identical either way; see
-    /// [`render_attribution_csv`](crate::report::render_attribution_csv).
+    /// [`render_attribution_json`](crate::report::render_attribution_json).
     /// Boxed: a server keeps every finished job's rows, and most rows
     /// carry none.
     pub attribution: Option<Box<crate::attribution::PointAttribution>>,

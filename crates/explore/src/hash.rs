@@ -81,7 +81,7 @@ impl Fnv1a {
     }
 
     /// Absorbs a `u64` as 8 little-endian bytes.
-    pub fn write_u64(&mut self, v: u64) {
+    pub(crate) fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
     }
 

@@ -1,12 +1,11 @@
 //! Rendering grid and search results: CSV for plots, JSON for the
 //! benchmark-artifact trajectory.
 //!
-//! The attribution renderers ([`render_attribution_csv`],
-//! [`render_attribution_json`]) are **separate artifacts**: the classic
-//! [`render_csv`] / [`render_json`] outputs never mention attribution
-//! and are byte-identical whether a spec ran with it or not.
+//! The attribution renderer ([`render_attribution_json`]) writes a
+//! **separate artifact**: the classic [`render_csv`] / [`render_json`]
+//! outputs never mention attribution and are byte-identical whether a
+//! spec ran with it or not.
 
-use predllc_core::Component;
 use predllc_obs::json_string;
 
 use crate::grid::GridResult;
@@ -44,38 +43,6 @@ pub fn render_csv(rows: &[GridResult]) -> String {
     let mut out = String::from(CSV_HEADER);
     for r in rows {
         out.push_str(&csv_row(r));
-    }
-    out
-}
-
-/// Renders the attribution columns of an attributed grid as CSV: one
-/// line per row that carries attribution (an attribution-off run yields
-/// just the header), with the exact per-component cycle totals, the
-/// witness latency and the signed analytical gap.
-pub fn render_attribution_csv(rows: &[GridResult]) -> String {
-    let mut out = String::from("config,workload");
-    for c in Component::ALL {
-        out.push(',');
-        out.push_str(c.label());
-    }
-    out.push_str(",total,observed_wcl,analytical_wcl,gap\n");
-    for r in rows {
-        let Some(attr) = &r.attribution else { continue };
-        out.push_str(&format!("{},{}", r.config, r.workload));
-        for (_, cycles) in attr.components.iter() {
-            out.push_str(&format!(",{}", cycles.as_u64()));
-        }
-        let (analytical, gap) = match &attr.gap {
-            Some(g) => (g.analytical_wcl.to_string(), g.gap().to_string()),
-            None => (String::new(), String::new()),
-        };
-        out.push_str(&format!(
-            ",{},{},{},{}\n",
-            attr.components.total().as_u64(),
-            r.observed_wcl,
-            analytical,
-            gap,
-        ));
     }
     out
 }
@@ -297,16 +264,11 @@ mod tests {
         use crate::grid::run_grid;
         use crate::spec::ExperimentSpec;
 
-        // Rows without attribution yield header-only artifacts.
-        let empty = render_attribution_csv(&[row()]);
-        assert_eq!(empty.lines().count(), 1);
-        assert!(empty.starts_with(
-            "config,workload,arbitration,writeback,llc_wait,bus,dram_row_hit,\
-             dram_row_empty,dram_row_conflict,dram_flat,total,observed_wcl,\
-             analytical_wcl,gap"
-        ));
+        // Rows without attribution yield an artifact with no points.
+        let empty = json::parse(&render_attribution_json("a", &[row()])).unwrap();
+        assert!(empty.get("points").unwrap().as_array().unwrap().is_empty());
 
-        // A real attributed run fills both artifacts, losslessly.
+        // A real attributed run fills the artifact, losslessly.
         let spec = ExperimentSpec::parse(
             r#"{"name":"a","cores":2,"attribution":true,
                 "configs":[{"partition":{"kind":"shared","sets":1,"ways":4,"mode":"SS"}}],
@@ -314,17 +276,7 @@ mod tests {
         )
         .unwrap();
         let rows = run_grid(&spec, &Executor::new(1)).unwrap();
-        let csv = render_attribution_csv(&rows);
-        assert_eq!(csv.lines().count(), 2);
         let attr = rows[0].attribution.as_deref().unwrap();
-        assert!(csv.contains(&format!(",{},", attr.components.total().as_u64())));
-        let gap = attr.gap.as_ref().unwrap();
-        assert!(csv.trim_end().ends_with(&format!(
-            ",{},{},{}",
-            rows[0].observed_wcl,
-            gap.analytical_wcl,
-            gap.gap()
-        )));
 
         let doc = json::parse(&render_attribution_json("a", &rows)).unwrap();
         let points = doc.get("points").unwrap().as_array().unwrap();

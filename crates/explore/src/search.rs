@@ -120,7 +120,7 @@ pub struct SearchOutcome {
 
 impl SearchOutcome {
     /// How many candidates were schedulable.
-    pub fn schedulable_count(&self) -> usize {
+    pub(crate) fn schedulable_count(&self) -> usize {
         self.evaluated.iter().filter(|v| v.schedulable).count()
     }
 }

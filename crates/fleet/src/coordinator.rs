@@ -639,7 +639,7 @@ impl Coordinator {
     /// per-worker latency already has a first-class home in
     /// `predllc_fleet_worker_rtt_ns`. Dead workers are skipped — their
     /// mirrored series simply stop advancing.
-    pub fn scrape_metrics_once(&self) -> usize {
+    pub(crate) fn scrape_metrics_once(&self) -> usize {
         let timeout = self
             .config
             .heartbeat_interval
@@ -756,9 +756,10 @@ impl Coordinator {
         }
     }
 
-    /// Starts the background scrape loop: [`Coordinator::scrape_metrics_once`]
-    /// immediately, then every `interval` until the returned handle is
-    /// stopped or dropped. Pair it with a serve
+    /// Starts the background scrape loop: it mirrors every live worker's
+    /// `/metrics` counters and gauges into the shared registry (one
+    /// `worker=..` series each) immediately, then every `interval` until
+    /// the returned handle is stopped or dropped. Pair it with a serve
     /// [`Collector`](predllc_obs::Collector) over the shared registry
     /// to get fleet-wide time-series and alerts from one process.
     pub fn start_metric_scrape(self: &Arc<Self>, interval: Duration) -> ScrapeHandle {

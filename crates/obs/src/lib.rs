@@ -5,11 +5,11 @@
 //!
 //! * [`metrics`] — a metric **registry** of counters, gauges and
 //!   log-bucketed timing histograms, rendered in the Prometheus text
-//!   exposition format (`text/plain; version=0.0.4`). The histogram
-//!   bucket scheme is the same log-linear HDR-style layout as
-//!   `predllc_core`'s `LatencyHistogram` (8 sub-buckets per power-of-two
-//!   octave), applied to wall-clock nanoseconds instead of simulated
-//!   cycles.
+//!   exposition format (`text/plain; version=0.0.4`). Its log-linear
+//!   HDR-style bucket layout (8 sub-buckets per power-of-two octave,
+//!   [`metrics::bucket_index`]) is the one `predllc_core`'s
+//!   `LatencyHistogram` uses too, here over wall-clock nanoseconds
+//!   instead of simulated cycles.
 //! * [`trace`] — structured tracing: [`TraceEvent`] records with span
 //!   begin/end, collected into per-thread bounded ring buffers (the
 //!   recording path never contends with other recording threads), keyed
@@ -40,6 +40,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod dash;
 pub mod expo;

@@ -33,16 +33,22 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Sub-bucket resolution: each power-of-two octave is split into
-/// `2^GROUP_BITS` linear sub-buckets — the same scheme as
-/// `predllc_core`'s `LatencyHistogram`, here over nanoseconds.
+/// `2^GROUP_BITS` linear sub-buckets.
 const GROUP_BITS: u32 = 3;
 /// Sub-buckets per octave.
 const SUB: u64 = 1 << GROUP_BITS;
-/// Total bucket count (group 0 holds the exact values `0..SUB`).
+/// Total bucket count: group 0 holds the exact values `0..SUB`, and each
+/// of the `64 - GROUP_BITS` remaining octave groups holds `SUB` buckets.
+/// `u64::MAX` lands in the last bucket.
 const BUCKETS: usize = (64 - GROUP_BITS as usize + 1) * SUB as usize;
 
-/// The bucket a value is counted in.
-fn bucket_index(v: u64) -> usize {
+/// The bucket a value is counted in, under the one log-linear
+/// (HDR-style) layout both [`TimingHistogram`] and the simulator's
+/// `LatencyHistogram` use: values below 8 get exact buckets, and every
+/// power-of-two octave above splits into 8 linear sub-buckets, so a
+/// bucket's bounds are within 12.5% of any value in it.
+#[inline]
+pub fn bucket_index(v: u64) -> usize {
     if v < SUB {
         return v as usize;
     }
@@ -52,9 +58,10 @@ fn bucket_index(v: u64) -> usize {
     group * SUB as usize + offset
 }
 
-/// The largest value that maps to bucket `i` (inclusive) — the
+/// The largest value that maps to bucket `i` (inclusive) — a
 /// histogram's `le` bound for that bucket.
-fn bucket_high(i: usize) -> u64 {
+#[inline]
+pub fn bucket_high(i: usize) -> u64 {
     if i < SUB as usize {
         return i as u64;
     }
@@ -62,6 +69,17 @@ fn bucket_high(i: usize) -> u64 {
     let offset = (i % SUB as usize) as u64;
     let shift = group - 1;
     ((SUB + offset) << shift) + ((1u64 << shift) - 1)
+}
+
+/// The smallest value that maps to bucket `i`.
+#[inline]
+pub fn bucket_low(i: usize) -> u64 {
+    if i < SUB as usize {
+        return i as u64;
+    }
+    let group = (i / SUB as usize) as u32;
+    let offset = (i % SUB as usize) as u64;
+    (SUB + offset) << (group - 1)
 }
 
 /// A monotonically increasing counter.
@@ -148,12 +166,11 @@ impl Default for HistogramCell {
 
 /// A log-bucketed histogram of wall-clock durations in nanoseconds.
 ///
-/// Same bucket layout as the simulator's `LatencyHistogram` (values
-/// below 8 get exact buckets; every power-of-two octave above splits
-/// into 8 linear sub-buckets, relative quantile error ≤ 12.5%), but
-/// with atomic counters so many threads record concurrently without a
-/// lock. Recording is O(1): one bucket increment plus the count/sum/
-/// extreme updates.
+/// Buckets follow [`bucket_index`]'s layout (values below 8 get exact
+/// buckets; every power-of-two octave above splits into 8 linear
+/// sub-buckets, relative quantile error ≤ 12.5%), with atomic counters
+/// so many threads record concurrently without a lock. Recording is
+/// O(1): one bucket increment plus the count/sum/extreme updates.
 #[derive(Debug, Clone, Default)]
 pub struct TimingHistogram {
     cell: Arc<HistogramCell>,
@@ -624,18 +641,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_scheme_matches_the_core_histogram_layout() {
-        // The first 8 values get exact buckets.
-        for v in 0..8u64 {
-            assert_eq!(bucket_index(v), v as usize);
-            assert_eq!(bucket_high(v as usize), v);
-        }
-        // Every value lands in a bucket whose bounds contain it, and
-        // bounds tile the u64 range in order.
-        for v in [8, 9, 100, 1000, 123_456_789, u64::MAX / 3, u64::MAX] {
+    fn buckets_are_monotone_and_cover_u64() {
+        let mut prev = None;
+        for v in (0..2048).chain([u64::MAX / 2, u64::MAX - 1, u64::MAX]) {
             let i = bucket_index(v);
-            assert!(v <= bucket_high(i), "{v} above its bucket high");
-            assert!(i == 0 || bucket_high(i - 1) < v, "{v} below its bucket");
+            assert!(i < BUCKETS, "index {i} out of range for {v}");
+            assert!(bucket_low(i) <= v && v <= bucket_high(i), "v={v} i={i}");
+            if let Some(p) = prev {
+                assert!(i >= p, "bucket index not monotone at {v}");
+            }
+            prev = Some(i);
+        }
+        // Small values get exact buckets.
+        for v in 0..SUB {
+            assert_eq!(bucket_low(bucket_index(v)), v);
+            assert_eq!(bucket_high(bucket_index(v)), v);
+        }
+    }
+
+    #[test]
+    fn bucket_ranges_tile_without_gaps() {
+        for i in 0..BUCKETS - 1 {
+            assert_eq!(
+                bucket_high(i) + 1,
+                bucket_low(i + 1),
+                "gap or overlap between buckets {i} and {}",
+                i + 1
+            );
         }
         assert_eq!(bucket_high(BUCKETS - 1), u64::MAX);
     }

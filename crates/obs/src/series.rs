@@ -87,7 +87,7 @@ impl SeriesStore {
 
     /// Records one batch at an explicit timestamp (tests drive time
     /// directly through this).
-    pub fn record_at(&self, t_ms: u64, samples: &[(String, ExpoValue)]) {
+    pub(crate) fn record_at(&self, t_ms: u64, samples: &[(String, ExpoValue)]) {
         let mut inner = self.inner.lock().unwrap();
         for (key, value) in samples {
             if !inner.series.contains_key(key) {
@@ -111,7 +111,7 @@ impl SeriesStore {
     }
 
     /// Number of distinct series currently stored.
-    pub fn series_count(&self) -> usize {
+    pub(crate) fn series_count(&self) -> usize {
         self.inner.lock().unwrap().series.len()
     }
 
@@ -129,7 +129,7 @@ impl SeriesStore {
     /// All stored keys matching `selector`: either the key itself, or
     /// a family name that matches every labelled series of that family
     /// (`selector == "m"` matches `m` and `m{worker="w0"}`).
-    pub fn keys_matching(&self, selector: &str) -> Vec<String> {
+    pub(crate) fn keys_matching(&self, selector: &str) -> Vec<String> {
         let prefix = format!("{selector}{{");
         let inner = self.inner.lock().unwrap();
         inner
@@ -166,7 +166,12 @@ impl SeriesStore {
 
     /// [`SeriesStore::history`] at an explicit `now` (tests drive time
     /// directly through this).
-    pub fn history_at(&self, window_ms: u64, step_ms: u64, now: u64) -> (u64, Vec<SeriesHistory>) {
+    pub(crate) fn history_at(
+        &self,
+        window_ms: u64,
+        step_ms: u64,
+        now: u64,
+    ) -> (u64, Vec<SeriesHistory>) {
         let step = step_ms.max(1);
         let start = now.saturating_sub(window_ms);
         let inner = self.inner.lock().unwrap();

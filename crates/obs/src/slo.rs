@@ -181,14 +181,14 @@ struct RuleState {
 
 /// Evaluates a fixed rule set against a [`SeriesStore`].
 #[derive(Debug)]
-pub struct Evaluator {
+pub(crate) struct Evaluator {
     rules: Vec<Rule>,
     states: Vec<RuleState>,
 }
 
 impl Evaluator {
     /// A fresh evaluator; every rule starts Inactive at time zero.
-    pub fn new(rules: Vec<Rule>) -> Evaluator {
+    pub(crate) fn new(rules: Vec<Rule>) -> Evaluator {
         let states = rules
             .iter()
             .map(|_| RuleState {
@@ -201,14 +201,9 @@ impl Evaluator {
         Evaluator { rules, states }
     }
 
-    /// The rule set.
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
-    }
-
     /// Runs one evaluation pass at `now_ms`, advancing every rule's
     /// state machine; returns the transitions that happened.
-    pub fn evaluate(&mut self, store: &SeriesStore, now_ms: u64) -> Vec<Transition> {
+    pub(crate) fn evaluate(&mut self, store: &SeriesStore, now_ms: u64) -> Vec<Transition> {
         let mut transitions = Vec::new();
         for (rule, st) in self.rules.iter().zip(self.states.iter_mut()) {
             let observed = worst_observation(rule, store, now_ms);
@@ -252,7 +247,7 @@ impl Evaluator {
     }
 
     /// Every rule's current status, in rule order.
-    pub fn statuses(&self) -> Vec<AlertStatus> {
+    pub(crate) fn statuses(&self) -> Vec<AlertStatus> {
         self.rules
             .iter()
             .zip(self.states.iter())
@@ -267,7 +262,7 @@ impl Evaluator {
     }
 
     /// How many rules are currently Firing.
-    pub fn firing(&self) -> u64 {
+    pub(crate) fn firing(&self) -> u64 {
         self.states
             .iter()
             .filter(|s| s.state == AlertState::Firing)
@@ -350,7 +345,7 @@ fn duration_ms(d: Duration) -> u64 {
     u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
 }
 
-/// The shareable alerting runtime: a locked [`Evaluator`] ticked by
+/// The shareable alerting runtime: a locked rule evaluator ticked by
 /// the collector thread and read by the `/v1/alerts` endpoint, with
 /// optional side-effects — a firing-count gauge
 /// (`predllc_alerts_firing`) and trace instant-events on every state

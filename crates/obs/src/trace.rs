@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -235,11 +235,9 @@ struct Shard {
 /// Collects [`TraceEvent`]s from many threads with per-thread sharding.
 ///
 /// Create one per process (or per logical component), hand `&Tracer`
-/// to anything that records. When disabled, every recording call is a
-/// single atomic load and an early return.
+/// to anything that records.
 #[derive(Debug)]
 pub struct Tracer {
-    enabled: AtomicBool,
     epoch: Instant,
     shards: Vec<Shard>,
     capacity: usize,
@@ -261,16 +259,15 @@ thread_local! {
 }
 
 impl Tracer {
-    /// An enabled tracer with the default per-shard capacity.
+    /// A tracer with the default per-shard capacity.
     pub fn new() -> Tracer {
         Tracer::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// An enabled tracer keeping at most `capacity` events per shard
+    /// A tracer keeping at most `capacity` events per shard
     /// (oldest dropped first).
     pub fn with_capacity(capacity: usize) -> Tracer {
         Tracer {
-            enabled: AtomicBool::new(true),
             epoch: Instant::now(),
             shards: (0..SHARDS).map(|_| Shard::default()).collect(),
             capacity: capacity.max(1),
@@ -278,18 +275,8 @@ impl Tracer {
         }
     }
 
-    /// Turns recording on or off. Events already buffered stay.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::SeqCst);
-    }
-
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Nanoseconds since this tracer's epoch.
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
@@ -300,9 +287,6 @@ impl Tracer {
 
     /// Records a fully-formed event.
     pub fn record(&self, event: TraceEvent) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let shard = &self.shards[MY_SHARD.with(|s| *s)];
         let mut ring = shard.ring.lock().unwrap();
         if ring.len() >= self.capacity {
@@ -314,9 +298,6 @@ impl Tracer {
 
     /// Records an [`EventKind::Instant`] event.
     pub fn instant(&self, trace: TraceId, name: &str, fields: Vec<(String, FieldValue)>) {
-        if !self.is_enabled() {
-            return;
-        }
         self.record(TraceEvent {
             trace,
             name: name.to_string(),
@@ -336,16 +317,14 @@ impl Tracer {
         fields: Vec<(String, FieldValue)>,
     ) -> SpanGuard<'a> {
         let start = Instant::now();
-        if self.is_enabled() {
-            self.record(TraceEvent {
-                trace,
-                name: name.to_string(),
-                kind: EventKind::Begin,
-                ts_ns: self.now_ns(),
-                dur_ns: None,
-                fields: fields.clone(),
-            });
-        }
+        self.record(TraceEvent {
+            trace,
+            name: name.to_string(),
+            kind: EventKind::Begin,
+            ts_ns: self.now_ns(),
+            dur_ns: None,
+            fields: fields.clone(),
+        });
         SpanGuard {
             tracer: self,
             trace,
@@ -414,9 +393,6 @@ impl SpanGuard<'_> {
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
         let dur = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.tracer.record(TraceEvent {
             trace: self.trace,
@@ -499,16 +475,6 @@ mod tests {
         let end = events.iter().find(|e| e.kind == EventKind::End).unwrap();
         assert!(end.dur_ns.is_some());
         assert_eq!(end.fields, vec![("points".to_string(), FieldValue::U64(7))]);
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let tracer = Tracer::new();
-        tracer.set_enabled(false);
-        let trace = TraceId::fresh();
-        tracer.instant(trace, "x", vec![]);
-        drop(tracer.span(trace, "y", vec![]));
-        assert!(tracer.snapshot().is_empty());
     }
 
     #[test]

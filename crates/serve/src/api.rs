@@ -1,9 +1,8 @@
 //! The service endpoints, written once against the [`Handler`] API and
-//! served identically by both the epoll reactor and the blocking
-//! fallback.
+//! served by the epoll reactor.
 //!
 //! [`build_router`] registers every endpoint; [`dispatch`] is the one
-//! entry point both serve modes call per request — it owns the killed
+//! entry point the reactor calls per request — it owns the killed
 //! check, the request counter, per-endpoint latency metrics, the
 //! 404/405 fallbacks, and panic containment (a panicking handler
 //! answers `500 {"error","kind":"internal"}` instead of taking the
@@ -30,12 +29,8 @@ use crate::handler::{Dispatch, Lookup, Router};
 use crate::http::{HttpError, Request, Response};
 use crate::registry::{Job, JobStatus, SubmitError};
 use crate::server::{
-    kill_shared, record_component_cycles, refresh_trace_dropped, MonitorState, Shared,
+    kill_shared, record_component_cycles, refresh_trace_dropped, MonitorState, Shared, MAX_WAIT_MS,
 };
-
-/// The longest a `GET /v1/experiments/{id}?wait_ms=N` request is held:
-/// a larger `N` is clamped to this, so a held request always ends.
-pub(crate) const MAX_WAIT_MS: u64 = 30_000;
 
 /// A JSON error body: `{"error": message, "kind": kind}`.
 pub(crate) fn error_response(status: u16, kind: &str, message: &str) -> Response {

@@ -21,6 +21,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use predllc_explore::json::{self, Json};
+use predllc_obs::expo::{self, ExpoValue};
+use predllc_obs::metrics::series_key;
 
 /// Any client-side failure.
 #[derive(Debug)]
@@ -330,7 +332,7 @@ impl Client {
         Ok(self.conn.as_mut().expect("just connected"))
     }
 
-    /// One request/response exchange with bounded transport retries.
+    /// Runs `attempt` with bounded transport retries.
     ///
     /// A failure on a reused keep-alive connection gets one free,
     /// immediate replay on a fresh connection (the connection was
@@ -339,17 +341,15 @@ impl Client {
     /// with exponential backoff (doubling from `self.backoff`, capped
     /// at [`Client::BACKOFF_CAP`]). Every service endpoint is
     /// idempotent, so replays are safe.
-    fn request(
+    fn retrying<T>(
         &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> Result<(u16, String), ClientError> {
+        mut attempt: impl FnMut(&mut Client) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
         let mut attempts = 0u32;
         let mut delay = self.backoff;
         loop {
             let had_conn = self.conn.is_some();
-            match self.exchange(method, path, body) {
+            match attempt(self) {
                 Ok(out) => return Ok(out),
                 Err(e @ (ClientError::Io(_) | ClientError::Protocol(_))) => {
                     self.conn = None;
@@ -368,24 +368,38 @@ impl Client {
         }
     }
 
-    /// One full buffered exchange: send, read the head, collapse the
-    /// body (either framing), classify by status.
-    fn exchange(
+    /// One request/response exchange with bounded transport retries
+    /// ([`Client::retrying`]): send, read the head, collect the body
+    /// (either framing) as it arrives, classify by status.
+    fn request(
         &mut self,
         method: &str,
         path: &str,
         body: Option<&str>,
     ) -> Result<(u16, String), ClientError> {
-        self.send_request(method, path, body)?;
-        let head = self.read_head()?;
-        let body = self.read_full_body(&head)?;
-        if (200..300).contains(&head.status) {
-            Ok((head.status, body))
-        } else {
-            Err(ClientError::Status {
-                status: head.status,
-                body,
-            })
+        self.retrying(|client| {
+            client.send_request(method, path, body)?;
+            let head = client.read_head()?;
+            let status = head.status;
+            let text = client.body(&head).text()?;
+            if (200..300).contains(&status) {
+                Ok((status, text))
+            } else {
+                Err(ClientError::Status { status, body: text })
+            }
+        })
+    }
+
+    /// The response body framed by `head`, still on the wire.
+    fn body(&mut self, head: &Head) -> ResultBody<'_> {
+        let state = match head.transfer {
+            Transfer::Length(n) => BodyState::Length { remaining: n },
+            Transfer::Chunked => BodyState::Chunk { remaining: 0 },
+        };
+        ResultBody {
+            keep_alive: head.keep_alive,
+            state,
+            client: self,
         }
     }
 
@@ -483,36 +497,6 @@ impl Client {
         })
     }
 
-    /// Collapses a whole response body into one string, decoding the
-    /// chunked transfer encoding when the server streamed it.
-    fn read_full_body(&mut self, head: &Head) -> Result<String, ClientError> {
-        let mut out;
-        match head.transfer {
-            Transfer::Length(n) => {
-                out = vec![0u8; n];
-                self.read_body_exact(&mut out)?;
-            }
-            Transfer::Chunked => {
-                out = Vec::new();
-                loop {
-                    let size = self.read_chunk_size()?;
-                    if size == 0 {
-                        self.consume_crlf()?;
-                        break;
-                    }
-                    let start = out.len();
-                    out.resize(start + size, 0);
-                    self.read_body_exact(&mut out[start..])?;
-                    self.consume_crlf()?;
-                }
-            }
-        }
-        if !head.keep_alive {
-            self.conn = None;
-        }
-        String::from_utf8(out).map_err(|_| ClientError::Protocol("non-utf8 body".into()))
-    }
-
     /// `read_exact` over the live connection, dropping it on failure —
     /// a half-read body leaves the stream unframed, so it must not be
     /// reused.
@@ -588,19 +572,27 @@ impl Client {
         Ok(self.request("GET", "/metrics", None)?.1)
     }
 
-    /// One counter out of [`Client::metrics`], by exact name.
+    /// One integer sample out of [`Client::metrics`], by its exact series
+    /// key: the bare name, or the name with its labels as the exposition
+    /// writes them (`name{label="value"}`, see
+    /// [`predllc_obs::metrics::series_key`]).
     ///
     /// # Errors
     ///
-    /// [`ClientError::Protocol`] when the counter is missing.
+    /// [`ClientError::Protocol`] when the exposition does not parse or
+    /// holds no integer sample under that key.
     pub fn metric(&mut self, name: &str) -> Result<u64, ClientError> {
         let text = self.metrics()?;
-        text.lines()
-            .find_map(|l| {
-                let (n, v) = l.split_once(' ')?;
-                (n == name).then(|| v.parse().ok())?
-            })
-            .ok_or_else(|| ClientError::Protocol(format!("no metric named {name}")))
+        let exposition = expo::parse(&text)
+            .map_err(|e| ClientError::Protocol(format!("invalid exposition: {e}")))?;
+        let value = exposition
+            .samples()
+            .find(|s| series_key(&s.name, &s.labels) == name)
+            .and_then(|s| match s.value {
+                ExpoValue::UInt(v) => Some(v),
+                ExpoValue::Float(_) => None,
+            });
+        value.ok_or_else(|| ClientError::Protocol(format!("no metric named {name}")))
     }
 
     /// `GET /v1/metrics/history` — collected time-series over the last
@@ -725,7 +717,7 @@ impl Client {
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
             let hold = left
-                .min(Duration::from_millis(crate::api::MAX_WAIT_MS))
+                .min(Duration::from_millis(crate::server::MAX_WAIT_MS))
                 .min(self.timeout / 2);
             let wait_ms = u64::try_from(hold.as_millis()).unwrap_or(u64::MAX).max(1);
             let status = self.status_at(&format!("/v1/experiments/{id}?wait_ms={wait_ms}"))?;
@@ -765,46 +757,18 @@ impl Client {
     /// connection reusable. Any transport failure.
     pub fn results(&mut self, id: &str, format: Format) -> Result<ResultBody<'_>, ClientError> {
         let path = format.path(id);
-        let mut attempts = 0u32;
-        let mut delay = self.backoff;
-        let head = loop {
-            let had_conn = self.conn.is_some();
-            let sent = self
-                .send_request("GET", &path, None)
-                .and_then(|()| self.read_head());
-            match sent {
-                Ok(head) => break head,
-                Err(e @ (ClientError::Io(_) | ClientError::Protocol(_))) => {
-                    self.conn = None;
-                    if had_conn {
-                        continue; // stale keep-alive: free immediate replay
-                    }
-                    if attempts >= self.retries {
-                        return Err(e);
-                    }
-                    attempts += 1;
-                    std::thread::sleep(delay);
-                    delay = (delay * 2).min(Client::BACKOFF_CAP);
-                }
-                Err(e) => return Err(e),
-            }
-        };
+        let head = self.retrying(|client| {
+            client.send_request("GET", &path, None)?;
+            client.read_head()
+        })?;
         if !(200..300).contains(&head.status) {
-            let body = self.read_full_body(&head)?;
+            let body = self.body(&head).text()?;
             return Err(ClientError::Status {
                 status: head.status,
                 body,
             });
         }
-        let state = match head.transfer {
-            Transfer::Length(n) => BodyState::Length { remaining: n },
-            Transfer::Chunked => BodyState::Chunk { remaining: 0 },
-        };
-        Ok(ResultBody {
-            keep_alive: head.keep_alive,
-            state,
-            client: self,
-        })
+        Ok(self.body(&head))
     }
 
     /// `POST /v1/points` — have the server simulate (or answer from its

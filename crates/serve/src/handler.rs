@@ -17,14 +17,13 @@ use crate::registry::Job;
 
 /// What the dispatch layer decided to do with a request.
 #[derive(Debug)]
-pub enum Dispatch {
+pub(crate) enum Dispatch {
     /// Write this response (then keep the connection per its wishes).
     Reply(Response),
     /// Hold the request until `job` settles or `until` passes, then
     /// answer with the job's status document at that moment — a
     /// `GET /v1/experiments/{id}?wait_ms=N` long poll. The reactor
-    /// parks the connection on [`Job::watch`] (no thread waits); the
-    /// blocking fallback waits in [`Job::wait`].
+    /// parks the connection on [`Job::watch`] (no thread waits).
     Hold {
         /// The job whose settling releases the request.
         job: Arc<Job>,
@@ -38,7 +37,7 @@ pub enum Dispatch {
 
 /// One endpoint: a parsed request plus captured path parameters in,
 /// a [`Dispatch`] out.
-pub trait Handler: Send + Sync {
+pub(crate) trait Handler: Send + Sync {
     /// Handles one request. `params` holds the path segments captured
     /// by `{placeholders}` in the route pattern, in order.
     fn handle(&self, req: &Request, params: &[&str]) -> Dispatch;
@@ -69,7 +68,7 @@ struct Route {
 }
 
 /// Where a request landed in the routing table.
-pub enum Lookup<'r, 'p> {
+pub(crate) enum Lookup<'r, 'p> {
     /// A route matched; run its handler with the captured params.
     Matched {
         /// The route's metric label (`predllc_endpoint_latency` etc.).
@@ -96,19 +95,19 @@ pub enum Lookup<'r, 'p> {
 /// registration order; a path that matches some route's pattern under
 /// a different method reports 405, otherwise 404.
 #[derive(Default)]
-pub struct Router {
+pub(crate) struct Router {
     routes: Vec<Route>,
 }
 
 impl Router {
     /// An empty router.
-    pub fn new() -> Router {
+    pub(crate) fn new() -> Router {
         Router::default()
     }
 
     /// Registers a lightweight endpoint (cheap enough to run inline on
     /// a reactor thread: O(registry lookup) work, small allocations).
-    pub fn at(
+    pub(crate) fn at(
         &mut self,
         method: &'static str,
         pattern: &'static str,
@@ -119,10 +118,10 @@ impl Router {
     }
 
     /// Registers a heavyweight endpoint (parses arbitrary payloads,
-    /// simulates, or renders large documents): both serve modes run it
-    /// on the bounded dispatch executor, whose queue depth drives 429
+    /// simulates, or renders large documents): the reactor runs it on
+    /// the bounded dispatch executor, whose queue depth drives 429
     /// backpressure.
-    pub fn at_heavy(
+    pub(crate) fn at_heavy(
         &mut self,
         method: &'static str,
         pattern: &'static str,
@@ -161,7 +160,7 @@ impl Router {
     }
 
     /// Routes `method path`.
-    pub fn lookup<'p>(&self, method: &str, path: &'p str) -> Lookup<'_, 'p> {
+    pub(crate) fn lookup<'p>(&self, method: &str, path: &'p str) -> Lookup<'_, 'p> {
         let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
         let mut shape_matched = false;
         for route in &self.routes {

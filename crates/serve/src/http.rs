@@ -19,35 +19,11 @@
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
-/// Upper bounds applied while reading a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Limits {
-    /// Longest accepted request line (method + target + version), bytes.
-    pub max_request_line: usize,
-    /// Longest accepted single header line, bytes.
-    pub max_header_line: usize,
-    /// Most accepted headers.
-    pub max_headers: usize,
-    /// Largest accepted body, bytes.
-    pub max_body: usize,
-}
-
-impl Default for Limits {
-    fn default() -> Self {
-        Limits {
-            max_request_line: 8 << 10,
-            max_header_line: 8 << 10,
-            max_headers: 64,
-            // Experiment specs are small; 1 MiB leaves two orders of
-            // magnitude of headroom.
-            max_body: 1 << 20,
-        }
-    }
-}
+use crate::server::Limits;
 
 /// A parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// Request method, uppercased by the client (`GET`, `POST`, …).
     pub method: String,
     /// Decoded path component of the target (no query string).
@@ -69,7 +45,7 @@ pub struct Request {
 
 impl Request {
     /// First value of header `name` (lowercase), if present.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(n, _)| n == name)
@@ -79,7 +55,7 @@ impl Request {
     /// The value of query parameter `key`, if present (`k=v` pairs
     /// separated by `&`; no percent-decoding — the API's values are
     /// plain tokens).
-    pub fn query_param(&self, key: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, key: &str) -> Option<&str> {
         self.query.as_deref()?.split('&').find_map(|pair| {
             let (k, v) = pair.split_once('=')?;
             (k == key).then_some(v)
@@ -89,7 +65,7 @@ impl Request {
 
 /// Why a request could not be read.
 #[derive(Debug)]
-pub enum HttpError {
+pub(crate) enum HttpError {
     /// The underlying transport failed.
     Io(io::Error),
     /// The request violated a [`Limits`] bound (the field names the
@@ -171,7 +147,10 @@ fn read_line(
 /// [`HttpError`] describing the transport failure, violated bound or
 /// malformed syntax; the caller maps these to 4xx responses where a
 /// response is still possible.
-pub fn read_request(r: &mut impl BufRead, limits: &Limits) -> Result<Option<Request>, HttpError> {
+pub(crate) fn read_request(
+    r: &mut impl BufRead,
+    limits: &Limits,
+) -> Result<Option<Request>, HttpError> {
     let Some(request_line) = read_line(r, limits.max_request_line, "request line")? else {
         return Ok(None);
     };
@@ -258,7 +237,7 @@ pub fn read_request(r: &mut impl BufRead, limits: &Limits) -> Result<Option<Requ
 
 /// The outcome of [`try_parse`] over an accumulation buffer.
 #[derive(Debug)]
-pub enum Parse {
+pub(crate) enum Parse {
     /// A complete request; `usize` is how many buffer bytes it consumed.
     Complete(Box<Request>, usize),
     /// The buffer holds a valid prefix of a request — read more bytes.
@@ -278,7 +257,7 @@ pub enum Parse {
 /// without completing a request is guaranteed to hit
 /// [`Parse::Invalid`] — the accumulation buffer is bounded by the
 /// limits themselves.
-pub fn try_parse(buf: &[u8], limits: &Limits) -> Parse {
+pub(crate) fn try_parse(buf: &[u8], limits: &Limits) -> Parse {
     if buf.is_empty() {
         return Parse::Partial;
     }
@@ -298,7 +277,7 @@ pub fn try_parse(buf: &[u8], limits: &Limits) -> Parse {
 /// when it has drained what it already holds, so a slow or stalled
 /// reader naturally stops the producer instead of ballooning memory
 /// (write backpressure by construction).
-pub trait BodyStream: Send {
+pub(crate) trait BodyStream: Send {
     /// The next chunk of body bytes, or `None` when the body is done.
     /// Implementations should return kilobyte-scale chunks; empty
     /// chunks are skipped by the writers (an empty chunk would
@@ -314,7 +293,7 @@ impl BodyStream for std::vec::IntoIter<Vec<u8>> {
 
 /// A response body: fully materialized bytes, or a stream rendered
 /// incrementally as the connection drains.
-pub enum Body {
+pub(crate) enum Body {
     /// The whole body, framed with `Content-Length`.
     Full(Vec<u8>),
     /// A pull-based stream, framed with chunked `Transfer-Encoding`
@@ -324,7 +303,7 @@ pub enum Body {
 
 impl Body {
     /// Drains the body into plain bytes (pulls a stream to completion).
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         match self {
             Body::Full(bytes) => bytes,
             Body::Stream(mut s) => {
@@ -373,7 +352,7 @@ impl From<&[u8]> for Body {
 
 /// A response about to be written.
 #[derive(Debug)]
-pub struct Response {
+pub(crate) struct Response {
     /// Status code.
     pub status: u16,
     /// `Content-Type` header value.
@@ -386,7 +365,7 @@ pub struct Response {
 
 impl Response {
     /// A response with a text/JSON-ish string body.
-    pub fn new(status: u16, content_type: &'static str, body: impl Into<Body>) -> Response {
+    pub(crate) fn new(status: u16, content_type: &'static str, body: impl Into<Body>) -> Response {
         Response {
             status,
             content_type,
@@ -396,17 +375,21 @@ impl Response {
     }
 
     /// A `200 OK` plain-text response.
-    pub fn text(body: impl Into<Body>) -> Response {
+    pub(crate) fn text(body: impl Into<Body>) -> Response {
         Response::new(200, "text/plain; charset=utf-8", body)
     }
 
     /// A JSON response at `status`.
-    pub fn json(status: u16, body: impl Into<Body>) -> Response {
+    pub(crate) fn json(status: u16, body: impl Into<Body>) -> Response {
         Response::new(status, "application/json", body)
     }
 
     /// A streamed response at `status`.
-    pub fn stream(status: u16, content_type: &'static str, body: Box<dyn BodyStream>) -> Response {
+    pub(crate) fn stream(
+        status: u16,
+        content_type: &'static str,
+        body: Box<dyn BodyStream>,
+    ) -> Response {
         Response {
             status,
             content_type,
@@ -417,7 +400,7 @@ impl Response {
 
     /// Adds a `Retry-After: secs` header (used with 429).
     #[must_use]
-    pub fn with_retry_after(mut self, secs: u64) -> Response {
+    pub(crate) fn with_retry_after(mut self, secs: u64) -> Response {
         self.retry_after = Some(secs);
         self
     }
@@ -425,7 +408,7 @@ impl Response {
     /// Collapses a streamed body into `Content-Length` framing (for
     /// HTTP/1.0 clients, which predate chunked encoding).
     #[must_use]
-    pub fn materialized(self) -> Response {
+    pub(crate) fn materialized(self) -> Response {
         Response {
             body: Body::Full(self.body.into_bytes()),
             ..self
@@ -434,7 +417,7 @@ impl Response {
 }
 
 /// The reason phrase for the status codes the service uses.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         202 => "Accepted",
@@ -454,7 +437,7 @@ pub fn reason(status: u16) -> &'static str {
 
 /// How the body of a response is framed on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Framing {
+pub(crate) enum Framing {
     /// `Content-Length: n`.
     Length(usize),
     /// `Transfer-Encoding: chunked`.
@@ -463,7 +446,7 @@ pub enum Framing {
 
 /// Renders the status line + headers (through the blank line) for a
 /// response with the given framing and keep-alive intent.
-pub fn head_bytes(resp: &Response, framing: Framing, keep_alive: bool) -> Vec<u8> {
+pub(crate) fn head_bytes(resp: &Response, framing: Framing, keep_alive: bool) -> Vec<u8> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\n",
         resp.status,
@@ -488,7 +471,7 @@ pub fn head_bytes(resp: &Response, framing: Framing, keep_alive: bool) -> Vec<u8
 /// Appends one chunked-encoding frame (`{len:x}\r\n` + data + `\r\n`)
 /// to `out`. Empty chunks are skipped — a zero-length frame would be
 /// the terminator.
-pub fn encode_chunk(out: &mut Vec<u8>, data: &[u8]) {
+pub(crate) fn encode_chunk(out: &mut Vec<u8>, data: &[u8]) {
     if data.is_empty() {
         return;
     }
@@ -498,7 +481,7 @@ pub fn encode_chunk(out: &mut Vec<u8>, data: &[u8]) {
 }
 
 /// Appends the chunked-encoding terminator (`0\r\n\r\n`) to `out`.
-pub fn encode_last_chunk(out: &mut Vec<u8>) {
+pub(crate) fn encode_last_chunk(out: &mut Vec<u8>) {
     out.extend_from_slice(b"0\r\n\r\n");
 }
 
@@ -514,7 +497,11 @@ pub fn encode_last_chunk(out: &mut Vec<u8>) {
 /// # Errors
 ///
 /// Any transport failure.
-pub fn write_response(w: &mut impl Write, resp: Response, keep_alive: bool) -> io::Result<()> {
+pub(crate) fn write_response(
+    w: &mut impl Write,
+    resp: Response,
+    keep_alive: bool,
+) -> io::Result<()> {
     let framing = match &resp.body {
         Body::Full(bytes) => Framing::Length(bytes.len()),
         Body::Stream(_) => Framing::Chunked,

@@ -9,17 +9,18 @@
 //! a deterministic pure function of the spec, the service never runs
 //! the same experiment twice:
 //!
-//! * [`http`] — a bounded HTTP/1.1 request/response layer (keep-alive,
-//!   `Content-Length` and chunked framing, hard size limits; no
-//!   external dependencies, same offline constraint as the in-tree
-//!   JSON codec).
-//! * [`handler`] — the dispatch API: a [`Router`] of path patterns to
-//!   [`Handler`]s returning [`Response`]s whose bodies are either
-//!   bytes or a pull-based [`BodyStream`] rendered incrementally.
-//! * [`sys`] (Linux) — raw `epoll`/`eventfd` bindings that power the
+//! * `http` — a bounded HTTP/1.1 request/response layer (keep-alive,
+//!   `Content-Length` and chunked framing, hard size limits set by
+//!   [`Limits`]; no external dependencies, same offline constraint as
+//!   the in-tree JSON codec).
+//! * `handler` — the dispatch layer: a router of path patterns to
+//!   handlers whose response bodies are either bytes or a pull-based
+//!   stream rendered incrementally.
+//! * `sys` — raw `epoll`/`eventfd` bindings that power the
 //!   event-driven reactor serving thousands of keep-alive connections
-//!   from a handful of threads; other platforms use a
-//!   thread-per-connection fallback.
+//!   from a handful of threads. The server is therefore Linux-only:
+//!   elsewhere the crate compiles, but [`Server::run`] returns
+//!   [`std::io::ErrorKind::Unsupported`].
 //! * [`registry`] — content-addressed jobs: a spec's identity is the
 //!   canonical (key-order-insensitive) FNV-1a fingerprint of its parsed
 //!   document, so duplicate submissions — including **concurrent**
@@ -89,26 +90,30 @@
 // per-module (`deny` here, a scoped `allow` inside `sys`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
+#[cfg(target_os = "linux")]
 mod api;
 pub mod client;
-pub mod handler;
-pub mod http;
+#[cfg(target_os = "linux")]
+mod handler;
+#[cfg(target_os = "linux")]
+mod http;
 #[cfg(target_os = "linux")]
 mod reactor;
 pub mod registry;
 pub mod server;
 #[cfg(target_os = "linux")]
-pub mod sys;
+mod sys;
 
 pub use client::{Client, ClientError, Format, PointReply, ResultBody, Status, Submitted};
-pub use handler::{Dispatch, Handler, Router};
-pub use http::{Body, BodyStream, Limits, Request, Response};
 pub use registry::{Job, JobResult, JobStatus, Metrics, Registry, SubmitError};
 pub use server::{
-    default_rules, LocalRunner, MonitorConfig, PointCache, RunOutcome, Server, ServerConfig,
-    ServerHandle, SpecRunner, SERVER_TRACE_CAPACITY,
+    default_rules, Limits, LocalRunner, MonitorConfig, PointCache, RunOutcome, Server,
+    ServerConfig, ServerHandle, SpecRunner, SERVER_TRACE_CAPACITY,
 };
+#[cfg(target_os = "linux")]
+pub use sys::raise_nofile_limit;
 
 // Re-exported so service users can build specs and reports without
 // naming the explore crate separately.

@@ -25,13 +25,13 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
 use predllc_explore::hash::{canonical_fingerprint, Fingerprint};
 use predllc_explore::{json, report, unique_point_count, ExperimentSpec, GridResult, SpecError};
 use predllc_obs::{Counter, Gauge, Registry as MetricRegistry, TimingHistogram};
 
+#[cfg(target_os = "linux")]
 use crate::http::BodyStream;
 
 /// Why a submission was rejected.
@@ -115,9 +115,6 @@ pub struct JobResult {
     pub unique_points: usize,
 }
 
-/// Streamed bodies accumulate roughly this many bytes per chunk.
-const CHUNK_TARGET: usize = 16 << 10;
-
 impl JobResult {
     /// The grid rows as CSV (`report::render_csv`), rendered on demand.
     pub fn csv(&self) -> String {
@@ -135,10 +132,18 @@ impl JobResult {
             self.json_tail
         )
     }
+}
 
+/// Streamed bodies accumulate roughly this many bytes per chunk.
+#[cfg(target_os = "linux")]
+const CHUNK_TARGET: usize = 16 << 10;
+
+/// The pull-based bodies the reactor streams results through.
+#[cfg(target_os = "linux")]
+impl JobResult {
     /// A pull-based body streaming exactly the bytes of
     /// [`JobResult::csv`], a bundle of rows at a time.
-    pub fn csv_stream(&self) -> Box<dyn BodyStream> {
+    pub(crate) fn csv_stream(&self) -> Box<dyn BodyStream> {
         Box::new(CsvBody {
             grid: Arc::clone(&self.grid),
             next: 0,
@@ -148,7 +153,7 @@ impl JobResult {
 
     /// A pull-based body streaming exactly the bytes of
     /// [`JobResult::json`].
-    pub fn json_stream(&self) -> Box<dyn BodyStream> {
+    pub(crate) fn json_stream(&self) -> Box<dyn BodyStream> {
         Box::new(JsonBody {
             head: Some(report::json_head(&self.name, self.threads_label, None)),
             grid: Arc::clone(&self.grid),
@@ -159,7 +164,7 @@ impl JobResult {
 
     /// A pull-based body streaming the attribution artifact, when the
     /// job ran with attribution.
-    pub fn attribution_stream(&self) -> Option<Box<dyn BodyStream>> {
+    pub(crate) fn attribution_stream(&self) -> Option<Box<dyn BodyStream>> {
         self.attribution.as_ref().map(|text| {
             Box::new(TextBody {
                 text: Arc::clone(text),
@@ -170,12 +175,14 @@ impl JobResult {
 }
 
 /// Streams `CSV_HEADER` + one `csv_row` per grid row, batched.
+#[cfg(target_os = "linux")]
 struct CsvBody {
     grid: Arc<Vec<GridResult>>,
     next: usize,
     header_sent: bool,
 }
 
+#[cfg(target_os = "linux")]
 impl BodyStream for CsvBody {
     fn next_chunk(&mut self) -> Option<Vec<u8>> {
         let mut out = String::new();
@@ -196,6 +203,7 @@ impl BodyStream for CsvBody {
 }
 
 /// Streams `json_head` + comma-joined `json_row`s + `json_tail`.
+#[cfg(target_os = "linux")]
 struct JsonBody {
     head: Option<String>,
     grid: Arc<Vec<GridResult>>,
@@ -203,6 +211,7 @@ struct JsonBody {
     tail: Option<String>,
 }
 
+#[cfg(target_os = "linux")]
 impl BodyStream for JsonBody {
     fn next_chunk(&mut self) -> Option<Vec<u8>> {
         let mut out = self.head.take().unwrap_or_default();
@@ -227,11 +236,13 @@ impl BodyStream for JsonBody {
 }
 
 /// Streams a shared pre-rendered string in bounded slices.
+#[cfg(target_os = "linux")]
 struct TextBody {
     text: Arc<String>,
     pos: usize,
 }
 
+#[cfg(target_os = "linux")]
 impl BodyStream for TextBody {
     fn next_chunk(&mut self) -> Option<Vec<u8>> {
         let bytes = self.text.as_bytes();
@@ -303,7 +314,6 @@ pub struct Job {
     pub submitted: std::time::Instant,
     points_done: AtomicUsize,
     life: Mutex<Life>,
-    finished: Condvar,
 }
 
 impl Job {
@@ -318,7 +328,7 @@ impl Job {
     }
 
     /// Records grid progress (called from executor workers).
-    pub fn record_progress(&self, done: usize) {
+    pub(crate) fn record_progress(&self, done: usize) {
         self.points_done.fetch_max(done, Ordering::Relaxed);
     }
 
@@ -353,15 +363,14 @@ impl Job {
         self.settle(State::Failed(error));
     }
 
-    /// Moves to a final state, then wakes every blocked [`Job::wait`]
-    /// and runs every [`Job::watch`] waker (outside the lock).
+    /// Moves to a final state, then runs every [`Job::watch`] waker
+    /// (outside the lock).
     fn settle(&self, state: State) {
         let wakers = {
             let mut life = self.life.lock().unwrap();
             life.state = state;
             std::mem::take(&mut life.wakers)
         };
-        self.finished.notify_all();
         for (_, waker) in wakers {
             waker();
         }
@@ -369,7 +378,7 @@ impl Job {
 
     /// Runs `waker` once the job is done or failed: on the thread that
     /// settles it, or right here when it already has. Returns the key
-    /// [`Job::unwatch`] takes, or `None` when `waker` already ran.
+    /// that cancels the waker, or `None` when `waker` already ran.
     ///
     /// The check and the registration happen under the job's lock, so a
     /// job that settles after a caller last saw it unfinished — between
@@ -390,24 +399,9 @@ impl Job {
 
     /// Drops a [`Job::watch`] waker that has not run (its waiter went
     /// away). A no-op once the job settled.
-    pub fn unwatch(&self, key: u64) {
+    #[cfg(any(target_os = "linux", test))]
+    pub(crate) fn unwatch(&self, key: u64) {
         self.life.lock().unwrap().wakers.retain(|(k, _)| *k != key);
-    }
-
-    /// Blocks until the job is done or failed, or `timeout` elapses.
-    /// Returns the final status reached (or the current one on
-    /// timeout).
-    pub fn wait(&self, timeout: Duration) -> JobStatus {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut life = self.life.lock().unwrap();
-        loop {
-            let status = life.state.status();
-            let now = std::time::Instant::now();
-            if status.is_settled() || now >= deadline {
-                return status;
-            }
-            life = self.finished.wait_timeout(life, deadline - now).unwrap().0;
-        }
     }
 }
 
@@ -575,7 +569,8 @@ impl Metrics {
 
     /// The wall-clock request-latency histogram for one endpoint label
     /// (registration is idempotent; recording is lock-free).
-    pub fn endpoint_latency(&self, endpoint: &str) -> TimingHistogram {
+    #[cfg(target_os = "linux")]
+    pub(crate) fn endpoint_latency(&self, endpoint: &str) -> TimingHistogram {
         self.registry.histogram_with(
             "predllc_http_request_duration_ns",
             "Wall-clock HTTP request latency per endpoint, nanoseconds.",
@@ -675,7 +670,7 @@ impl Registry {
     /// Like [`Registry::with_capacity`], with an externally owned
     /// counter set — how a fleet coordinator shares one [`Metrics`]
     /// between its HTTP registry and its dispatch loop.
-    pub fn with_metrics(capacity: usize, metrics: Arc<Metrics>) -> Self {
+    pub(crate) fn with_metrics(capacity: usize, metrics: Arc<Metrics>) -> Self {
         Registry {
             jobs: Mutex::new(JobMap::default()),
             capacity: capacity.max(1),
@@ -704,7 +699,7 @@ impl Registry {
     /// # Errors
     ///
     /// As [`Registry::submit`].
-    pub fn submit_traced(
+    pub(crate) fn submit_traced(
         &self,
         body: &str,
         trace: predllc_obs::TraceId,
@@ -748,7 +743,6 @@ impl Registry {
                 wakers: Vec::new(),
                 next_key: 0,
             }),
-            finished: Condvar::new(),
         });
         jobs.by_id.insert(id, Arc::clone(&job));
         jobs.order.push_back(id);
@@ -762,7 +756,7 @@ impl Registry {
     /// submit→enqueue window raced shutdown): marks it failed and
     /// settles the queued/failed counters so `/metrics` never reports a
     /// phantom queued job.
-    pub fn abandon(&self, job: &Job, reason: &str) {
+    pub(crate) fn abandon(&self, job: &Job, reason: &str) {
         let mut jobs = self.jobs.lock().unwrap();
         if jobs.by_id.remove(&job.id).is_some() {
             jobs.order.retain(|fp| *fp != job.id);
@@ -811,6 +805,7 @@ mod tests {
         }
     }
 
+    #[cfg(target_os = "linux")]
     fn grid_row(seed: u64) -> GridResult {
         GridResult {
             config: format!("SS(1,{seed})"),
@@ -832,6 +827,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_os = "linux")]
     fn streamed_bodies_are_byte_identical_to_one_shot_renders() {
         let result = JobResult {
             name: "stream-test".into(),
@@ -926,10 +922,10 @@ mod tests {
     }
 
     #[test]
-    fn job_lifecycle_and_wait() {
+    fn job_lifecycle() {
         let reg = Registry::new();
         let job = reg.submit(SPEC).unwrap().job;
-        assert_eq!(job.wait(Duration::from_millis(10)), JobStatus::Queued);
+        assert_eq!(job.status(), JobStatus::Queued);
         job.start();
         assert_eq!(job.status(), JobStatus::Running);
         job.record_progress(1);
@@ -937,12 +933,8 @@ mod tests {
         // Progress is monotonic even with racing reporters.
         job.record_progress(1);
         assert_eq!(job.points_done(), 1);
-        let waiter = {
-            let job = Arc::clone(&job);
-            std::thread::spawn(move || job.wait(Duration::from_secs(10)))
-        };
         job.finish(empty_result("reg-test"));
-        assert_eq!(waiter.join().unwrap(), JobStatus::Done);
+        assert_eq!(job.status(), JobStatus::Done);
         let result = job.result().unwrap();
         assert_eq!(result.unique_points, 1);
         assert_eq!(result.csv(), predllc_explore::report::CSV_HEADER);
@@ -974,7 +966,7 @@ mod tests {
         assert_eq!(job.watch(counting()), None);
         assert_eq!(runs.load(Ordering::SeqCst), 2);
         job.unwatch(kept);
-        assert_eq!(job.wait(Duration::ZERO), JobStatus::Failed);
+        assert_eq!(job.status(), JobStatus::Failed);
     }
 
     fn seeded(seed: u64) -> String {

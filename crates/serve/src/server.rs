@@ -1,7 +1,7 @@
 //! The HTTP server: accept loop, connection driving, and the job
 //! runners that feed the work-stealing experiment executor.
 //!
-//! Concurrency model (reactor mode, the default on Linux):
+//! Concurrency model:
 //!
 //! * one **acceptor** (the caller of [`Server::run`]) hands each
 //!   accepted connection to one of a few **reactor** event loops; each
@@ -29,25 +29,25 @@
 //!   [`Server::run`] returns. [`ServerHandle::kill`] is the opposite —
 //!   an abrupt simulated crash for worker-loss testing.
 //!
-//! Off Linux, where there is no `epoll`, a blocking accept loop serves
-//! instead — one detached thread per connection, every endpoint inline.
-//! Both drive the same internal `api` router, so every served byte is
-//! identical across platforms.
+//! The reactor runs on `epoll`, so the server is Linux-only: elsewhere
+//! the crate compiles, but [`Server::run`] returns
+//! [`std::io::ErrorKind::Unsupported`].
 
 use std::collections::{HashMap, VecDeque};
-#[cfg(not(target_os = "linux"))]
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+#[cfg(target_os = "linux")]
+use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use predllc_obs::series::registry_samples;
 use predllc_obs::slo::Rule;
 use predllc_obs::{
-    fields, Collector, CollectorConfig, Compare, Counter, SeriesStore, SloRuntime, TraceCtx,
-    TraceId, Tracer,
+    fields, Collector, CollectorConfig, Compare, SloRuntime, TraceCtx, TraceId, Tracer,
 };
+#[cfg(target_os = "linux")]
+use predllc_obs::{Counter, SeriesStore};
 
 use predllc_explore::hash::Fingerprint;
 use predllc_explore::report::{json_tail, render_attribution_json};
@@ -57,12 +57,8 @@ use predllc_explore::{
 
 use predllc_core::ComponentSet;
 
+#[cfg(target_os = "linux")]
 use crate::api;
-#[cfg(not(target_os = "linux"))]
-use crate::handler::{Dispatch, Router};
-use crate::http::Limits;
-#[cfg(not(target_os = "linux"))]
-use crate::http::{read_request, write_response, HttpError};
 use crate::registry::{Job, JobResult, Metrics, Registry};
 
 /// Continuous-monitoring configuration: when set on
@@ -132,6 +128,36 @@ pub fn default_rules() -> Vec<Rule> {
 /// `predllc_trace_dropped_total`.
 pub const SERVER_TRACE_CAPACITY: usize = 1024;
 
+/// The longest a `GET /v1/experiments/{id}?wait_ms=N` request is held:
+/// a larger `N` is clamped to this, so a held request always ends.
+pub(crate) const MAX_WAIT_MS: u64 = 30_000;
+
+/// Upper bounds applied while reading a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Limits {
+    /// Longest accepted request line (method + target + version), bytes.
+    pub max_request_line: usize,
+    /// Longest accepted single header line, bytes.
+    pub max_header_line: usize,
+    /// Most accepted headers.
+    pub max_headers: usize,
+    /// Largest accepted body, bytes.
+    pub max_body: usize,
+}
+
+impl Default for Limits {
+    fn default() -> Self {
+        Limits {
+            max_request_line: 8 << 10,
+            max_header_line: 8 << 10,
+            max_headers: 64,
+            // Experiment specs are small; 1 MiB leaves two orders of
+            // magnitude of headroom.
+            max_body: 1 << 20,
+        }
+    }
+}
+
 /// Tunables for a server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -143,17 +169,17 @@ pub struct ServerConfig {
     /// HTTP parsing bounds.
     pub limits: Limits,
     /// Per-connection idle read timeout; an idle keep-alive connection
-    /// is closed after this long. In reactor mode this also bounds how
-    /// long a peer may take to deliver one complete request — a
-    /// slow-loris trickle does not reset the clock.
+    /// is closed after this long. This also bounds how long a peer may
+    /// take to deliver one complete request — a slow-loris trickle does
+    /// not reset the clock.
     pub idle_timeout: Duration,
     /// Most jobs the registry caches at once; past this the oldest
     /// finished job is evicted per new submission (see
     /// [`Registry::with_capacity`]).
     pub max_jobs: usize,
     /// Most simultaneously open connections; excess connections are
-    /// answered `503` and closed. Connections are cheap in reactor mode
-    /// (no thread each), so the default is high.
+    /// answered `503` and closed. Connections are cheap (no thread
+    /// each), so the default is high.
     pub max_connections: usize,
     /// Most point measurements the shared point cache holds; past this
     /// the oldest entry is evicted (an evicted point simply
@@ -173,11 +199,11 @@ pub struct ServerConfig {
     /// the dashboard. `None` (the default) disables the collector
     /// thread and the three monitoring endpoints answer `404`.
     pub monitor: Option<MonitorConfig>,
-    /// Reactor event-loop threads in reactor mode (`0` = auto: one per
-    /// four cores, at least one).
+    /// Reactor event-loop threads (`0` = auto: one per four cores, at
+    /// least one).
     pub reactors: usize,
-    /// Dispatch-executor threads running heavy endpoints in reactor
-    /// mode (`0` = auto: one per core, at least two).
+    /// Dispatch-executor threads running heavy endpoints (`0` = auto:
+    /// one per core, at least two).
     pub dispatchers: usize,
     /// Most requests waiting in the dispatch executor's queue; past
     /// this the reactor sheds new heavy requests with `429` +
@@ -366,22 +392,30 @@ pub(crate) struct Shared {
     /// Present while the service accepts work; dropped on shutdown so
     /// runner threads drain the queue and exit.
     pub(crate) queue: Mutex<Option<mpsc::Sender<Arc<Job>>>>,
+    #[cfg(target_os = "linux")]
     pub(crate) limits: Limits,
+    #[cfg(target_os = "linux")]
     pub(crate) idle_timeout: Duration,
     /// Simultaneously open connections, bounded by `max_connections`.
+    #[cfg(target_os = "linux")]
     pub(crate) connections: AtomicUsize,
+    #[cfg(target_os = "linux")]
     pub(crate) max_connections: usize,
     /// Point measurements shared across workers of a fleet.
+    #[cfg(target_os = "linux")]
     pub(crate) points: Mutex<PointCache<String>>,
     /// See [`ServerConfig::fail_after_points`].
+    #[cfg(target_os = "linux")]
     pub(crate) fail_after_points: Option<u64>,
     /// Point requests answered successfully (the fault injector's
     /// odometer).
+    #[cfg(target_os = "linux")]
     pub(crate) points_answered: AtomicU64,
     /// Where request/job/point spans are recorded.
     pub(crate) tracer: Arc<Tracer>,
     /// Mirror of [`Tracer::dropped`] so ring overflow is visible on
     /// `/metrics`; refreshed before every render and collector tick.
+    #[cfg(target_os = "linux")]
     pub(crate) trace_dropped: Counter,
     /// The continuous-monitoring state, when configured.
     pub(crate) monitor: Option<MonitorState>,
@@ -397,13 +431,16 @@ pub(crate) struct Shared {
 /// with the endpoints) plus the collector handle itself, parked here
 /// so [`Server::run`] can stop the thread on exit.
 pub(crate) struct MonitorState {
+    #[cfg(target_os = "linux")]
     pub(crate) store: Arc<SeriesStore>,
     pub(crate) slo: Arc<SloRuntime>,
     pub(crate) collector: Mutex<Option<Collector>>,
+    #[cfg(target_os = "linux")]
     pub(crate) interval_ms: u64,
 }
 
 /// Refreshes the `predllc_trace_dropped_total` mirror from the tracer.
+#[cfg(target_os = "linux")]
 pub(crate) fn refresh_trace_dropped(shared: &Shared) {
     shared.trace_dropped.set(shared.tracer.dropped());
 }
@@ -440,10 +477,12 @@ pub(crate) fn kill_shared(shared: &Shared) {
 /// Constructed by the *acceptor* before the connection is handed to a
 /// thread or reactor, so the count stays exact however the connection
 /// ends — clean close, error, or handler panic.
+#[cfg(target_os = "linux")]
 pub(crate) struct ConnTicket {
     shared: Arc<Shared>,
 }
 
+#[cfg(target_os = "linux")]
 impl ConnTicket {
     pub(crate) fn new(shared: &Arc<Shared>) -> ConnTicket {
         shared.connections.fetch_add(1, Ordering::SeqCst);
@@ -460,6 +499,7 @@ impl ConnTicket {
     }
 }
 
+#[cfg(target_os = "linux")]
 impl Drop for ConnTicket {
     fn drop(&mut self) {
         self.shared.connections.fetch_sub(1, Ordering::SeqCst);
@@ -478,6 +518,7 @@ pub(crate) struct ReactorOptions {
 
 /// A running experiment service bound to a TCP address.
 pub struct Server {
+    #[cfg(target_os = "linux")]
     listener: TcpListener,
     addr: SocketAddr,
     shared: Arc<Shared>,
@@ -560,9 +601,11 @@ impl Server {
                 Some(Arc::clone(&slo)),
             );
             MonitorState {
+                #[cfg(target_os = "linux")]
                 store: collector.store(),
                 slo,
                 collector: Mutex::new(Some(collector)),
+                #[cfg(target_os = "linux")]
                 interval_ms: u64::try_from(mc.interval.as_millis()).unwrap_or(u64::MAX),
             }
         });
@@ -572,20 +615,29 @@ impl Server {
             shutdown: AtomicBool::new(false),
             killed: AtomicBool::new(false),
             queue: Mutex::new(Some(tx)),
+            #[cfg(target_os = "linux")]
             limits: config.limits,
+            #[cfg(target_os = "linux")]
             idle_timeout: config.idle_timeout,
+            #[cfg(target_os = "linux")]
             connections: AtomicUsize::new(0),
+            #[cfg(target_os = "linux")]
             max_connections: config.max_connections.max(1),
+            #[cfg(target_os = "linux")]
             points: Mutex::new(PointCache::new(config.max_points)),
+            #[cfg(target_os = "linux")]
             fail_after_points: config.fail_after_points,
+            #[cfg(target_os = "linux")]
             points_answered: AtomicU64::new(0),
             tracer,
+            #[cfg(target_os = "linux")]
             trace_dropped,
             monitor,
             addr,
             wakers: Mutex::new(Vec::new()),
         });
         Ok(Server {
+            #[cfg(target_os = "linux")]
             listener,
             addr,
             shared,
@@ -621,7 +673,9 @@ impl Server {
     /// # Errors
     ///
     /// Fatal accept-loop failures only; per-connection errors are
-    /// answered on the wire and logged to stderr.
+    /// answered on the wire and logged to stderr. Off Linux,
+    /// [`std::io::ErrorKind::Unsupported`] at once: the reactor needs
+    /// `epoll`.
     pub fn run(self) -> std::io::Result<()> {
         let mut runner_handles = Vec::with_capacity(self.runners);
         let queue_rx = Arc::new(Mutex::new(self.queue_rx));
@@ -631,13 +685,19 @@ impl Server {
             runner_handles.push(std::thread::spawn(move || run_jobs(&shared, &rx)));
         }
 
-        let router = Arc::new(api::build_router(&self.shared));
         #[cfg(target_os = "linux")]
-        let served = crate::reactor::serve(self.listener, &self.shared, router, &self.reactor);
+        let served = {
+            let router = Arc::new(api::build_router(&self.shared));
+            crate::reactor::serve(self.listener, &self.shared, router, &self.reactor)
+        };
         #[cfg(not(target_os = "linux"))]
         let served = {
-            serve_blocking(&self.listener, &self.shared, &router);
-            Ok(())
+            // Nothing can submit work: close the queue so the runners exit.
+            self.shared.queue.lock().unwrap().take();
+            Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "predllc-serve needs Linux: its reactor runs on epoll",
+            ))
         };
 
         // Drain: joining the runners waits for every accepted job.
@@ -649,37 +709,6 @@ impl Server {
             monitor.collector.lock().unwrap().take();
         }
         served
-    }
-}
-
-/// The blocking accept loop (platforms without `epoll`): one detached
-/// thread per admitted connection.
-#[cfg(not(target_os = "linux"))]
-fn serve_blocking(listener: &TcpListener, shared: &Arc<Shared>, router: &Arc<Router>) {
-    for conn in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) || shared.killed.load(Ordering::SeqCst) {
-            break;
-        }
-        match conn {
-            Ok(mut stream) => {
-                // The ticket is taken on the acceptor, not inside the
-                // spawned thread, so the connection count stays exact
-                // even when a handler panics the thread.
-                let ticket = ConnTicket::new(shared);
-                if ticket.over_capacity() {
-                    let _ = write_response(
-                        &mut stream,
-                        api::error_response(503, "unavailable", "too many connections"),
-                        false,
-                    );
-                    continue;
-                }
-                let shared = Arc::clone(shared);
-                let router = Arc::clone(router);
-                std::thread::spawn(move || serve_connection(&shared, &router, ticket, stream));
-            }
-            Err(e) => eprintln!("predllc-serve: accept failed: {e}"),
-        }
     }
 }
 
@@ -701,11 +730,6 @@ impl ServerHandle {
         // the flag.
         wake_all(&self.shared);
         let _ = TcpStream::connect(self.addr);
-    }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// Simulates an abrupt crash for worker-loss testing: the server
@@ -738,12 +762,6 @@ impl ServerHandle {
     /// Looks a job up by its hex id.
     pub fn job(&self, hex_id: &str) -> Option<Arc<Job>> {
         self.shared.registry.get(hex_id)
-    }
-
-    /// The monitor's time-series store, when monitoring is configured
-    /// — lets tests and embedders read collected history directly.
-    pub fn series_store(&self) -> Option<Arc<SeriesStore>> {
-        self.shared.monitor.as_ref().map(|m| Arc::clone(&m.store))
     }
 
     /// Every SLO rule's current status, when monitoring is configured.
@@ -856,54 +874,19 @@ pub(crate) fn record_component_cycles(metrics: &Metrics, components: &ComponentS
     }
 }
 
-/// Serves one connection in blocking mode: a keep-alive loop of
-/// request → dispatch → response, everything inline on this thread.
-#[cfg(not(target_os = "linux"))]
-fn serve_connection(shared: &Shared, router: &Router, ticket: ConnTicket, stream: TcpStream) {
-    let _ticket = ticket;
-    let _ = stream.set_read_timeout(Some(shared.idle_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        let request = match read_request(&mut reader, &shared.limits) {
-            Ok(Some(req)) => req,
-            Ok(None) => return,              // clean close between requests
-            Err(HttpError::Io(_)) => return, // peer gone or idle timeout
-            Err(e) => {
-                if let Some(resp) = api::parse_error_response(&e) {
-                    let _ = write_response(&mut writer, resp, false);
-                }
-                return;
-            }
-        };
-        let response = match api::dispatch(shared, router, &request) {
-            Dispatch::Hangup => return, // killed, or the fault injector tripped
-            Dispatch::Reply(response) => response,
-            // No reactor to park on: this connection's thread waits.
-            Dispatch::Hold { job, until } => {
-                job.wait(until.saturating_duration_since(std::time::Instant::now()));
-                api::status_response(&job)
-            }
-        };
-        let keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
-        // HTTP/1.0 peers don't speak chunked framing; collapse streams
-        // to content-length for them.
-        let response = if request.http11 {
-            response
-        } else {
-            response.materialized()
-        };
-        if write_response(&mut writer, response, keep_alive).is_err() || !keep_alive {
-            return;
-        }
+#[cfg(all(test, not(target_os = "linux")))]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_is_unsupported() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let err = server.run().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use crate::client::{Client, Format};
@@ -981,7 +964,6 @@ mod tests {
         let (handle, join) = start(ServerConfig::default());
         handle.shutdown();
         join.join().unwrap();
-        assert!(handle.is_shutting_down());
         // The listener is gone; a fresh client cannot connect at all, or
         // (if racing the close) gets a 503 — either way, no job.
         let mut client = Client::new(handle.addr());

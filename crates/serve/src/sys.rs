@@ -1,5 +1,5 @@
 //! Thin raw-syscall bindings for the event-driven reactor: `epoll`,
-//! `eventfd`, `fcntl` and `setrlimit`, declared against the C library
+//! `eventfd` and `setrlimit`, declared against the C library
 //! the platform already links (no external crates — same offline
 //! constraint as the in-tree JSON codec).
 //!
@@ -10,8 +10,8 @@
 //! itself stays entirely safe code.
 //!
 //! Linux-only: the module (and the reactor built on it) is compiled
-//! behind `cfg(target_os = "linux")`; other platforms fall back to the
-//! blocking serve mode.
+//! behind `cfg(target_os = "linux")`; elsewhere `Server::run` returns
+//! `ErrorKind::Unsupported`.
 
 #![allow(unsafe_code)]
 
@@ -21,15 +21,15 @@ use std::os::raw::{c_int, c_uint, c_void};
 
 // Event masks (bits of `epoll_event.events`).
 /// The fd is readable.
-pub const EPOLLIN: u32 = 0x001;
+pub(crate) const EPOLLIN: u32 = 0x001;
 /// The fd is writable.
-pub const EPOLLOUT: u32 = 0x004;
+pub(crate) const EPOLLOUT: u32 = 0x004;
 /// An error condition happened on the fd (always reported).
-pub const EPOLLERR: u32 = 0x008;
+pub(crate) const EPOLLERR: u32 = 0x008;
 /// Hang-up happened on the fd (always reported).
-pub const EPOLLHUP: u32 = 0x010;
+pub(crate) const EPOLLHUP: u32 = 0x010;
 /// The peer shut down its writing half (half-close detection).
-pub const EPOLLRDHUP: u32 = 0x2000;
+pub(crate) const EPOLLRDHUP: u32 = 0x2000;
 
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EPOLL_CTL_ADD: c_int = 1;
@@ -38,10 +38,6 @@ const EPOLL_CTL_MOD: c_int = 3;
 
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
-
-const F_GETFL: c_int = 3;
-const F_SETFL: c_int = 4;
-const O_NONBLOCK: c_int = 0o4000;
 
 const RLIMIT_NOFILE: c_int = 7;
 
@@ -53,7 +49,7 @@ const RLIMIT_NOFILE: c_int = 7;
 #[repr(C)]
 #[cfg_attr(target_arch = "x86_64", repr(packed))]
 #[derive(Debug, Clone, Copy)]
-pub struct EpollEvent {
+pub(crate) struct EpollEvent {
     /// Fired event bits ([`EPOLLIN`] | [`EPOLLOUT`] | ...).
     pub events: u32,
     /// The token the fd was registered under.
@@ -62,7 +58,7 @@ pub struct EpollEvent {
 
 impl EpollEvent {
     /// A zeroed event (for pre-sizing wait buffers).
-    pub const fn zeroed() -> EpollEvent {
+    pub(crate) const fn zeroed() -> EpollEvent {
         EpollEvent { events: 0, data: 0 }
     }
 }
@@ -78,7 +74,6 @@ extern "C" {
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-    fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
@@ -96,7 +91,7 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
 
 /// An owned `epoll` instance; the fd closes on drop.
 #[derive(Debug)]
-pub struct Epoll {
+pub(crate) struct Epoll {
     fd: OwnedFd,
 }
 
@@ -106,7 +101,7 @@ impl Epoll {
     /// # Errors
     ///
     /// The raw `epoll_create1` failure.
-    pub fn new() -> io::Result<Epoll> {
+    pub(crate) fn new() -> io::Result<Epoll> {
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         // SAFETY: epoll_create1 returned a fresh fd we now own.
         Ok(Epoll {
@@ -127,7 +122,7 @@ impl Epoll {
     /// # Errors
     ///
     /// The raw `epoll_ctl` failure.
-    pub fn add(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+    pub(crate) fn add(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, events, token)
     }
 
@@ -136,7 +131,7 @@ impl Epoll {
     /// # Errors
     ///
     /// The raw `epoll_ctl` failure.
-    pub fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+    pub(crate) fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, events, token)
     }
 
@@ -145,7 +140,7 @@ impl Epoll {
     /// # Errors
     ///
     /// The raw `epoll_ctl` failure.
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
@@ -156,7 +151,7 @@ impl Epoll {
     /// # Errors
     ///
     /// The raw `epoll_wait` failure.
-    pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+    pub(crate) fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
         let cap = c_int::try_from(events.len()).unwrap_or(c_int::MAX).max(1);
         loop {
             let n =
@@ -174,7 +169,7 @@ impl Epoll {
 /// thread: [`EventFd::signal`] makes the fd readable, the woken loop
 /// [`EventFd::drain`]s it back to quiescence. Closes on drop.
 #[derive(Debug)]
-pub struct EventFd {
+pub(crate) struct EventFd {
     fd: OwnedFd,
 }
 
@@ -184,7 +179,7 @@ impl EventFd {
     /// # Errors
     ///
     /// The raw `eventfd` failure.
-    pub fn new() -> io::Result<EventFd> {
+    pub(crate) fn new() -> io::Result<EventFd> {
         let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
         // SAFETY: eventfd returned a fresh fd we now own.
         Ok(EventFd {
@@ -193,14 +188,14 @@ impl EventFd {
     }
 
     /// The raw fd, for epoll registration.
-    pub fn raw(&self) -> RawFd {
+    pub(crate) fn raw(&self) -> RawFd {
         self.fd.as_raw_fd()
     }
 
     /// Makes the fd readable (wakes any epoll loop watching it).
     /// Saturation (`EAGAIN` on an already maximally signalled counter)
     /// is fine — the loop is awake either way.
-    pub fn signal(&self) {
+    pub(crate) fn signal(&self) {
         let one: u64 = 1;
         // SAFETY: writing 8 bytes from a valid, live u64.
         let _ = unsafe {
@@ -213,7 +208,7 @@ impl EventFd {
     }
 
     /// Consumes pending signals so the fd goes quiet again.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         let mut buf: u64 = 0;
         // SAFETY: reading 8 bytes into a valid, live u64.
         let _ = unsafe {
@@ -224,17 +219,6 @@ impl EventFd {
             )
         };
     }
-}
-
-/// Switches `fd` into nonblocking mode via `fcntl` (the accept path
-/// uses this on fresh connections before handing them to a reactor).
-///
-/// # Errors
-///
-/// The raw `fcntl` failure.
-pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
-    let flags = cvt(unsafe { fcntl(fd, F_GETFL) })?;
-    cvt(unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) }).map(|_| ())
 }
 
 /// Raises the open-file soft limit to at least `want` fds (capped at
@@ -296,7 +280,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (rx, _) = listener.accept().unwrap();
-        set_nonblocking(rx.as_raw_fd()).unwrap();
+        rx.set_nonblocking(true).unwrap();
 
         let ep = Epoll::new().unwrap();
         ep.add(rx.as_raw_fd(), EPOLLIN, 42).unwrap();

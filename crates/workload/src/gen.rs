@@ -96,7 +96,7 @@ impl UniformGen {
     /// # Panics
     ///
     /// Panics if `range_bytes < align` (no addressable line).
-    pub fn core_stream(&self, core: CoreId) -> UniformOps {
+    pub(crate) fn core_stream(&self, core: CoreId) -> UniformOps {
         assert!(
             self.range_bytes >= self.align,
             "address range must contain at least one line"
@@ -143,7 +143,7 @@ impl Workload for UniformGen {
 
 /// The lazy per-core stream of a [`UniformGen`].
 #[derive(Debug, Clone)]
-pub struct UniformOps {
+pub(crate) struct UniformOps {
     rng: Rng64,
     base: u64,
     lines: u64,

@@ -44,15 +44,6 @@ impl TraceSet {
     pub fn total_ops(&self) -> usize {
         self.traces.iter().map(Vec::len).sum()
     }
-
-    /// Consumes the set, yielding the plain per-core traces.
-    ///
-    /// Rarely needed since [`TraceSet`] implements the
-    /// [`Workload`](crate::Workload) trait and can be handed to
-    /// `Simulator::run` directly (by reference).
-    pub fn into_traces(self) -> Vec<Vec<MemOp>> {
-        self.traces
-    }
 }
 
 #[cfg(test)]
@@ -71,6 +62,5 @@ mod tests {
         );
         assert_eq!(set.num_cores(), 2);
         assert_eq!(set.total_ops(), 3);
-        assert_eq!(set.into_traces().len(), 2);
     }
 }

@@ -119,6 +119,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub use predllc_bus as bus;
 pub use predllc_cache as cache;

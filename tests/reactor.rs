@@ -634,7 +634,14 @@ fn a_job_settling_between_status_check_and_park_still_wakes_its_holder() {
     assert!(!job.status().is_settled());
     // ...the job settles before the reactor parks the request...
     gate.open();
-    assert_eq!(job.wait(Duration::from_secs(120)), JobStatus::Done);
+    let t0 = Instant::now();
+    while job.status() != JobStatus::Done {
+        assert!(
+            t0.elapsed() < Duration::from_secs(120),
+            "job never finished"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     // ...and the park, registering its waker on a settled job, runs it
     // on the spot instead of waiting for a wake that already happened.
     let woke = Arc::new(AtomicBool::new(false));

@@ -701,3 +701,64 @@ fn shutdown_drains_every_accepted_job() {
     assert_eq!(metrics.jobs_queued.get(), 0);
     assert_eq!(metrics.jobs_running.get(), 0);
 }
+
+/// A raw-TCP stand-in for a server: answers every request with `head`
+/// (a response head plus a few body bytes), then hangs up, one
+/// connection at a time.
+fn lying_server(head: &'static str) -> std::net::SocketAddr {
+    use std::io::{Read, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { break };
+            let mut request = Vec::new();
+            let mut buf = [0u8; 1024];
+            while !request.ends_with(b"\r\n\r\n") {
+                match stream.read(&mut buf) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => request.extend_from_slice(&buf[..n]),
+                }
+            }
+            let _ = stream.write_all(head.as_bytes());
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            // Hold the socket until the client lets go, so it sees a
+            // clean end of stream rather than a reset.
+            let _ = stream.read_to_end(&mut Vec::new());
+        }
+    });
+    addr
+}
+
+#[test]
+fn absurd_body_sizes_are_errors_not_allocations() {
+    // Each head promises far more body than any client could hold; the
+    // client must read what arrives and fail on the early end of stream.
+    for head in [
+        "HTTP/1.1 200 OK\r\ncontent-length: 1000000000000\r\n\r\nok",
+        "HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\nok",
+        "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\ne8d4a51000\r\nok",
+    ] {
+        let mut client = Client::new(lying_server(head)).with_retries(1);
+        match client.healthz() {
+            Err(ClientError::Io(_) | ClientError::Protocol(_)) => {}
+            other => panic!("{head:?} answered {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn metric_reads_labelled_series_by_their_exposition_key() {
+    let (handle, join) = start(ServerConfig::default());
+    let mut client = Client::new(handle.addr());
+    client.healthz().unwrap();
+    let healthz = client
+        .metric(r#"predllc_http_request_duration_ns_count{endpoint="healthz"}"#)
+        .unwrap();
+    assert!(healthz >= 1, "healthz count {healthz}");
+    assert!(matches!(
+        client.metric("predllc_no_such_metric"),
+        Err(ClientError::Protocol(_))
+    ));
+    stop(&handle, join);
+}
