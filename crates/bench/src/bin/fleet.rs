@@ -50,8 +50,11 @@
 //! shared point cache answers without touching the workers again. The
 //! sharded run is always traced, and the smoke fails when its
 //! `fleet.merge` span starts more than half a heartbeat interval after
-//! the last `fleet.point.resolved`: the merge must follow the last
-//! point, not the next heartbeat.
+//! the last `fleet.point.resolved` (the merge must follow the last
+//! point, not the next heartbeat), or when its `fleet.dispatch` spans,
+//! less the requeued runs, are not exactly the spec's planned engine
+//! runs (points that differ only in their memory backend ship as one
+//! request).
 
 use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -62,7 +65,7 @@ use std::time::{Duration, Instant};
 use predllc_bench::monitor::{alert_state, history_samples, print_alerts};
 use predllc_bench::{data, error, status};
 use predllc_explore::report::{render_attribution_json, render_csv, render_json};
-use predllc_explore::{run_spec, Executor, ExperimentSpec};
+use predllc_explore::{plan_grid, run_spec, Executor, ExperimentSpec};
 use predllc_fleet::{default_fleet_rules, Coordinator, CoordinatorConfig};
 use predllc_obs::{render_jsonl, EventKind, TraceCtx, TraceEvent, TraceId, Tracer};
 use predllc_serve::{Client, Metrics, MonitorConfig, Server, ServerConfig};
@@ -479,6 +482,18 @@ fn smoke_inner(
              the limit is half the {heartbeat_interval:?} heartbeat interval"
         ));
     }
+    let planned = plan_grid(spec).runs.len();
+    let dispatched = shipped_runs(&events);
+    status!(
+        "fleet: {dispatched} run(s) for {} point(s)",
+        report.unique_points
+    );
+    if dispatched != planned {
+        return Err(format!(
+            "the fleet shipped {dispatched} engine run(s) (fleet.dispatch spans less requeued \
+             runs); the spec plans {planned}"
+        ));
+    }
     let served = render_csv(&report.grid);
     if served != reference {
         return Err(format!(
@@ -604,6 +619,20 @@ fn merge_gap(events: &[TraceEvent]) -> Option<Duration> {
         .iter()
         .find(|e| e.name == "fleet.merge" && e.kind == EventKind::Begin)?;
     Some(Duration::from_nanos(merge.ts_ns.saturating_sub(resolved)))
+}
+
+/// The engine runs a traced fleet run shipped: its `fleet.dispatch`
+/// spans, less the runs requeued after a worker loss (each dispatched
+/// again).
+fn shipped_runs(events: &[TraceEvent]) -> usize {
+    let count = |name: &str, kind: EventKind| {
+        events
+            .iter()
+            .filter(|e| e.name == name && e.kind == kind)
+            .count()
+    };
+    count("fleet.dispatch", EventKind::Begin)
+        .saturating_sub(count("fleet.point.requeued", EventKind::Instant))
 }
 
 /// The smoke's attribution leg: the same spec with attribution on,

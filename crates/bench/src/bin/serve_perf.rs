@@ -195,23 +195,23 @@ fn main() -> ExitCode {
     // 2000 client + 2000 server sockets live in this one process; CI
     // runners default to a 1024 soft fd limit, so raise it first and
     // scale the scenario down if the hard limit refuses.
-    let mut conns = if quick { 400 } else { 2000 };
+    let conns = if quick { 400 } else { 2000 };
     #[cfg(target_os = "linux")]
-    {
+    let conns = {
         let want = (2 * conns + 256) as u64;
         match predllc_serve::raise_nofile_limit(want) {
             Ok(limit) if limit < want => {
                 let fit = ((limit as usize).saturating_sub(256)) / 2;
                 error!("fd limit {limit} cannot hold {conns} connections; running {fit}");
-                conns = fit.max(16);
+                fit.max(16)
             }
-            Ok(_) => {}
+            Ok(_) => conns,
             Err(e) => {
                 error!("cannot raise the fd limit: {e}");
                 return ExitCode::FAILURE;
             }
         }
-    }
+    };
     let rounds = if quick { 2 } else { 5 };
 
     let (rps, p99_ms) = match keepalive_scenario(conns, rounds, 8) {

@@ -37,7 +37,7 @@ use predllc_workload::Workload;
 
 use crate::executor::Executor;
 use crate::hash::{point_fingerprint, run_fingerprint, Fingerprint};
-use crate::point::{measure_group, PointError};
+use crate::point::{measure, PointError};
 use crate::spec::ExperimentSpec;
 use crate::ExploreError;
 
@@ -85,11 +85,12 @@ pub struct GridResult {
     pub attribution: Option<Box<crate::attribution::PointAttribution>>,
 }
 
-/// The deduped shard plan of a spec's grid: which declared points
-/// exist, which are physically distinct, and how declared points map
-/// onto distinct ones. This is the unit a fleet coordinator shards —
-/// only `unique` is ever simulated, locally or remotely, and
-/// [`assemble_rows`] expands measurements back to declaration order.
+/// The deduped plan of a spec's grid: which declared points exist,
+/// which are physically distinct, how declared points map onto distinct
+/// ones, and which engine runs measure them. The runs are the unit both
+/// the in-process grid and a fleet coordinator schedule — only `unique`
+/// is ever measured, locally or remotely, and [`assemble_rows`] expands
+/// measurements back to declaration order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridPlan {
     /// Every declared `(config_index, workload_index)` point,
@@ -99,12 +100,21 @@ pub struct GridPlan {
     pub unique: Vec<(usize, usize)>,
     /// `assignment[i]` names `points[i]`'s slot in `unique`.
     pub assignment: Vec<usize>,
+    /// The engine runs, as groups of `unique` indices: points that
+    /// differ only in their memory backend share a run, each on its own
+    /// twin backend ([`measure`]). Each run lists its points in
+    /// ascending order, the runs are ordered by their first point, and
+    /// every unique point is in exactly one run. With attribution on,
+    /// every point runs alone: attribution's DRAM split reads the
+    /// latencies of the run's own backend.
+    pub runs: Vec<Vec<usize>>,
 }
 
 /// Plans the grid of `spec`: declared points in configuration-major
 /// declaration order, with physically identical points (by
 /// [`point_fingerprint`] — labels and x-axis values excluded) collapsed
-/// onto their first occurrence.
+/// onto their first occurrence, and distinct points that differ only in
+/// their memory backend grouped into one engine run.
 pub fn plan_grid(spec: &ExperimentSpec) -> GridPlan {
     let points: Vec<(usize, usize)> = (0..spec.configs.len())
         .flat_map(|ci| (0..spec.workloads.len()).map(move |wi| (ci, wi)))
@@ -125,10 +135,29 @@ pub fn plan_grid(spec: &ExperimentSpec) -> GridPlan {
         });
         assignment.push(slot);
     }
+    let mut runs: Vec<Vec<usize>> = Vec::new();
+    let mut run_of: HashMap<Fingerprint, usize> = HashMap::new();
+    for (u, &(ci, wi)) in unique.iter().enumerate() {
+        let run = match spec.attribution {
+            true => runs.len(),
+            false => *run_of
+                .entry(run_fingerprint(
+                    spec.cores,
+                    &spec.configs[ci],
+                    &spec.workloads[wi],
+                ))
+                .or_insert(runs.len()),
+        };
+        if run == runs.len() {
+            runs.push(Vec::new());
+        }
+        runs[run].push(u);
+    }
     GridPlan {
         points,
         unique,
         assignment,
+        runs,
     }
 }
 
@@ -274,13 +303,12 @@ pub fn run_grid_traced(
     // collapse physically identical points onto their first occurrence,
     // and points that differ only in their backend onto one run.
     let plan = plan_grid(spec);
-    let runs = plan_runs(spec, &plan);
 
     let done = AtomicUsize::new(0);
     let unique_total = plan.unique.len();
     let grid_start = Instant::now();
     let measured = exec.try_map(
-        &runs,
+        &plan.runs,
         |_, members| -> Result<Vec<GridResult>, ExploreError> {
             let (ci, wi) = plan.unique[members[0]];
             let entry = &spec.workloads[wi];
@@ -308,18 +336,17 @@ pub fn run_grid_traced(
                 .iter()
                 .map(|&u| platforms[plan.unique[u].0].0.memory().clone())
                 .collect();
-            let group =
-                measure_group(&platforms[ci].0, &twins, &workloads[wi]).map_err(|e| match e {
-                    PointError::Config(source) => ExploreError::Config {
-                        label: spec.configs[ci].label.clone(),
-                        source,
-                    },
-                    PointError::Sim(source) => ExploreError::Sim {
-                        config: spec.configs[ci].label.clone(),
-                        workload: entry.label.clone(),
-                        source,
-                    },
-                })?;
+            let group = measure(&platforms[ci].0, &twins, &workloads[wi]).map_err(|e| match e {
+                PointError::Config(source) => ExploreError::Config {
+                    label: spec.configs[ci].label.clone(),
+                    source,
+                },
+                PointError::Sim(source) => ExploreError::Sim {
+                    config: spec.configs[ci].label.clone(),
+                    workload: entry.label.clone(),
+                    source,
+                },
+            })?;
             let rows: Vec<GridResult> = members
                 .iter()
                 .zip(&group)
@@ -347,7 +374,8 @@ pub fn run_grid_traced(
     // Back to `plan.unique` order, then to declaration order,
     // relabelling reused measurements with each declared point's own
     // labels.
-    let mut measured: Vec<(usize, GridResult)> = runs
+    let mut measured: Vec<(usize, GridResult)> = plan
+        .runs
         .iter()
         .flatten()
         .copied()
@@ -361,35 +389,6 @@ pub fn run_grid_traced(
         unique_points: unique_total,
         total_points,
     })
-}
-
-/// The engine runs of a planned grid, as groups of `plan.unique`
-/// indices: points that differ only in their memory backend
-/// ([`run_fingerprint`]) share a run, each on its own twin backend. Each
-/// group lists its points in ascending order, and the groups are ordered
-/// by their first point. With attribution on, every point runs alone:
-/// attribution's DRAM split reads the latencies of the run's own
-/// backend.
-fn plan_runs(spec: &ExperimentSpec, plan: &GridPlan) -> Vec<Vec<usize>> {
-    let mut runs: Vec<Vec<usize>> = Vec::new();
-    let mut seen: HashMap<Fingerprint, usize> = HashMap::new();
-    for (u, &(ci, wi)) in plan.unique.iter().enumerate() {
-        let run = match spec.attribution {
-            true => runs.len(),
-            false => *seen
-                .entry(run_fingerprint(
-                    spec.cores,
-                    &spec.configs[ci],
-                    &spec.workloads[wi],
-                ))
-                .or_insert(runs.len()),
-        };
-        if run == runs.len() {
-            runs.push(Vec::new());
-        }
-        runs[run].push(u);
-    }
-    runs
 }
 
 #[cfg(test)]

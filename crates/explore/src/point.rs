@@ -1,6 +1,7 @@
 //! Point-granular work descriptions: the wire format a fleet
-//! coordinator uses to ship one grid point to a worker and get the
-//! measurements back, serialized through the in-tree [`json`] layer.
+//! coordinator uses to ship one engine run's grid points to a worker
+//! and get the measurements back, serialized through the in-tree
+//! [`json`] layer.
 //!
 //! The format is **lossless by construction**: a [`PointRequest`]
 //! round-trips through the same spec-schema parsers the experiment file
@@ -11,12 +12,15 @@
 //! in-process grid uses. That is what makes fleet results bit-identical
 //! to [`run_spec`](crate::run_spec), whatever the fleet shape.
 //!
-//! There is a single simulation path: the in-process grid
-//! ([`run_grid_observed`](crate::run_grid_observed)) measures each group
-//! of points that differ only in their memory backend with one engine
-//! run, and [`measure`], which the fleet worker endpoint calls, is the
-//! one-point case of the same function, so there is no second
-//! implementation to drift. A fleet still ships and runs single points.
+//! There is a single simulation path: [`measure`] measures a run group
+//! — the points that differ only in their memory backend — with one
+//! engine run, and both the in-process grid
+//! ([`run_grid_observed`](crate::run_grid_observed)) and the fleet
+//! worker endpoint call it on the runs of
+//! [`plan_grid`](crate::plan_grid). A request names the group's first
+//! point in full and the others by their backends
+//! ([`PointRequest::twins`]); a single point is the one-member run, and
+//! its request renders without a `twins` key.
 
 use std::fmt;
 
@@ -29,7 +33,9 @@ use crate::attribution::PointAttribution;
 use crate::grid::GridResult;
 use crate::hash::{point_fingerprint, Fingerprint};
 use crate::json::{self, Json};
-use crate::spec::{check_keys, parse_config, parse_workload, ConfigSpec, Partitioning, SpecError};
+use crate::spec::{
+    check_keys, parse_config, parse_memory, parse_workload, ConfigSpec, Partitioning, SpecError,
+};
 use crate::WorkloadEntry;
 
 /// Why one grid point failed to simulate — positioned by the caller,
@@ -60,8 +66,9 @@ impl std::error::Error for PointError {
     }
 }
 
-/// One grid point as shippable work: the core count plus the full
-/// configuration and workload descriptions, labels included.
+/// One engine run's grid points as shippable work: the core count plus
+/// the first point's full configuration and workload descriptions,
+/// labels included, and the memory backends of the run's other points.
 ///
 /// Serializes with [`PointRequest::render`] and parses back with
 /// [`PointRequest::parse`] through the exact spec-schema parsers, so a
@@ -79,18 +86,25 @@ pub struct PointRequest {
     /// then ships the [`PointAttribution`] extension back with the
     /// measurement.
     pub attribution: bool,
+    /// The memory backends of the run's other points, in order: each
+    /// twin is `config` with its `memory` replaced, measured by the
+    /// same engine run ([`measure`]). Empty for a one-point run, and
+    /// always empty with `attribution` on: attribution splits a
+    /// latency by the run's own backend.
+    pub twins: Vec<MemoryConfig>,
 }
 
 impl PointRequest {
-    /// The point's content address: [`point_fingerprint`] over the
-    /// simulation inputs (labels and x-axis values excluded).
+    /// The first point's content address: [`point_fingerprint`] over
+    /// the simulation inputs (labels and x-axis values excluded).
     pub fn fingerprint(&self) -> Fingerprint {
         point_fingerprint(self.cores, &self.config, &self.workload, self.attribution)
     }
 
-    /// Renders the request as a JSON document. The `attribution` key is
-    /// emitted only when the flag is on, so attribution-off requests
-    /// are byte-identical to those of older peers.
+    /// Renders the request as a JSON document. The `attribution` and
+    /// `twins` keys are emitted only when the flag is on or the list is
+    /// non-empty, so a one-point attribution-off request is
+    /// byte-identical to those of older peers.
     ///
     /// # Errors
     ///
@@ -107,6 +121,14 @@ impl PointRequest {
         if self.attribution {
             members.push(("attribution".into(), Json::Bool(true)));
         }
+        if !self.twins.is_empty() {
+            let twins = self
+                .twins
+                .iter()
+                .map(render_memory)
+                .collect::<Result<_, _>>()?;
+            members.push(("twins".into(), Json::Array(twins)));
+        }
         Ok(Json::Object(members).render())
     }
 
@@ -114,12 +136,13 @@ impl PointRequest {
     ///
     /// # Errors
     ///
-    /// [`SpecError`] positioned exactly like experiment-spec parsing.
+    /// [`SpecError`] positioned exactly like experiment-spec parsing;
+    /// twins on an attributed request are invalid at `point.twins`.
     pub fn parse(input: &str) -> Result<PointRequest, SpecError> {
         let doc = json::parse(input).map_err(SpecError::Json)?;
         check_keys(
             &doc,
-            &["cores", "config", "workload", "attribution"],
+            &["cores", "config", "workload", "attribution", "twins"],
             "point",
         )?;
         let cores = doc
@@ -157,11 +180,31 @@ impl PointRequest {
                 message: "must be a boolean".into(),
             })?,
         };
+        let twins = match doc.get("twins") {
+            None => Vec::new(),
+            Some(v) => v
+                .as_array()
+                .ok_or_else(|| SpecError::Invalid {
+                    at: "point.twins".into(),
+                    message: "must be an array of memory objects".into(),
+                })?
+                .iter()
+                .enumerate()
+                .map(|(i, m)| parse_memory(m, &format!("point.twins[{i}]")))
+                .collect::<Result<_, _>>()?,
+        };
+        if attribution && !twins.is_empty() {
+            return Err(SpecError::Invalid {
+                at: "point.twins".into(),
+                message: "an attributed point runs alone and takes no twins".into(),
+            });
+        }
         Ok(PointRequest {
             cores,
             config,
             workload,
             attribution,
+            twins,
         })
     }
 }
@@ -320,38 +363,31 @@ impl PointMeasurement {
     }
 }
 
-/// Simulates one grid point on a validated platform — the single
-/// measurement path shared by the in-process grid and fleet workers, as
-/// the one-member case of a group run.
+/// Simulates the grid points of one engine run on a validated platform
+/// — the single measurement path shared by the in-process grid and
+/// fleet workers. The run drives `config` on its own backend plus one
+/// twin backend per entry of `twins`, the points that differ from
+/// `config` only in their memory backend
+/// ([`Simulator::run_with_twins`]). Returns one measurement per member,
+/// `config`'s first; the members share every number but their DRAM row
+/// counters. A single point is the one-member run: `twins` empty.
+///
+/// Attribution-on points are never given twins: attribution's DRAM
+/// split reads the latencies of `config`'s backend alone.
 ///
 /// # Errors
 ///
 /// [`PointError::Config`] when the simulator rejects the platform, or
-/// [`PointError::Sim`] when the run fails.
+/// [`PointError::Sim`] when the run fails (a twin that breaks the slot
+/// budget included).
 pub fn measure(
-    config: &SystemConfig,
-    workload: impl Workload,
-) -> Result<PointMeasurement, PointError> {
-    Ok(measure_group(config, &[], workload)?.swap_remove(0))
-}
-
-/// Simulates a group of grid points that differ only in their memory
-/// backend with one engine run: `config` on its own backend plus one
-/// twin backend per entry of `twins`
-/// ([`Simulator::run_with_twins`]). Returns one measurement per member,
-/// `config`'s first. The members share every number but their DRAM row
-/// counters.
-///
-/// Attribution-on points are never grouped: attribution's DRAM split
-/// reads the latencies of `config`'s backend alone.
-pub(crate) fn measure_group(
     config: &SystemConfig,
     twins: &[MemoryConfig],
     workload: impl Workload,
 ) -> Result<Vec<PointMeasurement>, PointError> {
     debug_assert!(
         twins.is_empty() || !config.attribution(),
-        "an attributed point was grouped with twins"
+        "an attributed point was given twins"
     );
     let sim = Simulator::new(config.clone()).map_err(PointError::Config)?;
     let (report, twin_stats) = sim
@@ -571,6 +607,7 @@ mod tests {
                     config: c.clone(),
                     workload: w.clone(),
                     attribution: false,
+                    twins: Vec::new(),
                 })
             })
             .collect()
@@ -637,7 +674,7 @@ mod tests {
         for point in points() {
             let config = point.config.build(point.cores).unwrap();
             let workload = point.workload.spec.build(point.cores);
-            let measured = measure(&config, &workload).unwrap();
+            let measured = measure(&config, &[], &workload).unwrap().remove(0);
             let back = PointMeasurement::parse(&measured.render()).unwrap();
             assert_eq!(back, measured);
             let row = measured.to_grid_result("c", "w", &config.memory().label(), 7, None);
@@ -671,7 +708,7 @@ mod tests {
                 .unwrap()
                 .with_attribution(true);
             let workload = point.workload.spec.build(point.cores);
-            let measured = measure(&config, &workload).unwrap();
+            let measured = measure(&config, &[], &workload).unwrap().remove(0);
             let attr = measured.attribution.as_ref().expect("attribution was on");
             // Component totals sum exactly to the total recorded latency.
             assert_eq!(
@@ -690,7 +727,9 @@ mod tests {
     fn corrupt_measurements_are_rejected() {
         let point = points().remove(0);
         let config = point.config.build(point.cores).unwrap();
-        let measured = measure(&config, point.workload.spec.build(point.cores)).unwrap();
+        let measured = measure(&config, &[], point.workload.spec.build(point.cores))
+            .unwrap()
+            .remove(0);
         let wire = measured.render();
         // Drop a field, break the count, break a bucket pair.
         let no_field = wire.replace("\"observed_wcl\"", "\"observed\"");
@@ -727,8 +766,85 @@ mod tests {
         // A workload built for the wrong core count fails in the engine.
         let wrong = spec.workloads[0].spec.build(spec.cores + 1);
         assert!(matches!(
-            measure(&config, &wrong).unwrap_err(),
+            measure(&config, &[], &wrong).unwrap_err(),
             PointError::Sim(_)
         ));
+    }
+
+    #[test]
+    fn requests_with_twins_round_trip_identically() {
+        let twins = vec![
+            MemoryConfig::banked(),
+            MemoryConfig::default(),
+            MemoryConfig::banked().worst_case(),
+        ];
+        for mut point in points() {
+            point.twins = twins.clone();
+            let wire = point.render().unwrap();
+            assert!(wire.contains("\"twins\":["), "{wire}");
+            let back = PointRequest::parse(&wire).unwrap();
+            assert_eq!(back, point, "round trip changed the run: {wire}");
+            assert_eq!(back.fingerprint(), point.fingerprint());
+            assert_eq!(back.render().unwrap(), wire);
+        }
+        // A twin with no wire form is refused like the first point's
+        // own backend.
+        let mut point = points().remove(0);
+        point.twins = vec![MemoryConfig::banked().worst_case().worst_case()];
+        assert!(point.render().unwrap_err().contains("nested worst-case"));
+    }
+
+    #[test]
+    fn a_one_point_request_keeps_the_wire_of_older_peers() {
+        let point = points().remove(0);
+        assert_eq!(
+            point.render().unwrap(),
+            concat!(
+                r#"{"cores":2,"config":{"label":"NSS(1,4)","partition":{"kind":"shared","#,
+                r#""sets":1,"ways":4,"mode":"NSS"},"memory":{"kind":"fixed","latency":30}},"#,
+                r#""workload":{"label":"uniform/2048B","x":2048,"kind":"uniform","#,
+                r#""range_bytes":2048,"ops":100,"seed":3,"write_fraction":0.25}}"#
+            )
+        );
+    }
+
+    #[test]
+    fn twins_are_positioned_and_never_ride_with_attribution() {
+        let mut point = points().remove(0);
+        point.twins = vec![MemoryConfig::banked()];
+        let wire = point.render().unwrap();
+        let attributed = wire.replacen(r#""twins""#, r#""attribution":true,"twins""#, 1);
+        let bad_kind = wire.replacen(r#""kind":"banked""#, r#""kind":"sram""#, 1);
+        for (doc, at) in [
+            (attributed.as_str(), "point.twins"),
+            (bad_kind.as_str(), "point.twins[0].kind"),
+            (
+                r#"{"cores":2,"config":{"partition":{"kind":"shared","sets":1,"ways":4}},
+                    "workload":{"kind":"uniform","range_bytes":64,"ops":1},"twins":{}}"#,
+                "point.twins",
+            ),
+        ] {
+            match PointRequest::parse(doc).unwrap_err() {
+                SpecError::Invalid { at: got, .. } => assert_eq!(got, at, "for {doc}"),
+                other => panic!("expected Invalid for {doc}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_measures_each_member_as_its_own_point() {
+        let point = points().remove(0);
+        let config = point.config.build(point.cores).unwrap();
+        let workload = point.workload.spec.build(point.cores);
+        let twins = [MemoryConfig::banked(), MemoryConfig::default()];
+        let group = measure(&config, &twins, &workload).unwrap();
+        assert_eq!(group.len(), 3);
+        assert_eq!(group[0], measure(&config, &[], &workload).unwrap()[0]);
+        for (twin, got) in twins.iter().zip(&group[1..]) {
+            let mut alone = point.config.clone();
+            alone.memory = twin.clone();
+            let alone = alone.build(point.cores).unwrap();
+            assert_eq!(got, &measure(&alone, &[], &workload).unwrap()[0]);
+        }
     }
 }

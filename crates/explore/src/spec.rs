@@ -451,7 +451,7 @@ pub(crate) fn parse_config(doc: &Json, at: &str) -> Result<ConfigSpec, SpecError
     })
 }
 
-fn parse_memory(doc: &Json, at: &str) -> Result<MemoryConfig, SpecError> {
+pub(crate) fn parse_memory(doc: &Json, at: &str) -> Result<MemoryConfig, SpecError> {
     check_keys(
         doc,
         &[

@@ -1,14 +1,23 @@
-//! The coordinator: shard a spec's unique grid points across worker
-//! services, survive worker loss, merge results bit-identically.
+//! The coordinator: shard a spec's engine runs across worker services,
+//! survive worker loss, merge results bit-identically.
 //!
-//! Dispatch is a shared work queue over unique grid points (the
-//! [`plan_grid`] dedup, same as the in-process path) drained by one
-//! dispatcher thread per worker. A worker that stops answering —
-//! connection refused, reset mid-request, failed heartbeat — is marked
-//! **lost**: its in-flight point goes back on the queue (front, so
-//! recovery does not starve) and the surviving workers absorb the
-//! work. Losing every worker with work still pending fails the run
-//! with [`FleetError::NoWorkers`] instead of hanging.
+//! Dispatch is a shared work queue over the engine runs of
+//! [`plan_grid`] — the same dedup and the same run groups the
+//! in-process grid schedules, with every point the coordinator's cache
+//! already holds filtered out — drained by one dispatcher thread per
+//! worker. A run ships as one [`PointRequest`] (its first point plus
+//! the other points' memory backends as twins), and the worker measures
+//! it with one engine run. A worker that stops answering — connection
+//! refused, reset mid-request, failed heartbeat — is marked **lost**:
+//! its in-flight run goes back on the queue (front, so recovery does
+//! not starve) and the surviving workers absorb the work. Losing every
+//! worker with work still pending fails the run with
+//! [`FleetError::NoWorkers`] instead of hanging.
+//!
+//! Everything a caller observes stays per point: both caches, progress,
+//! the `fleet.point.resolved` instants, the point counters of
+//! [`Metrics`] and error positioning (a run's first point is its lowest
+//! unique index, as in a local run).
 //!
 //! Merging cannot introduce drift because nothing numeric is merged:
 //! workers ship exact integers ([`PointMeasurement`]), the coordinator
@@ -27,12 +36,13 @@ use std::time::{Duration, Instant};
 use predllc_explore::json::{self, Json};
 use predllc_explore::{
     assemble_rows, build_platforms, plan_grid, point_fingerprint, search_partitions, Executor,
-    ExperimentSpec, ExploreError, ExploreReport, GridResult, PointMeasurement, PointRequest,
+    ExperimentSpec, ExploreError, ExploreReport, Fingerprint, GridPlan, GridResult,
+    PointMeasurement, PointRequest,
 };
 use predllc_obs::expo::{self, ExpoValue};
 use predllc_obs::{fields, Compare, Rule, TraceCtx};
 use predllc_serve::{
-    Client, ClientError, Metrics, PointCache, RunOutcome, ServerConfig, SpecRunner,
+    Client, ClientError, Metrics, PointCache, PointReply, RunOutcome, ServerConfig, SpecRunner,
 };
 
 /// Why a fleet run failed.
@@ -133,17 +143,18 @@ struct Worker {
     alive: AtomicBool,
 }
 
-/// Interior of the dispatch lock: the work queue plus completion
-/// bookkeeping. Invariant: `completed + outstanding + queue.len() ==
-/// total` until a permanent failure is recorded.
+/// Interior of the dispatch lock: the run queue plus completion
+/// bookkeeping. Invariant, until a permanent failure is recorded: the
+/// members of queued runs + the members of in-flight runs
+/// (`outstanding`) + `completed` == `total`.
 struct DispatchState {
     /// Set by the waiting run once every point resolved (or the run
     /// failed). It lives under the lock the heartbeat waits on, so the
     /// heartbeat cannot miss the wake-up and sleep out its interval.
     done: bool,
-    /// Indices into the unique-point list, awaiting a worker.
+    /// Indices into [`Shared::runs`], awaiting a worker.
     queue: VecDeque<usize>,
-    /// Points currently in flight on some worker.
+    /// Members of the runs currently in flight on some worker.
     outstanding: usize,
     /// Points measured (or answered from the coordinator cache).
     completed: usize,
@@ -154,6 +165,23 @@ struct DispatchState {
     /// The first permanent failure, lowest unique index winning — the
     /// same "first failing point" a local run would report.
     failed: Option<(usize, FleetError)>,
+}
+
+/// What every dispatcher and the heartbeat of one coordinator run share,
+/// borrowed for its duration.
+struct Shared<'a> {
+    spec: &'a ExperimentSpec,
+    /// The plan's unique points, indexed like the results.
+    unique: &'a [(usize, usize)],
+    /// Each unique point's [`point_fingerprint`], its cache key.
+    fingerprints: &'a [Fingerprint],
+    /// The engine runs left to measure: the plan's runs without the
+    /// points the coordinator cache answered, each still ascending.
+    runs: &'a [Vec<usize>],
+    state: &'a Mutex<DispatchState>,
+    cond: &'a Condvar,
+    observe: &'a (dyn Fn(usize, usize) + Sync),
+    ctx: Option<TraceCtx<'a>>,
 }
 
 /// The fleet coordinator: owns the worker list, the shared point cache
@@ -215,8 +243,8 @@ impl Coordinator {
             .count()
     }
 
-    /// Runs `spec` across the fleet: unique grid points are sharded
-    /// over live workers, measurements merge on the coordinator, the
+    /// Runs `spec` across the fleet: its engine runs are sharded over
+    /// live workers, measurements merge on the coordinator, the
     /// partition search (when declared) runs locally. The report is
     /// **bit-identical** to `predllc_explore::run_spec` — same rows,
     /// same floats, same order — whatever the fleet shape and whichever
@@ -254,7 +282,7 @@ impl Coordinator {
     ) -> Result<ExploreReport, FleetError> {
         let platforms = build_platforms(spec)?;
         let plan = plan_grid(spec);
-        let results = self.dispatch(spec, &plan.unique, observe, ctx)?;
+        let results = self.dispatch(spec, &plan, observe, ctx)?;
 
         // The merge tail: exact-integer measurements become grid rows
         // with the same arithmetic the in-process path uses.
@@ -291,50 +319,62 @@ impl Coordinator {
     }
 
     /// Resolves every unique point: coordinator cache first, then the
-    /// worker fleet.
+    /// worker fleet, one request per engine run.
     fn dispatch(
         &self,
         spec: &ExperimentSpec,
-        unique: &[(usize, usize)],
+        plan: &GridPlan,
         observe: &(dyn Fn(usize, usize) + Sync),
         ctx: Option<TraceCtx<'_>>,
     ) -> Result<Vec<Option<PointMeasurement>>, FleetError> {
-        let mut results: Vec<Option<PointMeasurement>> = vec![None; unique.len()];
-        let mut queue = VecDeque::new();
-        {
-            let cache = self.cache.lock().unwrap();
-            for (i, &(ci, wi)) in unique.iter().enumerate() {
-                let fp = point_fingerprint(
+        let unique = &plan.unique;
+        let fingerprints: Vec<Fingerprint> = unique
+            .iter()
+            .map(|&(ci, wi)| {
+                point_fingerprint(
                     spec.cores,
                     &spec.configs[ci],
                     &spec.workloads[wi],
                     spec.attribution,
-                );
-                match cache.get(&fp) {
-                    Some(m) => {
-                        results[i] = Some(m.clone());
-                        self.metrics.points_cache_shared.inc();
-                    }
-                    None => queue.push_back(i),
+                )
+            })
+            .collect();
+        let mut results: Vec<Option<PointMeasurement>> = vec![None; unique.len()];
+        {
+            let cache = self.cache.lock().unwrap();
+            for (i, fp) in fingerprints.iter().enumerate() {
+                if let Some(m) = cache.get(fp) {
+                    results[i] = Some(m.clone());
+                    self.metrics.points_cache_shared.inc();
                 }
             }
         }
-        let completed = unique.len() - queue.len();
+        let runs: Vec<Vec<usize>> = plan
+            .runs
+            .iter()
+            .map(|run| -> Vec<usize> {
+                run.iter()
+                    .copied()
+                    .filter(|&i| results[i].is_none())
+                    .collect()
+            })
+            .filter(|run| !run.is_empty())
+            .collect();
+        let pending: usize = runs.iter().map(Vec::len).sum();
+        let completed = unique.len() - pending;
         if completed > 0 {
             observe(completed, unique.len());
         }
-        if queue.is_empty() {
+        if runs.is_empty() {
             return Ok(results);
         }
         if self.live_workers() == 0 {
-            return Err(FleetError::NoWorkers {
-                pending: queue.len(),
-            });
+            return Err(FleetError::NoWorkers { pending });
         }
 
         let state = Mutex::new(DispatchState {
             done: false,
-            queue,
+            queue: (0..runs.len()).collect(),
             outstanding: 0,
             completed,
             total: unique.len(),
@@ -342,20 +382,27 @@ impl Coordinator {
             failed: None,
         });
         let cond = Condvar::new();
+        let shared = Shared {
+            spec,
+            unique,
+            fingerprints: &fingerprints,
+            runs: &runs,
+            state: &state,
+            cond: &cond,
+            observe,
+            ctx,
+        };
 
         std::thread::scope(|s| {
-            // Shadow with references so the `move` closures copy these
-            // instead of consuming the locals.
-            let state = &state;
-            let cond = &cond;
+            // Shadow with a reference so the `move` closures copy it
+            // instead of consuming the local.
+            let shared = &shared;
             for worker in &self.workers {
                 if worker.alive.load(Ordering::SeqCst) {
-                    s.spawn(move || {
-                        self.dispatch_worker(worker, spec, unique, state, cond, observe, ctx)
-                    });
+                    s.spawn(move || self.dispatch_worker(worker, shared));
                 }
             }
-            s.spawn(|| self.heartbeat(state, cond));
+            s.spawn(|| self.heartbeat(shared));
 
             let mut st = state.lock().unwrap();
             while st.failed.is_none() && st.completed < st.total {
@@ -373,29 +420,20 @@ impl Coordinator {
         }
     }
 
-    /// One worker's dispatcher: claim a point, ship it, record the
-    /// answer; on transport failure requeue the point, mark the worker
+    /// One worker's dispatcher: claim a run, ship it, record the
+    /// answers; on transport failure requeue the run, mark the worker
     /// lost and exit.
-    #[allow(clippy::too_many_arguments)] // the dispatch loop's full context
-    fn dispatch_worker(
-        &self,
-        worker: &Worker,
-        spec: &ExperimentSpec,
-        unique: &[(usize, usize)],
-        state: &Mutex<DispatchState>,
-        cond: &Condvar,
-        observe: &(dyn Fn(usize, usize) + Sync),
-        ctx: Option<TraceCtx<'_>>,
-    ) {
+    fn dispatch_worker(&self, worker: &Worker, shared: &Shared<'_>) {
+        let spec = shared.spec;
         let worker_label = worker.addr.to_string();
         let mut client = Client::new(worker.addr)
             .with_timeout(self.config.request_timeout)
             .with_retries(self.config.retries);
         // Worker-side spans record under the same trace id as ours.
-        client.set_trace(ctx.map(|c| c.trace));
+        client.set_trace(shared.ctx.map(|c| c.trace));
         loop {
             let claim = {
-                let mut st = state.lock().unwrap();
+                let mut st = shared.state.lock().unwrap();
                 loop {
                     if st.failed.is_some()
                         || st.completed == st.total
@@ -403,32 +441,36 @@ impl Coordinator {
                     {
                         break None;
                     }
-                    if let Some(i) = st.queue.pop_front() {
-                        st.outstanding += 1;
-                        break Some(i);
+                    if let Some(r) = st.queue.pop_front() {
+                        st.outstanding += shared.runs[r].len();
+                        break Some(r);
                     }
                     // Queue empty but siblings are in flight: one of
-                    // them may requeue its point by dying.
-                    st = cond.wait(st).unwrap();
+                    // them may requeue its run by dying.
+                    st = shared.cond.wait(st).unwrap();
                 }
             };
-            let Some(i) = claim else { break };
-            let (ci, wi) = unique[i];
-            let point = PointRequest {
+            let Some(r) = claim else { break };
+            let members = &shared.runs[r];
+            let (ci, wi) = shared.unique[members[0]];
+            let request = PointRequest {
                 cores: spec.cores,
                 config: spec.configs[ci].clone(),
                 workload: spec.workloads[wi].clone(),
                 attribution: spec.attribution,
+                twins: members[1..]
+                    .iter()
+                    .map(|&i| spec.configs[shared.unique[i].0].memory.clone())
+                    .collect(),
             };
-            let wire = match point.render() {
+            let wire = match request.render() {
                 Ok(w) => w,
                 Err(message) => {
                     // Spec-parsed points always render; this is a
                     // programmatic config with no wire form.
-                    self.fail_point(
-                        state,
-                        cond,
-                        i,
+                    self.fail_run(
+                        shared,
+                        r,
                         FleetError::Point {
                             config: spec.configs[ci].label.clone(),
                             workload: spec.workloads[wi].label.clone(),
@@ -439,12 +481,13 @@ impl Coordinator {
                     break;
                 }
             };
-            self.metrics.points_assigned.inc();
-            let dispatch_span = ctx.map(|c| {
+            self.metrics.points_assigned.add(members.len() as u64);
+            let dispatch_span = shared.ctx.map(|c| {
                 c.span(
                     "fleet.dispatch",
                     fields(&[
-                        ("point", (i as u64).into()),
+                        ("point", (members[0] as u64).into()),
+                        ("members", (members.len() as u64).into()),
                         ("worker", worker_label.clone().into()),
                     ]),
                 )
@@ -454,50 +497,24 @@ impl Coordinator {
             let rtt = shipped.elapsed();
             drop(dispatch_span);
             match answer {
-                Ok(reply) => match PointMeasurement::from_json(&reply.measurement) {
-                    Ok(m) => {
+                Ok(reply) => match decode_reply(&reply, members.len()) {
+                    Some(measured) => {
                         self.metrics.worker_rtt(&worker_label).record(rtt);
-                        if reply.cached {
-                            self.metrics.points_cache_shared.inc();
-                        }
-                        self.cache
-                            .lock()
-                            .unwrap()
-                            .insert(point.fingerprint(), m.clone());
-                        let (done, total) = {
-                            let mut st = state.lock().unwrap();
-                            st.results[i] = Some(m);
-                            st.outstanding -= 1;
-                            st.completed += 1;
-                            cond.notify_all();
-                            (st.completed, st.total)
-                        };
-                        if let Some(c) = ctx {
-                            c.instant(
-                                "fleet.point.resolved",
-                                fields(&[
-                                    ("point", (i as u64).into()),
-                                    ("worker", worker_label.clone().into()),
-                                    ("cached", u64::from(reply.cached).into()),
-                                ]),
-                            );
-                        }
-                        observe(done, total);
+                        self.resolve_run(shared, r, measured, &worker_label);
                     }
                     // A worker answering garbage is a lost worker, not
                     // a lost experiment.
-                    Err(_) => {
+                    None => {
                         self.metrics.worker_requeue(&worker_label).record(rtt);
-                        self.abandon_point(worker, state, cond, i, ctx);
+                        self.abandon_run(worker, shared, r);
                         break;
                     }
                 },
                 Err(ClientError::Status { status: 422, body }) => {
                     let (kind, message) = parse_point_error(&body);
-                    self.fail_point(
-                        state,
-                        cond,
-                        i,
+                    self.fail_run(
+                        shared,
+                        r,
                         FleetError::Point {
                             config: spec.configs[ci].label.clone(),
                             workload: spec.workloads[wi].label.clone(),
@@ -511,14 +528,61 @@ impl Coordinator {
                 // the worker's fault: requeue and fail the worker over.
                 Err(_) => {
                     self.metrics.worker_requeue(&worker_label).record(rtt);
-                    self.abandon_point(worker, state, cond, i, ctx);
+                    self.abandon_run(worker, shared, r);
                     break;
                 }
             }
         }
         // If this exit stranded the run with no live workers, say so
         // rather than letting the waiter hang.
-        self.check_no_workers(state, cond);
+        self.check_no_workers(shared);
+    }
+
+    /// Records run `r`'s measurements, one per member with whether a
+    /// worker cache answered it: each point enters the coordinator
+    /// cache, the results and the progress count on its own.
+    fn resolve_run(
+        &self,
+        shared: &Shared<'_>,
+        r: usize,
+        measured: Vec<(PointMeasurement, bool)>,
+        worker_label: &str,
+    ) {
+        let members = &shared.runs[r];
+        {
+            let mut cache = self.cache.lock().unwrap();
+            for (&i, (m, _)) in members.iter().zip(&measured) {
+                cache.insert(shared.fingerprints[i], m.clone());
+            }
+        }
+        let cached: Vec<bool> = measured.iter().map(|&(_, cached)| cached).collect();
+        let answered = cached.iter().filter(|&&c| c).count();
+        self.metrics.points_cache_shared.add(answered as u64);
+        let (last, total) = {
+            let mut st = shared.state.lock().unwrap();
+            for (&i, (m, _)) in members.iter().zip(measured) {
+                st.results[i] = Some(m);
+            }
+            st.outstanding -= members.len();
+            st.completed += members.len();
+            shared.cond.notify_all();
+            (st.completed, st.total)
+        };
+        if let Some(c) = shared.ctx {
+            for (&i, &cached) in members.iter().zip(&cached) {
+                c.instant(
+                    "fleet.point.resolved",
+                    fields(&[
+                        ("point", (i as u64).into()),
+                        ("worker", worker_label.into()),
+                        ("cached", u64::from(cached).into()),
+                    ]),
+                );
+            }
+        }
+        for done in last + 1 - members.len()..=last {
+            (shared.observe)(done, total);
+        }
     }
 
     /// Marks a worker lost exactly once, settling the gauge pair: the
@@ -531,55 +595,52 @@ impl Coordinator {
         }
     }
 
-    /// A transient point failure: the worker is lost, the point goes
-    /// back on the queue (front — recovery work first).
-    fn abandon_point(
-        &self,
-        worker: &Worker,
-        state: &Mutex<DispatchState>,
-        cond: &Condvar,
-        i: usize,
-        ctx: Option<TraceCtx<'_>>,
-    ) {
+    /// A transient run failure: the worker is lost, the run goes back
+    /// on the queue (front — recovery work first).
+    fn abandon_run(&self, worker: &Worker, shared: &Shared<'_>, r: usize) {
+        let members = &shared.runs[r];
         self.mark_lost(worker);
-        self.metrics.points_retried.inc();
-        if let Some(c) = ctx {
+        self.metrics.points_retried.add(members.len() as u64);
+        if let Some(c) = shared.ctx {
             c.instant(
                 "fleet.point.requeued",
                 fields(&[
-                    ("point", (i as u64).into()),
+                    ("point", (members[0] as u64).into()),
+                    ("members", (members.len() as u64).into()),
                     ("worker", worker.addr.to_string().into()),
                 ]),
             );
         }
-        let mut st = state.lock().unwrap();
-        st.queue.push_front(i);
-        st.outstanding -= 1;
-        cond.notify_all();
+        let mut st = shared.state.lock().unwrap();
+        st.queue.push_front(r);
+        st.outstanding -= members.len();
+        shared.cond.notify_all();
     }
 
-    /// A permanent point failure; the lowest unique index wins so the
-    /// reported error matches what a local run would say first.
-    fn fail_point(&self, state: &Mutex<DispatchState>, cond: &Condvar, i: usize, err: FleetError) {
-        let mut st = state.lock().unwrap();
-        st.outstanding -= 1;
-        if st.failed.as_ref().is_none_or(|(j, _)| i < *j) {
-            st.failed = Some((i, err));
+    /// A permanent run failure, positioned at the run's first point; the
+    /// lowest unique index wins so the reported error matches what a
+    /// local run would say first.
+    fn fail_run(&self, shared: &Shared<'_>, r: usize, err: FleetError) {
+        let members = &shared.runs[r];
+        let mut st = shared.state.lock().unwrap();
+        st.outstanding -= members.len();
+        if st.failed.as_ref().is_none_or(|(j, _)| members[0] < *j) {
+            st.failed = Some((members[0], err));
         }
-        cond.notify_all();
+        shared.cond.notify_all();
     }
 
     /// Fails the run when every worker is gone with work pending.
-    fn check_no_workers(&self, state: &Mutex<DispatchState>, cond: &Condvar) {
+    fn check_no_workers(&self, shared: &Shared<'_>) {
         if self.live_workers() > 0 {
             return;
         }
-        let mut st = state.lock().unwrap();
+        let mut st = shared.state.lock().unwrap();
         if st.failed.is_none() && st.completed < st.total && st.outstanding == 0 {
             let pending = st.total - st.completed;
             st.failed = Some((usize::MAX, FleetError::NoWorkers { pending }));
         }
-        cond.notify_all();
+        shared.cond.notify_all();
     }
 
     /// The heartbeat loop: probe every live worker's `/healthz` each
@@ -587,7 +648,7 @@ impl Coordinator {
     /// notice via the `alive` flag at their next claim. Between rounds
     /// it waits on the dispatch `Condvar`, so the run's end wakes it at
     /// once and the merge never waits out an interval.
-    fn heartbeat(&self, state: &Mutex<DispatchState>, cond: &Condvar) {
+    fn heartbeat(&self, shared: &Shared<'_>) {
         let probe_timeout = self
             .config
             .heartbeat_interval
@@ -607,11 +668,12 @@ impl Coordinator {
                     .record(started.elapsed());
                 if answer.is_err() {
                     self.mark_lost(worker);
-                    cond.notify_all();
+                    shared.cond.notify_all();
                 }
             }
-            let st = state.lock().unwrap();
-            let (st, _) = cond
+            let st = shared.state.lock().unwrap();
+            let (st, _) = shared
+                .cond
                 .wait_timeout_while(st, self.config.heartbeat_interval, |st| !st.done)
                 .unwrap();
             if st.done {
@@ -861,6 +923,23 @@ impl SpecRunner for Coordinator {
     fn threads_label(&self) -> usize {
         1
     }
+}
+
+/// The measurements of a reply to an `members`-point request, each with
+/// whether the worker's cache answered it, or `None` when the reply does
+/// not decode to exactly one measurement per member.
+fn decode_reply(reply: &PointReply, members: usize) -> Option<Vec<(PointMeasurement, bool)>> {
+    if reply.twins.len() + 1 != members {
+        return None;
+    }
+    std::iter::once(reply)
+        .chain(&reply.twins)
+        .map(|r| {
+            PointMeasurement::from_json(&r.measurement)
+                .ok()
+                .map(|m| (m, r.cached))
+        })
+        .collect()
 }
 
 /// Decodes a worker's `422` body (`{"error": ..., "kind": ...}`),

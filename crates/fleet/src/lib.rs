@@ -1,30 +1,34 @@
 //! `predllc-fleet` — the distributed experiment fleet: a coordinator
-//! that shards an [`ExperimentSpec`]'s grid points across worker
+//! that shards an [`ExperimentSpec`]'s engine runs across worker
 //! processes over the in-tree HTTP stack, with a shared point-level
 //! result cache and heartbeat-based worker-loss recovery.
 //!
 //! The service layer (`predllc-serve`) made experiments shared; this
 //! crate makes them **distributed** without making them approximate:
 //!
-//! * the unit of work is one *unique* grid point (the same
-//!   [`plan_grid`](predllc_explore::plan_grid) dedup the in-process
-//!   grid uses), shipped as a
-//!   [`PointRequest`](predllc_explore::PointRequest) to any server's
-//!   `POST /v1/points` endpoint;
+//! * the unit of work is one *engine run* of
+//!   [`plan_grid`](predllc_explore::plan_grid) — the same dedup and run
+//!   groups the in-process grid uses, so unique points that differ only
+//!   in their memory backend share one run — shipped as a
+//!   [`PointRequest`](predllc_explore::PointRequest) (the first point
+//!   plus the others' backends as twins) to any server's
+//!   `POST /v1/points` endpoint, which measures the group with one
+//!   engine run;
 //! * workers answer with **exact integers only** — histogram parts and
 //!   raw DRAM counters — and every derived float is recomputed on the
 //!   coordinator with the in-process arithmetic, so a fleet run is
 //!   **bit-identical** to `predllc_explore::run_spec` for every fleet
 //!   shape: 1 worker, 4 workers, or none (in-process);
 //! * a worker that stops answering (reset, refused, failed heartbeat)
-//!   is marked lost, its in-flight point is requeued, and the
-//!   surviving workers absorb the work — determinism is unaffected
-//!   because point measurements are pure functions of the point;
-//! * point results are cached at both ends (worker-side and
-//!   coordinator-side, content-addressed by
-//!   [`point_fingerprint`](predllc_explore::point_fingerprint)), so
+//!   is marked lost, its in-flight run is requeued, and the surviving
+//!   workers absorb the work — determinism is unaffected because point
+//!   measurements are pure functions of the point;
+//! * point results are cached at both ends, each point of a run under
+//!   its own key (worker-side and coordinator-side, content-addressed
+//!   by [`point_fingerprint`](predllc_explore::point_fingerprint)), so
 //!   overlapping experiments and re-runs after a crash never
-//!   re-simulate a point the fleet has already measured.
+//!   re-simulate a point the fleet has already measured: a run ships
+//!   only its uncached points.
 //!
 //! The [`Coordinator`] implements
 //! [`SpecRunner`](predllc_serve::SpecRunner), so a coordinator can

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use predllc_explore::hash::Fingerprint;
 use predllc_explore::json::Json;
-use predllc_explore::{measure, PointError, PointRequest};
+use predllc_explore::{measure, point_fingerprint, ConfigSpec, PointError, PointRequest};
 use predllc_obs::expo::ExpoValue;
 use predllc_obs::{fields, json_string, render_jsonl, TraceId, TRACE_HEADER};
 
@@ -342,16 +342,27 @@ fn job_trace(shared: &Shared, _req: &Request, params: &[&str]) -> Dispatch {
     ))
 }
 
-/// The point endpoints' success body: the fingerprint, whether the
-/// cache answered, and the measurement document.
-fn point_body(fp: &Fingerprint, cached: bool, measurement: &str) -> Response {
-    Response::json(
-        200,
+/// The point endpoints' success body: the first member's fingerprint,
+/// whether the cache answered, and its measurement document — plus, for
+/// a run with twins, a `twins` array of the same objects for the other
+/// members. A one-member body has no `twins` key.
+fn point_body(members: &[(Fingerprint, bool, String)]) -> Response {
+    let object = |(fp, cached, measurement): &(Fingerprint, bool, String)| {
         format!(
-            "{{\"fingerprint\":{},\"cached\":{cached},\"measurement\":{measurement}}}",
+            "\"fingerprint\":{},\"cached\":{cached},\"measurement\":{measurement}",
             json_string(&fp.to_hex()),
-        ),
-    )
+        )
+    };
+    let mut body = format!("{{{}", object(&members[0]));
+    if members.len() > 1 {
+        let twins: Vec<String> = members[1..]
+            .iter()
+            .map(|t| format!("{{{}}}", object(t)))
+            .collect();
+        body.push_str(&format!(",\"twins\":[{}]", twins.join(",")));
+    }
+    body.push('}');
+    Response::json(200, body)
 }
 
 /// A `422` body positioning a point failure: `{"error": ..., "kind":
@@ -361,8 +372,11 @@ fn point_error(kind: &str, message: &str) -> Response {
     error_response(422, kind, message)
 }
 
-/// `POST /v1/points` — simulate (or answer from cache) one grid point:
-/// the endpoint that makes this server a fleet worker.
+/// `POST /v1/points` — measure (or answer from cache) one engine run's
+/// grid points, the request's first point and its twins: the endpoint
+/// that makes this server a fleet worker. The members the point cache
+/// lacks are measured with one engine run, and each is cached under its
+/// own fingerprint.
 fn point_post(shared: &Shared, req: &Request, _params: &[&str]) -> Dispatch {
     if shared.shutdown.load(Ordering::SeqCst) {
         return Dispatch::Reply(error_response(
@@ -378,53 +392,70 @@ fn point_post(shared: &Shared, req: &Request, _params: &[&str]) -> Dispatch {
         Ok(p) => p,
         Err(e) => return Dispatch::Reply(error_response(400, "point", &e.to_string())),
     };
-    let fp = point.fingerprint();
+    // The run's members: the first point, then one per twin — the first
+    // point's configuration on the twin's backend.
+    let members: Vec<ConfigSpec> = std::iter::once(point.config.clone())
+        .chain(point.twins.iter().map(|memory| ConfigSpec {
+            memory: memory.clone(),
+            ..point.config.clone()
+        }))
+        .collect();
+    let fps: Vec<Fingerprint> = members
+        .iter()
+        .map(|c| point_fingerprint(point.cores, c, &point.workload, point.attribution))
+        .collect();
     let metrics = &shared.registry.metrics;
 
     // A coordinator propagates its trace id in the X-Predllc-Trace
     // header; the worker-side compute span records under the same id,
-    // so one fleet point is reconstructable end to end.
+    // so one fleet run is reconstructable end to end.
     let trace = req.header(TRACE_HEADER).and_then(TraceId::parse_hex);
     let mut span = trace.map(|t| {
         shared.tracer.span(
             t,
             "worker.point",
-            fields(&[("fingerprint", fp.to_hex().into())]),
+            fields(&[
+                ("fingerprint", fps[0].to_hex().into()),
+                ("members", (fps.len() as u64).into()),
+            ]),
         )
     });
 
-    let cached = shared.points.lock().unwrap().get(&fp).cloned();
-    let (was_cached, rendered) = match cached {
-        Some(rendered) => {
-            metrics.points_cache_shared.inc();
-            (true, rendered)
-        }
-        None => {
-            let config = match point.config.build(point.cores) {
-                Ok(c) => c.with_attribution(point.attribution),
-                Err(e) => return Dispatch::Reply(point_error("config", &e.to_string())),
-            };
-            let workload = point.workload.spec.build(point.cores);
-            let measurement = match measure(&config, &workload) {
-                Ok(m) => m,
-                Err(PointError::Config(e)) => {
-                    return Dispatch::Reply(point_error("config", &e.to_string()))
-                }
-                Err(PointError::Sim(e)) => {
-                    return Dispatch::Reply(point_error("sim", &e.to_string()))
-                }
-            };
+    let mut rendered: Vec<Option<String>> = {
+        let points = shared.points.lock().unwrap();
+        fps.iter().map(|fp| points.get(fp).cloned()).collect()
+    };
+    let cached: Vec<bool> = rendered.iter().map(Option::is_some).collect();
+    let missing: Vec<usize> = (0..members.len()).filter(|&k| !cached[k]).collect();
+    metrics
+        .points_cache_shared
+        .add((members.len() - missing.len()) as u64);
+    if let Some((&first, rest)) = missing.split_first() {
+        let config = match members[first].build(point.cores) {
+            Ok(c) => c.with_attribution(point.attribution),
+            Err(e) => return Dispatch::Reply(point_error("config", &e.to_string())),
+        };
+        let twins: Vec<_> = rest.iter().map(|&k| members[k].memory.clone()).collect();
+        let workload = point.workload.spec.build(point.cores);
+        let measured = match measure(&config, &twins, &workload) {
+            Ok(m) => m,
+            Err(PointError::Config(e)) => {
+                return Dispatch::Reply(point_error("config", &e.to_string()))
+            }
+            Err(PointError::Sim(e)) => return Dispatch::Reply(point_error("sim", &e.to_string())),
+        };
+        for (&k, measurement) in missing.iter().zip(measured) {
             if let Some(attr) = &measurement.attribution {
                 record_component_cycles(metrics, &attr.components);
             }
-            let rendered = measurement.render();
-            shared.points.lock().unwrap().insert(fp, rendered.clone());
+            let text = measurement.render();
+            shared.points.lock().unwrap().insert(fps[k], text.clone());
             metrics.points_simulated.inc();
-            (false, rendered)
+            rendered[k] = Some(text);
         }
-    };
+    }
     if let Some(span) = span.as_mut() {
-        span.field("cached", u64::from(was_cached));
+        span.field("cached", (members.len() - missing.len()) as u64);
     }
     drop(span);
 
@@ -440,7 +471,13 @@ fn point_post(shared: &Shared, req: &Request, _params: &[&str]) -> Dispatch {
     } else {
         shared.points_answered.fetch_add(1, Ordering::SeqCst);
     }
-    Dispatch::Reply(point_body(&fp, was_cached, &rendered))
+    let replies: Vec<(Fingerprint, bool, String)> = fps
+        .into_iter()
+        .zip(cached)
+        .zip(rendered)
+        .map(|((fp, cached), text)| (fp, cached, text.expect("every member was measured")))
+        .collect();
+    Dispatch::Reply(point_body(&replies))
 }
 
 /// `GET /v1/points/{fingerprint}` — a cached measurement, if this
@@ -453,7 +490,7 @@ fn point_get(shared: &Shared, _req: &Request, params: &[&str]) -> Dispatch {
     Dispatch::Reply(match cached {
         Some(rendered) => {
             shared.registry.metrics.points_cache_shared.inc();
-            point_body(&fp, true, &rendered)
+            point_body(&[(fp, true, rendered)])
         }
         None => error_response(404, "not_found", "point not cached"),
     })

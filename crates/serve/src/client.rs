@@ -111,7 +111,8 @@ pub struct Status {
 }
 
 /// The answer to a point request ([`Client::point`] /
-/// [`Client::cached_point`]).
+/// [`Client::cached_point`]): the request's first point, plus one reply
+/// per twin.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointReply {
     /// The point's content-addressed fingerprint (32 hex chars).
@@ -121,6 +122,10 @@ pub struct PointReply {
     /// The exact-integer measurement document
     /// (`predllc_explore::PointMeasurement` wire form).
     pub measurement: Json,
+    /// The replies for the request's twins
+    /// (`predllc_explore::PointRequest::twins`), in request order, each
+    /// with no twins of its own. Empty for a one-point request.
+    pub twins: Vec<PointReply>,
 }
 
 /// Which result document to fetch via [`Client::results`].
@@ -771,8 +776,9 @@ impl Client {
         Ok(self.body(&head))
     }
 
-    /// `POST /v1/points` — have the server simulate (or answer from its
-    /// point cache) one grid point.
+    /// `POST /v1/points` — have the server measure (or answer from its
+    /// point cache) one engine run's grid points: the request's first
+    /// point and its twins.
     ///
     /// # Errors
     ///
@@ -798,6 +804,18 @@ impl Client {
 }
 
 fn point_reply(doc: &Json) -> Result<PointReply, ClientError> {
+    let twins = match doc.get("twins") {
+        None => Vec::new(),
+        Some(twins) => twins
+            .as_array()
+            .ok_or_else(|| ClientError::Protocol("'twins' is not an array".into()))?
+            .iter()
+            .map(|twin| match twin.get("twins") {
+                None => point_reply(twin),
+                Some(_) => Err(ClientError::Protocol("a twin has twins".into())),
+            })
+            .collect::<Result<_, _>>()?,
+    };
     Ok(PointReply {
         fingerprint: str_field(doc, "fingerprint")?,
         cached: doc
@@ -808,6 +826,7 @@ fn point_reply(doc: &Json) -> Result<PointReply, ClientError> {
             .get("measurement")
             .cloned()
             .ok_or_else(|| ClientError::Protocol("missing 'measurement'".into()))?,
+        twins,
     })
 }
 

@@ -397,10 +397,10 @@ impl Job {
         Some(key)
     }
 
-    /// Drops a [`Job::watch`] waker that has not run (its waiter went
-    /// away). A no-op once the job settled.
-    #[cfg(any(target_os = "linux", test))]
-    pub(crate) fn unwatch(&self, key: u64) {
+    /// Drops the [`Job::watch`] waker registered under `key`, which then
+    /// never runs (its waiter went away). A no-op once the job settled,
+    /// or for a key already dropped.
+    pub fn unwatch(&self, key: u64) {
         self.life.lock().unwrap().wakers.retain(|(k, _)| *k != key);
     }
 }
@@ -482,10 +482,12 @@ pub struct Metrics {
     /// Grid points dispatched to fleet workers (re-dispatches after a
     /// worker loss count again).
     pub points_assigned: Counter,
-    /// Grid points requeued after their worker was lost mid-flight.
+    /// Grid points requeued after their worker was lost mid-flight
+    /// (every point of the lost run).
     pub points_retried: Counter,
-    /// Point requests answered from a shared point cache instead of
-    /// simulating (coordinator- or worker-side).
+    /// Grid points answered from a shared point cache instead of
+    /// simulating (coordinator- or worker-side), counted per point of a
+    /// run.
     pub points_cache_shared: Counter,
 }
 

@@ -311,7 +311,7 @@ fn grouped_runs_give_the_rows_of_one_measure_per_point() {
         for (ci, (config, analytical)) in platforms.iter().enumerate() {
             for entry in &spec.workloads {
                 let workload = entry.spec.build(spec.cores);
-                expected.push(measure(config, &workload).unwrap().to_grid_result(
+                expected.push(measure(config, &[], &workload).unwrap()[0].to_grid_result(
                     &spec.configs[ci].label,
                     &entry.label,
                     &config.memory().label(),

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use predllc::explore::report::{render_csv, render_json};
 use predllc::explore::{run_spec, Executor};
 use predllc::fleet::{Coordinator, CoordinatorConfig, FleetError};
-use predllc::obs::{EventKind, TraceCtx, TraceId, Tracer};
+use predllc::obs::{EventKind, FieldValue, TraceCtx, TraceEvent, TraceId, Tracer};
 use predllc::serve::{Metrics, Server, ServerConfig, ServerHandle};
 use predllc::workload_gen::UniformGen;
 use predllc::{CoreId, ExperimentSpec, LatencyHistogram, SharingMode, Simulator, SystemConfig};
@@ -27,6 +27,27 @@ const SPEC: &str = r#"{
         {"label": "SS(1,4)", "partition": {"kind": "shared", "sets": 1, "ways": 4, "mode": "SS"}},
         {"partition": {"kind": "private", "sets": 4, "ways": 2},
          "memory": {"kind": "banked", "banks": 8, "mapping": "bank-private"}}
+    ],
+    "workloads": [
+        {"kind": "uniform", "range_bytes": 4096, "ops": 300, "seed": 11, "write_fraction": 0.2},
+        {"kind": "stride", "range_bytes": 4096, "stride": 64, "ops": 300}
+    ]
+}"#;
+
+/// A grid with run groups: one private partition on fixed,
+/// banked-interleaved and banked bank-private DRAM (three points per
+/// workload that share one engine run), plus a shared column that runs
+/// alone. 8 unique points in 4 runs.
+const TWIN_SPEC: &str = r#"{
+    "name": "fleet-twins",
+    "cores": 2,
+    "configs": [
+        {"label": "P-fixed", "partition": {"kind": "private", "sets": 4, "ways": 2}},
+        {"label": "P-interleaved", "partition": {"kind": "private", "sets": 4, "ways": 2},
+         "memory": {"kind": "banked", "banks": 8}},
+        {"label": "P-bank-private", "partition": {"kind": "private", "sets": 4, "ways": 2},
+         "memory": {"kind": "banked", "banks": 8, "mapping": "bank-private"}},
+        {"label": "SS(1,4)", "partition": {"kind": "shared", "sets": 1, "ways": 4, "mode": "SS"}}
     ],
     "workloads": [
         {"kind": "uniform", "range_bytes": 4096, "ops": 300, "seed": 11, "write_fraction": 0.2},
@@ -369,6 +390,159 @@ fn the_coordinator_point_cache_spans_runs_and_specs() {
     assert_eq!(metrics.points_assigned.get(), 4);
     assert_eq!(metrics.points_cache_shared.get(), 6);
     stop_worker(&handle, join);
+}
+
+/// The `members` field of every `fleet.dispatch` span in `events`, in
+/// dispatch order.
+fn dispatched_members(events: &[TraceEvent]) -> Vec<u64> {
+    events
+        .iter()
+        .filter(|e| e.name == "fleet.dispatch" && e.kind == EventKind::Begin)
+        .map(|e| match e.fields.iter().find(|(k, _)| k == "members") {
+            Some((_, FieldValue::U64(n))) => *n,
+            other => panic!("a fleet.dispatch span without members: {other:?}"),
+        })
+        .collect()
+}
+
+/// Runs `spec` traced on `coordinator`, returning the report and the
+/// members of each dispatched run, sorted.
+fn run_traced(
+    coordinator: &Coordinator,
+    spec: &ExperimentSpec,
+) -> (predllc::fleet::ExploreReport, Vec<u64>) {
+    let tracer = Tracer::new();
+    let report = coordinator
+        .run_traced(
+            spec,
+            &|_, _| {},
+            Some(TraceCtx::new(&tracer, TraceId::fresh())),
+        )
+        .unwrap();
+    let mut members = dispatched_members(&tracer.drain());
+    members.sort_unstable();
+    (report, members)
+}
+
+#[test]
+fn run_groups_are_byte_identical_across_fleet_shapes() {
+    let spec = ExperimentSpec::parse(TWIN_SPEC).unwrap();
+    let local = run_spec(&spec, &Executor::new(1)).unwrap();
+    let reference_csv = render_csv(&local.grid);
+    let reference_json = render_json(&spec.name, 1, None, &local.grid, local.search.as_ref());
+    assert_eq!(local.unique_points, 8);
+
+    for shape in [1usize, 2, 4] {
+        let workers: Vec<_> = (0..shape)
+            .map(|_| start_worker(ServerConfig::default()))
+            .collect();
+        let metrics = Arc::new(Metrics::default());
+        let coordinator =
+            coordinator_over(workers.iter().map(|(h, _)| h.addr()), Arc::clone(&metrics));
+        let (report, members) = run_traced(&coordinator, &spec);
+        assert_eq!(
+            report.grid, local.grid,
+            "grid diverged at {shape} worker(s)"
+        );
+        assert_eq!(render_csv(&report.grid), reference_csv);
+        assert_eq!(
+            render_json(&spec.name, 1, None, &report.grid, report.search.as_ref()),
+            reference_json,
+            "JSON diverged at {shape} worker(s)"
+        );
+        // Two three-point runs and two one-point runs, counted per point.
+        assert_eq!(members, [1, 1, 3, 3], "at {shape} worker(s)");
+        assert_eq!(metrics.points_assigned.get(), 8);
+        for (handle, join) in workers {
+            stop_worker(&handle, join);
+        }
+    }
+}
+
+#[test]
+fn a_worker_killed_mid_group_does_not_change_the_bytes() {
+    let spec = ExperimentSpec::parse(TWIN_SPEC).unwrap();
+    let reference = render_csv(&run_spec(&spec, &Executor::new(1)).unwrap().grid);
+    let (doomed, doomed_join) = start_worker(ServerConfig {
+        fail_after_points: Some(0),
+        ..ServerConfig::default()
+    });
+    let (survivor, survivor_join) = start_worker(ServerConfig::default());
+
+    let metrics = Arc::new(Metrics::default());
+    let coordinator = coordinator_over([doomed.addr(), survivor.addr()], Arc::clone(&metrics));
+    let report = coordinator.run(&spec, &|_, _| {}).unwrap();
+
+    assert_eq!(render_csv(&report.grid), reference);
+    assert!(doomed.was_killed(), "the fault injector never fired");
+    assert_eq!(metrics.workers_lost.get(), 1);
+    // The lost run's points were requeued, each counted, and assigned
+    // again.
+    assert!(metrics.points_retried.get() >= 1);
+    assert_eq!(
+        metrics.points_assigned.get(),
+        8 + metrics.points_retried.get()
+    );
+    doomed_join.join().expect("killed server thread");
+    stop_worker(&survivor, survivor_join);
+}
+
+#[test]
+fn a_partly_cached_run_ships_only_its_uncached_points() {
+    let spec = ExperimentSpec::parse(TWIN_SPEC).unwrap();
+    let (handle, join) = start_worker(ServerConfig::default());
+    let metrics = Arc::new(Metrics::default());
+    let coordinator = coordinator_over([handle.addr()], Arc::clone(&metrics));
+
+    // An earlier spec leaves the fixed-DRAM member of the first run in
+    // the coordinator cache.
+    let earlier = ExperimentSpec::parse(&TWIN_SPEC.replacen(
+        r#""name": "fleet-twins""#,
+        r#""name": "earlier""#,
+        1,
+    ))
+    .unwrap();
+    let earlier = ExperimentSpec {
+        configs: earlier.configs[..1].to_vec(),
+        workloads: earlier.workloads[..1].to_vec(),
+        ..earlier
+    };
+    coordinator.run(&earlier, &|_, _| {}).unwrap();
+    assert_eq!(metrics.points_assigned.get(), 1);
+
+    let (report, members) = run_traced(&coordinator, &spec);
+    let local = run_spec(&spec, &Executor::new(1)).unwrap();
+    assert_eq!(report.grid, local.grid);
+    assert_eq!(render_csv(&report.grid), render_csv(&local.grid));
+    // The first run lost its cached member; nothing else changed.
+    assert_eq!(members, [1, 1, 2, 3]);
+    assert_eq!(metrics.points_assigned.get(), 1 + 7);
+    assert_eq!(metrics.points_cache_shared.get(), 1);
+    stop_worker(&handle, join);
+}
+
+#[test]
+fn attributed_runs_ship_one_point_per_request() {
+    let attributed = TWIN_SPEC.replacen(
+        "\"name\": \"fleet-twins\",",
+        "\"name\": \"fleet-twins\",\n    \"attribution\": true,",
+        1,
+    );
+    let spec = ExperimentSpec::parse(&attributed).unwrap();
+    let local = run_spec(&spec, &Executor::new(1)).unwrap();
+    let workers: Vec<_> = (0..2)
+        .map(|_| start_worker(ServerConfig::default()))
+        .collect();
+    let coordinator = coordinator_over(
+        workers.iter().map(|(h, _)| h.addr()),
+        Arc::new(Metrics::default()),
+    );
+    let (report, members) = run_traced(&coordinator, &spec);
+    assert_eq!(report.grid, local.grid);
+    assert_eq!(members, [1; 8]);
+    for (handle, join) in workers {
+        stop_worker(&handle, join);
+    }
 }
 
 /// A tiny deterministic PRNG for the shard-split property tests.

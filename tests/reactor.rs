@@ -265,6 +265,7 @@ fn dispatch_queue_overflow_sheds_429_with_retry_after() {
         config: slow_spec.configs[0].clone(),
         workload: slow_spec.workloads[0].clone(),
         attribution: false,
+        twins: Vec::new(),
     }
     .render()
     .unwrap();
@@ -658,6 +659,50 @@ fn a_job_settling_between_status_check_and_park_still_wakes_its_holder() {
     assert_eq!(status, 200);
     assert!(body.contains("\"status\":\"done\""), "{body}");
     assert!(t0.elapsed() < Duration::from_secs(5));
+    stop(&handle, join);
+}
+
+#[test]
+fn an_unwatched_waker_never_runs_and_a_kept_one_does() {
+    let (handle, join, gate) = start_gated(ServerConfig::default());
+    let mut client = Client::new(handle.addr());
+    let id = client.submit(SPEC).unwrap().id;
+    wait_running(&handle, &id);
+    let job = handle.job(&id).unwrap();
+
+    // Two wakers parked on the unsettled job, one of them cancelled
+    // with the key `watch` handed out.
+    let woke = |flag: &Arc<AtomicBool>| -> Box<dyn FnOnce() + Send> {
+        let flag = Arc::clone(flag);
+        Box::new(move || flag.store(true, Ordering::SeqCst))
+    };
+    let kept = Arc::new(AtomicBool::new(false));
+    let dropped = Arc::new(AtomicBool::new(false));
+    job.watch(woke(&kept))
+        .expect("an unsettled job keeps its waker");
+    let key = job
+        .watch(woke(&dropped))
+        .expect("an unsettled job keeps its waker");
+    job.unwatch(key);
+
+    gate.open();
+    client.wait_done(&id, Duration::from_secs(120)).unwrap();
+    // The settling thread runs the wakers just after it publishes the
+    // state.
+    let t0 = Instant::now();
+    while !kept.load(Ordering::SeqCst) {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the kept waker never ran"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        !dropped.load(Ordering::SeqCst),
+        "the unwatched waker ran when the job settled"
+    );
+    // Unwatching after the job settled is a no-op.
+    job.unwatch(key);
     stop(&handle, join);
 }
 

@@ -483,6 +483,7 @@ fn point_endpoint_computes_caches_and_positions_errors() {
         config: spec.configs[0].clone(),
         workload: spec.workloads[0].clone(),
         attribution: false,
+        twins: Vec::new(),
     };
     let wire = point.render().unwrap();
     let fingerprint = point.fingerprint().to_hex();
@@ -498,7 +499,7 @@ fn point_endpoint_computes_caches_and_positions_errors() {
     let shipped = PointMeasurement::from_json(&reply.measurement).unwrap();
     let config = spec.configs[0].build(spec.cores).unwrap();
     let workload = spec.workloads[0].spec.build(spec.cores);
-    assert_eq!(shipped, measure(&config, &workload).unwrap());
+    assert_eq!(shipped, measure(&config, &[], &workload).unwrap()[0]);
 
     // The re-POST and the GET are shared-cache answers, not re-runs.
     let again = client.point(&wire).unwrap();
@@ -524,6 +525,7 @@ fn point_endpoint_computes_caches_and_positions_errors() {
         config: bad.configs[0].clone(),
         workload: bad.workloads[0].clone(),
         attribution: false,
+        twins: Vec::new(),
     }
     .render()
     .unwrap();
@@ -542,6 +544,91 @@ fn point_endpoint_computes_caches_and_positions_errors() {
             }
             other => panic!("expected 404 for {fp:?}, got {other:?}"),
         }
+    }
+    stop(&handle, join);
+}
+
+#[test]
+fn a_run_with_twins_caches_each_member_under_its_own_fingerprint() {
+    use predllc::explore::{measure, point_fingerprint, PointMeasurement, PointRequest};
+
+    // The second column's partition on the seed's fixed DRAM and on
+    // banked-interleaved DRAM: one run, three points.
+    let spec = ExperimentSpec::parse(SPEC).unwrap();
+    let first = spec.configs[1].clone();
+    let twin_memories = vec![
+        predllc::MemoryConfig::default(),
+        predllc::MemoryConfig::banked(),
+    ];
+    let point = PointRequest {
+        cores: spec.cores,
+        config: first.clone(),
+        workload: spec.workloads[0].clone(),
+        attribution: false,
+        twins: twin_memories.clone(),
+    };
+    let members: Vec<_> = std::iter::once(first.clone())
+        .chain(twin_memories.iter().map(|memory| {
+            let mut twin = first.clone();
+            twin.memory = memory.clone();
+            twin
+        }))
+        .collect();
+
+    let (handle, join) = start(ServerConfig::default());
+    let mut client = Client::new(handle.addr());
+    let reply = client.point(&point.render().unwrap()).unwrap();
+    assert_eq!(reply.twins.len(), 2);
+    assert!(reply.twins.iter().all(|t| t.twins.is_empty()));
+    let workload = spec.workloads[0].spec.build(spec.cores);
+    for (member, got) in members
+        .iter()
+        .zip(std::iter::once(&reply).chain(&reply.twins))
+    {
+        // Each member answers as its own one-point measurement would.
+        let fp = point_fingerprint(spec.cores, member, &spec.workloads[0], false);
+        assert_eq!(got.fingerprint, fp.to_hex());
+        assert!(!got.cached);
+        let alone = measure(&member.build(spec.cores).unwrap(), &[], &workload).unwrap();
+        assert_eq!(
+            PointMeasurement::from_json(&got.measurement).unwrap(),
+            alone[0]
+        );
+        // ...and is cached under its own fingerprint.
+        let fetched = client.cached_point(&fp.to_hex()).unwrap();
+        assert!(fetched.cached);
+        assert_eq!(fetched.measurement, got.measurement);
+    }
+    assert_eq!(client.metric("predllc_points_simulated").unwrap(), 3);
+
+    // A run whose members are all cached never reaches the engine; a
+    // partly cached one measures only what is missing.
+    let again = client.point(&point.render().unwrap()).unwrap();
+    assert!(again.cached && again.twins.iter().all(|t| t.cached));
+    let mut wider = point.clone();
+    wider
+        .twins
+        .push(predllc::MemoryConfig::banked().worst_case());
+    let wide = client.point(&wider.render().unwrap()).unwrap();
+    let cached: Vec<bool> = std::iter::once(&wide)
+        .chain(&wide.twins)
+        .map(|r| r.cached)
+        .collect();
+    assert_eq!(cached, [true, true, true, false]);
+    assert_eq!(client.metric("predllc_points_simulated").unwrap(), 4);
+
+    // Twins never ride on an attributed request: a positioned 400.
+    let attributed =
+        point
+            .render()
+            .unwrap()
+            .replacen(r#""twins""#, r#""attribution":true,"twins""#, 1);
+    match client.point(&attributed) {
+        Err(ClientError::Status { status: 400, body }) => {
+            assert_error_shape(&body, "point");
+            assert!(body.contains("point.twins"), "{body}");
+        }
+        other => panic!("expected 400 for an attributed run with twins, got {other:?}"),
     }
     stop(&handle, join);
 }
