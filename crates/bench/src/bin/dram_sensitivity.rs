@@ -6,7 +6,7 @@
 //! traffic is the random baseline), while the configuration axis sweeps
 //! the banked backend's bank count under both the interleaved and the
 //! bank-privatized per-core mapping, against the seed's fixed-latency
-//! DRAM. The grid runs through [`predllc_explore::run_grid`], and the
+//! DRAM. The grid runs through [`predllc_explore::run_spec`], and the
 //! output is the CSV with the backend label column.
 //!
 //! Usage: `cargo run --release -p predllc-bench --bin dram_sensitivity
@@ -17,7 +17,7 @@ use predllc_bench::render::render_backend_csv;
 use predllc_bench::{error, status};
 use predllc_dram::{BankMapping, DramTiming, MemoryConfig};
 use predllc_explore::spec::Partitioning;
-use predllc_explore::{run_grid, ConfigSpec, Executor, ExperimentSpec, WorkloadEntry};
+use predllc_explore::{run_spec, ConfigSpec, Executor, ExperimentSpec, WorkloadEntry};
 use predllc_model::DramGeometry;
 use predllc_workload::WorkloadSpec;
 use std::process::ExitCode;
@@ -106,7 +106,7 @@ fn run() -> Result<bool, Box<dyn std::error::Error>> {
         search: None,
         attribution: false,
     };
-    let rows = run_grid(&spec, &Executor::new(0))?;
+    let rows = run_spec(&spec, &Executor::new(0))?.grid;
     predllc_bench::log::write_data(&render_backend_csv(&rows));
 
     // Soundness check: every observation stays within its row's

@@ -11,7 +11,7 @@ use predllc_bench::{data, error};
 use predllc_core::SharingMode::{BestEffort, SetSequencer};
 use predllc_dram::MemoryConfig;
 use predllc_explore::spec::Partitioning::{PrivateEach, SharedAll};
-use predllc_explore::{run_grid, ConfigSpec, Executor, ExperimentSpec, WorkloadEntry};
+use predllc_explore::{run_spec, ConfigSpec, Executor, ExperimentSpec, WorkloadEntry};
 use predllc_workload::WorkloadSpec;
 use std::process::ExitCode;
 
@@ -81,7 +81,7 @@ fn run() -> Result<bool, Box<dyn std::error::Error>> {
         search: None,
         attribution: false,
     };
-    let mut rows = run_grid(&spec, &Executor::new(0))?;
+    let mut rows = run_spec(&spec, &Executor::new(0))?.grid;
     rows.sort_by(|a, b| (a.x, &a.config).cmp(&(b.x, &b.config)));
 
     if flags.has("--csv") {

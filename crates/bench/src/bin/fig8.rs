@@ -17,7 +17,7 @@ use predllc_bench::{data, error};
 use predllc_core::SharingMode::{BestEffort, SetSequencer};
 use predllc_dram::MemoryConfig;
 use predllc_explore::spec::Partitioning::{self, PrivateEach, SharedAll};
-use predllc_explore::{run_grid, ConfigSpec, Executor, ExperimentSpec, GridResult, WorkloadEntry};
+use predllc_explore::{run_spec, ConfigSpec, Executor, ExperimentSpec, GridResult, WorkloadEntry};
 use predllc_workload::WorkloadSpec;
 use std::process::ExitCode;
 
@@ -134,7 +134,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             search: None,
             attribution: false,
         };
-        let mut rows = run_grid(&spec, &exec)?;
+        let mut rows = run_spec(&spec, &exec)?.grid;
         rows.sort_by(|a, b| (a.x, &a.config).cmp(&(b.x, &b.config)));
 
         if flags.has("--csv") {

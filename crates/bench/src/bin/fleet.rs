@@ -467,7 +467,7 @@ fn smoke_inner(
 
     let started = Instant::now();
     let report = coordinator
-        .run_traced(spec, &|_, _| {}, Some(TraceCtx::new(&tracer, trace)))
+        .run(spec, &|_, _| {}, Some(TraceCtx::new(&tracer, trace)))
         .map_err(|e| e.to_string())?;
     let wall_ms = started.elapsed().as_millis() as u64;
     let events = tracer.drain();
@@ -533,7 +533,7 @@ fn smoke_inner(
     // A re-run must be answered entirely by the coordinator's shared
     // point cache: same bytes, no new worker dispatches.
     let again = coordinator
-        .run(spec, &|_, _| {})
+        .run(spec, &|_, _| {}, None)
         .map_err(|e| e.to_string())?;
     if render_csv(&again.grid) != reference {
         return Err("the cached re-run changed the CSV".into());
@@ -650,7 +650,7 @@ fn attribution_leg(
     let mut on = spec.clone();
     on.attribution = true;
     let report = coordinator
-        .run(&on, &|_, _| {})
+        .run(&on, &|_, _| {}, None)
         .map_err(|e| e.to_string())?;
     if render_csv(&report.grid) != reference {
         return Err("attribution changed the fleet CSV".into());

@@ -15,7 +15,7 @@
 //!   search (see `predllc-explore`).
 //!
 //! The grid figures build an [`ExperimentSpec`](predllc_explore::ExperimentSpec)
-//! in code and run it with [`predllc_explore::run_grid`] — the same grid
+//! in code and run it with [`predllc_explore::run_spec`] — the same spec
 //! runner `explore`, `serve` and `fleet` use. This library holds only
 //! what the binaries share on top of that: [`render`] (the figures'
 //! table and CSV formats over `GridResult` rows), [`flags`] (the figure

@@ -39,7 +39,7 @@ use crate::executor::Executor;
 use crate::hash::{point_fingerprint, run_fingerprint, Fingerprint};
 use crate::point::{measure, PointError};
 use crate::spec::ExperimentSpec;
-use crate::ExploreError;
+use crate::{ExploreError, ExploreReport};
 
 /// The measured outcome of one grid point, percentiles included.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,9 +161,9 @@ pub fn plan_grid(spec: &ExperimentSpec) -> GridPlan {
     }
 }
 
-/// How many physically distinct grid points `spec` will simulate —
-/// exactly the number of jobs [`run_grid_observed`] schedules, and the
-/// denominator of its progress fraction.
+/// How many physically distinct grid points `spec` will simulate — the
+/// denominator of [`run_spec_traced`](crate::run_spec_traced)'s progress
+/// fraction.
 pub fn unique_point_count(spec: &ExperimentSpec) -> usize {
     plan_grid(spec).unique.len()
 }
@@ -219,31 +219,10 @@ pub fn assemble_rows(
         .collect()
 }
 
-/// A deduped grid run: the declaration-order rows plus how much
-/// simulation work actually happened.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridRun {
-    /// One result per declared grid point, declaration order.
-    pub rows: Vec<GridResult>,
-    /// Physically distinct points simulated (≤ `total_points`).
-    pub unique_points: usize,
-    /// Declared grid points (`configs × workloads`).
-    pub total_points: usize,
-}
-
-/// Runs every grid point of `spec` on `exec`.
-///
-/// Convenience wrapper over [`run_grid_observed`] with no progress
-/// observer; returns only the rows.
-///
-/// # Errors
-///
-/// Same as [`run_grid_observed`].
-pub fn run_grid(spec: &ExperimentSpec, exec: &Executor) -> Result<Vec<GridResult>, ExploreError> {
-    Ok(run_grid_observed(spec, exec, &|_, _| {})?.rows)
-}
-
-/// Runs every grid point of `spec` on `exec`, reporting progress.
+/// Runs every grid point of `spec` on `exec` — the grid half of
+/// [`run_spec_traced`](crate::run_spec_traced), which documents the
+/// progress hook and the `explore.point` spans. The report's `search`
+/// is left `None` for the caller to fill.
 ///
 /// Each engine run builds its simulator from the validated
 /// per-configuration platform and streams the workload; nothing is
@@ -254,43 +233,12 @@ pub fn run_grid(spec: &ExperimentSpec, exec: &Executor) -> Result<Vec<GridResult
 /// differ only in their memory backend share one engine run (see the
 /// [module docs](self)) — declaration order and per-point labels in the
 /// returned rows are unaffected.
-///
-/// `observe(done, unique_total)` is called once per unique point, with
-/// every `done` from 1 to `unique_total` exactly once: a run's points
-/// count when the run completes (from worker threads, possibly
-/// concurrently) — the hook job-progress reporting hangs off.
-///
-/// # Errors
-///
-/// [`ExploreError::Config`] for a configuration that fails to build
-/// (reported before any simulation starts), or [`ExploreError::Sim`]
-/// for the first failing unique grid point in declaration order.
-pub fn run_grid_observed(
-    spec: &ExperimentSpec,
-    exec: &Executor,
-    observe: &(dyn Fn(usize, usize) + Sync),
-) -> Result<GridRun, ExploreError> {
-    run_grid_traced(spec, exec, observe, None)
-}
-
-/// Like [`run_grid_observed`], recording one `explore.point` span per
-/// engine run under `ctx` (when given): the span's `point` field is the
-/// run's first unique point, `members` counts the unique points the run
-/// measures (the spans' `members` sum to the unique point count), its
-/// `queue_wait_ns` field is the wall-clock delay between the grid
-/// starting and a worker claiming the run, and its duration is the
-/// run's compute time. Tracing reads the clock and nothing else — the
-/// rows are bit-identical with or without it.
-///
-/// # Errors
-///
-/// Same as [`run_grid_observed`].
-pub fn run_grid_traced(
+pub(crate) fn run(
     spec: &ExperimentSpec,
     exec: &Executor,
     observe: &(dyn Fn(usize, usize) + Sync),
     ctx: Option<TraceCtx<'_>>,
-) -> Result<GridRun, ExploreError> {
+) -> Result<ExploreReport, ExploreError> {
     // Build and validate every platform and workload once, up front.
     let platforms = build_platforms(spec)?;
     let workloads: Vec<Box<dyn Workload>> = spec
@@ -383,11 +331,11 @@ pub fn run_grid_traced(
         .collect();
     measured.sort_unstable_by_key(|&(u, _)| u);
     let measured: Vec<GridResult> = measured.into_iter().map(|(_, row)| row).collect();
-    let total_points = plan.points.len();
-    Ok(GridRun {
-        rows: assemble_rows(spec, &plan, &measured),
+    Ok(ExploreReport {
+        grid: assemble_rows(spec, &plan, &measured),
+        search: None,
         unique_points: unique_total,
-        total_points,
+        total_points: plan.points.len(),
     })
 }
 
@@ -395,6 +343,7 @@ pub fn run_grid_traced(
 mod tests {
     use super::*;
     use crate::spec::ExperimentSpec;
+    use crate::{run_spec, run_spec_traced};
 
     const SPEC: &str = r#"{
         "name": "grid-test",
@@ -414,7 +363,7 @@ mod tests {
     #[test]
     fn grid_runs_in_declaration_order_with_consistent_percentiles() {
         let spec = ExperimentSpec::parse(SPEC).unwrap();
-        let rows = run_grid(&spec, &Executor::new(2)).unwrap();
+        let rows = run_spec(&spec, &Executor::new(2)).unwrap().grid;
         assert_eq!(rows.len(), 4);
         let order: Vec<(&str, &str)> = rows
             .iter()
@@ -459,8 +408,8 @@ mod tests {
             1,
         );
         let on = ExperimentSpec::parse(&on_text).unwrap();
-        let rows_off = run_grid(&off, &Executor::new(2)).unwrap();
-        let rows_on = run_grid(&on, &Executor::new(2)).unwrap();
+        let rows_off = run_spec(&off, &Executor::new(2)).unwrap().grid;
+        let rows_on = run_spec(&on, &Executor::new(2)).unwrap().grid;
         // The classic artifacts are byte-identical with attribution on.
         assert_eq!(
             crate::report::render_csv(&rows_on),
@@ -486,9 +435,9 @@ mod tests {
     #[test]
     fn grids_are_bit_identical_across_thread_counts() {
         let spec = ExperimentSpec::parse(SPEC).unwrap();
-        let reference = run_grid(&spec, &Executor::new(1)).unwrap();
+        let reference = run_spec(&spec, &Executor::new(1)).unwrap().grid;
         for threads in [2, 4, 8] {
-            let got = run_grid(&spec, &Executor::new(threads)).unwrap();
+            let got = run_spec(&spec, &Executor::new(threads)).unwrap().grid;
             assert_eq!(got, reference, "{threads} threads diverged");
         }
     }
@@ -514,10 +463,10 @@ mod tests {
         )
         .unwrap();
         let ran = AtomicUsize::new(0);
-        let run = run_grid_observed(&spec, &Executor::new(2), &|_, _| {
+        let observe = |_: usize, _: usize| {
             ran.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
+        };
+        let run = run_spec_traced(&spec, &Executor::new(2), &observe, None).unwrap();
         // 3 configs x 2 workloads declared, but only 2 distinct
         // platforms x 1 distinct workload actually simulate.
         assert_eq!(run.total_points, 6);
@@ -525,10 +474,10 @@ mod tests {
         // The standalone counter agrees with the run's actual dedup.
         assert_eq!(unique_point_count(&spec), 2);
         assert_eq!(ran.load(Ordering::Relaxed), 2);
-        assert_eq!(run.rows.len(), 6);
+        assert_eq!(run.grid.len(), 6);
         // Declaration order and declared labels are preserved...
         let order: Vec<(&str, &str, u64)> = run
-            .rows
+            .grid
             .iter()
             .map(|r| (r.config.as_str(), r.workload.as_str(), r.x))
             .collect();
@@ -545,14 +494,14 @@ mod tests {
         );
         // ...and reused measurements are bit-identical to their source.
         for i in [1, 2, 3] {
-            assert_eq!(run.rows[i].observed_wcl, run.rows[0].observed_wcl);
-            assert_eq!(run.rows[i].execution_time, run.rows[0].execution_time);
-            assert_eq!(run.rows[i].p50, run.rows[0].p50);
+            assert_eq!(run.grid[i].observed_wcl, run.grid[0].observed_wcl);
+            assert_eq!(run.grid[i].execution_time, run.grid[0].execution_time);
+            assert_eq!(run.grid[i].p50, run.grid[0].p50);
         }
         // The private column really is a different point, not a reused
         // measurement of the shared one.
-        assert_ne!(run.rows[4].analytical_wcl, run.rows[0].analytical_wcl);
-        assert_ne!(run.rows[4].config, run.rows[0].config);
+        assert_ne!(run.grid[4].analytical_wcl, run.grid[0].analytical_wcl);
+        assert_ne!(run.grid[4].config, run.grid[0].config);
     }
 
     #[test]
@@ -570,7 +519,7 @@ mod tests {
         }"#,
         )
         .unwrap();
-        let rows = run_grid(&dup, &Executor::new(2)).unwrap();
+        let rows = run_spec(&dup, &Executor::new(2)).unwrap().grid;
         assert_eq!(rows.len(), 2);
         let a = &rows[0];
         let b = &rows[1];
@@ -582,10 +531,8 @@ mod tests {
         );
         // Progress reporting saw every unique completion exactly once.
         let calls = std::sync::Mutex::new(Vec::new());
-        let run = run_grid_observed(&dup, &Executor::new(1), &|done, total| {
-            calls.lock().unwrap().push((done, total));
-        })
-        .unwrap();
+        let observe = |done: usize, total: usize| calls.lock().unwrap().push((done, total));
+        let run = run_spec_traced(&dup, &Executor::new(1), &observe, None).unwrap();
         assert_eq!(run.unique_points, 1);
         assert_eq!(*calls.lock().unwrap(), vec![(1, 1)]);
     }
@@ -599,7 +546,7 @@ mod tests {
             "workloads": [{"kind": "uniform", "range_bytes": 1024, "ops": 10}]
         }"#;
         let spec = ExperimentSpec::parse(bad).unwrap();
-        match run_grid(&spec, &Executor::new(1)).unwrap_err() {
+        match run_spec(&spec, &Executor::new(1)).unwrap_err() {
             ExploreError::Config { label, .. } => assert_eq!(label, "huge"),
             other => panic!("expected Config, got {other:?}"),
         }

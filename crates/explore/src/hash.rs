@@ -18,7 +18,7 @@
 //!   address the same cached result.
 //! * [`point_fingerprint`] — the fingerprint of one grid point's
 //!   simulation inputs (platform + workload, labels excluded), the key
-//!   `run_grid` dedups identical points on.
+//!   `run_spec` dedups identical points on.
 
 use crate::json::Json;
 use crate::spec::{ConfigSpec, Partitioning, WorkloadEntry};
@@ -333,7 +333,7 @@ fn hash_workload(p: &mut Passes, spec: &WorkloadSpec) {
 /// count, partitioning, memory backend, TDM schedule and workload
 /// description. Report labels and x-axis values are presentation and do
 /// not participate, so two differently-labelled but physically identical
-/// points share a fingerprint — exactly the points `run_grid` simulates
+/// points share a fingerprint — exactly the points `run_spec` simulates
 /// once.
 ///
 /// `attribution` participates only when **on** (the byte stream of an

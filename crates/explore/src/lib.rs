@@ -27,6 +27,11 @@
 //! * [`report`] — CSV and JSON renderers (the `BENCH_explore.json`
 //!   artifact format).
 //!
+//! [`run_spec_traced`] runs a spec end to end — grid, then search —
+//! with a progress observer and an optional trace context, and
+//! [`run_spec`] is its plain form. Every layer above runs a spec through
+//! one such entry point and hands back the same [`ExploreReport`]: the
+//! service's `SpecRunner::run_spec` and the fleet's `Coordinator::run`.
 //! The `explore` binary in `predllc-bench` drives all of this from a
 //! spec file.
 //!
@@ -83,8 +88,7 @@ pub mod spec;
 pub use attribution::{PointAttribution, PointGap};
 pub use executor::Executor;
 pub use grid::{
-    assemble_rows, build_platforms, plan_grid, run_grid, run_grid_observed, run_grid_traced,
-    unique_point_count, GridPlan, GridResult, GridRun,
+    assemble_rows, build_platforms, plan_grid, unique_point_count, GridPlan, GridResult,
 };
 pub use hash::{canonical_fingerprint, point_fingerprint, Fingerprint, Fnv1a};
 pub use point::{measure, PointError, PointMeasurement, PointRequest};
@@ -149,7 +153,9 @@ impl From<SpecError> for ExploreError {
 }
 
 /// The full outcome of one spec run: the measured grid and, when the
-/// spec declares a taskset + search block, the partition search.
+/// spec declares a taskset + search block, the partition search. Every
+/// runner — [`run_spec_traced`], a serve `SpecRunner`, a fleet
+/// coordinator — returns this.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExploreReport {
     /// One result per grid point, declaration order.
@@ -157,64 +163,56 @@ pub struct ExploreReport {
     /// The search outcome, when the spec asked for one.
     pub search: Option<SearchOutcome>,
     /// Physically distinct grid points actually simulated (identical
-    /// points are simulated once; see [`run_grid_observed`]).
+    /// points are simulated once; see [`grid`]).
     pub unique_points: usize,
     /// Declared grid points (`configs × workloads`).
     pub total_points: usize,
 }
 
-/// Runs an experiment spec end to end: the measurement grid, then the
-/// schedulability-driven search (when declared).
+/// [`run_spec_traced`] with no progress observer and no trace.
 ///
 /// # Errors
 ///
-/// Propagates [`run_grid`] and [`search_partitions`] failures.
+/// As [`run_spec_traced`].
 pub fn run_spec(spec: &ExperimentSpec, exec: &Executor) -> Result<ExploreReport, ExploreError> {
-    run_spec_observed(spec, exec, &|_, _| {})
+    run_spec_traced(spec, exec, &|_, _| {}, None)
 }
 
-/// Like [`run_spec`], with a grid-progress observer: `observe(done,
-/// unique_total)` fires once per unique grid point, when its engine run
-/// completes (from worker threads) — the hook a long-running service
-/// reports per-job progress through.
+/// Runs an experiment spec end to end on `exec`: every grid point (see
+/// [`grid`] for the dedup and the shared engine runs), then the
+/// schedulability-driven search when the spec declares one.
+///
+/// `observe(done, unique_total)` is called once per unique grid point,
+/// with every `done` from 1 to `unique_total` exactly once: a run's
+/// points count when the run completes (from worker threads, possibly
+/// concurrently) — the hook a long-running service reports per-job
+/// progress through.
+///
+/// Under `ctx` (when given) each engine run records one `explore.point`
+/// span: its `point` field is the run's first unique point, `members`
+/// counts the unique points the run measures (the spans' `members` sum
+/// to the unique point count), `queue_wait_ns` is the wall-clock delay
+/// between the grid starting and a worker claiming the run, and its
+/// duration is the run's compute time. Tracing reads the clock and
+/// nothing else — the report is bit-identical with or without it.
 ///
 /// # Errors
 ///
-/// Propagates [`run_grid_observed`] and [`search_partitions`] failures.
-pub fn run_spec_observed(
-    spec: &ExperimentSpec,
-    exec: &Executor,
-    observe: &(dyn Fn(usize, usize) + Sync),
-) -> Result<ExploreReport, ExploreError> {
-    run_spec_traced(spec, exec, observe, None)
-}
-
-/// Like [`run_spec_observed`], recording one `explore.point` span per
-/// engine run (queue wait and compute time) under `ctx` when one is
-/// given —
-/// see [`run_grid_traced`]. The report is bit-identical with or
-/// without tracing.
-///
-/// # Errors
-///
-/// Propagates [`run_grid_traced`] and [`search_partitions`] failures.
+/// [`ExploreError::Config`] for a configuration that fails to build
+/// (reported before any simulation starts), [`ExploreError::Sim`] for
+/// the first failing unique grid point in declaration order, and
+/// [`search_partitions`] failures.
 pub fn run_spec_traced(
     spec: &ExperimentSpec,
     exec: &Executor,
     observe: &(dyn Fn(usize, usize) + Sync),
     ctx: Option<predllc_obs::TraceCtx<'_>>,
 ) -> Result<ExploreReport, ExploreError> {
-    let run = run_grid_traced(spec, exec, observe, ctx)?;
-    let search = match &spec.search {
-        Some(s) => Some(search_partitions(s, spec.cores, &spec.tasks, exec)?),
-        None => None,
-    };
-    Ok(ExploreReport {
-        grid: run.rows,
-        search,
-        unique_points: run.unique_points,
-        total_points: run.total_points,
-    })
+    let mut report = grid::run(spec, exec, observe, ctx)?;
+    if let Some(s) = &spec.search {
+        report.search = Some(search_partitions(s, spec.cores, &spec.tasks, exec)?);
+    }
+    Ok(report)
 }
 
 #[cfg(test)]

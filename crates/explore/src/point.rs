@@ -15,7 +15,7 @@
 //! There is a single simulation path: [`measure`] measures a run group
 //! — the points that differ only in their memory backend — with one
 //! engine run, and both the in-process grid
-//! ([`run_grid_observed`](crate::run_grid_observed)) and the fleet
+//! ([`run_spec_traced`](crate::run_spec_traced)) and the fleet
 //! worker endpoint call it on the runs of
 //! [`plan_grid`](crate::plan_grid). A request names the group's first
 //! point in full and the others by their backends

@@ -261,7 +261,6 @@ mod tests {
     #[test]
     fn attribution_artifacts_cover_only_attributed_rows() {
         use crate::executor::Executor;
-        use crate::grid::run_grid;
         use crate::spec::ExperimentSpec;
 
         // Rows without attribution yield an artifact with no points.
@@ -275,7 +274,7 @@ mod tests {
                 "workloads":[{"kind":"stride","range_bytes":2048,"stride":64,"ops":100}]}"#,
         )
         .unwrap();
-        let rows = run_grid(&spec, &Executor::new(1)).unwrap();
+        let rows = crate::run_spec(&spec, &Executor::new(1)).unwrap().grid;
         let attr = rows[0].attribution.as_deref().unwrap();
 
         let doc = json::parse(&render_attribution_json("a", &rows)).unwrap();

@@ -42,7 +42,7 @@ use predllc_explore::{
 use predllc_obs::expo::{self, ExpoValue};
 use predllc_obs::{fields, Compare, Rule, TraceCtx};
 use predllc_serve::{
-    Client, ClientError, Metrics, PointCache, PointReply, RunOutcome, ServerConfig, SpecRunner,
+    Client, ClientError, Metrics, PointCache, PointReply, ServerConfig, SpecRunner,
 };
 
 /// Why a fleet run failed.
@@ -251,7 +251,10 @@ impl Coordinator {
     /// workers died along the way.
     ///
     /// `observe(done, unique_total)` fires as unique points resolve,
-    /// like the in-process grid's progress hook.
+    /// like the in-process grid's progress hook. Under `ctx` (when
+    /// given) the run records its dispatch and merge spans; tracing
+    /// reads wall-clock time only, so the report is bit-identical to an
+    /// untraced run.
     ///
     /// # Errors
     ///
@@ -260,21 +263,6 @@ impl Coordinator {
     /// unrunnable, [`FleetError::NoWorkers`] when every worker is lost
     /// with work pending.
     pub fn run(
-        &self,
-        spec: &ExperimentSpec,
-        observe: &(dyn Fn(usize, usize) + Sync),
-    ) -> Result<ExploreReport, FleetError> {
-        self.run_traced(spec, observe, None)
-    }
-
-    /// Like [`Coordinator::run`], recording dispatch/merge spans under
-    /// `ctx` when one is given. Tracing reads wall-clock time only; the
-    /// report stays bit-identical to an untraced run.
-    ///
-    /// # Errors
-    ///
-    /// As [`Coordinator::run`].
-    pub fn run_traced(
         &self,
         spec: &ExperimentSpec,
         observe: &(dyn Fn(usize, usize) + Sync),
@@ -899,24 +887,9 @@ impl SpecRunner for Coordinator {
         &self,
         spec: &ExperimentSpec,
         observe: &(dyn Fn(usize, usize) + Sync),
-    ) -> Result<RunOutcome, String> {
-        self.run_spec_traced(spec, observe, None)
-    }
-
-    fn run_spec_traced(
-        &self,
-        spec: &ExperimentSpec,
-        observe: &(dyn Fn(usize, usize) + Sync),
         ctx: Option<TraceCtx<'_>>,
-    ) -> Result<RunOutcome, String> {
-        let report = self
-            .run_traced(spec, observe, ctx)
-            .map_err(|e| e.to_string())?;
-        Ok(RunOutcome {
-            grid: report.grid,
-            search: report.search,
-            unique_points: report.unique_points,
-        })
+    ) -> Result<ExploreReport, String> {
+        self.run(spec, observe, ctx).map_err(|e| e.to_string())
     }
 
     /// Always `1`: rendered reports must not depend on the fleet shape.
@@ -1005,14 +978,14 @@ mod tests {
                 .collect()
         };
 
-        let first = coordinator.run(&spec, &|_, _| {}).unwrap();
+        let first = coordinator.run(&spec, &|_, _| {}, None).unwrap();
         assert_eq!(cached(&coordinator), [false, false, true, true, true, true]);
         assert_eq!(metrics.points_assigned.get(), 6);
 
         // The re-run re-dispatches exactly the two evicted points, which
         // now evict the next two oldest, and renders the same bytes as
         // the first run and a local run.
-        let again = coordinator.run(&spec, &|_, _| {}).unwrap();
+        let again = coordinator.run(&spec, &|_, _| {}, None).unwrap();
         assert_eq!(metrics.points_assigned.get(), 8);
         assert_eq!(cached(&coordinator), [true, true, false, false, true, true]);
         let local = run_spec(&spec, &Executor::new(1)).unwrap();

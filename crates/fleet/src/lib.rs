@@ -30,10 +30,14 @@
 //!   re-simulate a point the fleet has already measured: a run ships
 //!   only its uncached points.
 //!
-//! The [`Coordinator`] implements
-//! [`SpecRunner`](predllc_serve::SpecRunner), so a coordinator can
-//! itself serve the full experiment API (`Server::bind_with`): clients
-//! submit specs to one front door and the fleet fans each one out.
+//! [`Coordinator::run`] is the one way to run a spec on the fleet: it
+//! takes a progress observer and an optional trace context, like
+//! `predllc_explore::run_spec_traced`, and returns the same
+//! [`ExploreReport`]. The [`Coordinator`] implements
+//! [`SpecRunner`](predllc_serve::SpecRunner) by forwarding to it, so a
+//! coordinator can itself serve the full experiment API
+//! (`Server::bind_with`): clients submit specs to one front door and
+//! the fleet fans each one out.
 //!
 //! The coordinator is also the fleet's metrics aggregator:
 //! [`Coordinator::start_metric_scrape`] periodically fetches each
@@ -75,7 +79,7 @@
 //!     CoordinatorConfig::default(),
 //!     Arc::new(Metrics::default()),
 //! );
-//! let fleet = coordinator.run(&spec, &|_, _| {})?;
+//! let fleet = coordinator.run(&spec, &|_, _| {}, None)?;
 //!
 //! // Bit-identical to running the spec in-process.
 //! let local = predllc_explore::run_spec(&spec, &predllc_explore::Executor::new(1))?;

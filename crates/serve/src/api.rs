@@ -515,7 +515,7 @@ fn submit(shared: &Shared, req: &Request, _params: &[&str]) -> Dispatch {
         .header(TRACE_HEADER)
         .and_then(TraceId::parse_hex)
         .unwrap_or_else(TraceId::fresh);
-    let submission = match shared.registry.submit_traced(body, trace) {
+    let submission = match shared.registry.submit(body, trace) {
         Ok(s) => s,
         Err(e @ SubmitError::AtCapacity) => {
             return Dispatch::Reply(error_response(503, "unavailable", &e.to_string()))

@@ -5,9 +5,8 @@
 //! parameters and returns a [`Dispatch`]: either a [`Response`] to
 //! write (whose body may be fully materialized bytes or a pull-based
 //! stream) or a deliberate hang-up (the fault-injection path answers
-//! nothing, like a crashed process). Both connection drivers — the
-//! epoll reactor on Linux and the blocking loop elsewhere — drive the
-//! same router, so an endpoint is written once and served identically.
+//! nothing, like a crashed process). The epoll reactor drives the
+//! router; like the reactor, this module is compiled on Linux only.
 
 use std::sync::Arc;
 use std::time::Instant;

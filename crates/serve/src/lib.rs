@@ -27,10 +27,11 @@
 //!   ones — coalesce onto one execution and later ones return the
 //!   cached bytes instantly.
 //! * [`server`] — the accept loop, the job runners feeding a pluggable
-//!   [`SpecRunner`] (local executor or fleet coordinator) with per-job
-//!   progress (grid points done / total), the point endpoints that make
-//!   any server a fleet worker, and graceful shutdown that drains every
-//!   accepted job.
+//!   [`SpecRunner`] (local executor or fleet coordinator; its one run
+//!   method takes the job's progress observer and trace context) with
+//!   per-job progress (grid points done / total), the point endpoints
+//!   that make any server a fleet worker, and graceful shutdown that
+//!   drains every accepted job.
 //! * [`client`] — a small blocking client (submit / wait / fetch /
 //!   point) with bounded transport retries, used by the integration
 //!   tests, the CI smoke and the fleet coordinator.
@@ -107,10 +108,10 @@ pub mod server;
 mod sys;
 
 pub use client::{Client, ClientError, Format, PointReply, ResultBody, Status, Submitted};
-pub use registry::{Job, JobResult, JobStatus, Metrics, Registry, SubmitError};
+pub use registry::{Job, JobResult, JobStatus, Metrics};
 pub use server::{
-    default_rules, Limits, LocalRunner, MonitorConfig, PointCache, RunOutcome, Server,
-    ServerConfig, ServerHandle, SpecRunner, SERVER_TRACE_CAPACITY,
+    default_rules, Limits, LocalRunner, MonitorConfig, PointCache, Server, ServerConfig,
+    ServerHandle, SpecRunner, SERVER_TRACE_CAPACITY,
 };
 #[cfg(target_os = "linux")]
 pub use sys::raise_nofile_limit;

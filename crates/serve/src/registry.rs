@@ -17,11 +17,11 @@
 //! them on every read — one-shot via [`JobResult::csv`]/[`JobResult::json`]
 //! or incrementally via the `*_stream` constructors, which the serve
 //! layer writes as chunked responses without materializing the whole
-//! document. The cache is **bounded**:
-//! past [`Registry::with_capacity`]'s limit, the oldest *finished* job
-//! is evicted to make room (an evicted experiment simply re-simulates
-//! on its next submission); when every registered job is still queued
-//! or running, new submissions are refused instead.
+//! document. The cache is **bounded**: past
+//! [`ServerConfig::max_jobs`](crate::ServerConfig::max_jobs), the
+//! oldest *finished* job is evicted to make room (an evicted experiment
+//! simply re-simulates on its next submission); when every registered
+//! job is still queued or running, new submissions are refused instead.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,7 +36,7 @@ use crate::http::BodyStream;
 
 /// Why a submission was rejected.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SubmitError {
+pub(crate) enum SubmitError {
     /// The body was not a valid experiment spec.
     Spec(SpecError),
     /// The registry is full of queued/running jobs; nothing is
@@ -622,11 +622,12 @@ impl Metrics {
 /// The outcome of a submission: the (new or existing) job and whether it
 /// was freshly created.
 #[derive(Debug, Clone)]
-pub struct Submission {
+#[cfg_attr(not(target_os = "linux"), allow(dead_code))] // see `Registry::submit`
+pub(crate) struct Submission {
     /// The job this spec coalesced onto.
-    pub job: Arc<Job>,
+    pub(crate) job: Arc<Job>,
     /// `true` when this submission created the job (a cache miss).
-    pub fresh: bool,
+    pub(crate) fresh: bool,
 }
 
 /// Interior of the registry lock: the content-addressed map plus
@@ -641,38 +642,20 @@ struct JobMap {
 
 /// The content-addressed job map plus service metrics.
 #[derive(Debug)]
-pub struct Registry {
+pub(crate) struct Registry {
     jobs: Mutex<JobMap>,
     capacity: usize,
     /// The service counters (shared: a fleet coordinator hands the same
     /// instance to its dispatch layer so `/metrics` reflects both).
-    pub metrics: Arc<Metrics>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new()
-    }
+    pub(crate) metrics: Arc<Metrics>,
 }
 
 impl Registry {
-    /// A registry bounded at 1024 cached jobs.
-    pub fn new() -> Self {
-        Registry::with_capacity(1024)
-    }
-
-    /// A registry holding at most `capacity` jobs: when full, the
-    /// oldest finished job is evicted for each new submission, and if
-    /// everything registered is still queued/running, submissions fail
-    /// with [`SubmitError::AtCapacity`].
-    pub fn with_capacity(capacity: usize) -> Self {
-        Registry::with_metrics(capacity, Arc::new(Metrics::default()))
-    }
-
-    /// Like [`Registry::with_capacity`], with an externally owned
-    /// counter set — how a fleet coordinator shares one [`Metrics`]
-    /// between its HTTP registry and its dispatch loop.
-    pub(crate) fn with_metrics(capacity: usize, metrics: Arc<Metrics>) -> Self {
+    /// A registry holding at most `capacity` jobs and counting into
+    /// `metrics`: when full, the oldest finished job is evicted for each
+    /// new submission, and if everything registered is still
+    /// queued/running, submissions fail with [`SubmitError::AtCapacity`].
+    pub(crate) fn new(capacity: usize, metrics: Arc<Metrics>) -> Self {
         Registry {
             jobs: Mutex::new(JobMap::default()),
             capacity: capacity.max(1),
@@ -682,8 +665,9 @@ impl Registry {
 
     /// Submits a spec document: parses and fingerprints it, then either
     /// coalesces onto the existing job for that content address (cache
-    /// hit) or registers a fresh queued job (cache miss). The map lock
-    /// is held across the lookup-or-insert, so concurrent duplicate
+    /// hit) or registers a fresh queued job stamped with `trace` (cache
+    /// miss; a hit keeps the existing job's trace id). The map lock is
+    /// held across the lookup-or-insert, so concurrent duplicate
     /// submissions coalesce onto exactly one job.
     ///
     /// # Errors
@@ -691,17 +675,10 @@ impl Registry {
     /// [`SubmitError::Spec`] when the body is not a valid spec, or
     /// [`SubmitError::AtCapacity`] when the registry is full of
     /// unfinished jobs.
-    pub fn submit(&self, body: &str) -> Result<Submission, SubmitError> {
-        self.submit_traced(body, predllc_obs::TraceId::fresh())
-    }
-
-    /// Like [`Registry::submit`], stamping a freshly created job with
-    /// `trace` (a cache hit keeps the existing job's trace id).
-    ///
-    /// # Errors
-    ///
-    /// As [`Registry::submit`].
-    pub(crate) fn submit_traced(
+    // Off Linux the HTTP front end, the only caller outside tests, is not
+    // compiled.
+    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+    pub(crate) fn submit(
         &self,
         body: &str,
         trace: predllc_obs::TraceId,
@@ -769,18 +746,20 @@ impl Registry {
     }
 
     /// Looks a job up by the hex form of its id.
-    pub fn get(&self, hex_id: &str) -> Option<Arc<Job>> {
+    pub(crate) fn get(&self, hex_id: &str) -> Option<Arc<Job>> {
         let id = Fingerprint::parse_hex(hex_id)?;
         self.jobs.lock().unwrap().by_id.get(&id).cloned()
     }
 
     /// Number of registered jobs (all states).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.jobs.lock().unwrap().by_id.len()
     }
 
     /// Whether no job is currently registered.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
@@ -789,12 +768,17 @@ impl Registry {
 mod tests {
     use super::*;
     use predllc_obs::metrics::SnapshotValue;
+    use predllc_obs::TraceId;
 
     const SPEC: &str = r#"{
         "name": "reg-test", "cores": 2,
         "configs": [{"partition": {"kind": "shared", "sets": 1, "ways": 4, "mode": "SS"}}],
         "workloads": [{"kind": "uniform", "range_bytes": 1024, "ops": 40, "seed": 1}]
     }"#;
+
+    fn registry(capacity: usize) -> Registry {
+        Registry::new(capacity, Arc::new(Metrics::default()))
+    }
 
     fn empty_result(name: &str) -> JobResult {
         JobResult {
@@ -872,8 +856,8 @@ mod tests {
 
     #[test]
     fn duplicate_submissions_coalesce_by_content() {
-        let reg = Registry::new();
-        let first = reg.submit(SPEC).unwrap();
+        let reg = registry(1024);
+        let first = reg.submit(SPEC, TraceId::fresh()).unwrap();
         assert!(first.fresh);
         assert_eq!(first.job.status(), JobStatus::Queued);
         assert_eq!(first.job.points_total, 1);
@@ -883,7 +867,7 @@ mod tests {
             "configs": [{"partition": {"mode": "SS", "ways": 4, "sets": 1, "kind": "shared"}}],
             "cores": 2, "name": "reg-test"
         }"#;
-        let second = reg.submit(reordered).unwrap();
+        let second = reg.submit(reordered, TraceId::fresh()).unwrap();
         assert!(!second.fresh);
         assert_eq!(first.job.id, second.job.id);
         assert!(Arc::ptr_eq(&first.job, &second.job));
@@ -892,7 +876,7 @@ mod tests {
         assert_eq!(reg.len(), 1);
         // A genuinely different spec gets its own job.
         let other = SPEC.replace("\"seed\": 1", "\"seed\": 2");
-        let third = reg.submit(&other).unwrap();
+        let third = reg.submit(&other, TraceId::fresh()).unwrap();
         assert!(third.fresh);
         assert_ne!(third.job.id, first.job.id);
         assert_eq!(reg.len(), 2);
@@ -900,8 +884,8 @@ mod tests {
 
     #[test]
     fn lookup_by_hex_id() {
-        let reg = Registry::new();
-        let sub = reg.submit(SPEC).unwrap();
+        let reg = registry(1024);
+        let sub = reg.submit(SPEC, TraceId::fresh()).unwrap();
         let hex = sub.job.id.to_hex();
         assert!(Arc::ptr_eq(&reg.get(&hex).unwrap(), &sub.job));
         assert!(reg.get("0000000000000000ffffffffffffffff").is_none());
@@ -910,13 +894,13 @@ mod tests {
 
     #[test]
     fn invalid_specs_are_rejected() {
-        let reg = Registry::new();
+        let reg = registry(1024);
         assert!(matches!(
-            reg.submit("{"),
+            reg.submit("{", TraceId::fresh()),
             Err(SubmitError::Spec(SpecError::Json(_)))
         ));
         assert!(matches!(
-            reg.submit(r#"{"name": "x"}"#),
+            reg.submit(r#"{"name": "x"}"#, TraceId::fresh()),
             Err(SubmitError::Spec(SpecError::Invalid { .. }))
         ));
         assert!(reg.is_empty());
@@ -925,8 +909,8 @@ mod tests {
 
     #[test]
     fn job_lifecycle() {
-        let reg = Registry::new();
-        let job = reg.submit(SPEC).unwrap().job;
+        let reg = registry(1024);
+        let job = reg.submit(SPEC, TraceId::fresh()).unwrap().job;
         assert_eq!(job.status(), JobStatus::Queued);
         job.start();
         assert_eq!(job.status(), JobStatus::Running);
@@ -946,8 +930,8 @@ mod tests {
     #[test]
     fn watchers_run_once_when_the_job_settles() {
         use std::sync::atomic::AtomicUsize;
-        let reg = Registry::new();
-        let job = reg.submit(SPEC).unwrap().job;
+        let reg = registry(1024);
+        let job = reg.submit(SPEC, TraceId::fresh()).unwrap().job;
         let runs = Arc::new(AtomicUsize::new(0));
         let counting = || {
             let runs = Arc::clone(&runs);
@@ -977,20 +961,23 @@ mod tests {
 
     #[test]
     fn capacity_evicts_oldest_finished_jobs_only() {
-        let reg = Registry::with_capacity(2);
-        let a = reg.submit(&seeded(1)).unwrap().job;
-        let b = reg.submit(&seeded(2)).unwrap().job;
+        let reg = registry(2);
+        let a = reg.submit(&seeded(1), TraceId::fresh()).unwrap().job;
+        let b = reg.submit(&seeded(2), TraceId::fresh()).unwrap().job;
         // Both unfinished: nothing evictable, the third is refused.
-        assert_eq!(reg.submit(&seeded(3)).unwrap_err(), SubmitError::AtCapacity);
+        assert_eq!(
+            reg.submit(&seeded(3), TraceId::fresh()).unwrap_err(),
+            SubmitError::AtCapacity
+        );
         assert_eq!(reg.len(), 2);
         // ...but a duplicate of a registered job still coalesces.
-        assert!(!reg.submit(&seeded(1)).unwrap().fresh);
+        assert!(!reg.submit(&seeded(1), TraceId::fresh()).unwrap().fresh);
 
         // Finish the *newer* job: eviction must pick it (the oldest
         // finished), not the still-running older one.
         b.start();
         b.finish(empty_result("reg-test"));
-        let c = reg.submit(&seeded(3)).unwrap();
+        let c = reg.submit(&seeded(3), TraceId::fresh()).unwrap();
         assert!(c.fresh);
         assert_eq!(reg.len(), 2);
         assert!(reg.get(&b.id.to_hex()).is_none(), "finished job evicted");
@@ -1002,8 +989,8 @@ mod tests {
 
     #[test]
     fn abandon_settles_counters_and_unregisters() {
-        let reg = Registry::new();
-        let job = reg.submit(SPEC).unwrap().job;
+        let reg = registry(1024);
+        let job = reg.submit(SPEC, TraceId::fresh()).unwrap().job;
         assert_eq!(reg.metrics.jobs_queued.get(), 1);
         reg.abandon(&job, "service is shutting down");
         assert_eq!(job.status(), JobStatus::Failed);

@@ -51,9 +51,7 @@ use predllc_obs::{Counter, SeriesStore};
 
 use predllc_explore::hash::Fingerprint;
 use predllc_explore::report::{json_tail, render_attribution_json};
-use predllc_explore::{
-    run_spec_observed, run_spec_traced, Executor, ExperimentSpec, GridResult, SearchOutcome,
-};
+use predllc_explore::{run_spec_traced, Executor, ExperimentSpec, ExploreReport};
 
 use predllc_core::ComponentSet;
 
@@ -66,26 +64,21 @@ use crate::registry::{Job, JobResult, Metrics, Registry};
 /// [`Collector`] that snapshots `/metrics` into ring-buffered
 /// time-series, evaluates SLO rules on every tick, and serves
 /// `GET /v1/metrics/history`, `GET /v1/alerts` and `GET /dashboard`.
+/// History depth and the series cap are [`CollectorConfig`]'s defaults.
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
     /// Collection interval.
     pub interval: Duration,
-    /// Samples kept per series (drop-oldest past this).
-    pub capacity: usize,
-    /// Maximum distinct series collected.
-    pub max_series: usize,
     /// SLO rules evaluated on every tick.
     pub rules: Vec<Rule>,
 }
 
 impl Default for MonitorConfig {
-    /// One sample per second, ten minutes of history, and the stock
-    /// serve rules ([`default_rules`]).
+    /// One sample per second and the stock serve rules
+    /// ([`default_rules`]).
     fn default() -> Self {
         MonitorConfig {
             interval: Duration::from_secs(1),
-            capacity: 600,
-            max_series: 512,
             rules: default_rules(),
         }
     }
@@ -174,8 +167,9 @@ pub struct ServerConfig {
     /// not reset the clock.
     pub idle_timeout: Duration,
     /// Most jobs the registry caches at once; past this the oldest
-    /// finished job is evicted per new submission (see
-    /// [`Registry::with_capacity`]).
+    /// finished job is evicted per new submission, and while every
+    /// cached job is still queued or running, submissions are refused
+    /// with `503`.
     pub max_jobs: usize,
     /// Most simultaneously open connections; excess connections are
     /// answered `503` and closed. Connections are cheap (no thread
@@ -231,17 +225,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// The outcome of running one experiment spec, however it was executed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunOutcome {
-    /// One result per declared grid point, declaration order.
-    pub grid: Vec<GridResult>,
-    /// The partition-search outcome, when the spec declared one.
-    pub search: Option<SearchOutcome>,
-    /// Physically distinct grid points resolved.
-    pub unique_points: usize,
-}
-
 /// How a server executes a whole experiment spec: locally on an
 /// [`Executor`], or sharded across fleet workers by a coordinator.
 ///
@@ -250,7 +233,11 @@ pub struct RunOutcome {
 /// coordinator's contract is bit-identity with the local runner.
 pub trait SpecRunner: Send + Sync {
     /// Runs `spec` end to end, reporting grid progress through
-    /// `observe(done, unique_total)` (possibly from many threads).
+    /// `observe(done, unique_total)` (possibly from many threads) and
+    /// recording its spans under `ctx` when one is given: the local
+    /// executor's queue-wait/compute split, the fleet coordinator's
+    /// dispatch pipeline. A runner that wraps another passes `ctx` on.
+    /// Tracing never alters what is computed.
     ///
     /// # Errors
     ///
@@ -261,23 +248,8 @@ pub trait SpecRunner: Send + Sync {
         &self,
         spec: &ExperimentSpec,
         observe: &(dyn Fn(usize, usize) + Sync),
-    ) -> Result<RunOutcome, String>;
-
-    /// Like [`SpecRunner::run_spec`], recording spans under `ctx`
-    /// (when given) as the run progresses. The default forwards to
-    /// `run_spec` and records nothing extra; runners with interesting
-    /// internal stages — the local executor's queue-wait/compute
-    /// split, the fleet coordinator's dispatch pipeline — override it.
-    /// Tracing never alters what is computed.
-    fn run_spec_traced(
-        &self,
-        spec: &ExperimentSpec,
-        observe: &(dyn Fn(usize, usize) + Sync),
         ctx: Option<TraceCtx<'_>>,
-    ) -> Result<RunOutcome, String> {
-        let _ = ctx;
-        self.run_spec(spec, observe)
-    }
+    ) -> Result<ExploreReport, String>;
 
     /// The thread count stamped into rendered JSON reports. A fleet
     /// coordinator reports `1` so documents are byte-identical across
@@ -305,27 +277,9 @@ impl SpecRunner for LocalRunner {
         &self,
         spec: &ExperimentSpec,
         observe: &(dyn Fn(usize, usize) + Sync),
-    ) -> Result<RunOutcome, String> {
-        let report = run_spec_observed(spec, &self.exec, observe).map_err(|e| e.to_string())?;
-        Ok(RunOutcome {
-            grid: report.grid,
-            search: report.search,
-            unique_points: report.unique_points,
-        })
-    }
-
-    fn run_spec_traced(
-        &self,
-        spec: &ExperimentSpec,
-        observe: &(dyn Fn(usize, usize) + Sync),
         ctx: Option<TraceCtx<'_>>,
-    ) -> Result<RunOutcome, String> {
-        let report = run_spec_traced(spec, &self.exec, observe, ctx).map_err(|e| e.to_string())?;
-        Ok(RunOutcome {
-            grid: report.grid,
-            search: report.search,
-            unique_points: report.unique_points,
-        })
+    ) -> Result<ExploreReport, String> {
+        run_spec_traced(spec, &self.exec, observe, ctx).map_err(|e| e.to_string())
     }
 
     fn threads_label(&self) -> usize {
@@ -594,8 +548,7 @@ impl Server {
             let collector = Collector::start(
                 CollectorConfig {
                     interval: mc.interval,
-                    capacity: mc.capacity,
-                    max_series: mc.max_series,
+                    ..CollectorConfig::default()
                 },
                 sampler,
                 Some(Arc::clone(&slo)),
@@ -610,7 +563,7 @@ impl Server {
             }
         });
         let shared = Arc::new(Shared {
-            registry: Registry::with_metrics(config.max_jobs, metrics),
+            registry: Registry::new(config.max_jobs, metrics),
             runner,
             shutdown: AtomicBool::new(false),
             killed: AtomicBool::new(false),
@@ -809,17 +762,15 @@ fn run_jobs(shared: &Shared, rx: &Mutex<mpsc::Receiver<Arc<Job>>>) {
         let observe = |done: usize, _total: usize| job.record_progress(done);
         let outcome = {
             let _span = ctx.span("serve.job.run", fields(&[("job", job.id.to_hex().into())]));
-            shared
-                .runner
-                .run_spec_traced(&job.spec, &observe, Some(ctx))
+            shared.runner.run_spec(&job.spec, &observe, Some(ctx))
         };
         match outcome {
-            Ok(outcome) => {
+            Ok(report) => {
                 // The grid rows themselves are what the registry caches;
                 // result documents render lazily, chunk by chunk, when a
                 // client asks — identical submissions still yield
                 // identical documents (no wall time in the JSON).
-                for row in &outcome.grid {
+                for row in &report.grid {
                     if let Some(attr) = &row.attribution {
                         record_component_cycles(metrics, &attr.components);
                     }
@@ -827,14 +778,14 @@ fn run_jobs(shared: &Shared, rx: &Mutex<mpsc::Receiver<Arc<Job>>>) {
                 let attribution = job
                     .spec
                     .attribution
-                    .then(|| Arc::new(render_attribution_json(&job.spec.name, &outcome.grid)));
+                    .then(|| Arc::new(render_attribution_json(&job.spec.name, &report.grid)));
                 let result = JobResult {
                     name: job.spec.name.clone(),
                     threads_label: shared.runner.threads_label(),
-                    grid: Arc::new(outcome.grid),
-                    json_tail: json_tail(outcome.search.as_ref()),
+                    grid: Arc::new(report.grid),
+                    json_tail: json_tail(report.search.as_ref()),
                     attribution,
-                    unique_points: outcome.unique_points,
+                    unique_points: report.unique_points,
                 };
                 metrics.points_simulated.add(result.unique_points as u64);
                 metrics.jobs_running.dec();

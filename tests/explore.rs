@@ -7,7 +7,7 @@ use std::sync::Mutex;
 use predllc::analysis::TaskParams;
 use predllc::explore::spec::{Arrangement, SearchSpec};
 use predllc::explore::{
-    build_platforms, measure, run_grid, run_grid_traced, run_spec, search_partitions, ExploreError,
+    build_platforms, measure, run_spec, run_spec_traced, search_partitions, ExploreError,
 };
 use predllc::obs::{EventKind as TraceKind, FieldValue, TraceCtx, TraceId, Tracer};
 use predllc::workload_gen::UniformGen;
@@ -54,7 +54,7 @@ const SPEC: &str = r#"{
 #[test]
 fn grid_percentiles_are_consistent_with_the_scalar_max_everywhere() {
     let spec = ExperimentSpec::parse(SPEC).unwrap();
-    let rows = run_grid(&spec, &Executor::new(4)).unwrap();
+    let rows = run_spec(&spec, &Executor::new(4)).unwrap().grid;
     assert_eq!(rows.len(), 16);
     for r in &rows {
         assert!(
@@ -81,9 +81,9 @@ fn grid_percentiles_are_consistent_with_the_scalar_max_everywhere() {
 #[test]
 fn grids_are_bit_identical_across_thread_counts() {
     let spec = ExperimentSpec::parse(SPEC).unwrap();
-    let reference = run_grid(&spec, &Executor::new(1)).unwrap();
+    let reference = run_spec(&spec, &Executor::new(1)).unwrap().grid;
     for threads in [2, 3, 8] {
-        let rows = run_grid(&spec, &Executor::new(threads)).unwrap();
+        let rows = run_spec(&spec, &Executor::new(threads)).unwrap().grid;
         // PartialEq covers every field, including the f64 means.
         assert_eq!(
             rows, reference,
@@ -321,7 +321,7 @@ fn grouped_runs_give_the_rows_of_one_measure_per_point() {
             }
         }
         for threads in [1, 4] {
-            let rows = run_grid(&spec, &Executor::new(threads)).unwrap();
+            let rows = run_spec(&spec, &Executor::new(threads)).unwrap().grid;
             assert_eq!(
                 rows, expected,
                 "attribution {attribution}, {threads} threads: grouped rows diverged"
@@ -343,7 +343,7 @@ fn grid_progress_counts_points_and_spans_count_runs() {
     for threads in [1, 3] {
         let tracer = Tracer::new();
         let calls = Mutex::new(Vec::new());
-        let run = run_grid_traced(
+        let run = run_spec_traced(
             &spec,
             &Executor::new(threads),
             &|done, total| calls.lock().unwrap().push((done, total)),

@@ -9,8 +9,16 @@
 //! recording on both engines log the same events. The grids are randomized
 //! but deterministic (splitmix-style RNG, fixed seeds), the same pattern
 //! as the other property loops in this repo's offline build.
+//!
+//! The suite asserts its own coverage: every [`EventKind`] and every
+//! [`BlockReason`] appears in its recorded runs at least once
+//! (`the_suite_records_every_event_kind_and_block_reason`), so a
+//! generator change that stops exercising one fails loudly.
+
+use std::cell::Cell;
 
 use predllc::model::{Address, CacheGeometry, CoreId, Cycles, MemOp, SlotWidth};
+use predllc::sim::events::BlockReason;
 use predllc::sim::EngineProfile;
 use predllc::workload::rng::Rng64;
 use predllc::workload_gen::{HotColdGen, PointerChaseGen, StrideGen, UniformGen};
@@ -80,7 +88,64 @@ fn assert_engines_agree(
     for (logged, engine) in [(&logged_reference, "reference"), (&logged_fast, "fast")] {
         assert_counters_count_events(logged, &format!("{what}/{engine}"));
     }
+    tally(&logged_reference);
     fast
+}
+
+/// The coverage classes: each [`EventKind`], with `Blocked` split by its
+/// [`BlockReason`]. Indexed like [`class`].
+const CLASSES: [&str; 13] = [
+    "RequestBroadcast",
+    "Hit",
+    "Fill",
+    "EvictionTriggered",
+    "BackInvalidation",
+    "WritebackTransmitted",
+    "LineFreed",
+    "SequencerEnqueued",
+    "DramAccess",
+    "Blocked(WaitingForEviction)",
+    "Blocked(AllWaysEvicting)",
+    "Blocked(NotHead)",
+    "Blocked(SlotUsedForWriteback)",
+];
+
+/// An event's index in [`CLASSES`]. No `_` arm: a new event kind or
+/// block reason does not compile until it is given a class.
+fn class(kind: &EventKind) -> usize {
+    match kind {
+        EventKind::RequestBroadcast { .. } => 0,
+        EventKind::Hit { .. } => 1,
+        EventKind::Fill { .. } => 2,
+        EventKind::EvictionTriggered { .. } => 3,
+        EventKind::BackInvalidation { .. } => 4,
+        EventKind::WritebackTransmitted { .. } => 5,
+        EventKind::LineFreed { .. } => 6,
+        EventKind::SequencerEnqueued { .. } => 7,
+        EventKind::DramAccess { .. } => 8,
+        EventKind::Blocked { reason, .. } => match reason {
+            BlockReason::WaitingForEviction => 9,
+            BlockReason::AllWaysEvicting => 10,
+            BlockReason::NotHead => 11,
+            BlockReason::SlotUsedForWriteback => 12,
+        },
+    }
+}
+
+thread_local! {
+    /// Per-class event counts of the recorded runs made on this thread,
+    /// so tests running side by side never mix their tallies.
+    static TALLY: Cell<[u64; CLASSES.len()]> = const { Cell::new([0; CLASSES.len()]) };
+}
+
+/// Adds a recorded run's events to this thread's [`TALLY`]. Each
+/// scenario counts one log: the engines' logs are asserted equal.
+fn tally(report: &RunReport) {
+    let mut counts = TALLY.get();
+    for event in report.events.events() {
+        counts[class(&event.kind)] += 1;
+    }
+    TALLY.set(counts);
 }
 
 /// Each per-transaction counter of a recorded run equals the number of
@@ -536,6 +601,7 @@ fn the_fast_loop_records_the_reference_event_log() {
     assert_eq!(reference.stats, fast.stats);
     assert_eq!(reference.events.events(), fast.events.events());
     assert!(!fast.events.events().is_empty());
+    tally(&reference);
     // Sampling every opportunity, each granted slot times exactly one
     // LLC or DRAM stage, and each slot the reference loop processes
     // times its arbiter.
@@ -550,4 +616,33 @@ fn the_fast_loop_records_the_reference_event_log() {
         );
     }
     assert_eq!(reference_profile.arbiter.count(), reference.stats.slots);
+}
+
+#[test]
+fn the_suite_records_every_event_kind_and_block_reason() {
+    // Re-run every recording test of the suite on this thread, then read
+    // what their recorded runs logged.
+    TALLY.set([0; CLASSES.len()]);
+    private_partition_grids_agree();
+    shared_partition_grids_agree();
+    mixed_private_and_shared_partitions_agree();
+    banked_and_worst_case_backends_agree();
+    weighted_schedules_and_timeouts_agree();
+    odd_slot_widths_and_latencies_agree();
+    many_tenant_llc_hit_grid_agrees();
+    long_private_op_with_busy_bus_does_not_false_deadlock();
+    the_fast_loop_records_the_reference_event_log();
+    let counts = TALLY.get();
+    let tallies: Vec<String> = CLASSES
+        .iter()
+        .zip(counts)
+        .map(|(class, n)| format!("{class} {n}"))
+        .collect();
+    for (class, n) in CLASSES.iter().zip(counts) {
+        assert!(
+            n > 0,
+            "no recorded run of the suite logged {class}; tallies: {}",
+            tallies.join(", ")
+        );
+    }
 }

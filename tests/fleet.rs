@@ -96,7 +96,7 @@ fn fleet_reports_are_byte_identical_across_fleet_shapes() {
         }
         let metrics = Arc::new(Metrics::default());
         let coordinator = coordinator_over(workers.iter().map(|(h, _)| h.addr()), metrics);
-        let report = coordinator.run(&spec, &|_, _| {}).unwrap();
+        let report = coordinator.run(&spec, &|_, _| {}, None).unwrap();
 
         assert_eq!(
             report.grid, local.grid,
@@ -140,7 +140,7 @@ fn merge_follows_the_last_point_not_the_next_heartbeat() {
     let tracer = Tracer::new();
     let started = Instant::now();
     let report = coordinator
-        .run_traced(
+        .run(
             &spec,
             &|_, _| {},
             Some(TraceCtx::new(&tracer, TraceId::fresh())),
@@ -186,7 +186,7 @@ fn witnesses_ship_losslessly_across_the_fleet_wire() {
         .collect();
     let metrics = Arc::new(Metrics::default());
     let coordinator = coordinator_over(workers.iter().map(|(h, _)| h.addr()), metrics);
-    let report = coordinator.run(&spec, &|_, _| {}).unwrap();
+    let report = coordinator.run(&spec, &|_, _| {}, None).unwrap();
 
     // Exact structural equality of the whole grid covers attribution:
     // component sets, witnesses and gap splits crossed the wire as the
@@ -222,7 +222,7 @@ fn a_worker_killed_mid_run_does_not_change_the_bytes() {
 
     let metrics = Arc::new(Metrics::default());
     let coordinator = coordinator_over([doomed.addr(), survivor.addr()], Arc::clone(&metrics));
-    let report = coordinator.run(&spec, &|_, _| {}).unwrap();
+    let report = coordinator.run(&spec, &|_, _| {}, None).unwrap();
 
     assert_eq!(render_csv(&report.grid), reference);
     assert!(doomed.was_killed(), "the fault injector never fired");
@@ -252,7 +252,7 @@ fn losing_every_worker_fails_instead_of_hanging() {
     });
     let metrics = Arc::new(Metrics::default());
     let coordinator = coordinator_over([doomed.addr()], Arc::clone(&metrics));
-    match coordinator.run(&spec, &|_, _| {}) {
+    match coordinator.run(&spec, &|_, _| {}, None) {
         Err(FleetError::NoWorkers { pending }) => assert_eq!(pending, 4),
         other => panic!("expected NoWorkers, got {other:?}"),
     }
@@ -303,7 +303,7 @@ fn worker_point_rejections_surface_positioned_not_generic() {
     )
     .unwrap();
     let coordinator = coordinator_over([addr], Arc::new(Metrics::default()));
-    match coordinator.run(&spec, &|_, _| {}) {
+    match coordinator.run(&spec, &|_, _| {}, None) {
         Err(err) => {
             // The positioned wording mirrors the in-process error.
             assert_eq!(
@@ -344,7 +344,10 @@ fn config_failures_read_identically_locally_and_on_a_fleet() {
 
     let (handle, join) = start_worker(ServerConfig::default());
     let coordinator = coordinator_over([handle.addr()], Arc::new(Metrics::default()));
-    let fleet = coordinator.run(&spec, &|_, _| {}).unwrap_err().to_string();
+    let fleet = coordinator
+        .run(&spec, &|_, _| {}, None)
+        .unwrap_err()
+        .to_string();
     assert_eq!(fleet, local);
     assert!(fleet.contains("'huge'"), "{fleet}");
     stop_worker(&handle, join);
@@ -357,7 +360,7 @@ fn the_coordinator_point_cache_spans_runs_and_specs() {
     let metrics = Arc::new(Metrics::default());
     let coordinator = coordinator_over([handle.addr()], Arc::clone(&metrics));
 
-    let first = coordinator.run(&spec, &|_, _| {}).unwrap();
+    let first = coordinator.run(&spec, &|_, _| {}, None).unwrap();
     assert_eq!(metrics.points_assigned.get(), 4);
 
     // A different experiment sharing two physical points: both answered
@@ -374,7 +377,7 @@ fn the_coordinator_point_cache_spans_runs_and_specs() {
         ]
     }"#;
     let subset_spec = ExperimentSpec::parse(subset).unwrap();
-    let served = coordinator.run(&subset_spec, &|_, _| {}).unwrap();
+    let served = coordinator.run(&subset_spec, &|_, _| {}, None).unwrap();
     let local = run_spec(&subset_spec, &Executor::new(1)).unwrap();
     assert_eq!(served.grid, local.grid);
     assert_eq!(
@@ -385,7 +388,7 @@ fn the_coordinator_point_cache_spans_runs_and_specs() {
     assert_eq!(metrics.points_cache_shared.get(), 2);
 
     // A full re-run is served entirely from the cache, byte-identically.
-    let again = coordinator.run(&spec, &|_, _| {}).unwrap();
+    let again = coordinator.run(&spec, &|_, _| {}, None).unwrap();
     assert_eq!(render_csv(&again.grid), render_csv(&first.grid));
     assert_eq!(metrics.points_assigned.get(), 4);
     assert_eq!(metrics.points_cache_shared.get(), 6);
@@ -413,7 +416,7 @@ fn run_traced(
 ) -> (predllc::fleet::ExploreReport, Vec<u64>) {
     let tracer = Tracer::new();
     let report = coordinator
-        .run_traced(
+        .run(
             spec,
             &|_, _| {},
             Some(TraceCtx::new(&tracer, TraceId::fresh())),
@@ -471,7 +474,7 @@ fn a_worker_killed_mid_group_does_not_change_the_bytes() {
 
     let metrics = Arc::new(Metrics::default());
     let coordinator = coordinator_over([doomed.addr(), survivor.addr()], Arc::clone(&metrics));
-    let report = coordinator.run(&spec, &|_, _| {}).unwrap();
+    let report = coordinator.run(&spec, &|_, _| {}, None).unwrap();
 
     assert_eq!(render_csv(&report.grid), reference);
     assert!(doomed.was_killed(), "the fault injector never fired");
@@ -507,7 +510,7 @@ fn a_partly_cached_run_ships_only_its_uncached_points() {
         workloads: earlier.workloads[..1].to_vec(),
         ..earlier
     };
-    coordinator.run(&earlier, &|_, _| {}).unwrap();
+    coordinator.run(&earlier, &|_, _| {}, None).unwrap();
     assert_eq!(metrics.points_assigned.get(), 1);
 
     let (report, members) = run_traced(&coordinator, &spec);

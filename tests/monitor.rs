@@ -415,7 +415,7 @@ fn fleet_worker_loss_goes_stale_and_fires_the_alert() {
     );
     assert_eq!(client.metric("predllc_alerts_firing").unwrap(), 0);
 
-    let report = coordinator.run(&spec, &|_, _| {}).unwrap();
+    let report = coordinator.run(&spec, &|_, _| {}, None).unwrap();
     assert_eq!(report.unique_points, 4);
     assert!(doomed.was_killed(), "the fault injector never fired");
     assert_eq!(metrics.workers_lost.get(), 1);

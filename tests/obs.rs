@@ -294,9 +294,7 @@ fn one_trace_id_spans_coordinator_and_worker_events() {
     let tracer = Tracer::new();
     let trace = TraceId::fresh();
     let ctx = TraceCtx::new(&tracer, trace);
-    let report = coordinator
-        .run_traced(&spec, &|_, _| {}, Some(ctx))
-        .unwrap();
+    let report = coordinator.run(&spec, &|_, _| {}, Some(ctx)).unwrap();
     assert_eq!(report.unique_points, 4);
 
     // Coordinator side: dispatch spans and the merge tail, all under
@@ -331,7 +329,7 @@ fn one_trace_id_spans_coordinator_and_worker_events() {
 
     // An untraced run records nothing new on either side.
     let before = worker.tracer().snapshot().len();
-    coordinator.run(&spec, &|_, _| {}).unwrap();
+    coordinator.run(&spec, &|_, _| {}, None).unwrap();
     assert_eq!(worker.tracer().snapshot().len(), before);
 
     stop(&worker, join);

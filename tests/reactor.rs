@@ -6,8 +6,8 @@
 //! reactor: each is answered exactly once — when its job settles, when
 //! its time runs out, or at shutdown — and costs no dispatch thread.
 //!
-//! The reactor exists only on Linux (epoll); elsewhere the server runs
-//! a blocking fallback and these scenarios don't apply.
+//! The reactor exists only on Linux (epoll); elsewhere `Server::run`
+//! returns `ErrorKind::Unsupported`, so these scenarios don't apply.
 #![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -16,10 +16,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use predllc::obs::AlertState;
+use predllc::explore::ExploreReport;
+use predllc::obs::{AlertState, TraceCtx};
 use predllc::serve::{
-    Client, ClientError, Format, JobStatus, LocalRunner, Metrics, MonitorConfig, RunOutcome,
-    Server, ServerConfig, ServerHandle, SpecRunner,
+    Client, ClientError, Format, JobStatus, LocalRunner, Metrics, MonitorConfig, Server,
+    ServerConfig, ServerHandle, SpecRunner,
 };
 use predllc::ExperimentSpec;
 
@@ -388,13 +389,14 @@ impl SpecRunner for Gate {
         &self,
         spec: &ExperimentSpec,
         observe: &(dyn Fn(usize, usize) + Sync),
-    ) -> Result<RunOutcome, String> {
+        ctx: Option<TraceCtx<'_>>,
+    ) -> Result<ExploreReport, String> {
         let mut open = self.open.lock().unwrap();
         while !*open {
             open = self.opened.wait(open).unwrap();
         }
         drop(open);
-        self.inner.run_spec(spec, observe)
+        self.inner.run_spec(spec, observe, ctx)
     }
 
     fn threads_label(&self) -> usize {
