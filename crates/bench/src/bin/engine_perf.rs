@@ -12,7 +12,9 @@
 //! `llc-miss-4c` covers the other regime, the one the paper's
 //! shared-partition sweeps live in: almost every op misses into a
 //! shared partition and costs a full LLC slot transaction with an
-//! eviction.
+//! eviction. `paper-grid` is the whole grid a shared-sweep job of the
+//! end-to-end benchmark simulates (informational): its ns/op for both
+//! engines and, from one sampled pass per engine, the per-stage split.
 //!
 //! ```text
 //! engine_perf [--quick] [--out BENCH_engine.json]
@@ -51,10 +53,11 @@ use predllc_bench::{data, error, status};
 use predllc_core::config::EngineMode;
 use predllc_core::EngineProfile;
 use predllc_core::{PartitionSpec, RunReport, SharingMode, Simulator, SystemConfig};
+use predllc_dram::MemoryConfig;
 use predllc_explore::json::{parse, Json};
 use predllc_model::{CacheGeometry, CoreId};
 use predllc_workload::gen::{HotColdGen, PointerChaseGen, StrideGen};
-use predllc_workload::MultiCore;
+use predllc_workload::{MultiCore, Workload, WorkloadSpec};
 
 /// One benchmarked workload: a name, a config family and a workload.
 struct Scenario {
@@ -74,6 +77,9 @@ struct Outcome {
     speedup: f64,
     ref_samples: Vec<f64>,
     fast_samples: Vec<f64>,
+    /// The fast engine's sampled stage time per op (the paper grid
+    /// only).
+    stages: Vec<(&'static str, f64)>,
 }
 
 /// The 4-core private-hit-heavy workload: 98% of accesses in a hot set
@@ -175,32 +181,175 @@ fn llc_miss_scenario(ops_per_core: usize) -> Scenario {
     }
 }
 
+/// The paper's grid, shaped like a shared-sweep job of the end-to-end
+/// benchmark (`e2ebench/src/specs.rs::shared_sweep`): SS(32,16) and
+/// NSS(32,16) shared by all four cores and P(32,4) per core, each on
+/// fixed and on banked-interleaved DRAM, over six working sets of 4 to
+/// 128 KiB per core (uniform, hot/cold and pointer-chase in turn). As the
+/// grid runner does, the two DRAM variants of a platform share one
+/// engine run with the banked backend as a twin: 18 runs for 36 points.
+struct PaperGrid {
+    platforms: Vec<Box<dyn Fn(EngineMode) -> SystemConfig>>,
+    workloads: Vec<Box<dyn Workload>>,
+    /// Operations per engine run, summed over the runs.
+    total_ops: u64,
+}
+
+fn paper_grid(ops_per_core: usize) -> PaperGrid {
+    let cores = 4u16;
+    let shared = |mode| {
+        move |engine| {
+            SystemConfig::builder(cores)
+                .partitions(vec![PartitionSpec::shared(
+                    32,
+                    16,
+                    CoreId::first(cores).collect(),
+                    mode,
+                )])
+                .engine(engine)
+                .build()
+                .expect("valid benchmark configuration")
+        }
+    };
+    let private = move |engine| {
+        SystemConfig::builder(cores)
+            .partitions(
+                CoreId::first(cores)
+                    .map(|c| PartitionSpec::private(32, 4, c))
+                    .collect(),
+            )
+            .engine(engine)
+            .build()
+            .expect("valid benchmark configuration")
+    };
+    let platforms: Vec<Box<dyn Fn(EngineMode) -> SystemConfig>> = vec![
+        Box::new(shared(SharingMode::SetSequencer)),
+        Box::new(shared(SharingMode::BestEffort)),
+        Box::new(private),
+    ];
+    let workloads: Vec<Box<dyn Workload>> = (0..6u64)
+        .map(|i| {
+            let (range_bytes, ops, seed) = ((4 << 10) << i, ops_per_core, 0x9a9e_7000 + i);
+            let spec = match i % 3 {
+                0 => WorkloadSpec::Uniform {
+                    range_bytes,
+                    ops,
+                    seed,
+                    write_fraction: 0.2,
+                },
+                1 => WorkloadSpec::HotCold {
+                    range_bytes,
+                    ops,
+                    seed,
+                    hot_fraction: 0.25,
+                    hot_probability: 0.9,
+                },
+                _ => WorkloadSpec::PointerChase {
+                    range_bytes,
+                    ops,
+                    seed,
+                },
+            };
+            spec.build(cores)
+        })
+        .collect();
+    let total_ops = (platforms.len() * workloads.len() * ops_per_core) as u64 * u64::from(cores);
+    PaperGrid {
+        platforms,
+        workloads,
+        total_ops,
+    }
+}
+
+/// Times the paper grid on both engines through the trial runner (each
+/// sample is one pass over the 18 runs), then splits the fast engine's
+/// time by stage from one sampled pass without the twin.
+fn run_paper_grid(grid: &PaperGrid, iters: usize) -> Outcome {
+    const SAMPLE_EVERY: u64 = 64;
+    let twins = [MemoryConfig::banked()];
+    let sims = [EngineMode::Reference, EngineMode::FastForward].map(|mode| {
+        grid.platforms
+            .iter()
+            .map(|platform| Simulator::new(platform(mode)).expect("valid benchmark configuration"))
+            .collect::<Vec<_>>()
+    });
+    let pass = |sims: &[Simulator]| {
+        let mut stats = Vec::new();
+        for sim in sims {
+            for workload in &grid.workloads {
+                let (report, twin_stats) = sim
+                    .run_with_twins(workload, &twins)
+                    .expect("benchmark workload completes");
+                stats.push((report.stats, twin_stats));
+            }
+        }
+        stats
+    };
+    let ([ref_samples, fast_samples], [reference, fast]) = trials(
+        grid.total_ops,
+        iters,
+        [&|| pass(&sims[0]), &|| pass(&sims[1])],
+    );
+    assert!(
+        reference == fast,
+        "paper-grid: fast-forward diverged from the reference engine"
+    );
+    let profile = EngineProfile::new(SAMPLE_EVERY);
+    for sim in &sims[1] {
+        for workload in &grid.workloads {
+            sim.run_profiled(workload, Some(&profile))
+                .expect("benchmark workload completes");
+        }
+    }
+    let stage_ns = |h: &predllc_obs::TimingHistogram| {
+        (h.snapshot().sum * SAMPLE_EVERY) as f64 / grid.total_ops as f64
+    };
+    let (ref_mops, fast_mops) = (best(&ref_samples), best(&fast_samples));
+    Outcome {
+        name: "paper-grid",
+        total_ops: grid.total_ops,
+        ref_mops,
+        fast_mops,
+        speedup: fast_mops / ref_mops,
+        ref_samples,
+        fast_samples,
+        stages: vec![
+            ("arbiter", stage_ns(&profile.arbiter)),
+            ("llc", stage_ns(&profile.llc)),
+            ("dram", stage_ns(&profile.dram)),
+            ("idle_jump", stage_ns(&profile.idle_jump)),
+        ],
+    }
+}
+
 /// The trial runner: runs every variant once to warm caches and the
 /// page allocator, then times `iters` rounds, each starting one variant
 /// later than the last (AB, BA, …). Returns every variant's timed
-/// samples in Mops/s and its last report, for the equality checks. A
-/// variant is a simulator plus the profile it runs with, if any.
-fn trials<const N: usize>(
-    s: &Scenario,
+/// samples in Mops/s over `total_ops` and its last result, for the
+/// equality checks.
+fn trials<const N: usize, R>(
+    total_ops: u64,
     iters: usize,
-    variants: [(&Simulator, Option<&EngineProfile>); N],
-) -> ([Vec<f64>; N], [RunReport; N]) {
-    let run = |(sim, profile): (&Simulator, Option<&EngineProfile>)| {
-        sim.run_profiled(&s.workload, profile)
-            .expect("benchmark workload completes")
-    };
-    let mut reports = variants.map(run);
+    variants: [&dyn Fn() -> R; N],
+) -> ([Vec<f64>; N], [R; N]) {
+    let mut results = variants.map(|run| run());
     let mut samples: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(iters));
     for round in 0..iters {
         for k in 0..N {
             let v = (round + k) % N;
             let t0 = Instant::now();
-            let report = run(variants[v]);
-            samples[v].push(s.total_ops as f64 / t0.elapsed().as_secs_f64() / 1e6);
-            reports[v] = report;
+            let result = variants[v]();
+            samples[v].push(total_ops as f64 / t0.elapsed().as_secs_f64() / 1e6);
+            results[v] = result;
         }
     }
-    (samples, reports)
+    (samples, results)
+}
+
+/// One run of `s`'s workload on `sim`, with a profile if given.
+fn run(s: &Scenario, sim: &Simulator, profile: Option<&EngineProfile>) -> RunReport {
+    sim.run_profiled(&s.workload, profile)
+        .expect("benchmark workload completes")
 }
 
 /// The estimator every metric is judged on: the best sample.
@@ -211,8 +360,11 @@ fn best(samples: &[f64]) -> f64 {
 fn run_scenario(s: &Scenario, iters: usize) -> Outcome {
     let sim = |mode| Simulator::new((s.config)(mode)).expect("valid benchmark configuration");
     let (reference, fast) = (sim(EngineMode::Reference), sim(EngineMode::FastForward));
-    let ([ref_samples, fast_samples], [ref_report, fast_report]) =
-        trials(s, iters, [(&reference, None), (&fast, None)]);
+    let ([ref_samples, fast_samples], [ref_report, fast_report]) = trials(
+        s.total_ops,
+        iters,
+        [&|| run(s, &reference, None), &|| run(s, &fast, None)],
+    );
     assert_eq!(
         ref_report.stats, fast_report.stats,
         "{}: fast-forward diverged from the reference engine",
@@ -229,6 +381,7 @@ fn run_scenario(s: &Scenario, iters: usize) -> Outcome {
         speedup: fast_mops / ref_mops,
         ref_samples,
         fast_samples,
+        stages: Vec::new(),
     }
 }
 
@@ -236,7 +389,7 @@ fn render_json(outcomes: &[Outcome], overheads: Vec<Json>, headline: &str) -> St
     let workloads = outcomes
         .iter()
         .map(|o| {
-            Json::Object(vec![
+            let mut members = vec![
                 ("name".into(), Json::Str(o.name.into())),
                 ("total_ops".into(), Json::UInt(o.total_ops)),
                 ("ref_mops".into(), Json::Float(round3(o.ref_mops))),
@@ -244,7 +397,13 @@ fn render_json(outcomes: &[Outcome], overheads: Vec<Json>, headline: &str) -> St
                 ("speedup".into(), Json::Float(round3(o.speedup))),
                 ("ref_mops_samples".into(), samples_json(&o.ref_samples)),
                 ("fast_mops_samples".into(), samples_json(&o.fast_samples)),
-            ])
+            ];
+            if !o.stages.is_empty() {
+                let split = o.stages.iter();
+                let split = split.map(|&(stage, ns)| (stage.into(), Json::Float(round3(ns))));
+                members.push(("fast_stage_ns_per_op".into(), Json::Object(split.collect())));
+            }
+            Json::Object(members)
         })
         .collect();
     Json::Object(vec![
@@ -376,7 +535,11 @@ fn obs_overhead_check(total_ops: usize, iters: usize, tolerance: f64) -> (bool, 
     let sim =
         Simulator::new((s.config)(EngineMode::FastForward)).expect("valid benchmark configuration");
     let profile = EngineProfile::new(1024);
-    let (samples, [plain, profiled]) = trials(&s, iters, [(&sim, None), (&sim, Some(&profile))]);
+    let (samples, [plain, profiled]) = trials(
+        s.total_ops,
+        iters,
+        [&|| run(&s, &sim, None), &|| run(&s, &sim, Some(&profile))],
+    );
     let artifact = overhead_json("obs_overhead", &samples);
     let (plain_best, profiled_best) = (best(&samples[0]), best(&samples[1]));
     if plain.stats != profiled.stats || plain.cycles != profiled.cycles {
@@ -420,7 +583,11 @@ fn attribution_overhead_check(total_ops: usize, iters: usize, tolerance: f64) ->
         Simulator::new((s.config)(EngineMode::FastForward)).expect("valid benchmark configuration");
     let on = Simulator::new((s.config)(EngineMode::FastForward).with_attribution(true))
         .expect("valid benchmark configuration");
-    let (samples, [plain, attributed]) = trials(&s, iters, [(&off, None), (&on, None)]);
+    let (samples, [plain, attributed]) = trials(
+        s.total_ops,
+        iters,
+        [&|| run(&s, &off, None), &|| run(&s, &on, None)],
+    );
     let artifact = overhead_json("attribution_overhead", &samples);
     let (off_best, on_best) = (best(&samples[0]), best(&samples[1]));
     if plain.stats != attributed.stats || plain.cycles != attributed.cycles {
@@ -484,10 +651,10 @@ fn main() -> ExitCode {
         }
     }
 
-    let (hot_ops, llc_ops, miss_ops, iters) = if quick {
-        (20_000, 64 * 500, 5_000, 1)
+    let (hot_ops, llc_ops, miss_ops, grid_ops, iters) = if quick {
+        (20_000, 64 * 500, 5_000, 1_200, 1)
     } else {
-        (1_000_000, 1_000_000, 100_000, 2)
+        (1_000_000, 1_000_000, 100_000, 12_000, 2)
     };
     let scenarios = vec![
         private_hit_scenario(hot_ops),
@@ -510,6 +677,24 @@ fn main() -> ExitCode {
         );
         outcomes.push(o);
     }
+    let grid = run_paper_grid(&paper_grid(grid_ops), iters);
+    let split: Vec<String> = grid
+        .stages
+        .iter()
+        .map(|(stage, ns)| format!("{stage} {ns:.1}"))
+        .collect();
+    data!(
+        "{}: reference {:.1} ns/op, fast-forward {:.1} ns/op, speedup {:.2}x \
+         ({} ops in 18 runs with twins, stats bit-identical); fast-forward \
+         stage ns/op, sampled without the twin: {}",
+        grid.name,
+        1e3 / grid.ref_mops,
+        1e3 / grid.fast_mops,
+        grid.speedup,
+        grid.total_ops,
+        split.join(", ")
+    );
+    outcomes.push(grid);
 
     // Every check runs and prints its verdict, and the artifact is
     // written, before a failure decides the exit code.

@@ -75,6 +75,10 @@ impl Error for ScheduleError {}
 pub struct TdmSchedule {
     slots: Vec<CoreId>,
     num_cores: u16,
+    /// `period - 1` when the period is a power of two (every 1S-TDM
+    /// schedule of 2^k cores), so [`TdmSchedule::owner`] masks instead
+    /// of dividing; `None` otherwise.
+    index_mask: Option<u64>,
 }
 
 impl TdmSchedule {
@@ -99,7 +103,16 @@ impl TdmSchedule {
                 return Err(ScheduleError::CoreWithoutSlot { core });
             }
         }
-        Ok(TdmSchedule { slots, num_cores })
+        Ok(TdmSchedule::from_slots(slots, num_cores))
+    }
+
+    fn from_slots(slots: Vec<CoreId>, num_cores: u16) -> Self {
+        let period = slots.len() as u64;
+        TdmSchedule {
+            index_mask: period.is_power_of_two().then(|| period - 1),
+            slots,
+            num_cores,
+        }
     }
 
     /// Creates the canonical 1S-TDM schedule `{c0, c1, …, c(n-1)}`.
@@ -109,10 +122,7 @@ impl TdmSchedule {
     /// Panics if `num_cores` is zero.
     pub fn one_slot(num_cores: u16) -> Self {
         assert!(num_cores > 0, "a schedule needs at least one core");
-        TdmSchedule {
-            slots: CoreId::first(num_cores).collect(),
-            num_cores,
-        }
+        TdmSchedule::from_slots(CoreId::first(num_cores).collect(), num_cores)
     }
 
     /// The period length in slots.
@@ -131,8 +141,13 @@ impl TdmSchedule {
     }
 
     /// The owner of global slot `global_slot`.
+    #[inline]
     pub fn owner(&self, global_slot: u64) -> CoreId {
-        self.slots[(global_slot % self.period()) as usize]
+        let index = match self.index_mask {
+            Some(mask) => global_slot & mask,
+            None => global_slot % self.period(),
+        };
+        self.slots[index as usize]
     }
 
     /// Whether this is a 1S-TDM schedule (Definition 4.1): exactly one
@@ -267,6 +282,16 @@ mod tests {
                     let d = s.distance(c(i), c(j)).unwrap();
                     assert!(d >= 1 && d <= u64::from(n), "d(c{i},c{j}) = {d}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn owner_masks_and_divides_alike() {
+        for owners in [vec![c(0), c(1), c(1)], vec![c(0), c(1), c(2), c(1)]] {
+            let s = TdmSchedule::new(owners.clone()).unwrap();
+            for slot in [0u64, 1, 2, 3, 7, 1 << 40, u64::MAX] {
+                assert_eq!(s.owner(slot), owners[(slot % owners.len() as u64) as usize]);
             }
         }
     }

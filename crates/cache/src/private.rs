@@ -9,6 +9,11 @@
 //! Writes are write-back/write-allocate: a store dirties the L1 line, an L1
 //! eviction folds dirtiness into L2, and only an L2 eviction (or an LLC
 //! back-invalidation) produces bus traffic.
+//!
+//! Each L2 copy keeps the opaque `u32` tag its [`PrivateHierarchy::refill`]
+//! caller gave it, and a clean L2 victim hands the tag back
+//! ([`RefillEffect::clean_drop`]). The LLC tags each copy with the way
+//! that answered it, so the drop finds its LLC entry without a scan.
 
 use predllc_model::{CacheGeometry, LineAddr, MemOp};
 
@@ -35,10 +40,11 @@ pub enum PrivateLookup {
 pub struct RefillEffect {
     /// A dirty L2 victim that must be written back to the LLC.
     pub dirty_writeback: Option<LineAddr>,
-    /// A clean L2 victim dropped without bus traffic. The LLC's sharer
-    /// bookkeeping becomes conservatively stale, which only ever *adds*
-    /// back-invalidation work — consistent with worst-case analysis.
-    pub clean_drop: Option<LineAddr>,
+    /// A clean L2 victim dropped without bus traffic, with the tag its
+    /// refill was given. The LLC's sharer bookkeeping becomes
+    /// conservatively stale, which only ever *adds* back-invalidation
+    /// work — consistent with worst-case analysis.
+    pub clean_drop: Option<(LineAddr, u32)>,
 }
 
 /// Result of an LLC-initiated back-invalidation.
@@ -61,14 +67,15 @@ pub struct BackInvalOutcome {
 /// let mut h = PrivateHierarchy::paper_default();
 /// let op = MemOp::read(Address::new(0x40));
 /// assert_eq!(h.access(op), PrivateLookup::Miss);
-/// h.refill(op); // LLC responded
+/// h.refill(op, 0); // LLC responded
 /// assert_eq!(h.access(op), PrivateLookup::L1Hit);
 /// ```
 #[derive(Debug)]
 pub struct PrivateHierarchy {
     l1i: SetAssocCache<()>,
     l1d: SetAssocCache<()>,
-    l2: SetAssocCache<()>,
+    /// Each L2 entry's metadata is its refill's tag.
+    l2: SetAssocCache<u32>,
 }
 
 impl PrivateHierarchy {
@@ -126,10 +133,12 @@ impl PrivateHierarchy {
     }
 
     /// Installs `op`'s line after an LLC response, enforcing L1 ⊆ L2.
+    /// The L2 copy keeps `tag` until it leaves, and returns it if it is
+    /// dropped clean.
     ///
     /// Returns which L2 victim (if any) must be written back on the bus or
     /// was dropped clean.
-    pub fn refill(&mut self, op: MemOp) -> RefillEffect {
+    pub fn refill(&mut self, op: MemOp, tag: u32) -> RefillEffect {
         let line = op.addr.line();
         let mut effect = RefillEffect::default();
         debug_assert!(
@@ -139,7 +148,7 @@ impl PrivateHierarchy {
         // 1. Install in L2 (clean; dirtiness lives in L1 until folded),
         //    into the way its victim frees when the set is full. The
         //    victim leaves the private hierarchy entirely, per inclusion.
-        if let Some(victim) = self.l2.fill(line, false, ()) {
+        if let Some(victim) = self.l2.fill(line, false, tag) {
             let mut dirty = victim.dirty;
             if let Some(e) = self.l1i.invalidate(victim.line) {
                 dirty |= e.dirty;
@@ -150,7 +159,7 @@ impl PrivateHierarchy {
             if dirty {
                 effect.dirty_writeback = Some(victim.line);
             } else {
-                effect.clean_drop = Some(victim.line);
+                effect.clean_drop = Some((victim.line, victim.meta));
             }
         }
         // 2. Install in the right L1.
@@ -159,23 +168,25 @@ impl PrivateHierarchy {
     }
 
     /// Removes `line` from every private level (LLC-initiated eviction).
+    ///
+    /// L2 answers first: L1 ⊆ L2, so a line L2 lacks is in neither L1
+    /// and neither is scanned.
     pub fn back_invalidate(&mut self, line: LineAddr) -> BackInvalOutcome {
-        let mut had = false;
-        let mut dirty = false;
+        let Some(e) = self.l2.invalidate(line) else {
+            return BackInvalOutcome {
+                had_line: false,
+                dirty: false,
+            };
+        };
+        let mut dirty = e.dirty;
         if let Some(e) = self.l1i.invalidate(line) {
-            had = true;
             dirty |= e.dirty;
         }
         if let Some(e) = self.l1d.invalidate(line) {
-            had = true;
-            dirty |= e.dirty;
-        }
-        if let Some(e) = self.l2.invalidate(line) {
-            had = true;
             dirty |= e.dirty;
         }
         BackInvalOutcome {
-            had_line: had,
+            had_line: true,
             dirty,
         }
     }
@@ -257,7 +268,7 @@ mod tests {
     fn miss_refill_hit_cycle() {
         let mut h = tiny();
         assert_eq!(h.access(read(0)), PrivateLookup::Miss);
-        let eff = h.refill(read(0));
+        let eff = h.refill(read(0), 0);
         assert_eq!(eff, RefillEffect::default());
         assert_eq!(h.access(read(0)), PrivateLookup::L1Hit);
     }
@@ -265,8 +276,8 @@ mod tests {
     #[test]
     fn l2_hit_promotes_into_l1() {
         let mut h = tiny();
-        h.refill(read(0));
-        h.refill(read(1)); // L1D (1-entry) now holds line 1; line 0 only in L2
+        h.refill(read(0), 0);
+        h.refill(read(1), 0); // L1D (1-entry) now holds line 1; line 0 only in L2
         assert_eq!(h.access(read(0)), PrivateLookup::L2Hit);
         // Promoted: next access is an L1 hit.
         assert_eq!(h.access(read(0)), PrivateLookup::L1Hit);
@@ -275,10 +286,14 @@ mod tests {
     #[test]
     fn clean_l2_victim_drops_silently() {
         let mut h = tiny();
-        h.refill(read(0));
-        h.refill(read(1));
-        let eff = h.refill(read(2)); // evicts LRU line 0, clean
-        assert_eq!(eff.clean_drop, Some(LineAddr::new(0)));
+        h.refill(read(0), 7);
+        h.refill(read(1), 8);
+        let eff = h.refill(read(2), 9); // evicts LRU line 0, clean
+        assert_eq!(
+            eff.clean_drop,
+            Some((LineAddr::new(0), 7)),
+            "the tag comes back"
+        );
         assert_eq!(eff.dirty_writeback, None);
         assert!(!h.contains(LineAddr::new(0)));
     }
@@ -286,9 +301,9 @@ mod tests {
     #[test]
     fn dirty_line_forces_writeback_on_l2_eviction() {
         let mut h = tiny();
-        h.refill(write(0)); // dirty in L1
-        h.refill(read(1));
-        let eff = h.refill(read(2)); // evicts line 0; dirtiness was in L1
+        h.refill(write(0), 0); // dirty in L1
+        h.refill(read(1), 0);
+        let eff = h.refill(read(2), 0); // evicts line 0; dirtiness was in L1
         assert_eq!(eff.dirty_writeback, Some(LineAddr::new(0)));
         assert_eq!(eff.clean_drop, None);
     }
@@ -296,18 +311,18 @@ mod tests {
     #[test]
     fn l1_victim_dirtiness_folds_into_l2() {
         let mut h = tiny();
-        h.refill(write(0)); // line 0 dirty in L1D
-        h.refill(read(1)); // L1D 1-entry: victim line 0 folds dirty into L2
-                           // Now evicting line 0 from L2 must report dirty even though the L1
-                           // copy is gone.
-        let eff = h.refill(read(2));
+        h.refill(write(0), 0); // line 0 dirty in L1D
+        h.refill(read(1), 0); // L1D 1-entry: victim line 0 folds dirty into L2
+                              // Now evicting line 0 from L2 must report dirty even though the L1
+                              // copy is gone.
+        let eff = h.refill(read(2), 0);
         assert_eq!(eff.dirty_writeback, Some(LineAddr::new(0)));
     }
 
     #[test]
     fn back_invalidate_reports_dirtiness_and_clears() {
         let mut h = tiny();
-        h.refill(write(0));
+        h.refill(write(0), 0);
         let out = h.back_invalidate(LineAddr::new(0));
         assert_eq!(
             out,
@@ -326,7 +341,7 @@ mod tests {
     #[test]
     fn back_invalidate_clean_line() {
         let mut h = tiny();
-        h.refill(read(0));
+        h.refill(read(0), 0);
         let out = h.back_invalidate(LineAddr::new(0));
         assert!(out.had_line);
         assert!(!out.dirty);
@@ -335,8 +350,8 @@ mod tests {
     #[test]
     fn instruction_and_data_streams_use_separate_l1s() {
         let mut h = tiny();
-        h.refill(MemOp::fetch(Address::new(0)));
-        h.refill(read(1));
+        h.refill(MemOp::fetch(Address::new(0)), 0);
+        h.refill(read(1), 0);
         // Both L1s hold their lines (1-entry each) without evicting the
         // other stream's line.
         assert_eq!(
@@ -353,7 +368,7 @@ mod tests {
             let line = (i * 7 + i / 3) % 256;
             let op = if i % 3 == 0 { write(line) } else { read(line) };
             if h.access(op) == PrivateLookup::Miss {
-                h.refill(op);
+                h.refill(op, 0);
             }
             h.check_inclusion().expect("L1 subset of L2");
         }
@@ -362,18 +377,18 @@ mod tests {
     #[test]
     fn write_hit_dirties_without_refill() {
         let mut h = tiny();
-        h.refill(read(0)); // clean everywhere
+        h.refill(read(0), 0); // clean everywhere
         assert_eq!(h.access(write(0)), PrivateLookup::L1Hit); // dirties L1
-        h.refill(read(1));
-        let eff = h.refill(read(2));
+        h.refill(read(1), 0);
+        let eff = h.refill(read(2), 0);
         assert_eq!(eff.dirty_writeback, Some(LineAddr::new(0)));
     }
 
     #[test]
     fn l2_lines_lists_refilled_lines() {
         let mut h = tiny();
-        h.refill(read(0));
-        h.refill(read(1));
+        h.refill(read(0), 0);
+        h.refill(read(1), 0);
         let mut lines: Vec<_> = h.l2_lines().map(LineAddr::as_u64).collect();
         lines.sort_unstable();
         assert_eq!(lines, vec![0, 1]);

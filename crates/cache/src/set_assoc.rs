@@ -6,11 +6,21 @@
 //! eviction state machine).
 //!
 //! The storage is a single flat slot array (`set × ways + way`) with the
-//! replacement bookkeeping inlined as flat per-way state, so the hit path
-//! — the hottest loop of the whole simulator — is one bounded scan with no
+//! replacement bookkeeping inlined as flat state, so the hit path — the
+//! hottest loop of the whole simulator — is one bounded scan with no
 //! pointer chasing and no dynamic dispatch. The unit tests check the
 //! inlined replacer victim for victim against boxed reference
 //! implementations of each [`ReplacementKind`] policy.
+//!
+//! LRU and FIFO order a set by a per-way use stamp: the victim is the
+//! smallest, ties (never-used and invalidated ways, stamp 0) to the
+//! lowest way. Sets of 5 to 16 ways — LLC partitions — keep that order
+//! as one packed recency word per set instead (`Recency`: one nibble per
+//! rank), so the victim is the word's low nibble and no way is compared;
+//! a use moves one nibble to the top with a SWAR find and two shifts.
+//! Narrower sets — the private L1s and L2s — keep the stamps: their hits
+//! far outnumber their victim choices, a stamp is one store, and a
+//! victim is at most four compares. Wider sets keep the stamps too.
 //!
 //! Every mutation keeps a per-set count of occupied ways in lockstep with
 //! the slots, so a full set — the steady state of any cache under
@@ -37,10 +47,18 @@ pub struct Entry<T> {
 /// and dispatched by a match instead of a vtable.
 #[derive(Debug)]
 enum Replacer {
-    /// LRU (`refresh_on_hit`) and FIFO (`!refresh_on_hit`): a per-way
-    /// last-use/fill stamp driven by one monotonically increasing clock;
-    /// the eligible way with the smallest stamp is the victim (ties to
-    /// the lowest way, matching `min_by_key`).
+    /// LRU (`refresh_on_hit`) and FIFO (`!refresh_on_hit`) on sets of
+    /// [`PACKED_WAYS`] ways: one [`Recency`] word per set, whose victim
+    /// is its low nibble.
+    Packed {
+        refresh_on_hit: bool,
+        ways: usize,
+        recency: Vec<Recency>,
+    },
+    /// LRU and FIFO on other sets: a per-way last-use/fill stamp driven
+    /// by one monotonically increasing clock; the eligible way with the
+    /// smallest stamp is the victim (ties to the lowest way, matching
+    /// `min_by_key`).
     Stamped {
         refresh_on_hit: bool,
         /// `stamp[set * ways + way]`; 0 means "never used".
@@ -53,19 +71,145 @@ enum Replacer {
     Random { state: u64 },
 }
 
+/// The associativities ordered by a [`Recency`] word. A word holds at
+/// most 16 ways, one nibble each. Below 5 ways the stamps are cheaper:
+/// such sets (the private L1s and L2s) are hit far more often than they
+/// pick victims, a stamp update is one store against the word's dozen
+/// operations, and their victim scan is at most four compares; with the
+/// word there, the fleet-sweep grid ran 3% slower than with stamps.
+const PACKED_WAYS: std::ops::RangeInclusive<usize> = 5..=16;
+
+/// `0x1111…1`: a 1 in every nibble.
+const NIBBLE_ONES: u64 = 0x1111_1111_1111_1111;
+
+/// The LRU/FIFO order of one set of at most 16 ways,
+/// exactly as the stamps of [`Replacer::Stamped`] would order it.
+///
+/// Stamps order a set as: the ways whose stamp is 0 (never used, or
+/// invalidated since), by ascending way index, then the others by
+/// ascending stamp. `order` holds that sequence one way per nibble, rank
+/// 0 (the victim) lowest, and `unused` flags the stamp-0 ways, which
+/// always fill ranks `0..unused.count_ones()`. A use gives a way the
+/// largest stamp, so it moves to the top rank; an invalidation of a used
+/// way gives it stamp 0, so it moves down to its index's place among the
+/// unused ways. Each move is a SWAR find plus two shifts, and the
+/// victim, the first eligible way in stamp order, needs no comparison.
+#[derive(Debug, Clone, Copy)]
+struct Recency {
+    /// Nibble `r` (bits `4r..4r+4`) holds the way at rank `r`.
+    order: u64,
+    /// Bit `w` is set while way `w` would have stamp 0.
+    unused: u32,
+}
+
+impl Recency {
+    /// The order of a fresh set: every way unused, by index.
+    fn new(ways: usize) -> Self {
+        debug_assert!(ways <= 16);
+        Recency {
+            order: (0..ways as u64).fold(0, |o, w| o | w << (4 * w)),
+            unused: (1u32 << ways) - 1,
+        }
+    }
+
+    /// The rank of way `w`: the lowest nibble of `order` equal to `w`.
+    /// In `order ^ (w × 0x11…1)` that nibble is zero, and the classic
+    /// zero-lane test flags it exactly (a borrow only flags lanes above
+    /// a true zero, and ranks past the set's ways lie above every way).
+    #[inline(always)]
+    fn rank(self, w: usize) -> u32 {
+        let x = self.order ^ (w as u64).wrapping_mul(NIBBLE_ONES);
+        let zero = x.wrapping_sub(NIBBLE_ONES) & !x & (NIBBLE_ONES << 3);
+        debug_assert!(zero != 0, "way {w} missing from its recency word");
+        zero.trailing_zeros() / 4
+    }
+
+    /// Way `w` took the largest stamp: it moves to the top rank
+    /// (`ways - 1`) and the ranks above it shift down one.
+    #[inline(always)]
+    fn use_way(&mut self, w: usize, ways: usize) {
+        let top = ways as u32 - 1;
+        self.unused &= !(1 << w);
+        let r = self.rank(w);
+        let span = nibbles(r, top);
+        self.order = (self.order & !span)
+            | ((self.order >> 4) & span & !(0xf << (4 * top)))
+            | ((w as u64) << (4 * top));
+    }
+
+    /// Way `w` took stamp 0: a used way moves down to its index's place
+    /// among the unused ways; an unused one stays where it is.
+    #[inline(always)]
+    fn invalidate(&mut self, w: usize) {
+        let bit = 1u32 << w;
+        if self.unused & bit != 0 {
+            return;
+        }
+        let p = (self.unused & (bit - 1)).count_ones();
+        let r = self.rank(w);
+        self.unused |= bit;
+        // The LLC's usual case: its victim, at rank 0, frees.
+        if r == p {
+            return;
+        }
+        let span = nibbles(p, r);
+        self.order = (self.order & !span)
+            | ((self.order << 4) & span & !(0xf << (4 * p)))
+            | ((w as u64) << (4 * p));
+    }
+
+    /// The way at rank 0: the smallest stamp.
+    #[inline]
+    fn victim(self) -> usize {
+        (self.order & 0xf) as usize
+    }
+
+    /// The first way in stamp order that passes `eligible`.
+    #[inline]
+    fn first_eligible(self, ways: usize, mut eligible: impl FnMut(usize) -> bool) -> Option<usize> {
+        (0..ways)
+            .map(|r| ((self.order >> (4 * r)) & 0xf) as usize)
+            .find(|&w| eligible(w))
+    }
+}
+
+/// The bits of nibbles `from..=to` (`from <= to < 16`).
+#[inline]
+fn nibbles(from: u32, to: u32) -> u64 {
+    (u64::MAX >> (60 - 4 * to)) & (u64::MAX << (4 * from))
+}
+
+/// `(set, way)` of a flat slot index in a cache of `ways` ways — a
+/// shift and a mask for the usual power-of-two associativity.
+#[inline]
+fn split(slot: usize, ways: usize) -> (usize, usize) {
+    if ways.is_power_of_two() {
+        (slot >> ways.trailing_zeros(), slot & (ways - 1))
+    } else {
+        (slot / ways, slot % ways)
+    }
+}
+
 impl Replacer {
     fn new(kind: ReplacementKind, sets: usize, ways: usize) -> Self {
+        let ordered = |refresh_on_hit| {
+            if PACKED_WAYS.contains(&ways) {
+                Replacer::Packed {
+                    refresh_on_hit,
+                    ways,
+                    recency: vec![Recency::new(ways); sets],
+                }
+            } else {
+                Replacer::Stamped {
+                    refresh_on_hit,
+                    stamp: vec![0; sets * ways],
+                    clock: 0,
+                }
+            }
+        };
         match kind {
-            ReplacementKind::Lru => Replacer::Stamped {
-                refresh_on_hit: true,
-                stamp: vec![0; sets * ways],
-                clock: 0,
-            },
-            ReplacementKind::Fifo => Replacer::Stamped {
-                refresh_on_hit: false,
-                stamp: vec![0; sets * ways],
-                clock: 0,
-            },
+            ReplacementKind::Lru => ordered(true),
+            ReplacementKind::Fifo => ordered(false),
             ReplacementKind::RoundRobin => Replacer::RoundRobin {
                 next: vec![0; sets],
             },
@@ -81,31 +225,53 @@ impl Replacer {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn on_fill(&mut self, slot: usize) {
-        if let Replacer::Stamped { stamp, clock, .. } = self {
-            *clock += 1;
-            stamp[slot] = *clock;
+        match self {
+            Replacer::Packed { ways, recency, .. } => {
+                let (set, way) = split(slot, *ways);
+                recency[set].use_way(way, *ways);
+            }
+            Replacer::Stamped { stamp, clock, .. } => {
+                *clock += 1;
+                stamp[slot] = *clock;
+            }
+            Replacer::RoundRobin { .. } | Replacer::Random { .. } => {}
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn on_hit(&mut self, slot: usize) {
-        if let Replacer::Stamped {
-            refresh_on_hit: true,
-            stamp,
-            clock,
-        } = self
-        {
-            *clock += 1;
-            stamp[slot] = *clock;
+        match self {
+            Replacer::Packed {
+                refresh_on_hit: true,
+                ways,
+                recency,
+            } => {
+                let (set, way) = split(slot, *ways);
+                recency[set].use_way(way, *ways);
+            }
+            Replacer::Stamped {
+                refresh_on_hit: true,
+                stamp,
+                clock,
+            } => {
+                *clock += 1;
+                stamp[slot] = *clock;
+            }
+            _ => {}
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn on_invalidate(&mut self, slot: usize) {
-        if let Replacer::Stamped { stamp, .. } = self {
-            stamp[slot] = 0;
+        match self {
+            Replacer::Packed { ways, recency, .. } => {
+                let (set, way) = split(slot, *ways);
+                recency[set].invalidate(way);
+            }
+            Replacer::Stamped { stamp, .. } => stamp[slot] = 0,
+            Replacer::RoundRobin { .. } | Replacer::Random { .. } => {}
         }
     }
 
@@ -113,18 +279,21 @@ impl Replacer {
     /// path, where no way is ever excluded. Bit-identical to
     /// `choose_victim(set, ways, &[true; ways])` without materializing
     /// the mask.
+    #[inline(always)]
     fn choose_victim_all(&mut self, set: usize, ways: usize) -> Option<WayIdx> {
         if ways == 0 {
             return None;
         }
         match self {
+            Replacer::Packed { recency, .. } => Some(WayIdx(recency[set].victim() as u32)),
             Replacer::Stamped { stamp, .. } => {
+                // The first smallest stamp, selected without a branch.
                 let stamps = &stamp[set * ways..(set + 1) * ways];
-                let mut best = 0usize;
+                let (mut best, mut least) = (0usize, stamps[0]);
                 for (w, &s) in stamps.iter().enumerate().skip(1) {
-                    if s < stamps[best] {
-                        best = w;
-                    }
+                    let smaller = s < least;
+                    best = if smaller { w } else { best };
+                    least = if smaller { s } else { least };
                 }
                 Some(WayIdx(best as u32))
             }
@@ -155,6 +324,9 @@ impl Replacer {
         mut eligible: impl FnMut(usize) -> bool,
     ) -> Option<WayIdx> {
         match self {
+            Replacer::Packed { recency, .. } => recency[set]
+                .first_eligible(ways, eligible)
+                .map(|w| WayIdx(w as u32)),
             Replacer::Stamped { stamp, .. } => {
                 let stamps = &stamp[set * ways..(set + 1) * ways];
                 let mut best: Option<usize> = None;
@@ -426,9 +598,9 @@ impl<T> SetAssocCache<T> {
                     .choose_victim_all(set, self.ways)
                     .expect("replacement policy must pick a victim from a full mask")
                     .as_usize();
-                let old = self.slots[base + way].take();
-                self.replacer.on_invalidate(base + way);
-                (way, old)
+                // The fill below makes the way the newest: invalidating
+                // it first would not change the order.
+                (way, self.slots[base + way].take())
             }
         };
         self.slots[base + way] = Some(Entry { line, dirty, meta });
@@ -488,6 +660,21 @@ impl<T> SetAssocCache<T> {
         self.replacer.choose_victim(set.as_usize(), self.ways, |w| {
             slots[w].as_ref().is_some_and(&mut eligible)
         })
+    }
+
+    /// Chooses a victim way among every way of `set`, which must be
+    /// full: the replacement state alone decides, with no per-way test.
+    ///
+    /// Equal to [`Self::choose_victim`] with a test that admits every
+    /// entry. The LLC calls it for a full set with no line mid-eviction.
+    #[inline]
+    pub fn choose_victim_any(&mut self, set: SetIdx) -> Option<WayIdx> {
+        debug_assert_eq!(
+            self.occupied[set.as_usize()] as usize,
+            self.ways,
+            "choose_victim_any on a set with a free way"
+        );
+        self.replacer.choose_victim_all(set.as_usize(), self.ways)
     }
 
     /// Direct access to the entry at `(set, way)`.
@@ -785,6 +972,69 @@ mod tests {
                             boxed.choose_victim(set, &mask),
                             "victim divergence under {kind:?}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The same check on the shapes the 4-way test above does not
+    /// reach: recency words of 16, 12, 8 and 5 ways (5 splits slot
+    /// indices by division), and stamps on 3-, 1- and 20-way sets.
+    /// Victims with every way eligible go through the fill path's
+    /// `choose_victim_all` as well.
+    #[test]
+    fn packed_and_wide_sets_match_boxed_policies() {
+        for (sets, ways) in [
+            (2u32, 16u32),
+            (4, 12),
+            (4, 8),
+            (2, 5),
+            (3, 3),
+            (1, 1),
+            (2, 20),
+        ] {
+            for kind in [ReplacementKind::Lru, ReplacementKind::Fifo] {
+                let g = CacheGeometry::new(sets, ways, 64).unwrap();
+                let mut cache: SetAssocCache<()> = SetAssocCache::new(g, kind);
+                let mut boxed = crate::replacement::reference::build(kind, g);
+                let mut x = 0x2545_f491_4f6c_dd1du64;
+                for step in 0..4000 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let set = SetIdx((x >> 40) as u32 % sets);
+                    let way = WayIdx((x >> 20) as u32 % ways);
+                    let slot = cache.slot_index(set, way);
+                    match x % 5 {
+                        0 | 1 => {
+                            cache.replacer.on_fill(slot);
+                            boxed.on_fill(set, way);
+                        }
+                        2 => {
+                            cache.touch(set, way);
+                            boxed.on_hit(set, way);
+                        }
+                        3 => {
+                            cache.replacer.on_invalidate(slot);
+                            boxed.on_invalidate(set, way);
+                        }
+                        _ => {
+                            let mask: Vec<bool> =
+                                (0..ways).map(|w| (x >> (w % 64)) & 1 == 1).collect();
+                            let all = vec![true; ways as usize];
+                            let s = set.as_usize();
+                            assert_eq!(
+                                cache.replacer.choose_victim(s, ways as usize, |w| mask[w]),
+                                boxed.choose_victim(set, &mask),
+                                "{kind:?} {sets}x{ways}, step {step}"
+                            );
+                            assert_eq!(
+                                cache.replacer.choose_victim_all(s, ways as usize),
+                                boxed.choose_victim(set, &all),
+                                "{kind:?} {sets}x{ways}, step {step}"
+                            );
+                        }
                     }
                 }
             }

@@ -14,7 +14,7 @@
 
 use predllc_bus::{Prb, Pwb, SlotArbiter, WbKind, WriteBack};
 use predllc_cache::{PrivateHierarchy, PrivateLookup};
-use predllc_model::{CoreId, Cycles, LineAddr, MemOp};
+use predllc_model::{CoreId, Cycles, LineAddr, MemOp, WayIdx};
 
 use crate::stats::CoreStats;
 
@@ -188,12 +188,13 @@ impl<I: Iterator<Item = MemOp>> CoreModel<I> {
 
     /// Completes the outstanding request: refills the private hierarchy
     /// and resumes execution at `resume` (the end of the response slot).
+    /// The refilled L2 copy keeps `llc_way`, the LLC way that answered.
     ///
     /// Returns the request's issue timestamp (for latency accounting)
-    /// and the clean L2 victim the refill dropped, if any — the engine
-    /// forwards every such drop to the LLC, which clears the core's
-    /// sharer bit. A dirty victim is pushed to the PWB as a capacity
-    /// write-back instead.
+    /// and the clean L2 victim the refill dropped, if any, with the LLC
+    /// way its own refill kept — the engine forwards every such drop to
+    /// the LLC, which clears the core's sharer bit. A dirty victim is
+    /// pushed to the PWB as a capacity write-back instead.
     ///
     /// # Panics
     ///
@@ -201,10 +202,11 @@ impl<I: Iterator<Item = MemOp>> CoreModel<I> {
     pub(crate) fn complete_request(
         &mut self,
         resume: Cycles,
+        llc_way: WayIdx,
         stats: &mut CoreStats,
-    ) -> (Cycles, Option<LineAddr>) {
+    ) -> (Cycles, Option<(LineAddr, WayIdx)>) {
         let req = self.prb.take().expect("a response needs a pending request");
-        let effect = self.private.refill(req.op);
+        let effect = self.private.refill(req.op, llc_way.0);
         if let Some(line) = effect.dirty_writeback {
             self.pwb.push(WriteBack {
                 line,
@@ -215,7 +217,10 @@ impl<I: Iterator<Item = MemOp>> CoreModel<I> {
         }
         self.resume_at = resume;
         stats.ops_completed += 1;
-        (req.issued_at, effect.clean_drop)
+        (
+            req.issued_at,
+            effect.clean_drop.map(|(line, way)| (line, WayIdx(way))),
+        )
     }
 }
 
@@ -271,7 +276,7 @@ mod tests {
         let mut c = core_with(vec![read(0), read(0), read(0)]);
         let mut stats = CoreStats::default();
         c.advance_to(Cycles::ZERO, &mut stats);
-        let (issued, clean_drop) = c.complete_request(Cycles::new(100), &mut stats);
+        let (issued, clean_drop) = c.complete_request(Cycles::new(100), WayIdx(0), &mut stats);
         assert_eq!(issued, Cycles::new(10));
         assert_eq!(clean_drop, None);
         assert_eq!(stats.ops_completed, 1);
@@ -289,7 +294,7 @@ mod tests {
         let mut c = core_with(vec![read(0), read(0)]);
         let mut stats = CoreStats::default();
         c.advance_to(Cycles::ZERO, &mut stats);
-        c.complete_request(Cycles::new(100), &mut stats);
+        c.complete_request(Cycles::new(100), WayIdx(0), &mut stats);
         // At now = 100 the core issues the op at 100; it completes at 101,
         // past the boundary, so the core reports Running (not Finished) —
         // finishing is only observed once `now` reaches the completion.
@@ -342,12 +347,12 @@ mod tests {
         );
         let mut stats = CoreStats::default();
         c.advance_to(Cycles::ZERO, &mut stats);
-        c.complete_request(Cycles::new(50), &mut stats); // write 0 (dirty)
+        c.complete_request(Cycles::new(50), WayIdx(0), &mut stats); // write 0 (dirty)
         c.advance_to(Cycles::new(50), &mut stats);
-        c.complete_request(Cycles::new(100), &mut stats); // read 64
+        c.complete_request(Cycles::new(100), WayIdx(0), &mut stats); // read 64
         c.advance_to(Cycles::new(100), &mut stats);
         // Refilling line 2 evicts the dirty line 0 from the 2-way L2.
-        c.complete_request(Cycles::new(150), &mut stats);
+        c.complete_request(Cycles::new(150), WayIdx(0), &mut stats);
         assert_eq!(c.pwb.len(), 1);
         let wb = c.pwb.peek().unwrap();
         assert_eq!(wb.line, LineAddr::new(0));

@@ -349,9 +349,9 @@ struct SlotOutcome {
     /// A bus transaction happened (write-back transmitted or request
     /// granted) — resets the deadlock guard, as in the seed engine.
     progressed: bool,
-    /// The owner's request was answered: the owner resumes execution at
-    /// the end of the slot.
-    responded: bool,
+    /// The owner's index, when its request was answered: the owner
+    /// resumes execution at the end of the slot.
+    responded: Option<usize>,
 }
 
 /// The simulation state shared by both engine loops. `process_slot` is
@@ -653,8 +653,8 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                         last_progress_slot = last_progress_slot.max(slot);
                     }
                     // A responded owner resumes local execution.
-                    if out.responded {
-                        running.push(self.schedule.owner(slot).as_usize());
+                    if let Some(owner) = out.responded {
+                        running.push(owner);
                     }
                     self.stats.slots += 1;
                     slot += 1;
@@ -741,7 +741,7 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
         let mut clock = watch.clock();
         let mut out = SlotOutcome {
             progressed: false,
-            responded: false,
+            responded: None,
         };
 
         let owner = schedule.owner(slot);
@@ -806,6 +806,8 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                         reason: BlockReason::SlotUsedForWriteback,
                     });
                 }
+                #[cfg(debug_assertions)]
+                llc.check(owner, wb.line);
             }
             Some(BusGrant::Request) => {
                 out.progressed = true;
@@ -878,9 +880,9 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                     ServiceOutcome::Responded(kind) => {
                         let resume = now + sw.cycles();
                         let (issued, clean_drop) =
-                            cores[oi].complete_request(resume, stats.core_mut(owner));
-                        if let Some(dropped) = clean_drop {
-                            llc.note_clean_drop(owner, dropped);
+                            cores[oi].complete_request(resume, res.way, stats.core_mut(owner));
+                        if let Some((dropped, way)) = clean_drop {
+                            llc.note_clean_drop(owner, dropped, way);
                         }
                         record_latency(stats, lat_batch, fast, owner, resume - issued);
                         emit!(match kind {
@@ -898,7 +900,7 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                                 || witness_snapshot(cores, stats, llc, owner, now),
                             );
                         }
-                        out.responded = true;
+                        out.responded = Some(oi);
                     }
                     ServiceOutcome::Blocked(reason) => {
                         emit!(EventKind::Blocked {
@@ -907,6 +909,8 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                         });
                     }
                 }
+                #[cfg(debug_assertions)]
+                llc.check(owner, line);
             }
         }
         if grant.is_some() {

@@ -39,7 +39,26 @@
 //!   invalidations and acknowledgements as [`SharerSet`]s, the victim is
 //!   chosen by an eligibility test instead of a mask, and the set's
 //!   per-set occupied count (kept by [`SetAssocCache`]) answers "is
-//!   there a free way?" for a full set without a scan.
+//!   there a free way?" for a full set without a scan;
+//! * each partition counts its `Evicting` entries per set, in lockstep
+//!   with the entries' states: a full set whose count is 0 takes its
+//!   victim from the replacement state alone
+//!   ([`SetAssocCache::choose_victim_any`]), and the probe compares the
+//!   count with the associativity instead of scanning for a valid way;
+//! * a line in `Evicting` owes at least one acknowledgement (it frees
+//!   with the last), and every eviction credit names a line with a copy
+//!   in `Evicting`, with no more credits naming a line than it has such
+//!   copies (a request for a line mid-eviction can allocate a second
+//!   copy of it in a free way of the same set);
+//! * a line has a second copy in its set only while a copy is in
+//!   `Evicting`; a response reports the way it answered from
+//!   ([`ServiceResult::way`]), the requester's private L2 copy keeps it
+//!   as its tag and hands it back when dropped clean, and
+//!   `SharedLlc::note_clean_drop` reads that way instead of scanning
+//!   the set when the set has no line mid-eviction.
+//!
+//! Debug builds check these invariants on the set each slot touched
+//! (`SharedLlc::check`).
 
 use predllc_bus::WbKind;
 use predllc_cache::{ReplacementKind, SetAssocCache};
@@ -157,7 +176,6 @@ pub(crate) struct LlcMeta {
 /// One pending (unanswered) LLC request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PendingReq {
-    core: CoreId,
     line: LineAddr,
     /// The victim line this request has an eviction in flight for.
     triggered_victim: Option<LineAddr>,
@@ -221,6 +239,9 @@ pub struct MemTraffic {
 pub struct ServiceResult {
     /// The response/blocking outcome.
     pub outcome: ServiceOutcome,
+    /// The way of `set` holding the answered line, when `outcome` is
+    /// `Responded` (`WayIdx(0)` otherwise).
+    pub way: WayIdx,
     /// Private copies of the victim invalidated during this slot (all of
     /// its sharers, for events/stats). Non-empty only with `eviction`.
     pub invalidations: SharerSet,
@@ -246,6 +267,7 @@ impl ServiceResult {
     fn new(set: SetIdx, outcome: ServiceOutcome) -> Self {
         ServiceResult {
             outcome,
+            way: WayIdx(0),
             invalidations: SharerSet::EMPTY,
             ack_required: SharerSet::EMPTY,
             eviction: None,
@@ -253,16 +275,6 @@ impl ServiceResult {
             set,
             mem_traffic: [None, None],
         }
-    }
-
-    /// Records a backend access in the next free inline slot.
-    fn record_traffic(&mut self, traffic: MemTraffic) {
-        let slot = self
-            .mem_traffic
-            .iter_mut()
-            .find(|s| s.is_none())
-            .expect("at most two memory accesses per slot");
-        *slot = Some(traffic);
     }
 }
 
@@ -300,27 +312,23 @@ struct PartitionState {
     /// `members[i]`.
     members: Vec<CoreId>,
     cache: SetAssocCache<LlcMeta>,
+    /// `evicting[set]`: the set's entries in `LineState::Evicting`.
+    evicting: Vec<u32>,
     sequencer: SetSequencer,
-    pending: Vec<PendingReq>,
+    /// `pending[i]`: member `i`'s pending request (a core has at most
+    /// one outstanding).
+    pending: Vec<Option<PendingReq>>,
 }
 
 impl PartitionState {
-    fn pending_of(&self, core: CoreId) -> Option<&PendingReq> {
-        self.pending.iter().find(|p| p.core == core)
-    }
-
-    fn pending_of_mut(&mut self, core: CoreId) -> Option<&mut PendingReq> {
-        self.pending.iter_mut().find(|p| p.core == core)
-    }
-
-    fn remove_pending(&mut self, core: CoreId) {
-        self.pending.retain(|p| p.core != core);
+    fn pending_of(&self, member: usize) -> Option<&PendingReq> {
+        self.pending[member].as_ref()
     }
 
     /// Returns the eviction credit of every request that victimized
     /// `line` (its eviction completed; it may trigger again).
     fn return_credits(&mut self, line: LineAddr) {
-        for p in &mut self.pending {
+        for p in self.pending.iter_mut().flatten() {
             if p.triggered_victim == Some(line) {
                 p.triggered_victim = None;
             }
@@ -410,10 +418,11 @@ impl SharedLlc {
                 PartitionState {
                     mode: spec.mode,
                     shared: !spec.is_private(),
+                    pending: vec![None; members.len()],
                     members,
                     cache: SetAssocCache::new(geometry, replacement),
+                    evicting: vec![0; geometry.sets() as usize],
                     sequencer: SetSequencer::new(),
-                    pending: Vec::new(),
                 }
             })
             .collect();
@@ -533,17 +542,14 @@ impl SharedLlc {
             return Probe::WouldRespond;
         }
         if free_way
-            || p.pending_of(core)
+            || p.pending_of(self.member(core))
                 .is_some_and(|r| r.triggered_victim.is_some())
         {
             return Probe::Stuck;
         }
-        let has_eligible_victim = (0..p.cache.geometry().ways()).any(|w| {
-            p.cache
-                .entry(set, WayIdx(w))
-                .is_some_and(|e| e.meta.state == LineState::Valid)
-        });
-        if has_eligible_victim {
+        // The set is full: a valid victim exists unless every way is
+        // mid-eviction.
+        if p.evicting[set.as_usize()] < p.cache.geometry().ways() {
             Probe::WouldTrigger
         } else {
             Probe::Stuck
@@ -611,11 +617,14 @@ impl SharedLlc {
             if entry.meta.state == LineState::Valid {
                 entry.meta.sharers.insert(me);
                 p.cache.touch(set, way);
-                p.remove_pending(core);
+                p.pending[me] = None;
                 if p.uses_sequencer() {
                     p.sequencer.remove(set, core);
                 }
-                return ServiceResult::new(set, ServiceOutcome::Responded(ResponseKind::Hit));
+                return ServiceResult {
+                    way,
+                    ..ServiceResult::new(set, ServiceOutcome::Responded(ResponseKind::Hit))
+                };
             }
             // Mid-eviction lines are not hits; fall through to the
             // pending path and wait for the entry to free.
@@ -642,13 +651,11 @@ impl SharedLlc {
         );
 
         // 2. Register the request (idempotent).
-        if p.pending_of(core).is_none() {
-            p.pending.push(PendingReq {
-                core,
-                line,
-                triggered_victim: None,
-            });
-        }
+        let pending = p.pending[me].get_or_insert(PendingReq {
+            line,
+            triggered_victim: None,
+        });
+        let holds_credit = pending.triggered_victim.is_some();
 
         // 3. Sequencer: enqueue in broadcast order. The queue orders
         //    *occupation* of cache line entries (only the head may claim
@@ -673,26 +680,26 @@ impl SharedLlc {
         let free_way = p.cache.free_way_in(set);
         if let (true, Some(way)) = (is_head, free_way) {
             let traffic = Self::allocate(p, &mut self.memory, core, me, line, way, now);
-            result.record_traffic(traffic);
+            result.mem_traffic[0] = Some(traffic);
             result.outcome = ServiceOutcome::Responded(ResponseKind::Fill);
+            result.way = way;
             return result;
         }
 
         // 5. Full set: trigger an eviction if this request holds no
         //    in-flight eviction credit (any queue position may trigger).
-        if free_way.is_some()
-            || p.pending_of(core)
-                .expect("registered above")
-                .triggered_victim
-                .is_some()
-        {
+        if free_way.is_some() || holds_credit {
             result.outcome = ServiceOutcome::Blocked(blocked_reason);
             return result;
         }
-        let Some(victim_way) = p
-            .cache
-            .choose_victim(set, |e| e.meta.state == LineState::Valid)
-        else {
+        // With no line of the set mid-eviction, every way is eligible.
+        let victim = if p.evicting[set.as_usize()] == 0 {
+            p.cache.choose_victim_any(set)
+        } else {
+            p.cache
+                .choose_victim(set, |e| e.meta.state == LineState::Valid)
+        };
+        let Some(victim_way) = victim else {
             result.outcome = ServiceOutcome::Blocked(if is_head {
                 BlockReason::AllWaysEvicting
             } else {
@@ -706,9 +713,9 @@ impl SharedLlc {
             .expect("eligible way occupied");
         let victim_line = victim_entry.line;
         let victim_sharers = victim_entry.meta.sharers;
-        p.pending_of_mut(core)
-            .expect("registered above")
-            .triggered_victim = Some(victim_line);
+        if let Some(r) = &mut p.pending[me] {
+            r.triggered_victim = Some(victim_line);
+        }
         result.eviction = Some(EvictionInfo {
             victim: victim_line,
             sharers: victim_sharers.count(),
@@ -730,32 +737,30 @@ impl SharedLlc {
         }
         result.invalidations = victim_sharers;
         result.ack_required = waiting;
-        {
-            let entry = p.cache.entry_mut(set, victim_way).expect("victim occupied");
-            entry.dirty |= inline_dirty;
-            entry.meta.sharers = waiting;
-        }
 
         if waiting.is_empty() {
             // No data-carrying acknowledgements owed: the entry frees in
             // this slot.
             let evicted = p.cache.take(set, victim_way).expect("victim occupied");
-            if evicted.dirty {
+            let mut accesses = 0;
+            if evicted.dirty || inline_dirty {
                 let access = self
                     .memory
                     .access(MemRequest::write_back(victim_line, core, now));
-                result.record_traffic(MemTraffic {
+                result.mem_traffic[0] = Some(MemTraffic {
                     line: victim_line,
                     write: true,
                     access,
                 });
+                accesses = 1;
             }
             p.return_credits(victim_line);
             if is_head {
                 // …and the head re-uses it immediately.
                 let traffic = Self::allocate(p, &mut self.memory, core, me, line, victim_way, now);
-                result.record_traffic(traffic);
+                result.mem_traffic[accesses] = Some(traffic);
                 result.outcome = ServiceOutcome::Responded(ResponseKind::Fill);
+                result.way = victim_way;
             } else {
                 // The freed entry waits for the queue head.
                 result.outcome = ServiceOutcome::Blocked(BlockReason::NotHead);
@@ -764,7 +769,10 @@ impl SharedLlc {
             // Start the multi-slot eviction protocol for the dirty
             // remote copies.
             let entry = p.cache.entry_mut(set, victim_way).expect("victim occupied");
+            entry.dirty |= inline_dirty;
+            entry.meta.sharers = waiting;
             entry.meta.state = LineState::Evicting;
+            p.evicting[set.as_usize()] += 1;
             result.outcome = ServiceOutcome::Blocked(blocked_reason);
         }
         result
@@ -805,6 +813,7 @@ impl SharedLlc {
                 entry.dirty |= dirty;
                 if entry.meta.sharers.is_empty() {
                     let evicted = p.cache.take(set, way).expect("entry exists");
+                    p.evicting[set.as_usize()] -= 1;
                     let mem_traffic = evicted.dirty.then(|| MemTraffic {
                         line,
                         write: true,
@@ -842,15 +851,112 @@ impl SharedLlc {
     ///
     /// The engine calls this for every clean L2 victim, so the core's
     /// sharer bit clears at once and a later eviction of the line does
-    /// not back-invalidate it.
-    pub(crate) fn note_clean_drop(&mut self, core: CoreId, line: LineAddr) {
+    /// not back-invalidate it. `way` is the copy's tag: the way that
+    /// answered the request that brought it in. The first copy of the
+    /// line in its set is the one updated; while no line of the set is
+    /// mid-eviction the line has only one copy, so the tagged way is
+    /// read first and the set is scanned only when it holds another
+    /// line.
+    pub(crate) fn note_clean_drop(&mut self, core: CoreId, line: LineAddr, way: WayIdx) {
         let pid = self.map.partition_of(core);
         let me = self.member(core);
         let p = &mut self.partitions[pid.as_usize()];
-        if let Some(e) = p.cache.peek_mut(line) {
+        let set = p.cache.set_of(line);
+        let tagged = p.evicting[set.as_usize()] == 0
+            && p.cache.entry(set, way).is_some_and(|e| e.line == line);
+        let way = if tagged {
+            Some(way)
+        } else {
+            p.cache.way_of(line)
+        };
+        if let Some(e) = way.and_then(|w| p.cache.entry_mut(set, w)) {
             if e.meta.state == LineState::Valid {
                 e.meta.sharers.remove(me);
             }
+        }
+    }
+
+    /// Asserts the representation invariants (module docs) on the set
+    /// `line` maps to in `core`'s partition. The engine calls it after
+    /// every slot in debug builds, on the set the slot touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first invariant that fails.
+    #[cfg(debug_assertions)]
+    pub(crate) fn check(&self, core: CoreId, line: LineAddr) {
+        let p = &self.partitions[self.map.partition_of(core).as_usize()];
+        let set = p.cache.set_of(line);
+        let mut evicting = 0;
+        for w in 0..p.cache.geometry().ways() {
+            let Some(e) = p.cache.entry(set, WayIdx(w)) else {
+                continue;
+            };
+            assert!(
+                e.meta.sharers.iter().all(|m| m < p.members.len()),
+                "{set}: sharer bits of {} name a non-member",
+                e.line
+            );
+            if e.meta.state == LineState::Evicting {
+                evicting += 1;
+                assert!(
+                    !e.meta.sharers.is_empty(),
+                    "{set}: {} is mid-eviction but owes no acknowledgement",
+                    e.line
+                );
+            }
+        }
+        assert_eq!(
+            p.evicting[set.as_usize()],
+            evicting,
+            "{set}: Evicting count disagrees with its entries"
+        );
+        if evicting == 0 {
+            let ways = p.cache.geometry().ways();
+            let line_at = |w| p.cache.entry(set, WayIdx(w)).map(|e| e.line);
+            for w in 0..ways {
+                assert!(
+                    line_at(w).is_none() || (w + 1..ways).all(|o| line_at(o) != line_at(w)),
+                    "{set}: a line has two copies with none mid-eviction"
+                );
+            }
+        }
+        for queued in p.sequencer.queued(set) {
+            assert!(
+                p.pending_of(self.member(queued))
+                    .is_some_and(|r| p.cache.set_of(r.line) == set),
+                "{queued} is queued for {set} without a pending request on it"
+            );
+        }
+        // Each in-flight eviction backs at most one credit. A line can sit
+        // in two ways of a set at once (a request for a line mid-eviction
+        // allocates a fresh copy), so count per line.
+        let evicting_copies = |line: LineAddr| {
+            (0..p.cache.geometry().ways())
+                .filter_map(|w| p.cache.entry(set, WayIdx(w)))
+                .filter(|e| e.line == line && e.meta.state == LineState::Evicting)
+                .count()
+        };
+        for (i, r) in p.pending.iter().enumerate() {
+            let Some((line, Some(victim))) = r.map(|r| (r.line, r.triggered_victim)) else {
+                continue;
+            };
+            if p.cache.set_of(line) != set {
+                continue;
+            }
+            let credits = p
+                .pending
+                .iter()
+                .flatten()
+                .filter(|o| o.triggered_victim == Some(victim))
+                .count();
+            assert!(
+                (1..=evicting_copies(victim)).contains(&credits),
+                "{}'s eviction credit names {victim}, which has {} copies mid-eviction \
+                 for {credits} credits",
+                p.members[i],
+                evicting_copies(victim)
+            );
         }
     }
 
@@ -858,7 +964,9 @@ impl SharedLlc {
     #[cfg(test)]
     fn has_pending(&self, core: CoreId) -> bool {
         let pid = self.map.partition_of(core);
-        self.partitions[pid.as_usize()].pending_of(core).is_some()
+        self.partitions[pid.as_usize()]
+            .pending_of(self.member(core))
+            .is_some()
     }
 
     fn allocate(
@@ -884,7 +992,7 @@ impl SharedLlc {
                 state: LineState::Valid,
             },
         );
-        p.remove_pending(core);
+        p.pending[member] = None;
         if p.uses_sequencer() {
             // The allocating core is the head by construction.
             debug_assert!(p.sequencer.is_head(set, core) || !p.sequencer.contains(set, core));
@@ -1281,9 +1389,20 @@ mod tests {
     #[test]
     fn note_clean_drop_clears_stale_sharer() {
         let mut llc = shared_llc(SharingMode::BestEffort, 2, 2);
-        svc(&mut llc, c(0), l(0));
-        llc.note_clean_drop(c(0), l(0));
+        let r = svc(&mut llc, c(0), l(0));
+        svc(&mut llc, c(1), l(2));
+        llc.note_clean_drop(c(0), l(0), r.way);
         assert_eq!(llc.line_state(c(0), l(0)).unwrap().1, 0);
+        // A tag naming another line's way falls back to the scan.
+        svc(&mut llc, c(1), l(0));
+        let other = llc.partitions[0].cache.way_of(l(2)).unwrap();
+        llc.note_clean_drop(c(1), l(0), other);
+        assert_eq!(llc.line_state(c(1), l(0)).unwrap().1, 0);
+        assert_eq!(
+            llc.line_state(c(1), l(2)).unwrap().1,
+            1,
+            "l2's sharer is untouched"
+        );
     }
 
     #[test]

@@ -145,6 +145,12 @@ impl SetSequencer {
         self.queue(set).map_or(0, VecDeque::len)
     }
 
+    /// The cores queued for `set`, head first (protocol checks).
+    #[cfg(debug_assertions)]
+    pub(crate) fn queued(&self, set: SetIdx) -> impl Iterator<Item = CoreId> + '_ {
+        self.queue(set).into_iter().flatten().copied()
+    }
+
     /// Number of sets currently tracked (live QLT entries).
     pub fn tracked_sets(&self) -> usize {
         self.live

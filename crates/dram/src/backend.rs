@@ -113,31 +113,27 @@ impl MemStats {
         row_hit_rate(self.row_hits, self.row_empties, self.row_conflicts)
     }
 
-    /// Records one banked access outcome.
+    /// Records one banked access outcome. Every counter but the
+    /// per-bank conflicts is a branch-free add: row outcomes of a
+    /// random workload defeat a branch predictor.
+    #[inline]
     pub fn record(&mut self, access: &MemAccess, write: bool) {
-        if write {
-            self.writes += 1;
-        } else {
-            self.reads += 1;
-        }
-        if access.latency > self.max_latency {
-            self.max_latency = access.latency;
-        }
-        if access.waited > Cycles::ZERO {
-            self.busy_waits += 1;
-        }
-        match access.row {
-            Some(RowOutcome::Hit) => self.row_hits += 1,
-            Some(RowOutcome::Empty) => self.row_empties += 1,
-            Some(RowOutcome::Conflict) => {
-                self.row_conflicts += 1;
-                let b = access.bank.as_usize();
-                if self.per_bank_conflicts.len() <= b {
-                    self.per_bank_conflicts.resize(b + 1, 0);
-                }
-                self.per_bank_conflicts[b] += 1;
+        self.writes += u64::from(write);
+        self.reads += u64::from(!write);
+        self.max_latency = self.max_latency.max(access.latency);
+        self.busy_waits += u64::from(access.waited > Cycles::ZERO);
+        let Some(row) = access.row else {
+            return;
+        };
+        self.row_hits += u64::from(row == RowOutcome::Hit);
+        self.row_empties += u64::from(row == RowOutcome::Empty);
+        if row == RowOutcome::Conflict {
+            self.row_conflicts += 1;
+            let b = access.bank.as_usize();
+            if self.per_bank_conflicts.len() <= b {
+                self.per_bank_conflicts.resize(b + 1, 0);
             }
-            None => {}
+            self.per_bank_conflicts[b] += 1;
         }
     }
 }

@@ -115,22 +115,19 @@ impl MemoryBackend for BankedDram {
             .decode(req.line, req.core, self.geometry, self.num_cores);
         let bank = &mut self.banks[bank_id.as_usize()];
         let waited = bank.ready_at.saturating_sub(req.at);
-        let outcome = match bank.open_row {
-            Some(open) if open == row => RowOutcome::Hit,
-            Some(_) => RowOutcome::Conflict,
-            None => RowOutcome::Empty,
-        };
-        let cost = match outcome {
-            RowOutcome::Hit => self.timing.row_hit(),
-            RowOutcome::Empty => self.timing.row_empty(),
-            RowOutcome::Conflict => self.timing.row_conflict(),
-        };
+        // The row outcome indexes its cost instead of branching on it: a
+        // random workload's outcomes defeat a branch predictor.
+        let outcome_index =
+            usize::from(bank.open_row.is_some()) + usize::from(bank.open_row == Some(row));
+        let outcome = [RowOutcome::Empty, RowOutcome::Conflict, RowOutcome::Hit][outcome_index];
+        let cost = [
+            self.timing.row_empty(),
+            self.timing.row_conflict(),
+            self.timing.row_hit(),
+        ][outcome_index];
         let latency = waited + cost;
         bank.open_row = Some(row);
-        bank.ready_at = req.at + latency;
-        if req.write {
-            bank.ready_at += Cycles::new(self.timing.t_wr);
-        }
+        bank.ready_at = req.at + latency + Cycles::new(self.timing.t_wr * u64::from(req.write));
         let access = MemAccess {
             latency,
             bank: bank_id,

@@ -57,21 +57,40 @@ impl BankMapping {
     ) -> (BankId, RowAddr) {
         let row_lines = u64::from(geometry.row_lines());
         let banks = u64::from(geometry.total_banks());
-        let row_of = line.as_u64() / row_lines;
+        let row_of = div(line.as_u64(), row_lines);
         match self {
             BankMapping::Interleaved => {
-                let bank = row_of % banks;
-                let row = row_of / banks;
+                let (row, bank) = div_rem(row_of, banks);
                 (BankId::new(bank as u32), RowAddr::new(row))
             }
             BankMapping::BankPrivate => {
                 let per_core = banks / u64::from(num_cores.max(1));
                 let base = u64::from(core.index()) * per_core;
-                let bank = base + row_of % per_core;
-                let row = row_of / per_core;
-                (BankId::new(bank as u32), RowAddr::new(row))
+                let (row, offset) = div_rem(row_of, per_core);
+                (BankId::new((base + offset) as u32), RowAddr::new(row))
             }
         }
+    }
+}
+
+/// `n / d`, by a shift when `d` is a power of two (every shipped
+/// geometry: 64-line rows, 8 banks).
+#[inline]
+fn div(n: u64, d: u64) -> u64 {
+    if d.is_power_of_two() {
+        n >> d.trailing_zeros()
+    } else {
+        n / d
+    }
+}
+
+/// `(n / d, n % d)`, by a shift and a mask when `d` is a power of two.
+#[inline]
+fn div_rem(n: u64, d: u64) -> (u64, u64) {
+    if d.is_power_of_two() {
+        (n >> d.trailing_zeros(), n & (d - 1))
+    } else {
+        (n / d, n % d)
     }
 }
 
@@ -126,6 +145,29 @@ mod tests {
         let (b2, r2) = m.decode(LineAddr::new(128), CoreId::new(1), G, 4);
         assert_eq!(b2, BankId::new(2));
         assert_eq!(r2, RowAddr::new(1));
+    }
+
+    #[test]
+    fn shifts_and_divisions_decode_alike() {
+        // 8 banks × 64-line rows take the shift path; 6 banks × 48-line
+        // rows divide. Both must agree with plain division.
+        for (g, cores) in [(G, 4u16), (DramGeometry::new(1, 6, 48).unwrap(), 3)] {
+            let (row_lines, banks) = (u64::from(g.row_lines()), u64::from(g.total_banks()));
+            for line in [0u64, 63, 64, 1000, 123_456_789, u64::MAX] {
+                let row_of = line / row_lines;
+                let (b, r) =
+                    BankMapping::Interleaved.decode(LineAddr::new(line), CoreId::new(0), g, cores);
+                assert_eq!(
+                    (b.index() as u64, r.as_u64()),
+                    (row_of % banks, row_of / banks)
+                );
+                let per_core = banks / u64::from(cores);
+                let core = CoreId::new(cores - 1);
+                let (b, r) = BankMapping::BankPrivate.decode(LineAddr::new(line), core, g, cores);
+                let want = u64::from(core.index()) * per_core + row_of % per_core;
+                assert_eq!((b.index() as u64, r.as_u64()), (want, row_of / per_core));
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! and (d) the worst-case witness replays through the reference engine
 //! to the exact observed WCL.
 
+mod common;
+
 use predllc::model::{Address, CoreId, Cycles, MemOp};
 use predllc::sim::events::BlockReason;
 use predllc::workload::rng::Rng64;
@@ -287,6 +289,21 @@ fn randomized_private_and_shared_grids_attribute_exactly() {
             },
             &wl,
             &format!("random grid round {round} (shared={shared})"),
+        );
+    }
+}
+
+#[test]
+fn shared_line_workloads_attribute_exactly() {
+    // LLC hits, sequencer queues and several sharers of one line: the
+    // exact-sum and witness contract on the protocol's shared paths.
+    let mut rng = Rng64::new(0xA77_5A2E);
+    for round in 0..150 {
+        let case = common::shared_lines(&mut rng);
+        assert_attribution_contract(
+            || SystemConfigBuilder::new(case.cores).partitions(vec![case.partition.clone()]),
+            &case.workload,
+            &format!("shared lines {} round {round}", case.partition),
         );
     }
 }

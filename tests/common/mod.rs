@@ -1,0 +1,57 @@
+//! Test-only workload shapes shared by the differential suites.
+
+use predllc::model::{Address, CoreId, MemOp};
+use predllc::workload::rng::Rng64;
+use predllc::{MultiCore, PartitionSpec, SharingMode};
+
+/// A small platform and workload whose cores contend for the same lines:
+/// the case the set sequencer exists for, and the one where a line has
+/// several private sharers to back-invalidate and drop.
+pub struct SharedLines {
+    /// Cores of the platform, all in `partition`.
+    pub cores: u16,
+    /// One shared SS or NSS partition of 1–2 sets × 2 ways.
+    pub partition: PartitionSpec,
+    /// Per core, 4–12 ops drawn from one pool of 3–6 lines; a third of
+    /// them are writes.
+    pub workload: MultiCore,
+}
+
+/// Draws one [`SharedLines`] case from `rng`.
+pub fn shared_lines(rng: &mut Rng64) -> SharedLines {
+    let cores = 2 + rng.below(3) as u16;
+    let mode = if rng.below(2) == 0 {
+        SharingMode::SetSequencer
+    } else {
+        SharingMode::BestEffort
+    };
+    let sets = 1 + rng.below(2) as u32;
+    let mut pool: Vec<u64> = Vec::new();
+    let size = 3 + rng.below(4) as usize;
+    while pool.len() < size {
+        let line = rng.below(16);
+        if !pool.contains(&line) {
+            pool.push(line);
+        }
+    }
+    let mut workload = MultiCore::new();
+    for _ in 0..cores {
+        let ops = 4 + rng.below(9);
+        let trace: Vec<MemOp> = (0..ops)
+            .map(|_| {
+                let addr = Address::new(pool[rng.below(pool.len() as u64) as usize] * 64);
+                if rng.below(3) == 0 {
+                    MemOp::write(addr)
+                } else {
+                    MemOp::read(addr)
+                }
+            })
+            .collect();
+        workload = workload.core(vec![trace]);
+    }
+    SharedLines {
+        cores,
+        partition: PartitionSpec::shared(sets, 2, CoreId::first(cores).collect(), mode),
+        workload,
+    }
+}

@@ -17,6 +17,8 @@
 
 use std::cell::Cell;
 
+mod common;
+
 use predllc::model::{Address, CacheGeometry, CoreId, Cycles, MemOp, SlotWidth};
 use predllc::sim::events::BlockReason;
 use predllc::sim::EngineProfile;
@@ -315,6 +317,22 @@ fn shared_partition_grids_agree() {
             },
             &wl,
             &format!("shared({mode_kind:?}) grid round {round}"),
+        );
+    }
+}
+
+#[test]
+fn shared_line_workloads_agree() {
+    // Cores drawing from one small pool of lines on a tiny SS or NSS
+    // partition: hits on lines other cores filled, sharers to
+    // back-invalidate, and sequencer queues whose members hit.
+    let mut rng = Rng64::new(0x5_4A2E_D11E);
+    for round in 0..150 {
+        let case = common::shared_lines(&mut rng);
+        assert_engines_agree(
+            || SystemConfigBuilder::new(case.cores).partitions(vec![case.partition.clone()]),
+            &case.workload,
+            &format!("shared lines {} round {round}", case.partition),
         );
     }
 }
@@ -625,6 +643,7 @@ fn the_suite_records_every_event_kind_and_block_reason() {
     TALLY.set([0; CLASSES.len()]);
     private_partition_grids_agree();
     shared_partition_grids_agree();
+    shared_line_workloads_agree();
     mixed_private_and_shared_partitions_agree();
     banked_and_worst_case_backends_agree();
     weighted_schedules_and_timeouts_agree();
