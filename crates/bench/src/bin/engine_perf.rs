@@ -14,7 +14,9 @@
 //! shared partition and costs a full LLC slot transaction with an
 //! eviction. `paper-grid` is the whole grid a shared-sweep job of the
 //! end-to-end benchmark simulates (informational): its ns/op for both
-//! engines and, from one sampled pass per engine, the per-stage split.
+//! engines and, from one sampled pass of the fast engine, the per-stage
+//! split, the share of that pass's wall time the stages cover, and the
+//! remainder as its own number.
 //!
 //! ```text
 //! engine_perf [--quick] [--out BENCH_engine.json]
@@ -80,6 +82,9 @@ struct Outcome {
     /// The fast engine's sampled stage time per op (the paper grid
     /// only).
     stages: Vec<(&'static str, f64)>,
+    /// The paper grid's profiled pass: the share of its wall time the
+    /// stages account for, and the rest in ns per op.
+    coverage: Option<(f64, f64)>,
 }
 
 /// The 4-core private-hit-heavy workload: 98% of accesses in a hot set
@@ -263,7 +268,8 @@ fn paper_grid(ops_per_core: usize) -> PaperGrid {
 
 /// Times the paper grid on both engines through the trial runner (each
 /// sample is one pass over the 18 runs), then splits the fast engine's
-/// time by stage from one sampled pass without the twin.
+/// time by stage from one sampled pass without the twin, and sets the
+/// sampled stages against that pass's wall time.
 fn run_paper_grid(grid: &PaperGrid, iters: usize) -> Outcome {
     const SAMPLE_EVERY: u64 = 64;
     let twins = [MemoryConfig::banked()];
@@ -295,15 +301,21 @@ fn run_paper_grid(grid: &PaperGrid, iters: usize) -> Outcome {
         "paper-grid: fast-forward diverged from the reference engine"
     );
     let profile = EngineProfile::new(SAMPLE_EVERY);
+    let started = Instant::now();
     for sim in &sims[1] {
         for workload in &grid.workloads {
             sim.run_profiled(workload, Some(&profile))
                 .expect("benchmark workload completes");
         }
     }
-    let stage_ns = |h: &predllc_obs::TimingHistogram| {
-        (h.snapshot().sum * SAMPLE_EVERY) as f64 / grid.total_ops as f64
-    };
+    let wall_ns = started.elapsed().as_nanos() as f64;
+    let ops = grid.total_ops as f64;
+    let stages: Vec<(&'static str, f64)> = profile
+        .stages()
+        .into_iter()
+        .map(|(stage, h)| (stage, (h.snapshot().sum * SAMPLE_EVERY) as f64 / ops))
+        .collect();
+    let staged_ns = stages.iter().map(|&(_, ns)| ns).sum::<f64>() * ops;
     let (ref_mops, fast_mops) = (best(&ref_samples), best(&fast_samples));
     Outcome {
         name: "paper-grid",
@@ -313,12 +325,8 @@ fn run_paper_grid(grid: &PaperGrid, iters: usize) -> Outcome {
         speedup: fast_mops / ref_mops,
         ref_samples,
         fast_samples,
-        stages: vec![
-            ("arbiter", stage_ns(&profile.arbiter)),
-            ("llc", stage_ns(&profile.llc)),
-            ("dram", stage_ns(&profile.dram)),
-            ("idle_jump", stage_ns(&profile.idle_jump)),
-        ],
+        stages,
+        coverage: Some((staged_ns / wall_ns, (wall_ns - staged_ns) / ops)),
     }
 }
 
@@ -382,6 +390,7 @@ fn run_scenario(s: &Scenario, iters: usize) -> Outcome {
         ref_samples,
         fast_samples,
         stages: Vec::new(),
+        coverage: None,
     }
 }
 
@@ -402,6 +411,10 @@ fn render_json(outcomes: &[Outcome], overheads: Vec<Json>, headline: &str) -> St
                 let split = o.stages.iter();
                 let split = split.map(|&(stage, ns)| (stage.into(), Json::Float(round3(ns))));
                 members.push(("fast_stage_ns_per_op".into(), Json::Object(split.collect())));
+            }
+            if let Some((coverage, rest)) = o.coverage {
+                members.push(("fast_stage_coverage".into(), Json::Float(round3(coverage))));
+                members.push(("fast_remainder_ns_per_op".into(), Json::Float(round3(rest))));
             }
             Json::Object(members)
         })
@@ -683,16 +696,20 @@ fn main() -> ExitCode {
         .iter()
         .map(|(stage, ns)| format!("{stage} {ns:.1}"))
         .collect();
+    let (coverage, rest) = grid.coverage.expect("the paper grid is profiled");
     data!(
         "{}: reference {:.1} ns/op, fast-forward {:.1} ns/op, speedup {:.2}x \
          ({} ops in 18 runs with twins, stats bit-identical); fast-forward \
-         stage ns/op, sampled without the twin: {}",
+         stage ns/op, sampled without the twin: {}; the stages cover {:.1}% \
+         of that pass, remainder {:.1} ns/op",
         grid.name,
         1e3 / grid.ref_mops,
         1e3 / grid.fast_mops,
         grid.speedup,
         grid.total_ops,
-        split.join(", ")
+        split.join(", "),
+        coverage * 100.0,
+        rest
     );
     outcomes.push(grid);
 

@@ -16,7 +16,8 @@
 //!                            (grid + search + wall time) to PATH
 //!     [--trace-out PATH]     write the run's structured trace (one
 //!                            JSON event per line; explore.point spans
-//!                            with queue-wait and compute timings)
+//!                            with queue-wait and compute timings) and
+//!                            print the engine runs the grid took
 //!     [--attribution]        run with latency attribution on (forces
 //!                            the spec's "attribution" knob)
 //!     [--attribution-out PATH] write the attribution JSON artifact
@@ -39,7 +40,7 @@ use std::time::Instant;
 use predllc_bench::{error, status};
 use predllc_explore::report::{render_attribution_json, render_csv, render_json, render_search};
 use predllc_explore::{run_spec_traced, Executor, ExperimentSpec};
-use predllc_obs::{render_jsonl, TraceCtx, TraceId, Tracer};
+use predllc_obs::{render_jsonl, EventKind, FieldValue, TraceCtx, TraceId, Tracer};
 
 fn main() -> ExitCode {
     match run(predllc_bench::log::init(std::env::args().skip(1).collect())) {
@@ -212,6 +213,27 @@ fn run(args: Vec<String>) -> Result<(), String> {
             "explore: trace {} written to {path} ({} event(s))",
             trace.to_hex(),
             events.len()
+        );
+        // One `explore.point` span per run group, each naming the
+        // engine runs it took.
+        let groups: Vec<u64> = events
+            .iter()
+            .filter(|e| e.name == "explore.point" && e.kind == EventKind::End)
+            .map(|e| {
+                e.fields
+                    .iter()
+                    .find_map(|(k, v)| match v {
+                        FieldValue::U64(n) if k == "runs" => Some(*n),
+                        _ => None,
+                    })
+                    .unwrap_or(0)
+            })
+            .collect();
+        status!(
+            "explore: {} engine run(s) in {} group(s) for {} point(s)",
+            groups.iter().sum::<u64>(),
+            groups.len(),
+            report.unique_points
         );
     }
 

@@ -52,9 +52,9 @@
 //! `fleet.merge` span starts more than half a heartbeat interval after
 //! the last `fleet.point.resolved` (the merge must follow the last
 //! point, not the next heartbeat), or when its `fleet.dispatch` spans,
-//! less the requeued runs, are not exactly the spec's planned engine
-//! runs (points that differ only in their memory backend ship as one
-//! request).
+//! less the requeued groups, are not exactly the spec's planned run
+//! groups (points that differ only in their memory backend and sharing
+//! mode ship as one request).
 
 use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -483,15 +483,15 @@ fn smoke_inner(
         ));
     }
     let planned = plan_grid(spec).runs.len();
-    let dispatched = shipped_runs(&events);
+    let dispatched = shipped_groups(&events);
     status!(
-        "fleet: {dispatched} run(s) for {} point(s)",
+        "fleet: {dispatched} group(s) for {} point(s)",
         report.unique_points
     );
     if dispatched != planned {
         return Err(format!(
-            "the fleet shipped {dispatched} engine run(s) (fleet.dispatch spans less requeued \
-             runs); the spec plans {planned}"
+            "the fleet shipped {dispatched} run group(s) (fleet.dispatch spans less requeued \
+             groups); the spec plans {planned}"
         ));
     }
     let served = render_csv(&report.grid);
@@ -621,10 +621,10 @@ fn merge_gap(events: &[TraceEvent]) -> Option<Duration> {
     Some(Duration::from_nanos(merge.ts_ns.saturating_sub(resolved)))
 }
 
-/// The engine runs a traced fleet run shipped: its `fleet.dispatch`
-/// spans, less the runs requeued after a worker loss (each dispatched
+/// The run groups a traced fleet run shipped: its `fleet.dispatch`
+/// spans, less the groups requeued after a worker loss (each dispatched
 /// again).
-fn shipped_runs(events: &[TraceEvent]) -> usize {
+fn shipped_groups(events: &[TraceEvent]) -> usize {
     let count = |name: &str, kind: EventKind| {
         events
             .iter()

@@ -214,15 +214,13 @@ impl Simulator {
 
     /// Like [`Simulator::run`], with optional sampled stage profiling.
     ///
-    /// When `profile` is `Some`, the wall-clock cost of every
-    /// `sample_every`-th profiling opportunity (a processed slot, or the
-    /// fast loop's choice of its next step) is recorded into the
-    /// profile's per-stage histograms (arbiter / LLC / DRAM /
-    /// idle-jump). Profiling only *reads* time — it never feeds back
-    /// into simulated time — so the returned [`RunReport`] is
-    /// bit-identical to an unprofiled run. When `profile` is `None` no
-    /// clock is read: each opportunity costs a branch on an empty
-    /// `Option`.
+    /// When `profile` is `Some`, the stages of every `sample_every`-th
+    /// loop iteration are timed into the profile's per-stage histograms
+    /// (local advance / idle-jump / arbiter / LLC / DRAM). Profiling
+    /// only *reads* time — it never feeds back into simulated time — so
+    /// the returned [`RunReport`] is bit-identical to an unprofiled run.
+    /// When `profile` is `None` no clock is read: each stage costs a
+    /// branch on an empty `Option`.
     ///
     /// # Errors
     ///
@@ -407,9 +405,9 @@ impl Watch<'_> {
         }
     }
 
-    /// A profiling opportunity: the start of a stage clock when the
-    /// profile samples this one, `None` otherwise (and always without a
-    /// profile, which reads no clock).
+    /// A profiling opportunity, one per loop iteration: the start of the
+    /// iteration's stage clock when the profile samples it, `None`
+    /// otherwise (and always without a profile, which reads no clock).
     #[inline]
     fn clock(&self) -> Option<Instant> {
         self.profile
@@ -426,9 +424,7 @@ impl Watch<'_> {
         stage: impl FnOnce(&EngineProfile) -> &TimingHistogram,
     ) {
         if let (Some(start), Some(p)) = (clock.as_mut(), self.profile) {
-            let now = Instant::now();
-            stage(p).record(now - *start);
-            *start = now;
+            p.lap(stage(p), start);
         }
     }
 }
@@ -451,6 +447,7 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
 
             // 1. Local progress: every core executes private hits up to
             //    the boundary.
+            let mut clock = self.watch.clock();
             {
                 let Engine { cores, stats, .. } = self;
                 for core in cores.iter_mut() {
@@ -458,12 +455,13 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                     core.advance_to(now, stats.core_mut(id));
                 }
             }
+            self.watch.lap(&mut clock, |p| &p.local);
             if self.cores.iter().all(CoreModel::is_finished) {
                 return Ok((false, slot));
             }
 
             // 2. One bus transaction for the slot's owner.
-            let out = self.process_slot(slot, now);
+            let out = self.process_slot(slot, now, &mut clock);
             if out.progressed {
                 last_progress_slot = slot;
             }
@@ -552,6 +550,7 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
             // 1. Advance every core that can still execute locally. Solo
             //    cores run to their next miss (or the cap horizon) in one
             //    call; shared-partition cores stop at this boundary.
+            let mut clock = self.watch.clock();
             let mut shared_running = false;
             {
                 let Engine { cores, stats, .. } = self;
@@ -585,14 +584,11 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                 }
             }
 
+            self.watch.lap(&mut clock, |p| &p.local);
+
             // 2. While a shared-partition core is mid-run, its future
             //    hits are exposed to partition-mates' evictions: step
             //    this slot exactly like the reference engine.
-            let mut clock = if shared_running {
-                None
-            } else {
-                self.watch.clock()
-            };
             let event = if shared_running {
                 Event::Transact(slot)
             } else {
@@ -621,8 +617,8 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                 }
             };
             // Only a genuine leap over idle slots counts as the
-            // idle-jump stage; a same-slot transaction is ordinary
-            // event selection.
+            // idle-jump stage; choosing a same-slot transaction is part
+            // of the slot's grant selection (the arbiter stage).
             if matches!(event, Event::Transact(s) if s > slot) {
                 self.watch.lap(&mut clock, |p| &p.idle_jump);
             }
@@ -648,7 +644,7 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                         "idle-slot jump would overrun residual bank busyness"
                     );
                     let now = sw.slot_start(slot);
-                    let out = self.process_slot(slot, now);
+                    let out = self.process_slot(slot, now, &mut clock);
                     if out.progressed {
                         last_progress_slot = last_progress_slot.max(slot);
                     }
@@ -719,7 +715,10 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
     /// into the stats ([`SimStats::count`]), then shown to the [`Watch`].
     /// The counters, the event log and attribution's waits are one
     /// stream, so they cannot disagree either.
-    fn process_slot(&mut self, slot: u64, now: Cycles) -> SlotOutcome {
+    ///
+    /// `clock` is the loop iteration's stage clock, lapped here through
+    /// the arbiter and then the LLC or DRAM stage.
+    fn process_slot(&mut self, slot: u64, now: Cycles, clock: &mut Option<Instant>) -> SlotOutcome {
         let sw = self.sw;
         let fast = self.fast;
         let Engine {
@@ -738,7 +737,6 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                 watch.event(now, slot, kind);
             }};
         }
-        let mut clock = watch.clock();
         let mut out = SlotOutcome {
             progressed: false,
             responded: None,
@@ -772,7 +770,7 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
                 reason: BlockReason::WaitingForEviction,
             });
         }
-        watch.lap(&mut clock, |p| &p.arbiter);
+        watch.lap(clock, |p| &p.arbiter);
 
         let mut touched_memory = false;
         match grant {
@@ -914,7 +912,7 @@ impl<I: Iterator<Item = predllc_model::MemOp>> Engine<'_, I> {
             }
         }
         if grant.is_some() {
-            watch.lap(&mut clock, |p| match touched_memory {
+            watch.lap(clock, |p| match touched_memory {
                 true => &p.dram,
                 false => &p.llc,
             });

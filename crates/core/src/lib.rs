@@ -25,8 +25,8 @@
 //! * [`engine`] — the slot-stepped simulator tying cores, TDM bus and LLC
 //!   together.
 //! * [`profile`] — opt-in sampled wall-clock profiling of the engine's
-//!   per-slot stages (arbiter / LLC / DRAM / idle-jump), reading time
-//!   without ever feeding it back into the simulation.
+//!   stages (local advance / idle-jump / arbiter / LLC / DRAM), reading
+//!   time without ever feeding it back into the simulation.
 //! * [`analysis`] — Theorems 4.7/4.8, the private-partition bound, and
 //!   boundedness classification of arbitrary TDM schedules (§4.1–4.2).
 //! * [`stats`], [`events`] — measurement and inspectable event traces

@@ -27,6 +27,24 @@ pub const MAX_PARTITION_CORES: usize = 64;
 pub enum SharingMode {
     /// The set sequencer (§4.5) orders pending allocations per set in bus
     /// broadcast order, giving the low WCL of Theorem 4.8.
+    ///
+    /// **It changes an outcome only when two requests wait on one set at
+    /// once.** The LLC reads the sequencer for a decision only through
+    /// `is_head` (the slot probe and the miss service); its other uses
+    /// (enqueue, a hit's removal, an allocation's pop, the high-water
+    /// marks) are bookkeeping. `is_head` is false only for a core queued
+    /// behind another, so in a run whose deepest queue held one request
+    /// ([`SimStats::max_sequencer_depth`](crate::SimStats::max_sequencer_depth)
+    /// ≤ 1) every answer was the best-effort one. That run's report then
+    /// equals the [`BestEffort`](Self::BestEffort) run's on the same
+    /// platform and workload, attribution and the event log included,
+    /// except that the best-effort run's `max_sequencer_depth` and
+    /// `max_sequencer_sets` are 0 and it logs no `SequencerEnqueued`.
+    /// Read-only workloads meet the condition by construction (every
+    /// eviction frees in its own slot), and so do partitions whose sets
+    /// never fill. `tests/fast_forward.rs` holds both engines to it;
+    /// `predllc_explore::measure` relies on it to measure SS and NSS
+    /// points with one engine run.
     #[default]
     SetSequencer,
     /// Best-effort: whichever core's slot comes first claims a freed

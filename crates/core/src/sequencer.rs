@@ -15,6 +15,14 @@
 //! With broadcast order enforced, an interception can never happen, and
 //! the WCL collapses to `(2(n−1)·n + 1)·N·SW` (Theorem 4.8).
 //!
+//! The sequencer decides nothing until a queue holds two requests: only
+//! [`SetSequencer::is_head`] steers the LLC, and it answers `false` only
+//! for a core queued behind another. A run whose deepest queue
+//! ([`SimStats::max_sequencer_depth`](crate::SimStats::max_sequencer_depth))
+//! held one request therefore decided every slot as best effort would;
+//! see [`SharingMode::SetSequencer`](crate::SharingMode::SetSequencer)
+//! for the equality this gives.
+//!
 //! The QLT is a per-set array rather than a hash map: a set's queue keeps
 //! its buffer after it drains, and a count of non-empty queues tracks the
 //! live QLT entries, so the per-request path neither hashes nor

@@ -138,31 +138,67 @@ impl Executor {
         E: Send,
         F: Fn(usize, &T) -> Result<R, E> + Sync,
     {
-        // The lowest failed index seen so far (usize::MAX = none yet) —
-        // purely an optimization fence; correctness comes from ordered
-        // assembly below.
+        self.try_map_ranked(items, |i, _| i, |i, item| job(i, item).map_err(|e| (i, e)))
+    }
+
+    /// [`Executor::try_map`] for jobs that rank their own errors: each
+    /// `Err` carries a rank, the lowest-ranked error is returned, and
+    /// `floor(i, item)` bounds from below every rank job `i` can fail
+    /// with. Jobs whose floor lies above a rank already failed at are
+    /// skipped. The grid ranks a failure by its grid point, so a job
+    /// that measures several points reports the lowest failing one
+    /// whichever job holds it.
+    ///
+    /// # Errors
+    ///
+    /// The lowest-ranked `Err` any job produced.
+    pub(crate) fn try_map_ranked<T, R, E, F, K>(
+        &self,
+        items: &[T],
+        floor: K,
+        job: F,
+    ) -> Result<Vec<R>, E>
+    where
+        T: Sync,
+        R: Send,
+        E: Send,
+        K: Fn(usize, &T) -> usize + Sync,
+        F: Fn(usize, &T) -> Result<R, (usize, E)> + Sync,
+    {
+        // The lowest failed rank seen so far (usize::MAX = none yet) —
+        // purely an optimization fence; correctness comes from the
+        // ordered walk below.
         let min_err = AtomicUsize::new(usize::MAX);
         let results = self.map(items, |i, item| {
-            if i > min_err.load(Ordering::Relaxed) {
+            if floor(i, item) > min_err.load(Ordering::Relaxed) {
                 return None;
             }
             let r = job(i, item);
-            if r.is_err() {
-                min_err.fetch_min(i, Ordering::Relaxed);
+            if let Err((rank, _)) = &r {
+                min_err.fetch_min(*rank, Ordering::Relaxed);
             }
             Some(r)
         });
         let mut out = Vec::with_capacity(items.len());
+        let mut failed: Option<(usize, E)> = None;
         for r in results {
             match r {
                 Some(Ok(v)) => out.push(v),
-                Some(Err(e)) => return Err(e),
-                // A skipped slot can only sit above a recorded error, so
-                // the ordered walk always hits that error first.
-                None => unreachable!("job skipped with no lower-indexed error"),
+                Some(Err((rank, e))) if failed.as_ref().is_none_or(|&(f, _)| rank < f) => {
+                    failed = Some((rank, e));
+                }
+                // A job is skipped only above a recorded error, so the
+                // walk meets that error too.
+                Some(Err(_)) | None => {}
             }
         }
-        Ok(out)
+        match failed {
+            Some((_, e)) => Err(e),
+            None => {
+                assert_eq!(out.len(), items.len(), "job skipped with no error recorded");
+                Ok(out)
+            }
+        }
     }
 }
 
@@ -261,6 +297,50 @@ mod tests {
             1,
             "later jobs were not skipped"
         );
+    }
+
+    #[test]
+    fn try_map_ranked_returns_the_lowest_rank_whichever_job_holds_it() {
+        // Job i covers ranks 10i (its floor) and 10i + 9. Job 0 fails at
+        // its high rank 9, job 1 at 15 and job 2 at its floor 20...
+        let items: Vec<usize> = (0..6).collect();
+        let fail = |i: usize| match i {
+            0 => Some(9),
+            1 => Some(15),
+            2 => Some(20),
+            _ => None,
+        };
+        for threads in [1, 3] {
+            let ran = AtomicU64::new(0);
+            let err = Executor::new(threads)
+                .try_map_ranked(
+                    &items,
+                    |_, &i| 10 * i,
+                    |_, &i| {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                        fail(i).map_or(Ok(i), |rank| Err((rank, rank)))
+                    },
+                )
+                .unwrap_err();
+            assert_eq!(err, 9, "{threads} thread(s)");
+            if threads == 1 {
+                // ...so job 1's floor (10) is past rank 9: only job 0 runs.
+                assert_eq!(ran.load(Ordering::Relaxed), 1);
+            }
+        }
+        // A job whose floor is below a known failure still runs and wins.
+        let err = Executor::new(1)
+            .try_map_ranked(
+                &items,
+                |i, _| i,
+                |i, _| match i {
+                    0 => Err((5, "late")),
+                    3 => Err((3, "early")),
+                    _ => Ok(i),
+                },
+            )
+            .unwrap_err();
+        assert_eq!(err, "early");
     }
 
     #[test]

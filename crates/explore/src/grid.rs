@@ -15,23 +15,36 @@
 //! function of those inputs, so the deduped grid is bit-identical to
 //! the naive one.
 //!
-//! Distinct points that differ only in their memory backend share **one
-//! engine run**: a backend never moves simulated time (the slot budget
-//! keeps every access inside its slot), so the run drives one point's
-//! backend and the others' as twins
-//! ([`Simulator::run_with_twins`](predllc_core::Simulator::run_with_twins)).
-//! Each point's row takes the run's latencies and execution time, its
+//! Distinct points that differ only in their memory backend, and on a
+//! shared partition in its sharing mode, form one **run group**,
+//! measured by one [`measure`] call:
+//!
+//! - A backend never moves simulated time (the slot budget keeps every
+//!   access inside its slot), so one engine run drives one point's
+//!   backend and the others' as twins
+//!   ([`Simulator::run_with_twins`](predllc_core::Simulator::run_with_twins)).
+//! - The set sequencer (SS) changes an outcome only when two pending
+//!   requests wait on one set at once. The group's SS run goes first, on
+//!   every backend of the group; when no sequencer queue ever held two
+//!   requests, its best-effort (NSS) points take that run's
+//!   measurements, since best effort would decide every slot alike.
+//!   Otherwise one more run, best effort, measures them. A group costs at
+//!   most one engine run per sharing mode, so never more than its modes
+//!   would apart.
+//!
+//! Each point's row takes its run's latencies and execution time, its
 //! own backend's DRAM row counters, and its own label and analytical
 //! bound, exactly as a run of its own would give them. Attribution-on
 //! grids run every point alone: attribution splits the DRAM share of a
-//! latency by the run's own backend.
+//! latency by the run's own backend, and replays its witness on the
+//! point's own platform.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use predllc_core::analysis::MemoryAwareWcl;
-use predllc_core::{MemoryConfig, SystemConfig};
+use predllc_core::SystemConfig;
 use predllc_obs::{fields, TraceCtx};
 use predllc_workload::Workload;
 
@@ -100,12 +113,15 @@ pub struct GridPlan {
     pub unique: Vec<(usize, usize)>,
     /// `assignment[i]` names `points[i]`'s slot in `unique`.
     pub assignment: Vec<usize>,
-    /// The engine runs, as groups of `unique` indices: points that
-    /// differ only in their memory backend share a run, each on its own
-    /// twin backend ([`measure`]). Each run lists its points in
-    /// ascending order, the runs are ordered by their first point, and
-    /// every unique point is in exactly one run. With attribution on,
-    /// every point runs alone: attribution's DRAM split reads the
+    /// The run groups, as lists of `unique` indices: points that differ
+    /// only in their memory backend and, on a shared partition, its
+    /// sharing mode. One [`measure`] call measures a group with one
+    /// engine run per sharing mode at most (one when the set-sequenced
+    /// run's queues never held two requests; see the
+    /// [module docs](self)). Each group lists its points in ascending
+    /// order, the groups are ordered by their first point, and every
+    /// unique point is in exactly one group. With attribution on, every
+    /// point is a group of its own: attribution's DRAM split reads the
     /// latencies of the run's own backend.
     pub runs: Vec<Vec<usize>>,
 }
@@ -114,7 +130,7 @@ pub struct GridPlan {
 /// declaration order, with physically identical points (by
 /// [`point_fingerprint`] — labels and x-axis values excluded) collapsed
 /// onto their first occurrence, and distinct points that differ only in
-/// their memory backend grouped into one engine run.
+/// their memory backend and sharing mode grouped into one run group.
 pub fn plan_grid(spec: &ExperimentSpec) -> GridPlan {
     let points: Vec<(usize, usize)> = (0..spec.configs.len())
         .flat_map(|ci| (0..spec.workloads.len()).map(move |wi| (ci, wi)))
@@ -230,9 +246,10 @@ pub fn assemble_rows(
 /// therefore identical across thread counts. Points with identical
 /// simulation inputs (platform + workload; labels excluded) are
 /// simulated **once** and the measurements reused, and points that
-/// differ only in their memory backend share one engine run (see the
-/// [module docs](self)) — declaration order and per-point labels in the
-/// returned rows are unaffected.
+/// differ only in their memory backend and sharing mode form one run
+/// group (see the [module docs](self)) — declaration order and
+/// per-point labels in the returned rows are unaffected. A failure is
+/// reported at the lowest failing unique point.
 pub(crate) fn run(
     spec: &ExperimentSpec,
     exec: &Executor,
@@ -249,20 +266,25 @@ pub(crate) fn run(
 
     // Configuration-major declaration order, one job per point — then
     // collapse physically identical points onto their first occurrence,
-    // and points that differ only in their backend onto one run.
+    // and points that differ only in their backend and sharing mode onto
+    // one group.
     let plan = plan_grid(spec);
 
     let done = AtomicUsize::new(0);
     let unique_total = plan.unique.len();
     let grid_start = Instant::now();
-    let measured = exec.try_map(
+    // A failure ranks by its point, so the grid reports the lowest
+    // failing point whichever group holds it (a group's later members
+    // can sit past the first point of the next group).
+    let measured = exec.try_map_ranked(
         &plan.runs,
-        |_, members| -> Result<Vec<GridResult>, ExploreError> {
+        |_, members| members[0],
+        |_, members| -> Result<Vec<GridResult>, (usize, ExploreError)> {
             let (ci, wi) = plan.unique[members[0]];
             let entry = &spec.workloads[wi];
-            // Queue wait: grid start to a worker claiming this run. The
-            // span stays open across the measurement, so its duration
-            // is the run's compute time.
+            // Queue wait: grid start to a worker claiming this group.
+            // The span stays open across the measurement, so its
+            // duration is the group's compute time.
             let queue_wait = grid_start.elapsed();
             let mut span = ctx.map(|c| {
                 let mut s = c.span(
@@ -280,36 +302,44 @@ pub(crate) fn run(
                 );
                 s
             });
-            let twins: Vec<MemoryConfig> = members[1..]
+            let configs: Vec<&SystemConfig> = members
                 .iter()
-                .map(|&u| platforms[plan.unique[u].0].0.memory().clone())
+                .map(|&u| &platforms[plan.unique[u].0].0)
                 .collect();
-            let group = measure(&platforms[ci].0, &twins, &workloads[wi]).map_err(|e| match e {
-                PointError::Config(source) => ExploreError::Config {
-                    label: spec.configs[ci].label.clone(),
-                    source,
-                },
-                PointError::Sim(source) => ExploreError::Sim {
-                    config: spec.configs[ci].label.clone(),
-                    workload: entry.label.clone(),
-                    source,
-                },
-            })?;
-            let rows: Vec<GridResult> = members
+            let (group, runs) = measure(&configs, &workloads[wi]);
+            if let Some(s) = span.as_mut() {
+                s.field("runs", runs as u64);
+            }
+            let rows = members
                 .iter()
-                .zip(&group)
+                .zip(group)
                 .map(|(&u, measured)| {
                     let (ci, _) = plan.unique[u];
+                    let label = &spec.configs[ci].label;
+                    let measured = measured.map_err(|e| {
+                        let e = match e {
+                            PointError::Config(source) => ExploreError::Config {
+                                label: label.clone(),
+                                source,
+                            },
+                            PointError::Sim(source) => ExploreError::Sim {
+                                config: label.clone(),
+                                workload: entry.label.clone(),
+                                source,
+                            },
+                        };
+                        (u, e)
+                    })?;
                     let (config, analytical) = &platforms[ci];
-                    measured.to_grid_result(
-                        &spec.configs[ci].label,
+                    Ok(measured.to_grid_result(
+                        label,
                         &entry.label,
                         &config.memory().label(),
                         entry.x,
                         *analytical,
-                    )
+                    ))
                 })
-                .collect();
+                .collect::<Result<Vec<GridResult>, _>>()?;
             // Dropping the guard stamps the span's compute duration.
             drop(span.take());
             for _ in members {

@@ -347,27 +347,32 @@ pub fn point_fingerprint(
     workload: &WorkloadEntry,
     attribution: bool,
 ) -> Fingerprint {
-    hash_point(cores, config, workload, attribution, Some(&config.memory))
+    hash_point(cores, config, workload, attribution, true)
 }
 
-/// The fingerprint of the engine run an attribution-off grid point
-/// needs: [`point_fingerprint`] without the memory backend. A backend
-/// never moves simulated time, so points that share this fingerprint
-/// share one run, each on its own (twin) backend.
+/// The fingerprint of the engine-run group an attribution-off grid
+/// point belongs to: [`point_fingerprint`] without the memory backend
+/// and without a shared partition's sharing mode. A backend never moves
+/// simulated time, so the points of one mode share a run, each on its
+/// own (twin) backend; and a set-sequenced run whose queues never held
+/// two requests is also the best-effort run (see
+/// [`measure`](crate::measure)), so both modes share one group.
 pub(crate) fn run_fingerprint(
     cores: u16,
     config: &ConfigSpec,
     workload: &WorkloadEntry,
 ) -> Fingerprint {
-    hash_point(cores, config, workload, false, None)
+    hash_point(cores, config, workload, false, false)
 }
 
+/// With `point` off, the fingerprint of the run group: the memory
+/// backend and the sharing mode stay out.
 fn hash_point(
     cores: u16,
     config: &ConfigSpec,
     workload: &WorkloadEntry,
     attribution: bool,
-    memory: Option<&MemoryConfig>,
+    point: bool,
 ) -> Fingerprint {
     let mut p = Passes::new();
     if attribution {
@@ -379,10 +384,12 @@ fn hash_point(
             p.u64(0);
             p.u64(u64::from(*sets));
             p.u64(u64::from(*ways));
-            p.u64(match mode {
-                SharingMode::SetSequencer => 0,
-                SharingMode::BestEffort => 1,
-            });
+            if point {
+                p.u64(match mode {
+                    SharingMode::SetSequencer => 0,
+                    SharingMode::BestEffort => 1,
+                });
+            }
         }
         Partitioning::PrivateEach { sets, ways } => {
             p.u64(1);
@@ -390,8 +397,8 @@ fn hash_point(
             p.u64(u64::from(*ways));
         }
     }
-    if let Some(memory) = memory {
-        hash_memory(&mut p, memory);
+    if point {
+        hash_memory(&mut p, &config.memory);
     }
     match &config.schedule {
         None => p.u64(0),

@@ -19,7 +19,9 @@
 //! * [`grid`] — runs every `(configuration × workload)` point and
 //!   reports full latency distributions (p50/p90/p99/p100 from
 //!   [`predllc_core::LatencyHistogram`]), not just the max. Points that
-//!   differ only in their memory backend share one engine run.
+//!   differ only in their memory backend share one engine run, and the
+//!   SS and NSS points of one platform share it too when no set
+//!   sequencer queue ever held two requests.
 //! * [`search`] — the schedulability-driven partition search: walk the
 //!   `sets × ways` space via [`predllc_core::placement::pack`] and
 //!   [`predllc_core::analysis::TaskSetAnalysis`] to find the minimal
@@ -179,22 +181,23 @@ pub fn run_spec(spec: &ExperimentSpec, exec: &Executor) -> Result<ExploreReport,
 }
 
 /// Runs an experiment spec end to end on `exec`: every grid point (see
-/// [`grid`] for the dedup and the shared engine runs), then the
+/// [`grid`] for the dedup and the run groups), then the
 /// schedulability-driven search when the spec declares one.
 ///
 /// `observe(done, unique_total)` is called once per unique grid point,
-/// with every `done` from 1 to `unique_total` exactly once: a run's
-/// points count when the run completes (from worker threads, possibly
+/// with every `done` from 1 to `unique_total` exactly once: a group's
+/// points count when the group completes (from worker threads, possibly
 /// concurrently) — the hook a long-running service reports per-job
 /// progress through.
 ///
-/// Under `ctx` (when given) each engine run records one `explore.point`
-/// span: its `point` field is the run's first unique point, `members`
-/// counts the unique points the run measures (the spans' `members` sum
-/// to the unique point count), `queue_wait_ns` is the wall-clock delay
-/// between the grid starting and a worker claiming the run, and its
-/// duration is the run's compute time. Tracing reads the clock and
-/// nothing else — the report is bit-identical with or without it.
+/// Under `ctx` (when given) each run group records one `explore.point`
+/// span: its `point` field is the group's first unique point, `members`
+/// counts the unique points the group measures (the spans' `members`
+/// sum to the unique point count), `runs` the engine runs it took (1 or
+/// 2), `queue_wait_ns` is the wall-clock delay between the grid starting
+/// and a worker claiming the group, and its duration is the group's
+/// compute time. Tracing reads the clock and nothing else — the report
+/// is bit-identical with or without it.
 ///
 /// # Errors
 ///

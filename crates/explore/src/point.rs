@@ -13,18 +13,20 @@
 //! to [`run_spec`](crate::run_spec), whatever the fleet shape.
 //!
 //! There is a single simulation path: [`measure`] measures a run group
-//! — the points that differ only in their memory backend — with one
-//! engine run, and both the in-process grid
+//! — the points that differ only in their memory backend and, on a
+//! shared partition, its sharing mode — with one engine run per sharing
+//! mode at most, and both the in-process grid
 //! ([`run_spec_traced`](crate::run_spec_traced)) and the fleet
-//! worker endpoint call it on the runs of
+//! worker endpoint call it on the groups of
 //! [`plan_grid`](crate::plan_grid). A request names the group's first
-//! point in full and the others by their backends
-//! ([`PointRequest::twins`]); a single point is the one-member run, and
-//! its request renders without a `twins` key.
+//! point in full, the others in its mode by their backends
+//! ([`PointRequest::twins`]) and those in the other mode by theirs
+//! ([`PointRequest::mode_twins`]); a single point is the one-member
+//! group, and its request renders with neither key.
 
 use std::fmt;
 
-use predllc_core::{ConfigError, LatencyHistogram, SimError, Simulator, SystemConfig};
+use predllc_core::{ConfigError, LatencyHistogram, SharingMode, SimError, Simulator, SystemConfig};
 use predllc_dram::{BankMapping, DramTiming, MemoryConfig};
 use predllc_model::Cycles;
 use predllc_workload::{Workload, WorkloadSpec};
@@ -86,12 +88,18 @@ pub struct PointRequest {
     /// then ships the [`PointAttribution`] extension back with the
     /// measurement.
     pub attribution: bool,
-    /// The memory backends of the run's other points, in order: each
-    /// twin is `config` with its `memory` replaced, measured by the
-    /// same engine run ([`measure`]). Empty for a one-point run, and
-    /// always empty with `attribution` on: attribution splits a
-    /// latency by the run's own backend.
+    /// The memory backends of the group's other points in `config`'s
+    /// sharing mode, in order: each twin is `config` with its `memory`
+    /// replaced, measured by the same engine run ([`measure`]). Empty
+    /// for a one-point group, and always empty with `attribution` on:
+    /// attribution splits a latency by the run's own backend.
     pub twins: Vec<MemoryConfig>,
+    /// The memory backends of the group's points in the other sharing
+    /// mode, in order: each is `config` with its shared partition's
+    /// mode flipped (SS ↔ NSS) and its `memory` replaced. Empty unless
+    /// `config` shares its partition, and always empty with
+    /// `attribution` on.
+    pub mode_twins: Vec<MemoryConfig>,
 }
 
 impl PointRequest {
@@ -101,10 +109,38 @@ impl PointRequest {
         point_fingerprint(self.cores, &self.config, &self.workload, self.attribution)
     }
 
-    /// Renders the request as a JSON document. The `attribution` and
-    /// `twins` keys are emitted only when the flag is on or the list is
-    /// non-empty, so a one-point attribution-off request is
-    /// byte-identical to those of older peers.
+    /// The group's points in request order — the first point, one per
+    /// twin, then one per mode twin — as full configurations (labels
+    /// are the first point's). A reply lists its measurements in this
+    /// order.
+    pub fn members(&self) -> Vec<ConfigSpec> {
+        let flipped = match self.config.partitioning {
+            Partitioning::SharedAll { sets, ways, mode } => Partitioning::SharedAll {
+                sets,
+                ways,
+                mode: match mode {
+                    SharingMode::SetSequencer => SharingMode::BestEffort,
+                    SharingMode::BestEffort => SharingMode::SetSequencer,
+                },
+            },
+            ref private => private.clone(),
+        };
+        let on = |partitioning: &Partitioning, memory: &MemoryConfig| ConfigSpec {
+            partitioning: partitioning.clone(),
+            memory: memory.clone(),
+            ..self.config.clone()
+        };
+        std::iter::once(self.config.clone())
+            .chain(self.twins.iter().map(|m| on(&self.config.partitioning, m)))
+            .chain(self.mode_twins.iter().map(|m| on(&flipped, m)))
+            .collect()
+    }
+
+    /// Renders the request as a JSON document. The `attribution`,
+    /// `twins` and `mode_twins` keys are emitted only when the flag is
+    /// on or the list is non-empty, so a one-point attribution-off
+    /// request is byte-identical to those of older peers, and so is a
+    /// group of one sharing mode.
     ///
     /// # Errors
     ///
@@ -121,13 +157,14 @@ impl PointRequest {
         if self.attribution {
             members.push(("attribution".into(), Json::Bool(true)));
         }
-        if !self.twins.is_empty() {
-            let twins = self
-                .twins
-                .iter()
-                .map(render_memory)
-                .collect::<Result<_, _>>()?;
-            members.push(("twins".into(), Json::Array(twins)));
+        for (key, backends) in [("twins", &self.twins), ("mode_twins", &self.mode_twins)] {
+            if !backends.is_empty() {
+                let backends = backends
+                    .iter()
+                    .map(render_memory)
+                    .collect::<Result<_, _>>()?;
+                members.push((key.into(), Json::Array(backends)));
+            }
         }
         Ok(Json::Object(members).render())
     }
@@ -137,12 +174,21 @@ impl PointRequest {
     /// # Errors
     ///
     /// [`SpecError`] positioned exactly like experiment-spec parsing;
-    /// twins on an attributed request are invalid at `point.twins`.
+    /// twins on an attributed request are invalid at `point.twins`, and
+    /// mode twins on an attributed request or a private partition at
+    /// `point.mode_twins`.
     pub fn parse(input: &str) -> Result<PointRequest, SpecError> {
         let doc = json::parse(input).map_err(SpecError::Json)?;
         check_keys(
             &doc,
-            &["cores", "config", "workload", "attribution", "twins"],
+            &[
+                "cores",
+                "config",
+                "workload",
+                "attribution",
+                "twins",
+                "mode_twins",
+            ],
             "point",
         )?;
         let cores = doc
@@ -180,23 +226,39 @@ impl PointRequest {
                 message: "must be a boolean".into(),
             })?,
         };
-        let twins = match doc.get("twins") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| SpecError::Invalid {
-                    at: "point.twins".into(),
-                    message: "must be an array of memory objects".into(),
-                })?
-                .iter()
-                .enumerate()
-                .map(|(i, m)| parse_memory(m, &format!("point.twins[{i}]")))
-                .collect::<Result<_, _>>()?,
+        let backends = |key: &str| -> Result<Vec<MemoryConfig>, SpecError> {
+            match doc.get(key) {
+                None => Ok(Vec::new()),
+                Some(v) => v
+                    .as_array()
+                    .ok_or_else(|| SpecError::Invalid {
+                        at: format!("point.{key}"),
+                        message: "must be an array of memory objects".into(),
+                    })?
+                    .iter()
+                    .enumerate()
+                    .map(|(i, m)| parse_memory(m, &format!("point.{key}[{i}]")))
+                    .collect(),
+            }
         };
-        if attribution && !twins.is_empty() {
+        let twins = backends("twins")?;
+        let mode_twins = backends("mode_twins")?;
+        for (key, list) in [("twins", &twins), ("mode_twins", &mode_twins)] {
+            if attribution && !list.is_empty() {
+                return Err(SpecError::Invalid {
+                    at: format!("point.{key}"),
+                    message: format!(
+                        "an attributed point runs alone and takes no {}",
+                        key.replace('_', " ")
+                    ),
+                });
+            }
+        }
+        if !mode_twins.is_empty() && !matches!(config.partitioning, Partitioning::SharedAll { .. })
+        {
             return Err(SpecError::Invalid {
-                at: "point.twins".into(),
-                message: "an attributed point runs alone and takes no twins".into(),
+                at: "point.mode_twins".into(),
+                message: "a private partition has no sharing mode to flip".into(),
             });
         }
         Ok(PointRequest {
@@ -205,6 +267,7 @@ impl PointRequest {
             workload,
             attribution,
             twins,
+            mode_twins,
         })
     }
 }
@@ -363,57 +426,149 @@ impl PointMeasurement {
     }
 }
 
-/// Simulates the grid points of one engine run on a validated platform
-/// — the single measurement path shared by the in-process grid and
-/// fleet workers. The run drives `config` on its own backend plus one
-/// twin backend per entry of `twins`, the points that differ from
-/// `config` only in their memory backend
-/// ([`Simulator::run_with_twins`]). Returns one measurement per member,
-/// `config`'s first; the members share every number but their DRAM row
-/// counters. A single point is the one-member run: `twins` empty.
+/// Simulates the grid points of one run group on validated platforms —
+/// the single measurement path shared by the in-process grid and fleet
+/// workers. `members` are the group's platforms, which differ only in
+/// their memory backend and, on a shared partition, its sharing mode
+/// (the groups of [`plan_grid`](crate::plan_grid)). Returns one outcome
+/// per member, in order, and the number of engine runs it took.
 ///
-/// Attribution-on points are never given twins: attribution's DRAM
-/// split reads the latencies of `config`'s backend alone.
+/// A group with a set-sequenced member runs that platform first, once,
+/// on every backend of the group: its own as the configured backend and
+/// the rest as twins ([`Simulator::run_with_twins`]; a backend never
+/// moves simulated time). Each member takes the run's latencies and
+/// execution time, and the DRAM row counters of its own backend. Its
+/// best-effort members take that run's measurements too when no
+/// sequencer queue ever held two requests
+/// ([`max_sequencer_depth`](predllc_core::SimStats::max_sequencer_depth)
+/// ≤ 1): the sequencer then held no core back, so best effort decides
+/// every slot alike (see [`SharingMode::SetSequencer`]). Otherwise, or
+/// when that run fails, one best-effort run measures them. A group with
+/// no set-sequenced member runs once, best effort. So a group costs at
+/// most one engine run per sharing mode.
+///
+/// Attribution-on points always run alone: attribution's DRAM split
+/// reads the latencies of the run's own backend.
 ///
 /// # Errors
 ///
-/// [`PointError::Config`] when the simulator rejects the platform, or
-/// [`PointError::Sim`] when the run fails (a twin that breaks the slot
-/// budget included).
+/// Per member, [`PointError::Config`] when the simulator rejects the
+/// platform, or [`PointError::Sim`] when the run that measures it fails
+/// (a twin that breaks the slot budget included).
 pub fn measure(
-    config: &SystemConfig,
-    twins: &[MemoryConfig],
-    workload: impl Workload,
-) -> Result<Vec<PointMeasurement>, PointError> {
+    members: &[&SystemConfig],
+    workload: &dyn Workload,
+) -> (Vec<Result<PointMeasurement, PointError>>, usize) {
     debug_assert!(
-        twins.is_empty() || !config.attribution(),
-        "an attributed point was given twins"
+        members.len() == 1 || members.iter().all(|c| !c.attribution()),
+        "an attributed point was grouped"
     );
-    let sim = Simulator::new(config.clone()).map_err(PointError::Config)?;
-    let (report, twin_stats) = sim
-        .run_with_twins(workload, twins)
-        .map_err(PointError::Sim)?;
-    let first = PointMeasurement {
-        latency: report.latency_histogram(),
-        observed_wcl: report.max_request_latency().as_u64(),
-        execution_time: report.execution_time().as_u64(),
-        row_hits: report.stats.dram_row_hits,
-        row_empties: report.stats.dram_row_empties,
-        row_conflicts: report.stats.dram_row_conflicts,
-        attribution: report
-            .attribution()
-            .map(|a| PointAttribution::from_report(config, a)),
-    };
-    let twins: Vec<PointMeasurement> = twin_stats
-        .iter()
-        .map(|mem| PointMeasurement {
-            row_hits: mem.row_hits,
-            row_empties: mem.row_empties,
-            row_conflicts: mem.row_conflicts,
-            ..first.clone()
-        })
+    let mut measured: Vec<Option<Result<PointMeasurement, PointError>>> = vec![None; members.len()];
+    let mut runs = 0;
+    if let Some(first) = members.iter().position(|c| sequenced(c)) {
+        runs += 1;
+        let all: Vec<usize> = (0..members.len()).collect();
+        let (backends, outcome) = run_on(members, first, &all, workload);
+        let reused = matches!(outcome, Ok((_, depth)) if depth <= 1);
+        for (k, config) in members.iter().enumerate() {
+            if reused || sequenced(config) {
+                measured[k] = Some(take(&outcome, &backends, config.memory()));
+            }
+        }
+    }
+    let rest: Vec<usize> = (0..members.len())
+        .filter(|&k| measured[k].is_none())
         .collect();
-    Ok(std::iter::once(first).chain(twins).collect())
+    if let Some(&first) = rest.first() {
+        runs += 1;
+        let (backends, outcome) = run_on(members, first, &rest, workload);
+        for &k in &rest {
+            measured[k] = Some(take(&outcome, &backends, members[k].memory()));
+        }
+    }
+    let measured = measured
+        .into_iter()
+        .map(|m| m.expect("every member is measured"))
+        .collect();
+    (measured, runs)
+}
+
+/// Whether `config` orders a shared partition with the set sequencer.
+fn sequenced(config: &SystemConfig) -> bool {
+    config
+        .partitions()
+        .partitions()
+        .iter()
+        .any(|p| !p.is_private() && p.mode == SharingMode::SetSequencer)
+}
+
+/// What one engine run measured: per backend, in the run's order, the
+/// measurement of a point on it; and the run's deepest sequencer queue.
+type RunOutcome = Result<(Vec<PointMeasurement>, usize), PointError>;
+
+/// One engine run of `members[first]` on the distinct backends of the
+/// members `of` names, its own first. Returns the backends in the run's
+/// order beside what the run measured.
+fn run_on(
+    members: &[&SystemConfig],
+    first: usize,
+    of: &[usize],
+    workload: &dyn Workload,
+) -> (Vec<MemoryConfig>, RunOutcome) {
+    let config = members[first];
+    let mut backends = vec![config.memory().clone()];
+    for &k in of {
+        if !backends.contains(members[k].memory()) {
+            backends.push(members[k].memory().clone());
+        }
+    }
+    let outcome = Simulator::new(config.clone())
+        .map_err(PointError::Config)
+        .and_then(|sim| {
+            sim.run_with_twins(workload, &backends[1..])
+                .map_err(PointError::Sim)
+        })
+        .map(|(report, twin_stats)| {
+            let own = PointMeasurement {
+                latency: report.latency_histogram(),
+                observed_wcl: report.max_request_latency().as_u64(),
+                execution_time: report.execution_time().as_u64(),
+                row_hits: report.stats.dram_row_hits,
+                row_empties: report.stats.dram_row_empties,
+                row_conflicts: report.stats.dram_row_conflicts,
+                attribution: report
+                    .attribution()
+                    .map(|a| PointAttribution::from_report(config, a)),
+            };
+            let twins: Vec<PointMeasurement> = twin_stats
+                .iter()
+                .map(|mem| PointMeasurement {
+                    row_hits: mem.row_hits,
+                    row_empties: mem.row_empties,
+                    row_conflicts: mem.row_conflicts,
+                    ..own.clone()
+                })
+                .collect();
+            let rows = std::iter::once(own).chain(twins).collect();
+            (rows, report.stats.max_sequencer_depth)
+        });
+    (backends, outcome)
+}
+
+/// The measurement `outcome` gives the member on `memory`.
+fn take(
+    outcome: &RunOutcome,
+    backends: &[MemoryConfig],
+    memory: &MemoryConfig,
+) -> Result<PointMeasurement, PointError> {
+    let at = backends
+        .iter()
+        .position(|b| b == memory)
+        .expect("every member's backend is in its run");
+    outcome
+        .as_ref()
+        .map(|(rows, _)| rows[at].clone())
+        .map_err(Clone::clone)
 }
 
 fn render_config(c: &ConfigSpec) -> Result<Json, String> {
@@ -444,10 +599,10 @@ fn render_config(c: &ConfigSpec) -> Result<Json, String> {
     Ok(Json::Object(members))
 }
 
-fn mode_name(mode: predllc_core::SharingMode) -> &'static str {
+fn mode_name(mode: SharingMode) -> &'static str {
     match mode {
-        predllc_core::SharingMode::SetSequencer => "SS",
-        predllc_core::SharingMode::BestEffort => "NSS",
+        SharingMode::SetSequencer => "SS",
+        SharingMode::BestEffort => "NSS",
     }
 }
 
@@ -608,6 +763,7 @@ mod tests {
                     workload: w.clone(),
                     attribution: false,
                     twins: Vec::new(),
+                    mode_twins: Vec::new(),
                 })
             })
             .collect()
@@ -674,7 +830,7 @@ mod tests {
         for point in points() {
             let config = point.config.build(point.cores).unwrap();
             let workload = point.workload.spec.build(point.cores);
-            let measured = measure(&config, &[], &workload).unwrap().remove(0);
+            let measured = measure(&[&config], &workload).0.remove(0).unwrap();
             let back = PointMeasurement::parse(&measured.render()).unwrap();
             assert_eq!(back, measured);
             let row = measured.to_grid_result("c", "w", &config.memory().label(), 7, None);
@@ -708,7 +864,7 @@ mod tests {
                 .unwrap()
                 .with_attribution(true);
             let workload = point.workload.spec.build(point.cores);
-            let measured = measure(&config, &[], &workload).unwrap().remove(0);
+            let measured = measure(&[&config], &workload).0.remove(0).unwrap();
             let attr = measured.attribution.as_ref().expect("attribution was on");
             // Component totals sum exactly to the total recorded latency.
             assert_eq!(
@@ -727,9 +883,10 @@ mod tests {
     fn corrupt_measurements_are_rejected() {
         let point = points().remove(0);
         let config = point.config.build(point.cores).unwrap();
-        let measured = measure(&config, &[], point.workload.spec.build(point.cores))
-            .unwrap()
-            .remove(0);
+        let measured = measure(&[&config], &point.workload.spec.build(point.cores))
+            .0
+            .remove(0)
+            .unwrap();
         let wire = measured.render();
         // Drop a field, break the count, break a bucket pair.
         let no_field = wire.replace("\"observed_wcl\"", "\"observed\"");
@@ -766,7 +923,7 @@ mod tests {
         // A workload built for the wrong core count fails in the engine.
         let wrong = spec.workloads[0].spec.build(spec.cores + 1);
         assert!(matches!(
-            measure(&config, &[], &wrong).unwrap_err(),
+            measure(&[&config], &wrong).0.remove(0).unwrap_err(),
             PointError::Sim(_)
         ));
     }
@@ -831,20 +988,135 @@ mod tests {
         }
     }
 
+    /// The measurement of `config`'s point measured alone.
+    fn alone(config: &SystemConfig, workload: &dyn Workload) -> PointMeasurement {
+        let (mut measured, runs) = measure(&[config], workload);
+        assert_eq!(runs, 1);
+        measured.remove(0).unwrap()
+    }
+
     #[test]
     fn a_run_measures_each_member_as_its_own_point() {
-        let point = points().remove(0);
-        let config = point.config.build(point.cores).unwrap();
+        let point = PointRequest {
+            twins: vec![MemoryConfig::banked(), MemoryConfig::default()],
+            ..points().remove(0)
+        };
+        let members: Vec<SystemConfig> = point
+            .members()
+            .iter()
+            .map(|c| c.build(point.cores).unwrap())
+            .collect();
         let workload = point.workload.spec.build(point.cores);
-        let twins = [MemoryConfig::banked(), MemoryConfig::default()];
-        let group = measure(&config, &twins, &workload).unwrap();
-        assert_eq!(group.len(), 3);
-        assert_eq!(group[0], measure(&config, &[], &workload).unwrap()[0]);
-        for (twin, got) in twins.iter().zip(&group[1..]) {
-            let mut alone = point.config.clone();
-            alone.memory = twin.clone();
-            let alone = alone.build(point.cores).unwrap();
-            assert_eq!(got, &measure(&alone, &[], &workload).unwrap()[0]);
+        let (group, runs) = measure(&members.iter().collect::<Vec<_>>(), &workload);
+        assert_eq!((group.len(), runs), (3, 1));
+        for (config, got) in members.iter().zip(group) {
+            assert_eq!(got.unwrap(), alone(config, &workload));
+        }
+    }
+
+    /// One SS and one NSS point per backend, of `spec`'s first workload.
+    fn mode_group(range_bytes: u64, write_fraction: f64) -> (Vec<SystemConfig>, Box<dyn Workload>) {
+        let spec = ExperimentSpec::parse(&format!(
+            r#"{{"name": "modes", "cores": 4,
+                "configs": [{{"partition": {{"kind": "shared", "sets": 2, "ways": 4, "mode": "NSS"}},
+                             "memory": {{"kind": "banked", "banks": 8}}}}],
+                "workloads": [{{"kind": "uniform", "range_bytes": {range_bytes}, "ops": 200,
+                               "seed": 7, "write_fraction": {write_fraction}}}]}}"#
+        ))
+        .unwrap();
+        let point = PointRequest {
+            cores: spec.cores,
+            config: spec.configs[0].clone(),
+            workload: spec.workloads[0].clone(),
+            attribution: false,
+            twins: vec![MemoryConfig::default()],
+            mode_twins: vec![MemoryConfig::default(), MemoryConfig::bank_private()],
+        };
+        let members = point
+            .members()
+            .iter()
+            .map(|c| c.build(spec.cores).unwrap())
+            .collect();
+        (members, point.workload.spec.build(spec.cores))
+    }
+
+    #[test]
+    fn a_mode_group_measures_each_member_as_its_own_point() {
+        // Reads of a working set that fits (every eviction frees in its
+        // own slot, so no request waits in a queue) fold the NSS points
+        // into the SS run; writes to a larger one do not.
+        for (range_bytes, write_fraction, runs) in [(1024, 0.0, 1), (8192, 0.5, 2)] {
+            let (members, workload) = mode_group(range_bytes, write_fraction);
+            let (group, ran) = measure(&members.iter().collect::<Vec<_>>(), &workload);
+            assert_eq!(ran, runs, "{range_bytes} B, writes {write_fraction}");
+            for (config, got) in members.iter().zip(group) {
+                assert_eq!(got.unwrap(), alone(config, &workload));
+            }
+        }
+    }
+
+    #[test]
+    fn requests_with_mode_twins_round_trip_and_name_their_members() {
+        let mut point = points().remove(0);
+        point.twins = vec![MemoryConfig::banked()];
+        point.mode_twins = vec![MemoryConfig::default(), MemoryConfig::banked().worst_case()];
+        let wire = point.render().unwrap();
+        assert!(wire.contains("\"mode_twins\":["), "{wire}");
+        let back = PointRequest::parse(&wire).unwrap();
+        assert_eq!(back, point);
+        assert_eq!(back.render().unwrap(), wire);
+        let shared = |mode| Partitioning::SharedAll {
+            sets: 1,
+            ways: 4,
+            mode,
+        };
+        let (nss, ss) = (
+            shared(SharingMode::BestEffort),
+            shared(SharingMode::SetSequencer),
+        );
+        let members: Vec<(Partitioning, MemoryConfig)> = point
+            .members()
+            .into_iter()
+            .map(|c| (c.partitioning, c.memory))
+            .collect();
+        assert_eq!(
+            members,
+            [
+                (nss.clone(), MemoryConfig::default()),
+                (nss, MemoryConfig::banked()),
+                (ss.clone(), MemoryConfig::default()),
+                (ss, MemoryConfig::banked().worst_case()),
+            ]
+        );
+        // Mode twins ride neither on an attributed point nor on a
+        // private partition, and are positioned like twins.
+        let attributed = PointRequest {
+            twins: Vec::new(),
+            ..point.clone()
+        }
+        .render()
+        .unwrap()
+        .replacen(r#""mode_twins""#, r#""attribution":true,"mode_twins""#, 1);
+        let private = PointRequest {
+            mode_twins: vec![MemoryConfig::default()],
+            ..points().remove(4)
+        }
+        .render()
+        .unwrap();
+        let bad_kind = wire.replacen(
+            r#""mode_twins":[{"kind":"fixed""#,
+            r#""mode_twins":[{"kind":"sram""#,
+            1,
+        );
+        for (doc, at) in [
+            (attributed.as_str(), "point.mode_twins"),
+            (private.as_str(), "point.mode_twins"),
+            (bad_kind.as_str(), "point.mode_twins[0].kind"),
+        ] {
+            match PointRequest::parse(doc).unwrap_err() {
+                SpecError::Invalid { at: got, .. } => assert_eq!(got, at, "for {doc}"),
+                other => panic!("expected Invalid for {doc}, got {other:?}"),
+            }
         }
     }
 }

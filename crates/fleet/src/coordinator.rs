@@ -1,13 +1,15 @@
-//! The coordinator: shard a spec's engine runs across worker services,
+//! The coordinator: shard a spec's run groups across worker services,
 //! survive worker loss, merge results bit-identically.
 //!
-//! Dispatch is a shared work queue over the engine runs of
-//! [`plan_grid`] — the same dedup and the same run groups the
-//! in-process grid schedules, with every point the coordinator's cache
-//! already holds filtered out — drained by one dispatcher thread per
-//! worker. A run ships as one [`PointRequest`] (its first point plus
-//! the other points' memory backends as twins), and the worker measures
-//! it with one engine run. A worker that stops answering — connection
+//! Dispatch is a shared work queue over the run groups of
+//! [`plan_grid`] — the same dedup and the same groups the in-process
+//! grid schedules, with every point the coordinator's cache already
+//! holds filtered out — drained by one dispatcher thread per worker. A
+//! group ships as one [`PointRequest`] (its first point, the memory
+//! backends of the other points in that point's sharing mode as twins
+//! and of those in the other mode as mode twins), and the worker
+//! measures it with one `measure` call, one engine run per sharing mode
+//! at most. A worker that stops answering — connection
 //! refused, reset mid-request, failed heartbeat — is marked **lost**:
 //! its in-flight run goes back on the queue (front, so recovery does
 //! not starve) and the surviving workers absorb the work. Losing every
@@ -16,8 +18,9 @@
 //!
 //! Everything a caller observes stays per point: both caches, progress,
 //! the `fleet.point.resolved` instants, the point counters of
-//! [`Metrics`] and error positioning (a run's first point is its lowest
-//! unique index, as in a local run).
+//! [`Metrics`] and error positioning (a worker's `422` names the failing
+//! member, and the lowest failing unique index wins, as in a local
+//! run).
 //!
 //! Merging cannot introduce drift because nothing numeric is merged:
 //! workers ship exact integers ([`PointMeasurement`]), the coordinator
@@ -147,6 +150,17 @@ struct Worker {
 /// bookkeeping. Invariant, until a permanent failure is recorded: the
 /// members of queued runs + the members of in-flight runs
 /// (`outstanding`) + `completed` == `total`.
+///
+/// Three kinds of thread wait on the dispatch `Condvar`, each for its
+/// own condition: the job's waiter for the job to complete or fail;
+/// idle dispatchers for a run to requeue, a failure, their worker's
+/// loss or the job's completion; the heartbeat for `done`. So a
+/// transition notifies only when it can change one of these. A requeue
+/// (`abandon_run`), a failure (`fail_run`, `check_no_workers`), a lost
+/// worker (the heartbeat) and `done` do. A resolved run does only when
+/// it completes the job: any other resolution leaves the queue, the
+/// failure, every worker and `done` as they were, and a wake-up would
+/// only send each waiter back to sleep.
 struct DispatchState {
     /// Set by the waiting run once every point resolved (or the run
     /// failed). It lives under the lock the heartbeat waits on, so the
@@ -175,8 +189,10 @@ struct Shared<'a> {
     unique: &'a [(usize, usize)],
     /// Each unique point's [`point_fingerprint`], its cache key.
     fingerprints: &'a [Fingerprint],
-    /// The engine runs left to measure: the plan's runs without the
-    /// points the coordinator cache answered, each still ascending.
+    /// The run groups left to measure: the plan's groups without the
+    /// points the coordinator cache answered, each in request order
+    /// (its lowest point first, so a group's first member still ranks
+    /// it).
     runs: &'a [Vec<usize>],
     state: &'a Mutex<DispatchState>,
     cond: &'a Condvar,
@@ -243,7 +259,7 @@ impl Coordinator {
             .count()
     }
 
-    /// Runs `spec` across the fleet: its engine runs are sharded over
+    /// Runs `spec` across the fleet: its run groups are sharded over
     /// live workers, measurements merge on the coordinator, the
     /// partition search (when declared) runs locally. The report is
     /// **bit-identical** to `predllc_explore::run_spec` — same rows,
@@ -307,7 +323,7 @@ impl Coordinator {
     }
 
     /// Resolves every unique point: coordinator cache first, then the
-    /// worker fleet, one request per engine run.
+    /// worker fleet, one request per run group.
     fn dispatch(
         &self,
         spec: &ExperimentSpec,
@@ -337,14 +353,23 @@ impl Coordinator {
                 }
             }
         }
+        // Each group in request order: its lowest point first, then the
+        // others in that point's sharing mode, then those in the other
+        // mode (`PointRequest::members`), each ascending.
+        let partitioning = |i: usize| &spec.configs[unique[i].0].partitioning;
         let runs: Vec<Vec<usize>> = plan
             .runs
             .iter()
             .map(|run| -> Vec<usize> {
-                run.iter()
+                let mut run: Vec<usize> = run
+                    .iter()
                     .copied()
                     .filter(|&i| results[i].is_none())
-                    .collect()
+                    .collect();
+                if let Some(&first) = run.first() {
+                    run.sort_by_key(|&i| (partitioning(i) != partitioning(first), i));
+                }
+                run
             })
             .filter(|run| !run.is_empty())
             .collect();
@@ -441,15 +466,22 @@ impl Coordinator {
             let Some(r) = claim else { break };
             let members = &shared.runs[r];
             let (ci, wi) = shared.unique[members[0]];
+            let (mut twins, mut mode_twins) = (Vec::new(), Vec::new());
+            for &i in &members[1..] {
+                let config = &spec.configs[shared.unique[i].0];
+                if config.partitioning == spec.configs[ci].partitioning {
+                    twins.push(config.memory.clone());
+                } else {
+                    mode_twins.push(config.memory.clone());
+                }
+            }
             let request = PointRequest {
                 cores: spec.cores,
                 config: spec.configs[ci].clone(),
                 workload: spec.workloads[wi].clone(),
                 attribution: spec.attribution,
-                twins: members[1..]
-                    .iter()
-                    .map(|&i| spec.configs[shared.unique[i].0].memory.clone())
-                    .collect(),
+                twins,
+                mode_twins,
             };
             let wire = match request.render() {
                 Ok(w) => w,
@@ -459,6 +491,7 @@ impl Coordinator {
                     self.fail_run(
                         shared,
                         r,
+                        0,
                         FleetError::Point {
                             config: spec.configs[ci].label.clone(),
                             workload: spec.workloads[wi].label.clone(),
@@ -499,12 +532,14 @@ impl Coordinator {
                     }
                 },
                 Err(ClientError::Status { status: 422, body }) => {
-                    let (kind, message) = parse_point_error(&body);
+                    let (kind, message, member) = parse_point_error(&body);
+                    let member = member.filter(|&k| k < members.len()).unwrap_or(0);
                     self.fail_run(
                         shared,
                         r,
+                        member,
                         FleetError::Point {
-                            config: spec.configs[ci].label.clone(),
+                            config: spec.configs[shared.unique[members[member]].0].label.clone(),
                             workload: spec.workloads[wi].label.clone(),
                             kind,
                             message,
@@ -553,7 +588,9 @@ impl Coordinator {
             }
             st.outstanding -= members.len();
             st.completed += members.len();
-            shared.cond.notify_all();
+            if st.completed == st.total {
+                shared.cond.notify_all();
+            }
             (st.completed, st.total)
         };
         if let Some(c) = shared.ctx {
@@ -605,15 +642,16 @@ impl Coordinator {
         shared.cond.notify_all();
     }
 
-    /// A permanent run failure, positioned at the run's first point; the
-    /// lowest unique index wins so the reported error matches what a
-    /// local run would say first.
-    fn fail_run(&self, shared: &Shared<'_>, r: usize, err: FleetError) {
+    /// A permanent run failure, positioned at the run's `member`-th
+    /// point; the lowest unique index wins so the reported error matches
+    /// what a local run would say first.
+    fn fail_run(&self, shared: &Shared<'_>, r: usize, member: usize, err: FleetError) {
         let members = &shared.runs[r];
+        let point = members[member];
         let mut st = shared.state.lock().unwrap();
         st.outstanding -= members.len();
-        if st.failed.as_ref().is_none_or(|(j, _)| members[0] < *j) {
-            st.failed = Some((members[0], err));
+        if st.failed.as_ref().is_none_or(|(j, _)| point < *j) {
+            st.failed = Some((point, err));
         }
         shared.cond.notify_all();
     }
@@ -915,19 +953,19 @@ fn decode_reply(reply: &PointReply, members: usize) -> Option<Vec<(PointMeasurem
         .collect()
 }
 
-/// Decodes a worker's `422` body (`{"error": ..., "kind": ...}`),
+/// Decodes a worker's `422` body (`{"error": ..., "kind": ...}`, plus
+/// `"member"` when the failing point is not the request's first),
 /// degrading gracefully on garbage.
-fn parse_point_error(body: &str) -> (String, String) {
+fn parse_point_error(body: &str) -> (String, String, Option<usize>) {
     let doc = json::parse(body).ok();
-    let get = |key: &str| {
-        doc.as_ref()
-            .and_then(|d| d.get(key))
-            .and_then(Json::as_str)
-            .map(str::to_string)
-    };
+    let get = |key: &str| doc.as_ref().and_then(|d| d.get(key));
+    let text = |key: &str| get(key).and_then(Json::as_str).map(str::to_string);
     (
-        get("kind").unwrap_or_else(|| "unknown".into()),
-        get("error").unwrap_or_else(|| body.to_string()),
+        text("kind").unwrap_or_else(|| "unknown".into()),
+        text("error").unwrap_or_else(|| body.to_string()),
+        get("member")
+            .and_then(Json::as_u64)
+            .and_then(|k| usize::try_from(k).ok()),
     )
 }
 

@@ -1,19 +1,19 @@
 //! `predllc-fleet` — the distributed experiment fleet: a coordinator
-//! that shards an [`ExperimentSpec`]'s engine runs across worker
+//! that shards an [`ExperimentSpec`]'s run groups across worker
 //! processes over the in-tree HTTP stack, with a shared point-level
 //! result cache and heartbeat-based worker-loss recovery.
 //!
 //! The service layer (`predllc-serve`) made experiments shared; this
 //! crate makes them **distributed** without making them approximate:
 //!
-//! * the unit of work is one *engine run* of
-//!   [`plan_grid`](predllc_explore::plan_grid) — the same dedup and run
+//! * the unit of work is one *run group* of
+//!   [`plan_grid`](predllc_explore::plan_grid) — the same dedup and
 //!   groups the in-process grid uses, so unique points that differ only
-//!   in their memory backend share one run — shipped as a
-//!   [`PointRequest`](predllc_explore::PointRequest) (the first point
-//!   plus the others' backends as twins) to any server's
-//!   `POST /v1/points` endpoint, which measures the group with one
-//!   engine run;
+//!   in their memory backend and sharing mode travel together — shipped
+//!   as a [`PointRequest`](predllc_explore::PointRequest) (the first
+//!   point plus the others' backends as twins and mode twins) to any
+//!   server's `POST /v1/points` endpoint, which measures the group with
+//!   one [`measure`](predllc_explore::measure) call;
 //! * workers answer with **exact integers only** — histogram parts and
 //!   raw DRAM counters — and every derived float is recomputed on the
 //!   coordinator with the in-process arithmetic, so a fleet run is
@@ -23,11 +23,11 @@
 //!   is marked lost, its in-flight run is requeued, and the surviving
 //!   workers absorb the work — determinism is unaffected because point
 //!   measurements are pure functions of the point;
-//! * point results are cached at both ends, each point of a run under
+//! * point results are cached at both ends, each point of a group under
 //!   its own key (worker-side and coordinator-side, content-addressed
 //!   by [`point_fingerprint`](predllc_explore::point_fingerprint)), so
 //!   overlapping experiments and re-runs after a crash never
-//!   re-simulate a point the fleet has already measured: a run ships
+//!   re-simulate a point the fleet has already measured: a group ships
 //!   only its uncached points.
 //!
 //! [`Coordinator::run`] is the one way to run a spec on the fleet: it

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use predllc_explore::hash::Fingerprint;
 use predllc_explore::json::Json;
-use predllc_explore::{measure, point_fingerprint, ConfigSpec, PointError, PointRequest};
+use predllc_explore::{measure, point_fingerprint, PointError, PointRequest};
 use predllc_obs::expo::ExpoValue;
 use predllc_obs::{fields, json_string, render_jsonl, TraceId, TRACE_HEADER};
 
@@ -344,8 +344,9 @@ fn job_trace(shared: &Shared, _req: &Request, params: &[&str]) -> Dispatch {
 
 /// The point endpoints' success body: the first member's fingerprint,
 /// whether the cache answered, and its measurement document — plus, for
-/// a run with twins, a `twins` array of the same objects for the other
-/// members. A one-member body has no `twins` key.
+/// a group of several points, a `twins` array of the same objects for
+/// the other members, in request order (twins, then mode twins). A
+/// one-member body has no `twins` key.
 fn point_body(members: &[(Fingerprint, bool, String)]) -> Response {
     let object = |(fp, cached, measurement): &(Fingerprint, bool, String)| {
         format!(
@@ -366,17 +367,33 @@ fn point_body(members: &[(Fingerprint, bool, String)]) -> Response {
 }
 
 /// A `422` body positioning a point failure: `{"error": ..., "kind":
-/// "config"|"sim"}` — the coordinator surfaces these as positioned job
-/// failures rather than generic transport errors.
-fn point_error(kind: &str, message: &str) -> Response {
-    error_response(422, kind, message)
+/// "config"|"sim"}`, plus `"member": k` when the failing point is not
+/// the request's first but its `k`-th member
+/// ([`PointRequest::members`] order) — the coordinator surfaces these as
+/// positioned job failures rather than generic transport errors.
+fn point_error(member: usize, e: &PointError) -> Response {
+    let kind = match e {
+        PointError::Config(_) => "config",
+        PointError::Sim(_) => "sim",
+    };
+    if member == 0 {
+        return error_response(422, kind, &e.to_string());
+    }
+    Response::json(
+        422,
+        format!(
+            "{{\"error\":{},\"kind\":{},\"member\":{member}}}",
+            json_string(&e.to_string()),
+            json_string(kind),
+        ),
+    )
 }
 
-/// `POST /v1/points` — measure (or answer from cache) one engine run's
-/// grid points, the request's first point and its twins: the endpoint
-/// that makes this server a fleet worker. The members the point cache
-/// lacks are measured with one engine run, and each is cached under its
-/// own fingerprint.
+/// `POST /v1/points` — measure (or answer from cache) one run group's
+/// grid points: the request's first point, its twins and its mode
+/// twins. The endpoint that makes this server a fleet worker. The
+/// members the point cache lacks are measured with one [`measure`] call,
+/// and each is cached under its own fingerprint.
 fn point_post(shared: &Shared, req: &Request, _params: &[&str]) -> Dispatch {
     if shared.shutdown.load(Ordering::SeqCst) {
         return Dispatch::Reply(error_response(
@@ -392,14 +409,7 @@ fn point_post(shared: &Shared, req: &Request, _params: &[&str]) -> Dispatch {
         Ok(p) => p,
         Err(e) => return Dispatch::Reply(error_response(400, "point", &e.to_string())),
     };
-    // The run's members: the first point, then one per twin — the first
-    // point's configuration on the twin's backend.
-    let members: Vec<ConfigSpec> = std::iter::once(point.config.clone())
-        .chain(point.twins.iter().map(|memory| ConfigSpec {
-            memory: memory.clone(),
-            ..point.config.clone()
-        }))
-        .collect();
+    let members = point.members();
     let fps: Vec<Fingerprint> = members
         .iter()
         .map(|c| point_fingerprint(point.cores, c, &point.workload, point.attribution))
@@ -430,21 +440,27 @@ fn point_post(shared: &Shared, req: &Request, _params: &[&str]) -> Dispatch {
     metrics
         .points_cache_shared
         .add((members.len() - missing.len()) as u64);
-    if let Some((&first, rest)) = missing.split_first() {
-        let config = match members[first].build(point.cores) {
-            Ok(c) => c.with_attribution(point.attribution),
-            Err(e) => return Dispatch::Reply(point_error("config", &e.to_string())),
-        };
-        let twins: Vec<_> = rest.iter().map(|&k| members[k].memory.clone()).collect();
-        let workload = point.workload.spec.build(point.cores);
-        let measured = match measure(&config, &twins, &workload) {
-            Ok(m) => m,
-            Err(PointError::Config(e)) => {
-                return Dispatch::Reply(point_error("config", &e.to_string()))
+    let mut runs = 0;
+    if !missing.is_empty() {
+        let mut configs = Vec::with_capacity(missing.len());
+        for &k in &missing {
+            match members[k].build(point.cores) {
+                Ok(c) => configs.push(c.with_attribution(point.attribution)),
+                Err(e) => return Dispatch::Reply(point_error(k, &PointError::Config(e))),
             }
-            Err(PointError::Sim(e)) => return Dispatch::Reply(point_error("sim", &e.to_string())),
-        };
+        }
+        let workload = point.workload.spec.build(point.cores);
+        let (measured, ran) = measure(&configs.iter().collect::<Vec<_>>(), &workload);
+        runs = ran;
+        if let Some((k, e)) = missing
+            .iter()
+            .zip(&measured)
+            .find_map(|(&k, m)| m.as_ref().err().map(|e| (k, e)))
+        {
+            return Dispatch::Reply(point_error(k, e));
+        }
         for (&k, measurement) in missing.iter().zip(measured) {
+            let measurement = measurement.expect("no member failed");
             if let Some(attr) = &measurement.attribution {
                 record_component_cycles(metrics, &attr.components);
             }
@@ -456,6 +472,7 @@ fn point_post(shared: &Shared, req: &Request, _params: &[&str]) -> Dispatch {
     }
     if let Some(span) = span.as_mut() {
         span.field("cached", (members.len() - missing.len()) as u64);
+        span.field("runs", runs as u64);
     }
     drop(span);
 

@@ -122,9 +122,9 @@ pub struct PointReply {
     /// The exact-integer measurement document
     /// (`predllc_explore::PointMeasurement` wire form).
     pub measurement: Json,
-    /// The replies for the request's twins
-    /// (`predllc_explore::PointRequest::twins`), in request order, each
-    /// with no twins of its own. Empty for a one-point request.
+    /// The replies for the request's other members — its twins, then
+    /// its mode twins (`predllc_explore::PointRequest::members` order) —
+    /// each with no twins of its own. Empty for a one-point request.
     pub twins: Vec<PointReply>,
 }
 
@@ -777,8 +777,8 @@ impl Client {
     }
 
     /// `POST /v1/points` — have the server measure (or answer from its
-    /// point cache) one engine run's grid points: the request's first
-    /// point and its twins.
+    /// point cache) one run group's grid points: the request's first
+    /// point, its twins and its mode twins.
     ///
     /// # Errors
     ///

@@ -7,8 +7,17 @@
 //! attribution report (the fast engine's run-length batching included),
 //! and (d) the worst-case witness replays through the reference engine
 //! to the exact observed WCL.
+//!
+//! The suite asserts its own coverage, as `tests/fast_forward.rs` does:
+//! every [`EventKind`] and every [`BlockReason`] appears in its recorded
+//! runs at least once
+//! (`the_suite_records_every_event_kind_and_block_reason`), so the
+//! contract is checked on LLC hits, sequencer queues and every kind of
+//! wait.
 
 mod common;
+
+use common::{tally, CLASSES, TALLY};
 
 use predllc::model::{Address, CoreId, Cycles, MemOp};
 use predllc::sim::events::BlockReason;
@@ -114,6 +123,7 @@ fn assert_attribution_contract(
     let (_, off_fast) = run(EngineMode::FastForward, false);
     let (on_ref_cfg, on_ref) = run(EngineMode::Reference, true);
     let (_, on_fast) = run(EngineMode::FastForward, true);
+    tally(&on_ref);
 
     // (b) Attribution only reads: with it on, every observable output
     // is identical to the off run — in both engines.
@@ -378,4 +388,28 @@ fn timed_out_and_empty_runs_attribute_exactly() {
         &empty,
         "empty workload",
     );
+}
+
+#[test]
+fn the_suite_records_every_event_kind_and_block_reason() {
+    // Re-run every test of the suite on this thread, then read what the
+    // recorded runs they checked the contract on logged.
+    TALLY.set([0; CLASSES.len()]);
+    randomized_private_and_shared_grids_attribute_exactly();
+    shared_line_workloads_attribute_exactly();
+    every_memory_backend_attributes_exactly();
+    timed_out_and_empty_runs_attribute_exactly();
+    let counts = TALLY.get();
+    let tallies: Vec<String> = CLASSES
+        .iter()
+        .zip(counts)
+        .map(|(class, n)| format!("{class} {n}"))
+        .collect();
+    for (class, n) in CLASSES.iter().zip(counts) {
+        assert!(
+            n > 0,
+            "no recorded run of the suite logged {class}; tallies: {}",
+            tallies.join(", ")
+        );
+    }
 }

@@ -261,8 +261,10 @@ fn a_65_core_shared_partition_is_a_positioned_config_error() {
 }
 
 /// Three platforms, each on three memory backends, declared interleaved,
-/// plus one duplicate column. The 27 distinct points need 9 engine runs:
-/// the points of one platform and workload differ only in their backend.
+/// plus one duplicate column. The 27 distinct points form 6 run groups:
+/// the points of one platform and workload differ only in their backend,
+/// and SS and NSS differ only in their sharing mode. They take 7 engine
+/// runs.
 const TWINS: &str = r#"{
     "name": "twins",
     "cores": 4,
@@ -311,13 +313,18 @@ fn grouped_runs_give_the_rows_of_one_measure_per_point() {
         for (ci, (config, analytical)) in platforms.iter().enumerate() {
             for entry in &spec.workloads {
                 let workload = entry.spec.build(spec.cores);
-                expected.push(measure(config, &[], &workload).unwrap()[0].to_grid_result(
-                    &spec.configs[ci].label,
-                    &entry.label,
-                    &config.memory().label(),
-                    entry.x,
-                    *analytical,
-                ));
+                expected.push(
+                    measure(&[config], &workload).0[0]
+                        .clone()
+                        .unwrap()
+                        .to_grid_result(
+                            &spec.configs[ci].label,
+                            &entry.label,
+                            &config.memory().label(),
+                            entry.x,
+                            *analytical,
+                        ),
+                );
             }
         }
         for threads in [1, 4] {
@@ -335,8 +342,8 @@ fn grouped_runs_give_the_rows_of_one_measure_per_point() {
 
 /// What a job's progress and e2ebench's layer split read: `observe`
 /// reports every count from 1 to `unique_points` once, and there is one
-/// `explore.point` span per engine run, whose `members` fields sum to
-/// `unique_points`.
+/// `explore.point` span per run group, whose `members` fields sum to
+/// `unique_points` and whose `runs` fields count the engine runs.
 #[test]
 fn grid_progress_counts_points_and_spans_count_runs() {
     let spec = ExperimentSpec::parse(TWINS).unwrap();
@@ -361,19 +368,84 @@ fn grid_progress_counts_points_and_spans_count_runs() {
             .into_iter()
             .filter(|e| e.name == "explore.point" && e.kind == TraceKind::End)
             .collect();
-        assert_eq!(spans.len(), 9, "{threads} threads: one span per engine run");
-        let members: u64 = spans
-            .iter()
-            .map(|e| {
-                e.fields
-                    .iter()
-                    .find_map(|(k, v)| match v {
-                        FieldValue::U64(n) if k == "members" => Some(*n),
-                        _ => None,
-                    })
-                    .expect("every explore.point span names its members")
-            })
-            .sum();
-        assert_eq!(members, 27, "{threads} threads");
+        assert_eq!(spans.len(), 6, "{threads} threads: one span per run group");
+        let sum = |field: &str| -> u64 {
+            spans
+                .iter()
+                .map(|e| {
+                    e.fields
+                        .iter()
+                        .find_map(|(k, v)| match v {
+                            FieldValue::U64(n) if k == field => Some(*n),
+                            _ => None,
+                        })
+                        .unwrap_or_else(|| panic!("an explore.point span without {field}"))
+                })
+                .sum()
+        };
+        assert_eq!(sum("members"), 27, "{threads} threads");
+        // The uniform row's SS run queues two requests on a set, so its
+        // NSS points take a run of their own; the chase and hot/cold
+        // rows' NSS points reuse the SS run.
+        assert_eq!(sum("runs"), 7, "{threads} threads");
     }
+}
+
+/// A group whose SS run queued exactly two requests on a set: best
+/// effort would have decided some slot differently, so the NSS points
+/// take a run of their own, and every row still equals one `measure`
+/// per point.
+#[test]
+fn a_queue_of_two_gives_best_effort_its_own_run() {
+    let spec = ExperimentSpec::parse(
+        r#"{"name": "two-deep", "cores": 3,
+            "configs": [
+                {"label": "SS", "partition": {"kind": "shared", "sets": 4, "ways": 2, "mode": "SS"}},
+                {"label": "NSS", "partition": {"kind": "shared", "sets": 4, "ways": 2, "mode": "NSS"}},
+                {"label": "NSS/banked", "partition": {"kind": "shared", "sets": 4, "ways": 2, "mode": "NSS"},
+                 "memory": {"kind": "banked", "banks": 8}}
+            ],
+            "workloads": [{"kind": "uniform", "range_bytes": 4096, "ops": 200, "seed": 7,
+                           "write_fraction": 0.2}]}"#,
+    )
+    .unwrap();
+    let platforms = build_platforms(&spec).unwrap();
+    let workload = spec.workloads[0].spec.build(spec.cores);
+    let ss = Simulator::new(platforms[0].0.clone()).unwrap();
+    assert_eq!(ss.run(&workload).unwrap().stats.max_sequencer_depth, 2);
+    let alone: Vec<_> = platforms
+        .iter()
+        .map(|(config, _)| measure(&[config], &workload).0.remove(0).unwrap())
+        .collect();
+    assert_ne!(
+        alone[1].latency, alone[0].latency,
+        "best effort decided alike"
+    );
+
+    let tracer = Tracer::new();
+    let run = run_spec_traced(
+        &spec,
+        &Executor::new(1),
+        &|_, _| {},
+        Some(TraceCtx::new(&tracer, TraceId::fresh())),
+    )
+    .unwrap();
+    for ((row, measured), (config, analytical)) in run.grid.iter().zip(&alone).zip(&platforms) {
+        let want = measured.to_grid_result(
+            &row.config,
+            &row.workload,
+            &config.memory().label(),
+            row.x,
+            *analytical,
+        );
+        assert_eq!(row, &want);
+    }
+    let runs: Vec<FieldValue> = tracer
+        .snapshot()
+        .into_iter()
+        .filter(|e| e.name == "explore.point" && e.kind == TraceKind::End)
+        .flat_map(|e| e.fields.into_iter().filter(|(k, _)| k == "runs"))
+        .map(|(_, v)| v)
+        .collect();
+    assert_eq!(runs, [FieldValue::U64(2)]);
 }

@@ -15,12 +15,11 @@
 //! (`the_suite_records_every_event_kind_and_block_reason`), so a
 //! generator change that stops exercising one fails loudly.
 
-use std::cell::Cell;
-
 mod common;
 
+use common::{tally, CLASSES, TALLY};
+
 use predllc::model::{Address, CacheGeometry, CoreId, Cycles, MemOp, SlotWidth};
-use predllc::sim::events::BlockReason;
 use predllc::sim::EngineProfile;
 use predllc::workload::rng::Rng64;
 use predllc::workload_gen::{HotColdGen, PointerChaseGen, StrideGen, UniformGen};
@@ -92,62 +91,6 @@ fn assert_engines_agree(
     }
     tally(&logged_reference);
     fast
-}
-
-/// The coverage classes: each [`EventKind`], with `Blocked` split by its
-/// [`BlockReason`]. Indexed like [`class`].
-const CLASSES: [&str; 13] = [
-    "RequestBroadcast",
-    "Hit",
-    "Fill",
-    "EvictionTriggered",
-    "BackInvalidation",
-    "WritebackTransmitted",
-    "LineFreed",
-    "SequencerEnqueued",
-    "DramAccess",
-    "Blocked(WaitingForEviction)",
-    "Blocked(AllWaysEvicting)",
-    "Blocked(NotHead)",
-    "Blocked(SlotUsedForWriteback)",
-];
-
-/// An event's index in [`CLASSES`]. No `_` arm: a new event kind or
-/// block reason does not compile until it is given a class.
-fn class(kind: &EventKind) -> usize {
-    match kind {
-        EventKind::RequestBroadcast { .. } => 0,
-        EventKind::Hit { .. } => 1,
-        EventKind::Fill { .. } => 2,
-        EventKind::EvictionTriggered { .. } => 3,
-        EventKind::BackInvalidation { .. } => 4,
-        EventKind::WritebackTransmitted { .. } => 5,
-        EventKind::LineFreed { .. } => 6,
-        EventKind::SequencerEnqueued { .. } => 7,
-        EventKind::DramAccess { .. } => 8,
-        EventKind::Blocked { reason, .. } => match reason {
-            BlockReason::WaitingForEviction => 9,
-            BlockReason::AllWaysEvicting => 10,
-            BlockReason::NotHead => 11,
-            BlockReason::SlotUsedForWriteback => 12,
-        },
-    }
-}
-
-thread_local! {
-    /// Per-class event counts of the recorded runs made on this thread,
-    /// so tests running side by side never mix their tallies.
-    static TALLY: Cell<[u64; CLASSES.len()]> = const { Cell::new([0; CLASSES.len()]) };
-}
-
-/// Adds a recorded run's events to this thread's [`TALLY`]. Each
-/// scenario counts one log: the engines' logs are asserted equal.
-fn tally(report: &RunReport) {
-    let mut counts = TALLY.get();
-    for event in report.events.events() {
-        counts[class(&event.kind)] += 1;
-    }
-    TALLY.set(counts);
 }
 
 /// Each per-transaction counter of a recorded run equals the number of
@@ -335,6 +278,100 @@ fn shared_line_workloads_agree() {
             &format!("shared lines {} round {round}", case.partition),
         );
     }
+}
+
+/// The theorem documented on `SharingMode::SetSequencer`: a
+/// set-sequenced run whose deepest queue held one request is the
+/// best-effort run of the same platform and workload. On both engines,
+/// with events and attribution on, it is equal in everything but the
+/// two sequencer high-water marks and the `SequencerEnqueued` events.
+#[test]
+fn a_sequenced_run_whose_queues_held_one_request_is_the_best_effort_run() {
+    let mut rng = Rng64::new(0x5E9_0DE7);
+    // Cases whose SS run's deepest queue held at most one request, and
+    // cases where a queue held two or more.
+    let mut classes = [0usize; 2];
+    for round in 0..120 {
+        let (cores, sets, ways, wl, arbiter) = if round % 3 == 0 {
+            let cores = 2 + (rng.below(3) as u16);
+            let sets = 1 + rng.below(8) as u32;
+            let ways = 1 + rng.below(8) as u32;
+            let ops = 50 + rng.below(300) as usize;
+            let wl = random_workload(&mut rng, cores, ops);
+            (cores, sets, ways, wl, random_arbiter(&mut rng))
+        } else {
+            let case = common::shared_lines(&mut rng);
+            let p = case.partition;
+            (
+                case.cores,
+                p.sets,
+                p.ways,
+                case.workload,
+                ArbiterPolicy::default(),
+            )
+        };
+        let what = format!("round {round}: ({sets},{ways},{cores}) {arbiter:?}");
+        let run = |engine: EngineMode, mode: SharingMode| {
+            let cfg = SystemConfigBuilder::new(cores)
+                .partitions(vec![PartitionSpec::shared(
+                    sets,
+                    ways,
+                    CoreId::first(cores).collect(),
+                    mode,
+                )])
+                .arbiter(arbiter)
+                .engine(engine)
+                .record_events(true)
+                .attribution(true)
+                .build()
+                .unwrap_or_else(|e| panic!("{what}: invalid config: {e}"));
+            Simulator::new(cfg)
+                .expect("valid config")
+                .run(&wl)
+                .unwrap_or_else(|e| panic!("{what}: {engine} {mode} run failed: {e}"))
+        };
+        let mut depth = 0;
+        for engine in [EngineMode::Reference, EngineMode::FastForward] {
+            let ss = run(engine, SharingMode::SetSequencer);
+            depth = ss.stats.max_sequencer_depth;
+            if depth > 1 {
+                continue;
+            }
+            let nss = run(engine, SharingMode::BestEffort);
+            let mut stats = ss.stats.clone();
+            stats.max_sequencer_depth = 0;
+            stats.max_sequencer_sets = 0;
+            assert_eq!(nss.stats, stats, "{what}/{engine}: stats differ");
+            assert_eq!(
+                (nss.cycles, nss.timed_out),
+                (ss.cycles, ss.timed_out),
+                "{what}/{engine}"
+            );
+            let unsequenced: Vec<_> = ss
+                .events
+                .events()
+                .iter()
+                .filter(|e| !matches!(e.kind, EventKind::SequencerEnqueued { .. }))
+                .copied()
+                .collect();
+            assert_eq!(
+                nss.events.events(),
+                unsequenced.as_slice(),
+                "{what}/{engine}: event logs differ"
+            );
+            assert!(ss.attribution().is_some());
+            assert_eq!(
+                nss.attribution(),
+                ss.attribution(),
+                "{what}/{engine}: attribution differs"
+            );
+        }
+        classes[usize::from(depth > 1)] += 1;
+    }
+    assert!(
+        classes.iter().all(|&n| n >= 20),
+        "cases with the deepest queue at <= 1 and >= 2 requests: {classes:?}"
+    );
 }
 
 #[test]

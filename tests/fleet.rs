@@ -548,6 +548,197 @@ fn attributed_runs_ship_one_point_per_request() {
     }
 }
 
+/// A grid with mode groups: one shared partition in SS and NSS, each on
+/// fixed and banked DRAM, plus a private column. Per workload the four
+/// shared points form one group and the private point its own: 10
+/// unique points in 4 groups. The write-heavy uniform row's SS run
+/// queues two requests on a set, so its NSS points take a second run;
+/// the read-only pointer-chase row's NSS points reuse the SS run.
+const MODE_SPEC: &str = r#"{
+    "name": "fleet-modes",
+    "cores": 4,
+    "configs": [
+        {"label": "SS-fixed", "partition": {"kind": "shared", "sets": 2, "ways": 4, "mode": "SS"}},
+        {"label": "NSS-banked", "partition": {"kind": "shared", "sets": 2, "ways": 4, "mode": "NSS"},
+         "memory": {"kind": "banked", "banks": 8}},
+        {"label": "P", "partition": {"kind": "private", "sets": 2, "ways": 2}},
+        {"label": "SS-banked", "partition": {"kind": "shared", "sets": 2, "ways": 4, "mode": "SS"},
+         "memory": {"kind": "banked", "banks": 8}},
+        {"label": "NSS-fixed", "partition": {"kind": "shared", "sets": 2, "ways": 4, "mode": "NSS"}}
+    ],
+    "workloads": [
+        {"kind": "uniform", "range_bytes": 8192, "ops": 200, "seed": 7, "write_fraction": 0.3},
+        {"kind": "chase", "range_bytes": 4096, "ops": 200, "seed": 9}
+    ]
+}"#;
+
+/// The `runs` fields of every `worker.point` span in `events`, sorted.
+fn worker_runs(events: &[TraceEvent]) -> Vec<u64> {
+    let mut runs: Vec<u64> = events
+        .iter()
+        .filter(|e| e.name == "worker.point" && e.kind == EventKind::End)
+        .map(|e| match e.fields.iter().find(|(k, _)| k == "runs") {
+            Some((_, FieldValue::U64(n))) => *n,
+            other => panic!("a worker.point span without runs: {other:?}"),
+        })
+        .collect();
+    runs.sort_unstable();
+    runs
+}
+
+#[test]
+fn mode_groups_are_byte_identical_across_fleet_shapes() {
+    let spec = ExperimentSpec::parse(MODE_SPEC).unwrap();
+    let local = run_spec(&spec, &Executor::new(1)).unwrap();
+    let reference_csv = render_csv(&local.grid);
+    let reference_json = render_json(&spec.name, 1, None, &local.grid, local.search.as_ref());
+    assert_eq!(local.unique_points, 10);
+
+    for shape in [1usize, 2, 4] {
+        let workers: Vec<_> = (0..shape)
+            .map(|_| start_worker(ServerConfig::default()))
+            .collect();
+        let metrics = Arc::new(Metrics::default());
+        let coordinator =
+            coordinator_over(workers.iter().map(|(h, _)| h.addr()), Arc::clone(&metrics));
+        let tracer = Tracer::new();
+        let report = coordinator
+            .run(
+                &spec,
+                &|_, _| {},
+                Some(TraceCtx::new(&tracer, TraceId::fresh())),
+            )
+            .unwrap();
+        assert_eq!(
+            report.grid, local.grid,
+            "grid diverged at {shape} worker(s)"
+        );
+        assert_eq!(render_csv(&report.grid), reference_csv);
+        assert_eq!(
+            render_json(&spec.name, 1, None, &report.grid, report.search.as_ref()),
+            reference_json,
+            "JSON diverged at {shape} worker(s)"
+        );
+        // One request per group; the uniform group took two engine runs,
+        // the three others one each. The workers share this process's
+        // tracer only through the propagated trace id, so read theirs.
+        let mut members = dispatched_members(&tracer.drain());
+        members.sort_unstable();
+        assert_eq!(members, [1, 1, 4, 4], "at {shape} worker(s)");
+        let events: Vec<TraceEvent> = workers
+            .iter()
+            .flat_map(|(h, _)| h.tracer().drain())
+            .collect();
+        assert_eq!(worker_runs(&events), [1, 1, 1, 2], "at {shape} worker(s)");
+        assert_eq!(metrics.points_assigned.get(), 10);
+        for (handle, join) in workers {
+            stop_worker(&handle, join);
+        }
+    }
+}
+
+#[test]
+fn a_worker_killed_mid_mode_group_does_not_change_the_bytes() {
+    let spec = ExperimentSpec::parse(MODE_SPEC).unwrap();
+    let reference = render_csv(&run_spec(&spec, &Executor::new(1)).unwrap().grid);
+    let (doomed, doomed_join) = start_worker(ServerConfig {
+        fail_after_points: Some(0),
+        ..ServerConfig::default()
+    });
+    let (survivor, survivor_join) = start_worker(ServerConfig::default());
+
+    let metrics = Arc::new(Metrics::default());
+    let coordinator = coordinator_over([doomed.addr(), survivor.addr()], Arc::clone(&metrics));
+    let report = coordinator.run(&spec, &|_, _| {}, None).unwrap();
+
+    assert_eq!(render_csv(&report.grid), reference);
+    assert!(doomed.was_killed(), "the fault injector never fired");
+    assert_eq!(metrics.workers_lost.get(), 1);
+    assert!(metrics.points_retried.get() >= 1);
+    assert_eq!(
+        metrics.points_assigned.get(),
+        10 + metrics.points_retried.get()
+    );
+    doomed_join.join().expect("killed server thread");
+    stop_worker(&survivor, survivor_join);
+}
+
+#[test]
+fn a_partly_cached_mode_group_ships_only_its_uncached_members() {
+    let spec = ExperimentSpec::parse(MODE_SPEC).unwrap();
+    let (handle, join) = start_worker(ServerConfig::default());
+    let metrics = Arc::new(Metrics::default());
+    let coordinator = coordinator_over([handle.addr()], Arc::clone(&metrics));
+
+    // An earlier spec leaves the uniform row's SS-fixed point in the
+    // coordinator cache: the group ships its other three members, led
+    // by the lowest (NSS-banked), with SS-banked as a mode twin.
+    let earlier = ExperimentSpec {
+        configs: spec.configs[..1].to_vec(),
+        workloads: spec.workloads[..1].to_vec(),
+        ..spec.clone()
+    };
+    coordinator.run(&earlier, &|_, _| {}, None).unwrap();
+    assert_eq!(metrics.points_assigned.get(), 1);
+
+    let (report, members) = run_traced(&coordinator, &spec);
+    let local = run_spec(&spec, &Executor::new(1)).unwrap();
+    assert_eq!(report.grid, local.grid);
+    assert_eq!(render_csv(&report.grid), render_csv(&local.grid));
+    assert_eq!(members, [1, 1, 3, 4]);
+    assert_eq!(metrics.points_assigned.get(), 1 + 9);
+    assert_eq!(metrics.points_cache_shared.get(), 1);
+    stop_worker(&handle, join);
+}
+
+#[test]
+fn a_failing_mode_twin_is_positioned_at_its_own_point() {
+    // A double that refuses every point request with a 422 naming the
+    // request's second member: the NSS point of an SS+NSS group.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { break };
+            let mut buf = [0u8; 8192];
+            let n = stream.read(&mut buf).unwrap_or(0);
+            let (status, body) = match buf[..n].starts_with(b"GET /healthz") {
+                true => ("200 OK", "ok\n"),
+                false => (
+                    "422 Unprocessable Entity",
+                    r#"{"error":"best effort deadlocked","kind":"sim","member":1}"#,
+                ),
+            };
+            let _ = stream.write_all(
+                format!(
+                    "HTTP/1.1 {status}\r\ncontent-type: application/json\r\n\
+                     content-length: {}\r\nconnection: close\r\n\r\n{body}",
+                    body.len()
+                )
+                .as_bytes(),
+            );
+        }
+    });
+    let spec = ExperimentSpec::parse(
+        r#"{
+        "name": "fleet-mode-reject", "cores": 2,
+        "configs": [
+            {"label": "SS", "partition": {"kind": "shared", "sets": 1, "ways": 4, "mode": "SS"}},
+            {"label": "NSS", "partition": {"kind": "shared", "sets": 1, "ways": 4, "mode": "NSS"}}
+        ],
+        "workloads": [{"label": "W0", "kind": "uniform", "range_bytes": 1024, "ops": 50, "seed": 5}]
+    }"#,
+    )
+    .unwrap();
+    let coordinator = coordinator_over([addr], Arc::new(Metrics::default()));
+    match coordinator.run(&spec, &|_, _| {}, None) {
+        Err(FleetError::Point {
+            config, workload, ..
+        }) => assert_eq!((config.as_str(), workload.as_str()), ("NSS", "W0")),
+        other => panic!("expected a positioned Point failure, got {other:?}"),
+    }
+}
+
 /// A tiny deterministic PRNG for the shard-split property tests.
 fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state << 13;

@@ -484,6 +484,7 @@ fn point_endpoint_computes_caches_and_positions_errors() {
         workload: spec.workloads[0].clone(),
         attribution: false,
         twins: Vec::new(),
+        mode_twins: Vec::new(),
     };
     let wire = point.render().unwrap();
     let fingerprint = point.fingerprint().to_hex();
@@ -499,7 +500,7 @@ fn point_endpoint_computes_caches_and_positions_errors() {
     let shipped = PointMeasurement::from_json(&reply.measurement).unwrap();
     let config = spec.configs[0].build(spec.cores).unwrap();
     let workload = spec.workloads[0].spec.build(spec.cores);
-    assert_eq!(shipped, measure(&config, &[], &workload).unwrap()[0]);
+    assert_eq!(shipped, measure(&[&config], &workload).0.remove(0).unwrap());
 
     // The re-POST and the GET are shared-cache answers, not re-runs.
     let again = client.point(&wire).unwrap();
@@ -526,6 +527,7 @@ fn point_endpoint_computes_caches_and_positions_errors() {
         workload: bad.workloads[0].clone(),
         attribution: false,
         twins: Vec::new(),
+        mode_twins: Vec::new(),
     }
     .render()
     .unwrap();
@@ -566,6 +568,7 @@ fn a_run_with_twins_caches_each_member_under_its_own_fingerprint() {
         workload: spec.workloads[0].clone(),
         attribution: false,
         twins: twin_memories.clone(),
+        mode_twins: Vec::new(),
     };
     let members: Vec<_> = std::iter::once(first.clone())
         .chain(twin_memories.iter().map(|memory| {
@@ -589,10 +592,10 @@ fn a_run_with_twins_caches_each_member_under_its_own_fingerprint() {
         let fp = point_fingerprint(spec.cores, member, &spec.workloads[0], false);
         assert_eq!(got.fingerprint, fp.to_hex());
         assert!(!got.cached);
-        let alone = measure(&member.build(spec.cores).unwrap(), &[], &workload).unwrap();
+        let alone = measure(&[&member.build(spec.cores).unwrap()], &workload).0;
         assert_eq!(
             PointMeasurement::from_json(&got.measurement).unwrap(),
-            alone[0]
+            alone[0].clone().unwrap()
         );
         // ...and is cached under its own fingerprint.
         let fetched = client.cached_point(&fp.to_hex()).unwrap();
@@ -629,6 +632,79 @@ fn a_run_with_twins_caches_each_member_under_its_own_fingerprint() {
             assert!(body.contains("point.twins"), "{body}");
         }
         other => panic!("expected 400 for an attributed run with twins, got {other:?}"),
+    }
+    stop(&handle, join);
+}
+
+#[test]
+fn a_mode_group_caches_each_member_under_its_own_fingerprint() {
+    use predllc::explore::{measure, point_fingerprint, PointMeasurement, PointRequest};
+
+    // The SS column's partition and its NSS twin, each on fixed and on
+    // banked DRAM: one group, four points, measured by one `measure`.
+    let spec = ExperimentSpec::parse(SPEC).unwrap();
+    let point = PointRequest {
+        cores: spec.cores,
+        config: spec.configs[0].clone(),
+        workload: spec.workloads[1].clone(),
+        attribution: false,
+        twins: vec![predllc::MemoryConfig::banked()],
+        mode_twins: vec![
+            predllc::MemoryConfig::default(),
+            predllc::MemoryConfig::banked(),
+        ],
+    };
+    let members = point.members();
+
+    let (handle, join) = start(ServerConfig::default());
+    let mut client = Client::new(handle.addr());
+    let reply = client.point(&point.render().unwrap()).unwrap();
+    assert_eq!(reply.twins.len(), 3);
+    let workload = spec.workloads[1].spec.build(spec.cores);
+    for (member, got) in members
+        .iter()
+        .zip(std::iter::once(&reply).chain(&reply.twins))
+    {
+        // Each member answers as its own one-point measurement would,
+        // and is cached under its own fingerprint.
+        let fp = point_fingerprint(spec.cores, member, &spec.workloads[1], false);
+        assert_eq!(got.fingerprint, fp.to_hex());
+        assert!(!got.cached);
+        let alone = measure(&[&member.build(spec.cores).unwrap()], &workload).0;
+        assert_eq!(
+            PointMeasurement::from_json(&got.measurement).unwrap(),
+            alone[0].clone().unwrap()
+        );
+        let fetched = client.cached_point(&fp.to_hex()).unwrap();
+        assert!(fetched.cached);
+        assert_eq!(fetched.measurement, got.measurement);
+    }
+    assert_eq!(client.metric("predllc_points_simulated").unwrap(), 4);
+
+    // A one-point request for a mode twin is answered from the cache.
+    let nss = PointRequest {
+        config: members[2].clone(),
+        twins: Vec::new(),
+        mode_twins: Vec::new(),
+        ..point.clone()
+    };
+    assert!(client.point(&nss.render().unwrap()).unwrap().cached);
+    assert_eq!(client.metric("predllc_points_simulated").unwrap(), 4);
+
+    // Mode twins never ride on an attributed request: a positioned 400.
+    let attributed = PointRequest {
+        twins: Vec::new(),
+        ..point.clone()
+    }
+    .render()
+    .unwrap()
+    .replacen(r#""mode_twins""#, r#""attribution":true,"mode_twins""#, 1);
+    match client.point(&attributed) {
+        Err(ClientError::Status { status: 400, body }) => {
+            assert_error_shape(&body, "point");
+            assert!(body.contains("point.mode_twins"), "{body}");
+        }
+        other => panic!("expected 400 for an attributed run with mode twins, got {other:?}"),
     }
     stop(&handle, join);
 }
