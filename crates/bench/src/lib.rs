@@ -22,7 +22,8 @@
 //! binaries' flag parser), [`log`] and the [`monitor`] helpers of the
 //! service smokes.
 //!
-//! `benches/microbench.rs` holds the (self-contained) microbenchmarks.
+//! Engine timing lives in one harness, the `engine_perf` binary's trial
+//! runner.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -357,6 +357,11 @@ pub fn point_fingerprint(
 /// own (twin) backend; and a set-sequenced run whose queues never held
 /// two requests is also the best-effort run (see
 /// [`measure`](crate::measure)), so both modes share one group.
+///
+/// This is the one rule for what may differ inside a group:
+/// [`plan_grid`](crate::plan_grid) groups points by it, and
+/// [`PointRequest::parse`](crate::PointRequest::parse) refuses a twin
+/// whose fingerprint differs from the first point's.
 pub(crate) fn run_fingerprint(
     cores: u16,
     config: &ConfigSpec,

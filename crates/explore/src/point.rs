@@ -13,16 +13,16 @@
 //! to [`run_spec`](crate::run_spec), whatever the fleet shape.
 //!
 //! There is a single simulation path: [`measure`] measures a run group
-//! — the points that differ only in their memory backend and, on a
-//! shared partition, its sharing mode — with one engine run per sharing
-//! mode at most, and both the in-process grid
-//! ([`run_spec_traced`](crate::run_spec_traced)) and the fleet
+//! — the points that share a `run_fingerprint`, so differ only in their
+//! memory backend and, on a shared partition, its sharing mode — with
+//! one engine run per sharing mode at most, and both the in-process
+//! grid ([`run_spec_traced`](crate::run_spec_traced)) and the fleet
 //! worker endpoint call it on the groups of
 //! [`plan_grid`](crate::plan_grid). A request names the group's first
-//! point in full, the others in its mode by their backends
-//! ([`PointRequest::twins`]) and those in the other mode by theirs
-//! ([`PointRequest::mode_twins`]); a single point is the one-member
-//! group, and its request renders with neither key.
+//! point in full and its other points as full configurations
+//! ([`PointRequest::twins`]), which [`PointRequest::parse`] accepts only
+//! when they share the first point's run group; a single point is the
+//! one-member group, and its request renders with no `twins` key.
 
 use std::fmt;
 
@@ -33,11 +33,9 @@ use predllc_workload::{Workload, WorkloadSpec};
 
 use crate::attribution::PointAttribution;
 use crate::grid::GridResult;
-use crate::hash::{point_fingerprint, Fingerprint};
+use crate::hash::{point_fingerprint, run_fingerprint, Fingerprint};
 use crate::json::{self, Json};
-use crate::spec::{
-    check_keys, parse_config, parse_memory, parse_workload, ConfigSpec, Partitioning, SpecError,
-};
+use crate::spec::{check_keys, parse_config, parse_workload, ConfigSpec, Partitioning, SpecError};
 use crate::WorkloadEntry;
 
 /// Why one grid point failed to simulate — positioned by the caller,
@@ -69,8 +67,8 @@ impl std::error::Error for PointError {
 }
 
 /// One engine run's grid points as shippable work: the core count plus
-/// the first point's full configuration and workload descriptions,
-/// labels included, and the memory backends of the run's other points.
+/// the full configuration of each point and the workload description,
+/// labels included.
 ///
 /// Serializes with [`PointRequest::render`] and parses back with
 /// [`PointRequest::parse`] through the exact spec-schema parsers, so a
@@ -80,7 +78,7 @@ impl std::error::Error for PointError {
 pub struct PointRequest {
     /// Core count the platform and workload are built for.
     pub cores: u16,
-    /// The configuration column.
+    /// The first point's configuration column.
     pub config: ConfigSpec,
     /// The workload row.
     pub workload: WorkloadEntry,
@@ -88,18 +86,13 @@ pub struct PointRequest {
     /// then ships the [`PointAttribution`] extension back with the
     /// measurement.
     pub attribution: bool,
-    /// The memory backends of the group's other points in `config`'s
-    /// sharing mode, in order: each twin is `config` with its `memory`
-    /// replaced, measured by the same engine run ([`measure`]). Empty
-    /// for a one-point group, and always empty with `attribution` on:
-    /// attribution splits a latency by the run's own backend.
-    pub twins: Vec<MemoryConfig>,
-    /// The memory backends of the group's points in the other sharing
-    /// mode, in order: each is `config` with its shared partition's
-    /// mode flipped (SS ↔ NSS) and its `memory` replaced. Empty unless
-    /// `config` shares its partition, and always empty with
-    /// `attribution` on.
-    pub mode_twins: Vec<MemoryConfig>,
+    /// The group's other points, in order, as full configurations. Each
+    /// shares `config`'s run group, so it differs only in its memory
+    /// backend and, on a shared partition, its sharing mode, and one
+    /// [`measure`] call measures them all. Empty for a one-point group,
+    /// and always empty with `attribution` on: attribution splits a
+    /// latency by the run's own backend.
+    pub twins: Vec<ConfigSpec>,
 }
 
 impl PointRequest {
@@ -109,42 +102,20 @@ impl PointRequest {
         point_fingerprint(self.cores, &self.config, &self.workload, self.attribution)
     }
 
-    /// The group's points in request order — the first point, one per
-    /// twin, then one per mode twin — as full configurations (labels
-    /// are the first point's). A reply lists its measurements in this
-    /// order.
-    pub fn members(&self) -> Vec<ConfigSpec> {
-        let flipped = match self.config.partitioning {
-            Partitioning::SharedAll { sets, ways, mode } => Partitioning::SharedAll {
-                sets,
-                ways,
-                mode: match mode {
-                    SharingMode::SetSequencer => SharingMode::BestEffort,
-                    SharingMode::BestEffort => SharingMode::SetSequencer,
-                },
-            },
-            ref private => private.clone(),
-        };
-        let on = |partitioning: &Partitioning, memory: &MemoryConfig| ConfigSpec {
-            partitioning: partitioning.clone(),
-            memory: memory.clone(),
-            ..self.config.clone()
-        };
-        std::iter::once(self.config.clone())
-            .chain(self.twins.iter().map(|m| on(&self.config.partitioning, m)))
-            .chain(self.mode_twins.iter().map(|m| on(&flipped, m)))
-            .collect()
+    /// The group's points in request order: the first point, then the
+    /// twins. A reply lists its measurements in this order.
+    pub fn members(&self) -> Vec<&ConfigSpec> {
+        std::iter::once(&self.config).chain(&self.twins).collect()
     }
 
-    /// Renders the request as a JSON document. The `attribution`,
-    /// `twins` and `mode_twins` keys are emitted only when the flag is
-    /// on or the list is non-empty, so a one-point attribution-off
-    /// request is byte-identical to those of older peers, and so is a
-    /// group of one sharing mode.
+    /// Renders the request as a JSON document. The `attribution` and
+    /// `twins` keys are emitted only when the flag is on or the list is
+    /// non-empty, so a one-point attribution-off request is
+    /// byte-identical to those of older peers.
     ///
     /// # Errors
     ///
-    /// A message when the configuration is not expressible in the spec
+    /// A message when a configuration is not expressible in the spec
     /// schema (a programmatically built [`MemoryConfig`] with custom
     /// DRAM timing or row geometry) — spec-file experiments always
     /// render.
@@ -157,14 +128,13 @@ impl PointRequest {
         if self.attribution {
             members.push(("attribution".into(), Json::Bool(true)));
         }
-        for (key, backends) in [("twins", &self.twins), ("mode_twins", &self.mode_twins)] {
-            if !backends.is_empty() {
-                let backends = backends
-                    .iter()
-                    .map(render_memory)
-                    .collect::<Result<_, _>>()?;
-                members.push((key.into(), Json::Array(backends)));
-            }
+        if !self.twins.is_empty() {
+            let twins = self
+                .twins
+                .iter()
+                .map(render_config)
+                .collect::<Result<_, _>>()?;
+            members.push(("twins".into(), Json::Array(twins)));
         }
         Ok(Json::Object(members).render())
     }
@@ -173,22 +143,16 @@ impl PointRequest {
     ///
     /// # Errors
     ///
-    /// [`SpecError`] positioned exactly like experiment-spec parsing;
-    /// twins on an attributed request are invalid at `point.twins`, and
-    /// mode twins on an attributed request or a private partition at
-    /// `point.mode_twins`.
+    /// [`SpecError`] positioned exactly like experiment-spec parsing,
+    /// each twin at `point.twins[i]`. Twins on an attributed request are
+    /// invalid at `point.twins`, and a twin outside the first point's
+    /// run group (by `run_fingerprint`: other sets, ways, schedule or
+    /// partition kind) at its own `point.twins[i]`.
     pub fn parse(input: &str) -> Result<PointRequest, SpecError> {
         let doc = json::parse(input).map_err(SpecError::Json)?;
         check_keys(
             &doc,
-            &[
-                "cores",
-                "config",
-                "workload",
-                "attribution",
-                "twins",
-                "mode_twins",
-            ],
+            &["cores", "config", "workload", "attribution", "twins"],
             "point",
         )?;
         let cores = doc
@@ -226,39 +190,35 @@ impl PointRequest {
                 message: "must be a boolean".into(),
             })?,
         };
-        let backends = |key: &str| -> Result<Vec<MemoryConfig>, SpecError> {
-            match doc.get(key) {
-                None => Ok(Vec::new()),
-                Some(v) => v
-                    .as_array()
-                    .ok_or_else(|| SpecError::Invalid {
-                        at: format!("point.{key}"),
-                        message: "must be an array of memory objects".into(),
-                    })?
-                    .iter()
-                    .enumerate()
-                    .map(|(i, m)| parse_memory(m, &format!("point.{key}[{i}]")))
-                    .collect(),
-            }
+        let twins: Vec<ConfigSpec> = match doc.get("twins") {
+            None => Vec::new(),
+            Some(v) => v
+                .as_array()
+                .ok_or_else(|| SpecError::Invalid {
+                    at: "point.twins".into(),
+                    message: "must be an array of config objects".into(),
+                })?
+                .iter()
+                .enumerate()
+                .map(|(i, c)| parse_config(c, &format!("point.twins[{i}]")))
+                .collect::<Result<_, _>>()?,
         };
-        let twins = backends("twins")?;
-        let mode_twins = backends("mode_twins")?;
-        for (key, list) in [("twins", &twins), ("mode_twins", &mode_twins)] {
-            if attribution && !list.is_empty() {
-                return Err(SpecError::Invalid {
-                    at: format!("point.{key}"),
-                    message: format!(
-                        "an attributed point runs alone and takes no {}",
-                        key.replace('_', " ")
-                    ),
-                });
-            }
+        if attribution && !twins.is_empty() {
+            return Err(SpecError::Invalid {
+                at: "point.twins".into(),
+                message: "an attributed point runs alone and takes no twins".into(),
+            });
         }
-        if !mode_twins.is_empty() && !matches!(config.partitioning, Partitioning::SharedAll { .. })
+        let group = run_fingerprint(cores, &config, &workload);
+        if let Some(i) = twins
+            .iter()
+            .position(|twin| run_fingerprint(cores, twin, &workload) != group)
         {
             return Err(SpecError::Invalid {
-                at: "point.mode_twins".into(),
-                message: "a private partition has no sharing mode to flip".into(),
+                at: format!("point.twins[{i}]"),
+                message: "not in the first point's run group: a twin may differ from it \
+                          only in its memory backend and sharing mode"
+                    .into(),
             });
         }
         Ok(PointRequest {
@@ -267,7 +227,6 @@ impl PointRequest {
             workload,
             attribution,
             twins,
-            mode_twins,
         })
     }
 }
@@ -763,10 +722,17 @@ mod tests {
                     workload: w.clone(),
                     attribution: false,
                     twins: Vec::new(),
-                    mode_twins: Vec::new(),
                 })
             })
             .collect()
+    }
+
+    /// `config` on `memory`.
+    fn on(config: &ConfigSpec, memory: MemoryConfig) -> ConfigSpec {
+        ConfigSpec {
+            memory,
+            ..config.clone()
+        }
     }
 
     #[test]
@@ -930,13 +896,16 @@ mod tests {
 
     #[test]
     fn requests_with_twins_round_trip_identically() {
-        let twins = vec![
+        let backends = [
             MemoryConfig::banked(),
             MemoryConfig::default(),
             MemoryConfig::banked().worst_case(),
         ];
         for mut point in points() {
-            point.twins = twins.clone();
+            point.twins = backends
+                .iter()
+                .map(|m| on(&point.config, m.clone()))
+                .collect();
             let wire = point.render().unwrap();
             assert!(wire.contains("\"twins\":["), "{wire}");
             let back = PointRequest::parse(&wire).unwrap();
@@ -947,7 +916,10 @@ mod tests {
         // A twin with no wire form is refused like the first point's
         // own backend.
         let mut point = points().remove(0);
-        point.twins = vec![MemoryConfig::banked().worst_case().worst_case()];
+        point.twins = vec![on(
+            &point.config,
+            MemoryConfig::banked().worst_case().worst_case(),
+        )];
         assert!(point.render().unwrap_err().contains("nested worst-case"));
     }
 
@@ -968,13 +940,13 @@ mod tests {
     #[test]
     fn twins_are_positioned_and_never_ride_with_attribution() {
         let mut point = points().remove(0);
-        point.twins = vec![MemoryConfig::banked()];
+        point.twins = vec![on(&point.config, MemoryConfig::banked())];
         let wire = point.render().unwrap();
         let attributed = wire.replacen(r#""twins""#, r#""attribution":true,"twins""#, 1);
         let bad_kind = wire.replacen(r#""kind":"banked""#, r#""kind":"sram""#, 1);
         for (doc, at) in [
             (attributed.as_str(), "point.twins"),
-            (bad_kind.as_str(), "point.twins[0].kind"),
+            (bad_kind.as_str(), "point.twins[0].memory.kind"),
             (
                 r#"{"cores":2,"config":{"partition":{"kind":"shared","sets":1,"ways":4}},
                     "workload":{"kind":"uniform","range_bytes":64,"ops":1},"twins":{}}"#,
@@ -997,9 +969,13 @@ mod tests {
 
     #[test]
     fn a_run_measures_each_member_as_its_own_point() {
+        let first = points().remove(0);
         let point = PointRequest {
-            twins: vec![MemoryConfig::banked(), MemoryConfig::default()],
-            ..points().remove(0)
+            twins: vec![
+                on(&first.config, MemoryConfig::banked()),
+                on(&first.config, MemoryConfig::default()),
+            ],
+            ..first
         };
         let members: Vec<SystemConfig> = point
             .members()
@@ -1024,13 +1000,26 @@ mod tests {
                                "seed": 7, "write_fraction": {write_fraction}}}]}}"#
         ))
         .unwrap();
+        let nss = &spec.configs[0];
+        let ss = |memory| ConfigSpec {
+            partitioning: Partitioning::SharedAll {
+                sets: 2,
+                ways: 4,
+                mode: SharingMode::SetSequencer,
+            },
+            memory,
+            ..nss.clone()
+        };
         let point = PointRequest {
             cores: spec.cores,
-            config: spec.configs[0].clone(),
+            config: nss.clone(),
             workload: spec.workloads[0].clone(),
             attribution: false,
-            twins: vec![MemoryConfig::default()],
-            mode_twins: vec![MemoryConfig::default(), MemoryConfig::bank_private()],
+            twins: vec![
+                on(nss, MemoryConfig::default()),
+                ss(MemoryConfig::default()),
+                ss(MemoryConfig::bank_private()),
+            ],
         };
         let members = point
             .members()
@@ -1057,27 +1046,37 @@ mod tests {
 
     #[test]
     fn requests_with_mode_twins_round_trip_and_name_their_members() {
-        let mut point = points().remove(0);
-        point.twins = vec![MemoryConfig::banked()];
-        point.mode_twins = vec![MemoryConfig::default(), MemoryConfig::banked().worst_case()];
-        let wire = point.render().unwrap();
-        assert!(wire.contains("\"mode_twins\":["), "{wire}");
-        let back = PointRequest::parse(&wire).unwrap();
-        assert_eq!(back, point);
-        assert_eq!(back.render().unwrap(), wire);
-        let shared = |mode| Partitioning::SharedAll {
+        let first = points().remove(0);
+        let shared = |ways, mode| Partitioning::SharedAll {
             sets: 1,
-            ways: 4,
+            ways,
             mode,
         };
         let (nss, ss) = (
-            shared(SharingMode::BestEffort),
-            shared(SharingMode::SetSequencer),
+            shared(4, SharingMode::BestEffort),
+            shared(4, SharingMode::SetSequencer),
         );
+        let in_ss = |memory| ConfigSpec {
+            partitioning: ss.clone(),
+            memory,
+            ..first.config.clone()
+        };
+        let point = PointRequest {
+            twins: vec![
+                on(&first.config, MemoryConfig::banked()),
+                in_ss(MemoryConfig::default()),
+                in_ss(MemoryConfig::banked().worst_case()),
+            ],
+            ..first.clone()
+        };
+        let wire = point.render().unwrap();
+        let back = PointRequest::parse(&wire).unwrap();
+        assert_eq!(back, point);
+        assert_eq!(back.render().unwrap(), wire);
         let members: Vec<(Partitioning, MemoryConfig)> = point
             .members()
             .into_iter()
-            .map(|c| (c.partitioning, c.memory))
+            .map(|c| (c.partitioning.clone(), c.memory.clone()))
             .collect();
         assert_eq!(
             members,
@@ -1085,33 +1084,39 @@ mod tests {
                 (nss.clone(), MemoryConfig::default()),
                 (nss, MemoryConfig::banked()),
                 (ss.clone(), MemoryConfig::default()),
-                (ss, MemoryConfig::banked().worst_case()),
+                (ss.clone(), MemoryConfig::banked().worst_case()),
             ]
         );
-        // Mode twins ride neither on an attributed point nor on a
-        // private partition, and are positioned like twins.
-        let attributed = PointRequest {
-            twins: Vec::new(),
-            ..point.clone()
-        }
-        .render()
-        .unwrap()
-        .replacen(r#""mode_twins""#, r#""attribution":true,"mode_twins""#, 1);
-        let private = PointRequest {
-            mode_twins: vec![MemoryConfig::default()],
-            ..points().remove(4)
-        }
-        .render()
-        .unwrap();
-        let bad_kind = wire.replacen(
-            r#""mode_twins":[{"kind":"fixed""#,
-            r#""mode_twins":[{"kind":"sram""#,
-            1,
-        );
+        // Twins ride on no attributed point, and a twin outside the
+        // first point's run group is refused at its own position: other
+        // ways, a private partition under a shared first point, another
+        // schedule.
+        let attributed = wire.replacen(r#""twins""#, r#""attribution":true,"twins""#, 1);
+        let outside = |twin: ConfigSpec| {
+            PointRequest {
+                twins: vec![in_ss(MemoryConfig::banked()), twin],
+                ..first.clone()
+            }
+            .render()
+            .unwrap()
+        };
+        let other_ways = outside(ConfigSpec {
+            partitioning: shared(2, SharingMode::BestEffort),
+            ..first.config.clone()
+        });
+        let private = outside(ConfigSpec {
+            partitioning: Partitioning::PrivateEach { sets: 1, ways: 4 },
+            ..first.config.clone()
+        });
+        let schedule = outside(ConfigSpec {
+            schedule: Some(vec![1, 0]),
+            ..first.config.clone()
+        });
         for (doc, at) in [
-            (attributed.as_str(), "point.mode_twins"),
-            (private.as_str(), "point.mode_twins"),
-            (bad_kind.as_str(), "point.mode_twins[0].kind"),
+            (attributed.as_str(), "point.twins"),
+            (other_ways.as_str(), "point.twins[1]"),
+            (private.as_str(), "point.twins[1]"),
+            (schedule.as_str(), "point.twins[1]"),
         ] {
             match PointRequest::parse(doc).unwrap_err() {
                 SpecError::Invalid { at: got, .. } => assert_eq!(got, at, "for {doc}"),

@@ -5,15 +5,17 @@
 //! [`plan_grid`] — the same dedup and the same groups the in-process
 //! grid schedules, with every point the coordinator's cache already
 //! holds filtered out — drained by one dispatcher thread per worker. A
-//! group ships as one [`PointRequest`] (its first point, the memory
-//! backends of the other points in that point's sharing mode as twins
-//! and of those in the other mode as mode twins), and the worker
-//! measures it with one `measure` call, one engine run per sharing mode
-//! at most. A worker that stops answering — connection
-//! refused, reset mid-request, failed heartbeat — is marked **lost**:
-//! its in-flight run goes back on the queue (front, so recovery does
-//! not starve) and the surviving workers absorb the work. Losing every
-//! worker with work still pending fails the run with
+//! group ships as planned, as one [`PointRequest`] naming its points'
+//! configurations in ascending order (the first as `config`, the rest
+//! as `twins`); the worker checks that they share a run group and
+//! measures them with one `measure` call. The coordinator does not
+//! know what may differ inside a group: `plan_grid` decides that. A
+//! reply must answer exactly the shipped points, in order, by
+//! fingerprint. A worker that stops answering — connection refused,
+//! reset mid-request, failed heartbeat, or a reply for other points —
+//! is marked **lost**: its in-flight run goes back on the queue (front,
+//! so recovery does not starve) and the surviving workers absorb the
+//! work. Losing every worker with work still pending fails the run with
 //! [`FleetError::NoWorkers`] instead of hanging.
 //!
 //! Everything a caller observes stays per point: both caches, progress,
@@ -190,9 +192,8 @@ struct Shared<'a> {
     /// Each unique point's [`point_fingerprint`], its cache key.
     fingerprints: &'a [Fingerprint],
     /// The run groups left to measure: the plan's groups without the
-    /// points the coordinator cache answered, each in request order
-    /// (its lowest point first, so a group's first member still ranks
-    /// it).
+    /// points the coordinator cache answered, each ascending. A run's
+    /// k-th point is its request's k-th member.
     runs: &'a [Vec<usize>],
     state: &'a Mutex<DispatchState>,
     cond: &'a Condvar,
@@ -353,26 +354,11 @@ impl Coordinator {
                 }
             }
         }
-        // Each group in request order: its lowest point first, then the
-        // others in that point's sharing mode, then those in the other
-        // mode (`PointRequest::members`), each ascending.
-        let partitioning = |i: usize| &spec.configs[unique[i].0].partitioning;
-        let runs: Vec<Vec<usize>> = plan
-            .runs
-            .iter()
-            .map(|run| -> Vec<usize> {
-                let mut run: Vec<usize> = run
-                    .iter()
-                    .copied()
-                    .filter(|&i| results[i].is_none())
-                    .collect();
-                if let Some(&first) = run.first() {
-                    run.sort_by_key(|&i| (partitioning(i) != partitioning(first), i));
-                }
-                run
-            })
-            .filter(|run| !run.is_empty())
-            .collect();
+        let mut runs = plan.runs.clone();
+        for run in &mut runs {
+            run.retain(|&i| results[i].is_none());
+        }
+        runs.retain(|run| !run.is_empty());
         let pending: usize = runs.iter().map(Vec::len).sum();
         let completed = unique.len() - pending;
         if completed > 0 {
@@ -466,22 +452,15 @@ impl Coordinator {
             let Some(r) = claim else { break };
             let members = &shared.runs[r];
             let (ci, wi) = shared.unique[members[0]];
-            let (mut twins, mut mode_twins) = (Vec::new(), Vec::new());
-            for &i in &members[1..] {
-                let config = &spec.configs[shared.unique[i].0];
-                if config.partitioning == spec.configs[ci].partitioning {
-                    twins.push(config.memory.clone());
-                } else {
-                    mode_twins.push(config.memory.clone());
-                }
-            }
             let request = PointRequest {
                 cores: spec.cores,
                 config: spec.configs[ci].clone(),
                 workload: spec.workloads[wi].clone(),
                 attribution: spec.attribution,
-                twins,
-                mode_twins,
+                twins: members[1..]
+                    .iter()
+                    .map(|&i| spec.configs[shared.unique[i].0].clone())
+                    .collect(),
             };
             let wire = match request.render() {
                 Ok(w) => w,
@@ -518,13 +497,13 @@ impl Coordinator {
             let rtt = shipped.elapsed();
             drop(dispatch_span);
             match answer {
-                Ok(reply) => match decode_reply(&reply, members.len()) {
+                Ok(reply) => match decode_reply(&reply, members, shared.fingerprints) {
                     Some(measured) => {
                         self.metrics.worker_rtt(&worker_label).record(rtt);
                         self.resolve_run(shared, r, measured, &worker_label);
                     }
-                    // A worker answering garbage is a lost worker, not
-                    // a lost experiment.
+                    // A worker answering garbage, or for other points, is
+                    // a lost worker, not a lost experiment.
                     None => {
                         self.metrics.worker_requeue(&worker_label).record(rtt);
                         self.abandon_run(worker, shared, r);
@@ -936,19 +915,25 @@ impl SpecRunner for Coordinator {
     }
 }
 
-/// The measurements of a reply to an `members`-point request, each with
-/// whether the worker's cache answered it, or `None` when the reply does
-/// not decode to exactly one measurement per member.
-fn decode_reply(reply: &PointReply, members: usize) -> Option<Vec<(PointMeasurement, bool)>> {
-    if reply.twins.len() + 1 != members {
+/// The measurements of a reply to a request for the unique points
+/// `members`, each with whether the worker's cache answered it, or
+/// `None` unless the reply decodes to one measurement per member, each
+/// under its member's fingerprint, in request order.
+fn decode_reply(
+    reply: &PointReply,
+    members: &[usize],
+    fingerprints: &[Fingerprint],
+) -> Option<Vec<(PointMeasurement, bool)>> {
+    if reply.twins.len() + 1 != members.len() {
         return None;
     }
     std::iter::once(reply)
         .chain(&reply.twins)
-        .map(|r| {
-            PointMeasurement::from_json(&r.measurement)
-                .ok()
-                .map(|m| (m, r.cached))
+        .zip(members)
+        .map(|(r, &i)| {
+            let m = PointMeasurement::from_json(&r.measurement).ok()?;
+            (Fingerprint::parse_hex(&r.fingerprint) == Some(fingerprints[i]))
+                .then_some((m, r.cached))
         })
         .collect()
 }

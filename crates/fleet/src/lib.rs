@@ -10,10 +10,13 @@
 //!   [`plan_grid`](predllc_explore::plan_grid) — the same dedup and
 //!   groups the in-process grid uses, so unique points that differ only
 //!   in their memory backend and sharing mode travel together — shipped
-//!   as a [`PointRequest`](predllc_explore::PointRequest) (the first
-//!   point plus the others' backends as twins and mode twins) to any
-//!   server's `POST /v1/points` endpoint, which measures the group with
-//!   one [`measure`](predllc_explore::measure) call;
+//!   as planned as a [`PointRequest`](predllc_explore::PointRequest)
+//!   (the first point's configuration plus the others' as twins) to any
+//!   server's `POST /v1/points` endpoint, which checks that the twins
+//!   share the first point's group and measures the group with one
+//!   [`measure`](predllc_explore::measure) call. The coordinator never
+//!   decides what may differ inside a group, and it accepts a reply
+//!   only when it answers the shipped points, in order, by fingerprint;
 //! * workers answer with **exact integers only** — histogram parts and
 //!   raw DRAM counters — and every derived float is recomputed on the
 //!   coordinator with the in-process arithmetic, so a fleet run is

@@ -345,8 +345,7 @@ fn job_trace(shared: &Shared, _req: &Request, params: &[&str]) -> Dispatch {
 /// The point endpoints' success body: the first member's fingerprint,
 /// whether the cache answered, and its measurement document — plus, for
 /// a group of several points, a `twins` array of the same objects for
-/// the other members, in request order (twins, then mode twins). A
-/// one-member body has no `twins` key.
+/// the request's twins, in order. A one-member body has no `twins` key.
 fn point_body(members: &[(Fingerprint, bool, String)]) -> Response {
     let object = |(fp, cached, measurement): &(Fingerprint, bool, String)| {
         format!(
@@ -390,8 +389,9 @@ fn point_error(member: usize, e: &PointError) -> Response {
 }
 
 /// `POST /v1/points` — measure (or answer from cache) one run group's
-/// grid points: the request's first point, its twins and its mode
-/// twins. The endpoint that makes this server a fleet worker. The
+/// grid points: the request's first point and its twins, which
+/// [`PointRequest::parse`] has checked share the first point's run
+/// group. The endpoint that makes this server a fleet worker. The
 /// members the point cache lacks are measured with one [`measure`] call,
 /// and each is cached under its own fingerprint.
 fn point_post(shared: &Shared, req: &Request, _params: &[&str]) -> Dispatch {

@@ -122,9 +122,9 @@ pub struct PointReply {
     /// The exact-integer measurement document
     /// (`predllc_explore::PointMeasurement` wire form).
     pub measurement: Json,
-    /// The replies for the request's other members — its twins, then
-    /// its mode twins (`predllc_explore::PointRequest::members` order) —
-    /// each with no twins of its own. Empty for a one-point request.
+    /// The replies for the request's twins, in order
+    /// (`predllc_explore::PointRequest::members` after the first), each
+    /// with no twins of its own. Empty for a one-point request.
     pub twins: Vec<PointReply>,
 }
 
@@ -778,13 +778,14 @@ impl Client {
 
     /// `POST /v1/points` — have the server measure (or answer from its
     /// point cache) one run group's grid points: the request's first
-    /// point, its twins and its mode twins.
+    /// point and its twins.
     ///
     /// # Errors
     ///
     /// [`ClientError::Status`] carrying the server's 400 for malformed
-    /// requests or 422 for points that fail to build/simulate, or any
-    /// transport failure.
+    /// requests (a twin outside the first point's run group included)
+    /// or 422 for points that fail to build/simulate, or any transport
+    /// failure.
     pub fn point(&mut self, request: &str) -> Result<PointReply, ClientError> {
         let doc = self.request_json("POST", "/v1/points", Some(request))?;
         point_reply(&doc)

@@ -666,9 +666,11 @@ impl Registry {
     /// Submits a spec document: parses and fingerprints it, then either
     /// coalesces onto the existing job for that content address (cache
     /// hit) or registers a fresh queued job stamped with `trace` (cache
-    /// miss; a hit keeps the existing job's trace id). The map lock is
-    /// held across the lookup-or-insert, so concurrent duplicate
-    /// submissions coalesce onto exactly one job.
+    /// miss; a hit keeps the existing job's trace id). A miss plans the
+    /// grid with the map lock released, so a large spec's planning
+    /// stalls no other submission or status read; the lock is then taken
+    /// again and the lookup repeated before the insert, so concurrent
+    /// duplicate submissions still coalesce onto exactly one job.
     ///
     /// # Errors
     ///
@@ -687,13 +689,21 @@ impl Registry {
         let id = canonical_fingerprint(&doc);
         let spec = ExperimentSpec::parse(body).map_err(SubmitError::Spec)?;
 
-        let mut jobs = self.jobs.lock().unwrap();
-        if let Some(job) = jobs.by_id.get(&id) {
+        let coalesce = |jobs: &JobMap| {
+            let job = jobs.by_id.get(&id)?;
             self.metrics.cache_hits.inc();
-            return Ok(Submission {
+            Some(Submission {
                 job: Arc::clone(job),
                 fresh: false,
-            });
+            })
+        };
+        if let Some(hit) = coalesce(&self.jobs.lock().unwrap()) {
+            return Ok(hit);
+        }
+        let points_total = unique_point_count(&spec);
+        let mut jobs = self.jobs.lock().unwrap();
+        if let Some(hit) = coalesce(&jobs) {
+            return Ok(hit);
         }
         if jobs.by_id.len() >= self.capacity {
             // Make room by dropping the oldest finished job; its next
@@ -708,7 +718,6 @@ impl Registry {
                 None => return Err(SubmitError::AtCapacity),
             }
         }
-        let points_total = unique_point_count(&spec);
         let job = Arc::new(Job {
             id,
             name: spec.name.clone(),

@@ -739,6 +739,114 @@ fn a_failing_mode_twin_is_positioned_at_its_own_point() {
     }
 }
 
+/// A worker double over raw TCP: healthy heartbeats, and every point
+/// request answered `200` with the canned `reply` body. Returns its
+/// address and the number of point requests it answered.
+fn canned_worker(reply: String) -> (SocketAddr, Arc<std::sync::atomic::AtomicUsize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let answered = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let count = Arc::clone(&answered);
+    std::thread::spawn(move || {
+        use std::io::{BufRead, BufReader};
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { break };
+            // Read the whole request, head and body, before answering.
+            let mut reader = BufReader::new(&stream);
+            let (mut head, mut line) = (String::new(), String::new());
+            while reader.read_line(&mut line).is_ok_and(|n| n > 2) {
+                head.push_str(&std::mem::take(&mut line));
+            }
+            let length = head
+                .lines()
+                .filter_map(|l| l.split_once(':'))
+                .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
+                .map_or(0, |(_, v)| v.trim().parse().unwrap_or(0));
+            let _ = reader.read_exact(&mut vec![0; length]);
+            let body = match head.starts_with("GET /healthz") {
+                true => "ok\n",
+                false => {
+                    count.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    reply.as_str()
+                }
+            };
+            let _ = stream.write_all(
+                format!(
+                    "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+                     content-length: {}\r\nconnection: close\r\n\r\n{body}",
+                    body.len()
+                )
+                .as_bytes(),
+            );
+        }
+    });
+    (addr, answered)
+}
+
+#[test]
+fn a_reply_for_other_points_loses_the_worker() {
+    use predllc::explore::{measure, point_fingerprint};
+
+    // Two shared points of one run group, on fixed and on banked DRAM,
+    // and one more point with another workload seed.
+    let spec = ExperimentSpec::parse(
+        r#"{
+        "name": "fleet-misanswer", "cores": 2,
+        "configs": [
+            {"label": "SS-fixed", "partition": {"kind": "shared", "sets": 1, "ways": 4, "mode": "SS"}},
+            {"label": "SS-banked", "partition": {"kind": "shared", "sets": 1, "ways": 4, "mode": "SS"},
+             "memory": {"kind": "banked", "banks": 8}}
+        ],
+        "workloads": [
+            {"kind": "uniform", "range_bytes": 4096, "ops": 200, "seed": 5, "write_fraction": 0.2},
+            {"kind": "uniform", "range_bytes": 4096, "ops": 200, "seed": 6, "write_fraction": 0.2}
+        ]
+    }"#,
+    )
+    .unwrap();
+    // One reply object per (config, workload): its fingerprint and the
+    // in-process measurement, rendered as a worker renders them.
+    let answer = |ci: usize, wi: usize| {
+        let config = spec.configs[ci].build(spec.cores).unwrap();
+        let workload = spec.workloads[wi].spec.build(spec.cores);
+        let measured = measure(&[&config], &workload).0.remove(0).unwrap();
+        let fp = point_fingerprint(spec.cores, &spec.configs[ci], &spec.workloads[wi], false);
+        format!(
+            r#""fingerprint":"{}","cached":false,"measurement":{}"#,
+            fp.to_hex(),
+            measured.render()
+        )
+    };
+    let group = ExperimentSpec {
+        workloads: spec.workloads[..1].to_vec(),
+        ..spec.clone()
+    };
+    let first = ExperimentSpec {
+        configs: spec.configs[..1].to_vec(),
+        ..group.clone()
+    };
+    for (spec, reply, pending) in [
+        // A well-formed measurement of another point.
+        (first, format!("{{{}}}", answer(0, 1)), 1),
+        // Both members of the group, swapped.
+        (
+            group,
+            format!("{{{},\"twins\":[{{{}}}]}}", answer(1, 0), answer(0, 0)),
+            2,
+        ),
+    ] {
+        let (addr, answered) = canned_worker(reply);
+        let metrics = Arc::new(Metrics::default());
+        let coordinator = coordinator_over([addr], Arc::clone(&metrics));
+        match coordinator.run(&spec, &|_, _| {}, None) {
+            Err(FleetError::NoWorkers { pending: left }) => assert_eq!(left, pending),
+            other => panic!("expected NoWorkers, got {other:?}"),
+        }
+        assert_eq!(answered.load(std::sync::atomic::Ordering::SeqCst), 1);
+        assert_eq!(metrics.workers_lost.get(), 1);
+    }
+}
+
 /// A tiny deterministic PRNG for the shard-split property tests.
 fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state << 13;

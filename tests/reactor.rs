@@ -267,7 +267,6 @@ fn dispatch_queue_overflow_sheds_429_with_retry_after() {
         workload: slow_spec.workloads[0].clone(),
         attribution: false,
         twins: Vec::new(),
-        mode_twins: Vec::new(),
     }
     .render()
     .unwrap();

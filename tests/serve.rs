@@ -484,7 +484,6 @@ fn point_endpoint_computes_caches_and_positions_errors() {
         workload: spec.workloads[0].clone(),
         attribution: false,
         twins: Vec::new(),
-        mode_twins: Vec::new(),
     };
     let wire = point.render().unwrap();
     let fingerprint = point.fingerprint().to_hex();
@@ -527,7 +526,6 @@ fn point_endpoint_computes_caches_and_positions_errors() {
         workload: bad.workloads[0].clone(),
         attribution: false,
         twins: Vec::new(),
-        mode_twins: Vec::new(),
     }
     .render()
     .unwrap();
@@ -558,7 +556,7 @@ fn a_run_with_twins_caches_each_member_under_its_own_fingerprint() {
     // banked-interleaved DRAM: one run, three points.
     let spec = ExperimentSpec::parse(SPEC).unwrap();
     let first = spec.configs[1].clone();
-    let twin_memories = vec![
+    let twin_memories = [
         predllc::MemoryConfig::default(),
         predllc::MemoryConfig::banked(),
     ];
@@ -567,16 +565,16 @@ fn a_run_with_twins_caches_each_member_under_its_own_fingerprint() {
         config: first.clone(),
         workload: spec.workloads[0].clone(),
         attribution: false,
-        twins: twin_memories.clone(),
-        mode_twins: Vec::new(),
+        twins: twin_memories
+            .iter()
+            .map(|memory| {
+                let mut twin = first.clone();
+                twin.memory = memory.clone();
+                twin
+            })
+            .collect(),
     };
-    let members: Vec<_> = std::iter::once(first.clone())
-        .chain(twin_memories.iter().map(|memory| {
-            let mut twin = first.clone();
-            twin.memory = memory.clone();
-            twin
-        }))
-        .collect();
+    let members = point.members();
 
     let (handle, join) = start(ServerConfig::default());
     let mut client = Client::new(handle.addr());
@@ -609,9 +607,10 @@ fn a_run_with_twins_caches_each_member_under_its_own_fingerprint() {
     let again = client.point(&point.render().unwrap()).unwrap();
     assert!(again.cached && again.twins.iter().all(|t| t.cached));
     let mut wider = point.clone();
-    wider
-        .twins
-        .push(predllc::MemoryConfig::banked().worst_case());
+    wider.twins.push(predllc::explore::ConfigSpec {
+        memory: predllc::MemoryConfig::banked().worst_case(),
+        ..first.clone()
+    });
     let wide = client.point(&wider.render().unwrap()).unwrap();
     let cached: Vec<bool> = std::iter::once(&wide)
         .chain(&wide.twins)
@@ -638,20 +637,33 @@ fn a_run_with_twins_caches_each_member_under_its_own_fingerprint() {
 
 #[test]
 fn a_mode_group_caches_each_member_under_its_own_fingerprint() {
-    use predllc::explore::{measure, point_fingerprint, PointMeasurement, PointRequest};
+    use predllc::explore::{
+        measure, point_fingerprint, ConfigSpec, PointMeasurement, PointRequest,
+    };
+    use predllc::MemoryConfig;
+    use predllc::SharingMode::{BestEffort, SetSequencer};
 
     // The SS column's partition and its NSS twin, each on fixed and on
     // banked DRAM: one group, four points, measured by one `measure`.
     let spec = ExperimentSpec::parse(SPEC).unwrap();
+    let member = |mode, memory| ConfigSpec {
+        partitioning: predllc::explore::spec::Partitioning::SharedAll {
+            sets: 1,
+            ways: 4,
+            mode,
+        },
+        memory,
+        ..spec.configs[0].clone()
+    };
     let point = PointRequest {
         cores: spec.cores,
         config: spec.configs[0].clone(),
         workload: spec.workloads[1].clone(),
         attribution: false,
-        twins: vec![predllc::MemoryConfig::banked()],
-        mode_twins: vec![
-            predllc::MemoryConfig::default(),
-            predllc::MemoryConfig::banked(),
+        twins: vec![
+            member(SetSequencer, MemoryConfig::banked()),
+            member(BestEffort, MemoryConfig::default()),
+            member(BestEffort, MemoryConfig::banked()),
         ],
     };
     let members = point.members();
@@ -683,29 +695,98 @@ fn a_mode_group_caches_each_member_under_its_own_fingerprint() {
 
     // A one-point request for a mode twin is answered from the cache.
     let nss = PointRequest {
-        config: members[2].clone(),
+        config: point.twins[1].clone(),
         twins: Vec::new(),
-        mode_twins: Vec::new(),
         ..point.clone()
     };
     assert!(client.point(&nss.render().unwrap()).unwrap().cached);
     assert_eq!(client.metric("predllc_points_simulated").unwrap(), 4);
 
     // Mode twins never ride on an attributed request: a positioned 400.
-    let attributed = PointRequest {
-        twins: Vec::new(),
-        ..point.clone()
-    }
-    .render()
-    .unwrap()
-    .replacen(r#""mode_twins""#, r#""attribution":true,"mode_twins""#, 1);
+    let attributed =
+        point
+            .render()
+            .unwrap()
+            .replacen(r#""twins""#, r#""attribution":true,"twins""#, 1);
     match client.point(&attributed) {
         Err(ClientError::Status { status: 400, body }) => {
             assert_error_shape(&body, "point");
-            assert!(body.contains("point.mode_twins"), "{body}");
+            assert!(body.contains("point.twins"), "{body}");
         }
         other => panic!("expected 400 for an attributed run with mode twins, got {other:?}"),
     }
+    stop(&handle, join);
+}
+
+#[test]
+fn a_twin_outside_the_first_points_run_group_is_a_positioned_400() {
+    use predllc::explore::spec::Partitioning;
+    use predllc::explore::{point_fingerprint, ConfigSpec, PointRequest};
+    use predllc::{MemoryConfig, SharingMode};
+
+    // The SS column's point with a twin in its run group, the NSS
+    // partition on banked DRAM: measured and cached under its own
+    // fingerprint.
+    let spec = ExperimentSpec::parse(SPEC).unwrap();
+    let first = spec.configs[0].clone();
+    let shared = |ways, mode| Partitioning::SharedAll {
+        sets: 1,
+        ways,
+        mode,
+    };
+    let in_group = ConfigSpec {
+        partitioning: shared(4, SharingMode::BestEffort),
+        memory: MemoryConfig::banked(),
+        ..first.clone()
+    };
+    let point = PointRequest {
+        cores: spec.cores,
+        config: first.clone(),
+        workload: spec.workloads[0].clone(),
+        attribution: false,
+        twins: vec![in_group.clone()],
+    };
+    let (handle, join) = start(ServerConfig::default());
+    let mut client = Client::new(handle.addr());
+    let reply = client.point(&point.render().unwrap()).unwrap();
+    let fp = point_fingerprint(spec.cores, &in_group, &spec.workloads[0], false).to_hex();
+    assert_eq!(reply.twins.len(), 1);
+    assert_eq!(reply.twins[0].fingerprint, fp);
+    assert!(client.cached_point(&fp).unwrap().cached);
+    assert_eq!(client.metric("predllc_points_simulated").unwrap(), 2);
+
+    // Other ways, a private partition under the shared first point, or
+    // another schedule put a twin in another run group: a 400 at that
+    // twin, and nothing is simulated.
+    for outside in [
+        ConfigSpec {
+            partitioning: shared(2, SharingMode::SetSequencer),
+            ..first.clone()
+        },
+        ConfigSpec {
+            partitioning: Partitioning::PrivateEach { sets: 1, ways: 4 },
+            ..first.clone()
+        },
+        ConfigSpec {
+            schedule: Some(vec![1, 0]),
+            ..first.clone()
+        },
+    ] {
+        let wire = PointRequest {
+            twins: vec![in_group.clone(), outside],
+            ..point.clone()
+        }
+        .render()
+        .unwrap();
+        match client.point(&wire) {
+            Err(ClientError::Status { status: 400, body }) => {
+                assert_error_shape(&body, "point");
+                assert!(body.contains("at point.twins[1]:"), "{body}");
+            }
+            other => panic!("expected 400 for a twin outside the run group, got {other:?}"),
+        }
+    }
+    assert_eq!(client.metric("predllc_points_simulated").unwrap(), 2);
     stop(&handle, join);
 }
 
