@@ -39,8 +39,8 @@
 //!   (`LatencyHistogram::record_n`).
 //!
 //! Both engines service every request through the one allocation-free
-//! [`crate::llc::SharedLlc::service`] path, so the LLC protocol has a
-//! single implementation.
+//! `SharedLlc::service` path (in the crate-private `llc` module), so the
+//! LLC protocol has a single implementation.
 //!
 //! Both engines produce bit-identical [`RunReport`]s, event logs
 //! included — the differential suite in `tests/fast_forward.rs` holds

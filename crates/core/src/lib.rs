@@ -11,9 +11,9 @@
 //!   partitions and mapping cores onto them.
 //! * [`sequencer`] — the set sequencer (QLT + SQ): a FIFO per contended
 //!   set that preserves bus broadcast order of pending allocations (§4.5).
-//! * [`llc`] — the inclusive shared-LLC controller: hit/fill/eviction
-//!   state machine with back-invalidations and multi-slot eviction
-//!   completion, in front of a pluggable
+//! * `llc` — the inclusive shared-LLC controller (crate-private):
+//!   hit/fill/eviction state machine with back-invalidations and
+//!   multi-slot eviction completion, in front of a pluggable
 //!   [`MemoryBackend`](predllc_dram::MemoryBackend) (fixed-latency by
 //!   default; bank/row-buffer-aware via
 //!   [`predllc_dram::BankedDram`]). **Slot-budget invariant:** the
@@ -102,7 +102,7 @@ pub mod engine;
 pub mod error;
 pub mod events;
 pub mod histogram;
-pub mod llc;
+mod llc;
 pub mod partition;
 pub mod placement;
 pub mod profile;

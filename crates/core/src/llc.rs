@@ -75,7 +75,7 @@ use crate::sequencer::SetSequencer;
 /// partition has at most [`MAX_PARTITION_CORES`] members, so the mask is
 /// one word whatever the system's core count.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SharerSet(u64);
+pub(crate) struct SharerSet(u64);
 
 impl SharerSet {
     /// The empty set.
@@ -98,13 +98,13 @@ impl SharerSet {
 
     /// Inserts a member.
     #[inline]
-    pub fn insert(&mut self, member: usize) {
+    pub(crate) fn insert(&mut self, member: usize) {
         self.0 |= Self::bit(member);
     }
 
     /// Removes a member; returns whether it was present.
     #[inline]
-    pub fn remove(&mut self, member: usize) -> bool {
+    pub(crate) fn remove(&mut self, member: usize) -> bool {
         let bit = Self::bit(member);
         let was = self.0 & bit != 0;
         self.0 &= !bit;
@@ -113,23 +113,23 @@ impl SharerSet {
 
     /// Whether a member is present.
     #[inline]
-    pub fn contains(&self, member: usize) -> bool {
+    pub(crate) fn contains(&self, member: usize) -> bool {
         self.0 & Self::bit(member) != 0
     }
 
     /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.0 == 0
     }
 
     /// Number of members in the set.
-    pub fn count(&self) -> u32 {
+    pub(crate) fn count(&self) -> u32 {
         self.0.count_ones()
     }
 
     /// Iterates over the member indices in ascending order (ascending
     /// core order), visiting only the set bits.
-    pub fn iter(&self) -> impl Iterator<Item = usize> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> {
         let mut bits = self.0;
         std::iter::from_fn(move || {
             if bits == 0 {
@@ -168,9 +168,9 @@ pub(crate) struct LlcMeta {
     /// While `Valid`: the partition members believed to cache the line
     /// privately. While `Evicting`: the members whose acknowledgements
     /// are still owed.
-    pub sharers: SharerSet,
+    pub(crate) sharers: SharerSet,
     /// Lifecycle state.
-    pub state: LineState,
+    pub(crate) state: LineState,
 }
 
 /// One pending (unanswered) LLC request.
@@ -183,7 +183,7 @@ struct PendingReq {
 
 /// How the LLC answered a serviced request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResponseKind {
+pub(crate) enum ResponseKind {
     /// Answered from LLC contents.
     Hit,
     /// Answered after allocating a way and fetching from DRAM.
@@ -192,7 +192,7 @@ pub enum ResponseKind {
 
 /// What happened when the LLC serviced a request in its owner's slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServiceOutcome {
+pub(crate) enum ServiceOutcome {
     /// The LLC responds within this slot.
     Responded(ResponseKind),
     /// No response this slot.
@@ -201,23 +201,23 @@ pub enum ServiceOutcome {
 
 /// Details of an eviction triggered during service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvictionInfo {
+pub(crate) struct EvictionInfo {
     /// The victimized line.
-    pub victim: LineAddr,
+    pub(crate) victim: LineAddr,
     /// Private sharers that must acknowledge (0 = freed immediately).
-    pub sharers: u32,
+    pub(crate) sharers: u32,
 }
 
 /// One memory-backend access performed during an LLC operation, for
 /// event logging and per-access latency checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemTraffic {
+pub(crate) struct MemTraffic {
     /// The line fetched or written back.
-    pub line: LineAddr,
+    pub(crate) line: LineAddr,
     /// Whether this was a write-back (`true`) or a fill (`false`).
-    pub write: bool,
+    pub(crate) write: bool,
     /// The backend's answer: latency, bank, row outcome.
-    pub access: MemAccess,
+    pub(crate) access: MemAccess,
 }
 
 /// Full result of [`SharedLlc::service`].
@@ -236,30 +236,30 @@ pub struct MemTraffic {
 /// `SharedLlc::partition_members`), and the victim line is in
 /// `eviction`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceResult {
+pub(crate) struct ServiceResult {
     /// The response/blocking outcome.
-    pub outcome: ServiceOutcome,
+    pub(crate) outcome: ServiceOutcome,
     /// The way of `set` holding the answered line, when `outcome` is
     /// `Responded` (`WayIdx(0)` otherwise).
-    pub way: WayIdx,
+    pub(crate) way: WayIdx,
     /// Private copies of the victim invalidated during this slot (all of
     /// its sharers, for events/stats). Non-empty only with `eviction`.
-    pub invalidations: SharerSet,
+    pub(crate) invalidations: SharerSet,
     /// The subset of invalidated sharers whose copy was dirty and who
     /// must therefore transmit an acknowledgement write-back; the engine
     /// queues one data-carrying write-back of the victim per member.
-    pub ack_required: SharerSet,
+    pub(crate) ack_required: SharerSet,
     /// Eviction triggered during this service, if any.
-    pub eviction: Option<EvictionInfo>,
+    pub(crate) eviction: Option<EvictionInfo>,
     /// If the request was newly enqueued in the set sequencer, its queue
     /// position (0 = head).
-    pub sequencer_position: Option<usize>,
+    pub(crate) sequencer_position: Option<usize>,
     /// The partition-local set the request maps to.
-    pub set: SetIdx,
+    pub(crate) set: SetIdx,
     /// Memory-backend accesses performed in this slot, in order — at
     /// most two (a dirty-victim write-back plus the fill re-using the
     /// freed entry), held inline to keep the miss path allocation-free.
-    pub mem_traffic: [Option<MemTraffic>; 2],
+    pub(crate) mem_traffic: [Option<MemTraffic>; 2],
 }
 
 impl ServiceResult {
@@ -284,7 +284,7 @@ impl ServiceResult {
 /// same core's PWB, which would otherwise livelock a request-first
 /// arbiter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Probe {
+pub(crate) enum Probe {
     /// The request would be answered (hit, or allocation possible).
     WouldRespond,
     /// The request would trigger an eviction (progress, not a response).
@@ -295,12 +295,12 @@ pub enum Probe {
 
 /// Result of [`SharedLlc::writeback`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WritebackResult {
+pub(crate) struct WritebackResult {
     /// The line whose entry completed eviction and freed, if any.
-    pub freed: Option<LineAddr>,
+    pub(crate) freed: Option<LineAddr>,
     /// The memory-backend access this write-back caused, if the data
     /// went to DRAM.
-    pub mem_traffic: Option<MemTraffic>,
+    pub(crate) mem_traffic: Option<MemTraffic>,
 }
 
 /// Per-partition controller state.
@@ -380,7 +380,7 @@ impl Memory {
 /// and hands each operation its slot-start timestamp, which the backend
 /// uses to drive its per-bank state machines).
 #[derive(Debug)]
-pub struct SharedLlc {
+pub(crate) struct SharedLlc {
     partitions: Vec<PartitionState>,
     /// `core index → member index` within the core's partition.
     member_of: Vec<u8>,
@@ -395,7 +395,7 @@ impl SharedLlc {
     ///
     /// Panics if a partition's geometry is invalid — impossible for a
     /// [`PartitionMap`] that passed validation.
-    pub fn new(
+    pub(crate) fn new(
         map: PartitionMap,
         line_size: u32,
         replacement: ReplacementKind,
@@ -468,12 +468,12 @@ impl SharedLlc {
     }
 
     /// Counters of the memory backend behind the LLC.
-    pub fn memory_stats(&self) -> &MemStats {
+    pub(crate) fn memory_stats(&self) -> &MemStats {
         self.memory.primary.mem_stats()
     }
 
     /// The backend's analytical worst-case access latency.
-    pub fn memory_worst_case(&self) -> Cycles {
+    pub(crate) fn memory_worst_case(&self) -> Cycles {
         self.memory.primary.worst_case_latency()
     }
 
@@ -525,7 +525,7 @@ impl SharedLlc {
     /// Used by the engine's grant logic; never mutates state and assumes
     /// the request has already been broadcast (a first broadcast is
     /// always progress regardless of this probe).
-    pub fn probe(&self, core: CoreId, line: LineAddr) -> Probe {
+    pub(crate) fn probe(&self, core: CoreId, line: LineAddr) -> Probe {
         let pid = self.map.partition_of(core);
         let p = &self.partitions[pid.as_usize()];
         let set = p.cache.set_of(line);
@@ -573,7 +573,7 @@ impl SharedLlc {
     /// for flat backends). A read-only snapshot for diagnostics — the
     /// WCL witness records it as the bank state a worst-case request
     /// ran into.
-    pub fn open_rows(&self) -> Vec<(predllc_model::BankId, u64)> {
+    pub(crate) fn open_rows(&self) -> Vec<(predllc_model::BankId, u64)> {
         self.memory.primary.open_rows()
     }
 
@@ -597,7 +597,7 @@ impl SharedLlc {
     /// The hit case — the most common slot of all — is small enough to
     /// inline into the caller; every other case continues out of line.
     #[inline]
-    pub fn service(
+    pub(crate) fn service(
         &mut self,
         core: CoreId,
         line: LineAddr,
@@ -781,7 +781,7 @@ impl SharedLlc {
     /// Processes a write-back (capacity eviction or back-invalidation
     /// acknowledgement) transmitted by `core` in its slot starting at
     /// cycle `now`.
-    pub fn writeback(
+    pub(crate) fn writeback(
         &mut self,
         core: CoreId,
         line: LineAddr,

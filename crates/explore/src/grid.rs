@@ -38,6 +38,10 @@
 //! grids run every point alone: attribution splits the DRAM share of a
 //! latency by the run's own backend, and replays its witness on the
 //! point's own platform.
+//!
+//! The in-process grid and a fleet coordinator share the scheduler
+//! ([`measure_runs`]) and the merge ([`grid_rows`]); only how one group
+//! is measured differs.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,7 +54,7 @@ use predllc_workload::Workload;
 
 use crate::executor::Executor;
 use crate::hash::{point_fingerprint, run_fingerprint, Fingerprint};
-use crate::point::{measure, PointError};
+use crate::point::{measure, PointError, PointMeasurement};
 use crate::spec::ExperimentSpec;
 use crate::{ExploreError, ExploreReport};
 
@@ -101,9 +105,10 @@ pub struct GridResult {
 /// The deduped plan of a spec's grid: which declared points exist,
 /// which are physically distinct, how declared points map onto distinct
 /// ones, and which engine runs measure them. The runs are the unit both
-/// the in-process grid and a fleet coordinator schedule — only `unique`
-/// is ever measured, locally or remotely, and [`assemble_rows`] expands
-/// measurements back to declaration order.
+/// the in-process grid and a fleet coordinator schedule with
+/// [`measure_runs`] — only `unique` is ever measured, locally or
+/// remotely, and [`grid_rows`] expands measurements back to declaration
+/// order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridPlan {
     /// Every declared `(config_index, workload_index)` point,
@@ -212,25 +217,58 @@ pub fn build_platforms(
     Ok(platforms)
 }
 
-/// Expands per-unique-point measurements back to declaration order,
-/// relabelling reused measurements with each declared point's own
-/// labels — the merge-on-coordinator step of a sharded run, and the
-/// tail of every in-process run. `measured` is indexed like
-/// `plan.unique`.
-pub fn assemble_rows(
+/// Measures every run group of `plan` on `exec`: `measure(members)`
+/// measures one group (ascending `plan.unique` indices), one result per
+/// member, or fails ranked by the unique point it names. Returns the
+/// measurements indexed like `plan.unique`, or the lowest-ranked failure
+/// — the first failing point, whichever group holds it. Groups whose
+/// first point lies past a known failure are skipped.
+pub fn measure_runs<E, F>(
+    plan: &GridPlan,
+    exec: &Executor,
+    measure: F,
+) -> Result<Vec<PointMeasurement>, E>
+where
+    E: Send,
+    F: Fn(&[usize]) -> Result<Vec<PointMeasurement>, (usize, E)> + Sync,
+{
+    let measured = exec.try_map_ranked(
+        &plan.runs,
+        |_, members| members[0],
+        |_, members| {
+            let measured = measure(members)?;
+            assert_eq!(measured.len(), members.len(), "one measurement per member");
+            Ok(members.iter().copied().zip(measured).collect::<Vec<_>>())
+        },
+    )?;
+    let mut measured: Vec<(usize, PointMeasurement)> = measured.into_iter().flatten().collect();
+    measured.sort_unstable_by_key(|&(u, _)| u);
+    Ok(measured.into_iter().map(|(_, m)| m).collect())
+}
+
+/// The declared rows of `spec`, in declaration order, from `measured`
+/// (indexed like `plan.unique`), each under its declared point's own
+/// labels. A reused point has its unique point's fingerprint, so its own
+/// column of `platforms` is the same platform with the same bound.
+pub fn grid_rows(
     spec: &ExperimentSpec,
     plan: &GridPlan,
-    measured: &[GridResult],
+    platforms: &[(SystemConfig, Option<u64>)],
+    measured: &[PointMeasurement],
 ) -> Vec<GridResult> {
     plan.points
         .iter()
         .zip(&plan.assignment)
-        .map(|(&(ci, wi), &slot)| {
-            let mut row = measured[slot].clone();
-            row.config = spec.configs[ci].label.clone();
-            row.workload = spec.workloads[wi].label.clone();
-            row.x = spec.workloads[wi].x;
-            row
+        .map(|(&(ci, wi), &u)| {
+            let (config, analytical) = &platforms[ci];
+            let entry = &spec.workloads[wi];
+            measured[u].to_grid_result(
+                &spec.configs[ci].label,
+                &entry.label,
+                &config.memory().label(),
+                entry.x,
+                *analytical,
+            )
         })
         .collect()
 }
@@ -273,96 +311,68 @@ pub(crate) fn run(
     let done = AtomicUsize::new(0);
     let unique_total = plan.unique.len();
     let grid_start = Instant::now();
-    // A failure ranks by its point, so the grid reports the lowest
-    // failing point whichever group holds it (a group's later members
-    // can sit past the first point of the next group).
-    let measured = exec.try_map_ranked(
-        &plan.runs,
-        |_, members| members[0],
-        |_, members| -> Result<Vec<GridResult>, (usize, ExploreError)> {
-            let (ci, wi) = plan.unique[members[0]];
-            let entry = &spec.workloads[wi];
-            // Queue wait: grid start to a worker claiming this group.
-            // The span stays open across the measurement, so its
-            // duration is the group's compute time.
-            let queue_wait = grid_start.elapsed();
-            let mut span = ctx.map(|c| {
-                let mut s = c.span(
-                    "explore.point",
-                    fields(&[
-                        ("point", (members[0] as u64).into()),
-                        ("members", (members.len() as u64).into()),
-                        ("config", spec.configs[ci].label.clone().into()),
-                        ("workload", entry.label.clone().into()),
-                    ]),
-                );
-                s.field(
-                    "queue_wait_ns",
-                    u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX),
-                );
-                s
-            });
-            let configs: Vec<&SystemConfig> = members
-                .iter()
-                .map(|&u| &platforms[plan.unique[u].0].0)
-                .collect();
-            let (group, runs) = measure(&configs, &workloads[wi]);
-            if let Some(s) = span.as_mut() {
-                s.field("runs", runs as u64);
-            }
-            let rows = members
-                .iter()
-                .zip(group)
-                .map(|(&u, measured)| {
-                    let (ci, _) = plan.unique[u];
-                    let label = &spec.configs[ci].label;
-                    let measured = measured.map_err(|e| {
-                        let e = match e {
-                            PointError::Config(source) => ExploreError::Config {
-                                label: label.clone(),
-                                source,
-                            },
-                            PointError::Sim(source) => ExploreError::Sim {
-                                config: label.clone(),
-                                workload: entry.label.clone(),
-                                source,
-                            },
-                        };
-                        (u, e)
-                    })?;
-                    let (config, analytical) = &platforms[ci];
-                    Ok(measured.to_grid_result(
-                        label,
-                        &entry.label,
-                        &config.memory().label(),
-                        entry.x,
-                        *analytical,
-                    ))
+    let measured = measure_runs(&plan, exec, |members| {
+        let (ci, wi) = plan.unique[members[0]];
+        let entry = &spec.workloads[wi];
+        // Queue wait: grid start to a worker claiming this group. The
+        // span stays open across the measurement, so its duration is the
+        // group's compute time.
+        let queue_wait = grid_start.elapsed();
+        let mut span = ctx.map(|c| {
+            let mut s = c.span(
+                "explore.point",
+                fields(&[
+                    ("point", (members[0] as u64).into()),
+                    ("members", (members.len() as u64).into()),
+                    ("config", spec.configs[ci].label.clone().into()),
+                    ("workload", entry.label.clone().into()),
+                ]),
+            );
+            s.field(
+                "queue_wait_ns",
+                u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX),
+            );
+            s
+        });
+        let configs: Vec<&SystemConfig> = members
+            .iter()
+            .map(|&u| &platforms[plan.unique[u].0].0)
+            .collect();
+        let (group, runs) = measure(&configs, &workloads[wi]);
+        if let Some(s) = span.as_mut() {
+            s.field("runs", runs as u64);
+        }
+        let measured = members
+            .iter()
+            .zip(group)
+            .map(|(&u, measured)| {
+                let label = &spec.configs[plan.unique[u].0].label;
+                measured.map_err(|e| {
+                    let e = match e {
+                        PointError::Config(source) => ExploreError::Config {
+                            label: label.clone(),
+                            source,
+                        },
+                        PointError::Sim(source) => ExploreError::Sim {
+                            config: label.clone(),
+                            workload: entry.label.clone(),
+                            source,
+                        },
+                    };
+                    (u, e)
                 })
-                .collect::<Result<Vec<GridResult>, _>>()?;
-            // Dropping the guard stamps the span's compute duration.
-            drop(span.take());
-            for _ in members {
-                observe(done.fetch_add(1, Ordering::Relaxed) + 1, unique_total);
-            }
-            Ok(rows)
-        },
-    )?;
+            })
+            .collect::<Result<Vec<PointMeasurement>, _>>()?;
+        // Dropping the guard stamps the span's compute duration.
+        drop(span.take());
+        for _ in members {
+            observe(done.fetch_add(1, Ordering::Relaxed) + 1, unique_total);
+        }
+        Ok(measured)
+    })?;
 
-    // Back to `plan.unique` order, then to declaration order,
-    // relabelling reused measurements with each declared point's own
-    // labels.
-    let mut measured: Vec<(usize, GridResult)> = plan
-        .runs
-        .iter()
-        .flatten()
-        .copied()
-        .zip(measured.into_iter().flatten())
-        .collect();
-    measured.sort_unstable_by_key(|&(u, _)| u);
-    let measured: Vec<GridResult> = measured.into_iter().map(|(_, row)| row).collect();
     Ok(ExploreReport {
-        grid: assemble_rows(spec, &plan, &measured),
+        grid: grid_rows(spec, &plan, &platforms, &measured),
         search: None,
         unique_points: unique_total,
         total_points: plan.points.len(),

@@ -90,7 +90,7 @@ pub mod spec;
 pub use attribution::{PointAttribution, PointGap};
 pub use executor::Executor;
 pub use grid::{
-    assemble_rows, build_platforms, plan_grid, unique_point_count, GridPlan, GridResult,
+    build_platforms, grid_rows, measure_runs, plan_grid, unique_point_count, GridPlan, GridResult,
 };
 pub use hash::{canonical_fingerprint, point_fingerprint, Fingerprint, Fnv1a};
 pub use point::{measure, PointError, PointMeasurement, PointRequest};

@@ -1,21 +1,22 @@
 //! The coordinator: shard a spec's run groups across worker services,
 //! survive worker loss, merge results bit-identically.
 //!
-//! Dispatch is a shared work queue over the run groups of
-//! [`plan_grid`] — the same dedup and the same groups the in-process
-//! grid schedules, with every point the coordinator's cache already
-//! holds filtered out — drained by one dispatcher thread per worker. A
-//! group ships as planned, as one [`PointRequest`] naming its points'
-//! configurations in ascending order (the first as `config`, the rest
-//! as `twins`); the worker checks that they share a run group and
-//! measures them with one `measure` call. The coordinator does not
-//! know what may differ inside a group: `plan_grid` decides that. A
-//! reply must answer exactly the shipped points, in order, by
-//! fingerprint. A worker that stops answering — connection refused,
-//! reset mid-request, failed heartbeat, or a reply for other points —
-//! is marked **lost**: its in-flight run goes back on the queue (front,
-//! so recovery does not starve) and the surviving workers absorb the
-//! work. Losing every worker with work still pending fails the run with
+//! A run schedules the run groups of [`plan_grid`] — the same dedup and
+//! the same groups the in-process grid measures — with the in-process
+//! grid's own scheduler, [`measure_runs`], on an [`Executor`] with one
+//! thread per live worker. The coordinator cache is read once, as the
+//! run begins; a group's job takes a worker from the run's pool and
+//! ships the group's points that cache did not hold, as planned, as one
+//! [`PointRequest`] naming their configurations in ascending order (the
+//! first as `config`, the rest as `twins`). The worker checks that they
+//! share a run group and measures them with one `measure` call; the
+//! coordinator does not know what may differ inside a group:
+//! `plan_grid` decides that. A reply must answer exactly the shipped
+//! points, in order, by fingerprint. A worker that stops answering —
+//! connection refused, reset mid-request, failed heartbeat, or a reply
+//! for other points — is marked **lost** and leaves the pool, and the
+//! job ships its group again on the next free worker. Losing every
+//! worker with work still pending fails the run with
 //! [`FleetError::NoWorkers`] instead of hanging.
 //!
 //! Everything a caller observes stays per point: both caches, progress,
@@ -25,24 +26,22 @@
 //! run).
 //!
 //! Merging cannot introduce drift because nothing numeric is merged:
-//! workers ship exact integers ([`PointMeasurement`]), the coordinator
-//! derives each row with the same arithmetic the in-process grid uses
-//! ([`PointMeasurement::to_grid_result`]) and assembles declaration
-//! order with [`assemble_rows`]. Which worker computed a point, and in
-//! what order, is unobservable in the output.
+//! workers ship exact integers ([`PointMeasurement`]), and the
+//! coordinator derives the declared rows with [`grid_rows`], the
+//! arithmetic the in-process grid uses. Which worker computed a point,
+//! and in what order, is unobservable in the output.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use predllc_explore::json::{self, Json};
 use predllc_explore::{
-    assemble_rows, build_platforms, plan_grid, point_fingerprint, search_partitions, Executor,
-    ExperimentSpec, ExploreError, ExploreReport, Fingerprint, GridPlan, GridResult,
-    PointMeasurement, PointRequest,
+    build_platforms, grid_rows, measure_runs, plan_grid, point_fingerprint, search_partitions,
+    Executor, ExperimentSpec, ExploreError, ExploreReport, Fingerprint, PointMeasurement,
+    PointRequest,
 };
 use predllc_obs::expo::{self, ExpoValue};
 use predllc_obs::{fields, Compare, Rule, TraceCtx};
@@ -123,10 +122,6 @@ pub struct CoordinatorConfig {
     pub retries: u32,
     /// How often the heartbeat thread probes each worker's `/healthz`.
     pub heartbeat_interval: Duration,
-    /// Threads of the coordinator-local [`Executor`] that runs the
-    /// partition-search phase (`0` = one per core). The search is
-    /// analytical — no simulation — so it stays local.
-    pub search_threads: usize,
 }
 
 impl Default for CoordinatorConfig {
@@ -135,7 +130,6 @@ impl Default for CoordinatorConfig {
             request_timeout: Duration::from_secs(120),
             retries: 4,
             heartbeat_interval: Duration::from_millis(250),
-            search_threads: 0,
         }
     }
 }
@@ -148,67 +142,89 @@ struct Worker {
     alive: AtomicBool,
 }
 
-/// Interior of the dispatch lock: the run queue plus completion
-/// bookkeeping. Invariant, until a permanent failure is recorded: the
-/// members of queued runs + the members of in-flight runs
-/// (`outstanding`) + `completed` == `total`.
-///
-/// Three kinds of thread wait on the dispatch `Condvar`, each for its
-/// own condition: the job's waiter for the job to complete or fail;
-/// idle dispatchers for a run to requeue, a failure, their worker's
-/// loss or the job's completion; the heartbeat for `done`. So a
-/// transition notifies only when it can change one of these. A requeue
-/// (`abandon_run`), a failure (`fail_run`, `check_no_workers`), a lost
-/// worker (the heartbeat) and `done` do. A resolved run does only when
-/// it completes the job: any other resolution leaves the queue, the
-/// failure, every worker and `done` as they were, and a wake-up would
-/// only send each waiter back to sleep.
-struct DispatchState {
-    /// Set by the waiting run once every point resolved (or the run
-    /// failed). It lives under the lock the heartbeat waits on, so the
-    /// heartbeat cannot miss the wake-up and sleep out its interval.
-    done: bool,
-    /// Indices into [`Shared::runs`], awaiting a worker.
-    queue: VecDeque<usize>,
-    /// Members of the runs currently in flight on some worker.
-    outstanding: usize,
-    /// Points measured (or answered from the coordinator cache).
-    completed: usize,
-    /// Unique points overall.
-    total: usize,
-    /// Measurements, indexed like the unique-point list.
-    results: Vec<Option<PointMeasurement>>,
-    /// The first permanent failure, lowest unique index winning — the
-    /// same "first failing point" a local run would report.
-    failed: Option<(usize, FleetError)>,
+/// The workers of one run, each with its keep-alive [`Client`]; a
+/// group's job takes one per request. One monitor, whose invariant is
+/// idle + busy + lost = the live workers the run began with:
+/// [`Pool::take`] moves a worker from idle to busy (or drops one the
+/// heartbeat lost), [`Pool::give`] from busy to idle or lost. So `take`
+/// may wait while a worker is busy, and answers `None` once none is
+/// idle or busy: no worker can come back then.
+struct Pool<'a> {
+    state: Mutex<PoolState<'a>>,
+    /// Signalled when a worker comes back or is lost, and at the end.
+    cond: Condvar,
 }
 
-/// What every dispatcher and the heartbeat of one coordinator run share,
-/// borrowed for its duration.
-struct Shared<'a> {
+const POOL_POISONED: &str = "a thread panicked holding the worker pool";
+
+struct PoolState<'a> {
+    idle: Vec<(&'a Worker, Client)>,
+    busy: usize,
+    /// Set once every group is measured or failed. It lives under the
+    /// lock the heartbeat waits on, so the heartbeat cannot miss the
+    /// wake-up and sleep out its interval.
+    done: bool,
+}
+
+impl<'a> Pool<'a> {
+    /// The live worker idle longest, waiting while any worker is busy;
+    /// `None` once none is left.
+    fn take(&self) -> Option<(&'a Worker, Client)> {
+        let mut st = self.state.lock().expect(POOL_POISONED);
+        loop {
+            while !st.idle.is_empty() {
+                let (worker, client) = st.idle.remove(0);
+                // An idle worker the heartbeat lost leaves the pool here.
+                if worker.alive.load(Ordering::SeqCst) {
+                    st.busy += 1;
+                    return Some((worker, client));
+                }
+            }
+            if st.busy == 0 {
+                return None;
+            }
+            st = self.cond.wait(st).expect(POOL_POISONED);
+        }
+    }
+
+    /// Returns a worker [`Pool::take`] gave out, after its request:
+    /// `Some` to idle, `None` when it was lost.
+    fn give(&self, worker: Option<(&'a Worker, Client)>) {
+        let mut st = self.state.lock().expect(POOL_POISONED);
+        st.busy -= 1;
+        st.idle.extend(worker);
+        drop(st);
+        self.cond.notify_all();
+    }
+
+    /// Ends the run: wakes the heartbeat.
+    fn finish(&self) {
+        self.state.lock().expect(POOL_POISONED).done = true;
+        self.cond.notify_all();
+    }
+}
+
+/// What every group's job of one coordinator run shares, borrowed for
+/// its duration.
+struct Run<'a> {
     spec: &'a ExperimentSpec,
-    /// The plan's unique points, indexed like the results.
+    /// The plan's unique points.
     unique: &'a [(usize, usize)],
     /// Each unique point's [`point_fingerprint`], its cache key.
     fingerprints: &'a [Fingerprint],
-    /// The run groups left to measure: the plan's groups without the
-    /// points the coordinator cache answered, each ascending. A run's
-    /// k-th point is its request's k-th member.
-    runs: &'a [Vec<usize>],
-    state: &'a Mutex<DispatchState>,
-    cond: &'a Condvar,
+    pool: Pool<'a>,
+    /// Unique points resolved so far, from the cache or a worker.
+    resolved: AtomicUsize,
     observe: &'a (dyn Fn(usize, usize) + Sync),
     ctx: Option<TraceCtx<'a>>,
 }
 
-/// The fleet coordinator: owns the worker list, the shared point cache
-/// and the dispatch loop. One coordinator serves many runs; its point
-/// cache carries measurements across them.
+/// The fleet coordinator: owns the worker list and the shared point
+/// cache. One coordinator serves many runs; its point cache carries
+/// measurements across them.
 pub struct Coordinator {
     workers: Vec<Worker>,
     config: CoordinatorConfig,
-    /// Local executor for the partition-search phase.
-    exec: Executor,
     metrics: Arc<Metrics>,
     /// Coordinator-side point cache: fingerprints resolved by any
     /// earlier run (whichever worker computed them), bounded like a
@@ -239,7 +255,6 @@ impl Coordinator {
         metrics.workers_alive.set(workers.len() as u64);
         Coordinator {
             workers,
-            exec: Executor::new(config.search_threads),
             config,
             metrics,
             cache: Mutex::new(PointCache::new(ServerConfig::default().max_points)),
@@ -268,7 +283,8 @@ impl Coordinator {
     /// workers died along the way.
     ///
     /// `observe(done, unique_total)` fires as unique points resolve,
-    /// like the in-process grid's progress hook. Under `ctx` (when
+    /// like the in-process grid's progress hook: the points the
+    /// coordinator cache answers first, in one call. Under `ctx` (when
     /// given) the run records its dispatch and merge spans; tracing
     /// reads wall-clock time only, so the report is bit-identical to an
     /// untraced run.
@@ -287,53 +303,9 @@ impl Coordinator {
     ) -> Result<ExploreReport, FleetError> {
         let platforms = build_platforms(spec)?;
         let plan = plan_grid(spec);
-        let results = self.dispatch(spec, &plan, observe, ctx)?;
-
-        // The merge tail: exact-integer measurements become grid rows
-        // with the same arithmetic the in-process path uses.
-        let _merge = ctx.map(|c| {
-            c.span(
-                "fleet.merge",
-                fields(&[("unique_points", (plan.unique.len() as u64).into())]),
-            )
-        });
-        let measured: Vec<GridResult> = plan
+        let total = plan.unique.len();
+        let fingerprints: Vec<Fingerprint> = plan
             .unique
-            .iter()
-            .zip(results)
-            .map(|(&(ci, wi), m)| {
-                m.expect("dispatch resolved every point").to_grid_result(
-                    &spec.configs[ci].label,
-                    &spec.workloads[wi].label,
-                    &platforms[ci].0.memory().label(),
-                    spec.workloads[wi].x,
-                    platforms[ci].1,
-                )
-            })
-            .collect();
-        let search = match &spec.search {
-            Some(s) => Some(search_partitions(s, spec.cores, &spec.tasks, &self.exec)?),
-            None => None,
-        };
-        Ok(ExploreReport {
-            grid: assemble_rows(spec, &plan, &measured),
-            search,
-            unique_points: plan.unique.len(),
-            total_points: plan.points.len(),
-        })
-    }
-
-    /// Resolves every unique point: coordinator cache first, then the
-    /// worker fleet, one request per run group.
-    fn dispatch(
-        &self,
-        spec: &ExperimentSpec,
-        plan: &GridPlan,
-        observe: &(dyn Fn(usize, usize) + Sync),
-        ctx: Option<TraceCtx<'_>>,
-    ) -> Result<Vec<Option<PointMeasurement>>, FleetError> {
-        let unique = &plan.unique;
-        let fingerprints: Vec<Fingerprint> = unique
             .iter()
             .map(|&(ci, wi)| {
                 point_fingerprint(
@@ -344,150 +316,156 @@ impl Coordinator {
                 )
             })
             .collect();
-        let mut results: Vec<Option<PointMeasurement>> = vec![None; unique.len()];
-        {
+        // One read of the coordinator cache, as the run begins: the
+        // run's own inserts may evict a point found here, which must
+        // still count as found rather than ship.
+        let cached: Vec<Option<PointMeasurement>> = {
             let cache = self.cache.lock().unwrap();
-            for (i, fp) in fingerprints.iter().enumerate() {
-                if let Some(m) = cache.get(fp) {
-                    results[i] = Some(m.clone());
-                    self.metrics.points_cache_shared.inc();
-                }
-            }
-        }
-        let mut runs = plan.runs.clone();
-        for run in &mut runs {
-            run.retain(|&i| results[i].is_none());
-        }
-        runs.retain(|run| !run.is_empty());
-        let pending: usize = runs.iter().map(Vec::len).sum();
-        let completed = unique.len() - pending;
-        if completed > 0 {
-            observe(completed, unique.len());
-        }
-        if runs.is_empty() {
-            return Ok(results);
-        }
-        if self.live_workers() == 0 {
-            return Err(FleetError::NoWorkers { pending });
+            fingerprints
+                .iter()
+                .map(|fp| cache.get(fp).cloned())
+                .collect()
+        };
+        let hits = cached.iter().flatten().count();
+        self.metrics.points_cache_shared.add(hits as u64);
+        if hits > 0 {
+            observe(hits, total);
         }
 
-        let state = Mutex::new(DispatchState {
-            done: false,
-            queue: (0..runs.len()).collect(),
-            outstanding: 0,
-            completed,
-            total: unique.len(),
-            results,
-            failed: None,
-        });
-        let cond = Condvar::new();
-        let shared = Shared {
-            spec,
-            unique,
-            fingerprints: &fingerprints,
-            runs: &runs,
-            state: &state,
-            cond: &cond,
-            observe,
-            ctx,
+        let measured = if hits == total {
+            // Answered in full: no request, no heartbeat.
+            cached.into_iter().flatten().collect()
+        } else {
+            let idle: Vec<(&Worker, Client)> = self
+                .workers
+                .iter()
+                .filter(|w| w.alive.load(Ordering::SeqCst))
+                .map(|w| {
+                    let mut client = Client::new(w.addr)
+                        .with_timeout(self.config.request_timeout)
+                        .with_retries(self.config.retries);
+                    // Worker-side spans record under the same trace id
+                    // as ours.
+                    client.set_trace(ctx.map(|c| c.trace));
+                    (w, client)
+                })
+                .collect();
+            let exec = Executor::new(idle.len().max(1));
+            let run = Run {
+                spec,
+                unique: &plan.unique,
+                fingerprints: &fingerprints,
+                pool: Pool {
+                    state: Mutex::new(PoolState {
+                        idle,
+                        busy: 0,
+                        done: false,
+                    }),
+                    cond: Condvar::new(),
+                },
+                resolved: AtomicUsize::new(hits),
+                observe,
+                ctx,
+            };
+            std::thread::scope(|s| {
+                s.spawn(|| self.heartbeat(&run.pool));
+                let measured = measure_runs(&plan, &exec, |members| {
+                    let uncached: Vec<usize> = members
+                        .iter()
+                        .copied()
+                        .filter(|&u| cached[u].is_none())
+                        .collect();
+                    let mut shipped = self.ship(&run, &uncached)?.into_iter();
+                    Ok(members
+                        .iter()
+                        .map(|&u| cached[u].clone().or_else(|| shipped.next()))
+                        .collect::<Option<Vec<PointMeasurement>>>()
+                        .expect("one measurement per shipped point"))
+                });
+                run.pool.finish();
+                measured
+            })
+            .map_err(|e| match e {
+                FleetError::NoWorkers { .. } => FleetError::NoWorkers {
+                    pending: total - run.resolved.load(Ordering::SeqCst),
+                },
+                e => e,
+            })?
         };
 
-        std::thread::scope(|s| {
-            // Shadow with a reference so the `move` closures copy it
-            // instead of consuming the local.
-            let shared = &shared;
-            for worker in &self.workers {
-                if worker.alive.load(Ordering::SeqCst) {
-                    s.spawn(move || self.dispatch_worker(worker, shared));
-                }
-            }
-            s.spawn(|| self.heartbeat(shared));
-
-            let mut st = state.lock().unwrap();
-            while st.failed.is_none() && st.completed < st.total {
-                st = cond.wait(st).unwrap();
-            }
-            st.done = true;
-            drop(st);
-            cond.notify_all();
+        // The merge tail: exact-integer measurements become grid rows
+        // with the same arithmetic the in-process path uses.
+        let _merge = ctx.map(|c| {
+            c.span(
+                "fleet.merge",
+                fields(&[("unique_points", (total as u64).into())]),
+            )
         });
-
-        let mut st = state.into_inner().unwrap();
-        match st.failed.take() {
-            Some((_, e)) => Err(e),
-            None => Ok(std::mem::take(&mut st.results)),
-        }
+        let search = spec
+            .search
+            .as_ref()
+            .map(|s| search_partitions(s, spec.cores, &spec.tasks, &Executor::default()))
+            .transpose()?;
+        Ok(ExploreReport {
+            grid: grid_rows(spec, &plan, &platforms, &measured),
+            search,
+            unique_points: total,
+            total_points: plan.points.len(),
+        })
     }
 
-    /// One worker's dispatcher: claim a run, ship it, record the
-    /// answers; on transport failure requeue the run, mark the worker
-    /// lost and exit.
-    fn dispatch_worker(&self, worker: &Worker, shared: &Shared<'_>) {
-        let spec = shared.spec;
-        let worker_label = worker.addr.to_string();
-        let mut client = Client::new(worker.addr)
-            .with_timeout(self.config.request_timeout)
-            .with_retries(self.config.retries);
-        // Worker-side spans record under the same trace id as ours.
-        client.set_trace(shared.ctx.map(|c| c.trace));
+    /// Ships the unique points `points` — one group's uncached points,
+    /// ascending — as one request to the next free worker, to the next
+    /// one again each time a worker is lost, and resolves them.
+    fn ship(
+        &self,
+        run: &Run<'_>,
+        points: &[usize],
+    ) -> Result<Vec<PointMeasurement>, (usize, FleetError)> {
+        let Some(&first) = points.first() else {
+            return Ok(Vec::new());
+        };
+        let spec = run.spec;
+        let (ci, wi) = run.unique[first];
+        let request = PointRequest {
+            cores: spec.cores,
+            config: spec.configs[ci].clone(),
+            workload: spec.workloads[wi].clone(),
+            attribution: spec.attribution,
+            twins: points[1..]
+                .iter()
+                .map(|&i| spec.configs[run.unique[i].0].clone())
+                .collect(),
+        };
+        let point_error = |member: usize, kind: String, message: String| {
+            let point = points[member];
+            let error = FleetError::Point {
+                config: spec.configs[run.unique[point].0].label.clone(),
+                workload: spec.workloads[wi].label.clone(),
+                kind,
+                message,
+            };
+            (point, error)
+        };
+        // Spec-parsed points always render; this is a programmatic
+        // config with no wire form.
+        let wire = request
+            .render()
+            .map_err(|message| point_error(0, "render".into(), message))?;
         loop {
-            let claim = {
-                let mut st = shared.state.lock().unwrap();
-                loop {
-                    if st.failed.is_some()
-                        || st.completed == st.total
-                        || !worker.alive.load(Ordering::SeqCst)
-                    {
-                        break None;
-                    }
-                    if let Some(r) = st.queue.pop_front() {
-                        st.outstanding += shared.runs[r].len();
-                        break Some(r);
-                    }
-                    // Queue empty but siblings are in flight: one of
-                    // them may requeue its run by dying.
-                    st = shared.cond.wait(st).unwrap();
-                }
-            };
-            let Some(r) = claim else { break };
-            let members = &shared.runs[r];
-            let (ci, wi) = shared.unique[members[0]];
-            let request = PointRequest {
-                cores: spec.cores,
-                config: spec.configs[ci].clone(),
-                workload: spec.workloads[wi].clone(),
-                attribution: spec.attribution,
-                twins: members[1..]
-                    .iter()
-                    .map(|&i| spec.configs[shared.unique[i].0].clone())
-                    .collect(),
-            };
-            let wire = match request.render() {
-                Ok(w) => w,
-                Err(message) => {
-                    // Spec-parsed points always render; this is a
-                    // programmatic config with no wire form.
-                    self.fail_run(
-                        shared,
-                        r,
-                        0,
-                        FleetError::Point {
-                            config: spec.configs[ci].label.clone(),
-                            workload: spec.workloads[wi].label.clone(),
-                            kind: "render".into(),
-                            message,
-                        },
-                    );
-                    break;
-                }
-            };
-            self.metrics.points_assigned.add(members.len() as u64);
-            let dispatch_span = shared.ctx.map(|c| {
+            // `pending` is counted once the run ends.
+            let (worker, mut client) = run
+                .pool
+                .take()
+                .ok_or((usize::MAX, FleetError::NoWorkers { pending: 0 }))?;
+            let worker_label = worker.addr.to_string();
+            self.metrics.points_assigned.add(points.len() as u64);
+            let dispatch_span = run.ctx.map(|c| {
                 c.span(
                     "fleet.dispatch",
                     fields(&[
-                        ("point", (members[0] as u64).into()),
-                        ("members", (members.len() as u64).into()),
+                        ("point", (first as u64).into()),
+                        ("members", (points.len() as u64).into()),
                         ("worker", worker_label.clone().into()),
                     ]),
                 )
@@ -496,84 +474,65 @@ impl Coordinator {
             let answer = client.point(&wire);
             let rtt = shipped.elapsed();
             drop(dispatch_span);
-            match answer {
-                Ok(reply) => match decode_reply(&reply, members, shared.fingerprints) {
-                    Some(measured) => {
-                        self.metrics.worker_rtt(&worker_label).record(rtt);
-                        self.resolve_run(shared, r, measured, &worker_label);
-                    }
-                    // A worker answering garbage, or for other points, is
-                    // a lost worker, not a lost experiment.
-                    None => {
-                        self.metrics.worker_requeue(&worker_label).record(rtt);
-                        self.abandon_run(worker, shared, r);
-                        break;
-                    }
-                },
+            let measured = match answer {
+                Ok(reply) => decode_reply(&reply, points, run.fingerprints),
                 Err(ClientError::Status { status: 422, body }) => {
+                    run.pool.give(Some((worker, client)));
                     let (kind, message, member) = parse_point_error(&body);
-                    let member = member.filter(|&k| k < members.len()).unwrap_or(0);
-                    self.fail_run(
-                        shared,
-                        r,
-                        member,
-                        FleetError::Point {
-                            config: spec.configs[shared.unique[members[member]].0].label.clone(),
-                            workload: spec.workloads[wi].label.clone(),
-                            kind,
-                            message,
-                        },
-                    );
-                    break;
+                    let member = member.filter(|&k| k < points.len()).unwrap_or(0);
+                    return Err(point_error(member, kind, message));
                 }
                 // Everything else — refused, reset, timeout, 5xx — is
-                // the worker's fault: requeue and fail the worker over.
-                Err(_) => {
-                    self.metrics.worker_requeue(&worker_label).record(rtt);
-                    self.abandon_run(worker, shared, r);
-                    break;
-                }
+                // the worker's fault.
+                Err(_) => None,
+            };
+            if let Some(measured) = measured {
+                self.metrics.worker_rtt(&worker_label).record(rtt);
+                run.pool.give(Some((worker, client)));
+                return Ok(self.resolve(run, points, measured, &worker_label));
             }
+            // A worker answering garbage, for other points or not at all
+            // is a lost worker, not a lost experiment: the group goes to
+            // the next worker.
+            self.metrics.worker_requeue(&worker_label).record(rtt);
+            self.mark_lost(worker);
+            self.metrics.points_retried.add(points.len() as u64);
+            if let Some(c) = run.ctx {
+                c.instant(
+                    "fleet.point.requeued",
+                    fields(&[
+                        ("point", (first as u64).into()),
+                        ("members", (points.len() as u64).into()),
+                        ("worker", worker_label.into()),
+                    ]),
+                );
+            }
+            run.pool.give(None);
         }
-        // If this exit stranded the run with no live workers, say so
-        // rather than letting the waiter hang.
-        self.check_no_workers(shared);
     }
 
-    /// Records run `r`'s measurements, one per member with whether a
-    /// worker cache answered it: each point enters the coordinator
-    /// cache, the results and the progress count on its own.
-    fn resolve_run(
+    /// Records the measurements of the shipped `points`, each with
+    /// whether a worker cache answered it: each point enters the
+    /// coordinator cache, the counters, the `fleet.point.resolved`
+    /// instants and progress on its own.
+    fn resolve(
         &self,
-        shared: &Shared<'_>,
-        r: usize,
+        run: &Run<'_>,
+        points: &[usize],
         measured: Vec<(PointMeasurement, bool)>,
         worker_label: &str,
-    ) {
-        let members = &shared.runs[r];
+    ) -> Vec<PointMeasurement> {
         {
             let mut cache = self.cache.lock().unwrap();
-            for (&i, (m, _)) in members.iter().zip(&measured) {
-                cache.insert(shared.fingerprints[i], m.clone());
+            for (&i, (m, _)) in points.iter().zip(&measured) {
+                cache.insert(run.fingerprints[i], m.clone());
             }
         }
-        let cached: Vec<bool> = measured.iter().map(|&(_, cached)| cached).collect();
-        let answered = cached.iter().filter(|&&c| c).count();
+        let answered = measured.iter().filter(|&&(_, cached)| cached).count();
         self.metrics.points_cache_shared.add(answered as u64);
-        let (last, total) = {
-            let mut st = shared.state.lock().unwrap();
-            for (&i, (m, _)) in members.iter().zip(measured) {
-                st.results[i] = Some(m);
-            }
-            st.outstanding -= members.len();
-            st.completed += members.len();
-            if st.completed == st.total {
-                shared.cond.notify_all();
-            }
-            (st.completed, st.total)
-        };
-        if let Some(c) = shared.ctx {
-            for (&i, &cached) in members.iter().zip(&cached) {
+        let last = run.resolved.fetch_add(points.len(), Ordering::SeqCst) + points.len();
+        if let Some(c) = run.ctx {
+            for (&i, &(_, cached)) in points.iter().zip(&measured) {
                 c.instant(
                     "fleet.point.resolved",
                     fields(&[
@@ -584,9 +543,10 @@ impl Coordinator {
                 );
             }
         }
-        for done in last + 1 - members.len()..=last {
-            (shared.observe)(done, total);
+        for done in last + 1 - points.len()..=last {
+            (run.observe)(done, run.unique.len());
         }
+        measured.into_iter().map(|(m, _)| m).collect()
     }
 
     /// Marks a worker lost exactly once, settling the gauge pair: the
@@ -599,61 +559,12 @@ impl Coordinator {
         }
     }
 
-    /// A transient run failure: the worker is lost, the run goes back
-    /// on the queue (front — recovery work first).
-    fn abandon_run(&self, worker: &Worker, shared: &Shared<'_>, r: usize) {
-        let members = &shared.runs[r];
-        self.mark_lost(worker);
-        self.metrics.points_retried.add(members.len() as u64);
-        if let Some(c) = shared.ctx {
-            c.instant(
-                "fleet.point.requeued",
-                fields(&[
-                    ("point", (members[0] as u64).into()),
-                    ("members", (members.len() as u64).into()),
-                    ("worker", worker.addr.to_string().into()),
-                ]),
-            );
-        }
-        let mut st = shared.state.lock().unwrap();
-        st.queue.push_front(r);
-        st.outstanding -= members.len();
-        shared.cond.notify_all();
-    }
-
-    /// A permanent run failure, positioned at the run's `member`-th
-    /// point; the lowest unique index wins so the reported error matches
-    /// what a local run would say first.
-    fn fail_run(&self, shared: &Shared<'_>, r: usize, member: usize, err: FleetError) {
-        let members = &shared.runs[r];
-        let point = members[member];
-        let mut st = shared.state.lock().unwrap();
-        st.outstanding -= members.len();
-        if st.failed.as_ref().is_none_or(|(j, _)| point < *j) {
-            st.failed = Some((point, err));
-        }
-        shared.cond.notify_all();
-    }
-
-    /// Fails the run when every worker is gone with work pending.
-    fn check_no_workers(&self, shared: &Shared<'_>) {
-        if self.live_workers() > 0 {
-            return;
-        }
-        let mut st = shared.state.lock().unwrap();
-        if st.failed.is_none() && st.completed < st.total && st.outstanding == 0 {
-            let pending = st.total - st.completed;
-            st.failed = Some((usize::MAX, FleetError::NoWorkers { pending }));
-        }
-        shared.cond.notify_all();
-    }
-
     /// The heartbeat loop: probe every live worker's `/healthz` each
-    /// interval; a worker that fails one probe is lost. Dispatchers
-    /// notice via the `alive` flag at their next claim. Between rounds
-    /// it waits on the dispatch `Condvar`, so the run's end wakes it at
-    /// once and the merge never waits out an interval.
-    fn heartbeat(&self, shared: &Shared<'_>) {
+    /// interval; a worker that fails one probe is lost, and leaves the
+    /// pool when next taken. Between rounds it waits on the pool, so the
+    /// run's end wakes it at once and the merge never waits out an
+    /// interval.
+    fn heartbeat(&self, pool: &Pool<'_>) {
         let probe_timeout = self
             .config
             .heartbeat_interval
@@ -673,14 +584,13 @@ impl Coordinator {
                     .record(started.elapsed());
                 if answer.is_err() {
                     self.mark_lost(worker);
-                    shared.cond.notify_all();
                 }
             }
-            let st = shared.state.lock().unwrap();
-            let (st, _) = shared
+            let st = pool.state.lock().expect(POOL_POISONED);
+            let (st, _) = pool
                 .cond
                 .wait_timeout_while(st, self.config.heartbeat_interval, |st| !st.done)
-                .unwrap();
+                .expect(POOL_POISONED);
             if st.done {
                 return;
             }
@@ -1011,6 +921,9 @@ mod tests {
         let again = coordinator.run(&spec, &|_, _| {}, None).unwrap();
         assert_eq!(metrics.points_assigned.get(), 8);
         assert_eq!(cached(&coordinator), [true, true, false, false, true, true]);
+        // Four answers from the coordinator cache, and the worker's own
+        // cache answers the two re-shipped points.
+        assert_eq!(metrics.points_cache_shared.get(), 4 + 2);
         let local = run_spec(&spec, &Executor::new(1)).unwrap();
         assert_eq!(render_csv(&again.grid), render_csv(&first.grid));
         assert_eq!(render_csv(&again.grid), render_csv(&local.grid));

@@ -22,10 +22,14 @@
 //!   coordinator with the in-process arithmetic, so a fleet run is
 //!   **bit-identical** to `predllc_explore::run_spec` for every fleet
 //!   shape: 1 worker, 4 workers, or none (in-process);
-//! * a worker that stops answering (reset, refused, failed heartbeat)
-//!   is marked lost, its in-flight run is requeued, and the surviving
-//!   workers absorb the work — determinism is unaffected because point
-//!   measurements are pure functions of the point;
+//! * the groups are scheduled by the in-process grid's own scheduler,
+//!   [`measure_runs`](predllc_explore::measure_runs), with one thread
+//!   per live worker, and merged by its own
+//!   [`grid_rows`](predllc_explore::grid_rows); a worker that stops
+//!   answering (reset, refused, failed heartbeat) is marked lost and its
+//!   group ships again on the next free worker — determinism is
+//!   unaffected because point measurements are pure functions of the
+//!   point;
 //! * point results are cached at both ends, each point of a group under
 //!   its own key (worker-side and coordinator-side, content-addressed
 //!   by [`point_fingerprint`](predllc_explore::point_fingerprint)), so

@@ -41,7 +41,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::api;
@@ -865,6 +865,11 @@ pub(crate) fn serve(
         loop {
             match listener.accept() {
                 Ok((mut stream, _)) => {
+                    if shared.killed.load(Ordering::SeqCst) {
+                        // A crashed server hands nothing more to its
+                        // reactors: the stream drops here, closed.
+                        break;
+                    }
                     let ticket = ConnTicket::new(shared);
                     if ticket.over_capacity() {
                         // Accepted sockets are blocking (nonblocking is
@@ -898,17 +903,33 @@ pub(crate) fn serve(
     // finish in-flight work (dispatch workers stay up until the
     // reactors are gone — parked connections need their outcomes).
     drop(listener);
-    for rshared in &reactors {
-        rshared.wake.signal();
-    }
-    for thread in reactor_threads {
-        let _ = thread.join();
-    }
+    stop_reactors(&reactors, reactor_threads);
     pool.close();
     for thread in worker_threads {
         let _ = thread.join();
     }
     Ok(())
+}
+
+/// Wakes and joins the reactor threads, then closes every connection
+/// still waiting in an inbox. A killed reactor returns without draining
+/// its inbox, and the waker registered on [`Shared`] keeps that inbox
+/// alive as long as the server's handles: a connection accepted while
+/// the server died would stay open, and its peer would wait out its
+/// whole read timeout instead of seeing the close.
+fn stop_reactors(reactors: &[Arc<ReactorShared>], threads: Vec<std::thread::JoinHandle<()>>) {
+    for rshared in reactors {
+        rshared.wake.signal();
+    }
+    for thread in threads {
+        let _ = thread.join();
+    }
+    for rshared in reactors {
+        // The joins above already set a reactor's panic aside; its
+        // poisoned inbox still only holds injections to drop.
+        let mut inbox = rshared.inbox.lock().unwrap_or_else(PoisonError::into_inner);
+        inbox.clear();
+    }
 }
 
 #[cfg(test)]
@@ -985,5 +1006,37 @@ mod tests {
         assert_eq!(pool.take().map(|j| j.seq), Some(3));
         assert!(pool.take().is_none(), "closed and drained");
         assert!(pool.try_submit(job(&reactor, 4)).is_err(), "closed refuses");
+    }
+
+    #[test]
+    fn a_stopped_reactor_closes_the_connections_left_in_its_inbox() {
+        let server = crate::Server::bind("127.0.0.1:0", crate::ServerConfig::default()).unwrap();
+        let shared = Arc::clone(&server.shared);
+        let router = Arc::new(api::build_router(&shared));
+        let pool = Arc::new(DispatchPool::new(1));
+        let rshared = Arc::new(ReactorShared::new().unwrap());
+        // The server was killed: its reactor returns at its first wake,
+        // without draining its inbox...
+        shared.killed.store(true, Ordering::SeqCst);
+        let thread = std::thread::spawn({
+            let (shared, rshared) = (Arc::clone(&shared), Arc::clone(&rshared));
+            move || reactor_loop(shared, router, pool, rshared).unwrap()
+        });
+        // ...where the acceptor left a connection it took while dying.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        rshared.inject(Injection::NewConn(accepted, ConnTicket::new(&shared)));
+        stop_reactors(std::slice::from_ref(&rshared), vec![thread]);
+
+        // The inbox is still alive (the test holds it, as a server's
+        // handle would), yet the peer sees the connection close.
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        match peer.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+            other => panic!("the peer read {other:?} instead of a close"),
+        }
+        assert_eq!(shared.connections.load(Ordering::SeqCst), 0);
     }
 }

@@ -1058,7 +1058,7 @@ mod tests {
         let abandon: Writes = [|m| m.jobs_queued.dec(), |m| m.jobs_failed.inc()];
         // A reactor shedding a request with 429.
         let shed: Writes = [|m| m.http_requests.inc(), |m| m.requests_shed.inc()];
-        // The fleet dispatch loop, then `abandon_point` requeueing.
+        // A fleet group shipped, then shipped again once its worker is lost.
         let requeue: Writes = [|m| m.points_assigned.inc(), |m| m.points_retried.inc()];
         // `Coordinator::new` over two workers, then `mark_lost`.
         let fleet: [Write; 1] = [|m| m.workers_alive.set(2)];

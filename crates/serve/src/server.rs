@@ -475,7 +475,7 @@ pub struct Server {
     #[cfg(target_os = "linux")]
     listener: TcpListener,
     addr: SocketAddr,
-    shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
     queue_rx: mpsc::Receiver<Arc<Job>>,
     runners: usize,
     #[cfg(target_os = "linux")]

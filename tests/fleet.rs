@@ -931,3 +931,151 @@ fn randomized_shard_splits_always_rebuild_the_full_histogram() {
         assert_eq!(rebuilt, shards);
     }
 }
+
+/// Three run groups per workload: a private partition on fixed and on
+/// banked DRAM share one, and a shared partition runs alone. 6 unique
+/// points in 4 groups.
+const LOSS_SPEC: &str = r#"{
+    "name": "fleet-losses",
+    "cores": 2,
+    "configs": [
+        {"label": "P-fixed", "partition": {"kind": "private", "sets": 4, "ways": 2}},
+        {"label": "P-banked", "partition": {"kind": "private", "sets": 4, "ways": 2},
+         "memory": {"kind": "banked", "banks": 8}},
+        {"label": "SS(1,4)", "partition": {"kind": "shared", "sets": 1, "ways": 4, "mode": "SS"}}
+    ],
+    "workloads": [
+        {"kind": "uniform", "range_bytes": 2048, "ops": 60, "seed": 3, "write_fraction": 0.2},
+        {"kind": "stride", "range_bytes": 2048, "stride": 64, "ops": 60}
+    ]
+}"#;
+
+/// One fleet run under seeded worker losses: 1–4 workers, each killed
+/// mid-answer after a drawn number of point requests (or never), and a
+/// drawn heartbeat interval. The run must end byte-identical to the
+/// in-process run with every assignment accounted for, or in
+/// `NoWorkers` naming exactly the points no worker resolved, with every
+/// worker lost. Returns whether it ended in `NoWorkers`.
+fn run_with_random_losses(spec: &ExperimentSpec, reference: &str, state: &mut u64) -> bool {
+    let shape = 1 + (xorshift(state) % 4) as usize;
+    let workers: Vec<_> = (0..shape)
+        .map(|_| {
+            let fail_after_points = match xorshift(state) % 5 {
+                0 => None,
+                k => Some(k - 1),
+            };
+            start_worker(ServerConfig {
+                threads: 1,
+                reactors: 1,
+                dispatchers: 1,
+                fail_after_points,
+                ..ServerConfig::default()
+            })
+        })
+        .collect();
+    let metrics = Arc::new(Metrics::default());
+    let coordinator = Coordinator::new(
+        workers.iter().map(|(h, _)| h.addr()),
+        CoordinatorConfig {
+            heartbeat_interval: Duration::from_millis([2, 10, 50][(xorshift(state) % 3) as usize]),
+            retries: 0,
+            ..CoordinatorConfig::default()
+        },
+        Arc::clone(&metrics),
+    );
+    let progress = std::sync::Mutex::new(Vec::new());
+    let outcome = coordinator.run(spec, &|done, _| progress.lock().unwrap().push(done), None);
+    let mut progress = progress.into_inner().unwrap();
+    progress.sort_unstable();
+    let resolved = progress.len();
+    assert_eq!(progress, (1..=resolved).collect::<Vec<_>>());
+    // Each assignment either resolved its points or was retried.
+    assert_eq!(
+        metrics.points_assigned.get(),
+        resolved as u64 + metrics.points_retried.get()
+    );
+    let no_workers = match outcome {
+        Ok(report) => {
+            assert_eq!(render_csv(&report.grid), reference);
+            assert_eq!(resolved, report.unique_points);
+            false
+        }
+        Err(FleetError::NoWorkers { pending }) => {
+            assert_eq!(pending, 6 - resolved);
+            assert_eq!(
+                coordinator.live_workers(),
+                0,
+                "NoWorkers with a live worker"
+            );
+            assert_eq!(metrics.workers_lost.get(), shape as u64);
+            true
+        }
+        Err(other) => panic!("expected a report or NoWorkers, got {other:?}"),
+    };
+    for (handle, join) in workers {
+        stop_worker(&handle, join);
+    }
+    no_workers
+}
+
+#[test]
+fn random_worker_losses_end_byte_identical_or_in_no_workers() {
+    const CASES: usize = 200;
+    let spec = ExperimentSpec::parse(LOSS_SPEC).unwrap();
+    let local = run_spec(&spec, &Executor::new(1)).unwrap();
+    assert_eq!(
+        (
+            local.unique_points,
+            predllc::explore::plan_grid(&spec).runs.len()
+        ),
+        (6, 4)
+    );
+    let reference = render_csv(&local.grid);
+
+    // The cases run on their own thread under a watchdog, so a pool
+    // that never answers fails the test instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let mut state = 0x5eed_f1ee_7000_0001u64;
+        for _ in 0..CASES {
+            let no_workers = run_with_random_losses(&spec, &reference, &mut state);
+            tx.send(no_workers).unwrap();
+        }
+    });
+    let mut outcomes = [0usize; 2];
+    for case in 0..CASES {
+        match rx.recv_timeout(Duration::from_secs(20)) {
+            Ok(no_workers) => outcomes[usize::from(no_workers)] += 1,
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(runner.join().unwrap_err())
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("case {case} did not finish within 20 s")
+            }
+        }
+    }
+    runner.join().unwrap();
+    // Both endings were exercised.
+    assert!(outcomes.iter().all(|&n| n >= 10), "{outcomes:?}");
+}
+
+#[test]
+fn worker_cache_answers_count_as_shared_cache_hits() {
+    let spec = ExperimentSpec::parse(TWIN_SPEC).unwrap();
+    let (handle, join) = start_worker(ServerConfig::default());
+    coordinator_over([handle.addr()], Arc::new(Metrics::default()))
+        .run(&spec, &|_, _| {}, None)
+        .unwrap();
+
+    // A second coordinator, its own cache empty, ships every point to
+    // the same worker, whose cache answers all 8 of them.
+    let metrics = Arc::new(Metrics::default());
+    let coordinator = coordinator_over([handle.addr()], Arc::clone(&metrics));
+    let report = coordinator.run(&spec, &|_, _| {}, None).unwrap();
+    let local = run_spec(&spec, &Executor::new(1)).unwrap();
+    assert_eq!(render_csv(&report.grid), render_csv(&local.grid));
+    assert_eq!(metrics.points_assigned.get(), 8);
+    assert_eq!(metrics.points_cache_shared.get(), 8);
+    assert_eq!(handle.metrics().points_simulated.get(), 8);
+    stop_worker(&handle, join);
+}
