@@ -196,7 +196,6 @@ fn main() -> ExitCode {
     // runners default to a 1024 soft fd limit, so raise it first and
     // scale the scenario down if the hard limit refuses.
     let conns = if quick { 400 } else { 2000 };
-    #[cfg(target_os = "linux")]
     let conns = {
         let want = (2 * conns + 256) as u64;
         match predllc_serve::raise_nofile_limit(want) {

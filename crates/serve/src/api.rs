@@ -5,8 +5,8 @@
 //! entry point the reactor calls per request — it owns the killed
 //! check, the request counter, per-endpoint latency metrics, the
 //! 404/405 fallbacks, and panic containment (a panicking handler
-//! answers `500 {"error","kind":"internal"}` instead of taking the
-//! connection thread down).
+//! answers `500 {"error","kind":"internal"}` instead of taking its
+//! reactor or dispatch thread down).
 //!
 //! Every non-2xx JSON body has the shape `{"error": "...", "kind":
 //! "..."}`; `kind` is a small closed vocabulary (`http`, `limits`,
@@ -44,22 +44,19 @@ pub(crate) fn error_response(status: u16, kind: &str, message: &str) -> Response
     )
 }
 
-/// Maps a request-parse failure to its wire answer, or `None` when the
-/// transport is gone and no response can be delivered.
-pub(crate) fn parse_error_response(e: &HttpError) -> Option<Response> {
+/// Maps a request-parse failure to its wire answer.
+pub(crate) fn parse_error_response(e: &HttpError) -> Response {
     match e {
-        HttpError::Io(_) => None,
         HttpError::TooLarge(what) => {
             let status = if *what == "body" { 413 } else { 431 };
-            Some(error_response(status, "limits", what))
+            error_response(status, "limits", what)
         }
-        HttpError::Malformed(what) => Some(error_response(400, "http", what)),
+        HttpError::Malformed(what) => error_response(400, "http", what),
     }
 }
 
 /// The `429` answer when the dispatch executor queue is full: shed the
 /// request now, tell the client when to come back.
-#[cfg(target_os = "linux")]
 pub(crate) fn backpressure_response(retry_after: u64) -> Response {
     error_response(429, "backpressure", "dispatch queue is full; retry later")
         .with_retry_after(retry_after)
@@ -68,7 +65,6 @@ pub(crate) fn backpressure_response(retry_after: u64) -> Response {
 /// Whether the route a request resolves to is marked heavy (must run
 /// on the dispatch executor rather than inline on a reactor thread).
 /// Unroutable requests are light — answering 404/405 is cheap.
-#[cfg(target_os = "linux")]
 pub(crate) fn is_heavy(router: &Router, req: &Request) -> bool {
     matches!(
         router.lookup(&req.method, &req.path),

@@ -24,6 +24,8 @@ use predllc_explore::json::{self, Json};
 use predllc_obs::expo::{self, ExpoValue};
 use predllc_obs::metrics::series_key;
 
+use crate::Limits;
+
 /// Any client-side failure.
 #[derive(Debug)]
 pub enum ClientError {
@@ -436,19 +438,20 @@ impl Client {
 
     /// Reads one response head: status line plus headers, stopping at
     /// the blank line. The body (if any) is still on the wire, framed
-    /// per [`Head::transfer`].
+    /// per [`Head::transfer`]. Lines and the header count are bounded by
+    /// [`Limits::default`], as the server bounds a request's head.
     fn read_head(&mut self) -> Result<Head, ClientError> {
         let conn = match self.conn.as_mut() {
             Some(conn) => conn,
             None => return Err(ClientError::Protocol("no connection to read from".into())),
         };
+        let limits = Limits::default();
 
         // Status line.
-        let mut line = String::new();
-        if conn.read_line(&mut line)? == 0 {
+        let Some(line) = read_line(conn, limits.max_request_line, "status line")? else {
             self.conn = None;
             return Err(ClientError::Protocol("connection closed".into()));
-        }
+        };
         let mut parts = line.trim_end().splitn(3, ' ');
         let version = parts.next().unwrap_or("");
         let status: u16 = parts
@@ -463,14 +466,20 @@ impl Client {
         let mut content_length = 0usize;
         let mut chunked = false;
         let mut keep_alive = true;
+        let mut headers = 0usize;
         loop {
-            let mut header = String::new();
-            if conn.read_line(&mut header)? == 0 {
-                return Err(ClientError::Protocol("truncated headers".into()));
-            }
+            let header = read_line(conn, limits.max_header_line, "header line")?
+                .ok_or_else(|| ClientError::Protocol("truncated headers".into()))?;
             let header = header.trim_end();
             if header.is_empty() {
                 break;
+            }
+            headers += 1;
+            if headers > limits.max_headers {
+                return Err(ClientError::Protocol(format!(
+                    "more than {} headers",
+                    limits.max_headers
+                )));
             }
             if let Some((name, value)) = header.split_once(':') {
                 match name.trim().to_ascii_lowercase().as_str() {
@@ -516,19 +525,16 @@ impl Client {
         result
     }
 
-    /// Reads one `<hex-size>\r\n` chunk header, dropping the connection
-    /// on failure.
+    /// Reads one `<hex-size>\r\n` chunk header (a header-sized line at
+    /// most), dropping the connection on failure.
     fn read_chunk_size(&mut self) -> Result<usize, ClientError> {
         let result = match self.conn.as_mut() {
-            Some(conn) => {
-                let mut line = String::new();
-                match conn.read_line(&mut line) {
-                    Err(e) => Err(ClientError::Io(e)),
-                    Ok(0) => Err(ClientError::Protocol("truncated chunked body".into())),
-                    Ok(_) => usize::from_str_radix(line.trim(), 16)
-                        .map_err(|_| ClientError::Protocol(format!("bad chunk size {line:?}"))),
-                }
-            }
+            Some(conn) => match read_line(conn, Limits::default().max_header_line, "chunk size") {
+                Err(e) => Err(e),
+                Ok(None) => Err(ClientError::Protocol("truncated chunked body".into())),
+                Ok(Some(line)) => usize::from_str_radix(line.trim(), 16)
+                    .map_err(|_| ClientError::Protocol(format!("bad chunk size {line:?}"))),
+            },
             None => Err(ClientError::Protocol("connection lost mid-body".into())),
         };
         if result.is_err() {
@@ -804,6 +810,36 @@ impl Client {
     }
 }
 
+/// One line off the wire, without its line ending; `None` when the peer
+/// closed before sending a byte of it. As on the server, more than `max`
+/// bytes before the LF is a protocol error: a peer that never sends a
+/// newline cannot grow the line past the bound.
+fn read_line(
+    conn: &mut BufReader<TcpStream>,
+    max: usize,
+    what: &str,
+) -> Result<Option<String>, ClientError> {
+    let mut line = Vec::new();
+    let bound = u64::try_from(max).unwrap_or(u64::MAX).saturating_add(1);
+    conn.by_ref().take(bound).read_until(b'\n', &mut line)?;
+    if line.last() != Some(&b'\n') {
+        return match line.len() {
+            0 => Ok(None),
+            n if n > max => Err(ClientError::Protocol(format!(
+                "{what} longer than {max} bytes"
+            ))),
+            _ => Err(ClientError::Protocol(format!("truncated {what}"))),
+        };
+    }
+    line.pop();
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|_| ClientError::Protocol(format!("non-utf8 {what}")))
+}
+
 fn point_reply(doc: &Json) -> Result<PointReply, ClientError> {
     let twins = match doc.get("twins") {
         None => Vec::new(),
@@ -922,6 +958,35 @@ mod tests {
         assert!(body.read_chunk().unwrap().is_none());
         assert!(body.read_chunk().unwrap().is_none(), "Done state is sticky");
         server.join().unwrap();
+    }
+
+    #[test]
+    fn endless_response_lines_are_protocol_errors_not_timeouts() {
+        let endless = "x".repeat(64 << 10);
+        for reply in [
+            format!("HTTP/1.1 200 OK\r\nx-pad: {endless}"),
+            format!("HTTP/1.1 200 {endless}"),
+            format!("HTTP/1.1 200 OK\r\n{}", "h: v\r\n".repeat(65)),
+            format!("HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n{endless}"),
+        ] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let peer = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut buf = [0u8; 512];
+                let _ = stream.read(&mut buf);
+                stream.write_all(reply.as_bytes()).unwrap();
+                // Hold the socket open until the client hangs up.
+                let _ = stream.read(&mut buf);
+            });
+            let mut client = Client::new(addr)
+                .with_retries(0)
+                .with_timeout(Duration::from_secs(5));
+            let err = client.healthz().unwrap_err();
+            assert!(matches!(err, ClientError::Protocol(_)), "got {err}");
+            drop(client);
+            peer.join().unwrap();
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A minimal HTTP/1.1 request/response layer over `std` I/O.
+//! A minimal HTTP/1.1 request/response layer over byte buffers.
 //!
 //! The build is network-isolated (no hyper, no tokio), and the service
 //! only needs the narrow slice of HTTP/1.1 that `curl`, browsers and the
@@ -8,16 +8,18 @@
 //! length, header count and size, body size — so a misbehaving client
 //! cannot balloon server memory.
 //!
-//! Responses carry a [`Body`] that is either fully materialized bytes
-//! (framed with `Content-Length`) or a pull-based [`BodyStream`]
-//! (framed with chunked `Transfer-Encoding` on HTTP/1.1), so large
+//! [`try_parse`] is the one request parser. The reactor runs it over a
+//! connection's accumulation buffer whenever bytes arrive; it takes
+//! lines and the body straight from the buffer, so a request that
+//! arrives in many reads costs one scan of its head per read and one
+//! copy of its body. [`frame`] is the one response writer. A response
+//! carries a [`Body`] that is either fully materialized bytes (framed
+//! with `Content-Length`) or a pull-based [`BodyStream`] (framed with
+//! chunked `Transfer-Encoding` on HTTP/1.1, per RFC 9112 §6), so large
 //! results are rendered incrementally instead of being built in memory
-//! first. [`try_parse`] is the incremental front of the same bounded
-//! parser, used by the nonblocking reactor to parse requests out of an
-//! accumulation buffer.
+//! first.
 
 use std::fmt;
-use std::io::{self, BufRead, Write};
 
 use crate::server::Limits;
 
@@ -63,11 +65,9 @@ impl Request {
     }
 }
 
-/// Why a request could not be read.
-#[derive(Debug)]
+/// Why the bytes of a request cannot be served.
+#[derive(Debug, PartialEq)]
 pub(crate) enum HttpError {
-    /// The underlying transport failed.
-    Io(io::Error),
     /// The request violated a [`Limits`] bound (the field names the
     /// offending part; responds 413 or 431).
     TooLarge(&'static str),
@@ -75,83 +75,66 @@ pub(crate) enum HttpError {
     Malformed(&'static str),
 }
 
-impl fmt::Display for HttpError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HttpError::Io(e) => write!(f, "i/o error: {e}"),
-            HttpError::TooLarge(what) => write!(f, "{what} exceeds the configured limit"),
-            HttpError::Malformed(what) => write!(f, "malformed request: {what}"),
-        }
-    }
+/// The outcome of [`try_parse`] over an accumulation buffer.
+#[derive(Debug)]
+pub(crate) enum Parse {
+    /// A complete request; `usize` is how many buffer bytes it consumed.
+    Complete(Box<Request>, usize),
+    /// The buffer holds a valid prefix of a request — read more bytes.
+    Partial,
+    /// The bytes can never become a valid request (or violated a
+    /// bound); the connection should answer 4xx and close.
+    Invalid(HttpError),
 }
 
-impl std::error::Error for HttpError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            HttpError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        HttpError::Io(e)
-    }
-}
-
-/// Reads one line (up to CRLF or LF), bounded by `max` bytes.
+/// Parses the front of `buf` as one request.
 ///
-/// Returns `Ok(None)` on clean EOF before any byte.
-fn read_line(
-    r: &mut impl BufRead,
+/// Lines and the body are taken straight from the buffer: the outcome
+/// is [`Parse::Partial`] exactly when the bytes end before the request
+/// does, and the body is copied only once all of its `content-length`
+/// bytes are buffered. Every [`Limits`] bound is checked on the bytes
+/// already there, so a buffer that keeps growing without completing a
+/// request is guaranteed to hit [`Parse::Invalid`] — the accumulation
+/// buffer is bounded by the limits themselves.
+pub(crate) fn try_parse(buf: &[u8], limits: &Limits) -> Parse {
+    match parse_request(buf, limits) {
+        Ok(Some((req, consumed))) => Parse::Complete(Box::new(req), consumed),
+        Ok(None) => Parse::Partial,
+        Err(e) => Parse::Invalid(e),
+    }
+}
+
+/// The line that starts at `buf[at]`, without its LF and a CR right
+/// before it, and the offset just past the LF; `None` while the LF has
+/// not arrived. More than `max` bytes before the LF (a CR among them)
+/// are [`HttpError::TooLarge`]`(what)` as soon as they are buffered.
+fn line<'b>(
+    buf: &'b [u8],
+    at: usize,
     max: usize,
     what: &'static str,
-) -> Result<Option<String>, HttpError> {
-    let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(None);
-                }
-                return Err(HttpError::Malformed("truncated line"));
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    let text =
-                        String::from_utf8(line).map_err(|_| HttpError::Malformed("non-utf8"))?;
-                    return Ok(Some(text));
-                }
-                line.push(byte[0]);
-                if line.len() > max {
-                    return Err(HttpError::TooLarge(what));
-                }
-            }
-            Err(e) => return Err(HttpError::Io(e)),
-        }
-    }
+) -> Result<Option<(&'b str, usize)>, HttpError> {
+    let rest = &buf[at..];
+    let Some(lf) = rest
+        .iter()
+        .take(max.saturating_add(1))
+        .position(|&b| b == b'\n')
+    else {
+        return if rest.len() > max {
+            Err(HttpError::TooLarge(what))
+        } else {
+            Ok(None)
+        };
+    };
+    let bytes = rest[..lf].strip_suffix(b"\r").unwrap_or(&rest[..lf]);
+    let text = std::str::from_utf8(bytes).map_err(|_| HttpError::Malformed("non-utf8"))?;
+    Ok(Some((text, at + lf + 1)))
 }
 
-/// Reads one request from the stream.
-///
-/// Returns `Ok(None)` when the peer closed the connection cleanly
-/// between requests (the normal end of a keep-alive session).
-///
-/// # Errors
-///
-/// [`HttpError`] describing the transport failure, violated bound or
-/// malformed syntax; the caller maps these to 4xx responses where a
-/// response is still possible.
-pub(crate) fn read_request(
-    r: &mut impl BufRead,
-    limits: &Limits,
-) -> Result<Option<Request>, HttpError> {
-    let Some(request_line) = read_line(r, limits.max_request_line, "request line")? else {
+/// [`try_parse`]'s body: `Ok(None)` is [`Parse::Partial`].
+fn parse_request(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usize)>, HttpError> {
+    let Some((request_line, mut at)) = line(buf, 0, limits.max_request_line, "request line")?
+    else {
         return Ok(None);
     };
     let mut parts = request_line.split(' ');
@@ -177,15 +160,17 @@ pub(crate) fn read_request(
     let mut headers = Vec::new();
     let mut content_length = 0usize;
     loop {
-        let line = read_line(r, limits.max_header_line, "header line")?
-            .ok_or(HttpError::Malformed("truncated headers"))?;
-        if line.is_empty() {
+        let Some((header, next)) = line(buf, at, limits.max_header_line, "header line")? else {
+            return Ok(None);
+        };
+        at = next;
+        if header.is_empty() {
             break;
         }
         if headers.len() >= limits.max_headers {
             return Err(HttpError::TooLarge("header count"));
         }
-        let (name, value) = line
+        let (name, value) = header
             .split_once(':')
             .ok_or(HttpError::Malformed("header without ':'"))?;
         let name = name.trim().to_ascii_lowercase();
@@ -217,14 +202,16 @@ pub(crate) fn read_request(
         headers.push((name, value));
     }
 
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)?;
+    if buf.len() - at < content_length {
+        return Ok(None);
+    }
+    let body = buf[at..at + content_length].to_vec();
 
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), Some(q.to_string())),
         None => (target, None),
     };
-    Ok(Some(Request {
+    let req = Request {
         method,
         path,
         query,
@@ -232,45 +219,8 @@ pub(crate) fn read_request(
         body,
         keep_alive,
         http11,
-    }))
-}
-
-/// The outcome of [`try_parse`] over an accumulation buffer.
-#[derive(Debug)]
-pub(crate) enum Parse {
-    /// A complete request; `usize` is how many buffer bytes it consumed.
-    Complete(Box<Request>, usize),
-    /// The buffer holds a valid prefix of a request — read more bytes.
-    Partial,
-    /// The bytes can never become a valid request (or violated a
-    /// bound); the connection should answer 4xx and close.
-    Invalid(HttpError),
-}
-
-/// Incrementally parses the front of `buf` as one request.
-///
-/// This is the reactor-facing face of [`read_request`]: the same
-/// bounded parser is run speculatively over the buffered bytes, and
-/// "ran out of input mid-request" outcomes are classified as
-/// [`Parse::Partial`] instead of errors. Because every [`Limits`]
-/// bound is enforced *while* parsing, a buffer that keeps growing
-/// without completing a request is guaranteed to hit
-/// [`Parse::Invalid`] — the accumulation buffer is bounded by the
-/// limits themselves.
-pub(crate) fn try_parse(buf: &[u8], limits: &Limits) -> Parse {
-    if buf.is_empty() {
-        return Parse::Partial;
-    }
-    let mut cursor = io::Cursor::new(buf);
-    match read_request(&mut cursor, limits) {
-        Ok(Some(req)) => Parse::Complete(Box::new(req), cursor.position() as usize),
-        // read_request only reports clean-EOF `None` on an empty
-        // stream, handled above; treat it as needing more bytes.
-        Ok(None) => Parse::Partial,
-        Err(HttpError::Malformed("truncated line" | "truncated headers")) => Parse::Partial,
-        Err(HttpError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => Parse::Partial,
-        Err(e) => Parse::Invalid(e),
-    }
+    };
+    Ok(Some((req, at + content_length)))
 }
 
 /// A pull-based response body: the writer asks for the next chunk only
@@ -417,7 +367,7 @@ impl Response {
 }
 
 /// The reason phrase for the status codes the service uses.
-pub(crate) fn reason(status: u16) -> &'static str {
+fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         202 => "Accepted",
@@ -435,27 +385,23 @@ pub(crate) fn reason(status: u16) -> &'static str {
     }
 }
 
-/// How the body of a response is framed on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Framing {
-    /// `Content-Length: n`.
-    Length(usize),
-    /// `Transfer-Encoding: chunked`.
-    Chunked,
-}
-
-/// Renders the status line + headers (through the blank line) for a
-/// response with the given framing and keep-alive intent.
-pub(crate) fn head_bytes(resp: &Response, framing: Framing, keep_alive: bool) -> Vec<u8> {
+/// Frames `resp` for the wire, announcing `keep_alive`: the status
+/// line and headers, then a `Full` body, framed with `Content-Length`.
+/// A `Stream` body is announced as chunked `Transfer-Encoding` and
+/// handed back, to be pulled through [`encode_chunk`] and ended with
+/// [`encode_last_chunk`] as the connection drains. Callers serving an
+/// HTTP/1.0 peer must pass the response through
+/// [`Response::materialized`] first.
+pub(crate) fn frame(resp: Response, keep_alive: bool) -> (Vec<u8>, Option<Box<dyn BodyStream>>) {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\n",
         resp.status,
         reason(resp.status),
         resp.content_type,
     );
-    match framing {
-        Framing::Length(n) => head.push_str(&format!("content-length: {n}\r\n")),
-        Framing::Chunked => head.push_str("transfer-encoding: chunked\r\n"),
+    match &resp.body {
+        Body::Full(bytes) => head.push_str(&format!("content-length: {}\r\n", bytes.len())),
+        Body::Stream(_) => head.push_str("transfer-encoding: chunked\r\n"),
     }
     if let Some(secs) = resp.retry_after {
         head.push_str(&format!("retry-after: {secs}\r\n"));
@@ -465,7 +411,14 @@ pub(crate) fn head_bytes(resp: &Response, framing: Framing, keep_alive: bool) ->
     } else {
         "connection: close\r\n\r\n"
     });
-    head.into_bytes()
+    let mut out = head.into_bytes();
+    match resp.body {
+        Body::Full(bytes) => {
+            out.extend_from_slice(&bytes);
+            (out, None)
+        }
+        Body::Stream(stream) => (out, Some(stream)),
+    }
 }
 
 /// Appends one chunked-encoding frame (`{len:x}\r\n` + data + `\r\n`)
@@ -485,55 +438,37 @@ pub(crate) fn encode_last_chunk(out: &mut Vec<u8>) {
     out.extend_from_slice(b"0\r\n\r\n");
 }
 
-/// Writes `resp`, framing `Full` bodies with `Content-Length` and
-/// `Stream` bodies with chunked `Transfer-Encoding`, and announcing
-/// keep-alive intent. Callers serving an HTTP/1.0 peer must pass the
-/// response through [`Response::materialized`] first.
-///
-/// Full responses are assembled into a single buffer and written with
-/// one syscall; streamed responses flush chunk by chunk as the body is
-/// pulled.
-///
-/// # Errors
-///
-/// Any transport failure.
-pub(crate) fn write_response(
-    w: &mut impl Write,
-    resp: Response,
-    keep_alive: bool,
-) -> io::Result<()> {
-    let framing = match &resp.body {
-        Body::Full(bytes) => Framing::Length(bytes.len()),
-        Body::Stream(_) => Framing::Chunked,
-    };
-    let head = head_bytes(&resp, framing, keep_alive);
-    match resp.body {
-        Body::Full(bytes) => {
-            let mut out = head;
-            out.extend_from_slice(&bytes);
-            w.write_all(&out)?;
-        }
-        Body::Stream(mut stream) => {
-            w.write_all(&head)?;
-            let mut frame = Vec::new();
-            while let Some(chunk) = stream.next_chunk() {
-                frame.clear();
-                encode_chunk(&mut frame, &chunk);
-                w.write_all(&frame)?;
-            }
-            w.write_all(b"0\r\n\r\n")?;
-        }
-    }
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
-    fn parse(bytes: &[u8]) -> Result<Option<Request>, HttpError> {
-        read_request(&mut Cursor::new(bytes.to_vec()), &Limits::default())
+    /// The request `bytes` hold exactly, or why they are invalid.
+    fn parse_all(bytes: &[u8], limits: &Limits) -> Result<Request, HttpError> {
+        match try_parse(bytes, limits) {
+            Parse::Complete(req, consumed) => {
+                assert_eq!(consumed, bytes.len(), "trailing bytes");
+                Ok(*req)
+            }
+            Parse::Invalid(e) => Err(e),
+            Parse::Partial => panic!("partial: {:?}", String::from_utf8_lossy(bytes)),
+        }
+    }
+
+    fn parse(bytes: &[u8]) -> Result<Request, HttpError> {
+        parse_all(bytes, &Limits::default())
+    }
+
+    /// The bytes `resp` puts on the wire: its framed head and body, then
+    /// a streamed body pulled to the end the way the reactor pulls it.
+    fn wire(resp: Response, keep_alive: bool) -> String {
+        let (mut out, stream) = frame(resp, keep_alive);
+        if let Some(mut stream) = stream {
+            while let Some(chunk) = stream.next_chunk() {
+                encode_chunk(&mut out, &chunk);
+            }
+            encode_last_chunk(&mut out);
+        }
+        String::from_utf8(out).unwrap()
     }
 
     #[test]
@@ -543,7 +478,6 @@ mod tests {
               Host: localhost\r\nContent-Type: application/json\r\n\
               Content-Length: 7\r\n\r\n{\"a\":1}",
         )
-        .unwrap()
         .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/experiments");
@@ -557,34 +491,25 @@ mod tests {
 
     #[test]
     fn connection_header_controls_keep_alive() {
-        let close = parse(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
-            .unwrap()
-            .unwrap();
+        let close = parse(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         assert!(!close.keep_alive);
-        let old = parse(b"GET / HTTP/1.0\r\n\r\n").unwrap().unwrap();
+        let old = parse(b"GET / HTTP/1.0\r\n\r\n").unwrap();
         assert!(!old.keep_alive);
-        let old_ka = parse(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
-            .unwrap()
-            .unwrap();
+        let old_ka = parse(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap();
         assert!(old_ka.keep_alive);
     }
 
     #[test]
     fn keep_alive_sessions_yield_multiple_requests() {
         let bytes = b"GET /healthz HTTP/1.1\r\n\r\nGET /metrics HTTP/1.1\r\n\r\n";
-        let mut cursor = Cursor::new(bytes.to_vec());
-        let first = read_request(&mut cursor, &Limits::default())
-            .unwrap()
-            .unwrap();
-        let second = read_request(&mut cursor, &Limits::default())
-            .unwrap()
-            .unwrap();
-        assert_eq!(first.path, "/healthz");
-        assert_eq!(second.path, "/metrics");
-        // Clean EOF between requests is the normal session end.
-        assert!(read_request(&mut cursor, &Limits::default())
-            .unwrap()
-            .is_none());
+        let mut at = 0;
+        let mut paths = Vec::new();
+        while let Parse::Complete(req, consumed) = try_parse(&bytes[at..], &Limits::default()) {
+            paths.push(req.path);
+            at += consumed;
+        }
+        assert_eq!(paths, ["/healthz", "/metrics"]);
+        assert_eq!(at, bytes.len());
     }
 
     #[test]
@@ -597,17 +522,17 @@ mod tests {
         };
         let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(64));
         assert!(matches!(
-            read_request(&mut Cursor::new(long_line.into_bytes()), &limits),
+            parse_all(long_line.as_bytes(), &limits),
             Err(HttpError::TooLarge("request line"))
         ));
         let big_body = b"POST / HTTP/1.1\r\nContent-Length: 9\r\n\r\n123456789";
         assert!(matches!(
-            read_request(&mut Cursor::new(big_body.to_vec()), &limits),
+            parse_all(big_body, &limits),
             Err(HttpError::TooLarge("body"))
         ));
         let many_headers = b"GET / HTTP/1.1\r\nA: 1\r\nB: 2\r\nC: 3\r\n\r\n";
         assert!(matches!(
-            read_request(&mut Cursor::new(many_headers.to_vec()), &limits),
+            parse_all(many_headers, &limits),
             Err(HttpError::TooLarge("header count"))
         ));
     }
@@ -628,24 +553,209 @@ mod tests {
                 String::from_utf8_lossy(bytes)
             );
         }
-        // A clean EOF before any request is not an error.
-        assert!(parse(b"").unwrap().is_none());
+    }
+
+    /// One table row: a buffer, the prefix length that decides it (every
+    /// shorter prefix is `Partial`, every longer one parses like the
+    /// whole buffer) and what the whole buffer parses to.
+    struct Case {
+        name: &'static str,
+        bytes: Vec<u8>,
+        decide: usize,
+        want: Result<Want, HttpError>,
+    }
+
+    /// The parts of a complete request a row checks; it consumed
+    /// `Case::decide` bytes.
+    struct Want {
+        path: String,
+        keep_alive: bool,
+        http11: bool,
+        headers: usize,
+        body: &'static [u8],
+    }
+
+    fn get(path: &str, headers: usize) -> Want {
+        Want {
+            path: path.to_string(),
+            keep_alive: true,
+            http11: true,
+            headers,
+            body: b"",
+        }
+    }
+
+    fn table(limits: &Limits) -> Vec<Case> {
+        // The target that makes `GET {target} HTTP/1.1` `len` bytes long.
+        let target = |len: usize| format!("/{}", "a".repeat(len - 14));
+        let header_line = |len: usize| format!("x: {}", "h".repeat(len - 3));
+        let (line_max, header_max) = (limits.max_request_line, limits.max_header_line);
+        let mut cases = Vec::new();
+        for (eol, cr) in [("\r\n", 1), ("\n", 0)] {
+            // The request line: a CR before the LF counts toward the limit.
+            for len in [line_max - 1, line_max, line_max + 1] {
+                let bytes = format!("GET {} HTTP/1.1{eol}{eol}", target(len)).into_bytes();
+                let (decide, want) = if len + cr <= line_max {
+                    (bytes.len(), Ok(get(&target(len), 0)))
+                } else {
+                    (line_max + 1, Err(HttpError::TooLarge("request line")))
+                };
+                cases.push(Case {
+                    name: "request line at its limit",
+                    bytes,
+                    decide,
+                    want,
+                });
+            }
+            // A header line, the same way.
+            for len in [header_max - 1, header_max, header_max + 1] {
+                let head = format!("GET /h HTTP/1.1{eol}");
+                let bytes = format!("{head}{}{eol}{eol}", header_line(len)).into_bytes();
+                let (decide, want) = if len + cr <= header_max {
+                    (bytes.len(), Ok(get("/h", 1)))
+                } else {
+                    (
+                        head.len() + header_max + 1,
+                        Err(HttpError::TooLarge("header line")),
+                    )
+                };
+                cases.push(Case {
+                    name: "header line at its limit",
+                    bytes,
+                    decide,
+                    want,
+                });
+            }
+        }
+        // `max_headers` headers, then one more.
+        for count in [limits.max_headers, limits.max_headers + 1] {
+            let mut text = String::from("GET /n HTTP/1.1\r\n");
+            let mut ends = Vec::new();
+            for i in 0..count {
+                text.push_str(&format!("h{i}: v\r\n"));
+                ends.push(text.len());
+            }
+            text.push_str("\r\n");
+            let (decide, want) = if count <= limits.max_headers {
+                (text.len(), Ok(get("/n", count)))
+            } else {
+                (ends[count - 1], Err(HttpError::TooLarge("header count")))
+            };
+            cases.push(Case {
+                name: "header count",
+                bytes: text.into_bytes(),
+                decide,
+                want,
+            });
+        }
+        // `content-length` at `max_body`, then one more.
+        const BODY: &[u8; 9] = b"123456789";
+        for len in [limits.max_body, limits.max_body + 1] {
+            let head = format!("POST /b HTTP/1.1\r\ncontent-length: {len}\r\n");
+            let mut bytes = format!("{head}\r\n").into_bytes();
+            bytes.extend_from_slice(&BODY[..len]);
+            let (decide, want) = if len <= limits.max_body {
+                let body: &'static [u8] = &BODY[..len];
+                (
+                    bytes.len(),
+                    Ok(Want {
+                        body,
+                        ..get("/b", 1)
+                    }),
+                )
+            } else {
+                (head.len(), Err(HttpError::TooLarge("body")))
+            };
+            cases.push(Case {
+                name: "content-length at its limit",
+                bytes,
+                decide,
+                want,
+            });
+        }
+        let non_utf8 = b"GET /\xff HTTP/1.1\r\n\r\n".to_vec();
+        cases.push(Case {
+            name: "non-utf8 request line",
+            decide: non_utf8.len() - 2,
+            bytes: non_utf8,
+            want: Err(HttpError::Malformed("non-utf8")),
+        });
+        let te = "POST /t HTTP/1.1\r\nTransfer-Encoding: chunked\r\n";
+        cases.push(Case {
+            name: "transfer-encoding",
+            bytes: format!("{te}\r\n5\r\nhello\r\n0\r\n\r\n").into_bytes(),
+            decide: te.len(),
+            want: Err(HttpError::Malformed("transfer-encoding not supported")),
+        });
+        for (connection, keep_alive) in [("", false), ("Connection: keep-alive\r\n", true)] {
+            let bytes = format!("GET /old HTTP/1.0\r\n{connection}\r\n").into_bytes();
+            cases.push(Case {
+                name: "HTTP/1.0",
+                decide: bytes.len(),
+                bytes,
+                want: Ok(Want {
+                    keep_alive,
+                    http11: false,
+                    ..get("/old", usize::from(keep_alive))
+                }),
+            });
+        }
+        let first = "POST /one HTTP/1.1\r\ncontent-length: 3\r\n\r\nabc";
+        cases.push(Case {
+            name: "a pipelined pair",
+            bytes: format!("{first}GET /two HTTP/1.1\r\n\r\n").into_bytes(),
+            decide: first.len(),
+            want: Ok(Want {
+                body: b"abc",
+                ..get("/one", 1)
+            }),
+        });
+        cases
+    }
+
+    #[test]
+    fn every_prefix_is_partial_until_its_deciding_byte() {
+        let limits = Limits {
+            max_request_line: 32,
+            max_header_line: 30,
+            max_headers: 3,
+            max_body: 8,
+        };
+        for case in table(&limits) {
+            let name = case.name;
+            for cut in 0..=case.bytes.len() {
+                let got = try_parse(&case.bytes[..cut], &limits);
+                match (&got, &case.want) {
+                    (Parse::Partial, _) if cut < case.decide => {}
+                    (Parse::Complete(req, consumed), Ok(want)) if cut >= case.decide => {
+                        assert_eq!(*consumed, case.decide, "{name}: consumed at {cut}");
+                        assert_eq!(req.path, want.path, "{name}");
+                        assert_eq!(req.keep_alive, want.keep_alive, "{name}");
+                        assert_eq!(req.http11, want.http11, "{name}");
+                        assert_eq!(req.headers.len(), want.headers, "{name}");
+                        assert_eq!(req.body, want.body, "{name}");
+                    }
+                    (Parse::Invalid(e), Err(want)) if cut >= case.decide => {
+                        assert_eq!(e, want, "{name}");
+                    }
+                    _ => panic!(
+                        "{name}: prefix of {cut} of {} bytes (decided at {}) parsed {got:?}",
+                        case.bytes.len(),
+                        case.decide
+                    ),
+                }
+            }
+        }
     }
 
     #[test]
     fn responses_frame_with_content_length() {
-        let mut out = Vec::new();
-        write_response(&mut out, Response::json(202, r#"{"id":"x"}"#), true).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = wire(Response::json(202, r#"{"id":"x"}"#), true);
         assert!(text.starts_with("HTTP/1.1 202 Accepted\r\n"));
         assert!(text.contains("content-length: 10\r\n"));
         assert!(text.contains("connection: keep-alive\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"id\":\"x\"}"));
-        let mut closed = Vec::new();
-        write_response(&mut closed, Response::text("ok\n"), false).unwrap();
-        assert!(String::from_utf8(closed)
-            .unwrap()
-            .contains("connection: close"));
+        assert!(wire(Response::text("ok\n"), false).contains("connection: close"));
     }
 
     fn chunks(parts: &[&str]) -> Box<dyn BodyStream> {
@@ -660,14 +770,12 @@ mod tests {
 
     #[test]
     fn streamed_responses_frame_with_chunked_encoding() {
-        let mut out = Vec::new();
         let resp = Response::stream(
             200,
             "text/csv; charset=utf-8",
             chunks(&["hello,", "world\n"]),
         );
-        write_response(&mut out, resp, true).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = wire(resp, true);
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("transfer-encoding: chunked\r\n"));
         assert!(!text.contains("content-length"));
@@ -677,23 +785,14 @@ mod tests {
     #[test]
     fn materialized_streams_collapse_to_content_length() {
         let resp = Response::stream(200, "text/plain; charset=utf-8", chunks(&["a", "", "bc"]));
-        let mut out = Vec::new();
-        write_response(&mut out, resp.materialized(), false).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = wire(resp.materialized(), false);
         assert!(text.contains("content-length: 3\r\n"));
         assert!(text.ends_with("\r\n\r\nabc"));
     }
 
     #[test]
     fn retry_after_header_rides_along() {
-        let mut out = Vec::new();
-        write_response(
-            &mut out,
-            Response::json(429, "{}").with_retry_after(2),
-            true,
-        )
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = wire(Response::json(429, "{}").with_retry_after(2), true);
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("retry-after: 2\r\n"));
     }

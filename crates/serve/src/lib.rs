@@ -9,7 +9,9 @@
 //! a deterministic pure function of the spec, the service never runs
 //! the same experiment twice:
 //!
-//! * `http` — a bounded HTTP/1.1 request/response layer (keep-alive,
+//! * `http` — a bounded HTTP/1.1 request/response layer: one request
+//!   parser that reads lines and the body straight from a connection's
+//!   buffer, and one function that frames every response (keep-alive,
 //!   `Content-Length` and chunked framing, hard size limits set by
 //!   [`Limits`]; no external dependencies, same offline constraint as
 //!   the in-tree JSON codec).
@@ -18,8 +20,10 @@
 //!   stream rendered incrementally.
 //! * `sys` — raw `epoll`/`eventfd` bindings that power the
 //!   event-driven reactor serving thousands of keep-alive connections
-//!   from a handful of threads. The server is therefore Linux-only:
-//!   elsewhere the crate compiles, but [`Server::run`] returns
+//!   from a handful of threads, and the only module that knows the
+//!   platform. The server is therefore Linux-only: elsewhere `sys`
+//!   supplies stand-ins that cannot be constructed, the crate compiles
+//!   unchanged, and [`Server::run`] returns
 //!   [`std::io::ErrorKind::Unsupported`].
 //! * [`registry`] — content-addressed jobs: a spec's identity is the
 //!   canonical (key-order-insensitive) FNV-1a fingerprint of its parsed
@@ -93,18 +97,13 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-#[cfg(target_os = "linux")]
 mod api;
 pub mod client;
-#[cfg(target_os = "linux")]
 mod handler;
-#[cfg(target_os = "linux")]
 mod http;
-#[cfg(target_os = "linux")]
 mod reactor;
 pub mod registry;
 pub mod server;
-#[cfg(target_os = "linux")]
 mod sys;
 
 pub use client::{Client, ClientError, Format, PointReply, ResultBody, Status, Submitted};
@@ -113,7 +112,6 @@ pub use server::{
     default_rules, Limits, LocalRunner, MonitorConfig, PointCache, Server, ServerConfig,
     ServerHandle, SpecRunner, SERVER_TRACE_CAPACITY,
 };
-#[cfg(target_os = "linux")]
 pub use sys::raise_nofile_limit;
 
 // Re-exported so service users can build specs and reports without

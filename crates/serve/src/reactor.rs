@@ -39,17 +39,13 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::api;
 use crate::handler::{Dispatch, Router};
-use crate::http::{
-    encode_chunk, encode_last_chunk, head_bytes, try_parse, write_response, Body, BodyStream,
-    Framing, Parse, Request,
-};
+use crate::http::{encode_chunk, encode_last_chunk, frame, try_parse, BodyStream, Parse, Request};
 use crate::registry;
 use crate::server::{register_waker, ConnTicket, ReactorOptions, Shared};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -89,13 +85,6 @@ struct ReactorShared {
 }
 
 impl ReactorShared {
-    fn new() -> io::Result<ReactorShared> {
-        Ok(ReactorShared {
-            inbox: Mutex::new(Vec::new()),
-            wake: EventFd::new()?,
-        })
-    }
-
     fn inject(&self, injection: Injection) {
         self.inbox.lock().unwrap().push(injection);
         self.wake.signal();
@@ -250,7 +239,7 @@ struct Ctx<'a> {
 
 fn set_interest(epoll: &Epoll, conn: &mut Conn, mask: u32) {
     if conn.interest != mask {
-        let _ = epoll.modify(conn.stream.as_raw_fd(), mask, conn.token);
+        let _ = epoll.modify(&conn.stream, mask, conn.token);
         conn.interest = mask;
     }
 }
@@ -357,16 +346,8 @@ fn start_write(ctx: &Ctx<'_>, conn: &mut Conn, outcome: Dispatch) -> WriteEnd {
     } else {
         resp.materialized()
     };
-    let framing = match &resp.body {
-        Body::Full(bytes) => Framing::Length(bytes.len()),
-        Body::Stream(_) => Framing::Chunked,
-    };
-    conn.out = head_bytes(&resp, framing, keep);
+    (conn.out, conn.stream_body) = frame(resp, keep);
     conn.out_pos = 0;
-    match resp.body {
-        Body::Full(bytes) => conn.out.extend_from_slice(&bytes),
-        Body::Stream(stream) => conn.stream_body = Some(stream),
-    }
     conn.state = State::Writing;
     conn.anchor = Instant::now();
     drive_write(ctx, conn)
@@ -514,15 +495,11 @@ fn process_read(ctx: &Ctx<'_>, conn: &mut Conn, seq: &mut u64) -> bool {
                 }
             }
             Parse::Invalid(e) => {
-                return match api::parse_error_response(&e) {
-                    Some(resp) => {
-                        conn.pending_keep_alive = false;
-                        match start_write(ctx, conn, Dispatch::Reply(resp)) {
-                            WriteEnd::Pending => true,
-                            WriteEnd::BackToReading | WriteEnd::Close => false,
-                        }
-                    }
-                    None => false,
+                conn.pending_keep_alive = false;
+                let resp = api::parse_error_response(&e);
+                return match start_write(ctx, conn, Dispatch::Reply(resp)) {
+                    WriteEnd::Pending => true,
+                    WriteEnd::BackToReading | WriteEnd::Close => false,
                 };
             }
         }
@@ -583,15 +560,27 @@ fn on_done(ctx: &Ctx<'_>, conn: &mut Conn, outcome: Dispatch, seq: &mut u64) -> 
     }
 }
 
-/// One reactor thread: epoll loop over its slab of connections.
+/// A fresh reactor mailbox and the epoll its reactor runs on, already
+/// watching the mailbox's wake eventfd under [`WAKE`].
+fn reactor_fds() -> io::Result<(Epoll, Arc<ReactorShared>)> {
+    let rshared = Arc::new(ReactorShared {
+        inbox: Mutex::new(Vec::new()),
+        wake: EventFd::new()?,
+    });
+    let epoll = Epoll::new()?;
+    epoll.add(&rshared.wake, EPOLLIN, WAKE)?;
+    Ok((epoll, rshared))
+}
+
+/// One reactor thread: epoll loop over its slab of connections, on the
+/// epoll [`reactor_fds`] made for it.
 fn reactor_loop(
+    epoll: Epoll,
     shared: Arc<Shared>,
     router: Arc<Router>,
     pool: Arc<DispatchPool>,
     rshared: Arc<ReactorShared>,
 ) -> io::Result<()> {
-    let epoll = Epoll::new()?;
-    epoll.add(rshared.wake.raw(), EPOLLIN, WAKE)?;
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut live: usize = 0;
@@ -606,7 +595,7 @@ fn reactor_loop(
                       live: &mut usize,
                       idx: usize| {
         if let Some(conn) = conns[idx].take() {
-            let _ = epoll.delete(conn.stream.as_raw_fd());
+            let _ = epoll.delete(&conn.stream);
             free.push(idx);
             *live -= 1;
         }
@@ -643,10 +632,7 @@ fn reactor_loop(
                         conns.len() - 1
                     });
                     let token = idx as u64 + 1;
-                    if epoll
-                        .add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)
-                        .is_err()
-                    {
+                    if epoll.add(&stream, EPOLLIN | EPOLLRDHUP, token).is_err() {
                         free.push(idx);
                         continue; // stream + ticket drop: count stays right
                     }
@@ -781,9 +767,15 @@ fn worker_loop(shared: Arc<Shared>, router: Arc<Router>, pool: Arc<DispatchPool>
 /// then runs the accept loop on the calling thread until shutdown/kill,
 /// and drains everything before returning.
 ///
+/// Every eventfd and epoll is made before the first thread starts. A
+/// later failure (a spawn, the accept loop's wait) shuts the server
+/// down, and the threads already running drain and are joined before
+/// the error returns.
+///
 /// # Errors
 ///
-/// Fatal acceptor failures (epoll setup, listener registration).
+/// Fatal failures to set up the reactors or the acceptor, or to run the
+/// accept loop.
 pub(crate) fn serve(
     listener: TcpListener,
     shared: &Arc<Shared>,
@@ -804,64 +796,90 @@ pub(crate) fn serve(
         opts.dispatchers
     };
 
-    let pool = Arc::new(DispatchPool::new(opts.max_dispatch_queue));
-    let mut reactors = Vec::with_capacity(n_reactors);
-    let mut reactor_threads = Vec::with_capacity(n_reactors);
-    for i in 0..n_reactors {
-        let rshared = Arc::new(ReactorShared::new()?);
-        register_waker(shared, {
-            let rshared = Arc::clone(&rshared);
-            Box::new(move || rshared.wake.signal())
-        });
-        let thread = std::thread::Builder::new()
-            .name(format!("predllc-reactor-{i}"))
-            .spawn({
-                let shared = Arc::clone(shared);
-                let router = Arc::clone(&router);
-                let pool = Arc::clone(&pool);
-                let rshared = Arc::clone(&rshared);
-                move || {
-                    if let Err(e) = reactor_loop(shared, router, pool, rshared) {
-                        eprintln!("predllc-serve: reactor failed: {e}");
-                    }
-                }
-            })?;
-        reactors.push(rshared);
-        reactor_threads.push(thread);
-    }
-    let mut worker_threads = Vec::with_capacity(n_dispatchers);
-    for i in 0..n_dispatchers {
-        worker_threads.push(
-            std::thread::Builder::new()
-                .name(format!("predllc-dispatch-{i}"))
-                .spawn({
-                    let shared = Arc::clone(shared);
-                    let router = Arc::clone(&router);
-                    let pool = Arc::clone(&pool);
-                    move || worker_loop(shared, router, pool)
-                })?,
-        );
-    }
-
+    let loops = (0..n_reactors)
+        .map(|_| reactor_fds())
+        .collect::<io::Result<Vec<_>>>()?;
     // The acceptor: nonblocking listener + a wake eventfd on its own
     // epoll, so shutdown() interrupts a parked wait immediately.
-    listener.set_nonblocking(true)?;
     let accept_wake = Arc::new(EventFd::new()?);
+    let epoll = Epoll::new()?;
+    listener.set_nonblocking(true)?;
+    epoll.add(&listener, EPOLLIN, 0)?;
+    epoll.add(&*accept_wake, EPOLLIN, 1)?;
+
+    let reactors: Vec<Arc<ReactorShared>> = loops.iter().map(|(_, r)| Arc::clone(r)).collect();
+    for rshared in &reactors {
+        let rshared = Arc::clone(rshared);
+        register_waker(shared, Box::new(move || rshared.wake.signal()));
+    }
     register_waker(shared, {
         let accept_wake = Arc::clone(&accept_wake);
         Box::new(move || accept_wake.signal())
     });
-    let epoll = Epoll::new()?;
-    epoll.add(listener.as_raw_fd(), EPOLLIN, 0)?;
-    epoll.add(accept_wake.raw(), EPOLLIN, 1)?;
+
+    let pool = Arc::new(DispatchPool::new(opts.max_dispatch_queue));
+    let mut reactor_threads = Vec::with_capacity(n_reactors);
+    let mut worker_threads = Vec::with_capacity(n_dispatchers);
+    let start = || -> io::Result<()> {
+        for (i, (epoll, rshared)) in loops.into_iter().enumerate() {
+            let (shared, router, pool) =
+                (Arc::clone(shared), Arc::clone(&router), Arc::clone(&pool));
+            reactor_threads.push(
+                std::thread::Builder::new()
+                    .name(format!("predllc-reactor-{i}"))
+                    .spawn(move || {
+                        if let Err(e) = reactor_loop(epoll, shared, router, pool, rshared) {
+                            eprintln!("predllc-serve: reactor failed: {e}");
+                        }
+                    })?,
+            );
+        }
+        for i in 0..n_dispatchers {
+            let (shared, router, pool) =
+                (Arc::clone(shared), Arc::clone(&router), Arc::clone(&pool));
+            worker_threads.push(
+                std::thread::Builder::new()
+                    .name(format!("predllc-dispatch-{i}"))
+                    .spawn(move || worker_loop(shared, router, pool))?,
+            );
+        }
+        Ok(())
+    };
+    let served = start().and_then(|()| accept(&listener, &epoll, &accept_wake, shared, &reactors));
+    if served.is_err() {
+        // No handle asked for this shutdown; the reactors stop on the
+        // same flag.
+        shared.shutdown.store(true, Ordering::SeqCst);
+    }
+    // Refuse new connections during the drain, then let the reactors
+    // finish in-flight work (dispatch workers stay up until the
+    // reactors are gone — parked connections need their outcomes).
+    drop(listener);
+    stop_reactors(&reactors, reactor_threads);
+    pool.close();
+    for thread in worker_threads {
+        let _ = thread.join();
+    }
+    served
+}
+
+/// The accept loop: hands each accepted connection to the next reactor
+/// until shutdown or kill.
+fn accept(
+    listener: &TcpListener,
+    epoll: &Epoll,
+    wake: &EventFd,
+    shared: &Arc<Shared>,
+    reactors: &[Arc<ReactorShared>],
+) -> io::Result<()> {
     let mut events = [EpollEvent::zeroed(); 16];
     let mut next_reactor = 0usize;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) || shared.killed.load(Ordering::SeqCst) {
-            break;
+            return Ok(());
         }
         epoll.wait(&mut events, 500)?;
-        accept_wake.drain();
+        wake.drain();
         loop {
             match listener.accept() {
                 Ok((mut stream, _)) => {
@@ -875,11 +893,9 @@ pub(crate) fn serve(
                         // Accepted sockets are blocking (nonblocking is
                         // not inherited), so this small write is safe
                         // inline.
-                        let _ = write_response(
-                            &mut stream,
-                            api::error_response(503, "unavailable", "too many connections"),
-                            false,
-                        );
+                        let refusal =
+                            api::error_response(503, "unavailable", "too many connections");
+                        let _ = stream.write_all(&frame(refusal, false).0);
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
@@ -899,16 +915,6 @@ pub(crate) fn serve(
             }
         }
     }
-    // Refuse new connections during the drain, then let the reactors
-    // finish in-flight work (dispatch workers stay up until the
-    // reactors are gone — parked connections need their outcomes).
-    drop(listener);
-    stop_reactors(&reactors, reactor_threads);
-    pool.close();
-    for thread in worker_threads {
-        let _ = thread.join();
-    }
-    Ok(())
 }
 
 /// Wakes and joins the reactor threads, then closes every connection
@@ -976,6 +982,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_os = "linux")]
     fn dispatch_pool_sheds_past_capacity_and_drains_on_close() {
         fn job(reactor: &Arc<ReactorShared>, seq: u64) -> Job {
             Job {
@@ -993,7 +1000,7 @@ mod tests {
                 reactor: Arc::clone(reactor),
             }
         }
-        let reactor = Arc::new(ReactorShared::new().unwrap());
+        let (_, reactor) = reactor_fds().unwrap();
         let pool = DispatchPool::new(1);
         assert!(pool.try_submit(job(&reactor, 1)).is_ok());
         // Queue depth 1 is the cap: the next submit is shed.
@@ -1009,18 +1016,19 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_os = "linux")]
     fn a_stopped_reactor_closes_the_connections_left_in_its_inbox() {
         let server = crate::Server::bind("127.0.0.1:0", crate::ServerConfig::default()).unwrap();
         let shared = Arc::clone(&server.shared);
         let router = Arc::new(api::build_router(&shared));
         let pool = Arc::new(DispatchPool::new(1));
-        let rshared = Arc::new(ReactorShared::new().unwrap());
+        let (epoll, rshared) = reactor_fds().unwrap();
         // The server was killed: its reactor returns at its first wake,
         // without draining its inbox...
         shared.killed.store(true, Ordering::SeqCst);
         let thread = std::thread::spawn({
             let (shared, rshared) = (Arc::clone(&shared), Arc::clone(&rshared));
-            move || reactor_loop(shared, router, pool, rshared).unwrap()
+            move || reactor_loop(epoll, shared, router, pool, rshared).unwrap()
         });
         // ...where the acceptor left a connection it took while dying.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();

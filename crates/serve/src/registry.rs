@@ -31,7 +31,6 @@ use predllc_explore::hash::{canonical_fingerprint, Fingerprint};
 use predllc_explore::{json, report, unique_point_count, ExperimentSpec, GridResult, SpecError};
 use predllc_obs::{Counter, Gauge, Registry as MetricRegistry, TimingHistogram};
 
-#[cfg(target_os = "linux")]
 use crate::http::BodyStream;
 
 /// Why a submission was rejected.
@@ -135,11 +134,9 @@ impl JobResult {
 }
 
 /// Streamed bodies accumulate roughly this many bytes per chunk.
-#[cfg(target_os = "linux")]
 const CHUNK_TARGET: usize = 16 << 10;
 
 /// The pull-based bodies the reactor streams results through.
-#[cfg(target_os = "linux")]
 impl JobResult {
     /// A pull-based body streaming exactly the bytes of
     /// [`JobResult::csv`], a bundle of rows at a time.
@@ -175,14 +172,12 @@ impl JobResult {
 }
 
 /// Streams `CSV_HEADER` + one `csv_row` per grid row, batched.
-#[cfg(target_os = "linux")]
 struct CsvBody {
     grid: Arc<Vec<GridResult>>,
     next: usize,
     header_sent: bool,
 }
 
-#[cfg(target_os = "linux")]
 impl BodyStream for CsvBody {
     fn next_chunk(&mut self) -> Option<Vec<u8>> {
         let mut out = String::new();
@@ -203,7 +198,6 @@ impl BodyStream for CsvBody {
 }
 
 /// Streams `json_head` + comma-joined `json_row`s + `json_tail`.
-#[cfg(target_os = "linux")]
 struct JsonBody {
     head: Option<String>,
     grid: Arc<Vec<GridResult>>,
@@ -211,7 +205,6 @@ struct JsonBody {
     tail: Option<String>,
 }
 
-#[cfg(target_os = "linux")]
 impl BodyStream for JsonBody {
     fn next_chunk(&mut self) -> Option<Vec<u8>> {
         let mut out = self.head.take().unwrap_or_default();
@@ -236,13 +229,11 @@ impl BodyStream for JsonBody {
 }
 
 /// Streams a shared pre-rendered string in bounded slices.
-#[cfg(target_os = "linux")]
 struct TextBody {
     text: Arc<String>,
     pos: usize,
 }
 
-#[cfg(target_os = "linux")]
 impl BodyStream for TextBody {
     fn next_chunk(&mut self) -> Option<Vec<u8>> {
         let bytes = self.text.as_bytes();
@@ -571,7 +562,6 @@ impl Metrics {
 
     /// The wall-clock request-latency histogram for one endpoint label
     /// (registration is idempotent; recording is lock-free).
-    #[cfg(target_os = "linux")]
     pub(crate) fn endpoint_latency(&self, endpoint: &str) -> TimingHistogram {
         self.registry.histogram_with(
             "predllc_http_request_duration_ns",
@@ -622,7 +612,6 @@ impl Metrics {
 /// The outcome of a submission: the (new or existing) job and whether it
 /// was freshly created.
 #[derive(Debug, Clone)]
-#[cfg_attr(not(target_os = "linux"), allow(dead_code))] // see `Registry::submit`
 pub(crate) struct Submission {
     /// The job this spec coalesced onto.
     pub(crate) job: Arc<Job>,
@@ -677,9 +666,6 @@ impl Registry {
     /// [`SubmitError::Spec`] when the body is not a valid spec, or
     /// [`SubmitError::AtCapacity`] when the registry is full of
     /// unfinished jobs.
-    // Off Linux the HTTP front end, the only caller outside tests, is not
-    // compiled.
-    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
     pub(crate) fn submit(
         &self,
         body: &str,
@@ -800,7 +786,6 @@ mod tests {
         }
     }
 
-    #[cfg(target_os = "linux")]
     fn grid_row(seed: u64) -> GridResult {
         GridResult {
             config: format!("SS(1,{seed})"),
@@ -822,7 +807,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(target_os = "linux")]
     fn streamed_bodies_are_byte_identical_to_one_shot_renders() {
         let result = JobResult {
             name: "stream-test".into(),

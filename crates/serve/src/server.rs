@@ -30,24 +30,21 @@
 //!   an abrupt simulated crash for worker-loss testing.
 //!
 //! The reactor runs on `epoll`, so the server is Linux-only: elsewhere
-//! the crate compiles, but [`Server::run`] returns
-//! [`std::io::ErrorKind::Unsupported`].
+//! the crate compiles unchanged (`sys` supplies stand-ins), but
+//! [`Server::run`] returns [`std::io::ErrorKind::Unsupported`].
 
 use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(target_os = "linux")]
-use std::sync::atomic::{AtomicU64, AtomicUsize};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use predllc_obs::series::registry_samples;
 use predllc_obs::slo::Rule;
 use predllc_obs::{
-    fields, Collector, CollectorConfig, Compare, SloRuntime, TraceCtx, TraceId, Tracer,
+    fields, Collector, CollectorConfig, Compare, Counter, SeriesStore, SloRuntime, TraceCtx,
+    TraceId, Tracer,
 };
-#[cfg(target_os = "linux")]
-use predllc_obs::{Counter, SeriesStore};
 
 use predllc_explore::hash::Fingerprint;
 use predllc_explore::report::{json_tail, render_attribution_json};
@@ -55,7 +52,6 @@ use predllc_explore::{run_spec_traced, Executor, ExperimentSpec, ExploreReport};
 
 use predllc_core::ComponentSet;
 
-#[cfg(target_os = "linux")]
 use crate::api;
 use crate::registry::{Job, JobResult, Metrics, Registry};
 
@@ -334,8 +330,8 @@ impl<V> PointCache<V> {
     }
 }
 
-/// State shared by the acceptor, reactors, dispatch workers, connection
-/// threads, runners and handles.
+/// State shared by the acceptor, reactors, dispatch workers, runners
+/// and handles.
 pub(crate) struct Shared {
     pub(crate) registry: Registry,
     pub(crate) runner: Arc<dyn SpecRunner>,
@@ -346,34 +342,26 @@ pub(crate) struct Shared {
     /// Present while the service accepts work; dropped on shutdown so
     /// runner threads drain the queue and exit.
     pub(crate) queue: Mutex<Option<mpsc::Sender<Arc<Job>>>>,
-    #[cfg(target_os = "linux")]
     pub(crate) limits: Limits,
-    #[cfg(target_os = "linux")]
     pub(crate) idle_timeout: Duration,
     /// Simultaneously open connections, bounded by `max_connections`.
-    #[cfg(target_os = "linux")]
     pub(crate) connections: AtomicUsize,
-    #[cfg(target_os = "linux")]
     pub(crate) max_connections: usize,
     /// Point measurements shared across workers of a fleet.
-    #[cfg(target_os = "linux")]
     pub(crate) points: Mutex<PointCache<String>>,
     /// See [`ServerConfig::fail_after_points`].
-    #[cfg(target_os = "linux")]
     pub(crate) fail_after_points: Option<u64>,
     /// Point requests answered successfully (the fault injector's
     /// odometer).
-    #[cfg(target_os = "linux")]
     pub(crate) points_answered: AtomicU64,
     /// Where request/job/point spans are recorded.
     pub(crate) tracer: Arc<Tracer>,
     /// Mirror of [`Tracer::dropped`] so ring overflow is visible on
     /// `/metrics`; refreshed before every render and collector tick.
-    #[cfg(target_os = "linux")]
     pub(crate) trace_dropped: Counter,
     /// The continuous-monitoring state, when configured.
     pub(crate) monitor: Option<MonitorState>,
-    /// Our own bound address, to wake the accept loop on kill.
+    /// Our own bound address (the dashboard's title).
     pub(crate) addr: SocketAddr,
     /// Callbacks that nudge parked event loops (reactors blocked in
     /// `epoll_wait`, the acceptor) so they observe the shutdown/killed
@@ -385,23 +373,19 @@ pub(crate) struct Shared {
 /// with the endpoints) plus the collector handle itself, parked here
 /// so [`Server::run`] can stop the thread on exit.
 pub(crate) struct MonitorState {
-    #[cfg(target_os = "linux")]
     pub(crate) store: Arc<SeriesStore>,
     pub(crate) slo: Arc<SloRuntime>,
     pub(crate) collector: Mutex<Option<Collector>>,
-    #[cfg(target_os = "linux")]
     pub(crate) interval_ms: u64,
 }
 
 /// Refreshes the `predllc_trace_dropped_total` mirror from the tracer.
-#[cfg(target_os = "linux")]
 pub(crate) fn refresh_trace_dropped(shared: &Shared) {
     shared.trace_dropped.set(shared.tracer.dropped());
 }
 
 /// Registers a callback invoked on shutdown and kill, so event loops
 /// parked in `epoll_wait` wake and observe the flags.
-#[cfg(target_os = "linux")]
 pub(crate) fn register_waker(shared: &Shared, waker: Box<dyn Fn() + Send + Sync>) {
     shared.wakers.lock().unwrap().push(waker);
 }
@@ -421,7 +405,6 @@ pub(crate) fn kill_shared(shared: &Shared) {
     }
     shared.queue.lock().unwrap().take();
     wake_all(shared);
-    let _ = TcpStream::connect(shared.addr);
 }
 
 /// One open connection's claim against `max_connections`: counts
@@ -429,14 +412,12 @@ pub(crate) fn kill_shared(shared: &Shared) {
 /// `predllc_connections_open` gauge), counts itself out on drop.
 ///
 /// Constructed by the *acceptor* before the connection is handed to a
-/// thread or reactor, so the count stays exact however the connection
-/// ends — clean close, error, or handler panic.
-#[cfg(target_os = "linux")]
+/// reactor, so the count stays exact however the connection ends —
+/// clean close, error, or handler panic.
 pub(crate) struct ConnTicket {
     shared: Arc<Shared>,
 }
 
-#[cfg(target_os = "linux")]
 impl ConnTicket {
     pub(crate) fn new(shared: &Arc<Shared>) -> ConnTicket {
         shared.connections.fetch_add(1, Ordering::SeqCst);
@@ -453,7 +434,6 @@ impl ConnTicket {
     }
 }
 
-#[cfg(target_os = "linux")]
 impl Drop for ConnTicket {
     fn drop(&mut self) {
         self.shared.connections.fetch_sub(1, Ordering::SeqCst);
@@ -463,7 +443,6 @@ impl Drop for ConnTicket {
 
 /// Resolved reactor-mode tunables handed to the reactor.
 #[derive(Debug, Clone)]
-#[cfg(target_os = "linux")]
 pub(crate) struct ReactorOptions {
     pub(crate) reactors: usize,
     pub(crate) dispatchers: usize,
@@ -472,13 +451,11 @@ pub(crate) struct ReactorOptions {
 
 /// A running experiment service bound to a TCP address.
 pub struct Server {
-    #[cfg(target_os = "linux")]
     listener: TcpListener,
     addr: SocketAddr,
     pub(crate) shared: Arc<Shared>,
     queue_rx: mpsc::Receiver<Arc<Job>>,
     runners: usize,
-    #[cfg(target_os = "linux")]
     reactor: ReactorOptions,
 }
 
@@ -554,11 +531,9 @@ impl Server {
                 Some(Arc::clone(&slo)),
             );
             MonitorState {
-                #[cfg(target_os = "linux")]
                 store: collector.store(),
                 slo,
                 collector: Mutex::new(Some(collector)),
-                #[cfg(target_os = "linux")]
                 interval_ms: u64::try_from(mc.interval.as_millis()).unwrap_or(u64::MAX),
             }
         });
@@ -568,35 +543,25 @@ impl Server {
             shutdown: AtomicBool::new(false),
             killed: AtomicBool::new(false),
             queue: Mutex::new(Some(tx)),
-            #[cfg(target_os = "linux")]
             limits: config.limits,
-            #[cfg(target_os = "linux")]
             idle_timeout: config.idle_timeout,
-            #[cfg(target_os = "linux")]
             connections: AtomicUsize::new(0),
-            #[cfg(target_os = "linux")]
             max_connections: config.max_connections.max(1),
-            #[cfg(target_os = "linux")]
             points: Mutex::new(PointCache::new(config.max_points)),
-            #[cfg(target_os = "linux")]
             fail_after_points: config.fail_after_points,
-            #[cfg(target_os = "linux")]
             points_answered: AtomicU64::new(0),
             tracer,
-            #[cfg(target_os = "linux")]
             trace_dropped,
             monitor,
             addr,
             wakers: Mutex::new(Vec::new()),
         });
         Ok(Server {
-            #[cfg(target_os = "linux")]
             listener,
             addr,
             shared,
             queue_rx: rx,
             runners: config.runners.max(1),
-            #[cfg(target_os = "linux")]
             reactor: ReactorOptions {
                 reactors: config.reactors,
                 dispatchers: config.dispatchers,
@@ -625,10 +590,11 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Fatal accept-loop failures only; per-connection errors are
+    /// Fatal failures to start or run the reactor (its eventfds,
+    /// epolls, threads or accept loop) only; per-connection errors are
     /// answered on the wire and logged to stderr. Off Linux,
     /// [`std::io::ErrorKind::Unsupported`] at once: the reactor needs
-    /// `epoll`.
+    /// `epoll`. Accepted jobs drain either way.
     pub fn run(self) -> std::io::Result<()> {
         let mut runner_handles = Vec::with_capacity(self.runners);
         let queue_rx = Arc::new(Mutex::new(self.queue_rx));
@@ -638,20 +604,11 @@ impl Server {
             runner_handles.push(std::thread::spawn(move || run_jobs(&shared, &rx)));
         }
 
-        #[cfg(target_os = "linux")]
-        let served = {
-            let router = Arc::new(api::build_router(&self.shared));
-            crate::reactor::serve(self.listener, &self.shared, router, &self.reactor)
-        };
-        #[cfg(not(target_os = "linux"))]
-        let served = {
-            // Nothing can submit work: close the queue so the runners exit.
-            self.shared.queue.lock().unwrap().take();
-            Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "predllc-serve needs Linux: its reactor runs on epoll",
-            ))
-        };
+        let router = Arc::new(api::build_router(&self.shared));
+        let served = crate::reactor::serve(self.listener, &self.shared, router, &self.reactor);
+        // Nothing submits work once serving ended, however it ended:
+        // close the queue so the runners drain it and exit.
+        self.shared.queue.lock().unwrap().take();
 
         // Drain: joining the runners waits for every accepted job.
         for h in runner_handles {
@@ -679,10 +636,9 @@ impl ServerHandle {
         }
         // Closing the queue lets runner threads exit once drained.
         self.shared.queue.lock().unwrap().take();
-        // Wake parked reactors, then the accept loop, so both observe
+        // Wake the parked reactors and the accept loop, so they observe
         // the flag.
         wake_all(&self.shared);
-        let _ = TcpStream::connect(self.addr);
     }
 
     /// Simulates an abrupt crash for worker-loss testing: the server
@@ -822,18 +778,6 @@ pub(crate) fn record_component_cycles(metrics: &Metrics, components: &ComponentS
                 component.label(),
             )
             .add(cycles.as_u64());
-    }
-}
-
-#[cfg(all(test, not(target_os = "linux")))]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn run_is_unsupported() {
-        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-        let err = server.run().unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
     }
 }
 

@@ -746,3 +746,56 @@ fn held_waits_stay_out_of_request_latency_and_never_page() {
     );
     stop(&handle, join);
 }
+
+/// A request that reaches the reactor in many reads is parsed from its
+/// growing buffer: its head one byte per write, its body 1 KiB per
+/// write, it must get exactly the bytes the same request gets written
+/// at once. Each side runs on a fresh server, so both answers simulate.
+#[test]
+fn a_request_trickled_in_pieces_gets_the_bytes_it_gets_whole() {
+    use predllc::explore::PointRequest;
+
+    let spec = ExperimentSpec::parse(SPEC).unwrap();
+    let point = PointRequest {
+        cores: spec.cores,
+        config: spec.configs[0].clone(),
+        workload: spec.workloads[0].clone(),
+        attribution: false,
+        twins: Vec::new(),
+    };
+    // Trailing whitespace stretches the body over several writes
+    // without changing the point.
+    let body = format!("{}{}", point.render().unwrap(), " ".repeat(6 << 10));
+    let head = format!(
+        "POST /v1/points HTTP/1.1\r\nhost: reactor-test\r\n\
+         content-type: application/json\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    );
+    let answer = |trickle: bool| {
+        let (handle, join) = start(ServerConfig::default());
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        if trickle {
+            for byte in head.as_bytes() {
+                stream.write_all(std::slice::from_ref(byte)).unwrap();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            for piece in body.as_bytes().chunks(1024) {
+                stream.write_all(piece).unwrap();
+            }
+        } else {
+            stream
+                .write_all(format!("{head}{body}").as_bytes())
+                .unwrap();
+        }
+        let reply = read_response(&mut BufReader::new(stream));
+        stop(&handle, join);
+        reply
+    };
+    let whole = answer(false);
+    assert_eq!(whole.0, 200, "{whole:?}");
+    assert_eq!(answer(true), whole);
+}
