@@ -26,9 +26,9 @@
 //!   fixed interval into bounded per-series ring buffers
 //!   ([`SeriesStore`]): local time-series history with zero external
 //!   storage.
-//! * [`slo`] — declarative alert rules (threshold, rate-of-change,
-//!   multi-window burn-rate) evaluated on every collector tick, with
-//!   firing/pending/resolved state machines and since-timestamps.
+//! * [`slo`] — declarative threshold alert rules evaluated on every
+//!   collector tick, with firing/pending/resolved state machines and
+//!   since-timestamps.
 //! * [`dash`] — a single-page, self-contained HTML dashboard (inline
 //!   SVG sparklines, no scripts) rendered straight from the store.
 //!
@@ -51,7 +51,7 @@ pub mod trace;
 
 pub use metrics::{Counter, Gauge, HistogramSnapshot, Registry, TimingHistogram};
 pub use series::{Collector, CollectorConfig, SeriesHistory, SeriesStore};
-pub use slo::{AlertState, AlertStatus, Compare, Condition, Rule, SloRuntime};
+pub use slo::{AlertState, AlertStatus, Compare, Rule, SloRuntime};
 pub use trace::{
     fields, json_string, render_jsonl, EventKind, FieldValue, SpanGuard, TraceCtx, TraceEvent,
     TraceId, Tracer, TRACE_HEADER,

@@ -140,21 +140,6 @@ impl SeriesStore {
             .collect()
     }
 
-    /// The `(t_ms, value as f64)` samples of `key` within the last
-    /// `window_ms` before `now_ms`, oldest first.
-    pub fn window(&self, key: &str, window_ms: u64, now_ms: u64) -> Vec<(u64, f64)> {
-        let start = now_ms.saturating_sub(window_ms);
-        let inner = self.inner.lock().unwrap();
-        match inner.series.get(key) {
-            Some(ring) => ring
-                .iter()
-                .filter(|&&(t, _)| t >= start && t <= now_ms)
-                .map(|&(t, v)| (t, v.as_f64()))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
     /// Every series' history over the last `window_ms`, downsampled to
     /// at most one sample (the last) per `step_ms` bucket. Returns
     /// `(now_ms, histories)`; series with no samples in the window are
@@ -393,8 +378,6 @@ mod tests {
             store.record_at(t, &[("m".to_string(), ExpoValue::UInt(t))]);
         }
         // Query before any further time passes: the window covers all.
-        let samples = store.window("m", u64::MAX, 199);
-        assert_eq!(samples.len(), 6);
         let (_, histories) = store.history_at(u64::MAX, 100, 199);
         let m = &histories[0];
         // Step buckets relative to window start: last-of-bucket wins.

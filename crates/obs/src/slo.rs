@@ -1,20 +1,9 @@
 //! Declarative SLO alerting over collected time-series.
 //!
 //! Rules are evaluated in-process on every collector tick — no
-//! external alertmanager, no wall-clock scheduling. Three condition
-//! shapes cover the standard monitoring playbook:
-//!
-//! * [`Condition::Threshold`] — the latest sample is above/below a
-//!   bound ("queue depth > 100").
-//! * [`Condition::RateOfChange`] — the first-to-last slope over a
-//!   window is above/below a per-second bound ("errors climbing
-//!   faster than 5/s").
-//! * [`Condition::BurnRate`] — multi-window burn rate: the slope over
-//!   *both* a long and a short window exceeds `factor ×
-//!   budget_per_second`. The long window proves the burn is sustained,
-//!   the short window proves it is still happening — the classic
-//!   fast-burn page condition, without the flappiness of either window
-//!   alone.
+//! external alertmanager, no wall-clock scheduling. A rule is a
+//! threshold: the latest sample is above or below a bound ("queue
+//! depth > 100").
 //!
 //! Each rule walks the usual state machine with since-timestamps:
 //! `Inactive → Pending` (condition holds, waiting out
@@ -48,41 +37,6 @@ impl Compare {
     }
 }
 
-/// What a rule checks about its series.
-#[derive(Debug, Clone)]
-pub enum Condition {
-    /// The latest sample versus a fixed bound.
-    Threshold {
-        /// The bound.
-        value: f64,
-        /// Which side violates.
-        compare: Compare,
-    },
-    /// The first-to-last slope over `window`, in value units per
-    /// second, versus a bound. Needs at least two samples in the
-    /// window spanning a non-zero time.
-    RateOfChange {
-        /// The per-second bound.
-        per_second: f64,
-        /// How far back to look.
-        window: Duration,
-        /// Which side violates.
-        compare: Compare,
-    },
-    /// Multi-window burn rate: violated when the per-second rate over
-    /// **both** windows exceeds `factor * budget_per_second`.
-    BurnRate {
-        /// The budgeted per-second rate (e.g. allowed errors/s).
-        budget_per_second: f64,
-        /// The burn multiplier that pages (e.g. 14.4 for a fast burn).
-        factor: f64,
-        /// The sustained window.
-        long_window: Duration,
-        /// The still-happening window.
-        short_window: Duration,
-    },
-}
-
 /// One declarative alerting rule.
 #[derive(Debug, Clone)]
 pub struct Rule {
@@ -91,8 +45,10 @@ pub struct Rule {
     /// Series selector: an exact series key, or a family name matching
     /// every labelled series (`m` matches `m` and `m{worker="w0"}`).
     pub series: String,
-    /// The violation condition.
-    pub condition: Condition,
+    /// The bound the latest sample is checked against.
+    pub value: f64,
+    /// Which side of the bound violates.
+    pub compare: Compare,
     /// How long the condition must hold before Pending becomes Firing
     /// (zero fires immediately).
     pub for_duration: Duration,
@@ -104,7 +60,8 @@ impl Rule {
         Rule {
             name: name.to_string(),
             series: series.to_string(),
-            condition: Condition::Threshold { value, compare },
+            value,
+            compare,
             for_duration: Duration::ZERO,
         }
     }
@@ -152,8 +109,8 @@ pub struct AlertStatus {
     pub state: AlertState,
     /// When (store milliseconds) the current state was entered.
     pub since_ms: u64,
-    /// The most recent observed value driving the decision (threshold:
-    /// the sample; rates: the per-second rate), if any was computable.
+    /// The latest sample of the matching series most likely to violate,
+    /// if any series has one.
     pub value: Option<f64>,
 }
 
@@ -167,7 +124,7 @@ pub struct Transition {
     pub from: AlertState,
     /// The state entered.
     pub to: AlertState,
-    /// The observed value at the transition, if computable.
+    /// The observed value at the transition, if any.
     pub value: Option<f64>,
 }
 
@@ -206,8 +163,8 @@ impl Evaluator {
     pub(crate) fn evaluate(&mut self, store: &SeriesStore, now_ms: u64) -> Vec<Transition> {
         let mut transitions = Vec::new();
         for (rule, st) in self.rules.iter().zip(self.states.iter_mut()) {
-            let observed = worst_observation(rule, store, now_ms);
-            let violated = observed.is_some_and(|v| condition_violated(&rule.condition, v));
+            let observed = worst_observation(rule, store);
+            let violated = observed.is_some_and(|v| rule.compare.violates(v, rule.value));
             st.last_value = observed;
             let next = match (st.state, violated) {
                 (AlertState::Inactive | AlertState::Resolved, true) => {
@@ -270,31 +227,17 @@ impl Evaluator {
     }
 }
 
-/// The worst observation across every series the rule's selector
+/// The worst latest sample across every series the rule's selector
 /// matches ("worst" = the one most likely to violate), or `None` when
-/// nothing is computable yet.
-fn worst_observation(rule: &Rule, store: &SeriesStore, now_ms: u64) -> Option<f64> {
-    let keys = store.keys_matching(&rule.series);
+/// no matching series has a sample yet.
+fn worst_observation(rule: &Rule, store: &SeriesStore) -> Option<f64> {
     let mut worst: Option<f64> = None;
-    for key in &keys {
-        let observed = match &rule.condition {
-            Condition::Threshold { .. } => store.latest(key).map(|(_, v)| v.as_f64()),
-            Condition::RateOfChange { window, .. } => {
-                rate_per_second(store, key, duration_ms(*window), now_ms)
-            }
-            Condition::BurnRate {
-                long_window,
-                short_window,
-                ..
-            } => {
-                let long = rate_per_second(store, key, duration_ms(*long_window), now_ms)?;
-                let short = rate_per_second(store, key, duration_ms(*short_window), now_ms)?;
-                // Both windows must burn; the weaker one gates.
-                Some(long.min(short))
-            }
+    for key in &store.keys_matching(&rule.series) {
+        let Some((_, v)) = store.latest(key) else {
+            continue;
         };
-        let Some(v) = observed else { continue };
-        let more_violating = match condition_compare(&rule.condition) {
+        let v = v.as_f64();
+        let more_violating = match rule.compare {
             Compare::Above => worst.is_none_or(|w| v > w),
             Compare::Below => worst.is_none_or(|w| v < w),
         };
@@ -303,42 +246,6 @@ fn worst_observation(rule: &Rule, store: &SeriesStore, now_ms: u64) -> Option<f6
         }
     }
     worst
-}
-
-/// Which direction the condition treats as "worse".
-fn condition_compare(c: &Condition) -> Compare {
-    match c {
-        Condition::Threshold { compare, .. } | Condition::RateOfChange { compare, .. } => *compare,
-        Condition::BurnRate { .. } => Compare::Above,
-    }
-}
-
-/// Whether observation `v` violates the condition.
-fn condition_violated(c: &Condition, v: f64) -> bool {
-    match c {
-        Condition::Threshold { value, compare } => compare.violates(v, *value),
-        Condition::RateOfChange {
-            per_second,
-            compare,
-            ..
-        } => compare.violates(v, *per_second),
-        Condition::BurnRate {
-            budget_per_second,
-            factor,
-            ..
-        } => v > budget_per_second * factor,
-    }
-}
-
-/// First-to-last slope of `key` over the window, per second.
-fn rate_per_second(store: &SeriesStore, key: &str, window_ms: u64, now_ms: u64) -> Option<f64> {
-    let samples = store.window(key, window_ms, now_ms);
-    let (t0, v0) = *samples.first()?;
-    let (t1, v1) = *samples.last()?;
-    if t1 <= t0 {
-        return None;
-    }
-    Some((v1 - v0) / ((t1 - t0) as f64 / 1000.0))
 }
 
 fn duration_ms(d: Duration) -> u64 {
@@ -510,58 +417,6 @@ mod tests {
             (t[0].from, t[0].to),
             (AlertState::Inactive, AlertState::Firing)
         );
-    }
-
-    #[test]
-    fn rate_of_change_uses_window_slope() {
-        let rule = Rule {
-            name: "climb".to_string(),
-            series: "m".to_string(),
-            condition: Condition::RateOfChange {
-                per_second: 5.0,
-                window: Duration::from_secs(1),
-                compare: Compare::Above,
-            },
-            for_duration: Duration::ZERO,
-        };
-        let mut ev = Evaluator::new(vec![rule]);
-        // 2 per 500ms = 4/s: under the bound.
-        let store = store_with(&[(0, 0), (500, 2)]);
-        assert!(ev.evaluate(&store, 500).is_empty());
-        // 10 more in the next 500ms: 12/500ms ≈ 24/s within the 1s window...
-        store.record_at(1000, &[("m".to_string(), ExpoValue::UInt(12))]);
-        let t = ev.evaluate(&store, 1000);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t[0].to, AlertState::Firing);
-        assert!(t[0].value.unwrap() > 5.0);
-    }
-
-    #[test]
-    fn burn_rate_requires_both_windows() {
-        let rule = Rule {
-            name: "burn".to_string(),
-            series: "m".to_string(),
-            condition: Condition::BurnRate {
-                budget_per_second: 1.0,
-                factor: 2.0,
-                long_window: Duration::from_secs(10),
-                short_window: Duration::from_secs(1),
-            },
-            for_duration: Duration::ZERO,
-        };
-        let mut ev = Evaluator::new(vec![rule]);
-        // Long window burns hot (100 over 10s = 10/s) but the short
-        // window has cooled (flat over the last second): no fire.
-        let store = store_with(&[(0, 0), (9_000, 100), (9_500, 100), (10_000, 100)]);
-        assert!(
-            ev.evaluate(&store, 10_000).is_empty(),
-            "short window cooled"
-        );
-        // Both windows hot: fires.
-        let store = store_with(&[(0, 0), (9_000, 90), (9_500, 95), (10_000, 100)]);
-        let t = ev.evaluate(&store, 10_000);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t[0].to, AlertState::Firing);
     }
 
     #[test]

@@ -14,9 +14,13 @@
 //! incrementally ([`ResultBody::read_chunk`]), so a large grid never
 //! has to exist in client memory at once — or collapse it with
 //! [`ResultBody::text`] when it comfortably fits.
+//!
+//! The client reads its status, header and chunk-size lines through the
+//! server's line scanner, over its own buffer, so a response that
+//! trickles in costs one pass over its bytes.
 
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -24,6 +28,7 @@ use predllc_explore::json::{self, Json};
 use predllc_obs::expo::{self, ExpoValue};
 use predllc_obs::metrics::series_key;
 
+use crate::http::{self, HttpError, Lines};
 use crate::Limits;
 
 /// Any client-side failure.
@@ -152,31 +157,16 @@ impl Format {
     }
 }
 
-/// How a response body is framed on the wire.
-enum Transfer {
-    /// `content-length: n` — exactly `n` bytes follow the head.
-    Length(usize),
-    /// `transfer-encoding: chunked` — hex-sized chunks until a zero
-    /// chunk.
-    Chunked,
-}
-
-/// One parsed response head; the body is still on the wire.
-struct Head {
-    status: u16,
+/// A response body still on the wire: how it is framed, how much of it
+/// is read, and whether the connection outlives it.
+struct BodyState {
+    /// Data bytes left in the body, or in the current chunk of a
+    /// chunked body (0: a chunk-size line comes next).
+    remaining: usize,
+    chunked: bool,
     keep_alive: bool,
-    transfer: Transfer,
-}
-
-/// Progress through a streamed response body.
-enum BodyState {
-    /// `remaining` bytes of a content-length body left to read.
-    Length { remaining: usize },
-    /// Inside a chunked body, `remaining` data bytes left in the
-    /// current chunk (0 = next read starts at a chunk header).
-    Chunk { remaining: usize },
     /// Fully consumed — the connection is clean.
-    Done,
+    done: bool,
 }
 
 /// An in-flight result body borrowed off a [`Client`].
@@ -188,7 +178,6 @@ enum BodyState {
 pub struct ResultBody<'c> {
     client: &'c mut Client,
     state: BodyState,
-    keep_alive: bool,
 }
 
 impl ResultBody<'_> {
@@ -202,46 +191,19 @@ impl ResultBody<'_> {
     /// transport dies or misframes mid-body; the connection is dropped
     /// and the body cannot be resumed.
     pub fn read_chunk(&mut self) -> Result<Option<Vec<u8>>, ClientError> {
-        const SLAB: usize = 16 * 1024;
-        loop {
-            match self.state {
-                BodyState::Done => return Ok(None),
-                BodyState::Length { remaining } => {
-                    if remaining == 0 {
-                        self.finish();
-                        return Ok(None);
-                    }
-                    let take = remaining.min(SLAB);
-                    let mut buf = vec![0u8; take];
-                    self.client.read_body_exact(&mut buf)?;
-                    self.state = BodyState::Length {
-                        remaining: remaining - take,
-                    };
-                    return Ok(Some(buf));
-                }
-                BodyState::Chunk { remaining } => {
-                    if remaining == 0 {
-                        let size = self.client.read_chunk_size()?;
-                        if size == 0 {
-                            self.client.consume_crlf()?;
-                            self.finish();
-                            return Ok(None);
-                        }
-                        self.state = BodyState::Chunk { remaining: size };
-                        continue;
-                    }
-                    let take = remaining.min(SLAB);
-                    let mut buf = vec![0u8; take];
-                    self.client.read_body_exact(&mut buf)?;
-                    let left = remaining - take;
-                    if left == 0 {
-                        self.client.consume_crlf()?;
-                    }
-                    self.state = BodyState::Chunk { remaining: left };
-                    return Ok(Some(buf));
-                }
-            }
+        if self.state.done {
+            return Ok(None);
         }
+        let Some(conn) = self.client.conn.as_mut() else {
+            return Err(ClientError::Protocol("connection lost mid-body".into()));
+        };
+        let slab = conn.slab(&mut self.state);
+        if slab.is_err() || (self.state.done && !self.state.keep_alive) {
+            // A half-read body leaves the stream unframed; a finished
+            // one retires the connection unless the response kept it.
+            self.client.conn = None;
+        }
+        slab
     }
 
     /// Reads the remaining body to completion as one UTF-8 string.
@@ -256,23 +218,185 @@ impl ResultBody<'_> {
         }
         String::from_utf8(out).map_err(|_| ClientError::Protocol("non-utf8 body".into()))
     }
-
-    /// Marks the body consumed and releases (or retires) the
-    /// connection per the response's keep-alive answer.
-    fn finish(&mut self) {
-        self.state = BodyState::Done;
-        if !self.keep_alive {
-            self.client.conn = None;
-        }
-    }
 }
 
 impl Drop for ResultBody<'_> {
     fn drop(&mut self) {
         // An unfinished body leaves unread bytes on the stream; the
         // connection cannot frame another response, so drop it.
-        if !matches!(self.state, BodyState::Done) {
+        if !self.state.done {
             self.client.conn = None;
+        }
+    }
+}
+
+/// Most bytes one socket read asks for, and one body slab holds.
+const SLAB: usize = 16 * 1024;
+
+/// A keep-alive connection: the socket, and the bytes read from it that
+/// no response has consumed yet.
+struct Conn<S = TcpStream> {
+    stream: S,
+    buf: Vec<u8>,
+    /// The scan of `buf`'s lines and body bytes.
+    lines: Lines,
+    /// Where each socket read lands before it joins `buf`.
+    scratch: Box<[u8]>,
+}
+
+impl<S: Read> Conn<S> {
+    fn new(stream: S) -> Conn<S> {
+        Conn {
+            stream,
+            buf: Vec::new(),
+            lines: Lines::default(),
+            scratch: vec![0; SLAB].into_boxed_slice(),
+        }
+    }
+
+    /// Reads more bytes after dropping the consumed ones, so the buffer
+    /// holds at most the open line or slab and one read; `Ok(0)` at EOF.
+    fn fill(&mut self) -> io::Result<usize> {
+        self.buf.drain(..self.lines.forget_consumed());
+        let n = loop {
+            match self.stream.read(&mut self.scratch) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                read => break read?,
+            }
+        };
+        self.buf.extend_from_slice(&self.scratch[..n]);
+        Ok(n)
+    }
+
+    /// The next line, without its line ending. As on the server, more
+    /// than `max` bytes before the LF is a protocol error: a peer that
+    /// never sends a newline cannot grow the line past the bound.
+    fn line(&mut self, max: usize, what: &'static str) -> Result<String, ClientError> {
+        loop {
+            match self.lines.next(&self.buf, max, what) {
+                Ok(Some(line)) => return Ok(line.to_string()),
+                Ok(None) => {}
+                Err(HttpError::TooLarge(_)) => {
+                    return Err(ClientError::Protocol(format!(
+                        "{what} longer than {max} bytes"
+                    )))
+                }
+                Err(HttpError::Malformed(why)) => {
+                    return Err(ClientError::Protocol(format!("{why} {what}")))
+                }
+            }
+            if self.fill()? == 0 {
+                return Err(ClientError::Protocol(format!(
+                    "connection closed before the {what} ended"
+                )));
+            }
+        }
+    }
+
+    /// The next `n` bytes of a body.
+    fn bytes(&mut self, n: usize) -> Result<Vec<u8>, ClientError> {
+        loop {
+            if let Some(bytes) = self.lines.take(&self.buf, n) {
+                return Ok(bytes.to_vec());
+            }
+            if self.fill()? == 0 {
+                return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+            }
+        }
+    }
+
+    /// Reads one response head: status line plus headers, stopping at
+    /// the blank line; its status and the body still on the wire. Lines
+    /// and the header count are bounded by [`Limits::default`], as the
+    /// server bounds a request's head.
+    fn head(&mut self) -> Result<(u16, BodyState), ClientError> {
+        let limits = Limits::default();
+        let line = self.line(limits.max_request_line, "status line")?;
+        let mut parts = line.trim_end().splitn(3, ' ');
+        let version = parts.next().unwrap_or("");
+        let status: u16 = parts
+            .next()
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| ClientError::Protocol(format!("bad status line {line:?}")))?;
+        if !version.starts_with("HTTP/1.") {
+            return Err(ClientError::Protocol(format!("bad version in {line:?}")));
+        }
+
+        let mut content_length = None;
+        let mut chunked = false;
+        let mut keep_alive = true;
+        let mut headers = 0usize;
+        loop {
+            let header = self.line(limits.max_header_line, "header line")?;
+            let header = header.trim_end();
+            if header.is_empty() {
+                break;
+            }
+            headers += 1;
+            if headers > limits.max_headers {
+                return Err(ClientError::Protocol(format!(
+                    "more than {} headers",
+                    limits.max_headers
+                )));
+            }
+            let Some((name, value)) = http::field(header) else {
+                continue;
+            };
+            match name.as_str() {
+                "content-length" => {
+                    let len = http::content_length(value, content_length)
+                        .map_err(|_| ClientError::Protocol("bad content-length".into()))?;
+                    content_length = Some(len);
+                }
+                "transfer-encoding" => chunked = value.eq_ignore_ascii_case("chunked"),
+                "connection" => keep_alive = !value.eq_ignore_ascii_case("close"),
+                _ => {}
+            }
+        }
+        let body = BodyState {
+            // A chunked body's own framing overrides `content-length`.
+            remaining: content_length.filter(|_| !chunked).unwrap_or(0),
+            chunked,
+            keep_alive,
+            done: false,
+        };
+        Ok((status, body))
+    }
+
+    /// The next slab (at most [`SLAB`] bytes) of a body that `state`
+    /// frames, or `None` once the body has ended.
+    fn slab(&mut self, state: &mut BodyState) -> Result<Option<Vec<u8>>, ClientError> {
+        while !state.done {
+            if state.remaining > 0 {
+                let slab = self.bytes(state.remaining.min(SLAB))?;
+                state.remaining -= slab.len();
+                if state.chunked && state.remaining == 0 {
+                    self.chunk_end()?;
+                }
+                return Ok(Some(slab));
+            }
+            if !state.chunked {
+                break;
+            }
+            let line = self.line(Limits::default().max_header_line, "chunk size")?;
+            state.remaining = http::number(line.trim(), 16)
+                .ok_or_else(|| ClientError::Protocol(format!("bad chunk size {line:?}")))?;
+            if state.remaining == 0 {
+                self.chunk_end()?;
+                break;
+            }
+        }
+        state.done = true;
+        Ok(None)
+    }
+
+    /// The empty line that ends a chunk's data, or the chunked body: at
+    /// most a CR before its LF.
+    fn chunk_end(&mut self) -> Result<(), ClientError> {
+        if self.line(1, "chunk terminator")?.is_empty() {
+            Ok(())
+        } else {
+            Err(ClientError::Protocol("missing chunk terminator".into()))
         }
     }
 }
@@ -280,7 +404,7 @@ impl Drop for ResultBody<'_> {
 /// A blocking client for one service address.
 pub struct Client {
     addr: SocketAddr,
-    conn: Option<BufReader<TcpStream>>,
+    conn: Option<Conn>,
     /// Per-request read timeout.
     timeout: Duration,
     /// Most transport retries per request on a fresh connection.
@@ -330,11 +454,11 @@ impl Client {
         self
     }
 
-    fn connect(&mut self) -> Result<&mut BufReader<TcpStream>, ClientError> {
+    fn connect(&mut self) -> Result<&mut Conn, ClientError> {
         if self.conn.is_none() {
             let stream = TcpStream::connect(self.addr)?;
             stream.set_read_timeout(Some(self.timeout))?;
-            self.conn = Some(BufReader::new(stream));
+            self.conn = Some(Conn::new(stream));
         }
         Ok(self.conn.as_mut().expect("just connected"))
     }
@@ -385,10 +509,8 @@ impl Client {
         body: Option<&str>,
     ) -> Result<(u16, String), ClientError> {
         self.retrying(|client| {
-            client.send_request(method, path, body)?;
-            let head = client.read_head()?;
-            let status = head.status;
-            let text = client.body(&head).text()?;
+            let (status, state) = client.send_request(method, path, body)?.head()?;
+            let text = ResultBody { client, state }.text()?;
             if (200..300).contains(&status) {
                 Ok((status, text))
             } else {
@@ -397,26 +519,14 @@ impl Client {
         })
     }
 
-    /// The response body framed by `head`, still on the wire.
-    fn body(&mut self, head: &Head) -> ResultBody<'_> {
-        let state = match head.transfer {
-            Transfer::Length(n) => BodyState::Length { remaining: n },
-            Transfer::Chunked => BodyState::Chunk { remaining: 0 },
-        };
-        ResultBody {
-            keep_alive: head.keep_alive,
-            state,
-            client: self,
-        }
-    }
-
-    /// Writes one request (connecting lazily first).
+    /// Writes one request (connecting lazily first), and hands back the
+    /// connection to read the response from.
     fn send_request(
         &mut self,
         method: &str,
         path: &str,
         body: Option<&str>,
-    ) -> Result<(), ClientError> {
+    ) -> Result<&mut Conn, ClientError> {
         let addr = self.addr;
         let trace_header = match self.trace {
             Some(trace) => format!("{}: {}\r\n", predllc_obs::TRACE_HEADER, trace.to_hex()),
@@ -424,7 +534,7 @@ impl Client {
         };
         let conn = self.connect()?;
         let payload = body.unwrap_or("");
-        conn.get_mut().write_all(
+        conn.stream.write_all(
             format!(
                 "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-type: application/json\r\n\
                  {trace_header}content-length: {}\r\n\r\n{payload}",
@@ -432,127 +542,7 @@ impl Client {
             )
             .as_bytes(),
         )?;
-        conn.get_mut().flush()?;
-        Ok(())
-    }
-
-    /// Reads one response head: status line plus headers, stopping at
-    /// the blank line. The body (if any) is still on the wire, framed
-    /// per [`Head::transfer`]. Lines and the header count are bounded by
-    /// [`Limits::default`], as the server bounds a request's head.
-    fn read_head(&mut self) -> Result<Head, ClientError> {
-        let conn = match self.conn.as_mut() {
-            Some(conn) => conn,
-            None => return Err(ClientError::Protocol("no connection to read from".into())),
-        };
-        let limits = Limits::default();
-
-        // Status line.
-        let Some(line) = read_line(conn, limits.max_request_line, "status line")? else {
-            self.conn = None;
-            return Err(ClientError::Protocol("connection closed".into()));
-        };
-        let mut parts = line.trim_end().splitn(3, ' ');
-        let version = parts.next().unwrap_or("");
-        let status: u16 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| ClientError::Protocol(format!("bad status line {line:?}")))?;
-        if !version.starts_with("HTTP/1.") {
-            return Err(ClientError::Protocol(format!("bad version in {line:?}")));
-        }
-
-        // Headers.
-        let mut content_length = 0usize;
-        let mut chunked = false;
-        let mut keep_alive = true;
-        let mut headers = 0usize;
-        loop {
-            let header = read_line(conn, limits.max_header_line, "header line")?
-                .ok_or_else(|| ClientError::Protocol("truncated headers".into()))?;
-            let header = header.trim_end();
-            if header.is_empty() {
-                break;
-            }
-            headers += 1;
-            if headers > limits.max_headers {
-                return Err(ClientError::Protocol(format!(
-                    "more than {} headers",
-                    limits.max_headers
-                )));
-            }
-            if let Some((name, value)) = header.split_once(':') {
-                match name.trim().to_ascii_lowercase().as_str() {
-                    "content-length" => {
-                        content_length = value
-                            .trim()
-                            .parse()
-                            .map_err(|_| ClientError::Protocol("bad content-length".into()))?;
-                    }
-                    "transfer-encoding" => {
-                        chunked = value.trim().eq_ignore_ascii_case("chunked");
-                    }
-                    "connection" => {
-                        keep_alive = !value.trim().eq_ignore_ascii_case("close");
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let transfer = if chunked {
-            Transfer::Chunked
-        } else {
-            Transfer::Length(content_length)
-        };
-        Ok(Head {
-            status,
-            keep_alive,
-            transfer,
-        })
-    }
-
-    /// `read_exact` over the live connection, dropping it on failure —
-    /// a half-read body leaves the stream unframed, so it must not be
-    /// reused.
-    fn read_body_exact(&mut self, buf: &mut [u8]) -> Result<(), ClientError> {
-        let result = match self.conn.as_mut() {
-            Some(conn) => conn.read_exact(buf).map_err(ClientError::from),
-            None => Err(ClientError::Protocol("connection lost mid-body".into())),
-        };
-        if result.is_err() {
-            self.conn = None;
-        }
-        result
-    }
-
-    /// Reads one `<hex-size>\r\n` chunk header (a header-sized line at
-    /// most), dropping the connection on failure.
-    fn read_chunk_size(&mut self) -> Result<usize, ClientError> {
-        let result = match self.conn.as_mut() {
-            Some(conn) => match read_line(conn, Limits::default().max_header_line, "chunk size") {
-                Err(e) => Err(e),
-                Ok(None) => Err(ClientError::Protocol("truncated chunked body".into())),
-                Ok(Some(line)) => usize::from_str_radix(line.trim(), 16)
-                    .map_err(|_| ClientError::Protocol(format!("bad chunk size {line:?}"))),
-            },
-            None => Err(ClientError::Protocol("connection lost mid-body".into())),
-        };
-        if result.is_err() {
-            self.conn = None;
-        }
-        result
-    }
-
-    /// Consumes the `\r\n` that terminates a chunk (or the final
-    /// zero-chunk), dropping the connection on failure.
-    fn consume_crlf(&mut self) -> Result<(), ClientError> {
-        let mut crlf = [0u8; 2];
-        self.read_body_exact(&mut crlf)?;
-        if crlf != *b"\r\n" {
-            self.conn = None;
-            return Err(ClientError::Protocol("missing chunk terminator".into()));
-        }
-        Ok(())
+        Ok(conn)
     }
 
     fn request_json(
@@ -768,18 +758,17 @@ impl Client {
     /// connection reusable. Any transport failure.
     pub fn results(&mut self, id: &str, format: Format) -> Result<ResultBody<'_>, ClientError> {
         let path = format.path(id);
-        let head = self.retrying(|client| {
-            client.send_request("GET", &path, None)?;
-            client.read_head()
-        })?;
-        if !(200..300).contains(&head.status) {
-            let body = self.body(&head).text()?;
-            return Err(ClientError::Status {
-                status: head.status,
-                body,
-            });
+        let (status, state) =
+            self.retrying(|client| client.send_request("GET", &path, None)?.head())?;
+        let body = ResultBody {
+            client: self,
+            state,
+        };
+        if !(200..300).contains(&status) {
+            let body = body.text()?;
+            return Err(ClientError::Status { status, body });
         }
-        Ok(self.body(&head))
+        Ok(body)
     }
 
     /// `POST /v1/points` — have the server measure (or answer from its
@@ -808,36 +797,6 @@ impl Client {
         let doc = self.request_json("GET", &format!("/v1/points/{fingerprint}"), None)?;
         point_reply(&doc)
     }
-}
-
-/// One line off the wire, without its line ending; `None` when the peer
-/// closed before sending a byte of it. As on the server, more than `max`
-/// bytes before the LF is a protocol error: a peer that never sends a
-/// newline cannot grow the line past the bound.
-fn read_line(
-    conn: &mut BufReader<TcpStream>,
-    max: usize,
-    what: &str,
-) -> Result<Option<String>, ClientError> {
-    let mut line = Vec::new();
-    let bound = u64::try_from(max).unwrap_or(u64::MAX).saturating_add(1);
-    conn.by_ref().take(bound).read_until(b'\n', &mut line)?;
-    if line.last() != Some(&b'\n') {
-        return match line.len() {
-            0 => Ok(None),
-            n if n > max => Err(ClientError::Protocol(format!(
-                "{what} longer than {max} bytes"
-            ))),
-            _ => Err(ClientError::Protocol(format!("truncated {what}"))),
-        };
-    }
-    line.pop();
-    if line.last() == Some(&b'\r') {
-        line.pop();
-    }
-    String::from_utf8(line)
-        .map(Some)
-        .map_err(|_| ClientError::Protocol(format!("non-utf8 {what}")))
 }
 
 fn point_reply(doc: &Json) -> Result<PointReply, ClientError> {
@@ -1015,5 +974,151 @@ mod tests {
             "an unfinished body must not leave a mis-framed connection behind"
         );
         server.join().unwrap();
+    }
+
+    /// A peer that answers one request with `reply`, one byte per write
+    /// when `trickle`, then holds the socket until the client hangs up.
+    fn peer(reply: String, trickle: bool) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.set_nodelay(true).unwrap();
+            let mut buf = [0u8; 512];
+            let _ = stream.read(&mut buf);
+            if trickle {
+                for byte in reply.as_bytes() {
+                    stream.write_all(std::slice::from_ref(byte)).unwrap();
+                }
+            } else {
+                stream.write_all(reply.as_bytes()).unwrap();
+            }
+            let _ = stream.read(&mut buf);
+        });
+        (addr, peer)
+    }
+
+    #[test]
+    fn misframed_bodies_are_protocol_errors() {
+        for body in [
+            // Chunk sizes and lengths are digits only, and lengths agree.
+            "transfer-encoding: chunked\r\n\r\n+a\r\n0123456789\r\n0\r\n\r\n",
+            "content-length: +3\r\n\r\nabc",
+            "content-length: 3\r\ncontent-length: 2\r\n\r\nabc",
+            // A chunk's data ends in an empty line.
+            "transfer-encoding: chunked\r\n\r\n5\r\nhelloXX\r\n0\r\n\r\n",
+            "transfer-encoding: chunked\r\n\r\n5\r\nhelloX\n0\r\n\r\n",
+        ] {
+            let (addr, peer) = peer(format!("HTTP/1.1 200 OK\r\n{body}"), false);
+            let mut client = Client::new(addr).with_retries(0);
+            let err = client.healthz().unwrap_err();
+            assert!(matches!(err, ClientError::Protocol(_)), "{body:?}: {err}");
+            drop(client);
+            peer.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_response_written_one_byte_per_write_reads_whole() {
+        let mut reply = String::from("HTTP/1.1 200 OK\r\n");
+        for i in 0..63 {
+            reply.push_str(&format!("x-h{i}: v{i}\r\n"));
+        }
+        reply.push_str("transfer-encoding: chunked\r\n\r\n");
+        let body = "config,workload,wcl\nss,uniform,120\nnss,stride,96\n";
+        for piece in body.as_bytes().chunks(7) {
+            let piece = std::str::from_utf8(piece).unwrap();
+            reply.push_str(&format!("{:x}\r\n{piece}\r\n", piece.len()));
+        }
+        reply.push_str("0\r\n\r\n");
+        let (addr, peer) = peer(reply, true);
+        let mut client = Client::new(addr).with_retries(0);
+        let text = client.results("x", Format::Csv).unwrap().text().unwrap();
+        assert_eq!(text, body);
+        drop(client);
+        peer.join().unwrap();
+    }
+
+    /// A stream that hands over `step` bytes per read, failing the test
+    /// as soon as `budget` is spent.
+    struct Trickle {
+        bytes: Vec<u8>,
+        at: usize,
+        step: usize,
+        started: Instant,
+        budget: Duration,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let spent = self.started.elapsed();
+            assert!(
+                spent < self.budget,
+                "{spent:?} spent by byte {} of {}",
+                self.at,
+                self.bytes.len()
+            );
+            let n = out.len().min(self.step).min(self.bytes.len() - self.at);
+            out[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    fn trickle(bytes: Vec<u8>, step: usize, budget: Duration) -> Conn<Trickle> {
+        Conn::new(Trickle {
+            bytes,
+            at: 0,
+            step,
+            started: Instant::now(),
+            budget,
+        })
+    }
+
+    /// A `200` head of 64 header lines of 2 KiB each, the last announcing
+    /// a chunked body when `chunked`.
+    fn big_head(chunked: bool) -> String {
+        let mut text = String::from("HTTP/1.1 200 OK\r\n");
+        for i in 0..64 - usize::from(chunked) {
+            let line = format!("x-pad-{i:02}: ");
+            text.push_str(&line);
+            text.push_str(&"p".repeat(2048 - line.len() - 2));
+            text.push_str("\r\n");
+        }
+        if chunked {
+            text.push_str("transfer-encoding: chunked\r\n");
+        }
+        text + "\r\n"
+    }
+
+    // The same shapes and budgets as the server's bounded-work tests in
+    // `http`: the client reads its lines with the same scanner.
+
+    #[test]
+    fn a_128_kib_response_head_read_one_byte_per_read_costs_linear_work() {
+        let head = big_head(false);
+        assert_eq!(head.len() >> 10, 128);
+        let mut conn = trickle(head.into_bytes(), 1, Duration::from_millis(250));
+        assert_eq!(conn.head().unwrap().0, 200);
+    }
+
+    #[test]
+    fn a_chunked_body_read_1_kib_per_read_costs_linear_work() {
+        let head = big_head(true);
+        assert_eq!(head.len() >> 10, 126);
+        let mut bytes = head.into_bytes();
+        for _ in 0..256 {
+            bytes.extend_from_slice(b"1000\r\n");
+            bytes.resize(bytes.len() + 4096, b'b');
+            bytes.extend_from_slice(b"\r\n");
+        }
+        bytes.extend_from_slice(b"0\r\n\r\n");
+        let mut conn = trickle(bytes, 1024, Duration::from_millis(50));
+        let (_, mut state) = conn.head().unwrap();
+        let mut body = 0;
+        while let Some(slab) = conn.slab(&mut state).unwrap() {
+            body += slab.len();
+        }
+        assert_eq!(body, 1 << 20);
     }
 }

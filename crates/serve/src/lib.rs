@@ -9,12 +9,12 @@
 //! a deterministic pure function of the spec, the service never runs
 //! the same experiment twice:
 //!
-//! * `http` — a bounded HTTP/1.1 request/response layer: one request
-//!   parser that reads lines and the body straight from a connection's
-//!   buffer, and one function that frames every response (keep-alive,
-//!   `Content-Length` and chunked framing, hard size limits set by
-//!   [`Limits`]; no external dependencies, same offline constraint as
-//!   the in-tree JSON codec).
+//! * `http` — the one HTTP/1.1 codec, for both ends: a line scanner
+//!   that reads each byte once however a message trickles in, a request
+//!   parser the reactor resumes per connection, and one function that
+//!   frames every response (keep-alive, `Content-Length` and chunked
+//!   framing, hard size limits set by [`Limits`]; no external
+//!   dependencies, same offline constraint as the in-tree JSON codec).
 //! * `handler` — the dispatch layer: a router of path patterns to
 //!   handlers whose response bodies are either bytes or a pull-based
 //!   stream rendered incrementally.
@@ -37,8 +37,9 @@
 //!   that make any server a fleet worker, and graceful shutdown that
 //!   drains every accepted job.
 //! * [`client`] — a small blocking client (submit / wait / fetch /
-//!   point) with bounded transport retries, used by the integration
-//!   tests, the CI smoke and the fleet coordinator.
+//!   point) with bounded transport retries, reading responses with
+//!   `http`'s line scanner; used by the integration tests, the CI smoke
+//!   and the fleet coordinator.
 //!
 //! # Endpoints
 //!

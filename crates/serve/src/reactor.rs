@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use crate::api;
 use crate::handler::{Dispatch, Router};
-use crate::http::{encode_chunk, encode_last_chunk, frame, try_parse, BodyStream, Parse, Request};
+use crate::http::{encode_chunk, encode_last_chunk, frame, BodyStream, Parser, Request};
 use crate::registry;
 use crate::server::{register_waker, ConnTicket, ReactorOptions, Shared};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -181,6 +181,8 @@ struct Conn {
     _ticket: ConnTicket,
     /// Unparsed request bytes.
     buf: Vec<u8>,
+    /// The parse of the request at the front of `buf`.
+    parser: Parser,
     /// Rendered-but-unflushed response bytes (`out_pos` consumed).
     out: Vec<u8>,
     out_pos: usize,
@@ -446,8 +448,8 @@ fn process_read(ctx: &Ctx<'_>, conn: &mut Conn, seq: &mut u64) -> bool {
         if conn.state != State::Reading {
             return true;
         }
-        match try_parse(&conn.buf, &ctx.shared.limits) {
-            Parse::Partial => {
+        match conn.parser.parse(&conn.buf, &ctx.shared.limits) {
+            Ok(None) => {
                 set_interest(ctx.epoll, conn, EPOLLIN | EPOLLRDHUP);
                 // A half-closed peer sends nothing more: whether the
                 // buffer is empty (keep-alive over) or holds a request
@@ -455,7 +457,7 @@ fn process_read(ctx: &Ctx<'_>, conn: &mut Conn, seq: &mut u64) -> bool {
                 // done.
                 return !conn.half_closed;
             }
-            Parse::Complete(req, consumed) => {
+            Ok(Some((req, consumed))) => {
                 conn.buf.drain(..consumed);
                 conn.http11 = req.http11;
                 conn.pending_keep_alive = req.keep_alive;
@@ -494,7 +496,7 @@ fn process_read(ctx: &Ctx<'_>, conn: &mut Conn, seq: &mut u64) -> bool {
                     WriteEnd::Close => return false,
                 }
             }
-            Parse::Invalid(e) => {
+            Err(e) => {
                 conn.pending_keep_alive = false;
                 let resp = api::parse_error_response(&e);
                 return match start_write(ctx, conn, Dispatch::Reply(resp)) {
@@ -641,6 +643,7 @@ fn reactor_loop(
                         token,
                         _ticket: ticket,
                         buf: Vec::new(),
+                        parser: Parser::default(),
                         out: Vec::new(),
                         out_pos: 0,
                         stream_body: None,

@@ -799,3 +799,78 @@ fn a_request_trickled_in_pieces_gets_the_bytes_it_gets_whole() {
     assert_eq!(whole.0, 200, "{whole:?}");
     assert_eq!(answer(true), whole);
 }
+
+/// A head of exactly `max_headers` headers plus a body, written in
+/// seeded pieces of 1–64 bytes, gets the bytes it gets written at once.
+/// The same head with one more header gets the 431 it gets whole, and
+/// gets it as soon as that header's LF arrives: its pieces stop there.
+#[test]
+fn a_head_at_the_header_bound_written_in_pieces_gets_the_bytes_it_gets_whole() {
+    use predllc::explore::PointRequest;
+    use predllc::serve::Limits;
+
+    let spec = ExperimentSpec::parse(SPEC).unwrap();
+    let body = PointRequest {
+        cores: spec.cores,
+        config: spec.configs[0].clone(),
+        workload: spec.workloads[0].clone(),
+        attribution: false,
+        twins: Vec::new(),
+    }
+    .render()
+    .unwrap();
+    let max_headers = Limits::default().max_headers;
+    // The request with `headers` headers, and where the last one ends.
+    let request = |headers: usize| {
+        let mut head = format!(
+            "POST /v1/points HTTP/1.1\r\ncontent-length: {}\r\n",
+            body.len()
+        );
+        for i in 1..headers {
+            head.push_str(&format!("x-pad-{i}: {}\r\n", "v".repeat(i % 7)));
+        }
+        let last_header = head.len();
+        (format!("{head}\r\n{body}").into_bytes(), last_header)
+    };
+    let answer = |bytes: &[u8], seed: Option<u64>| {
+        let (handle, join) = start(ServerConfig {
+            idle_timeout: Duration::from_secs(1),
+            ..ServerConfig::default()
+        });
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        match seed {
+            None => stream.write_all(bytes).unwrap(),
+            Some(mut state) => {
+                let mut at = 0;
+                while at < bytes.len() {
+                    // splitmix64
+                    state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    let mut z = state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                    let end = (at + 1 + ((z ^ (z >> 31)) % 64) as usize).min(bytes.len());
+                    stream.write_all(&bytes[at..end]).unwrap();
+                    at = end;
+                    std::thread::sleep(Duration::from_micros(500));
+                }
+            }
+        }
+        let reply = read_response(&mut BufReader::new(stream));
+        stop(&handle, join);
+        reply
+    };
+
+    let (at_bound, _) = request(max_headers);
+    let whole = answer(&at_bound, None);
+    assert_eq!(whole.0, 200, "{whole:?}");
+    assert_eq!(answer(&at_bound, Some(0x1F0_C0DE)), whole);
+
+    let (past_bound, decide) = request(max_headers + 1);
+    let whole = answer(&past_bound, None);
+    assert_eq!(whole.0, 431, "{whole:?}");
+    assert_eq!(answer(&past_bound[..decide], Some(0x1F0_C0DE)), whole);
+}
